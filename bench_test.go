@@ -24,7 +24,6 @@ import (
 	"hitlist6/internal/core"
 	"hitlist6/internal/dnswire"
 	"hitlist6/internal/experiments"
-	"hitlist6/internal/fleet"
 	"hitlist6/internal/hlfile"
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -162,7 +161,7 @@ func BenchmarkScanEngineStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var results atomic.Uint64 // sinks run concurrently across shards
-		stats, err := s.Stream(ctx, targets, protos, 100, func(batch *scan.Batch) error {
+		stats, err := s.StreamFrom(ctx, scan.SliceSource(targets), protos, 100, func(batch *scan.Batch) error {
 			results.Add(uint64(len(batch.Results)))
 			return nil
 		})
@@ -174,11 +173,10 @@ func BenchmarkScanEngineStream(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetScan measures the distributed scan fleet against the
-// single-scanner engine path: the same five-protocol sweep split across
-// N scanner nodes with work-stealing. On a multi-core runner wall-clock
-// time should fall near-linearly with node count (every node is an
-// independent scanner; only queue pops and merged stats are shared).
+// BenchmarkFleetScan is the engine's worker-scaling row: the same
+// five-protocol sweep with 1, 2, 4 and 8 probe workers taking shards off
+// the one cost-ordered queue. More workers must never be slower than
+// one; on a multi-core runner wall-clock time should fall with them.
 func BenchmarkFleetScan(b *testing.B) {
 	w, err := worldgen.Generate(worldgen.Params{
 		Seed: 17, Scale: 1.0 / 10000, TailASes: 48, ScanIntervalDays: 7,
@@ -196,11 +194,13 @@ func BenchmarkFleetScan(b *testing.B) {
 	ctx := context.Background()
 	for _, nodes := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			coord := fleet.New(w.Net, fleet.Config{Workers: nodes, Scan: scan.DefaultConfig(17)})
+			cfg := scan.DefaultConfig(17)
+			cfg.Workers = nodes
+			s := scan.New(w.Net, cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var results atomic.Uint64
-				res, err := coord.Scan(ctx, scan.SliceSource(targets).(scan.ShardedSource), protos, 100,
+				_, err := s.StreamFrom(ctx, scan.SliceSource(targets), protos, 100,
 					func(batch *scan.Batch) error {
 						results.Add(uint64(len(batch.Results)))
 						return nil
@@ -208,12 +208,7 @@ func BenchmarkFleetScan(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				steals := 0
-				for _, ws := range res.Workers {
-					steals += ws.Steals
-				}
 				b.ReportMetric(float64(results.Load()), "results")
-				b.ReportMetric(float64(steals), "steals")
 			}
 		})
 	}

@@ -10,8 +10,7 @@
 // With -threshold >= 0, the exit status is non-zero when any benchmark's
 // ns/op or B/op regresses by more than PCT percent — the CI gate mode,
 // where the bench artifact diff fails loudly instead of only reporting.
-// The default (-1) reports without failing. -max-regress is the
-// deprecated alias of -threshold.
+// The default (-1) reports without failing.
 //
 // Benchmarks missing from the baseline are additions, not regressions:
 // they are listed in the table, summarized as a warning on stderr, and
@@ -104,15 +103,10 @@ func delta(base, cur float64) string {
 func main() {
 	threshold := flag.Float64("threshold", -1,
 		"fail when ns/op or B/op regresses by more than this percentage (-1 = report only)")
-	maxRegress := flag.Float64("max-regress", -1,
-		"deprecated alias of -threshold")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold PCT] baseline.txt current.txt")
 		os.Exit(2)
-	}
-	if *threshold < 0 {
-		threshold = maxRegress
 	}
 	base, _, err := parseBench(flag.Arg(0))
 	if err != nil {

@@ -14,11 +14,12 @@
 // batches complete — like real ZMap, output row order is arrival order,
 // not input order (rows within a batch stay in probe order). Pass
 // -ordered to buffer the full result set and emit input order instead.
-// Pass -fleet N to run the scan as a fleet of N scanner nodes
-// (internal/fleet): rows come out in canonical shard order, byte-
-// identical to a `-workers 1 -sinkqueue 0` single-process run for any N,
-// even with workers killed mid-scan via -fleetkill. A per-worker summary
-// table (shards/steals/probes/ms) prints to stderr.
+// Pass -fleet N to run the scan on N probe workers with canonical-order
+// output: each shard's rows buffer in a per-shard body and the bodies
+// concatenate in shard order, byte-identical to a `-workers 1
+// -sinkqueue 0` run for any N, even with workers killed mid-scan via
+// -fleetkill. A per-worker summary table (shards/probes/ms) prints to
+// stderr.
 // -batchstats prints one stderr line per completed batch; -shardstats
 // prints the full per-shard throughput table after the scan. -distinct
 // additionally counts distinct responsive addresses; with -spill DIR the
@@ -63,7 +64,6 @@ import (
 	"sync"
 	"syscall"
 
-	"hitlist6/internal/fleet"
 	"hitlist6/internal/hlfile"
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -155,7 +155,7 @@ func main() {
 		chunk       = flag.Int("chunk", 0, "target-source pull chunk size (0 = default)")
 		sinkQueue   = flag.Int("sinkqueue", 8, "bounded CSV delivery queue depth (0 = write inline on probe workers)")
 		ordered     = flag.Bool("ordered", false, "buffer results and write in input order")
-		fleetN      = flag.Int("fleet", 0, "run the scan as a fleet of N scanner nodes; CSV comes out in canonical shard order, byte-identical to -workers 1 -sinkqueue 0")
+		fleetN      = flag.Int("fleet", 0, "run the scan on N probe workers; CSV comes out in canonical shard order, byte-identical to -workers 1 -sinkqueue 0")
 		fleetKill   = flag.String("fleetkill", "", "comma-separated fleet worker indices to kill at their first fault point (recovery drill; leave at least one survivor)")
 		batchStats  = flag.Bool("batchstats", false, "print per-batch throughput to stderr")
 		shardStats  = flag.Bool("shardstats", false, "print the full per-shard throughput table to stderr")
@@ -261,6 +261,31 @@ func main() {
 	cfg.BatchSize = *batchSize
 	cfg.SourceChunk = *chunk
 	cfg.SinkQueueDepth = *sinkQueue
+	if *fleetN > 0 {
+		if *ordered {
+			die("-fleet is incompatible with -ordered\n")
+		}
+		cfg.Workers = *fleetN
+		// The per-shard bodies share nothing, so workers write them
+		// inline; the queue exists to keep workers off one shared stdout.
+		cfg.SinkQueueDepth = 0
+		if *fleetKill != "" {
+			kill := make(map[int]bool)
+			for _, f := range strings.Split(*fleetKill, ",") {
+				n, err := strconv.Atoi(strings.TrimSpace(f))
+				if err != nil {
+					die("parsing -fleetkill: %v\n", err)
+				}
+				kill[n] = true
+			}
+			cfg.FaultHook = func(p scan.FaultPoint) error {
+				if kill[p.Worker] {
+					return scan.ErrWorkerKilled
+				}
+				return nil
+			}
+		}
+	}
 	s := scan.New(w.Net, cfg)
 
 	// Profiling hooks: probe-hot-path regressions are easiest to diagnose
@@ -305,17 +330,12 @@ func main() {
 	}
 
 	var stats scan.Stats
-	var fleetRes *fleet.Result
 	ctx := context.Background()
 	if *fleetN > 0 {
-		// Fleet mode: N scanner nodes split the 64 shards, each shard's
-		// rows buffer in a per-shard body and the bodies concatenate in
-		// canonical shard order — byte-identical to a single-process
-		// `-workers 1 -sinkqueue 0` run regardless of node count, steals,
-		// or killed workers.
-		if *ordered {
-			die("-fleet is incompatible with -ordered\n")
-		}
+		// Canonical-order mode: each shard's rows buffer in a per-shard
+		// body and the bodies concatenate in canonical shard order —
+		// byte-identical to a `-workers 1 -sinkqueue 0` run regardless of
+		// worker count, hand-out order, or killed workers.
 		shSrc, ok := src.(scan.ShardedSource)
 		if !ok {
 			// Line and sample sources are plain streams; shard them by
@@ -326,30 +346,12 @@ func main() {
 			}
 			shSrc = scan.SliceSource(targets).(scan.ShardedSource)
 		}
-		fcfg := fleet.Config{Workers: *fleetN, Scan: cfg}
-		if *fleetKill != "" {
-			kill := make(map[int]bool)
-			for _, f := range strings.Split(*fleetKill, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(f))
-				if err != nil {
-					die("parsing -fleetkill: %v\n", err)
-				}
-				kill[n] = true
-			}
-			fcfg.FaultHook = func(p fleet.FaultPoint) error {
-				if kill[p.Worker] {
-					return fleet.ErrWorkerKilled
-				}
-				return nil
-			}
-		}
-		coord := fleet.New(w.Net, fcfg)
 		var (
 			mu   sync.Mutex // batch-stats stderr lines only
 			bufs [ip6.AddrShards]bytes.Buffer
 			ws   [ip6.AddrShards]*scan.Writer
 		)
-		res, err := coord.Scan(ctx, shSrc, protos, *day, func(b *scan.Batch) error {
+		st, err := s.StreamFrom(ctx, shSrc, protos, *day, func(b *scan.Batch) error {
 			// Same-shard sink calls are sequential, so the per-shard
 			// writer slots need no locking.
 			if ws[b.Shard] == nil {
@@ -381,8 +383,7 @@ func main() {
 				die("compacting spill set: %v\n", err)
 			}
 		}
-		stats = res.Stats
-		fleetRes = &res
+		stats = st
 		if err := out.Flush(); err != nil { // header row
 			die("%v\n", err)
 		}
@@ -482,8 +483,8 @@ func main() {
 		}
 	}
 	printShardSummary(os.Stderr, stats.PerShard, *shardStats)
-	if fleetRes != nil {
-		printFleetSummary(os.Stderr, *fleetRes)
+	if *fleetN > 0 {
+		printFleetSummary(os.Stderr, stats)
 	}
 	// -serve attach mode: freeze the responder set into a snapshot and
 	// answer DNS liveness queries until a signal arrives. The signal only
@@ -525,18 +526,18 @@ func main() {
 	cleanup()
 }
 
-// printFleetSummary renders the per-worker fleet table: shard counts,
-// steals, probes, probe wall-clock and survival status.
-func printFleetSummary(w io.Writer, res fleet.Result) {
-	fmt.Fprintf(w, "fleet: workers=%d reissued=%d\n", len(res.Workers), res.Reissued)
-	fmt.Fprintf(w, "%6s %8s %8s %12s %10s  %s\n", "worker", "shards", "steals", "probes", "ms", "status")
-	for i, ws := range res.Workers {
+// printFleetSummary renders the per-worker table: shard counts, probes,
+// probe wall-clock and survival status.
+func printFleetSummary(w io.Writer, st scan.Stats) {
+	fmt.Fprintf(w, "fleet: workers=%d reissued=%d\n", len(st.Workers), st.Reissued)
+	fmt.Fprintf(w, "%6s %8s %12s %10s  %s\n", "worker", "shards", "probes", "ms", "status")
+	for i, ws := range st.Workers {
 		status := "ok"
 		if ws.Failed {
 			status = "killed"
 		}
-		fmt.Fprintf(w, "%6d %8d %8d %12d %10.2f  %s\n",
-			i, ws.Shards, ws.Steals, ws.Probes, float64(ws.Nanos)/1e6, status)
+		fmt.Fprintf(w, "%6d %8d %12d %10.2f  %s\n",
+			i, ws.Shards, ws.Probes, float64(ws.Nanos)/1e6, status)
 	}
 }
 

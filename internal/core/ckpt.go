@@ -9,12 +9,12 @@ package core
 // counters/records/snapshots as JSON — then commits atomically. Resume
 // rebuilds a Service from the newest complete checkpoint; a timeline
 // interrupted at day k (SIGKILL included) and resumed is byte-identical
-// to an uninterrupted run for any worker count, fleet mode, memory
+// to an uninterrupted run for any worker count, FleetWorkers, memory
 // budget and serve cadence (TestResumeMatchesUninterrupted).
 //
-// Deliberately not persisted: lastShardStats (wall-clock dispatch
-// profile — outputs are pinned dispatch-order-invariant, so the resumed
-// run's first scan just uses canonical order) and published serve
+// Deliberately not persisted: lastMain (the wall-clock shard profile —
+// outputs are pinned hand-out-order-invariant, so the resumed run's
+// first scan just orders shards by size) and published serve
 // snapshots (derived state; only the generation counter survives, via
 // serve.Handle.RestoreGeneration, so numbering continues seamlessly).
 
@@ -69,7 +69,7 @@ func JournalPath(dir string) string { return dir + ".journal" }
 // digest Resume verifies before loading anything.
 type ckptState struct {
 	// Configuration digest: the knobs that shape service state. Worker
-	// counts, fleet mode, memory budget and batch size are deliberately
+	// counts, FleetWorkers, memory budget and batch size are deliberately
 	// absent — outputs are pinned invariant to them, so a resumed run
 	// may change them freely.
 	Seed             uint64 `json:"seed"`
@@ -599,7 +599,7 @@ func sortPrefixes(ps []ip6.Prefix) {
 // crash interrupted the commit renames). Delta chains are resolved and
 // fully verified: every payload shard is loaded from the newest chain
 // level that carries it. cfg must agree with the checkpointed
-// configuration on every state-shaping knob; worker count, fleet mode,
+// configuration on every state-shaping knob; worker count, FleetWorkers,
 // memory budget and serve attachment may differ freely — outputs are
 // pinned invariant to them. A stale ingest journal next to dir is debris
 // from a crash mid-scan and is discarded: the interrupted scan re-runs
@@ -1005,12 +1005,12 @@ const journalChunk = 1 << 16
 
 // ingestJournaled is the durable service's admission sweep: every feed's
 // candidate stream is spooled to the on-disk rollback journal first (in
-// the same deterministic feed-name-sorted sequence the resident paths
-// walk), then replayed in bounded chunks through the shared admission
-// chain. A source error discards the journal with nothing admitted — the
-// same all-or-nothing contract the resident paths keep by collecting
+// the same deterministic feed-name-sorted sequence the resident path
+// walks), then replayed in bounded chunks through the shared admission
+// sweep. A source error discards the journal with nothing admitted — the
+// same all-or-nothing contract the resident path keeps by routing
 // first — and a crash mid-scan leaves only journal debris that Resume
-// discards. Outputs are bit-identical to the resident paths for any
+// discards. Outputs are bit-identical to the resident path for any
 // worker count: chunk replay preserves the global sequence order
 // per shard, and every merged counter is a commutative sum.
 func (s *Service) ingestJournaled(srcs []sources.NamedSource, day int, rec *ScanRecord) error {
@@ -1060,83 +1060,25 @@ func (s *Service) ingestJournaled(srcs []sources.NamedSource, day int, rec *Scan
 		return err
 	}
 	defer jr.Close()
-	seq := int32(0)
-	chunk := make([]routedInput, 0, journalChunk)
-	for {
-		chunk = chunk[:0]
-		for len(chunk) < journalChunk {
+	for seq, more := int32(0), true; more; {
+		for n := 0; n < journalChunk; n++ {
 			feed, a, ok, err := jr.Next()
 			if err != nil {
+				s.dropRouted()
 				return err
 			}
 			if !ok {
+				more = false
 				break
 			}
-			chunk = append(chunk, routedInput{addr: a, feed: feed, seq: seq})
+			sh := ip6.ShardOf(a)
+			s.routeBuf[sh] = append(s.routeBuf[sh], routedInput{addr: a, feed: feed, seq: seq})
 			seq++
 		}
-		if len(chunk) == 0 {
-			break
-		}
-		s.admitChunk(chunk, srcs, day, rec)
+		s.admitRouted(srcs, day, rec)
 	}
 	jr.Close()
 	return jr.Remove()
-}
-
-// admitChunk admits one replay chunk: route to shards, run the shared
-// admission chain per shard on the worker pool, merge counters in
-// canonical shard order, and track newly admitted /64s in sequence
-// order. Per-shard admission order equals sequence order within the
-// chunk, and chunks replay in sequence order, so every shard observes
-// the same candidate order a serial pass over the whole stream would
-// deliver.
-func (s *Service) admitChunk(chunk []routedInput, srcs []sources.NamedSource, day int, rec *ScanRecord) {
-	for _, e := range chunk {
-		sh := ip6.ShardOf(e.addr)
-		s.routeBuf[sh] = append(s.routeBuf[sh], e)
-	}
-	results := make([]*shardIngest, ip6.AddrShards)
-	ip6.ParallelShards(s.workers, func(sh int) {
-		entries := s.routeBuf[sh]
-		if len(entries) == 0 {
-			return
-		}
-		r := &shardIngest{
-			ingestCounters: ingestCounters{perAS: make(map[int]*ASInput)},
-			perFeed:        make([]int, len(srcs)),
-		}
-		for _, e := range entries {
-			outcome := s.admitOne(sh, e.addr, day, &r.ingestCounters)
-			if outcome == admitDup {
-				continue
-			}
-			r.perFeed[e.feed]++
-			if outcome == admitAdmitted {
-				r.admitted = append(r.admitted, e)
-			}
-		}
-		results[sh] = r
-	})
-	var admitted []routedInput
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		s.routeBuf[sh] = s.routeBuf[sh][:0]
-		r := results[sh]
-		if r == nil {
-			continue
-		}
-		s.applyIngest(rec, &r.ingestCounters)
-		for fi, n := range r.perFeed {
-			if n > 0 {
-				s.inputByFeed[srcs[fi].Name] += n
-			}
-		}
-		admitted = append(admitted, r.admitted...)
-	}
-	sort.Slice(admitted, func(i, j int) bool { return admitted[i].seq < admitted[j].seq })
-	for _, e := range admitted {
-		s.trackSlash64(e.addr)
-	}
 }
 
 // readPrefixList loads a prefix table in file order.

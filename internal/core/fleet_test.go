@@ -1,15 +1,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
 
-	"hitlist6/internal/fleet"
+	"hitlist6/internal/scan"
 )
 
-// fleetTinyRun is refTinyRun with the main scan running fleet-backed.
-func fleetTinyRun(t testing.TB, workers int, hook fleet.FaultHook) ([]*ScanRecord, map[int]*Snapshot, *Service) {
+// fleetTinyRun is refTinyRun with the main scan on FleetWorkers workers.
+func fleetTinyRun(t testing.TB, workers int, hook scan.FaultHook) ([]*ScanRecord, map[int]*Snapshot, *Service) {
 	t.Helper()
 	n, feeds := tinyWorld(t)
 	cfg := DefaultConfig(1)
@@ -22,11 +23,10 @@ func fleetTinyRun(t testing.TB, workers int, hook fleet.FaultHook) ([]*ScanRecor
 	return s.Records(), s.Snapshots(), s
 }
 
-// TestFleetServiceMatchesReference pins the tentpole invariant at the
-// service level: a fleet-backed pipeline produces records and snapshots
-// bit-identical to the single-scanner goldens, for several node counts,
-// with the previous scan's shard profile actively steering assignment
-// from the second scan on.
+// TestFleetServiceMatchesReference pins worker-count invariance at the
+// service level: records and snapshots are bit-identical to the goldens
+// for several FleetWorkers counts, with the previous scan's shard
+// profile actively steering the hand-out from the second scan on.
 func TestFleetServiceMatchesReference(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		recs, snaps, s := fleetTinyRun(t, workers, nil)
@@ -50,9 +50,9 @@ func TestFleetServiceMatchesReference(t *testing.T) {
 // the re-issued shards to leave the goldens untouched.
 func TestFleetServiceSurvivesWorkerDeath(t *testing.T) {
 	var killed atomic.Bool
-	hook := func(p fleet.FaultPoint) error {
+	hook := func(p scan.FaultPoint) error {
 		if p.Batch >= 0 && killed.CompareAndSwap(false, true) {
-			return fleet.ErrWorkerKilled
+			return scan.ErrWorkerKilled
 		}
 		return nil
 	}
@@ -61,4 +61,18 @@ func TestFleetServiceSurvivesWorkerDeath(t *testing.T) {
 		t.Fatal("fault hook never fired")
 	}
 	compareGolden(t, "reference_tiny.json", goldenFrom(recs, snaps), "fleet with worker death")
+}
+
+// TestFleetFaultHookNeedsNoFleetWorkers: the hook is honoured whenever
+// it is set, not only beside FleetWorkers > 1 — a single worker that
+// dies is the engine's loud no-survivors failure, not a silent pass.
+func TestFleetFaultHookNeedsNoFleetWorkers(t *testing.T) {
+	n, feeds := tinyWorld(t)
+	cfg := DefaultConfig(1)
+	cfg.ScanWorkers = 1
+	cfg.FleetFaultHook = func(scan.FaultPoint) error { return scan.ErrWorkerKilled }
+	s := NewService(cfg, n, feeds, nil)
+	if _, err := s.RunScan(context.Background(), 0); err == nil {
+		t.Fatal("scan succeeded with its only worker killed")
+	}
 }

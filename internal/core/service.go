@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"hitlist6/internal/apd"
-	"hitlist6/internal/fleet"
 	"hitlist6/internal/gfw"
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -76,16 +75,17 @@ type Config struct {
 	// it.
 	ScanBatchSize int
 
-	// FleetWorkers, when > 1, runs the main scan as a fleet of that many
-	// scanner nodes (internal/fleet) instead of the single in-process
-	// scanner, seeding each scan's shard assignment with the previous
-	// scan's per-shard timing. Records, snapshots, and digests are
-	// bit-identical for any value — a deployment/wall-clock knob only.
+	// FleetWorkers, when > 1, is the probe worker count of the main scan
+	// (alias detection and TGA rounds keep ScanWorkers). Records,
+	// snapshots, and digests are bit-identical for any value — a
+	// deployment/wall-clock knob only.
 	FleetWorkers int
 
-	// FleetFaultHook injects worker failures into fleet-backed scans
-	// (tests and recovery drills). Ignored unless FleetWorkers > 1.
-	FleetFaultHook fleet.FaultHook
+	// FleetFaultHook injects worker deaths into the main scan (tests and
+	// recovery drills): a killed worker's shard is redone by a survivor,
+	// and the scan fails only when every worker died. It never fires on
+	// alias detection or TGA rounds.
+	FleetFaultHook scan.FaultHook
 
 	// TGAFeed, when set, closes the paper's Section 6 loop inside the
 	// pipeline: after each scan the feed streams candidate addresses
@@ -269,10 +269,12 @@ type Service struct {
 	feeds    []*sources.Feed
 	block    *ip6.PrefixSet
 
-	// fleet is non-nil when FleetWorkers > 1: the main scan runs across
-	// it instead of scanner (which still serves APD and TGA probing).
-	fleet     *fleet.Coordinator
-	lastFleet fleet.Result
+	// mainScanner runs the main scan: scanner's configuration plus the
+	// FleetWorkers count and FleetFaultHook (scanner itself serves APD
+	// and TGA probing). lastMain is its previous result — the shard
+	// profile of the next scan's hand-out, and what LastFleet reports.
+	mainScanner *scan.Scanner
+	lastMain    scan.Stats
 
 	scanIndex int
 
@@ -318,12 +320,8 @@ type Service struct {
 	lastClean    map[netmodel.Protocol]*ip6.ShardedSet
 	inputByFeed  map[string]int
 
-	// lastShardStats is the previous main scan's per-shard throughput,
-	// feeding the adaptive dispatch order (slowest shards first).
-	lastShardStats []scan.ShardStats
-
 	// scanShards holds the per-shard scan-set buffers, rebuilt by the
-	// 30-day filter each scan and fed straight into StreamSharded; the
+	// 30-day filter each scan and fed straight into StreamFrom; the
 	// backing arrays are reused across scans, so steady-state scans
 	// allocate no scan-set memory at all.
 	scanShards [][]ip6.Addr
@@ -543,12 +541,10 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 	}
 	s.detector = apd.NewDetector(s.scanner, apd.DefaultConfig())
 	if cfg.FleetWorkers > 1 {
-		s.fleet = fleet.New(net, fleet.Config{
-			Workers:   cfg.FleetWorkers,
-			Scan:      scfg,
-			FaultHook: cfg.FleetFaultHook,
-		})
+		scfg.Workers = cfg.FleetWorkers
 	}
+	scfg.FaultHook = cfg.FleetFaultHook
+	s.mainScanner = scan.New(net, scfg)
 	return s
 }
 
@@ -596,9 +592,9 @@ func (s *Service) Scanner() *scan.Scanner { return s.scanner }
 // AliasedPrefixes returns the current aliased prefix set.
 func (s *Service) AliasedPrefixes() *ip6.PrefixSet { return s.aliased }
 
-// LastFleet returns the most recent fleet-backed scan's per-worker
-// result (zero value when FleetWorkers <= 1 or before the first scan).
-func (s *Service) LastFleet() fleet.Result { return s.lastFleet }
+// LastFleet returns the most recent main scan's engine statistics,
+// per-worker accounting included (zero value before the first scan).
+func (s *Service) LastFleet() scan.Stats { return s.lastMain }
 
 // Records returns all per-scan records so far.
 func (s *Service) Records() []*ScanRecord { return s.records }
@@ -730,35 +726,19 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	// folded into per-shard accumulators concurrently as they complete —
 	// the full targets × protocols result slice is never materialized —
 	// then the accumulators merge in canonical shard order.
-	// Adaptive dispatch: hand the previous scan's slowest shards out
-	// first (ShardStats nanos, descending) so stragglers overlap the
-	// cheap tail instead of serializing after it. Purely a wall-clock
-	// knob — per-shard outputs are dispatch-order-invariant.
+	// The previous main scan's per-shard timing orders the hand-out
+	// (slowest shards first, so stragglers overlap the cheap tail instead
+	// of serializing after it). Purely a wall-clock input — per-shard
+	// outputs do not depend on the order.
 	digests := make([]*shardDigest, ip6.AddrShards)
-	var stats scan.Stats
-	if s.fleet != nil {
-		// Fleet-backed scan: the previous scan's shard timing seeds the
-		// LPT assignment (the fleet's generalization of the dispatch
-		// order below), and the digest sink receives the same batches a
-		// single-process run would deliver.
-		s.fleet.SetShardProfile(s.lastShardStats)
-		fres, err := s.fleet.Scan(ctx, scan.ShardSlices(s.scanShards), s.cfg.Protocols, day, s.digestSink(digests))
-		if err != nil {
-			return nil, fmt.Errorf("core: scanning: %w", err)
-		}
-		s.lastFleet = fres
-		stats = fres.Stats
-	} else {
-		s.applyDispatchOrder()
-		var err error
-		stats, err = s.scanner.StreamFrom(ctx, scan.ShardSlices(s.scanShards), s.cfg.Protocols, day, s.digestSink(digests))
-		if err != nil {
-			return nil, fmt.Errorf("core: scanning: %w", err)
-		}
+	s.mainScanner.SetShardProfile(s.lastMain.PerShard)
+	stats, err := s.mainScanner.StreamFrom(ctx, scan.ShardSlices(s.scanShards), s.cfg.Protocols, day, s.digestSink(digests))
+	if err != nil {
+		return nil, fmt.Errorf("core: scanning: %w", err)
 	}
 	rec.ProbesSent += stats.ProbesSent
 	rec.ShardStats = stats.PerShard
-	s.lastShardStats = stats.PerShard
+	s.lastMain = stats
 	s.finalizeDigest(digests, day, rec)
 	// Digest finalization is a merge point for the spilled sets: fold
 	// each shard's frozen runs into one so membership probes stay one
@@ -803,26 +783,6 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	return rec, nil
 }
 
-// applyDispatchOrder feeds the previous scan's per-shard wall-clock
-// profile back into the engine: slowest shards dispatch first. The first
-// scan (no profile yet) keeps canonical order.
-func (s *Service) applyDispatchOrder() {
-	if len(s.lastShardStats) != ip6.AddrShards {
-		return
-	}
-	order := make([]int, ip6.AddrShards)
-	for i := range order {
-		order[i] = i
-	}
-	stats := s.lastShardStats
-	sort.SliceStable(order, func(i, j int) bool {
-		return stats[order[i]].Nanos > stats[order[j]].Nanos
-	})
-	// Building the permutation locally means SetDispatchOrder cannot
-	// reject it; ignore the impossible error to keep the scan path flat.
-	_ = s.scanner.SetDispatchOrder(order)
-}
-
 // ingestCounters accumulates the outcome counters of an admission sweep;
 // applyIngest folds them into the record and cumulative totals.
 type ingestCounters struct {
@@ -849,9 +809,8 @@ const (
 
 // admitOne runs the admission chain — dedup, AS attribution, blocklist /
 // GFW / aliased filters, store insert — for one candidate in shard sh,
-// recording outcomes in c. It is the single copy both the serial and the
-// per-shard parallel ingest paths execute; only shard-owned and
-// counter state is written, so distinct shards may run it concurrently.
+// recording outcomes in c. Only shard-owned and counter state is
+// written, so distinct shards may run it concurrently.
 func (s *Service) admitOne(sh int, a ip6.Addr, day int, c *ingestCounters) admitOutcome {
 	if !s.inputSeen.AddToShard(sh, a) {
 		return admitDup // already known (or already evicted once)
@@ -949,17 +908,11 @@ func drainSource(src scan.TargetSource, buf []ip6.Addr, fn func([]ip6.Addr)) err
 // ingest dedups, filters and admits new input, pulling each feed's
 // source chunk-wise in feed-name-sorted order (the same deterministic
 // sequence the old collected-map path walked). Candidates are routed to
-// their canonical shards in one cheap pass, then every shard runs the
-// lookup-heavy part (dedup, AS attribution, blocklist / GFW / alias
-// filters, store insert) independently on the worker pool — an address
-// only ever touches its own shard, so the sweep is lock-free. The merge
-// walks shards in canonical order, and anything order-sensitive (the APD
-// /64 queue, per-feed attribution of same-day duplicates) is resolved by
-// the deterministic input sequence number, so results are bit-identical
-// to a serial pass for any worker count. Both paths pull every source to
-// exhaustion before admitting anything, so a source error aborts the
-// sweep with no state mutated — all-or-nothing for any worker count,
-// exactly like the old collect-then-admit pipeline.
+// their canonical shards in one cheap pass, then admitRouted runs the
+// lookup-heavy part per shard. Every source is pulled to exhaustion
+// before anything is admitted, so a source error aborts the sweep with
+// no state mutated — all-or-nothing for any worker count, exactly like
+// the old collect-then-admit pipeline.
 func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) error {
 	sort.SliceStable(srcs, func(i, j int) bool { return srcs[i].Name < srcs[j].Name })
 
@@ -969,14 +922,6 @@ func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) e
 	// resident footprint.
 	if s.cfg.CheckpointDir != "" {
 		return s.ingestJournaled(srcs, day, rec)
-	}
-
-	// A single worker skips the routing pass and per-shard scratch
-	// entirely: the serial sweep below visits the same deterministic
-	// sequence the parallel merge reconstructs, so both paths are
-	// bit-identical (the reference goldens cross-check them).
-	if s.workers <= 1 {
-		return s.ingestSerial(srcs, day, rec)
 	}
 
 	// Route phase: partition the day's candidates by shard, preserving
@@ -995,16 +940,38 @@ func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) e
 			}
 		})
 		if err != nil {
-			for sh := range s.routeBuf {
-				s.routeBuf[sh] = s.routeBuf[sh][:0]
-			}
+			s.dropRouted()
 			return err
 		}
 	}
+	s.admitRouted(srcs, day, rec)
+	return nil
+}
 
-	// Shard phase: per-shard filtering and admission. Shared reads
-	// (blocklist, AS table, aliased prefixes) are lookup-only here; all
-	// writes go to shard-owned state.
+// dropRouted empties routeBuf after a failed route phase, so the next
+// sweep does not admit the leftovers.
+func (s *Service) dropRouted() {
+	for sh := range s.routeBuf {
+		s.routeBuf[sh] = s.routeBuf[sh][:0]
+	}
+}
+
+// admitRouted is the one admission sweep: it admits the candidates
+// waiting in routeBuf (and empties it). Every shard runs the lookup-heavy
+// part (dedup, AS attribution, blocklist / GFW / alias filters, store
+// insert) independently on the worker pool — an address only ever
+// touches its own shard, so the sweep is lock-free. The merge walks
+// shards in canonical order, and anything order-sensitive (the APD /64
+// queue, per-feed attribution of same-day duplicates) is resolved by the
+// deterministic input sequence number, so results are bit-identical to a
+// serial pass for any worker count. Called once per resident ingest and
+// once per replay chunk of a journaled one: per-shard admission order
+// equals sequence order within a call and calls run in sequence order,
+// so every shard observes the candidate order a serial pass over the
+// whole stream would deliver.
+func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanRecord) {
+	// Shared reads (blocklist, AS table, aliased prefixes) are
+	// lookup-only here; all writes go to shard-owned state.
 	results := make([]*shardIngest, ip6.AddrShards)
 	ip6.ParallelShards(s.workers, func(sh int) {
 		entries := s.routeBuf[sh]
@@ -1052,48 +1019,6 @@ func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) e
 	for _, e := range admitted {
 		s.trackSlash64(e.addr)
 	}
-	return nil
-}
-
-// ingestSerial is the one-goroutine ingest sweep: one pass over the
-// deterministic (feed-name-sorted) input sequence, running the same
-// admission chain (admitOne) inline with /64 tracking in input order.
-// Sources are pulled to exhaustion before any admission, so an erroring
-// feed mutates nothing — matching the parallel path's all-or-nothing
-// behavior (admitOne writes cannot be rolled back once made).
-func (s *Service) ingestSerial(srcs []sources.NamedSource, day int, rec *ScanRecord) error {
-	buf := make([]ip6.Addr, ingestChunk)
-	collected := make([][]ip6.Addr, len(srcs))
-	for fi, fs := range srcs {
-		var addrs []ip6.Addr
-		err := drainSource(fs.Src, buf, func(seg []ip6.Addr) {
-			addrs = append(addrs, seg...)
-		})
-		if err != nil {
-			return err
-		}
-		collected[fi] = addrs
-	}
-
-	c := ingestCounters{perAS: make(map[int]*ASInput)}
-	for fi, fs := range srcs {
-		feed := fs.Name
-		for _, a := range collected[fi] {
-			if !a.IsGlobalUnicast() {
-				continue
-			}
-			outcome := s.admitOne(ip6.ShardOf(a), a, day, &c)
-			if outcome == admitDup {
-				continue
-			}
-			s.inputByFeed[feed]++
-			if outcome == admitAdmitted {
-				s.trackSlash64(a)
-			}
-		}
-	}
-	s.applyIngest(rec, &c)
-	return nil
 }
 
 // trackSlash64 queues a newly admitted address's /64 for alias detection
@@ -1673,7 +1598,7 @@ func (s *Service) runTGA(ctx context.Context, day int, rec *ScanRecord) error {
 // the cumulative seed slice is never materialized at all. It returns the
 // view plus the number of shards re-frozen.
 func (s *Service) tgaSeedView() (*tga.SeedView, int) {
-	frozen, refrozen, _ := ip6.FreezeSortedSetDelta(s.everRespAny, s.tgaFrozen)
+	frozen, refrozen, _ := ip6.FreezeSortedDelta(s.everRespAny, s.tgaFrozen)
 	s.tgaFrozen = frozen
 	s.tgaView = tga.NewSeedView(frozen)
 	return s.tgaView, refrozen

@@ -327,7 +327,7 @@ func Ablations(ctx context.Context, s *Suite, w io.Writer) error {
 	} {
 		g := dc.New(cfgRow)
 		cands := g.Generate(seeds, 200000)
-		sets, _, err := s.Svc.Scanner().ResponsiveSet(ctx, cands, []netmodel.Protocol{netmodel.ICMP}, worldgen.EndDay)
+		sets, _, err := s.Svc.Scanner().StreamResponsiveFrom(ctx, scan.SliceSource(cands), []netmodel.Protocol{netmodel.ICMP}, worldgen.EndDay)
 		if err != nil {
 			return err
 		}

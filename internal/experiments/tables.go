@@ -68,7 +68,7 @@ func Table2(ctx context.Context, s *Suite, w io.Writer) error {
 	for i, p := range prefixes {
 		targets[i] = p.RandomAddr(r)
 	}
-	sets, _, err := s.Svc.Scanner().ResponsiveSet(ctx, targets, allProtocols(), day)
+	sets, _, err := s.Svc.Scanner().StreamResponsiveFrom(ctx, scan.SliceSource(targets), allProtocols(), day)
 	if err != nil {
 		return err
 	}

@@ -20,58 +20,33 @@ type SortedShardSet struct {
 	epochs [AddrShards]uint64
 }
 
-// FreezeSorted builds the sorted form of s. The result is independent of
-// s (the addresses are copied), so s may keep growing afterwards.
-func FreezeSorted(s *ShardedSet) *SortedShardSet { return FreezeSortedSet(s) }
-
-// FreezeSortedSet is FreezeSorted over any SpillableSet — the resident
-// ShardedSet or the disk-backed SpillSet; spilled shards stream through
-// WalkShard and are sorted once into the shared backing array.
-func FreezeSortedSet(s SpillableSet) *SortedShardSet {
-	out := &SortedShardSet{src: s}
-	n := s.Len()
-	buf := make([]Addr, 0, n) // one backing array shared by all shards
-	for sh := 0; sh < AddrShards; sh++ {
-		start := len(buf)
-		s.WalkShard(sh, func(a Addr) bool {
-			buf = append(buf, a)
-			return true
-		})
-		shard := buf[start:len(buf):len(buf)]
-		SortAddrs(shard)
-		out.shards[sh] = shard
-		out.epochs[sh] = s.ShardEpoch(sh)
-	}
-	out.total = n
+// FreezeSorted builds the sorted form of s — the resident ShardedSet or
+// the disk-backed SpillSet. The result is independent of s (the
+// addresses are copied), so s may keep growing afterwards.
+func FreezeSorted(s SpillableSet) *SortedShardSet {
+	out, _, _ := FreezeSortedDelta(s, nil)
 	return out
 }
 
 // FreezeSortedDelta builds the sorted form of s, sharing the frozen
 // slices of unchanged shards with prev — a SortedShardSet previously
-// frozen from the same ShardedSet object — instead of re-copying and
+// frozen from the same set object — instead of re-copying and
 // re-sorting them. A shard is provably unchanged when prev was frozen
 // from s (pointer identity) and its mutation epoch has not advanced
-// since; changed shards are re-frozen into one fresh backing array.
-// Sharing is safe because frozen slices are immutable by contract. With
-// prev nil, or frozen from a different set object, this degrades to a
-// full FreezeSorted. Returns the new set plus the number of shards
-// re-frozen and shared.
-func FreezeSortedDelta(s *ShardedSet, prev *SortedShardSet) (out *SortedShardSet, refrozen, shared int) {
-	return FreezeSortedSetDelta(s, prev)
-}
-
-// FreezeSortedSetDelta is FreezeSortedDelta over any SpillableSet: the
-// epoch-delta freeze the TGA seed views ride, working identically for
-// the resident and disk-backed cumulative sets.
-func FreezeSortedSetDelta(s SpillableSet, prev *SortedShardSet) (out *SortedShardSet, refrozen, shared int) {
-	if prev == nil || prev.src != s {
-		return FreezeSortedSet(s), AddrShards, 0
+// since; changed shards stream through WalkShard and are sorted once
+// into one fresh backing array. Sharing is safe because frozen slices
+// are immutable by contract. With prev nil, or frozen from a different
+// set object, every shard is re-frozen. Returns the new set plus the
+// number of shards re-frozen and shared.
+func FreezeSortedDelta(s SpillableSet, prev *SortedShardSet) (out *SortedShardSet, refrozen, shared int) {
+	if prev != nil && prev.src != s {
+		prev = nil
 	}
-	out = &SortedShardSet{src: prev.src}
+	out = &SortedShardSet{src: s}
 	need := 0
 	var dirty [AddrShards]bool
 	for sh := 0; sh < AddrShards; sh++ {
-		if s.ShardEpoch(sh) != prev.epochs[sh] {
+		if prev == nil || s.ShardEpoch(sh) != prev.epochs[sh] {
 			dirty[sh] = true
 			need += s.ShardLen(sh)
 		}

@@ -27,11 +27,11 @@ func TestFreezeSortedSetDeltaSpill(t *testing.T) {
 			t.Fatalf("setup: shard %d empty, sharing check needs non-empty shards", sh)
 		}
 	}
-	gen0 := FreezeSortedSet(spill)
-	requireEqualFrozen(t, gen0, FreezeSortedSet(spill))
+	gen0 := FreezeSorted(spill)
+	requireEqualFrozen(t, gen0, FreezeSorted(spill))
 
 	// No mutation: every shard shared.
-	gen1, refrozen, shared := FreezeSortedSetDelta(spill, gen0)
+	gen1, refrozen, shared := FreezeSortedDelta(spill, gen0)
 	if refrozen != 0 || shared != AddrShards {
 		t.Fatalf("clean delta: refrozen=%d shared=%d, want 0/%d", refrozen, shared, AddrShards)
 	}
@@ -54,12 +54,12 @@ func TestFreezeSortedSetDeltaSpill(t *testing.T) {
 			break
 		}
 	}
-	gen2, refrozen, shared := FreezeSortedSetDelta(spill, gen1)
+	gen2, refrozen, shared := FreezeSortedDelta(spill, gen1)
 	if refrozen != len(dirtied) || shared != AddrShards-len(dirtied) {
 		t.Fatalf("dirty delta: refrozen=%d shared=%d, want %d/%d",
 			refrozen, shared, len(dirtied), AddrShards-len(dirtied))
 	}
-	requireEqualFrozen(t, gen2, FreezeSortedSet(spill))
+	requireEqualFrozen(t, gen2, FreezeSorted(spill))
 	for sh := 0; sh < AddrShards; sh++ {
 		if dirtied[sh] == sameBacking(gen2.Shard(sh), gen1.Shard(sh)) {
 			t.Fatalf("shard %d: dirty=%v but shared=%v", sh, dirtied[sh], !dirtied[sh])
@@ -69,7 +69,7 @@ func TestFreezeSortedSetDeltaSpill(t *testing.T) {
 	// A different previous source degrades to a full freeze.
 	other := NewShardedSet()
 	other.Add(MustParseAddr("2001:db8::1"))
-	gen3, refrozen, _ := FreezeSortedSetDelta(spill, FreezeSorted(other))
+	gen3, refrozen, _ := FreezeSortedDelta(spill, FreezeSorted(other))
 	if refrozen != AddrShards {
 		t.Fatalf("cross-source delta: refrozen=%d, want full %d", refrozen, AddrShards)
 	}

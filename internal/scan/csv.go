@@ -107,8 +107,8 @@ func NewWriter(out io.Writer) (*Writer, error) {
 }
 
 // NewBodyWriter creates a CSV writer that emits rows only, no header.
-// Fleet consumers write one body per shard and concatenate them in
-// canonical shard order behind a single header.
+// Canonical-order consumers (zmap6sim -fleet) write one body per shard
+// and concatenate them in shard order behind a single header.
 func NewBodyWriter(out io.Writer) *Writer {
 	bw := bufio.NewWriter(out)
 	return &Writer{w: csv.NewWriter(bw), bw: bw}

@@ -60,7 +60,7 @@ func BenchmarkCSVSlowSink(b *testing.B) {
 				// queued variant leaves it uncontended on the single
 				// delivery goroutine.
 				var mu sync.Mutex
-				_, err = s.Stream(context.Background(), targets, protos, 3, func(batch *Batch) error {
+				_, err = s.StreamFrom(context.Background(), SliceSource(targets), protos, 3, func(batch *Batch) error {
 					mu.Lock()
 					defer mu.Unlock()
 					for _, r := range batch.Results {

@@ -17,7 +17,7 @@ func shardBatches(t *testing.T, s *Scanner, targets []ip6.Addr) map[[2]int][]Res
 	t.Helper()
 	var mu sync.Mutex
 	out := make(map[[2]int][]Result)
-	_, err := s.Stream(context.Background(), targets, []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80}, 4, func(b *Batch) error {
+	_, err := s.StreamFrom(context.Background(), SliceSource(targets), []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80}, 4, func(b *Batch) error {
 		mu.Lock()
 		out[[2]int{b.Shard, b.Seq}] = append([]Result(nil), b.Results...)
 		mu.Unlock()
@@ -29,9 +29,10 @@ func shardBatches(t *testing.T, s *Scanner, targets []ip6.Addr) map[[2]int][]Res
 	return out
 }
 
-// TestDispatchOrderDoesNotChangeOutputs pins the adaptive-dispatch
-// contract: any shard hand-out permutation yields bit-identical per-shard
-// batch sequences.
+// TestDispatchOrderDoesNotChangeOutputs pins the hand-out contract: any
+// shard profile — here deliberately lying ones — reorders which worker
+// probes which shard when, and yields bit-identical per-shard batch
+// sequences.
 func TestDispatchOrderDoesNotChangeOutputs(t *testing.T) {
 	n := testNet(t)
 	cfg := DefaultConfig(3)
@@ -45,51 +46,24 @@ func TestDispatchOrderDoesNotChangeOutputs(t *testing.T) {
 		t.Fatal("no batches delivered")
 	}
 
-	reversed := make([]int, ip6.AddrShards)
-	for i := range reversed {
-		reversed[i] = ip6.AddrShards - 1 - i
+	// Claims the last shard is the slowest and the first the fastest:
+	// the reverse of the size-ordered default's tie-break.
+	ascending := make([]ShardStats, ip6.AddrShards)
+	for sh := range ascending {
+		ascending[sh].Nanos = int64(sh + 1)
 	}
-	interleaved := make([]int, 0, ip6.AddrShards)
-	for i := 0; i < ip6.AddrShards/2; i++ {
-		interleaved = append(interleaved, i, ip6.AddrShards-1-i)
-	}
-	for _, order := range [][]int{reversed, interleaved} {
-		if err := s.SetDispatchOrder(order); err != nil {
-			t.Fatal(err)
-		}
-		got := shardBatches(t, s, targets)
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("dispatch order %v..: batch sequences diverge", order[:4])
+	// Claims one shard dwarfs everything and the rest cost nothing.
+	skewed := make([]ShardStats, ip6.AddrShards)
+	skewed[ip6.ShardOf(targets[0])].Nanos = 1 << 40
+	for _, prof := range [][]ShardStats{ascending, skewed} {
+		s.SetShardProfile(prof)
+		if got := shardBatches(t, s, targets); !reflect.DeepEqual(base, got) {
+			t.Fatalf("profile %v..: batch sequences diverge", prof[:2])
 		}
 	}
-	if err := s.SetDispatchOrder(nil); err != nil {
-		t.Fatal(err)
-	}
+	s.SetShardProfile(nil)
 	if got := shardBatches(t, s, targets); !reflect.DeepEqual(base, got) {
-		t.Fatal("resetting dispatch order diverges")
-	}
-}
-
-func TestSetDispatchOrderValidation(t *testing.T) {
-	s := New(testNet(t), DefaultConfig(1))
-	if err := s.SetDispatchOrder([]int{0, 1, 2}); err == nil {
-		t.Error("short order accepted")
-	}
-	dup := make([]int, ip6.AddrShards)
-	for i := range dup {
-		dup[i] = i
-	}
-	dup[5] = 4
-	if err := s.SetDispatchOrder(dup); err == nil {
-		t.Error("duplicate shard accepted")
-	}
-	oob := make([]int, ip6.AddrShards)
-	for i := range oob {
-		oob[i] = i
-	}
-	oob[0] = ip6.AddrShards
-	if err := s.SetDispatchOrder(oob); err == nil {
-		t.Error("out-of-range shard accepted")
+		t.Fatal("clearing the profile diverges")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hitlist6/internal/dnswire"
 	"hitlist6/internal/ip6"
@@ -70,6 +71,13 @@ type Config struct {
 	// the sink inline on the probe workers. A throughput knob only:
 	// outputs are bit-identical either way.
 	SinkQueueDepth int
+
+	// FaultHook, when set, injects worker deaths into streams over a
+	// ShardedSource (routed streams hold no whole shard a survivor could
+	// redo, and never call it). Setting it also makes delivery
+	// abort-atomic: a shard's batches reach the sink only once the shard
+	// completed. Outputs are bit-identical with and without it.
+	FaultHook FaultHook
 }
 
 // DefaultConfig mirrors the service's scanning configuration.
@@ -129,6 +137,12 @@ type Stats struct {
 	// stream call returns, nil on per-batch Stats. All fields but
 	// ShardStats.Nanos are deterministic.
 	PerShard []ShardStats
+	// Workers holds the per-worker accounting of a stream over a
+	// ShardedSource, one entry per configured worker (nil on routed
+	// streams and per-batch Stats); Reissued counts the shards put back
+	// after a worker death. Neither is deterministic.
+	Workers  []WorkerStats
+	Reissued int
 }
 
 // Scanner probes targets in a network.
@@ -146,7 +160,7 @@ type Scanner struct {
 	dnsQuery *dnswire.Message
 	dnsWire  []byte
 
-	// bufPool recycles batch result buffers across Stream calls; sinks
+	// bufPool recycles batch result buffers across StreamFrom calls; sinks
 	// must not retain batches, which is what makes this reuse sound.
 	bufPool sync.Pool
 
@@ -156,10 +170,9 @@ type Scanner struct {
 	// materializing wrapper does.
 	arenaPool sync.Pool
 
-	// dispatch is the optional shard hand-out order of the sharded
-	// stream path (SetDispatchOrder); nil means canonical ascending.
-	dispatchMu sync.Mutex
-	dispatch   []int
+	// profile is the optional cost estimate of the sharded path's
+	// hand-out (SetShardProfile); nil means none.
+	profile atomic.Pointer[[]ShardStats]
 }
 
 // New builds a scanner over the given network.
@@ -193,44 +206,21 @@ func New(net *netmodel.Network, cfg Config) *Scanner {
 // Config returns the scanner's configuration.
 func (s *Scanner) Config() Config { return s.cfg }
 
-// SetDispatchOrder sets the order the sharded stream path hands whole
-// shards to probe workers — the scheduler knob for adaptive dispatch:
-// feeding the previous scan's slowest shards (ShardStats.Nanos) first
-// trims the tail, because the stragglers are in flight while the cheap
-// shards backfill idle workers. order must be a permutation of
-// [0, ip6.AddrShards); nil restores canonical ascending order. Scan
-// outputs never depend on the dispatch order — batches are per shard and
-// consumers merge in canonical shard order — so this is purely a
-// wall-clock knob.
-func (s *Scanner) SetDispatchOrder(order []int) error {
-	if order == nil {
-		s.dispatchMu.Lock()
-		s.dispatch = nil
-		s.dispatchMu.Unlock()
-		return nil
+// SetShardProfile gives the sharded stream path a previous scan's
+// per-shard statistics (Stats.PerShard) as its cost estimate: handing
+// the slowest shards (ShardStats.Nanos) out first trims the tail,
+// because the stragglers are in flight while the cheap shards backfill
+// idle workers. Anything but ip6.AddrShards entries clears the profile
+// (shards then cost their target count). Scan outputs never depend on
+// the hand-out order — batches are per shard and consumers merge in
+// canonical shard order — so this is purely a wall-clock input.
+func (s *Scanner) SetShardProfile(prev []ShardStats) {
+	if len(prev) != ip6.AddrShards {
+		s.profile.Store(nil)
+		return
 	}
-	if len(order) != ip6.AddrShards {
-		return fmt.Errorf("scan: dispatch order has %d entries, want %d", len(order), ip6.AddrShards)
-	}
-	var seen [ip6.AddrShards]bool
-	for _, sh := range order {
-		if sh < 0 || sh >= ip6.AddrShards || seen[sh] {
-			return fmt.Errorf("scan: dispatch order is not a permutation of [0,%d)", ip6.AddrShards)
-		}
-		seen[sh] = true
-	}
-	cp := append([]int(nil), order...)
-	s.dispatchMu.Lock()
-	s.dispatch = cp
-	s.dispatchMu.Unlock()
-	return nil
-}
-
-// dispatchOrder returns the current hand-out order (nil = canonical).
-func (s *Scanner) dispatchOrder() []int {
-	s.dispatchMu.Lock()
-	defer s.dispatchMu.Unlock()
-	return s.dispatch
+	cp := append([]ShardStats(nil), prev...)
+	s.profile.Store(&cp)
 }
 
 // lost draws deterministic per-attempt probe loss.
@@ -324,12 +314,12 @@ func (s *Scanner) buildProbe(target ip6.Addr, proto netmodel.Protocol, day int) 
 // Scan probes every target with every requested protocol and returns all
 // results. Order follows (target, protocol) input order. The context
 // cancels the scan early; the partial result set and ctx.Err() are
-// returned. Scan is a thin wrapper over Stream that materializes the full
-// cross product — streaming consumers should use Stream directly and skip
-// this allocation.
+// returned. Scan is a thin wrapper over StreamFrom that materializes the
+// full cross product — streaming consumers should use StreamFrom directly
+// and skip this allocation.
 func (s *Scanner) Scan(ctx context.Context, targets []ip6.Addr, protos []netmodel.Protocol, day int) ([]Result, Stats, error) {
 	results := make([]Result, len(targets)*len(protos))
-	st, err := s.Stream(ctx, targets, protos, day, func(b *Batch) error {
+	st, err := s.StreamFrom(ctx, SliceSource(targets), protos, day, func(b *Batch) error {
 		// Batches write disjoint index ranges, so no locking is needed.
 		for i := range b.Results {
 			r := b.Results[i]
@@ -350,18 +340,9 @@ func (s *Scanner) Scan(ctx context.Context, targets []ip6.Addr, protos []netmode
 	return results, st, err
 }
 
-// StreamResponsive streams a scan and accumulates, per protocol, the
-// sharded set of targets that answered — the streaming counterpart of
-// ResponsiveSet for consumers (like alias detection) that can query the
-// sharded sets directly and skip the merged copy.
-func (s *Scanner) StreamResponsive(ctx context.Context, targets []ip6.Addr, protos []netmodel.Protocol, day int) (map[netmodel.Protocol]*ip6.ShardedSet, Stats, error) {
-	return s.StreamResponsiveFrom(ctx, SliceSource(targets), protos, day)
-}
-
-// StreamResponsiveFrom is StreamResponsive over a pull-based source: it
-// probes everything src yields and accumulates, per protocol, the
-// sharded set of targets that answered, never materializing the target
-// list or the result cross product.
+// StreamResponsiveFrom probes everything src yields and accumulates, per
+// protocol, the sharded set of targets that answered, never
+// materializing the target list or the result cross product.
 func (s *Scanner) StreamResponsiveFrom(ctx context.Context, src TargetSource, protos []netmodel.Protocol, day int) (map[netmodel.Protocol]*ip6.ShardedSet, Stats, error) {
 	acc := make(map[netmodel.Protocol]*ip6.ShardedSet, len(protos))
 	for _, p := range protos {
@@ -376,16 +357,4 @@ func (s *Scanner) StreamResponsiveFrom(ctx context.Context, src TargetSource, pr
 		return nil
 	})
 	return acc, st, err
-}
-
-// ResponsiveSet streams a scan and returns, per protocol, the flat set of
-// targets that answered. It is the aggregation the pipeline consumes; the
-// full result cross product is never materialized.
-func (s *Scanner) ResponsiveSet(ctx context.Context, targets []ip6.Addr, protos []netmodel.Protocol, day int) (map[netmodel.Protocol]ip6.Set, Stats, error) {
-	acc, st, err := s.StreamResponsive(ctx, targets, protos, day)
-	out := make(map[netmodel.Protocol]ip6.Set, len(protos))
-	for _, p := range protos {
-		out[p] = acc[p].Merge()
-	}
-	return out, st, err
 }

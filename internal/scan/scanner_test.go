@@ -125,7 +125,7 @@ func TestLossAndRetries(t *testing.T) {
 		cfg.LossRate = loss
 		cfg.Retries = retries
 		s := New(n, cfg)
-		sets, _, err := s.ResponsiveSet(context.Background(), targets, []netmodel.Protocol{netmodel.ICMP}, 5)
+		sets, _, err := s.StreamResponsiveFrom(context.Background(), SliceSource(targets), []netmodel.Protocol{netmodel.ICMP}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

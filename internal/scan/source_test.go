@@ -164,7 +164,7 @@ func TestStreamFromRoutedMatchesStream(t *testing.T) {
 		return New(n, cfg)
 	}
 	base, baseStats := shardSequences(t, func(sink Sink) (Stats, error) {
-		return mk(1, 16, 0).Stream(context.Background(), targets, protos, 9, sink)
+		return mk(1, 16, 0).StreamFrom(context.Background(), SliceSource(targets), protos, 9, sink)
 	})
 	for _, workers := range []int{1, 4} {
 		for _, batch := range []int{1, 16, 512} {
@@ -222,7 +222,7 @@ func TestStreamFromShardHint(t *testing.T) {
 	protos := []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80}
 
 	base, baseStats := shardSequences(t, func(sink Sink) (Stats, error) {
-		return s.Stream(context.Background(), targets, protos, 9, sink)
+		return s.StreamFrom(context.Background(), SliceSource(targets), protos, 9, sink)
 	})
 	got, gotStats := shardSequences(t, func(sink Sink) (Stats, error) {
 		return s.StreamFrom(context.Background(),
@@ -367,7 +367,7 @@ func TestPerShardStats(t *testing.T) {
 
 	for name, stream := range map[string]func(Sink) (Stats, error){
 		"plans": func(sink Sink) (Stats, error) {
-			return s.Stream(context.Background(), targets, allProtos(), 3, sink)
+			return s.StreamFrom(context.Background(), SliceSource(targets), allProtos(), 3, sink)
 		},
 		"routed": func(sink Sink) (Stats, error) {
 			return s.StreamFrom(context.Background(), opaque{SliceSource(targets)}, allProtos(), 3, sink)

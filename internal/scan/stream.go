@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,12 +24,12 @@ import (
 // accumulates per shard and merges in canonical shard order is
 // deterministic by construction.
 //
-// Every entry point is a veneer over StreamFrom, which pulls targets
-// from a TargetSource (see source.go). Sources that are already
-// partitioned (ShardedSource) feed probe workers directly with no
-// routing pass; everything else flows through a router that shards
-// pulled chunks into bounded per-shard queues — either way, no full
-// target set is ever materialized inside the engine.
+// The one entry point is StreamFrom, which pulls targets from a
+// TargetSource (see source.go). Sources that are already partitioned
+// (ShardedSource) feed probe workers directly with no routing pass;
+// everything else flows through a router that shards pulled chunks into
+// bounded per-shard queues — either way, no full target set is ever
+// materialized inside the engine.
 
 // DefaultBatchSize is the streamed batch size when Config.BatchSize is 0.
 const DefaultBatchSize = 256
@@ -64,10 +65,10 @@ type Batch struct {
 }
 
 // OrigIndex returns the position of Results[i] in the canonical
-// (target, protocol) cross-product ordering of the originating Stream
-// call — the index Scan uses to place results. Batches from sources
-// without position mappings (StreamSharded, StreamFrom over non-slice
-// sources) carry none; OrigIndex must not be called on them.
+// (target, protocol) cross-product ordering of the originating
+// SliceSource — the index Scan uses to place results. Batches from any
+// other source carry no position mapping; OrigIndex must not be called
+// on them.
 func (b *Batch) OrigIndex(i int) int {
 	pos := b.start + i
 	return b.orig[pos/b.nprotos]*b.nprotos + pos%b.nprotos
@@ -113,37 +114,6 @@ func buildPlans(targets []ip6.Addr) []shardPlan {
 	return plans
 }
 
-// Stream probes every (target, protocol) pair for the given day, routing
-// work through the sharded worker pool and delivering results to sink in
-// batches of Config.BatchSize. It returns aggregate statistics. The
-// context cancels the stream between batches; batches already delivered
-// stand, and ctx.Err() is returned. Stream is a thin wrapper over
-// StreamFrom with a slice-backed source (which keeps the plan-based fast
-// path and the Batch.OrigIndex position mapping).
-func (s *Scanner) Stream(ctx context.Context, targets []ip6.Addr, protos []netmodel.Protocol, day int, sink Sink) (Stats, error) {
-	if len(targets) == 0 || len(protos) == 0 {
-		var total streamTotals
-		return total.stats(s.cfg.RatePPS), nil
-	}
-	return s.StreamFrom(ctx, SliceSource(targets), protos, day, sink)
-}
-
-// StreamSharded probes targets the caller has already partitioned into
-// canonical shards: shards[i] holds shard i's targets (every address must
-// satisfy ShardOf == i) and len(shards) must be ip6.AddrShards. It is the
-// zero-materialization entry point for sharded slice producers — a thin
-// wrapper over StreamFrom with a ShardSlices source, so per-shard target
-// slices feed the engine directly and no concatenated global slice is
-// ever built. Batches from StreamSharded carry no original-position
-// mapping, so Batch.OrigIndex must not be called on them; accumulate
-// per shard instead.
-func (s *Scanner) StreamSharded(ctx context.Context, shards [][]ip6.Addr, protos []netmodel.Protocol, day int, sink Sink) (Stats, error) {
-	if len(shards) != ip6.AddrShards {
-		return Stats{}, fmt.Errorf("scan: StreamSharded wants %d shards, got %d", ip6.AddrShards, len(shards))
-	}
-	return s.StreamFrom(ctx, ShardSlices(shards), protos, day, sink)
-}
-
 // StreamFrom pulls targets from src, shards them, probes every
 // (target, protocol) pair for the given day on the worker pool, and
 // delivers results to sink in batches of Config.BatchSize — without ever
@@ -153,9 +123,10 @@ func (s *Scanner) StreamSharded(ctx context.Context, shards [][]ip6.Addr, protos
 // per-shard queues, with the puller blocking (backpressure) once too many
 // routed targets are waiting to be probed. Outputs are bit-identical for
 // any worker count, batch size or chunk size; the per-shard batch
-// sequence equals that of a Stream call over the materialized source. If
-// src implements io.Closer it is closed when the stream ends, on every
-// path.
+// sequence equals that of a stream over the materialized source. The
+// context cancels the stream between batches; batches already delivered
+// stand, and ctx.Err() is returned. If src implements io.Closer it is
+// closed when the stream ends, on every path.
 func (s *Scanner) StreamFrom(ctx context.Context, src TargetSource, protos []netmodel.Protocol, day int, sink Sink) (Stats, error) {
 	var total streamTotals
 	if src == nil {
@@ -196,13 +167,20 @@ func (s *Scanner) StreamFrom(ctx context.Context, src TargetSource, protos []net
 	if run.queue != nil {
 		run.queue.close() // drains and waits; a sink error surfaces via fail
 	}
-	return total.stats(s.cfg.RatePPS), run.err()
+	st := total.stats(s.cfg.RatePPS)
+	st.Workers, st.Reissued = run.workers, run.reissued
+	return st, run.err()
 }
 
 // errStreamStopped is the internal signal that another worker already
 // failed the stream: unwind without flushing, without overwriting the
 // original error.
 var errStreamStopped = errors.New("scan: stream stopped")
+
+// errKilled is the internal signal that the fault hook killed the worker
+// holding a shard: the worker unwinds and puts the shard back — a death,
+// not a stream failure.
+var errKilled = errors.New("scan: worker killed by fault hook")
 
 // streamRun is the shared state of one StreamFrom call.
 type streamRun struct {
@@ -216,6 +194,11 @@ type streamRun struct {
 
 	batchSize int
 	chunk     int
+
+	// workers and reissued are the sharded path's per-worker accounting,
+	// read once every worker has exited.
+	workers  []WorkerStats
+	reissued int
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -258,13 +241,21 @@ type shardProbe struct {
 	pos      int
 	need     int
 	released bool
+
+	// hold makes delivery abort-atomic: filled batches wait on held until
+	// the shard completes, so a worker killed mid-shard (worker is its
+	// index, for the fault hook) leaves no trace at the consumer. Set only
+	// where a death is possible — the sharded path under a fault hook.
+	hold   bool
+	worker int
+	held   []*Batch
 }
 
 // newShardProbe starts a shard's probe state. orig is the optional
 // original-position mapping (slice-backed streams); size is the shard's
 // total target count when known, -1 otherwise — it only tunes the first
 // buffer's capacity.
-func (r *streamRun) newShardProbe(shard int, orig []int, size int) *shardProbe {
+func (r *streamRun) newShardProbe(shard int, orig []int, size int) shardProbe {
 	need := r.batchSize
 	if size >= 0 {
 		if n := size * len(r.protos); n < need {
@@ -274,11 +265,12 @@ func (r *streamRun) newShardProbe(shard int, orig []int, size int) *shardProbe {
 	b := &Batch{Shard: shard, orig: orig, nprotos: len(r.protos)}
 	b.Results = r.s.getBuf(need)
 	b.arena = r.s.getArena(r.protos)
-	return &shardProbe{run: r, shard: shard, b: b, need: need}
+	return shardProbe{run: r, shard: shard, b: b, need: need}
 }
 
-// flush delivers the current batch — inline to the sink, or through the
-// bounded delivery queue when one is configured.
+// flush delivers the current batch: inline to the sink (the buffer is
+// reused in place), through the bounded delivery queue when one is
+// configured, or onto the held list under abort-atomic delivery.
 func (p *shardProbe) flush() error {
 	if len(p.b.Results) == 0 {
 		return nil
@@ -286,29 +278,50 @@ func (p *shardProbe) flush() error {
 	r := p.run
 	p.b.Stats.EstimatedSeconds = float64(p.b.Stats.ProbesSent) / float64(r.s.cfg.RatePPS)
 	p.b.Stats.Batches = 1
-	r.total.add(p.shard, &p.b.Stats)
-	if r.queue != nil {
-		// Ownership of the filled batch moves to the delivery goroutine
-		// (which pools its buffer after the sink call); probing continues
-		// immediately into a fresh buffer.
-		full := p.b
-		p.b = &Batch{Shard: p.shard, Seq: full.Seq + 1, start: p.pos, orig: full.orig, nprotos: full.nprotos}
-		p.b.Results = r.s.getBuf(p.need)
-		p.b.arena = r.s.getArena(r.protos)
-		r.queue.enqueue(full)
+	if !p.hold && r.queue == nil {
+		r.total.add(p.shard, &p.b.Stats)
+		if err := r.sink(p.b); err != nil {
+			return err
+		}
+		p.b.Seq++
+		p.b.start = p.pos
+		p.b.Results = p.b.Results[:0]
+		// The sink has consumed (or deep-copied) every result, so the DNS
+		// buffers its rows referenced are free to reuse for the next batch.
+		p.b.arena.Reset()
+		p.b.Stats = Stats{}
 		return nil
 	}
-	if err := r.sink(p.b); err != nil {
-		return err
+	// Ownership of the filled batch moves on — to the delivery goroutine
+	// or the held list, either of which pools its buffer once the sink
+	// has seen it; probing continues immediately into a fresh buffer.
+	full := p.b
+	p.b = &Batch{Shard: p.shard, Seq: full.Seq + 1, start: p.pos, orig: full.orig, nprotos: full.nprotos}
+	p.b.Results = r.s.getBuf(p.need)
+	p.b.arena = r.s.getArena(r.protos)
+	if !p.hold {
+		return r.deliver(full)
 	}
-	p.b.Seq++
-	p.b.start = p.pos
-	p.b.Results = p.b.Results[:0]
-	// The sink has consumed (or deep-copied) every result, so the DNS
-	// buffers its rows referenced are free to reuse for the next batch.
-	p.b.arena.Reset()
-	p.b.Stats = Stats{}
+	p.held = append(p.held, full)
+	if r.s.cfg.FaultHook(FaultPoint{Worker: p.worker, Shard: p.shard, Batch: full.Seq}) != nil {
+		return errKilled
+	}
 	return nil
+}
+
+// deliver hands the consumer a filled batch no probe owns any more:
+// through the delivery queue (which pools the buffers after the sink
+// call) when one is configured, inline otherwise.
+func (r *streamRun) deliver(b *Batch) error {
+	r.total.add(b.Shard, &b.Stats)
+	if r.queue != nil {
+		r.queue.enqueue(b)
+		return nil
+	}
+	err := r.sink(b)
+	r.s.putBuf(b.Results)
+	r.s.putArena(b.arena)
+	return err
 }
 
 // probe runs one segment of the shard's target sequence, flushing full
@@ -351,120 +364,253 @@ func (p *shardProbe) probe(targets []ip6.Addr) error {
 	return nil
 }
 
-// finish flushes the trailing partial batch and releases the buffer.
+// finish flushes the trailing partial batch, delivers the held batches
+// in Seq order — the shard is complete, nothing can take them back —
+// and releases the buffers.
 func (p *shardProbe) finish() error {
 	err := p.flush()
+	for err == nil && len(p.held) > 0 {
+		b := p.held[0]
+		p.held = p.held[1:]
+		err = p.run.deliver(b)
+	}
 	p.release()
 	return err
 }
 
-// release returns the probe's buffer and arena to their pools;
-// idempotent.
+// release returns the probe's buffers and arenas — the current batch and
+// anything still held — to their pools; idempotent.
 func (p *shardProbe) release() {
-	if !p.released {
-		p.released = true
-		p.run.s.putBuf(p.b.Results)
-		p.run.s.putArena(p.b.arena)
-		p.b.Results = nil
-		p.b.arena = nil
+	if p.released {
+		return
+	}
+	p.released = true
+	for _, b := range p.held {
+		p.run.s.putBuf(b.Results)
+		p.run.s.putArena(b.arena)
+	}
+	p.held = nil
+	p.run.s.putBuf(p.b.Results)
+	p.run.s.putArena(p.b.arena)
+	p.b.Results = nil
+	p.b.arena = nil
+}
+
+// FaultPoint identifies one injection opportunity of the sharded path:
+// Batch is -1 when the worker picks the shard up, otherwise the
+// shard-local batch Seq it just filled.
+type FaultPoint struct {
+	Worker int
+	Shard  int
+	Batch  int
+}
+
+// FaultHook is the injectable worker failure (tests, recovery drills):
+// called at every FaultPoint, a non-nil return kills that worker on the
+// spot. Its unfinished shard — none of which has reached the sink — is
+// put back for the survivors to probe from a fresh ShardSource cursor,
+// so outputs stay bit-identical as long as one worker survives. It is
+// invoked concurrently from worker goroutines.
+type FaultHook func(FaultPoint) error
+
+// ErrWorkerKilled is a convenience error for FaultHooks; any non-nil
+// hook error has the same effect.
+var ErrWorkerKilled = errors.New("scan: worker killed")
+
+// WorkerStats summarizes one probe worker's share of a sharded stream.
+type WorkerStats struct {
+	// Shards is how many shards this worker completed.
+	Shards int
+	// Steals is always 0 (a shared queue has nothing to steal); the field
+	// exists only for bench/probes.go and goes in the next benchmark PR.
+	Steals int
+	// Probes is the probe count across the worker's completed shards.
+	Probes uint64
+	// Nanos is wall-clock probe time across the worker's completed
+	// shards (nondeterministic, like ShardStats.Nanos).
+	Nanos int64
+	// Failed reports the worker was killed by the fault hook.
+	Failed bool
+}
+
+// shardQueue is the sharded path's hand-out: the non-empty shards not
+// yet probed, most expensive first, consumed by whichever worker is
+// idle — greedy LPT list scheduling. A killed worker puts its shard
+// back, so idle workers wait while any shard is still in flight.
+type shardQueue struct {
+	run *streamRun
+	src ShardedSource
+
+	mu       sync.Mutex
+	cond     *sync.Cond
+	pending  []int
+	feeds    [ip6.AddrShards]TargetSource // each pending shard's cursor
+	inflight int                          // handed out, not yet completed
+	alive    int
+	stopped  bool
+}
+
+// next blocks until a shard is available and returns it with its
+// cursor; ok is false once every shard completed or the stream stopped.
+func (q *shardQueue) next() (sh int, feed TargetSource, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.pending) == 0 && q.inflight > 0 && !q.stopped {
+		q.cond.Wait()
+	}
+	if len(q.pending) == 0 || q.stopped {
+		return 0, nil, false
+	}
+	sh = q.pending[0]
+	q.pending = q.pending[1:]
+	q.inflight++
+	return sh, q.feeds[sh], true
+}
+
+// done marks a handed-out shard complete.
+func (q *shardQueue) done() {
+	q.mu.Lock()
+	q.inflight--
+	if q.inflight == 0 {
+		q.cond.Broadcast()
+	}
+	q.mu.Unlock()
+}
+
+// putBack is a killed worker's exit: its shard returns to the head of
+// the queue (it has waited longest) with a fresh cursor. The last death
+// fails the run — there is nobody left to finish the work.
+func (q *shardQueue) putBack(sh int) {
+	q.mu.Lock()
+	q.inflight--
+	q.alive--
+	var err error
+	switch feed := q.src.ShardSource(sh); {
+	case q.alive == 0:
+		err = fmt.Errorf("scan: all workers killed with %d shards unfinished", len(q.pending)+1)
+	case feed == nil:
+		// Shard sources are deterministic: a shard planned non-empty
+		// cannot come back empty.
+		err = fmt.Errorf("scan: shard %d source vanished on re-issue", sh)
+	default:
+		q.feeds[sh] = feed
+		q.pending = append([]int{sh}, q.pending...)
+		q.run.reissued++
+		q.cond.Broadcast()
+	}
+	q.mu.Unlock()
+	if err != nil {
+		q.run.fail(err)
 	}
 }
 
-// runSharded streams a pre-partitioned source: the worker pool hands out
-// whole shards, and each worker pulls its shard's sub-source directly
-// into probing — no routing, no cross-shard buffering.
+// runSharded streams a pre-partitioned source: idle workers take whole
+// shards off the cost-ordered queue, and each pulls its shard's
+// sub-source directly into probing — no routing, no cross-shard
+// buffering. Hand-out order and worker deaths only affect which worker
+// probes which shard when — every shard's own batch sequence, and
+// therefore every output, is identical.
 func (r *streamRun) runSharded(src ShardedSource) {
-	var feeds [ip6.AddrShards]TargetSource
-	nonEmpty := 0
+	r.workers = make([]WorkerStats, r.s.cfg.Workers)
+	q := &shardQueue{run: r, src: src, pending: make([]int, 0, ip6.AddrShards)}
+	q.cond = sync.NewCond(&q.mu)
+	// One serial pass collects every shard's cursor: lazily partitioned
+	// sources build their plans on first use and are not race-safe.
 	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if f := src.ShardSource(sh); f != nil {
-			feeds[sh] = f
-			nonEmpty++
+		if q.feeds[sh] = src.ShardSource(sh); q.feeds[sh] != nil {
+			q.pending = append(q.pending, sh)
 		}
 	}
-	if nonEmpty == 0 {
+	if len(q.pending) == 0 {
 		return
 	}
 	origs, _ := src.(origSource)
 	sizes, _ := src.(ShardSizer)
-	workers := r.s.cfg.Workers
-	if workers > nonEmpty {
-		workers = nonEmpty
+	size := func(sh int) int {
+		if sizes == nil {
+			return -1
+		}
+		return sizes.ShardLen(sh)
+	}
+	workers := min(r.s.cfg.Workers, len(q.pending))
+	q.alive = workers
+	// Estimated cost: the profiled scan's wall nanos where it saw the
+	// shard, target count otherwise, 1 as the floor. Estimates only steer
+	// the order; a single worker gains nothing from one and keeps the
+	// canonical order its consumers may rely on.
+	if workers > 1 {
+		prof := r.s.profile.Load()
+		cost := func(sh int) int64 {
+			if prof != nil && (*prof)[sh].Nanos > 0 {
+				return (*prof)[sh].Nanos
+			}
+			return int64(max(size(sh), 1))
+		}
+		sort.SliceStable(q.pending, func(i, j int) bool { return cost(q.pending[i]) > cost(q.pending[j]) })
+	}
+	r.onStop = func() {
+		q.mu.Lock()
+		q.stopped = true
+		q.cond.Broadcast()
+		q.mu.Unlock()
 	}
 
+	hook := r.s.cfg.FaultHook
 	var wg sync.WaitGroup
-	shardCh := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			var buf []ip6.Addr // lazy pull buffer for non-span sources
-			for sh := range shardCh {
-				select {
-				case <-r.stop:
+			var sp shardProbe  // restarted for every shard this worker takes
+			for {
+				sh, feed, ok := q.next()
+				if !ok {
+					return
+				}
+				err := r.ctx.Err()
+				if err == nil && hook != nil && hook(FaultPoint{Worker: w, Shard: sh, Batch: -1}) != nil {
+					err = errKilled
+				}
+				// Only the worker holding a shard adds to its totals, so their
+				// growth across the hold is this worker's own work.
+				tot := &r.total.shards[sh]
+				probes, nanos := tot.probes.Load(), tot.nanos.Load()
+				if err == nil {
+					var orig []int
+					if origs != nil {
+						orig = origs.shardOrig(sh)
+					}
+					sp = r.newShardProbe(sh, orig, size(sh))
+					sp.hold, sp.worker = hook != nil, w
+					err = r.pullShard(&sp, feed, &buf)
+				}
+				switch err {
+				case nil:
+					ws := &r.workers[w]
+					ws.Shards++
+					ws.Probes += tot.probes.Load() - probes
+					ws.Nanos += tot.nanos.Load() - nanos
+					q.done()
+				case errKilled:
+					r.workers[w].Failed = true
+					q.putBack(sh)
+					return
+				case errStreamStopped:
 					return
 				default:
-				}
-				var orig []int
-				if origs != nil {
-					orig = origs.shardOrig(sh)
-				}
-				size := -1
-				if sizes != nil {
-					size = sizes.ShardLen(sh)
-				}
-				if err := r.pullShard(sh, feeds[sh], orig, size, &buf); err != nil {
 					r.fail(err)
 					return
 				}
 			}
-		}()
+		}(w)
 	}
-
-	// Hand-out order: canonical unless the scanner carries an adaptive
-	// dispatch order (slowest-first scheduling). Order only affects which
-	// worker starts which shard when — every shard's own batch sequence,
-	// and therefore every output, is identical.
-	order := r.s.dispatchOrder()
-
-feed:
-	for i := 0; i < ip6.AddrShards; i++ {
-		sh := i
-		if order != nil {
-			sh = order[i]
-		}
-		if feeds[sh] == nil {
-			continue
-		}
-		// Check for abort before the blocking dispatch: when stop and an
-		// idle worker are both ready, select would otherwise pick at
-		// random and could hand out whole extra shards after a failure.
-		select {
-		case <-r.ctx.Done():
-			r.fail(r.ctx.Err())
-			break feed
-		case <-r.stop:
-			break feed
-		default:
-		}
-		select {
-		case shardCh <- sh:
-		case <-r.ctx.Done():
-			r.fail(r.ctx.Err())
-			break feed
-		case <-r.stop:
-			break feed
-		}
-	}
-	close(shardCh)
 	wg.Wait()
 }
 
 // pullShard probes one shard's whole target sequence by pulling its
-// source to exhaustion. A nil return covers both success and an orderly
-// stop (the stream's first error is already recorded elsewhere).
-func (r *streamRun) pullShard(sh int, src TargetSource, orig []int, size int, buf *[]ip6.Addr) error {
-	sp := r.newShardProbe(sh, orig, size)
+// source to exhaustion.
+func (r *streamRun) pullShard(sp *shardProbe, src TargetSource, buf *[]ip6.Addr) error {
 	spanner, _ := src.(SpanSource)
 	for {
 		var seg []ip6.Addr
@@ -482,14 +628,11 @@ func (r *streamRun) pullShard(sh int, src TargetSource, orig []int, size int, bu
 		if len(seg) > 0 {
 			if perr := sp.probe(seg); perr != nil {
 				sp.release()
-				if perr == errStreamStopped {
-					return nil
-				}
 				return perr
 			}
 		} else if err == nil {
 			sp.release()
-			return fmt.Errorf("scan: shard %d source made no progress", sh)
+			return fmt.Errorf("scan: shard %d source made no progress", sp.shard)
 		}
 		if err == io.EOF {
 			break
@@ -574,7 +717,8 @@ func (r *streamRun) runRouted(src TargetSource) {
 						break
 					}
 					if rs.sp == nil {
-						rs.sp = r.newShardProbe(sh, nil, -1)
+						sp := r.newShardProbe(sh, nil, -1)
+						rs.sp = &sp
 					}
 					sp := rs.sp
 					mu.Unlock()

@@ -144,7 +144,7 @@ func TestGenerateThenStreamEquivalence(t *testing.T) {
 			return scan.New(net, cfg)
 		}
 		base, baseStats := collectShardSequences(t, func(sink scan.Sink) (scan.Stats, error) {
-			return mk(1, 0).Stream(context.Background(), candidates, protos, 9, sink)
+			return mk(1, 0).StreamFrom(context.Background(), scan.SliceSource(candidates), protos, 9, sink)
 		})
 		for _, workers := range []int{1, 4} {
 			for _, chunk := range []int{1, 100, 0} {
