@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hitlist6/internal/apd"
 	"hitlist6/internal/ckpt"
 	"hitlist6/internal/core"
 	"hitlist6/internal/dnswire"
@@ -137,6 +138,38 @@ func BenchmarkServiceScan(b *testing.B) {
 		}
 		b.ReportMetric(float64(rec.ProbesSent), "probes/scan")
 	}
+}
+
+// BenchmarkAPDRound measures one alias-detection round shaped like the
+// service's: every announced prefix of a 1/4000 world plus 200 /64s the
+// detector has not seen before, on a new day each round.
+func BenchmarkAPDRound(b *testing.B) {
+	w, err := worldgen.Generate(worldgen.Params{
+		Seed: 42, Scale: 1.0 / 4000, TailASes: 240, ScanIntervalDays: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bgp := w.Net.AS.AnnouncedPrefixes()
+	r := rng.NewStream(42, "bench-apd-fresh")
+	d := apd.NewDetector(scan.New(w.Net, scan.DefaultConfig(42)), apd.DefaultConfig())
+	cands := append([]ip6.Prefix(nil), bgp...)
+	ctx := context.Background()
+	probes := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cands = cands[:len(bgp)]
+		for j := 0; j < 200; j++ {
+			cands = append(cands, ip6.Slash64(bgp[r.Intn(len(bgp))].RandomAddr(r)))
+		}
+		res, err := d.Run(ctx, cands, worldgen.EndDay-7*(i%200))
+		if err != nil {
+			b.Fatal(err)
+		}
+		probes += res.Probes
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cands)), "ns/candidate")
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/round")
 }
 
 // BenchmarkScanEngineStream measures the raw streaming scan engine: a

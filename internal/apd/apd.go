@@ -115,11 +115,24 @@ type Detection struct {
 
 // Result is one detection round over a candidate set.
 type Result struct {
-	Day        int
-	Aliased    *ip6.PrefixSet
-	Detections map[ip6.Prefix]Detection
+	Day     int
+	Aliased *ip6.PrefixSet
 	// Probes is the number of scanner probes this round used.
 	Probes int
+
+	// dets holds one Detection per candidate, in candidate order.
+	dets []Detection
+}
+
+// Detections returns every candidate's outcome keyed by prefix. The map
+// is built per call — the service only reads Aliased, so a round does not
+// pay for it.
+func (r *Result) Detections() map[ip6.Prefix]Detection {
+	out := make(map[ip6.Prefix]Detection, len(r.dets))
+	for _, det := range r.dets {
+		out[det.Prefix] = det
+	}
+	return out
 }
 
 // Detector runs rounds of multi-level APD, remembering per-prefix history
@@ -127,7 +140,16 @@ type Result struct {
 type Detector struct {
 	scanner *scan.Scanner
 	cfg     Config
-	history map[ip6.Prefix][]uint16
+
+	// The per-prefix history is flat: rows[p] is the prefix's row in
+	// hist, a row is the last MergeScans+1 round bitmaps oldest first,
+	// and histLen says how many of them are recorded yet. A round costs
+	// each candidate one map lookup and no allocation once its row
+	// exists.
+	rows    map[ip6.Prefix]int32
+	hist    []uint16
+	histLen []uint16
+
 	// queue is the sharded slot queue, reused across rounds so
 	// steady-state detection allocates no per-round slot storage.
 	queue slotQueue
@@ -144,39 +166,71 @@ func NewDetector(s *scan.Scanner, cfg Config) *Detector {
 	if len(cfg.Protocols) == 0 {
 		cfg.Protocols = []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80}
 	}
-	return &Detector{scanner: s, cfg: cfg, history: make(map[ip6.Prefix][]uint16)}
+	return &Detector{scanner: s, cfg: cfg, rows: make(map[ip6.Prefix]int32)}
 }
 
-// slotSalt hoists the stream label hash out of SlotAddr: seeding with
-// mix^slotSalt draws identically to rng.NewStream(mix, "apd-slot"), and
-// the value-typed stream stays on the stack — SlotAddr runs 16 times per
-// candidate per round, so the per-slot heap stream was a hotspot.
+// slotSalt is the stream label of the slot draws: seeding with
+// mix^slotSalt draws identically to rng.NewStream(mix, "apd-slot").
 var slotSalt = rng.HashString("apd-slot")
 
-// SlotAddr returns the pseudo-random probe address for slot v (0–15) of
-// prefix p in the round keyed by day. The draw is deterministic per
-// (prefix, slot, day): stable within a round, fresh across rounds.
+// SlotAddrs returns the 16 pseudo-random probe addresses of prefix p in
+// the round keyed by day: slot v lies in the subprefix whose next nibble
+// is v, its remaining host bits drawn from a stream seeded by
+// rng.Mix(p.hi, p.lo, p.bits, v, day). The draw is deterministic per
+// (prefix, slot, day): stable within a round, fresh across rounds. p must
+// be at most a /124.
+func SlotAddrs(p ip6.Prefix, day int) (out [16]ip6.Addr) {
+	hi, lo, bits := p.Addr().Hi(), p.Addr().Lo(), p.Bits()
+	// Both the prefix words of the seed hash and the host-bit geometry
+	// are the same for all 16 slots.
+	mix := rng.MixPrefix(hi, lo, uint64(bits))
+	host := 124 - bits
+	for v := range out {
+		shi, slo := depositBits(hi, lo, bits, 4, uint64(v)<<60)
+		if host > 0 {
+			r := rng.NewStreamSeed(mix.Add(uint64(v)).Add(uint64(day)).Sum() ^ slotSalt)
+			shi, slo = depositBits(shi, slo, bits+4, min(host, 64), r.Uint64())
+			if host > 64 {
+				shi, slo = depositBits(shi, slo, bits+68, host-64, r.Uint64())
+			}
+		}
+		out[v] = ip6.AddrFromUint64s(shi, slo)
+	}
+	return out
+}
+
+// SlotAddr returns slot v (0–15) of SlotAddrs(p, day).
 func SlotAddr(p ip6.Prefix, v byte, day int) ip6.Addr {
-	sub := p.SubprefixOfNibble(v)
-	r := rng.NewStreamSeed(rng.Mix(p.Addr().Hi(), p.Addr().Lo(), uint64(p.Bits()), uint64(v), uint64(day)) ^ slotSalt)
-	return sub.RandomAddr(&r)
+	return SlotAddrs(p, day)[v]
+}
+
+// depositBits ORs the top n bits (1–64) of chunk into the 128-bit word
+// (hi, lo) at bit offset pos from the most significant end; the bits it
+// lands on must be zero, as the host bits of a masked prefix are.
+func depositBits(hi, lo uint64, pos, n int, chunk uint64) (uint64, uint64) {
+	chunk &^= 1<<(64-n) - 1
+	if pos < 64 {
+		// A shift by 64 (pos == 0) yields 0, which is what lo wants then.
+		return hi | chunk>>pos, lo | chunk<<(64-pos)
+	}
+	return hi, lo | chunk>>(pos-64)
 }
 
 // slotRef ties one routed probe address back to its (candidate, slot)
-// pair for bitmap assembly after the scan.
+// pair, and carries the slot's outcome back from the scan.
 type slotRef struct {
 	cand int32
 	v    byte
+	hit  bool
 }
 
 // slotQueue is the sharded candidate queue feeding APD probe rounds into
 // the scan engine: every candidate's 16 slot addresses are drawn exactly
 // once and routed to their canonical shard alongside a back-reference,
-// so the flat candidates×16 target slice of the pre-redesign detector
-// never exists. It implements scan.ShardedSource — probe workers pull
+// so no flat candidates×16 target slice is ever built. It implements scan.ShardedSource — probe workers pull
 // their shard's address slice directly (zero-copy spans) — and the
-// detection loop walks the same shards to OR responsive slots into
-// per-candidate bitmaps with shard-local set lookups.
+// round's sink marks refs by result position, so no result is ever
+// looked up by address.
 type slotQueue struct {
 	addrs [ip6.AddrShards][]ip6.Addr
 	refs  [ip6.AddrShards][]slotRef
@@ -196,11 +250,10 @@ func (q *slotQueue) fill(candidates []ip6.Prefix, day int) error {
 		if p.Bits()+4 > 128 {
 			return fmt.Errorf("apd: candidate %v too long to subdivide", p)
 		}
-		for v := byte(0); v < 16; v++ {
-			a := SlotAddr(p, v, day)
+		for v, a := range SlotAddrs(p, day) {
 			sh := ip6.ShardOf(a)
 			q.addrs[sh] = append(q.addrs[sh], a)
-			q.refs[sh] = append(q.refs[sh], slotRef{cand: int32(i), v: v})
+			q.refs[sh] = append(q.refs[sh], slotRef{cand: int32(i), v: byte(v)})
 		}
 	}
 	return nil
@@ -228,73 +281,94 @@ func (q *slotQueue) ShardSource(sh int) scan.TargetSource {
 
 func (q *slotQueue) ShardLen(sh int) int { return len(q.addrs[sh]) }
 
-// bitmaps assembles the per-candidate responsive-slot bitmaps from the
-// streamed responsive sets, walking shard-locally (no address hashing).
-func (q *slotQueue) bitmaps(nCands int, resp map[netmodel.Protocol]*ip6.ShardedSet, protos []netmodel.Protocol) []uint16 {
-	out := make([]uint16, nCands)
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		for i, a := range q.addrs[sh] {
-			for _, proto := range protos {
-				if resp[proto].HasInShard(sh, a) {
-					ref := q.refs[sh][i]
-					out[ref.cand] |= 1 << ref.v
-					break
-				}
-			}
+// mark is the round's scan sink: result k of a shard's probe sequence is
+// protocol k%nprotos of the shard's slot k/nprotos, so a success marks
+// that slot's ref directly. The engine delivers a shard's batches
+// sequentially, which makes the per-shard writes race-free, and marking
+// by position is idempotent, so a shard re-issued after a worker death
+// lands on the same refs.
+func (q *slotQueue) mark(b *scan.Batch, nprotos int) {
+	refs := q.refs[b.Shard]
+	slot, proto := b.Offset()/nprotos, b.Offset()%nprotos
+	for i := range b.Results {
+		if b.Results[i].Success {
+			refs[slot].hit = true
+		}
+		if proto++; proto == nprotos {
+			slot, proto = slot+1, 0
 		}
 	}
-	return out
 }
 
-// Run executes one detection round at the given day.
+// Run executes one detection round at the given day as a single streamed
+// pass: draw the 16 slots per candidate into the sharded queue, let the
+// engine's probe workers pull it shard by shard while the sink marks the
+// responding slots in place, fold the marks into per-candidate bitmaps,
+// and merge each with its history row.
 func (d *Detector) Run(ctx context.Context, candidates []ip6.Prefix, day int) (*Result, error) {
-	res := &Result{
-		Day:        day,
-		Aliased:    ip6.NewPrefixSet(),
-		Detections: make(map[ip6.Prefix]Detection, len(candidates)),
-	}
-
-	// Route the 16 slots per candidate into the sharded queue (reused
-	// across rounds), then stream the probe round through the engine:
-	// probe workers pull slot addresses shard by shard, and slot
-	// membership checks read the sharded responsive sets directly —
-	// neither the flat slot-address list nor the result cross product is
-	// ever materialized.
-	queue := &d.queue
-	if err := queue.fill(candidates, day); err != nil {
+	q := &d.queue
+	if err := q.fill(candidates, day); err != nil {
 		return nil, err
 	}
-	resp, stats, err := d.scanner.StreamResponsiveFrom(ctx, queue, d.cfg.Protocols, day)
+	nprotos := len(d.cfg.Protocols)
+	stats, err := d.scanner.StreamFrom(ctx, q, d.cfg.Protocols, day, func(b *scan.Batch) error {
+		q.mark(b, nprotos)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("apd: scanning candidates: %w", err)
 	}
-	res.Probes = int(stats.ProbesSent)
 
-	bitmaps := queue.bitmaps(len(candidates), resp, d.cfg.Protocols)
+	res := &Result{
+		Day:     day,
+		Aliased: ip6.NewPrefixSet(),
+		Probes:  int(stats.ProbesSent),
+		dets:    make([]Detection, len(candidates)),
+	}
+	for sh := range q.refs {
+		for _, ref := range q.refs[sh] {
+			if ref.hit {
+				res.dets[ref.cand].Bitmap |= 1 << ref.v
+			}
+		}
+	}
 	for i, p := range candidates {
-		bitmap := bitmaps[i]
-		merged := bitmap
-		hist := d.history[p]
-		n := d.cfg.MergeScans
-		if n > len(hist) {
-			n = len(hist)
-		}
-		for _, old := range hist[len(hist)-n:] {
-			merged |= old
-		}
-		det := Detection{Prefix: p, Bitmap: bitmap, Merged: merged, Aliased: merged == 0xffff}
-		res.Detections[p] = det
-		if det.Aliased {
+		det := &res.dets[i]
+		det.Prefix = p
+		det.Merged = d.record(p, det.Bitmap)
+		if det.Aliased = det.Merged == 0xffff; det.Aliased {
 			res.Aliased.Add(p)
 		}
-		// Record history (bounded).
-		hist = append(hist, bitmap)
-		if len(hist) > d.cfg.MergeScans+1 {
-			hist = hist[len(hist)-d.cfg.MergeScans-1:]
-		}
-		d.history[p] = hist
 	}
 	return res, nil
+}
+
+// record appends this round's bitmap to p's history row (dropping the
+// oldest entry of a full row) and returns the bitmap merged with the
+// MergeScans rounds before it.
+func (d *Detector) record(p ip6.Prefix, bitmap uint16) uint16 {
+	stride := d.cfg.MergeScans + 1
+	row, ok := d.rows[p]
+	if !ok {
+		row = int32(len(d.histLen))
+		d.rows[p] = row
+		d.hist = append(d.hist, make([]uint16, stride)...)
+		d.histLen = append(d.histLen, 0)
+	}
+	h := d.hist[int(row)*stride : (int(row)+1)*stride]
+	n := int(d.histLen[row])
+	if n == stride {
+		// Full row: the oldest entry is outside the merge window.
+		copy(h, h[1:])
+		n--
+	}
+	merged := bitmap
+	for _, old := range h[:n] {
+		merged |= old
+	}
+	h[n] = bitmap
+	d.histLen[row] = uint16(n + 1)
+	return merged
 }
 
 // ResponsiveSlots counts the responding slots in a bitmap.
@@ -333,21 +407,30 @@ type HistoryEntry struct {
 }
 
 // ExportHistory returns the per-prefix detection history sorted by
-// prefix — the deterministic order checkpoint encodings require.
+// prefix — the deterministic order checkpoint encodings require. The
+// Counts slices alias the detector's rows; they are valid until the next
+// Run or ImportHistory.
 func (d *Detector) ExportHistory() []HistoryEntry {
-	out := make([]HistoryEntry, 0, len(d.history))
-	for p, h := range d.history {
-		out = append(out, HistoryEntry{Prefix: p, Counts: h})
+	stride := d.cfg.MergeScans + 1
+	out := make([]HistoryEntry, 0, len(d.rows))
+	for p, row := range d.rows {
+		at := int(row) * stride
+		out = append(out, HistoryEntry{Prefix: p, Counts: d.hist[at : at+int(d.histLen[row])]})
 	}
 	sort.Slice(out, func(i, j int) bool { return ip6.ComparePrefix(out[i].Prefix, out[j].Prefix) < 0 })
 	return out
 }
 
-// ImportHistory replaces the detector's history with the given entries
-// (copying the count slices).
+// ImportHistory replaces the detector's history with the given entries,
+// keeping each prefix's newest MergeScans+1 rounds — all a row holds.
 func (d *Detector) ImportHistory(entries []HistoryEntry) {
-	d.history = make(map[ip6.Prefix][]uint16, len(entries))
-	for _, e := range entries {
-		d.history[e.Prefix] = append([]uint16(nil), e.Counts...)
+	stride := d.cfg.MergeScans + 1
+	d.rows = make(map[ip6.Prefix]int32, len(entries))
+	d.hist = make([]uint16, len(entries)*stride)
+	d.histLen = make([]uint16, len(entries))
+	for i, e := range entries {
+		counts := e.Counts[max(0, len(e.Counts)-stride):]
+		d.rows[e.Prefix] = int32(i)
+		d.histLen[i] = uint16(copy(d.hist[i*stride:], counts))
 	}
 }

@@ -121,12 +121,12 @@ func TestDetectAliased(t *testing.T) {
 	if res.Aliased.Has(cands[3]) {
 		t.Error("super-prefix falsely aliased")
 	}
-	det := res.Detections[cands[2]]
-	if det.Aliased || det.Bitmap == 0xffff {
+	dets := res.Detections()
+	if det := dets[cands[2]]; det.Aliased || det.Bitmap == 0xffff {
 		t.Errorf("sparse detection: %+v", det)
 	}
-	if ResponsiveSlots(res.Detections[cands[0]].Bitmap) != 16 {
-		t.Errorf("aliased slots: %d", ResponsiveSlots(res.Detections[cands[0]].Bitmap))
+	if ResponsiveSlots(dets[cands[0]].Bitmap) != 16 {
+		t.Errorf("aliased slots: %d", ResponsiveSlots(dets[cands[0]].Bitmap))
 	}
 	if res.Probes == 0 {
 		t.Error("no probes counted")

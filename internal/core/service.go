@@ -312,6 +312,8 @@ type Service struct {
 
 	aliased      *ip6.PrefixSet
 	pendingAPD64 []ip6.Prefix // newly seen /64s queued for APD
+	bgpCands     []bgpCandidate
+	apdCands     []ip6.Prefix // the round's candidate list, reused across rounds
 	seen64       map[ip6.Prefix]struct{}
 	tracker      *gfw.Tracker
 	everResp     [netmodel.NumProtocols]ip6.SpillableSet
@@ -540,6 +542,7 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 		s.everResp[i] = s.newCumulativeSet()
 	}
 	s.detector = apd.NewDetector(s.scanner, apd.DefaultConfig())
+	s.bgpCands = bgpCandidates(net.AS)
 	if cfg.FleetWorkers > 1 {
 		scfg.Workers = cfg.FleetWorkers
 	}
@@ -1102,19 +1105,13 @@ func (d *shardPurge) addAS(asn int) {
 // runAPD tests BGP prefixes plus the queued new /64s and applies the
 // aliased filter to the active window.
 func (s *Service) runAPD(ctx context.Context, day int, rec *ScanRecord) error {
-	var candidates []ip6.Prefix
-	s.net.AS.WalkPrefixes(func(p ip6.Prefix, as *netmodel.AS) bool {
-		if p.Bits()+4 <= 128 {
-			// Only prefixes already announced at this day.
-			for i, ap := range as.Announced {
-				if ap == p && as.AnnouncedFrom[i] <= day {
-					candidates = append(candidates, p)
-					break
-				}
-			}
+	candidates := s.apdCands[:0]
+	for _, c := range s.bgpCands {
+		// Only prefixes already announced at this day.
+		if c.from <= day {
+			candidates = append(candidates, c.prefix)
 		}
-		return true
-	})
+	}
 	// Queued /64s already covered by a known shorter aliased prefix need
 	// no testing; they would only re-discover the same region.
 	pending := s.pendingAPD64[:0]
@@ -1131,6 +1128,7 @@ func (s *Service) runAPD(ctx context.Context, day int, rec *ScanRecord) error {
 		pending = append(pending, p64)
 	}
 	s.pendingAPD64 = pending
+	s.apdCands = candidates
 
 	res, err := s.detector.Run(ctx, candidates, day)
 	if err != nil {
@@ -1192,6 +1190,39 @@ func (s *Service) runAPD(ctx context.Context, day int, rec *ScanRecord) error {
 		}
 	}
 	return nil
+}
+
+// bgpCandidate is one BGP-level APD candidate and the day its
+// announcement enters the routing table.
+type bgpCandidate struct {
+	prefix ip6.Prefix
+	from   int
+}
+
+// bgpCandidates lists every subdividable announced prefix with its first
+// announcement day, sorted by prefix — the BGP level of each round's
+// candidate list, derived once instead of per round (the table does not
+// change under a running service). WalkPrefixes visits in map order; the
+// sort makes the slot queue's fill order the same in every process.
+func bgpCandidates(table *netmodel.ASTable) []bgpCandidate {
+	var out []bgpCandidate
+	table.WalkPrefixes(func(p ip6.Prefix, as *netmodel.AS) bool {
+		if p.Bits()+4 > 128 {
+			return true
+		}
+		from, found := 0, false
+		for i, ap := range as.Announced {
+			if ap == p && (!found || as.AnnouncedFrom[i] < from) {
+				from, found = as.AnnouncedFrom[i], true
+			}
+		}
+		if found {
+			out = append(out, bgpCandidate{prefix: p, from: from})
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return ip6.ComparePrefix(out[i].prefix, out[j].prefix) < 0 })
+	return out
 }
 
 // coveredByAliased reports whether a shorter (or equal) aliased prefix

@@ -283,28 +283,33 @@ func (n *Network) TrueResponds(target ip6.Addr, p Protocol, day int) bool {
 	return false
 }
 
-// resolution is the outcome of the single per-probe target lookup: the
-// active alias rule covering the target (if any) and the registered host
-// at the exact address (if any). Every probe handler reads from it, so
-// the alias radix walk and the host lookup happen exactly once per probe
-// instead of once per handler-internal check.
-type resolution struct {
-	rule *AliasRule
-	host *Host
+// Resolved is a probe target looked up for one day: the active alias rule
+// covering it (if any) and the registered host at the exact address (if
+// any). Nothing in it depends on the probe's protocol, so a scanner
+// resolves each target once and reuses the result for every protocol it
+// probes that day (ProbeResolved); every probe handler reads from it, so
+// the alias longest-prefix match and the host lookup never happen twice.
+type Resolved struct {
+	target ip6.Addr
+	shard  int
+	day    int
+	rule   *AliasRule
+	host   *Host
 }
 
-// responds mirrors the pre-resolution respondsToProto check.
-func (r resolution) responds(proto Protocol, day int) bool {
+// responds reports whether the target answers proto on the resolved day.
+func (r *Resolved) responds(proto Protocol) bool {
 	if r.rule != nil && r.rule.Protos.Has(proto) {
 		return true
 	}
-	return r.host != nil && r.host.RespondsTo(proto, day)
+	return r.host != nil && r.host.RespondsTo(proto, r.day)
 }
 
-// resolve performs the one alias + host lookup of a probe. shard must be
-// ip6.ShardOf(target).
-func (n *Network) resolve(target ip6.Addr, shard, day int) resolution {
-	var res resolution
+// Resolve performs the one alias + host lookup of a target. shard must be
+// ip6.ShardOf(target): the sealed host index is searched in that shard
+// only, so a wrong shard misses the host.
+func (n *Network) Resolve(target ip6.Addr, shard, day int) Resolved {
+	res := Resolved{target: target, shard: shard, day: day}
 	if _, r, ok := n.aliases.Lookup(target); ok && r.activeAt(day) {
 		res.rule = r
 	}
@@ -315,10 +320,21 @@ func (n *Network) resolve(target ip6.Addr, shard, day int) resolution {
 // Probe sends one probe into the world and returns the response.
 // It is safe for concurrent use.
 func (n *Network) Probe(p Probe) Response {
-	shard := ip6.ShardOf(p.Target)
-	n.probes[shard].n.Add(1)
+	res := n.Resolve(p.Target, ip6.ShardOf(p.Target), p.Day)
+	return n.probeResolved(&p, &res)
+}
 
-	res := n.resolve(p.Target, shard, p.Day)
+// ProbeResolved is Probe against an already resolved target: p.Target and
+// p.Day are taken from res, whatever the probe carries.
+func (n *Network) ProbeResolved(p Probe, res *Resolved) Response {
+	p.Target, p.Day = res.target, res.day
+	return n.probeResolved(&p, res)
+}
+
+// probeResolved is the one probe implementation; p.Target and p.Day
+// agree with res.
+func (n *Network) probeResolved(p *Probe, res *Resolved) Response {
+	n.probes[res.shard].n.Add(1)
 	switch p.Kind {
 	case EchoRequest:
 		return n.probeEcho(p, res)
@@ -336,7 +352,7 @@ func (n *Network) Probe(p Probe) Response {
 
 // effectiveMTU returns the responder's current PMTU towards us and the
 // cache key, honoring poisoned caches.
-func (n *Network) effectiveMTU(target ip6.Addr, day int, res resolution) (uint16, pmtuKey, bool) {
+func (n *Network) effectiveMTU(target ip6.Addr, day int, res *Resolved) (uint16, pmtuKey, bool) {
 	if r := res.rule; r != nil {
 		key := pmtuKey{prefix: r.Prefix, backend: r.BackendOf(target)}
 		if mtu, ok := n.pmtu.get(key, day); ok {
@@ -362,8 +378,8 @@ func (n *Network) effectiveMTU(target ip6.Addr, day int, res resolution) (uint16
 	return 0, pmtuKey{}, false
 }
 
-func (n *Network) probeEcho(p Probe, res resolution) Response {
-	if !res.responds(ICMP, p.Day) {
+func (n *Network) probeEcho(p *Probe, res *Resolved) Response {
+	if !res.responds(ICMP) {
 		return Response{}
 	}
 	mtu, _, _ := n.effectiveMTU(p.Target, p.Day, res)
@@ -371,9 +387,9 @@ func (n *Network) probeEcho(p Probe, res resolution) Response {
 	return Response{Kind: RespEchoReply, Fragmented: frag}
 }
 
-func (n *Network) probePTB(p Probe, res resolution) Response {
+func (n *Network) probePTB(p *Probe, res *Resolved) Response {
 	// Packet Too Big poisons the responder's PMTU cache; no reply.
-	if !res.responds(ICMP, p.Day) {
+	if !res.responds(ICMP) {
 		return Response{}
 	}
 	mtu := p.MTU
@@ -386,7 +402,7 @@ func (n *Network) probePTB(p Probe, res resolution) Response {
 	return Response{}
 }
 
-func (n *Network) probeTCP(p Probe, res resolution) Response {
+func (n *Network) probeTCP(p *Probe, res *Resolved) Response {
 	var proto Protocol
 	switch p.Port {
 	case 80:
@@ -411,14 +427,14 @@ func (n *Network) probeTCP(p Probe, res resolution) Response {
 	return Response{}
 }
 
-func (n *Network) probeQUIC(p Probe, res resolution) Response {
-	if res.responds(UDP443, p.Day) {
+func (n *Network) probeQUIC(p *Probe, res *Resolved) Response {
+	if res.responds(UDP443) {
 		return Response{Kind: RespQUIC}
 	}
 	return Response{}
 }
 
-func (n *Network) probeDNS(p Probe, res resolution) Response {
+func (n *Network) probeDNS(p *Probe, res *Resolved) Response {
 	query := p.Query
 	txid := p.TxID
 	if query == nil {

@@ -90,8 +90,10 @@ func (n *Network) Traceroute(target ip6.Addr, day, maxHops int) []Hop {
 	}
 
 	// The target itself, when it answers ICMP (alias rules included).
-	if ttl <= maxHops && n.resolve(target, ip6.ShardOf(target), day).responds(ICMP, day) {
-		hops = append(hops, Hop{TTL: ttl, Addr: target, Responded: true})
+	if ttl <= maxHops {
+		if res := n.Resolve(target, ip6.ShardOf(target), day); res.responds(ICMP) {
+			hops = append(hops, Hop{TTL: ttl, Addr: target, Responded: true})
+		}
 	}
 
 	// Drop silent hops — Yarrp only reports answering interfaces.

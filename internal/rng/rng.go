@@ -31,17 +31,41 @@ func SplitMix64(state *uint64) uint64 {
 // Mix returns a well-mixed function of its inputs. It is the stateless
 // workhorse behind hash-based simulation draws.
 func Mix(vs ...uint64) uint64 {
-	h := uint64(0x51_7c_c1_b7_27_22_0a_95)
+	return MixPrefix(vs...).Sum()
+}
+
+// MixState is Mix stopped part-way through its inputs:
+// MixPrefix(a, b).Add(c).Sum() == Mix(a, b, c). Hot loops that hash many
+// tuples sharing their leading words — the 16 slot draws of one APD
+// candidate, the loss draws of one scan target — absorb the shared words
+// once and resume from the saved state.
+type MixState uint64
+
+// MixPrefix absorbs the leading inputs of a Mix.
+func MixPrefix(vs ...uint64) MixState {
+	h := MixState(0x51_7c_c1_b7_27_22_0a_95)
 	for _, v := range vs {
-		h ^= v
-		h *= 0x9e3779b97f4a7c15
-		h = bits.RotateLeft64(h, 29)
-		h *= 0xbf58476d1ce4e5b9
+		h = h.Add(v)
 	}
-	h ^= h >> 32
-	h *= 0x94d049bb133111eb
-	h ^= h >> 29
 	return h
+}
+
+// Add absorbs one more input.
+func (h MixState) Add(v uint64) MixState {
+	x := uint64(h) ^ v
+	x *= 0x9e3779b97f4a7c15
+	x = bits.RotateLeft64(x, 29)
+	x *= 0xbf58476d1ce4e5b9
+	return MixState(x)
+}
+
+// Sum finalizes the state into Mix's result.
+func (h MixState) Sum() uint64 {
+	x := uint64(h)
+	x ^= x >> 32
+	x *= 0x94d049bb133111eb
+	x ^= x >> 29
+	return x
 }
 
 // HashString hashes a string with FNV-1a, widened through Mix.

@@ -166,6 +166,18 @@ func TestMixProperty(t *testing.T) {
 	}
 }
 
+func TestMixStateResumes(t *testing.T) {
+	if got := Mix(1, 2, 3); got != MixPrefix(1).Add(2).Add(3).Sum() || got != MixPrefix(1, 2, 3).Sum() {
+		t.Errorf("split Mix(1,2,3) disagrees with %#x", got)
+	}
+	f := func(a, b, c, d uint64) bool {
+		return Mix(a, b, c, d) == MixPrefix(a, b).Add(c).Add(d).Sum() && Mix() == MixPrefix().Sum()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestHashStringStable(t *testing.T) {
 	if HashString("www.google.com") != HashString("www.google.com") {
 		t.Fatal("HashString not stable")

@@ -170,6 +170,10 @@ type Scanner struct {
 	// materializing wrapper does.
 	arenaPool sync.Pool
 
+	// lossTh is Config.LossRate as a threshold on the low 32 bits of the
+	// per-attempt loss hash; 0 (never lost) when the rate is not positive.
+	lossTh uint64
+
 	// profile is the optional cost estimate of the sharded path's
 	// hand-out (SetShardProfile); nil means none.
 	profile atomic.Pointer[[]ShardStats]
@@ -187,6 +191,9 @@ func New(net *netmodel.Network, cfg Config) *Scanner {
 		cfg.RatePPS = 100_000
 	}
 	s := &Scanner{net: net, cfg: cfg}
+	if cfg.LossRate > 0 {
+		s.lossTh = uint64(cfg.LossRate * (1 << 32))
+	}
 	if cfg.QNameFor == nil {
 		// An unencodable QName leaves the template nil; the per-probe
 		// path then reports it exactly as before (panic on first UDP/53
@@ -223,35 +230,53 @@ func (s *Scanner) SetShardProfile(prev []ShardStats) {
 	s.profile.Store(&cp)
 }
 
-// lost draws deterministic per-attempt probe loss.
-func (s *Scanner) lost(a ip6.Addr, p netmodel.Protocol, day, attempt int) bool {
-	if s.cfg.LossRate <= 0 {
-		return false
+// target is one scan target resolved for one day: everything probing it
+// needs that depends on neither the protocol nor the attempt — the
+// network's alias-rule and host lookup, and the (seed, address) prefix
+// the loss and DNS transaction-ID hashes share. The engine's probe loop
+// is target-major, so this is computed once per target and reused across
+// its protocols and retries.
+type target struct {
+	addr ip6.Addr
+	day  int
+	res  netmodel.Resolved
+	mix  rng.MixState // rng.MixPrefix(seed, addr.Hi(), addr.Lo())
+}
+
+// resolve looks a target up for a day. shard must be ip6.ShardOf(addr).
+func (s *Scanner) resolve(addr ip6.Addr, shard, day int) target {
+	return target{
+		addr: addr,
+		day:  day,
+		res:  s.net.Resolve(addr, shard, day),
+		mix:  rng.MixPrefix(s.cfg.Seed, addr.Hi(), addr.Lo()),
 	}
-	th := uint64(s.cfg.LossRate * (1 << 32))
-	return rng.Mix(s.cfg.Seed, a.Hi(), a.Lo(), uint64(p), uint64(day), uint64(attempt), 0x1055)&0xffffffff < th
 }
 
 // ProbeOne probes a single target with a single protocol, honoring loss
 // and retries.
-func (s *Scanner) ProbeOne(target ip6.Addr, proto netmodel.Protocol, day int) Result {
-	return s.probeOne(target, proto, day, nil)
+func (s *Scanner) ProbeOne(addr ip6.Addr, proto netmodel.Protocol, day int) Result {
+	t := s.resolve(addr, ip6.ShardOf(addr), day)
+	return s.probe(&t, proto, nil)
 }
 
-// probeOne is ProbeOne with the response's DNS wire buffers drawn from
-// arena slots when one is supplied — the streaming engine's path, which
-// pairs an arena with each batch and recycles both together. The
-// returned Result's DNS slices then alias arena memory and are only
-// valid until the arena resets.
-func (s *Scanner) probeOne(target ip6.Addr, proto netmodel.Protocol, day int, arena *netmodel.WireArena) Result {
-	res := Result{Target: target, Proto: proto, Day: day}
+// probe sends one protocol's probes at a resolved target, with the
+// response's DNS wire buffers drawn from arena slots when one is
+// supplied — the streaming engine's path, which pairs an arena with each
+// batch and recycles both together. The returned Result's DNS slices
+// then alias arena memory and are only valid until the arena resets.
+func (s *Scanner) probe(t *target, proto netmodel.Protocol, arena *netmodel.WireArena) Result {
+	res := Result{Target: t.addr, Proto: proto, Day: t.day}
+	// Deterministic per-attempt loss: Mix(seed, hi, lo, proto, day,
+	// attempt, 0x1055) against the loss threshold (0 when loss is off).
+	loss := t.mix.Add(uint64(proto)).Add(uint64(t.day))
 	for attempt := 0; attempt <= s.cfg.Retries; attempt++ {
-		if s.lost(target, proto, day, attempt) {
+		if loss.Add(uint64(attempt)).Add(0x1055).Sum()&0xffffffff < s.lossTh {
 			continue
 		}
-		pr := s.buildProbe(target, proto, day)
+		pr := s.buildProbe(t, proto)
 		pr.Arena = arena
-		resp := s.net.Probe(pr)
+		resp := s.net.ProbeResolved(pr, &t.res)
 		if resp.Kind == netmodel.RespNone {
 			// Genuine silence: retrying cannot change the outcome, the
 			// world is deterministic within a day.
@@ -275,38 +300,38 @@ func (s *Scanner) probeOne(target ip6.Addr, proto netmodel.Protocol, day int, ar
 	return res
 }
 
-func (s *Scanner) buildProbe(target ip6.Addr, proto netmodel.Protocol, day int) netmodel.Probe {
+func (s *Scanner) buildProbe(t *target, proto netmodel.Protocol) netmodel.Probe {
 	switch proto {
 	case netmodel.ICMP:
-		return netmodel.Probe{Kind: netmodel.EchoRequest, Target: target, Day: day, Size: 8}
+		return netmodel.Probe{Kind: netmodel.EchoRequest, Target: t.addr, Day: t.day, Size: 8}
 	case netmodel.TCP80:
-		return netmodel.Probe{Kind: netmodel.TCPSYN, Target: target, Day: day, Port: 80}
+		return netmodel.Probe{Kind: netmodel.TCPSYN, Target: t.addr, Day: t.day, Port: 80}
 	case netmodel.TCP443:
-		return netmodel.Probe{Kind: netmodel.TCPSYN, Target: target, Day: day, Port: 443}
+		return netmodel.Probe{Kind: netmodel.TCPSYN, Target: t.addr, Day: t.day, Port: 443}
 	case netmodel.UDP443:
-		return netmodel.Probe{Kind: netmodel.QUICInitial, Target: target, Day: day, Port: 443}
+		return netmodel.Probe{Kind: netmodel.QUICInitial, Target: t.addr, Day: t.day, Port: 443}
 	case netmodel.UDP53:
-		txid := uint16(rng.Mix(s.cfg.Seed, target.Hi(), target.Lo(), uint64(day)))
+		txid := uint16(t.mix.Add(uint64(t.day)).Sum())
 		if s.dnsQuery != nil {
 			// Template fast path: the shared parsed query plus the
 			// per-probe transaction ID. Payload carries the template wire
 			// bytes (transaction ID zero) for generic consumers; the
 			// network reads Query/TxID and never re-parses them.
 			return netmodel.Probe{
-				Kind: netmodel.DNSQuery, Target: target, Day: day,
+				Kind: netmodel.DNSQuery, Target: t.addr, Day: t.day,
 				Payload: s.dnsWire, Query: s.dnsQuery, TxID: txid,
 			}
 		}
 		qname := s.cfg.QName
 		if s.cfg.QNameFor != nil {
-			qname = s.cfg.QNameFor(target)
+			qname = s.cfg.QNameFor(t.addr)
 		}
 		q := dnswire.NewQuery(txid, qname, dnswire.TypeAAAA)
 		wire, err := q.Encode()
 		if err != nil {
 			panic(fmt.Sprintf("scan: building DNS query for %q: %v", qname, err))
 		}
-		return netmodel.Probe{Kind: netmodel.DNSQuery, Target: target, Day: day, Payload: wire, Query: q, TxID: txid}
+		return netmodel.Probe{Kind: netmodel.DNSQuery, Target: t.addr, Day: t.day, Payload: wire, Query: q, TxID: txid}
 	}
 	panic(fmt.Sprintf("scan: unknown protocol %v", proto))
 }

@@ -50,9 +50,10 @@ type SpanSource interface {
 type ShardedSource interface {
 	TargetSource
 	// ShardSource returns a source yielding exactly the addresses of
-	// canonical shard sh (every address must satisfy ip6.ShardOf == sh),
-	// or nil when the shard is empty. Each shard source is pulled by at
-	// most one goroutine at a time, independently of the others.
+	// canonical shard sh, or nil when the shard is empty. The engine
+	// checks every address: one with ip6.ShardOf != sh fails the stream.
+	// Each shard source is pulled by at most one goroutine at a time,
+	// independently of the others.
 	ShardSource(sh int) TargetSource
 }
 
@@ -66,7 +67,7 @@ type ShardSizer interface {
 // ShardHinter is an optional TargetSource refinement: ShardHint reports
 // the canonical shard every address from this source hashes to, letting
 // the engine's router skip per-address hashing, or -1 when the source
-// spans shards.
+// spans shards. An address that contradicts the hint fails the stream.
 type ShardHinter interface {
 	ShardHint() int
 }
@@ -158,8 +159,9 @@ func (s *spanSlice) Span(max int) ([]ip6.Addr, error) {
 
 // ShardSlices wraps caller-partitioned per-shard target slices — the
 // layout the service's scan-set buffers already hold — as a
-// ShardedSource. shards[i] holds shard i's targets (every address must
-// satisfy ip6.ShardOf == i) and len(shards) must be ip6.AddrShards.
+// ShardedSource. shards[i] holds shard i's targets (an address with
+// ip6.ShardOf != i fails the stream) and len(shards) must be
+// ip6.AddrShards.
 // Generic Next pulls walk shards in canonical order.
 func ShardSlices(shards [][]ip6.Addr) ShardedSource {
 	if len(shards) != ip6.AddrShards {

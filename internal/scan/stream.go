@@ -64,6 +64,14 @@ type Batch struct {
 	arena *netmodel.WireArena
 }
 
+// Offset returns the position of Results[0] in the shard's flat
+// (target, protocol) probe sequence: Results[i] is protocol
+// (Offset()+i) % len(protos) of the shard's target (Offset()+i) /
+// len(protos). Sinks over a source whose per-shard order they know (the
+// APD slot queue) index their own per-shard state with it instead of
+// looking results up by address.
+func (b *Batch) Offset() int { return b.start }
+
 // OrigIndex returns the position of Results[i] in the canonical
 // (target, protocol) cross-product ordering of the originating
 // SliceSource — the index Scan uses to place results. Batches from any
@@ -324,17 +332,25 @@ func (r *streamRun) deliver(b *Batch) error {
 	return err
 }
 
-// probe runs one segment of the shard's target sequence, flushing full
-// batches as they complete. It returns ctx.Err() on cancellation,
-// errStreamStopped when another worker failed the stream, or a sink
-// error.
+// probe runs one segment of the shard's target sequence target-major —
+// each target is resolved once, then probed on every protocol — flushing
+// full batches as they complete. It returns ctx.Err() on cancellation,
+// errStreamStopped when another worker failed the stream, a sink error,
+// or an error naming a target that does not belong to this shard.
 func (p *shardProbe) probe(targets []ip6.Addr) error {
 	r := p.run
 	t0 := time.Now()
 	defer func() { r.total.addNanos(p.shard, time.Since(t0)) }()
-	for _, t := range targets {
+	for _, a := range targets {
+		// The one ShardOf per target: the shard keys the host lookup and
+		// the digest every consumer merges by, so a source that mis-shards
+		// an address fails the stream instead of landing it silently.
+		if sh := ip6.ShardOf(a); sh != p.shard {
+			return fmt.Errorf("scan: source yielded %v (shard %d) in shard %d", a, sh, p.shard)
+		}
+		t := r.s.resolve(a, p.shard, r.day)
 		for _, proto := range r.protos {
-			res := r.s.probeOne(t, proto, r.day, p.b.arena)
+			res := r.s.probe(&t, proto, p.b.arena)
 			p.b.Stats.ProbesSent += uint64(res.Attempts)
 			if res.Kind != netmodel.RespNone {
 				p.b.Stats.Responses++
