@@ -2,10 +2,13 @@
 // (6Tree, 6Graph, 6GAN, 6VecLM, distance clustering), scan the candidates,
 // and compare hit rates — the Section 6 workflow.
 //
-// Candidates stream straight from each generator into the scan engine
-// (tga.NewSource → Scanner.StreamResponsiveFrom): the candidate list is
-// never materialized, which is how the pipeline stays flat in memory at
-// paper scale (6Graph alone proposes 125.8 M addresses there).
+// Each generator is a tga.ViewStreamer: a model fit to a sharded seed
+// view (tga.SeedViewOf turns the flat seed list into one) and sampled by
+// EmitView. Candidates stream straight from each generator into the scan
+// engine (tga.NewViewSource → Scanner.StreamResponsiveFrom): the
+// candidate list is never materialized, which is how the pipeline stays
+// flat in memory at paper scale (6Graph alone proposes 125.8 M addresses
+// there).
 //
 //	go run ./examples/target-generation
 package main
@@ -53,7 +56,8 @@ func main() {
 	scanner := scan.New(world.Net, cfg)
 	ctx := context.Background()
 
-	gens := []tga.Streamer{
+	view := tga.SeedViewOf(seeds)
+	gens := []tga.ViewStreamer{
 		sixgraph.New(sixgraph.DefaultConfig()),
 		sixtree.New(sixtree.DefaultConfig()),
 		dc.New(dc.DefaultConfig()),
@@ -64,7 +68,7 @@ func main() {
 	for _, g := range gens {
 		// Generate → probe without a candidate slice: the engine pulls
 		// the generator's stream shard by shard.
-		src := tga.NewSource(g, seeds, 40000)
+		src := tga.NewViewSource(g, view, 40000)
 		sets, _, err := scanner.StreamResponsiveFrom(ctx, src, []netmodel.Protocol{netmodel.ICMP}, day)
 		if err != nil {
 			log.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"hitlist6/internal/rng"
 	"hitlist6/internal/scan"
 	"hitlist6/internal/serve"
+	"hitlist6/internal/tga"
 	"hitlist6/internal/tga/dc"
 	"hitlist6/internal/worldgen"
 	"hitlist6/internal/yarrp"
@@ -316,7 +317,7 @@ func Ablations(ctx context.Context, s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	seeds := snap.ResponsiveAny.Sorted()
+	seeds := tga.SeedViewOf(snap.ResponsiveAny.Sorted())
 	tbC := analysis.NewTable("min size", "max gap", "candidates", "responsive", "hit rate")
 	for _, cfgRow := range []dc.Config{
 		{MinClusterSize: 10, MaxGap: 64, MaxFill: 4096},
@@ -325,14 +326,13 @@ func Ablations(ctx context.Context, s *Suite, w io.Writer) error {
 		{MinClusterSize: 10, MaxGap: 256, MaxFill: 4096},
 		{MinClusterSize: 20, MaxGap: 64, MaxFill: 4096},
 	} {
-		g := dc.New(cfgRow)
-		cands := g.Generate(seeds, 200000)
-		sets, _, err := s.Svc.Scanner().StreamResponsiveFrom(ctx, scan.SliceSource(cands), []netmodel.Protocol{netmodel.ICMP}, worldgen.EndDay)
+		src := tga.NewViewSource(dc.New(cfgRow), seeds, 200000)
+		sets, _, err := s.Svc.Scanner().StreamResponsiveFrom(ctx, src, []netmodel.Protocol{netmodel.ICMP}, worldgen.EndDay)
 		if err != nil {
 			return err
 		}
 		hits := sets[netmodel.ICMP].Len()
-		tbC.Row(cfgRow.MinClusterSize, cfgRow.MaxGap, len(cands), hits, analysis.Pct(hits, len(cands)))
+		tbC.Row(cfgRow.MinClusterSize, cfgRow.MaxGap, src.Emitted(), hits, analysis.Pct(hits, src.Emitted()))
 	}
 	fmt.Fprint(w, tbC)
 

@@ -184,7 +184,7 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 
 	// Target generation on the December 2021 responsive seeds.
 	gens := []struct {
-		g      tga.Generator
+		g      tga.ViewStreamer
 		budget int
 	}{
 		{sixgraph.New(sixgraph.DefaultConfig()), sc(125.8e6)},
@@ -193,8 +193,14 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 		{sixveclm.New(sixveclm.DefaultConfig()), sc(70.3e3)},
 		{dc.New(dc.DefaultConfig()), sc(5.3e6)},
 	}
+	view := tga.SeedViewOf(seeds)
 	for _, g := range gens {
-		raws = append(raws, rawSource{name: g.g.Name(), addrs: g.g.Generate(seeds, g.budget)})
+		var addrs []ip6.Addr
+		g.g.EmitView(view, g.budget, func(a ip6.Addr) bool {
+			addrs = append(addrs, a)
+			return true
+		})
+		raws = append(raws, rawSource{name: g.g.Name(), addrs: addrs})
 	}
 
 	res := &NewSourcesResult{UnionAny: ip6.NewSet(0)}

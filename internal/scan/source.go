@@ -64,14 +64,6 @@ type ShardSizer interface {
 	ShardLen(sh int) int
 }
 
-// ShardHinter is an optional TargetSource refinement: ShardHint reports
-// the canonical shard every address from this source hashes to, letting
-// the engine's router skip per-address hashing, or -1 when the source
-// spans shards. An address that contradicts the hint fails the stream.
-type ShardHinter interface {
-	ShardHint() int
-}
-
 // origSource is the internal refinement Stream uses to thread
 // original-position mappings (Batch.OrigIndex) through StreamFrom.
 type origSource interface {

@@ -189,53 +189,6 @@ func TestStreamFromRoutedMatchesStream(t *testing.T) {
 	}
 }
 
-// hintedSource advertises the single canonical shard its addresses all
-// hash to, exercising the router's ShardHint fast path.
-type hintedSource struct {
-	TargetSource
-	shard int
-}
-
-func (h hintedSource) ShardHint() int { return h.shard }
-
-// TestStreamFromShardHint: a source declaring its shard via ShardHint
-// must stream identically to a plain routed source over the same
-// targets — the hint only skips the per-address hash.
-func TestStreamFromShardHint(t *testing.T) {
-	n := testNet(t)
-	all := streamTargets(900)
-	byShard := make(map[int][]ip6.Addr)
-	for _, a := range all {
-		byShard[ip6.ShardOf(a)] = append(byShard[ip6.ShardOf(a)], a)
-	}
-	shard, targets := -1, []ip6.Addr(nil)
-	for sh, ts := range byShard {
-		if len(ts) > len(targets) {
-			shard, targets = sh, ts
-		}
-	}
-	cfg := DefaultConfig(7)
-	cfg.Workers = 4
-	cfg.BatchSize = 8
-	cfg.SourceChunk = 13
-	s := New(n, cfg)
-	protos := []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80}
-
-	base, baseStats := shardSequences(t, func(sink Sink) (Stats, error) {
-		return s.StreamFrom(context.Background(), SliceSource(targets), protos, 9, sink)
-	})
-	got, gotStats := shardSequences(t, func(sink Sink) (Stats, error) {
-		return s.StreamFrom(context.Background(),
-			hintedSource{TargetSource: opaque{SliceSource(targets)}, shard: shard}, protos, 9, sink)
-	})
-	if !reflect.DeepEqual(base, got) {
-		t.Error("hinted stream diverges from plan-based stream")
-	}
-	if gotStats.ProbesSent != baseStats.ProbesSent || gotStats.Batches != baseStats.Batches {
-		t.Errorf("hinted stats diverge: %+v vs %+v", gotStats, baseStats)
-	}
-}
-
 // TestStreamFromSourceError: a source failing mid-stream surfaces its
 // error, already-delivered batches stand, and the source is closed.
 func TestStreamFromSourceError(t *testing.T) {

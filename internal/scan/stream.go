@@ -760,10 +760,6 @@ func (r *streamRun) runRouted(src TargetSource) {
 		}()
 	}
 
-	hint := -1
-	if h, ok := src.(ShardHinter); ok {
-		hint = h.ShardHint()
-	}
 	buf := make([]ip6.Addr, r.chunk)
 pull:
 	for {
@@ -787,10 +783,7 @@ pull:
 			}
 			outstanding += n
 			for _, a := range buf[:n] {
-				sh := hint
-				if sh < 0 {
-					sh = ip6.ShardOf(a)
-				}
+				sh := ip6.ShardOf(a)
 				rs := &shards[sh]
 				if rs.pending == nil && rs.spare != nil {
 					rs.pending = rs.spare

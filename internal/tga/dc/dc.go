@@ -28,21 +28,14 @@ type Config struct {
 // DefaultConfig matches the paper's parameters.
 func DefaultConfig() Config { return Config{MinClusterSize: 10, MaxGap: 64, MaxFill: 4096} }
 
-// Cluster is one dense run found in a /64.
-type Cluster struct {
-	Prefix ip6.Prefix
-	First  ip6.Addr
-	Last   ip6.Addr
-	Seeds  int
-}
-
-// Span returns the total number of addresses the cluster covers.
-func (c Cluster) Span() uint64 { return c.Last.Lo() - c.First.Lo() + 1 }
-
-// Generator implements tga.Generator.
+// Generator is the distance-clustering TGA: per-shard /64 group lists
+// cached against the seed view's frozen spans, merged into global groups
+// and clusters only when some shard's span changed.
 type Generator struct {
-	cfg   Config
-	model *Model
+	cfg      Config
+	kept     tga.KeptSpans
+	perShard [ip6.AddrShards][]tga.Slash64Group
+	clusters [][]ip6.Addr
 }
 
 // New returns a distance-clustering generator.
@@ -59,191 +52,84 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg}
 }
 
-// Name implements tga.Generator.
+// Name implements tga.ViewStreamer.
 func (g *Generator) Name() string { return "DC" }
 
-// modelCluster pairs a cluster with its seed run — a subslice of the
-// cluster's merged /64 group — so emission can merge-walk the span
-// against its seeds instead of probing a resident copy of the whole set.
-type modelCluster struct {
-	c     Cluster
-	seeds []ip6.Addr
-}
-
-// clustersOf locates dense runs in already-grouped seeds.
-func clustersOf(groups []tga.Slash64Group, cfg Config) []modelCluster {
-	var out []modelCluster
+// clustersOf locates dense runs in already-grouped seeds. A cluster is
+// its maximal seed run — a subslice of its /64 group, sorted ascending —
+// so its span is [run[0], run[len(run)-1]] and emission can merge-walk
+// the span against its seeds instead of probing a resident copy of the
+// whole set.
+func clustersOf(groups []tga.Slash64Group, cfg Config) [][]ip6.Addr {
+	var out [][]ip6.Addr
 	for _, g := range groups {
-		addrs := g.Addrs // sorted ascending
-		runStart := 0
-		flush := func(end int) { // [runStart, end)
-			if end-runStart >= cfg.MinClusterSize {
-				out = append(out, modelCluster{
-					c: Cluster{
-						Prefix: g.Prefix,
-						First:  addrs[runStart],
-						Last:   addrs[end-1],
-						Seeds:  end - runStart,
-					},
-					seeds: addrs[runStart:end],
-				})
+		addrs := g.Addrs
+		start := 0
+		for i := 1; i <= len(addrs); i++ {
+			if i < len(addrs) && addrs[i].Lo()-addrs[i-1].Lo() <= cfg.MaxGap {
+				continue
 			}
-		}
-		for i := 1; i < len(addrs); i++ {
-			if addrs[i].Lo()-addrs[i-1].Lo() > cfg.MaxGap {
-				flush(i)
-				runStart = i
+			if i-start >= cfg.MinClusterSize {
+				out = append(out, addrs[start:i])
 			}
-		}
-		flush(len(addrs))
-	}
-	return out
-}
-
-// FindClusters locates dense runs in the seed set.
-func FindClusters(seeds []ip6.Addr, cfg Config) []Cluster {
-	mcs := clustersOf(tga.GroupBySlash64(seeds), cfg)
-	if len(mcs) == 0 {
-		return nil
-	}
-	out := make([]Cluster, len(mcs))
-	for i, mc := range mcs {
-		out[i] = mc.c
-	}
-	return out
-}
-
-// Fill generates the missing addresses inside a cluster's span, up to max.
-func Fill(c Cluster, have ip6.Set, max int) []ip6.Addr {
-	var out []ip6.Addr
-	hi := c.First.Hi()
-	for lo := c.First.Lo(); lo <= c.Last.Lo() && len(out) < max; lo++ {
-		a := ip6.AddrFromUint64s(hi, lo)
-		if !have.Has(a) {
-			out = append(out, a)
+			start = i
 		}
 	}
 	return out
 }
 
-// Model is the incremental distance-clustering model: per-shard /64
-// group lists cached against the seed view's frozen spans, merged into
-// global groups and clusters only when some shard's span changed.
-type Model struct {
-	cfg      Config
-	built    bool
-	spans    [ip6.AddrShards][]ip6.Addr
-	perShard [ip6.AddrShards][]tga.Slash64Group
-	clusters []modelCluster
-}
-
-// NewModel returns an empty model; Update populates it.
-func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
-
-// Update refreshes the model for the view, regrouping only shards whose
+// update refreshes the model for the view, regrouping only shards whose
 // span changed since the previous call (dirty shards rebuild in
 // parallel; the cross-shard group merge and cluster scan are one linear
-// pass). It returns the number of shards rebuilt — 0 means the cached
-// clusters were provably current and nothing was touched.
-func (m *Model) Update(v *tga.SeedView) int {
-	var dirty [ip6.AddrShards]bool
-	n := 0
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if m.built && tga.SameSpan(m.spans[sh], v.Shard(sh)) {
-			continue
-		}
-		dirty[sh] = true
-		n++
+// pass).
+func (g *Generator) update(v *tga.SeedView) {
+	if g.kept.Refresh(v, func(sh int, span []ip6.Addr) {
+		g.perShard[sh] = tga.GroupSortedBySlash64(span)
+	}) == 0 {
+		return
 	}
-	if n == 0 {
-		return 0
-	}
-	ip6.ParallelShards(tga.ModelWorkers(), func(sh int) {
-		if !dirty[sh] {
-			return
-		}
-		span := v.Shard(sh)
-		m.perShard[sh] = tga.GroupSortedBySlash64(span)
-		m.spans[sh] = span
-	})
-	lists := make([][]tga.Slash64Group, ip6.AddrShards)
-	for sh := range lists {
-		lists[sh] = m.perShard[sh]
-	}
-	m.clusters = clustersOf(tga.MergeSlash64Groups(lists), m.cfg)
-	m.built = true
-	return n
+	g.clusters = clustersOf(tga.MergeSlash64Groups(g.perShard[:]), g.cfg)
 }
 
-// emit walks the clusters in order and yields the missing addresses
-// inside each span as the walk reaches them. Seed membership inside a
-// span is a merge-walk against the cluster's own seed run (a span never
-// leaves its /64, and runs are maximal, so no other seed can fall inside
-// it); cluster spans never overlap, so the inline seen-set only mirrors
-// the defensive dedup the former materialize-then-dedup pipeline ran,
-// keeping the emission byte-identical to it.
-func (m *Model) emit(budget int, yield func(ip6.Addr) bool) {
-	seen := ip6.NewSet(0)
-	for _, mc := range m.clusters {
+// EmitView implements tga.ViewStreamer: update the model for shards the
+// view dirtied, then walk the clusters in order and yield the missing
+// addresses inside each span as the walk reaches them. Seed membership
+// inside a span is a merge-walk against the cluster's own seed run (a
+// span never leaves its /64, and runs are maximal, so no other seed can
+// fall inside it); spans never overlap, so every yield is novel. The
+// walk stops at the span's last seed without stepping past it, so a run
+// ending at IID ffff:ffff:ffff:ffff never wraps to the bottom of its /64.
+func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
+	if v.Len() == 0 || budget <= 0 {
+		return
+	}
+	g.update(v)
+	for _, run := range g.clusters {
 		if budget <= 0 {
 			return
 		}
-		max := m.cfg.MaxFill
+		max := g.cfg.MaxFill
 		if max > budget {
 			max = budget
 		}
 		count := 0
-		hi := mc.c.First.Hi()
+		hi, last := run[0].Hi(), run[len(run)-1].Lo()
 		si := 0
-		for lo := mc.c.First.Lo(); lo <= mc.c.Last.Lo() && count < max; lo++ {
-			for si < len(mc.seeds) && mc.seeds[si].Lo() < lo {
+		for lo := run[0].Lo(); count < max; lo++ {
+			if run[si].Lo() == lo {
 				si++
-			}
-			if si < len(mc.seeds) && mc.seeds[si].Lo() == lo {
-				si++
-				continue
-			}
-			a := ip6.AddrFromUint64s(hi, lo)
-			count++
-			if seen.Add(a) {
-				if !yield(a) {
+			} else {
+				count++
+				if !yield(ip6.AddrFromUint64s(hi, lo)) {
 					return
 				}
+			}
+			if lo == last {
+				break
 			}
 		}
 		budget -= count
 	}
 }
 
-// Generate implements tga.Generator: the materializing shim over Emit.
-func (g *Generator) Generate(seeds []ip6.Addr, budget int) []ip6.Addr {
-	return tga.Collect(g, seeds, budget)
-}
-
-// Emit implements tga.Streamer: the stateless shim — a throwaway model
-// over a materialized view, yielding exactly EmitView's stream.
-func (g *Generator) Emit(seeds []ip6.Addr, budget int, yield func(ip6.Addr) bool) {
-	if len(seeds) == 0 || budget <= 0 {
-		return
-	}
-	m := NewModel(g.cfg)
-	m.Update(tga.SeedViewOf(seeds))
-	m.emit(budget, yield)
-}
-
-// EmitView implements tga.ViewStreamer: update the generator's
-// persistent model for shards the view dirtied, then stream from the
-// cached clusters.
-func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
-	if v.Len() == 0 || budget <= 0 {
-		return
-	}
-	if g.model == nil {
-		g.model = NewModel(g.cfg)
-	}
-	g.model.Update(v)
-	g.model.emit(budget, yield)
-}
-
-// The generator is a full streaming TGA over both seed contracts.
 var _ tga.ViewStreamer = (*Generator)(nil)

@@ -7,7 +7,7 @@ package tga
 // freeze is an epoch delta — shards whose membership did not change
 // pointer-share their frozen span with the previous round's view, which
 // is also what lets a generator's incremental model prove a shard's
-// cached statistics current by slice identity alone (SameSpan).
+// cached statistics current by slice identity alone (KeptSpans).
 //
 // Spans are immutable by contract; generators read them but never write.
 
@@ -26,10 +26,10 @@ type SeedView struct {
 // NewSeedView wraps an already-frozen sorted shard set.
 func NewSeedView(set *ip6.SortedShardSet) *SeedView { return &SeedView{set: set} }
 
-// SeedViewOf materializes a view from a flat seed slice — the compat
-// shim the stateless Generate/Emit paths and the CLI use. Seeds are
-// partitioned by canonical shard, sorted, and deduplicated; the caller's
-// slice is not modified.
+// SeedViewOf materializes a view from a flat seed slice — how a caller
+// holding a plain seed list (the CLI, the experiments, tests) hands it to
+// EmitView. Seeds are partitioned by canonical shard, sorted, and
+// deduplicated; the caller's slice is not modified.
 func SeedViewOf(seeds []ip6.Addr) *SeedView {
 	var shards [ip6.AddrShards][]ip6.Addr
 	for _, a := range seeds {
@@ -67,15 +67,6 @@ func (v *SeedView) Shard(i int) []ip6.Addr {
 	return v.set.Shard(i)
 }
 
-// ShardEpoch returns the mutation epoch shard i was frozen at (0 for
-// views built by SeedViewOf).
-func (v *SeedView) ShardEpoch(i int) uint64 {
-	if v == nil || v.set == nil {
-		return 0
-	}
-	return v.set.ShardEpoch(i)
-}
-
 // Has reports seed membership by binary search over the address's
 // canonical shard — the emission-phase "is this a seed" test, replacing
 // the per-round resident copy of the whole seed set.
@@ -107,8 +98,55 @@ func SameSpan(a, b []ip6.Addr) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
-// ModelWorkers is the per-shard parallelism the incremental models use
-// when rebuilding dirty-shard statistics (ip6.ParallelShards handles
-// workers <= 1 inline). Shard slots are disjoint, so parallel rebuilds
-// stay deterministic.
-func ModelWorkers() int { return runtime.GOMAXPROCS(0) }
+// KeptSpans is a generator's record of the seed-view spans its
+// per-shard statistics were last built from: it answers "which shards
+// changed since I last kept a view" by span identity and records the
+// spans kept. The zero value has kept nothing, so every shard of the
+// first view is dirty.
+type KeptSpans struct {
+	kept  bool
+	spans [ip6.AddrShards][]ip6.Addr
+}
+
+// Dirty returns the mask of shards whose span in v is not the kept one,
+// and how many there are.
+func (k *KeptSpans) Dirty(v *SeedView) (dirty [ip6.AddrShards]bool, n int) {
+	for sh := range dirty {
+		if k.kept && SameSpan(k.spans[sh], v.Shard(sh)) {
+			continue
+		}
+		dirty[sh] = true
+		n++
+	}
+	return dirty, n
+}
+
+// Kept returns the span last kept for shard sh (nil before any Keep).
+func (k *KeptSpans) Kept(sh int) []ip6.Addr { return k.spans[sh] }
+
+// Keep records every span of v as current.
+func (k *KeptSpans) Keep(v *SeedView) {
+	for sh := range k.spans {
+		k.spans[sh] = v.Shard(sh)
+	}
+	k.kept = true
+}
+
+// Refresh calls rebuild for every dirty shard of v, in parallel over
+// GOMAXPROCS workers, then keeps v. It returns the number of shards
+// rebuilt — 0 means statistics derived from the kept spans are provably
+// current. rebuild must write only its own shard's slots, which keeps
+// the parallel rebuild deterministic.
+func (k *KeptSpans) Refresh(v *SeedView, rebuild func(sh int, span []ip6.Addr)) int {
+	dirty, n := k.Dirty(v)
+	if n == 0 {
+		return 0
+	}
+	ip6.ParallelShards(runtime.GOMAXPROCS(0), func(sh int) {
+		if dirty[sh] {
+			rebuild(sh, v.Shard(sh))
+		}
+	})
+	k.Keep(v)
+	return n
+}

@@ -73,10 +73,16 @@ type Config struct {
 // DefaultConfig mirrors published defaults.
 func DefaultConfig() Config { return Config{Seed: 6, Temperature: 1.0} }
 
-// Generator implements tga.Generator.
+// Generator is the 6GAN TGA: per-shard per-class nibble counts cached
+// against the seed view's frozen spans, re-classified only for dirty
+// shards; the per-class sampling distributions rebuild from the summed
+// counts when anything changed.
 type Generator struct {
-	cfg   Config
-	model *Model
+	cfg    Config
+	kept   tga.KeptSpans
+	counts [ip6.AddrShards][NumClasses]classCounts
+	models []*classModel
+	total  int
 }
 
 // New returns a 6GAN generator.
@@ -87,7 +93,7 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg}
 }
 
-// Name implements tga.Generator.
+// Name implements tga.ViewStreamer.
 func (g *Generator) Name() string { return "6GAN" }
 
 // classModel is the per-class categorical sequence model.
@@ -123,55 +129,10 @@ func modelFromCounts(class Class, c *classCounts, temperature float64) *classMod
 	return m
 }
 
-func buildModel(class Class, seeds []ip6.Addr, temperature float64) *classModel {
-	var c classCounts
-	c.support = len(seeds)
-	for _, a := range seeds {
-		n := a.Nibbles()
-		for i, v := range n {
-			c.counts[i][v]++
-		}
-	}
-	return modelFromCounts(class, &c, temperature)
-}
-
-// Model is the incremental 6GAN model: per-shard per-class nibble counts
-// cached against the seed view's frozen spans, re-classified only for
-// dirty shards; the per-class sampling distributions rebuild from the
-// summed counts when anything changed.
-type Model struct {
-	cfg    Config
-	built  bool
-	spans  [ip6.AddrShards][]ip6.Addr
-	counts [ip6.AddrShards][NumClasses]classCounts
-	models []*classModel
-	total  int
-}
-
-// NewModel returns an empty model; Update populates it.
-func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
-
-// Update refreshes the model for the view, re-classifying and re-counting
-// only shards whose span changed (in parallel). It returns the number of
-// dirty shards — 0 means the cached class models were provably current.
-func (m *Model) Update(v *tga.SeedView) int {
-	var dirty [ip6.AddrShards]bool
-	n := 0
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if m.built && tga.SameSpan(m.spans[sh], v.Shard(sh)) {
-			continue
-		}
-		dirty[sh] = true
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	ip6.ParallelShards(tga.ModelWorkers(), func(sh int) {
-		if !dirty[sh] {
-			return
-		}
-		span := v.Shard(sh)
+// update refreshes the model for the view, re-classifying and
+// re-counting only shards whose span changed (in parallel).
+func (g *Generator) update(v *tga.SeedView) {
+	if g.kept.Refresh(v, func(sh int, span []ip6.Addr) {
 		var cc [NumClasses]classCounts
 		for _, a := range span {
 			c := &cc[Classify(a)]
@@ -181,13 +142,14 @@ func (m *Model) Update(v *tga.SeedView) int {
 				c.counts[i][val]++
 			}
 		}
-		m.counts[sh] = cc
-		m.spans[sh] = span
-	})
+		g.counts[sh] = cc
+	}) == 0 {
+		return
+	}
 	var sum [NumClasses]classCounts
-	for sh := range m.counts {
+	for sh := range g.counts {
 		for cl := Class(0); cl < NumClasses; cl++ {
-			c := &m.counts[sh][cl]
+			c := &g.counts[sh][cl]
 			sum[cl].support += c.support
 			for i := range c.counts {
 				for val, cnt := range c.counts[i] {
@@ -196,13 +158,13 @@ func (m *Model) Update(v *tga.SeedView) int {
 			}
 		}
 	}
-	m.models = m.models[:0]
+	g.models = g.models[:0]
 	for cl := Class(0); cl < NumClasses; cl++ {
 		if sum[cl].support >= 8 {
-			m.models = append(m.models, modelFromCounts(cl, &sum[cl], m.cfg.Temperature))
+			g.models = append(g.models, modelFromCounts(cl, &sum[cl], g.cfg.Temperature))
 		}
 	}
-	if len(m.models) == 0 {
+	if len(g.models) == 0 {
 		// No class is well-supported: one model over every seed,
 		// matching a flat build over the whole set.
 		var all classCounts
@@ -214,27 +176,28 @@ func (m *Model) Update(v *tga.SeedView) int {
 				}
 			}
 		}
-		m.models = append(m.models, modelFromCounts(ClassRandom, &all, m.cfg.Temperature))
+		g.models = append(g.models, modelFromCounts(ClassRandom, &all, g.cfg.Temperature))
 	}
-	m.total = 0
-	for _, cm := range m.models {
-		m.total += cm.support
+	g.total = 0
+	for _, cm := range g.models {
+		g.total += cm.support
 	}
-	m.built = true
-	return n
 }
 
-// emit samples candidates proportionally to class support and yields the
-// novel non-seed ones as they are drawn. The budget counts raw
-// global-unicast samples (duplicates included), exactly as Generate
-// always charged it before its final dedup, so the emission is
-// byte-identical to the former materialize-then-dedup pipeline.
-func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
+// EmitView implements tga.ViewStreamer: refresh the model for shards
+// the view dirtied, then sample candidates proportionally to class
+// support and yield the novel non-seed ones as they are drawn. The
+// budget counts raw global-unicast samples (duplicates included).
+func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
+	if v.Len() == 0 || budget <= 0 {
+		return
+	}
+	g.update(v)
 	seen := ip6.NewSet(0)
 	raw := 0
-	r := rng.NewStream(m.cfg.Seed, "6gan-sample")
-	for _, cm := range m.models {
-		share := budget * cm.support / m.total
+	r := rng.NewStream(g.cfg.Seed, "6gan-sample")
+	for _, cm := range g.models {
+		share := budget * cm.support / g.total
 		if share == 0 {
 			share = 1
 		}
@@ -256,35 +219,4 @@ func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	}
 }
 
-// Generate implements tga.Generator: the materializing shim over Emit.
-func (g *Generator) Generate(seeds []ip6.Addr, budget int) []ip6.Addr {
-	return tga.Collect(g, seeds, budget)
-}
-
-// Emit implements tga.Streamer: the stateless shim — a throwaway model
-// over a materialized view, yielding exactly EmitView's stream.
-func (g *Generator) Emit(seeds []ip6.Addr, budget int, yield func(ip6.Addr) bool) {
-	if len(seeds) == 0 || budget <= 0 {
-		return
-	}
-	v := tga.SeedViewOf(seeds)
-	m := NewModel(g.cfg)
-	m.Update(v)
-	m.emit(v, budget, yield)
-}
-
-// EmitView implements tga.ViewStreamer: refresh the persistent model for
-// shards the view dirtied, then sample from the cached class models.
-func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
-	if v.Len() == 0 || budget <= 0 {
-		return
-	}
-	if g.model == nil {
-		g.model = NewModel(g.cfg)
-	}
-	g.model.Update(v)
-	g.model.emit(v, budget, yield)
-}
-
-// The generator is a full streaming TGA over both seed contracts.
 var _ tga.ViewStreamer = (*Generator)(nil)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hitlist6/internal/ip6"
+	"hitlist6/internal/tga"
 )
 
 func TestClassify(t *testing.T) {
@@ -35,13 +36,23 @@ func trainingSeeds() []ip6.Addr {
 	return out
 }
 
+// emit collects a generator's EmitView stream over a flat seed slice.
+func emit(g *Generator, seeds []ip6.Addr, budget int) []ip6.Addr {
+	var out []ip6.Addr
+	g.EmitView(tga.SeedViewOf(seeds), budget, func(a ip6.Addr) bool {
+		out = append(out, a)
+		return true
+	})
+	return out
+}
+
 func TestGenerate(t *testing.T) {
 	g := New(DefaultConfig())
 	if g.Name() != "6GAN" {
 		t.Error("name")
 	}
 	seeds := trainingSeeds()
-	out := g.Generate(seeds, 500)
+	out := emit(g, seeds, 500)
 	if len(out) == 0 {
 		t.Fatal("nothing generated")
 	}
@@ -72,8 +83,8 @@ func TestGenerate(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	seeds := trainingSeeds()
-	a := New(DefaultConfig()).Generate(seeds, 200)
-	b := New(DefaultConfig()).Generate(seeds, 200)
+	a := emit(New(DefaultConfig()), seeds, 200)
+	b := emit(New(DefaultConfig()), seeds, 200)
 	if len(a) != len(b) {
 		t.Fatal("length differs")
 	}
@@ -86,14 +97,14 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateEdgeCases(t *testing.T) {
 	g := New(DefaultConfig())
-	if g.Generate(nil, 100) != nil {
+	if emit(g, nil, 100) != nil {
 		t.Error("nil seeds")
 	}
-	if g.Generate(trainingSeeds(), 0) != nil {
+	if emit(g, trainingSeeds(), 0) != nil {
 		t.Error("zero budget")
 	}
 	// Tiny seed sets fall back to a single model.
-	out := g.Generate([]ip6.Addr{
+	out := emit(New(DefaultConfig()), []ip6.Addr{
 		ip6.MustParseAddr("2001:db9::1"),
 		ip6.MustParseAddr("2001:db9::2"),
 	}, 50)

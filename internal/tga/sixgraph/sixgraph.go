@@ -40,10 +40,14 @@ type Pattern struct {
 // NumCandidatesLog16 returns the pattern volume as a power of 16.
 func (p Pattern) NumCandidatesLog16() int { return len(p.Wildcards) }
 
-// Generator implements tga.Generator.
+// Generator is the 6Graph TGA: per-shard nibble counts cached against
+// the seed view's frozen spans, re-counted only for dirty shards; entropy
+// and the pattern mine rerun over the view walk when anything changed.
 type Generator struct {
-	cfg   Config
-	model *Model
+	cfg      Config
+	kept     tga.KeptSpans
+	counts   [ip6.AddrShards][32][16]int64
+	patterns []Pattern
 }
 
 // New returns a 6Graph generator.
@@ -57,35 +61,19 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg}
 }
 
-// Name implements tga.Generator.
+// Name implements tga.ViewStreamer.
 func (g *Generator) Name() string { return "6Graph" }
 
-// Mine extracts patterns from seeds. The graph's connected components are
-// computed implicitly: grouping by "address with the k lowest-entropy
-// varying nibbles masked" links exactly the addresses that differ only in
-// those dimensions, which is the similarity the published edge criterion
-// captures. Mining proceeds from 1 wildcard upwards so tight patterns win.
-func Mine(seeds []ip6.Addr, cfg Config) []Pattern {
-	if len(seeds) == 0 {
-		return nil
-	}
-	entropy := tga.NibbleEntropy(seeds)
-	walk := func(fn func(ip6.Addr) bool) {
-		for _, a := range seeds {
-			if !fn(a) {
-				return
-			}
-		}
-	}
-	return minePatterns(walk, entropy, cfg)
-}
-
-// minePatterns is Mine over any seed iteration. Patterns are a pure
-// function of the seed set: group membership, support counts and the
-// used-set evolve identically under any iteration order, and group keys
-// are sorted before pattern extraction — which is what lets the
-// incremental model mine over the sharded view walk and still match a
-// flat-slice mine bit for bit.
+// minePatterns extracts patterns from the seeds walk visits. The graph's
+// connected components are computed implicitly: grouping by "address
+// with the k lowest-entropy varying nibbles masked" links exactly the
+// addresses that differ only in those dimensions, which is the
+// similarity the published edge criterion captures. Mining proceeds from
+// 1 wildcard upwards so tight patterns win. Patterns are a pure function
+// of the seed set: group membership, support counts and the used-set
+// evolve identically under any iteration order, and group keys are
+// sorted before pattern extraction — so mining over the sharded view
+// walk matches a mine over any flat ordering of the same seeds.
 func minePatterns(walk func(func(ip6.Addr) bool), entropy [32]float64, cfg Config) []Pattern {
 	// Wildcard dimension order: highest entropy last-32-positions first —
 	// structural assignment varies in the low nibbles.
@@ -150,16 +138,6 @@ func minePatterns(walk func(func(ip6.Addr) bool), entropy [32]float64, cfg Confi
 	return patterns
 }
 
-// Enumerate expands a pattern into concrete addresses, up to budget.
-func Enumerate(p Pattern, budget int) []ip6.Addr {
-	var out []ip6.Addr
-	EnumerateEach(p, budget, func(a ip6.Addr) bool {
-		out = append(out, a)
-		return true
-	})
-	return out
-}
-
 // EnumerateEach walks a pattern's expansion in canonical wildcard order,
 // yielding up to budget addresses (pre-dedup) until yield returns false.
 // It returns how many addresses were walked.
@@ -189,74 +167,38 @@ func EnumerateEach(p Pattern, budget int, yield func(ip6.Addr) bool) int {
 	return n
 }
 
-// Model is the incremental 6Graph model: per-shard nibble counts cached
-// against the seed view's frozen spans, re-counted only for dirty shards;
-// entropy and the pattern mine rerun over the view walk when anything
-// changed.
-type Model struct {
-	cfg      Config
-	built    bool
-	spans    [ip6.AddrShards][]ip6.Addr
-	counts   [ip6.AddrShards][32][16]int64
-	patterns []Pattern
-}
-
-// NewModel returns an empty model; Update populates it.
-func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
-
-// Update refreshes the model for the view, re-counting nibble statistics
-// only for shards whose span changed (in parallel). It returns the number
-// of dirty shards — 0 means the cached patterns were provably current.
-func (m *Model) Update(v *tga.SeedView) int {
-	var dirty [ip6.AddrShards]bool
-	n := 0
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if m.built && tga.SameSpan(m.spans[sh], v.Shard(sh)) {
-			continue
-		}
-		dirty[sh] = true
-		n++
+// update refreshes the model for the view, re-counting nibble
+// statistics only for shards whose span changed (in parallel).
+func (g *Generator) update(v *tga.SeedView) {
+	if g.kept.Refresh(v, func(sh int, span []ip6.Addr) {
+		g.counts[sh] = [32][16]int64{}
+		tga.NibbleCounts(span, &g.counts[sh])
+	}) == 0 {
+		return
 	}
-	if n == 0 {
-		return 0
-	}
-	ip6.ParallelShards(tga.ModelWorkers(), func(sh int) {
-		if !dirty[sh] {
-			return
-		}
-		span := v.Shard(sh)
-		var c [32][16]int64
-		tga.NibbleCounts(span, &c)
-		m.counts[sh] = c
-		m.spans[sh] = span
-	})
 	var total [32][16]int64
-	for sh := range m.counts {
-		for i := range m.counts[sh] {
-			for val, c := range m.counts[sh][i] {
+	for sh := range g.counts {
+		for i := range g.counts[sh] {
+			for val, c := range g.counts[sh][i] {
 				total[i][val] += c
 			}
 		}
 	}
-	entropy := tga.EntropyFromCounts(&total, v.Len())
-	if v.Len() == 0 {
-		m.patterns = nil
-	} else {
-		m.patterns = minePatterns(v.Walk, entropy, m.cfg)
-	}
-	m.built = true
-	return n
+	g.patterns = minePatterns(v.Walk, tga.EntropyFromCounts(&total, v.Len()), g.cfg)
 }
 
-// emit enumerates the mined patterns in support order, yielding novel
-// non-seed addresses as the expansions walk them. The budget counts
-// enumerated (pre-dedup) addresses, exactly as Generate always charged
-// it, so the emission is byte-identical to the former
-// materialize-then-dedup pipeline.
-func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
+// EmitView implements tga.ViewStreamer: refresh the model for shards
+// the view dirtied, then enumerate the mined patterns in support order,
+// yielding novel non-seed addresses as the expansions walk them. The
+// budget counts enumerated (pre-dedup) addresses.
+func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
+	if v.Len() == 0 || budget <= 0 {
+		return
+	}
+	g.update(v)
 	seen := ip6.NewSet(0)
 	stopped := false
-	for _, p := range m.patterns {
+	for _, p := range g.patterns {
 		if budget <= 0 || stopped {
 			break
 		}
@@ -272,35 +214,4 @@ func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	}
 }
 
-// Generate implements tga.Generator: the materializing shim over Emit.
-func (g *Generator) Generate(seeds []ip6.Addr, budget int) []ip6.Addr {
-	return tga.Collect(g, seeds, budget)
-}
-
-// Emit implements tga.Streamer: the stateless shim — a throwaway model
-// over a materialized view, yielding exactly EmitView's stream.
-func (g *Generator) Emit(seeds []ip6.Addr, budget int, yield func(ip6.Addr) bool) {
-	if len(seeds) == 0 || budget <= 0 {
-		return
-	}
-	v := tga.SeedViewOf(seeds)
-	m := NewModel(g.cfg)
-	m.Update(v)
-	m.emit(v, budget, yield)
-}
-
-// EmitView implements tga.ViewStreamer: refresh the persistent model for
-// shards the view dirtied, then enumerate the cached patterns.
-func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
-	if v.Len() == 0 || budget <= 0 {
-		return
-	}
-	if g.model == nil {
-		g.model = NewModel(g.cfg)
-	}
-	g.model.Update(v)
-	g.model.emit(v, budget, yield)
-}
-
-// The generator is a full streaming TGA over both seed contracts.
 var _ tga.ViewStreamer = (*Generator)(nil)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hitlist6/internal/ip6"
+	"hitlist6/internal/tga"
 )
 
 func patternSeeds() []ip6.Addr {
@@ -22,8 +23,36 @@ func patternSeeds() []ip6.Addr {
 	return out
 }
 
+// mine runs the model's pattern mine over a flat seed slice.
+func mine(seeds []ip6.Addr) []Pattern {
+	var counts [32][16]int64
+	tga.NibbleCounts(seeds, &counts)
+	entropy := tga.EntropyFromCounts(&counts, len(seeds))
+	return minePatterns(tga.SeedViewOf(seeds).Walk, entropy, DefaultConfig())
+}
+
+// enumerate collects a pattern's expansion, up to budget.
+func enumerate(p Pattern, budget int) []ip6.Addr {
+	var out []ip6.Addr
+	EnumerateEach(p, budget, func(a ip6.Addr) bool {
+		out = append(out, a)
+		return true
+	})
+	return out
+}
+
+// emit collects a generator's EmitView stream over a flat seed slice.
+func emit(g *Generator, seeds []ip6.Addr, budget int) []ip6.Addr {
+	var out []ip6.Addr
+	g.EmitView(tga.SeedViewOf(seeds), budget, func(a ip6.Addr) bool {
+		out = append(out, a)
+		return true
+	})
+	return out
+}
+
 func TestMine(t *testing.T) {
-	patterns := Mine(patternSeeds(), DefaultConfig())
+	patterns := mine(patternSeeds())
 	if len(patterns) == 0 {
 		t.Fatal("no patterns mined")
 	}
@@ -44,14 +73,14 @@ func TestMine(t *testing.T) {
 		}
 	}
 	// Mining nothing yields nothing.
-	if Mine(nil, DefaultConfig()) != nil {
+	if mine(nil) != nil {
 		t.Error("empty mine")
 	}
 }
 
 func TestEnumerate(t *testing.T) {
 	p := Pattern{Base: ip6.MustParseAddr("2a01:e00:2:7::"), Wildcards: []int{31}}
-	out := Enumerate(p, 100)
+	out := enumerate(p, 100)
 	if len(out) != 16 {
 		t.Fatalf("enumerate: %d", len(out))
 	}
@@ -65,12 +94,12 @@ func TestEnumerate(t *testing.T) {
 		}
 	}
 	// Budget respected.
-	if len(Enumerate(p, 5)) != 5 {
+	if len(enumerate(p, 5)) != 5 {
 		t.Error("budget")
 	}
 	// Two wildcards → 256.
 	p2 := Pattern{Base: ip6.MustParseAddr("2a01:e00:2:7::"), Wildcards: []int{30, 31}}
-	if len(Enumerate(p2, 1000)) != 256 {
+	if len(enumerate(p2, 1000)) != 256 {
 		t.Error("two-wildcard enumeration")
 	}
 }
@@ -81,7 +110,7 @@ func TestGenerate(t *testing.T) {
 		t.Error("name")
 	}
 	seeds := patternSeeds()
-	out := g.Generate(seeds, 5000)
+	out := emit(g, seeds, 5000)
 	if len(out) == 0 {
 		t.Fatal("nothing generated")
 	}
@@ -100,7 +129,7 @@ func TestGenerate(t *testing.T) {
 		t.Errorf("pattern region share: %d/%d", inDense, len(out))
 	}
 	// Deterministic.
-	out2 := g.Generate(seeds, 5000)
+	out2 := emit(New(DefaultConfig()), seeds, 5000)
 	if len(out) != len(out2) {
 		t.Fatal("non-deterministic")
 	}
@@ -116,7 +145,7 @@ func TestGenerateProducesMoreThanSupport(t *testing.T) {
 	// than seeds.
 	g := New(DefaultConfig())
 	seeds := patternSeeds()
-	out := g.Generate(seeds, 100000)
+	out := emit(g, seeds, 100000)
 	if len(out) < 5*len(seeds) {
 		t.Errorf("expansion factor too low: %d from %d seeds", len(out), len(seeds))
 	}

@@ -35,11 +35,9 @@ type Config struct {
 // DefaultConfig matches the published defaults at our scale.
 func DefaultConfig() Config { return Config{MaxLeafSize: 16, MaxFreeDims: 2} }
 
-// Tree is a built space tree.
-type Tree struct {
-	cfg    Config
+// spaceTree is a built space tree.
+type spaceTree struct {
 	root   *node
-	size   int
 	leaves []*node
 	fresh  bool // leaves cache valid
 }
@@ -79,10 +77,12 @@ func (n *node) bestSplit() int {
 // node's seeds.
 func (n *node) fixedDim(i int) bool { return bits.OnesCount16(n.mask[i]) == 1 }
 
-// Generator is the tga.Generator implementation.
+// Generator is the 6Tree TGA: one space tree grown in place as the seed
+// view's shards dirty, with the kept spans proving which shards changed.
 type Generator struct {
-	cfg   Config
-	model *Model
+	cfg  Config
+	kept tga.KeptSpans
+	tree *spaceTree
 }
 
 // New returns a 6Tree generator.
@@ -96,15 +96,15 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg}
 }
 
-// Name implements tga.Generator.
+// Name implements tga.ViewStreamer.
 func (g *Generator) Name() string { return "6Tree" }
 
-// Build constructs the space tree over the seeds. Leaf seed order is
+// buildTree constructs the space tree over the seeds. Leaf seed order is
 // normalized ascending, so the tree is a pure function of the seed set —
 // the invariant that lets incremental insertion reproduce a scratch
 // build bit for bit.
-func Build(seeds []ip6.Addr, cfg Config) *Tree {
-	return &Tree{cfg: cfg, root: buildNode(seeds, cfg), size: len(seeds)}
+func buildTree(seeds []ip6.Addr, cfg Config) *spaceTree {
+	return &spaceTree{root: buildNode(seeds, cfg)}
 }
 
 // buildNode applies DHC: recurse on the dimension with the fewest
@@ -149,9 +149,8 @@ func sortedCopy(seeds []ip6.Addr) []ip6.Addr {
 // update along the descent path, and any node whose best-split choice
 // the insertion flips is rebuilt from its gathered seeds — exactly what
 // a scratch build would have produced there.
-func (t *Tree) insert(a ip6.Addr, cfg Config) {
+func (t *spaceTree) insert(a ip6.Addr, cfg Config) {
 	t.fresh = false
-	t.size++
 	insertAt(t.root, a, cfg)
 }
 
@@ -206,7 +205,7 @@ func gatherSeeds(n *node, out []ip6.Addr) []ip6.Addr {
 
 // leafList returns the leaves in DFS order, regenerating the cache after
 // mutations.
-func (t *Tree) leafList() []*node {
+func (t *spaceTree) leafList() []*node {
 	if !t.fresh {
 		t.leaves = t.leaves[:0]
 		var dfs func(n *node)
@@ -227,113 +226,71 @@ func (t *Tree) leafList() []*node {
 	return t.leaves
 }
 
-// Leaves returns the number of leaf regions.
-func (t *Tree) Leaves() int { return len(t.leafList()) }
-
-// Model is the incremental 6Tree model: one space tree grown in place as
-// the seed view's shards dirty, with per-shard span identities proving
-// which shards changed.
-type Model struct {
-	cfg   Config
-	built bool
-	spans [ip6.AddrShards][]ip6.Addr
-	tree  *Tree
-}
-
-// NewModel returns an empty model; Update populates it.
-func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
-
-// Update grows the tree with the view's new seeds, touching only shards
-// whose span changed; it returns the number of dirty shards. The first
-// call (and the defensive fallback, should a span ever shrink) builds
-// from scratch.
-func (m *Model) Update(v *tga.SeedView) int {
-	if !m.built {
-		return m.rebuild(v)
+// update grows the tree with the view's new seeds, touching only shards
+// whose span changed. The first call, and the fallback for a view that
+// is not a grow-only extension of the kept one (a shard shrank, or the
+// seed set is a different one), builds from scratch.
+func (g *Generator) update(v *tga.SeedView) {
+	dirty, n := g.kept.Dirty(v)
+	if n == 0 {
+		return
 	}
-	dirty := 0
+	if g.tree == nil {
+		g.rebuild(v)
+		return
+	}
 	var fresh [ip6.AddrShards][]ip6.Addr
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		span := v.Shard(sh)
-		if tga.SameSpan(m.spans[sh], span) {
+	for sh := range dirty {
+		if !dirty[sh] {
 			continue
 		}
-		dirty++
-		// Grow-only diff: old must be a sorted subset of span.
-		old, added := m.spans[sh], fresh[sh]
-		i := 0
-		for _, a := range span {
+		// Grow-only diff: the kept span must be a sorted subset of span.
+		old, i := g.kept.Kept(sh), 0
+		for _, a := range v.Shard(sh) {
 			if i < len(old) && old[i] == a {
 				i++
 				continue
 			}
-			added = append(added, a)
+			fresh[sh] = append(fresh[sh], a)
 		}
 		if i != len(old) {
-			return m.rebuild(v) // shrank — not grow-only; start over
+			g.rebuild(v)
+			return
 		}
-		fresh[sh] = added
 	}
-	if dirty == 0 {
-		return 0
-	}
-	for sh := 0; sh < ip6.AddrShards; sh++ {
+	for sh := range fresh {
 		for _, a := range fresh[sh] {
-			m.tree.insert(a, m.cfg)
+			g.tree.insert(a, g.cfg)
 		}
-		m.spans[sh] = v.Shard(sh)
 	}
-	return dirty
+	g.kept.Keep(v)
 }
 
-func (m *Model) rebuild(v *tga.SeedView) int {
+func (g *Generator) rebuild(v *tga.SeedView) {
 	all := make([]ip6.Addr, 0, v.Len())
 	for sh := 0; sh < ip6.AddrShards; sh++ {
-		span := v.Shard(sh)
-		all = append(all, span...)
-		m.spans[sh] = span
+		all = append(all, v.Shard(sh)...)
 	}
-	m.tree = Build(all, m.cfg)
-	m.built = true
-	return ip6.AddrShards
+	g.tree = buildTree(all, g.cfg)
+	g.kept.Keep(v)
 }
 
-// Generate implements tga.Generator: the materializing shim over Emit.
-func (g *Generator) Generate(seeds []ip6.Addr, budget int) []ip6.Addr {
-	return tga.Collect(g, seeds, budget)
-}
-
-// Emit implements tga.Streamer: the stateless shim — a throwaway model
-// over a materialized view, yielding exactly EmitView's stream.
-func (g *Generator) Emit(seeds []ip6.Addr, budget int, yield func(ip6.Addr) bool) {
-	if len(seeds) == 0 || budget <= 0 {
-		return
-	}
-	v := tga.SeedViewOf(seeds)
-	m := NewModel(g.cfg)
-	m.Update(v)
-	m.emit(v, budget, yield)
-}
-
-// EmitView implements tga.ViewStreamer: grow the persistent tree with
-// the view's dirty shards, then expand leaves in density order.
+// EmitView implements tga.ViewStreamer: grow the tree with the view's
+// dirty shards, then expand leaves in density order.
 func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	if v.Len() == 0 || budget <= 0 {
 		return
 	}
-	if g.model == nil {
-		g.model = NewModel(g.cfg)
-	}
-	g.model.Update(v)
-	g.model.emit(v, budget, yield)
+	g.update(v)
+	g.emit(v, budget, yield)
 }
 
 // emit expands leaves in density order, yielding candidates as the
 // expansion walks them. A shared novelty check (seed-view membership
 // plus this round's emissions) makes the budget count genuinely new
 // addresses, never duplicates or seeds.
-func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
-	leaves := append([]*node(nil), m.tree.leafList()...)
+func (g *Generator) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
+	leaves := append([]*node(nil), g.tree.leafList()...)
 	sort.SliceStable(leaves, func(i, j int) bool {
 		return leafPriority(leaves[i]) > leafPriority(leaves[j])
 	})
@@ -348,7 +305,7 @@ func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 		if len(leaf.seeds) < 2 {
 			continue
 		}
-		expandLeaf(leaf, m.cfg.MaxFreeDims, e)
+		expandLeaf(leaf, g.cfg.MaxFreeDims, e)
 	}
 }
 
@@ -437,5 +394,4 @@ func expandLeaf(n *node, maxDims int, e *emitter) {
 	}
 }
 
-// The generator is a full streaming TGA over both seed contracts.
 var _ tga.ViewStreamer = (*Generator)(nil)

@@ -20,14 +20,24 @@ func denseSeeds() []ip6.Addr {
 	return out
 }
 
+// emit collects a generator's EmitView stream over a flat seed slice.
+func emit(g *Generator, seeds []ip6.Addr, budget int) []ip6.Addr {
+	var out []ip6.Addr
+	g.EmitView(tga.SeedViewOf(seeds), budget, func(a ip6.Addr) bool {
+		out = append(out, a)
+		return true
+	})
+	return out
+}
+
 func TestBuildTree(t *testing.T) {
 	seeds := denseSeeds()
-	tree := Build(seeds, DefaultConfig())
-	if tree.Leaves() == 0 {
+	leaves := buildTree(seeds, DefaultConfig()).leafList()
+	if len(leaves) == 0 {
 		t.Fatal("no leaves")
 	}
 	// Each leaf holds at most MaxLeafSize seeds unless unsplittable.
-	for _, leaf := range tree.leaves {
+	for _, leaf := range leaves {
 		if len(leaf.seeds) > DefaultConfig().MaxLeafSize {
 			// An oversized leaf must be constant in every dimension.
 			vs := tga.NibbleValueSets(leaf.seeds)
@@ -48,7 +58,7 @@ func TestGenerateExpandsDenseRegion(t *testing.T) {
 	}
 	// A bounded budget exercises the density-priority ordering: the dense
 	// region must be expanded before the sparse one.
-	out := g.Generate(seeds, 300)
+	out := emit(g, seeds, 300)
 	if len(out) != 300 {
 		t.Fatalf("generated %d, want full budget of 300", len(out))
 	}
@@ -77,9 +87,8 @@ func TestGenerateExpandsDenseRegion(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	seeds := denseSeeds()
-	g := New(DefaultConfig())
-	a := g.Generate(seeds, 500)
-	b := g.Generate(seeds, 500)
+	a := emit(New(DefaultConfig()), seeds, 500)
+	b := emit(New(DefaultConfig()), seeds, 500)
 	if len(a) != len(b) {
 		t.Fatal("length differs")
 	}
@@ -92,24 +101,24 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateEdgeCases(t *testing.T) {
 	g := New(DefaultConfig())
-	if g.Generate(nil, 100) != nil {
+	if emit(g, nil, 100) != nil {
 		t.Error("nil seeds")
 	}
-	if g.Generate(denseSeeds(), 0) != nil {
+	if emit(g, denseSeeds(), 0) != nil {
 		t.Error("zero budget")
 	}
 	// A single seed has no free dims: nothing to generate.
-	out := g.Generate([]ip6.Addr{ip6.MustParseAddr("2001:db9::1")}, 10)
+	out := emit(New(DefaultConfig()), []ip6.Addr{ip6.MustParseAddr("2001:db9::1")}, 10)
 	if len(out) != 0 {
 		t.Errorf("single seed generated %d", len(out))
 	}
 }
 
-func BenchmarkGenerate(b *testing.B) {
-	seeds := denseSeeds()
-	g := New(DefaultConfig())
+// BenchmarkEmitView fits a fresh model and samples it each iteration.
+func BenchmarkEmitView(b *testing.B) {
+	v := tga.SeedViewOf(denseSeeds())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Generate(seeds, 1000)
+		New(DefaultConfig()).EmitView(v, 1000, func(ip6.Addr) bool { return true })
 	}
 }

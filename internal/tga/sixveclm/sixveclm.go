@@ -33,10 +33,17 @@ type Config struct {
 // DefaultConfig mirrors the published sampling setup.
 func DefaultConfig() Config { return Config{Seed: 6, Temperature: 0.8, Order: 2} }
 
-// Generator implements tga.Generator.
+// Generator is the 6VecLM TGA: per-shard Markov transition counts and
+// distinct-/64 lists cached against the seed view's frozen spans,
+// re-trained only for dirty shards; the merged chain and prefix pool
+// rebuild from the cached shards when anything changed.
 type Generator struct {
-	cfg   Config
-	model *Model
+	cfg           Config
+	kept          tga.KeptSpans
+	shardCounts   [ip6.AddrShards]map[ctxKey]*[16]int64
+	shardPrefixes [ip6.AddrShards][]ip6.Prefix
+	chain         *model
+	prefixes      []ip6.Prefix
 }
 
 // New returns a 6VecLM generator.
@@ -50,7 +57,7 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg}
 }
 
-// Name implements tga.Generator.
+// Name implements tga.ViewStreamer.
 func (g *Generator) Name() string { return "6VecLM" }
 
 // ctxKey is a Markov context: position plus the preceding nibbles.
@@ -66,8 +73,8 @@ type model struct {
 
 // countInto accumulates one seed's transition counts. Counts are held as
 // integers per shard; float64 conversion at model-build time is exact
-// below 2^53, so summed shard counts reproduce a flat train pass bit for
-// bit.
+// below 2^53, so summed shard counts are independent of how the seeds
+// were sharded.
 func countInto(counts map[ctxKey]*[16]int64, a ip6.Addr, order int) {
 	n := a.Nibbles()
 	for pos := 0; pos < 32; pos++ {
@@ -86,14 +93,6 @@ func countInto(counts map[ctxKey]*[16]int64, a ip6.Addr, order int) {
 		}
 		c[n[pos]]++
 	}
-}
-
-func train(seeds []ip6.Addr, order int) *model {
-	ic := make(map[ctxKey]*[16]int64)
-	for _, a := range seeds {
-		countInto(ic, a, order)
-	}
-	return modelFromCounts([]map[ctxKey]*[16]int64{ic})
 }
 
 // modelFromCounts sums per-shard integer count maps into the sampling
@@ -135,48 +134,14 @@ func (m *model) sample(r *rng.Stream, pos int, prev [2]byte, temperature float64
 	return byte(sampler.Sample(r))
 }
 
-// Model is the incremental 6VecLM model: per-shard Markov transition
-// counts and distinct-/64 lists cached against the seed view's frozen
-// spans, re-trained only for dirty shards; the merged chain and prefix
-// pool rebuild from the cached shards when anything changed.
-type Model struct {
-	cfg           Config
-	built         bool
-	spans         [ip6.AddrShards][]ip6.Addr
-	shardCounts   [ip6.AddrShards]map[ctxKey]*[16]int64
-	shardPrefixes [ip6.AddrShards][]ip6.Prefix
-	m             *model
-	prefixes      []ip6.Prefix
-}
-
-// NewModel returns an empty model; Update populates it.
-func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
-
-// Update refreshes the model for the view, re-training only shards whose
-// span changed (in parallel). It returns the number of dirty shards — 0
-// means the cached chain and prefix pool were provably current.
-func (m *Model) Update(v *tga.SeedView) int {
-	var dirty [ip6.AddrShards]bool
-	n := 0
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if m.built && tga.SameSpan(m.spans[sh], v.Shard(sh)) {
-			continue
-		}
-		dirty[sh] = true
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	ip6.ParallelShards(tga.ModelWorkers(), func(sh int) {
-		if !dirty[sh] {
-			return
-		}
-		span := v.Shard(sh)
+// update refreshes the model for the view, re-training only shards
+// whose span changed (in parallel).
+func (g *Generator) update(v *tga.SeedView) {
+	if g.kept.Refresh(v, func(sh int, span []ip6.Addr) {
 		counts := make(map[ctxKey]*[16]int64)
 		var prefixes []ip6.Prefix
 		for _, a := range span {
-			countInto(counts, a, m.cfg.Order)
+			countInto(counts, a, g.cfg.Order)
 			// Spans are sorted by (hi, lo), so a shard's /64s arrive in
 			// order; distinct prefixes are a linear scan.
 			p := ip6.Slash64(a)
@@ -184,14 +149,13 @@ func (m *Model) Update(v *tga.SeedView) int {
 				prefixes = append(prefixes, p)
 			}
 		}
-		m.shardCounts[sh] = counts
-		m.shardPrefixes[sh] = prefixes
-		m.spans[sh] = span
-	})
-	m.m = modelFromCounts(m.shardCounts[:])
-	m.prefixes = mergePrefixLists(m.shardPrefixes[:])
-	m.built = true
-	return n
+		g.shardCounts[sh] = counts
+		g.shardPrefixes[sh] = prefixes
+	}) == 0 {
+		return
+	}
+	g.chain = modelFromCounts(g.shardCounts[:])
+	g.prefixes = mergePrefixLists(g.shardPrefixes[:])
 }
 
 // mergePrefixLists merges sorted distinct-prefix lists into one sorted
@@ -223,30 +187,33 @@ func mergePrefixLists(lists [][]ip6.Prefix) []ip6.Prefix {
 	}
 }
 
-// emit autocompletes addresses word by word, yielding each novel
-// candidate as it is sampled. Generation is seeded from observed /64
-// network halves (the paper's generation keeps the network identifier and
-// predicts the IID), so candidates land in plausible networks.
-func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
-	if len(m.prefixes) == 0 {
+// EmitView implements tga.ViewStreamer: refresh the model for shards
+// the view dirtied, then autocomplete addresses word by word, yielding
+// each novel candidate as it is sampled. Generation is seeded from
+// observed /64 network halves (the paper's generation keeps the network
+// identifier and predicts the IID), so candidates land in plausible
+// networks.
+func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
+	if v.Len() == 0 || budget <= 0 {
 		return
 	}
-	r := rng.NewStream(m.cfg.Seed, "6veclm-sample")
+	g.update(v)
+	r := rng.NewStream(g.cfg.Seed, "6veclm-sample")
 	seen := ip6.NewSet(budget)
 	emitted := 0
 	// A sharp model can mostly regenerate its training data; the attempt
 	// cap keeps generation finite when novel sequences are rare.
 	for attempts := 0; emitted < budget && attempts < 64*budget; attempts++ {
-		p := m.prefixes[r.Intn(len(m.prefixes))]
+		p := g.prefixes[r.Intn(len(g.prefixes))]
 		base := p.Addr().Nibbles()
 		// Predict nibbles 16..31 (the IID) conditioned on the network.
 		for pos := 16; pos < 32; pos++ {
 			var prev [2]byte
 			prev[1] = base[pos-1] + 1
-			if m.cfg.Order >= 2 {
+			if g.cfg.Order >= 2 {
 				prev[0] = base[pos-2] + 1
 			}
-			base[pos] = m.m.sample(r, pos, prev, m.cfg.Temperature)
+			base[pos] = g.chain.sample(r, pos, prev, g.cfg.Temperature)
 		}
 		a := ip6.AddrFromNibbles(base)
 		if a.IsGlobalUnicast() && !v.Has(a) && seen.Add(a) {
@@ -258,35 +225,4 @@ func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	}
 }
 
-// Generate implements tga.Generator: the materializing shim over Emit.
-func (g *Generator) Generate(seeds []ip6.Addr, budget int) []ip6.Addr {
-	return tga.Collect(g, seeds, budget)
-}
-
-// Emit implements tga.Streamer: the stateless shim — a throwaway model
-// over a materialized view, yielding exactly EmitView's stream.
-func (g *Generator) Emit(seeds []ip6.Addr, budget int, yield func(ip6.Addr) bool) {
-	if len(seeds) == 0 || budget <= 0 {
-		return
-	}
-	v := tga.SeedViewOf(seeds)
-	m := NewModel(g.cfg)
-	m.Update(v)
-	m.emit(v, budget, yield)
-}
-
-// EmitView implements tga.ViewStreamer: refresh the persistent model for
-// shards the view dirtied, then sample from the cached chain.
-func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
-	if v.Len() == 0 || budget <= 0 {
-		return
-	}
-	if g.model == nil {
-		g.model = NewModel(g.cfg)
-	}
-	g.model.Update(v)
-	g.model.emit(v, budget, yield)
-}
-
-// The generator is a full streaming TGA over both seed contracts.
 var _ tga.ViewStreamer = (*Generator)(nil)

@@ -1,10 +1,10 @@
 package tga
 
-// Streaming target generation: every concrete generator implements
-// Streamer — an incremental Emit that yields candidates in exactly
-// Generate's order — and NewSource adapts that push stream into the scan
-// engine's pull-based TargetSource, so "generate → probe → feed back"
-// runs end to end without ever materializing a candidate list.
+// Streaming target generation: every concrete generator is a
+// ViewStreamer — a model fit to the sharded seed view and sampled
+// incrementally — and NewViewSource adapts that push stream into the
+// scan engine's pull-based TargetSource, so "generate → probe → feed
+// back" runs end to end without ever materializing a candidate list.
 
 import (
 	"io"
@@ -14,39 +14,19 @@ import (
 	"hitlist6/internal/scan"
 )
 
-// Streamer is a Generator that can emit its candidate stream
-// incrementally: Emit yields up to budget candidates derived from seeds,
-// in exactly the order Generate returns them, stopping early when yield
-// returns false. Implementations are deterministic and never yield seed
-// addresses or duplicates.
-type Streamer interface {
-	Generator
-	Emit(seeds []ip6.Addr, budget int, yield func(ip6.Addr) bool)
-}
-
-// ViewStreamer is a Streamer that consumes the sharded SeedView contract
-// directly: EmitView yields exactly the stream Emit yields for the same
-// seed set, but the generator maintains an incremental statistical model
+// ViewStreamer is the one TGA contract. Name is the analysis label
+// ("6Tree", "6Graph", ...). EmitView yields up to budget candidates
+// derived from the view's seeds, stopping early when yield returns
+// false; it is deterministic in the seed set and never yields seed
+// addresses or duplicates. The generator keeps its statistical model
 // across calls, rebuilding per-shard statistics only for spans that
-// changed since the previous call (SameSpan) — so steady-state rounds
-// cost the emission alone, independent of cumulative seed count. Emit
-// and Generate remain stateless shims (a throwaway model over
-// SeedViewOf), so a generator instance can serve both contracts.
+// changed since the previous call (KeptSpans) — so steady-state rounds
+// cost the emission alone, independent of cumulative seed count — and a
+// view of any other seed set yields exactly what a fresh generator
+// would. Callers holding a flat seed slice pass SeedViewOf(seeds).
 type ViewStreamer interface {
-	Streamer
+	Name() string
 	EmitView(view *SeedView, budget int, yield func(ip6.Addr) bool)
-}
-
-// Collect materializes a streamer's full emission — the Generate compat
-// shim every concrete generator builds on, and the reference a streaming
-// consumer can be checked against.
-func Collect(g Streamer, seeds []ip6.Addr, budget int) []ip6.Addr {
-	var out []ip6.Addr
-	g.Emit(seeds, budget, func(a ip6.Addr) bool {
-		out = append(out, a)
-		return true
-	})
-	return out
 }
 
 // sourceChunk is the hand-off granularity between the generator
@@ -58,7 +38,7 @@ const sourceChunk = 256
 // scan.TargetSource. The generator runs in its own goroutine, bounded by
 // a small chunk channel, so at most a few chunks exist at once no matter
 // how large the budget is. The stream is deterministic: pulls see
-// exactly Generate's output order. Close stops an unfinished generator;
+// exactly EmitView's output order. Close stops an unfinished generator;
 // scan.Scanner.StreamFrom calls it automatically when the stream ends.
 type Source struct {
 	emit func(yield func(ip6.Addr) bool)
@@ -72,15 +52,9 @@ type Source struct {
 	emitted  int
 }
 
-// NewSource returns a pull source over g's candidate stream for the
-// given seeds and budget. Generation starts lazily on the first pull.
-func NewSource(g Streamer, seeds []ip6.Addr, budget int) *Source {
-	return &Source{emit: func(yield func(ip6.Addr) bool) { g.Emit(seeds, budget, yield) }}
-}
-
-// NewViewSource is NewSource over the sharded seed-view contract: the
-// generator's incremental model updates for dirty shards when the first
-// pull starts the emission.
+// NewViewSource returns a pull source over g's candidate stream for the
+// view and budget. Generation starts lazily on the first pull, which is
+// when the generator's model updates for the view's dirty shards.
 func NewViewSource(g ViewStreamer, view *SeedView, budget int) *Source {
 	return &Source{emit: func(yield func(ip6.Addr) bool) { g.EmitView(view, budget, yield) }}
 }

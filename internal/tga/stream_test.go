@@ -2,6 +2,8 @@ package tga_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"reflect"
 	"sync"
@@ -47,8 +49,10 @@ func streamSeeds() []ip6.Addr {
 	return tga.DedupAgainstSeeds(seeds, nil)
 }
 
-func streamers() []tga.Streamer {
-	return []tga.Streamer{
+// generators returns fresh instances of the five bundled generators at
+// their default configurations.
+func generators() []tga.ViewStreamer {
+	return []tga.ViewStreamer{
 		sixtree.New(sixtree.DefaultConfig()),
 		sixgraph.New(sixgraph.DefaultConfig()),
 		sixgan.New(sixgan.DefaultConfig()),
@@ -57,19 +61,67 @@ func streamers() []tga.Streamer {
 	}
 }
 
-// TestEmitMatchesGenerate pins the compat shim: Generate is exactly the
-// collected Emit stream, and pulling through tga.NewSource reproduces it
-// for any pull buffer size.
+// emitAll collects g's full EmitView stream over v.
+func emitAll(g tga.ViewStreamer, v *tga.SeedView, budget int) []ip6.Addr {
+	var out []ip6.Addr
+	g.EmitView(v, budget, func(a ip6.Addr) bool {
+		out = append(out, a)
+		return true
+	})
+	return out
+}
+
+// streamDigest is the sha256 over a candidate stream's raw 16-byte
+// addresses, in order.
+func streamDigest(cands []ip6.Addr) string {
+	h := sha256.New()
+	for _, a := range cands {
+		h.Write(a[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratorStreamsMatchGolden pins every generator's exact emission
+// over streamSeeds at budget 3000 against recorded digests, so a change
+// that moves incremental and scratch output together still fails here.
+func TestGeneratorStreamsMatchGolden(t *testing.T) {
+	golden := map[string]struct {
+		n      int
+		sha256 string
+	}{
+		"6Tree":  {3000, "335c128e823824cf8a0fb85105a5e9e959fa744d32ee86366ab8084cda6e5ee9"},
+		"6Graph": {30, "0801812b44fb15893190e84f5e9e6b61abdbb4349078d1ee5c2e0ecc9b399669"},
+		"6GAN":   {2641, "336a04bbf2335b7352a16f4e74359553bb295d8dadea0caf862abb1ffea97075"},
+		"6VecLM": {3000, "32956b35ea6ced91f192f37110a2dca57fa86854491eb5d55ddd4ca0e23635de"},
+		"DC":     {13, "0dbd839a6fdabde1b38fed72e8916c596711fdeb2002d2bd4c977e28461ed717"},
+	}
+	v := tga.SeedViewOf(streamSeeds())
+	for _, g := range generators() {
+		want, ok := golden[g.Name()]
+		if !ok {
+			t.Fatalf("%s: no golden digest", g.Name())
+		}
+		got := emitAll(g, v, 3000)
+		if len(got) != want.n || streamDigest(got) != want.sha256 {
+			t.Errorf("%s: stream (%d candidates, sha256 %s) differs from golden (%d, %s)",
+				g.Name(), len(got), streamDigest(got), want.n, want.sha256)
+		}
+	}
+}
+
+// TestEmitMatchesGenerate pins the pull adapter: pulling through
+// tga.NewViewSource reproduces the collected EmitView stream exactly, for
+// any pull buffer size, and Emitted counts it.
 func TestEmitMatchesGenerate(t *testing.T) {
-	seeds := streamSeeds()
+	v := tga.SeedViewOf(streamSeeds())
 	const budget = 3000
-	for _, g := range streamers() {
-		gen := g.Generate(seeds, budget)
+	for _, g := range generators() {
+		gen := emitAll(g, v, budget)
 		if len(gen) == 0 {
 			t.Fatalf("%s: no candidates generated", g.Name())
 		}
 		for _, bufSize := range []int{1, 7, 513} {
-			src := tga.NewSource(g, seeds, budget)
+			src := tga.NewViewSource(g, v, budget)
 			var pulled []ip6.Addr
 			buf := make([]ip6.Addr, bufSize)
 			for {
@@ -83,11 +135,14 @@ func TestEmitMatchesGenerate(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(gen, pulled) {
-				t.Fatalf("%s (buf %d): pulled stream diverges from Generate (%d vs %d candidates)",
+				t.Fatalf("%s (buf %d): pulled stream diverges from EmitView (%d vs %d candidates)",
 					g.Name(), bufSize, len(pulled), len(gen))
 			}
 			if src.Emitted() != len(gen) {
 				t.Errorf("%s: Emitted() = %d, want %d", g.Name(), src.Emitted(), len(gen))
+			}
+			if err := src.Close(); err != nil {
+				t.Fatal(err)
 			}
 			if err := src.Close(); err != nil {
 				t.Fatal(err)
@@ -122,19 +177,19 @@ func collectShardSequences(t *testing.T, stream func(scan.Sink) (scan.Stats, err
 }
 
 // TestGenerateThenStreamEquivalence is the API-redesign acceptance test:
-// for every TGA, materializing Generate's candidate list and Streaming it
-// must be bit-identical — per-shard batch sequences and aggregate stats —
-// to StreamFrom pulling the generator's stream directly, for several
-// worker counts and chunk sizes. The candidate slice never exists on the
-// StreamFrom side.
+// for every TGA, materializing the collected EmitView candidate list and
+// streaming it must be bit-identical — per-shard batch sequences and
+// aggregate stats — to StreamFrom pulling the generator's stream
+// directly, for several worker counts and chunk sizes. The candidate
+// slice never exists on the StreamFrom side.
 func TestGenerateThenStreamEquivalence(t *testing.T) {
-	seeds := streamSeeds()
+	v := tga.SeedViewOf(streamSeeds())
 	const budget = 2500
 	net := netmodel.NewNetwork(3, netmodel.NewASTable(nil))
 	protos := []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80}
 
-	for _, g := range streamers() {
-		candidates := g.Generate(seeds, budget)
+	for _, g := range generators() {
+		candidates := emitAll(g, v, budget)
 		mk := func(workers, chunk int) *scan.Scanner {
 			cfg := scan.DefaultConfig(11)
 			cfg.LossRate = 0.05
@@ -149,10 +204,10 @@ func TestGenerateThenStreamEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, chunk := range []int{1, 100, 0} {
 				got, gotStats := collectShardSequences(t, func(sink scan.Sink) (scan.Stats, error) {
-					return mk(workers, chunk).StreamFrom(context.Background(), tga.NewSource(g, seeds, budget), protos, 9, sink)
+					return mk(workers, chunk).StreamFrom(context.Background(), tga.NewViewSource(g, v, budget), protos, 9, sink)
 				})
 				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("%s workers=%d chunk=%d: StreamFrom shard sequences diverge from Generate-then-Stream",
+					t.Fatalf("%s workers=%d chunk=%d: StreamFrom shard sequences diverge from collect-then-stream",
 						g.Name(), workers, chunk)
 				}
 				if baseStats.ProbesSent != gotStats.ProbesSent || baseStats.Batches != gotStats.Batches {
@@ -167,9 +222,8 @@ func TestGenerateThenStreamEquivalence(t *testing.T) {
 // TestSourceEarlyClose: closing a partially pulled source stops the
 // generator goroutine and further pulls; double Close is safe.
 func TestSourceEarlyClose(t *testing.T) {
-	seeds := streamSeeds()
 	g := sixgraph.New(sixgraph.DefaultConfig())
-	src := tga.NewSource(g, seeds, 100000)
+	src := tga.NewViewSource(g, tga.SeedViewOf(streamSeeds()), 100000)
 	buf := make([]ip6.Addr, 16)
 	if n, err := src.Next(buf); n == 0 || err != nil {
 		t.Fatalf("first pull: n=%d err=%v", n, err)

@@ -1,14 +1,16 @@
-// Package tga defines the target generation algorithm (TGA) interface and
+// Package tga defines the target generation algorithm (TGA) contract and
 // shared seed utilities used by the concrete generators (6Tree, 6Graph,
 // 6GAN, 6VecLM and the paper's own distance clustering).
 //
 // All generators consume a seed set of known-responsive addresses and emit
-// candidate addresses, the paper's Section 6 workload. The reimplementations
-// follow the published algorithms' structure; where the originals train
-// neural models (6GAN's GAN+RL, 6VecLM's transformer) we substitute
-// deterministic statistical models over nibble sequences that preserve the
-// generators' observable behaviour: their candidate volume, their bias
-// towards dense regions, and their (low) hit rates.
+// candidate addresses, the paper's Section 6 workload. Each is one
+// ViewStreamer: a model fit to a SeedView (incrementally, shard by shard)
+// and sampled by EmitView. The reimplementations follow the published
+// algorithms' structure; where the originals train neural models (6GAN's
+// GAN+RL, 6VecLM's transformer) we substitute deterministic statistical
+// models over nibble sequences that preserve the generators' observable
+// behaviour: their candidate volume, their bias towards dense regions, and
+// their (low) hit rates.
 package tga
 
 import (
@@ -16,16 +18,6 @@ import (
 
 	"hitlist6/internal/ip6"
 )
-
-// Generator produces candidate addresses from seeds.
-type Generator interface {
-	// Name is the analysis label ("6Tree", "6Graph", ...).
-	Name() string
-	// Generate returns up to budget candidates derived from seeds.
-	// Implementations are deterministic and must not return seed
-	// addresses themselves.
-	Generate(seeds []ip6.Addr, budget int) []ip6.Addr
-}
 
 // DedupAgainstSeeds removes seed addresses and duplicates from candidates,
 // preserving order.
@@ -79,15 +71,6 @@ func EntropyFromCounts(counts *[32][16]int64, total int) [32]float64 {
 	return out
 }
 
-// NibbleEntropy computes the empirical Shannon entropy (bits) of each of
-// the 32 nibble positions over the seed set — the Entropy/IP-style signal
-// every structural TGA starts from.
-func NibbleEntropy(seeds []ip6.Addr) [32]float64 {
-	var counts [32][16]int64
-	NibbleCounts(seeds, &counts)
-	return EntropyFromCounts(&counts, len(seeds))
-}
-
 // NibbleValueSets returns, per position, the sorted distinct nibble values
 // observed in the seed set.
 func NibbleValueSets(seeds []ip6.Addr) [32][]byte {
@@ -116,24 +99,11 @@ type Slash64Group struct {
 	Addrs  []ip6.Addr
 }
 
-// GroupBySlash64 buckets seeds by their /64, returning groups sorted by
-// prefix with members sorted ascending — determinism by construction,
-// with no map and no per-bucket re-sort (the former map form forced
-// every caller through a separate key sort to recover a stable order).
-func GroupBySlash64(seeds []ip6.Addr) []Slash64Group {
-	if len(seeds) == 0 {
-		return nil
-	}
-	sorted := append([]ip6.Addr(nil), seeds...)
-	ip6.SortAddrs(sorted)
-	return GroupSortedBySlash64(sorted)
-}
-
-// GroupSortedBySlash64 is GroupBySlash64 over addresses already sorted
-// ascending — one linear scan, with every group's Addrs a subslice of
-// the input (no copying). This is the form the incremental models run
-// per seed-view shard: frozen shard spans are already sorted, so a /64's
-// members are contiguous.
+// GroupSortedBySlash64 buckets addresses already sorted ascending by
+// their /64 — one linear scan, returning groups sorted by prefix with
+// every group's Addrs a subslice of the input (no copying). The
+// incremental models run it per seed-view shard: frozen shard spans are
+// already sorted, so a /64's members are contiguous.
 func GroupSortedBySlash64(sorted []ip6.Addr) []Slash64Group {
 	var out []Slash64Group
 	start := 0

@@ -26,10 +26,18 @@ func TestDedupAgainstSeeds(t *testing.T) {
 	}
 }
 
+// nibbleEntropy is the per-position Shannon entropy of seeds, computed
+// the way the models compute it: summed counts, then entropy.
+func nibbleEntropy(seeds []ip6.Addr) [32]float64 {
+	var counts [32][16]int64
+	NibbleCounts(seeds, &counts)
+	return EntropyFromCounts(&counts, len(seeds))
+}
+
 func TestNibbleEntropy(t *testing.T) {
 	// All same → zero entropy everywhere.
 	same := addrs("2001:db9::1", "2001:db9::1")
-	e := NibbleEntropy(same)
+	e := nibbleEntropy(same)
 	for i, v := range e {
 		if v != 0 {
 			t.Fatalf("entropy[%d] = %v for identical seeds", i, v)
@@ -37,7 +45,7 @@ func TestNibbleEntropy(t *testing.T) {
 	}
 	// Last nibble uniform over two values → 1 bit at position 31 only.
 	two := addrs("2001:db9::1", "2001:db9::2")
-	e = NibbleEntropy(two)
+	e = nibbleEntropy(two)
 	if e[31] != 1 {
 		t.Errorf("entropy[31] = %v, want 1", e[31])
 	}
@@ -47,7 +55,7 @@ func TestNibbleEntropy(t *testing.T) {
 		}
 	}
 	// Empty input.
-	e = NibbleEntropy(nil)
+	e = nibbleEntropy(nil)
 	if e[0] != 0 {
 		t.Error("empty entropy")
 	}
@@ -64,7 +72,7 @@ func TestNibbleValueSets(t *testing.T) {
 }
 
 func TestGroupBySlash64(t *testing.T) {
-	groups := GroupBySlash64(addrs("2001:db9::2", "2001:db9::1", "2001:db9:0:1::1"))
+	groups := GroupSortedBySlash64(addrs("2001:db9::1", "2001:db9::2", "2001:db9:0:1::1"))
 	if len(groups) != 2 {
 		t.Fatalf("groups: %d", len(groups))
 	}
@@ -78,7 +86,7 @@ func TestGroupBySlash64(t *testing.T) {
 	if len(g) != 2 || !g[0].Less(g[1]) {
 		t.Errorf("group not sorted: %v", g)
 	}
-	if GroupBySlash64(nil) != nil {
+	if GroupSortedBySlash64(nil) != nil {
 		t.Error("empty seeds")
 	}
 }
