@@ -34,6 +34,10 @@ import (
 	"hitlist6/internal/sources"
 	"hitlist6/internal/tga"
 	"hitlist6/internal/tga/dc"
+	"hitlist6/internal/tga/sixgan"
+	"hitlist6/internal/tga/sixgraph"
+	"hitlist6/internal/tga/sixtree"
+	"hitlist6/internal/tga/sixveclm"
 	"hitlist6/internal/worldgen"
 	"hitlist6/internal/yarrp"
 )
@@ -544,24 +548,36 @@ func BenchmarkSeedView(b *testing.B) {
 }
 
 // BenchmarkTGARound measures one generate-round of the incremental TGA
-// pipeline over a 2^17-seed view: the epoch-delta freeze, the
-// generator's per-shard model update, and draining the streamed
-// candidate source (the paper's distance-clustering generator, budget
-// 4096). steady re-runs the round with no new seeds — the model proves
-// every shard clean by span identity and pays emission alone, so time/op
-// is independent of cumulative seed count. churn adds seeds to 4 shards
-// per round — only those shards' statistics rebuild.
+// pipeline over a 2^17-seed view, once per generator: the epoch-delta
+// freeze, the generator's model update, and draining the streamed
+// candidate source (budget 4096). steady re-runs the round with no new
+// seeds — every span is unchanged by identity, the model update is free
+// and the round pays emission alone. churn adds 4 seeds from the first 4
+// shards per round — the model grows by those seeds.
 func BenchmarkTGARound(b *testing.B) {
 	const dirtyShards = 4
 	const budget = 4096
+	generators := []func() tga.ViewStreamer{
+		func() tga.ViewStreamer { return dc.New(dc.DefaultConfig()) },
+		func() tga.ViewStreamer { return sixtree.New(sixtree.DefaultConfig()) },
+		func() tga.ViewStreamer { return sixgraph.New(sixgraph.DefaultConfig()) },
+		func() tga.ViewStreamer { return sixgan.New(sixgan.DefaultConfig()) },
+		func() tga.ViewStreamer { return sixveclm.New(sixveclm.DefaultConfig()) },
+	}
 	seedSet := func() *ip6.ShardedSet {
 		members := ip6.NewShardedSet()
-		// Structured seeds: 1024 /64s, each a dense run with gap 2, so
-		// distance clustering has gaps to fill.
+		// Structured seeds: 1024 /64s, each a dense run with gap 2 (gaps
+		// for distance clustering, partly filled nibbles for the tree and
+		// graph patterns) plus random IIDs (variety for the sampling
+		// models), so every generator has novel candidates to emit.
+		r := rng.NewStream(43, "tga-round-seeds")
 		for net := uint64(0); net < 1024; net++ {
-			hi := 0x2001_0000_0000_0000 | net<<8
-			for i := uint64(0); i < 128; i++ {
+			hi := 0x2a01_0000_0000_0000 | net<<8
+			for i := uint64(0); i < 96; i++ {
 				members.Add(ip6.AddrFromUint64s(hi, 1+i*2))
+			}
+			for i := 0; i < 32; i++ {
+				members.Add(ip6.AddrFromUint64s(hi, r.Uint64()))
 			}
 		}
 		return members
@@ -584,56 +600,46 @@ func BenchmarkTGARound(b *testing.B) {
 		return n
 	}
 
-	b.Run("steady", func(b *testing.B) {
-		members := seedSet()
-		feed := tga.CandidateFeed{Gen: dc.New(dc.DefaultConfig()), Budget: budget}
-		prev, _, _ := ip6.FreezeSortedDelta(members, nil)
-		drain(b, feed, tga.NewSeedView(prev)) // prime: pay the one-time model build
-		cands := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out, rf, _ := ip6.FreezeSortedDelta(members, prev)
-			if rf != 0 {
-				b.Fatalf("steady round refroze %d shards", rf)
-			}
-			prev = out
-			cands += drain(b, feed, tga.NewSeedView(out))
+	for _, mode := range []string{"steady", "churn"} {
+		for _, newGen := range generators {
+			b.Run(mode+"/"+newGen().Name(), func(b *testing.B) {
+				members := seedSet()
+				feed := tga.CandidateFeed{Gen: newGen(), Budget: budget}
+				var churn []ip6.Addr
+				if mode == "churn" {
+					r := rng.NewStream(44, "tga-round-bench")
+					for len(churn) < b.N*dirtyShards {
+						a := ip6.AddrFromUint64s(0x2a01_0000_0000_0000|r.Uint64()&0xffff_ffff, r.Uint64())
+						if ip6.ShardOf(a) < dirtyShards {
+							churn = append(churn, a)
+						}
+					}
+				}
+				prev, _, _ := ip6.FreezeSortedDelta(members, nil)
+				drain(b, feed, tga.NewSeedView(prev)) // prime: pay the one-time model build
+				cands, refrozen := 0, 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if churn != nil {
+						for _, a := range churn[i*dirtyShards : (i+1)*dirtyShards] {
+							members.Add(a)
+						}
+					}
+					out, rf, _ := ip6.FreezeSortedDelta(members, prev)
+					if churn == nil && rf != 0 {
+						b.Fatalf("steady round refroze %d shards", rf)
+					}
+					refrozen += rf
+					prev = out
+					cands += drain(b, feed, tga.NewSeedView(out))
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
+				b.ReportMetric(float64(refrozen)/float64(b.N), "refrozen/op")
+			})
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
-		b.ReportMetric(0, "refrozen/op")
-	})
-
-	b.Run("churn", func(b *testing.B) {
-		members := seedSet()
-		feed := tga.CandidateFeed{Gen: dc.New(dc.DefaultConfig()), Budget: budget}
-		r := rng.NewStream(44, "tga-round-bench")
-		churn := make([]ip6.Addr, 0, b.N*dirtyShards)
-		for len(churn) < b.N*dirtyShards {
-			a := ip6.AddrFromUint64s(0x2001_0000_0000_0000|r.Uint64()&0xffff_ffff, r.Uint64())
-			if ip6.ShardOf(a) < dirtyShards {
-				churn = append(churn, a)
-			}
-		}
-		prev, _, _ := ip6.FreezeSortedDelta(members, nil)
-		drain(b, feed, tga.NewSeedView(prev)) // prime: pay the one-time model build
-		cands, refrozen := 0, 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, a := range churn[i*dirtyShards : (i+1)*dirtyShards] {
-				members.Add(a)
-			}
-			out, rf, _ := ip6.FreezeSortedDelta(members, prev)
-			refrozen += rf
-			prev = out
-			cands += drain(b, feed, tga.NewSeedView(out))
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
-		b.ReportMetric(float64(refrozen)/float64(b.N), "refrozen/op")
-	})
+	}
 }
 
 // BenchmarkCheckpointDelta measures one steady-state checkpoint of a

@@ -163,8 +163,10 @@ type CandidateFeed interface {
 	// Candidates returns the candidate stream for one scan day given the
 	// current responsive seeds as a sharded view: per-shard sorted frozen
 	// spans that pointer-share unchanged shards across rounds, so
-	// incremental generator models can skip clean shards (tga.SameSpan)
-	// and no caller ever materializes the cumulative seed slice. The
+	// incremental generator models skip unchanged shards by identity
+	// (tga.SameSpan), diff only the changed ones to grow by the new
+	// seeds (tga.KeptSpans), and no caller ever materializes the
+	// cumulative seed slice. The
 	// service closes closable sources when the round ends.
 	Candidates(day int, seeds *tga.SeedView) scan.TargetSource
 }

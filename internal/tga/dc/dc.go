@@ -11,6 +11,8 @@
 package dc
 
 import (
+	"slices"
+
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/tga"
 )
@@ -28,13 +30,13 @@ type Config struct {
 // DefaultConfig matches the paper's parameters.
 func DefaultConfig() Config { return Config{MinClusterSize: 10, MaxGap: 64, MaxFill: 4096} }
 
-// Generator is the distance-clustering TGA: per-shard /64 group lists
-// cached against the seed view's frozen spans, merged into global groups
-// and clusters only when some shard's span changed.
+// Generator is the distance-clustering TGA: one sorted list of /64
+// groups, grown each round by merging in the seeds the view adds, and
+// the clusters found in it.
 type Generator struct {
 	cfg      Config
 	kept     tga.KeptSpans
-	perShard [ip6.AddrShards][]tga.Slash64Group
+	groups   []tga.Slash64Group
 	clusters [][]ip6.Addr
 }
 
@@ -78,21 +80,58 @@ func clustersOf(groups []tga.Slash64Group, cfg Config) [][]ip6.Addr {
 	return out
 }
 
-// update refreshes the model for the view, regrouping only shards whose
-// span changed since the previous call (dirty shards rebuild in
-// parallel; the cross-shard group merge and cluster scan are one linear
-// pass).
+// update grows the model by the seeds the view adds (or rebuilds it from
+// every seed on a reset): the sorted seeds, grouped by /64, merge into
+// the kept groups, and the clusters are re-scanned.
 func (g *Generator) update(v *tga.SeedView) {
-	if g.kept.Refresh(v, func(sh int, span []ip6.Addr) {
-		g.perShard[sh] = tga.GroupSortedBySlash64(span)
-	}) == 0 {
+	added, reset := g.kept.Added(v)
+	if reset {
+		g.groups = nil
+	} else if len(added) == 0 {
 		return
 	}
-	g.clusters = clustersOf(tga.MergeSlash64Groups(g.perShard[:]), g.cfg)
+	ip6.SortAddrs(added)
+	g.groups = mergeGroups(g.groups, tga.GroupSortedBySlash64(added))
+	g.clusters = clustersOf(g.groups, g.cfg)
 }
 
-// EmitView implements tga.ViewStreamer: update the model for shards the
-// view dirtied, then walk the clusters in order and yield the missing
+// mergeGroups merges the new seeds' /64 groups into the kept ones, both
+// sorted by prefix. A /64 in both gets a fresh member array: kept member
+// arrays back the previous round's clusters and are never written.
+func mergeGroups(kept, fresh []tga.Slash64Group) []tga.Slash64Group {
+	if len(kept) == 0 {
+		return fresh
+	}
+	out := make([]tga.Slash64Group, 0, len(kept)+len(fresh))
+	for _, f := range fresh {
+		i, found := slices.BinarySearchFunc(kept, f.Prefix, func(g tga.Slash64Group, p ip6.Prefix) int {
+			return ip6.ComparePrefix(g.Prefix, p)
+		})
+		out, kept = append(out, kept[:i]...), kept[i:]
+		if found {
+			f.Addrs = mergeAddrs(kept[0].Addrs, f.Addrs)
+			kept = kept[1:]
+		}
+		out = append(out, f)
+	}
+	return append(out, kept...)
+}
+
+// mergeAddrs merges two disjoint ascending address lists into a new one.
+func mergeAddrs(a, b []ip6.Addr) []ip6.Addr {
+	out := make([]ip6.Addr, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].Less(b[0]) {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// EmitView implements tga.ViewStreamer: grow the model by the view's new
+// seeds, then walk the clusters in order and yield the missing
 // addresses inside each span as the walk reaches them. Seed membership
 // inside a span is a merge-walk against the cluster's own seed run (a
 // span never leaves its /64, and runs are maximal, so no other seed can

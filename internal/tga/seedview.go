@@ -6,16 +6,13 @@ package tga
 // responsive set. Views are cheap to hand out every round because the
 // freeze is an epoch delta — shards whose membership did not change
 // pointer-share their frozen span with the previous round's view, which
-// is also what lets a generator's incremental model prove a shard's
-// cached statistics current by slice identity alone (KeptSpans).
+// is also what lets a generator's incremental model skip an unchanged
+// shard by slice identity alone and diff only the changed ones
+// (KeptSpans).
 //
 // Spans are immutable by contract; generators read them but never write.
 
-import (
-	"runtime"
-
-	"hitlist6/internal/ip6"
-)
+import "hitlist6/internal/ip6"
 
 // SeedView wraps a frozen sorted shard set as the generators' seed
 // contract. The zero/nil view is empty.
@@ -88,9 +85,8 @@ func (v *SeedView) Walk(fn func(ip6.Addr) bool) {
 
 // SameSpan reports whether two frozen shard spans are the same immutable
 // slice. The delta freeze pointer-shares unchanged shards and allocates
-// fresh arrays for re-frozen ones, so slice identity is a sound and
-// complete currency test for a model's per-shard statistics; two empty
-// spans are trivially the same.
+// fresh arrays for re-frozen ones, so slice identity proves a shard
+// unchanged without reading it; two empty spans are trivially the same.
 func SameSpan(a, b []ip6.Addr) bool {
 	if len(a) != len(b) {
 		return false
@@ -99,54 +95,48 @@ func SameSpan(a, b []ip6.Addr) bool {
 }
 
 // KeptSpans is a generator's record of the seed-view spans its
-// per-shard statistics were last built from: it answers "which shards
-// changed since I last kept a view" by span identity and records the
-// spans kept. The zero value has kept nothing, so every shard of the
-// first view is dirty.
+// statistics were last built from. The service's seed set only grows, so
+// a generator updates its statistics from the seeds each new view adds
+// (Added) and starts over only when a view is not a grow-only extension
+// of the kept one. The zero value has kept nothing.
 type KeptSpans struct {
 	kept  bool
 	spans [ip6.AddrShards][]ip6.Addr
 }
 
-// Dirty returns the mask of shards whose span in v is not the kept one,
-// and how many there are.
-func (k *KeptSpans) Dirty(v *SeedView) (dirty [ip6.AddrShards]bool, n int) {
-	for sh := range dirty {
-		if k.kept && SameSpan(k.spans[sh], v.Shard(sh)) {
+// Added returns the seeds v adds to the kept view and then keeps v. For
+// every shard whose span changed (span identity, SameSpan, skips the
+// rest) it lists the seeds missing from the kept span — in shard order,
+// ascending within a shard. reset reports that the kept statistics are
+// void: nothing was kept yet, or some kept span is not a sorted subset
+// of v's (a shard shrank, or v is a view of another seed set); added is
+// then every seed of v, in canonical order. The caller owns added.
+func (k *KeptSpans) Added(v *SeedView) (added []ip6.Addr, reset bool) {
+	reset = !k.kept
+	for sh := 0; sh < ip6.AddrShards && !reset; sh++ {
+		old, i := k.spans[sh], 0
+		if SameSpan(old, v.Shard(sh)) {
 			continue
 		}
-		dirty[sh] = true
-		n++
+		for _, a := range v.Shard(sh) {
+			if i < len(old) && old[i] == a {
+				i++
+				continue
+			}
+			added = append(added, a)
+		}
+		reset = i != len(old)
 	}
-	return dirty, n
-}
-
-// Kept returns the span last kept for shard sh (nil before any Keep).
-func (k *KeptSpans) Kept(sh int) []ip6.Addr { return k.spans[sh] }
-
-// Keep records every span of v as current.
-func (k *KeptSpans) Keep(v *SeedView) {
+	if reset {
+		added = make([]ip6.Addr, 0, v.Len())
+		v.Walk(func(a ip6.Addr) bool {
+			added = append(added, a)
+			return true
+		})
+	}
 	for sh := range k.spans {
 		k.spans[sh] = v.Shard(sh)
 	}
 	k.kept = true
-}
-
-// Refresh calls rebuild for every dirty shard of v, in parallel over
-// GOMAXPROCS workers, then keeps v. It returns the number of shards
-// rebuilt — 0 means statistics derived from the kept spans are provably
-// current. rebuild must write only its own shard's slots, which keeps
-// the parallel rebuild deterministic.
-func (k *KeptSpans) Refresh(v *SeedView, rebuild func(sh int, span []ip6.Addr)) int {
-	dirty, n := k.Dirty(v)
-	if n == 0 {
-		return 0
-	}
-	ip6.ParallelShards(runtime.GOMAXPROCS(0), func(sh int) {
-		if dirty[sh] {
-			rebuild(sh, v.Shard(sh))
-		}
-	})
-	k.Keep(v)
-	return n
+	return added, reset
 }

@@ -73,14 +73,13 @@ type Config struct {
 // DefaultConfig mirrors published defaults.
 func DefaultConfig() Config { return Config{Seed: 6, Temperature: 1.0} }
 
-// Generator is the 6GAN TGA: per-shard per-class nibble counts cached
-// against the seed view's frozen spans, re-classified only for dirty
-// shards; the per-class sampling distributions rebuild from the summed
-// counts when anything changed.
+// Generator is the 6GAN TGA: per-class nibble counts grown by the seeds
+// each view adds; the per-class sampling distributions rebuild from them
+// when the view added any.
 type Generator struct {
 	cfg    Config
 	kept   tga.KeptSpans
-	counts [ip6.AddrShards][NumClasses]classCounts
+	counts [NumClasses]classCounts
 	models []*classModel
 	total  int
 }
@@ -105,10 +104,8 @@ type classModel struct {
 }
 
 // classCounts are per-class nibble statistics: the sufficient statistic
-// of a classModel, held as integers so per-shard counts summed into
-// globals reproduce a flat-slice count exactly (a float64 count of seeds
-// is integer-valued and exact below 2^53, so float64(int64 sum) is the
-// identical operand).
+// of a classModel, held as integers so counts grown round by round
+// reproduce a flat-slice count exactly.
 type classCounts struct {
 	support int
 	counts  [32][16]int64
@@ -129,49 +126,37 @@ func modelFromCounts(class Class, c *classCounts, temperature float64) *classMod
 	return m
 }
 
-// update refreshes the model for the view, re-classifying and
-// re-counting only shards whose span changed (in parallel).
+// update classifies and counts the seeds the view adds (every seed on a
+// reset) and rebuilds the class models.
 func (g *Generator) update(v *tga.SeedView) {
-	if g.kept.Refresh(v, func(sh int, span []ip6.Addr) {
-		var cc [NumClasses]classCounts
-		for _, a := range span {
-			c := &cc[Classify(a)]
-			c.support++
-			nib := a.Nibbles()
-			for i, val := range nib {
-				c.counts[i][val]++
-			}
-		}
-		g.counts[sh] = cc
-	}) == 0 {
+	added, reset := g.kept.Added(v)
+	if reset {
+		g.counts = [NumClasses]classCounts{}
+	} else if len(added) == 0 {
 		return
 	}
-	var sum [NumClasses]classCounts
-	for sh := range g.counts {
-		for cl := Class(0); cl < NumClasses; cl++ {
-			c := &g.counts[sh][cl]
-			sum[cl].support += c.support
-			for i := range c.counts {
-				for val, cnt := range c.counts[i] {
-					sum[cl].counts[i][val] += cnt
-				}
-			}
+	for _, a := range added {
+		c := &g.counts[Classify(a)]
+		c.support++
+		nib := a.Nibbles()
+		for i, val := range nib {
+			c.counts[i][val]++
 		}
 	}
 	g.models = g.models[:0]
 	for cl := Class(0); cl < NumClasses; cl++ {
-		if sum[cl].support >= 8 {
-			g.models = append(g.models, modelFromCounts(cl, &sum[cl], g.cfg.Temperature))
+		if g.counts[cl].support >= 8 {
+			g.models = append(g.models, modelFromCounts(cl, &g.counts[cl], g.cfg.Temperature))
 		}
 	}
 	if len(g.models) == 0 {
 		// No class is well-supported: one model over every seed,
 		// matching a flat build over the whole set.
 		var all classCounts
-		for cl := Class(0); cl < NumClasses; cl++ {
-			all.support += sum[cl].support
-			for i := range sum[cl].counts {
-				for val, cnt := range sum[cl].counts[i] {
+		for cl := range g.counts {
+			all.support += g.counts[cl].support
+			for i := range g.counts[cl].counts {
+				for val, cnt := range g.counts[cl].counts[i] {
 					all.counts[i][val] += cnt
 				}
 			}
@@ -184,8 +169,8 @@ func (g *Generator) update(v *tga.SeedView) {
 	}
 }
 
-// EmitView implements tga.ViewStreamer: refresh the model for shards
-// the view dirtied, then sample candidates proportionally to class
+// EmitView implements tga.ViewStreamer: grow the model by the view's new
+// seeds, then sample candidates proportionally to class
 // support and yield the novel non-seed ones as they are drawn. The
 // budget counts raw global-unicast samples (duplicates included).
 func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {

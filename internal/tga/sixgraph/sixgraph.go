@@ -40,13 +40,13 @@ type Pattern struct {
 // NumCandidatesLog16 returns the pattern volume as a power of 16.
 func (p Pattern) NumCandidatesLog16() int { return len(p.Wildcards) }
 
-// Generator is the 6Graph TGA: per-shard nibble counts cached against
-// the seed view's frozen spans, re-counted only for dirty shards; entropy
-// and the pattern mine rerun over the view walk when anything changed.
+// Generator is the 6Graph TGA: nibble counts grown by the seeds each
+// view adds; entropy and the pattern mine rerun over the view walk when
+// the view added any.
 type Generator struct {
 	cfg      Config
 	kept     tga.KeptSpans
-	counts   [ip6.AddrShards][32][16]int64
+	counts   [32][16]int64
 	patterns []Pattern
 }
 
@@ -167,28 +167,21 @@ func EnumerateEach(p Pattern, budget int, yield func(ip6.Addr) bool) int {
 	return n
 }
 
-// update refreshes the model for the view, re-counting nibble
-// statistics only for shards whose span changed (in parallel).
+// update counts the seeds the view adds (every seed on a reset) and
+// re-mines the patterns.
 func (g *Generator) update(v *tga.SeedView) {
-	if g.kept.Refresh(v, func(sh int, span []ip6.Addr) {
-		g.counts[sh] = [32][16]int64{}
-		tga.NibbleCounts(span, &g.counts[sh])
-	}) == 0 {
+	added, reset := g.kept.Added(v)
+	if reset {
+		g.counts = [32][16]int64{}
+	} else if len(added) == 0 {
 		return
 	}
-	var total [32][16]int64
-	for sh := range g.counts {
-		for i := range g.counts[sh] {
-			for val, c := range g.counts[sh][i] {
-				total[i][val] += c
-			}
-		}
-	}
-	g.patterns = minePatterns(v.Walk, tga.EntropyFromCounts(&total, v.Len()), g.cfg)
+	tga.NibbleCounts(added, &g.counts)
+	g.patterns = minePatterns(v.Walk, tga.EntropyFromCounts(&g.counts, v.Len()), g.cfg)
 }
 
-// EmitView implements tga.ViewStreamer: refresh the model for shards
-// the view dirtied, then enumerate the mined patterns in support order,
+// EmitView implements tga.ViewStreamer: grow the model by the view's new
+// seeds, then enumerate the mined patterns in support order,
 // yielding novel non-seed addresses as the expansions walk them. The
 // budget counts enumerated (pre-dedup) addresses.
 func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {

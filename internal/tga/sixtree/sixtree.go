@@ -16,7 +16,9 @@
 package sixtree
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"hitlist6/internal/ip6"
@@ -77,8 +79,8 @@ func (n *node) bestSplit() int {
 // node's seeds.
 func (n *node) fixedDim(i int) bool { return bits.OnesCount16(n.mask[i]) == 1 }
 
-// Generator is the 6Tree TGA: one space tree grown in place as the seed
-// view's shards dirty, with the kept spans proving which shards changed.
+// Generator is the 6Tree TGA: one space tree grown in place by the seeds
+// each view adds.
 type Generator struct {
 	cfg  Config
 	kept tga.KeptSpans
@@ -226,57 +228,22 @@ func (t *spaceTree) leafList() []*node {
 	return t.leaves
 }
 
-// update grows the tree with the view's new seeds, touching only shards
-// whose span changed. The first call, and the fallback for a view that
-// is not a grow-only extension of the kept one (a shard shrank, or the
-// seed set is a different one), builds from scratch.
+// update inserts the seeds the view adds into the tree. The first call,
+// and a view that is not a grow-only extension of the kept one (a shard
+// shrank, or the seed set is a different one), builds from scratch.
 func (g *Generator) update(v *tga.SeedView) {
-	dirty, n := g.kept.Dirty(v)
-	if n == 0 {
+	added, reset := g.kept.Added(v)
+	if reset {
+		g.tree = buildTree(added, g.cfg)
 		return
 	}
-	if g.tree == nil {
-		g.rebuild(v)
-		return
+	for _, a := range added {
+		g.tree.insert(a, g.cfg)
 	}
-	var fresh [ip6.AddrShards][]ip6.Addr
-	for sh := range dirty {
-		if !dirty[sh] {
-			continue
-		}
-		// Grow-only diff: the kept span must be a sorted subset of span.
-		old, i := g.kept.Kept(sh), 0
-		for _, a := range v.Shard(sh) {
-			if i < len(old) && old[i] == a {
-				i++
-				continue
-			}
-			fresh[sh] = append(fresh[sh], a)
-		}
-		if i != len(old) {
-			g.rebuild(v)
-			return
-		}
-	}
-	for sh := range fresh {
-		for _, a := range fresh[sh] {
-			g.tree.insert(a, g.cfg)
-		}
-	}
-	g.kept.Keep(v)
-}
-
-func (g *Generator) rebuild(v *tga.SeedView) {
-	all := make([]ip6.Addr, 0, v.Len())
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		all = append(all, v.Shard(sh)...)
-	}
-	g.tree = buildTree(all, g.cfg)
-	g.kept.Keep(v)
 }
 
 // EmitView implements tga.ViewStreamer: grow the tree with the view's
-// dirty shards, then expand leaves in density order.
+// new seeds, then expand leaves in density order.
 func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	if v.Len() == 0 || budget <= 0 {
 		return
@@ -290,13 +257,22 @@ func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) b
 // plus this round's emissions) makes the budget count genuinely new
 // addresses, never duplicates or seeds.
 func (g *Generator) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
-	leaves := append([]*node(nil), g.tree.leafList()...)
-	sort.SliceStable(leaves, func(i, j int) bool {
-		return leafPriority(leaves[i]) > leafPriority(leaves[j])
-	})
+	// Each leaf's priority is computed once, then the leaves sort stably
+	// by it, densest first.
+	type ranked struct {
+		leaf     *node
+		priority float64
+	}
+	list := g.tree.leafList()
+	leaves := make([]ranked, len(list))
+	for i, leaf := range list {
+		leaves[i] = ranked{leaf, leafPriority(leaf)}
+	}
+	slices.SortStableFunc(leaves, func(a, b ranked) int { return cmp.Compare(b.priority, a.priority) })
 
 	e := &emitter{budget: budget, view: v, seen: ip6.NewSet(budget), yield: yield}
-	for _, leaf := range leaves {
+	for _, r := range leaves {
+		leaf := r.leaf
 		if e.full() {
 			break
 		}

@@ -7,8 +7,8 @@
 // Substitution note (documented in DESIGN.md): the original embeds words
 // with an IPv62Vec skip-gram and predicts with a transformer. Stdlib-only,
 // we keep the exact word vocabulary (value@position) and the sequential
-// generation loop, but the predictor is an order-2 Markov model with
-// additive smoothing. What the hitlist paper measures survives the
+// generation loop, but the predictor is an order-2 Markov model over the
+// IID with additive smoothing. What the hitlist paper measures survives the
 // substitution: a small candidate volume and ~1 % hit rate, because
 // position-fused words make the model conservative — it mostly interpolates
 // between seen suffixes.
@@ -16,6 +16,7 @@ package sixveclm
 
 import (
 	"math"
+	"slices"
 
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/rng"
@@ -33,17 +34,20 @@ type Config struct {
 // DefaultConfig mirrors the published sampling setup.
 func DefaultConfig() Config { return Config{Seed: 6, Temperature: 0.8, Order: 2} }
 
-// Generator is the 6VecLM TGA: per-shard Markov transition counts and
-// distinct-/64 lists cached against the seed view's frozen spans,
-// re-trained only for dirty shards; the merged chain and prefix pool
-// rebuild from the cached shards when anything changed.
+// iidContexts is the number of Markov contexts generation reads: each IID
+// position (16..31) conditioned on the two preceding nibbles.
+const iidContexts = 16 * 16 * 16
+
+// Generator is the 6VecLM TGA: integer transition counts for the IID
+// contexts and the sorted distinct /64s of the seeds, both grown by the
+// seeds each view adds, plus a per-context sampler built on first use
+// and dropped when new seeds change that context's counts.
 type Generator struct {
-	cfg           Config
-	kept          tga.KeptSpans
-	shardCounts   [ip6.AddrShards]map[ctxKey]*[16]int64
-	shardPrefixes [ip6.AddrShards][]ip6.Prefix
-	chain         *model
-	prefixes      []ip6.Prefix
+	cfg      Config
+	kept     tga.KeptSpans
+	counts   [iidContexts][16]int64
+	samplers [iidContexts]*rng.Weighted
+	prefixes []ip6.Prefix
 }
 
 // New returns a 6VecLM generator.
@@ -60,139 +64,83 @@ func New(cfg Config) *Generator {
 // Name implements tga.ViewStreamer.
 func (g *Generator) Name() string { return "6VecLM" }
 
-// ctxKey is a Markov context: position plus the preceding nibbles.
-type ctxKey struct {
-	pos  int
-	prev [2]byte
-}
-
-// model is the order-2 position-aware Markov chain.
-type model struct {
-	counts map[ctxKey]*[16]float64
-}
-
-// countInto accumulates one seed's transition counts. Counts are held as
-// integers per shard; float64 conversion at model-build time is exact
-// below 2^53, so summed shard counts are independent of how the seeds
-// were sharded.
-func countInto(counts map[ctxKey]*[16]int64, a ip6.Addr, order int) {
-	n := a.Nibbles()
-	for pos := 0; pos < 32; pos++ {
-		var prev [2]byte
-		if pos >= 1 {
-			prev[1] = n[pos-1] + 1 // +1 so "absent" (0) differs from nibble 0
-		}
-		if pos >= 2 && order >= 2 {
-			prev[0] = n[pos-2] + 1
-		}
-		k := ctxKey{pos: pos, prev: prev}
-		c := counts[k]
-		if c == nil {
-			c = &[16]int64{}
-			counts[k] = c
-		}
-		c[n[pos]]++
+// context indexes the Markov context of IID position pos (16..31) in a
+// nibble sequence: the position and its Order preceding nibbles. Only
+// the IID is ever predicted, so only these contexts are counted.
+func (g *Generator) context(n *[32]byte, pos int) int {
+	prev2 := 0
+	if g.cfg.Order >= 2 {
+		prev2 = int(n[pos-2])
 	}
+	return (pos-16)<<8 | prev2<<4 | int(n[pos-1])
 }
 
-// modelFromCounts sums per-shard integer count maps into the sampling
-// model. Addition is commutative, so any shard order yields the same
-// model; the key set is exactly the contexts some seed produced.
-func modelFromCounts(shardCounts []map[ctxKey]*[16]int64) *model {
-	m := &model{counts: make(map[ctxKey]*[16]float64)}
-	for _, sc := range shardCounts {
-		for k, ic := range sc {
-			c := m.counts[k]
-			if c == nil {
-				c = &[16]float64{}
-				m.counts[k] = c
-			}
-			for v, cnt := range ic {
-				c[v] += float64(cnt)
-			}
+// sampler returns context c's next-nibble distribution: additive
+// smoothing, then temperature, over the integer counts.
+func (g *Generator) sampler(c int) *rng.Weighted {
+	if g.samplers[c] == nil {
+		var w [16]float64
+		for v, cnt := range g.counts[c] {
+			w[v] = math.Pow(0.02+float64(cnt), 1.0/g.cfg.Temperature)
 		}
+		g.samplers[c] = rng.NewWeighted(w[:])
 	}
-	return m
+	return g.samplers[c]
 }
 
-// sample draws the next nibble for a context with temperature.
-func (m *model) sample(r *rng.Stream, pos int, prev [2]byte, temperature float64) byte {
-	c := m.counts[ctxKey{pos: pos, prev: prev}]
-	if c == nil {
-		// Back off to order-1.
-		c = m.counts[ctxKey{pos: pos, prev: [2]byte{0, prev[1]}}]
-	}
-	var w [16]float64
-	for v := 0; v < 16; v++ {
-		base := 0.02
-		if c != nil {
-			base += c[v]
-		}
-		w[v] = math.Pow(base, 1.0/temperature)
-	}
-	sampler := rng.NewWeighted(w[:])
-	return byte(sampler.Sample(r))
-}
-
-// update refreshes the model for the view, re-training only shards
-// whose span changed (in parallel).
+// update grows the model by the seeds the view adds (or rebuilds it from
+// every seed on a reset): their IID transitions add to the counts, each
+// touched context's sampler is dropped, and their /64s merge into the
+// sorted prefix pool.
 func (g *Generator) update(v *tga.SeedView) {
-	if g.kept.Refresh(v, func(sh int, span []ip6.Addr) {
-		counts := make(map[ctxKey]*[16]int64)
-		var prefixes []ip6.Prefix
-		for _, a := range span {
-			countInto(counts, a, g.cfg.Order)
-			// Spans are sorted by (hi, lo), so a shard's /64s arrive in
-			// order; distinct prefixes are a linear scan.
-			p := ip6.Slash64(a)
-			if len(prefixes) == 0 || ip6.ComparePrefix(prefixes[len(prefixes)-1], p) != 0 {
-				prefixes = append(prefixes, p)
-			}
-		}
-		g.shardCounts[sh] = counts
-		g.shardPrefixes[sh] = prefixes
-	}) == 0 {
+	added, reset := g.kept.Added(v)
+	if reset {
+		g.counts = [iidContexts][16]int64{}
+		g.samplers = [iidContexts]*rng.Weighted{}
+		g.prefixes = nil
+	} else if len(added) == 0 {
 		return
 	}
-	g.chain = modelFromCounts(g.shardCounts[:])
-	g.prefixes = mergePrefixLists(g.shardPrefixes[:])
-}
-
-// mergePrefixLists merges sorted distinct-prefix lists into one sorted
-// distinct list — a /64's members scatter across shards, so the same
-// prefix can head several lists at once.
-func mergePrefixLists(lists [][]ip6.Prefix) []ip6.Prefix {
-	idx := make([]int, len(lists))
-	var out []ip6.Prefix
-	for {
-		best := -1
-		var min ip6.Prefix
-		for li, l := range lists {
-			if idx[li] >= len(l) {
-				continue
-			}
-			if p := l[idx[li]]; best < 0 || ip6.ComparePrefix(p, min) < 0 {
-				best, min = li, p
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, min)
-		for li, l := range lists {
-			if idx[li] < len(l) && ip6.ComparePrefix(l[idx[li]], min) == 0 {
-				idx[li]++
-			}
+	for _, a := range added {
+		n := a.Nibbles()
+		for pos := 16; pos < 32; pos++ {
+			c := g.context(&n, pos)
+			g.counts[c][n[pos]]++
+			g.samplers[c] = nil
 		}
 	}
+	ip6.SortAddrs(added)
+	g.prefixes = mergePrefixes(g.prefixes, added)
 }
 
-// EmitView implements tga.ViewStreamer: refresh the model for shards
-// the view dirtied, then autocomplete addresses word by word, yielding
-// each novel candidate as it is sampled. Generation is seeded from
-// observed /64 network halves (the paper's generation keeps the network
-// identifier and predicts the IID), so candidates land in plausible
-// networks.
+// mergePrefixes returns the sorted distinct /64 pool extended by the
+// /64s of the sorted new seeds; pool itself is returned when they add
+// none.
+func mergePrefixes(pool []ip6.Prefix, sorted []ip6.Addr) []ip6.Prefix {
+	var out []ip6.Prefix
+	rest := pool
+	for i, a := range sorted {
+		p := ip6.Slash64(a)
+		if i > 0 && ip6.Slash64(sorted[i-1]) == p {
+			continue
+		}
+		j, found := slices.BinarySearchFunc(rest, p, ip6.ComparePrefix)
+		if found {
+			continue
+		}
+		out, rest = append(append(out, rest[:j]...), p), rest[j:]
+	}
+	if out == nil {
+		return pool
+	}
+	return append(out, rest...)
+}
+
+// EmitView implements tga.ViewStreamer: grow the model by the view's new
+// seeds, then autocomplete addresses word by word, yielding each novel
+// candidate as it is sampled. Generation is seeded from observed /64
+// network halves (the paper's generation keeps the network identifier
+// and predicts the IID), so candidates land in plausible networks.
 func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	if v.Len() == 0 || budget <= 0 {
 		return
@@ -208,12 +156,7 @@ func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) b
 		base := p.Addr().Nibbles()
 		// Predict nibbles 16..31 (the IID) conditioned on the network.
 		for pos := 16; pos < 32; pos++ {
-			var prev [2]byte
-			prev[1] = base[pos-1] + 1
-			if g.cfg.Order >= 2 {
-				prev[0] = base[pos-2] + 1
-			}
-			base[pos] = g.chain.sample(r, pos, prev, g.cfg.Temperature)
+			base[pos] = byte(g.sampler(g.context(&base, pos)).Sample(r))
 		}
 		a := ip6.AddrFromNibbles(base)
 		if a.IsGlobalUnicast() && !v.Has(a) && seen.Add(a) {

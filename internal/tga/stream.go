@@ -19,11 +19,11 @@ import (
 // derived from the view's seeds, stopping early when yield returns
 // false; it is deterministic in the seed set and never yields seed
 // addresses or duplicates. The generator keeps its statistical model
-// across calls, rebuilding per-shard statistics only for spans that
-// changed since the previous call (KeptSpans) — so steady-state rounds
-// cost the emission alone, independent of cumulative seed count — and a
-// view of any other seed set yields exactly what a fresh generator
-// would. Callers holding a flat seed slice pass SeedViewOf(seeds).
+// across calls and grows it by the seeds the view adds to the previous
+// one (KeptSpans) — so a round's model update costs the new seeds, not
+// the cumulative set — and a view of any other seed set yields exactly
+// what a fresh generator would. Callers holding a flat seed slice pass
+// SeedViewOf(seeds).
 type ViewStreamer interface {
 	Name() string
 	EmitView(view *SeedView, budget int, yield func(ip6.Addr) bool)
@@ -54,7 +54,7 @@ type Source struct {
 
 // NewViewSource returns a pull source over g's candidate stream for the
 // view and budget. Generation starts lazily on the first pull, which is
-// when the generator's model updates for the view's dirty shards.
+// when the generator's model grows by the view's new seeds.
 func NewViewSource(g ViewStreamer, view *SeedView, budget int) *Source {
 	return &Source{emit: func(yield func(ip6.Addr) bool) { g.EmitView(view, budget, yield) }}
 }

@@ -4,8 +4,8 @@
 //
 // All generators consume a seed set of known-responsive addresses and emit
 // candidate addresses, the paper's Section 6 workload. Each is one
-// ViewStreamer: a model fit to a SeedView (incrementally, shard by shard)
-// and sampled by EmitView. The reimplementations follow the published
+// ViewStreamer: a model fit to a SeedView (incrementally, from the seeds
+// each view adds) and sampled by EmitView. The reimplementations follow the published
 // algorithms' structure; where the originals train neural models (6GAN's
 // GAN+RL, 6VecLM's transformer) we substitute deterministic statistical
 // models over nibble sequences that preserve the generators' observable
@@ -36,8 +36,8 @@ func DedupAgainstSeeds(candidates, seeds []ip6.Addr) []ip6.Addr {
 }
 
 // NibbleCounts accumulates per-position nibble value counts over seeds
-// into counts — the per-shard statistic the incremental models build in
-// parallel and merge by plain addition.
+// into counts — the statistic an incremental model grows by the seeds
+// each view adds.
 func NibbleCounts(seeds []ip6.Addr, counts *[32][16]int64) {
 	for _, a := range seeds {
 		n := a.Nibbles()
@@ -49,8 +49,8 @@ func NibbleCounts(seeds []ip6.Addr, counts *[32][16]int64) {
 
 // EntropyFromCounts computes the empirical Shannon entropy (bits) per
 // nibble position from accumulated counts over total seeds. Counts are
-// integers, so per-shard counts summed into globals yield bit-identical
-// entropies to a from-scratch pass.
+// integers, so counts grown round by round yield bit-identical entropies
+// to a from-scratch pass.
 func EntropyFromCounts(counts *[32][16]int64, total int) [32]float64 {
 	var out [32]float64
 	if total == 0 {
@@ -101,9 +101,7 @@ type Slash64Group struct {
 
 // GroupSortedBySlash64 buckets addresses already sorted ascending by
 // their /64 — one linear scan, returning groups sorted by prefix with
-// every group's Addrs a subslice of the input (no copying). The
-// incremental models run it per seed-view shard: frozen shard spans are
-// already sorted, so a /64's members are contiguous.
+// every group's Addrs a subslice of the input (no copying).
 func GroupSortedBySlash64(sorted []ip6.Addr) []Slash64Group {
 	var out []Slash64Group
 	start := 0
@@ -118,52 +116,4 @@ func GroupSortedBySlash64(sorted []ip6.Addr) []Slash64Group {
 		start = i
 	}
 	return out
-}
-
-// MergeSlash64Groups merges per-shard group lists (each sorted by
-// prefix, members sorted) into one list with the same invariants. A /64's
-// members scatter across shards (ShardOf hashes the full address), so
-// same-prefix groups from different shards are merged member-wise with a
-// k-way walk — no re-sorting, no hashing.
-func MergeSlash64Groups(lists [][]Slash64Group) []Slash64Group {
-	idx := make([]int, len(lists))
-	var out []Slash64Group
-	var heads []int // indices of lists whose head shares the minimum prefix
-	for {
-		heads = heads[:0]
-		var min ip6.Prefix
-		for li, l := range lists {
-			if idx[li] >= len(l) {
-				continue
-			}
-			p := l[idx[li]].Prefix
-			if len(heads) == 0 || ip6.ComparePrefix(p, min) < 0 {
-				heads = append(heads[:0], li)
-				min = p
-			} else if ip6.ComparePrefix(p, min) == 0 {
-				heads = append(heads, li)
-			}
-		}
-		if len(heads) == 0 {
-			return out
-		}
-		if len(heads) == 1 {
-			out = append(out, lists[heads[0]][idx[heads[0]]])
-			idx[heads[0]]++
-			continue
-		}
-		total := 0
-		for _, li := range heads {
-			total += len(lists[li][idx[li]].Addrs)
-		}
-		// Members are disjoint across shards, so concatenate-and-sort
-		// yields the same ascending member list a k-way walk would.
-		merged := make([]ip6.Addr, 0, total)
-		for _, li := range heads {
-			merged = append(merged, lists[li][idx[li]].Addrs...)
-			idx[li]++
-		}
-		ip6.SortAddrs(merged)
-		out = append(out, Slash64Group{Prefix: min, Addrs: merged})
-	}
 }

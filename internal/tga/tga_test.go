@@ -102,32 +102,80 @@ func TestGroupSortedBySlash64SharesInput(t *testing.T) {
 	}
 }
 
-func TestMergeSlash64Groups(t *testing.T) {
-	// One /64's members split across two shard lists, plus a prefix only
-	// one list holds — the merge must interleave members and keep prefix
-	// order.
-	l0 := GroupSortedBySlash64(addrs("2001:db9::1", "2001:db9::4"))
-	l1 := GroupSortedBySlash64(addrs("2001:db9::2", "2001:db9:0:1::1"))
-	merged := MergeSlash64Groups([][]Slash64Group{l0, l1, nil})
-	if len(merged) != 2 {
-		t.Fatalf("merged groups: %d", len(merged))
-	}
-	want := addrs("2001:db9::1", "2001:db9::2", "2001:db9::4")
-	if len(merged[0].Addrs) != 3 {
-		t.Fatalf("merged members: %v", merged[0].Addrs)
-	}
-	for i, a := range want {
-		if merged[0].Addrs[i] != a {
-			t.Errorf("member %d: %v, want %v", i, merged[0].Addrs[i], a)
+// canonical lists seeds the way Added reports them: shard by shard,
+// ascending within a shard.
+func canonical(seeds []ip6.Addr) []ip6.Addr {
+	var out []ip6.Addr
+	SeedViewOf(seeds).Walk(func(a ip6.Addr) bool {
+		out = append(out, a)
+		return true
+	})
+	return out
+}
+
+// TestKeptSpansAdded pins the grow-only diff every generator updates
+// from: the first view and any view that is not a grow-only extension of
+// the kept one report a reset with every seed; otherwise exactly the new
+// seeds come back, in canonical order, including seeds that land between
+// kept ones.
+func TestKeptSpansAdded(t *testing.T) {
+	var base, more []ip6.Addr
+	p := ip6.MustParsePrefix("2001:db9:5::/64")
+	for i := uint64(0); i < 400; i++ {
+		if i%4 == 1 {
+			more = append(more, p.NthAddr(i)) // between and after base seeds
+		} else {
+			base = append(base, p.NthAddr(i))
 		}
 	}
-	if merged[1].Prefix != ip6.MustParsePrefix("2001:db9:0:1::/64") {
-		t.Errorf("second prefix: %v", merged[1].Prefix)
+	set := ip6.NewShardedSet()
+	for _, a := range base {
+		set.Add(a)
 	}
-	// Single-head groups pass through without copying.
-	if &merged[1].Addrs[0] != &l1[1].Addrs[0] {
-		t.Error("single-list group was copied")
+	first, _, _ := ip6.FreezeSortedDelta(set, nil)
+	for _, a := range more {
+		set.Add(a)
 	}
+	grown, _, shared := ip6.FreezeSortedDelta(set, first)
+	if shared == ip6.AddrShards {
+		t.Fatal("growth refroze no shard")
+	}
+
+	var k KeptSpans
+	expect := func(label string, v *SeedView, want []ip6.Addr, wantReset bool) {
+		t.Helper()
+		added, reset := k.Added(v)
+		if reset != wantReset {
+			t.Fatalf("%s: reset = %v, want %v", label, reset, wantReset)
+		}
+		if len(added) != len(want) {
+			t.Fatalf("%s: %d seeds added, want %d", label, len(added), len(want))
+		}
+		for i := range want {
+			if added[i] != want[i] {
+				t.Fatalf("%s: added[%d] = %v, want %v", label, i, added[i], want[i])
+			}
+		}
+	}
+	all := append(append([]ip6.Addr(nil), base...), more...)
+	expect("first view", NewSeedView(first), canonical(base), true)
+	expect("same view again", NewSeedView(first), nil, false)
+	expect("same seeds, new backing", SeedViewOf(base), nil, false)
+	expect("grown view", NewSeedView(grown), canonical(more), false)
+
+	// Drop the largest seed of the first non-empty shard: that shard
+	// shrank, every other span is unchanged in content.
+	seeds := canonical(all)
+	last := 0
+	for ip6.ShardOf(seeds[last+1]) == ip6.ShardOf(seeds[0]) {
+		last++
+	}
+	shrunk := append(append([]ip6.Addr(nil), seeds[:last]...), seeds[last+1:]...)
+	expect("shrunk shard", SeedViewOf(shrunk), canonical(shrunk), true)
+	expect("grown view after shrink", NewSeedView(grown), seeds[last:last+1], false)
+
+	foreign := addrs("2a02:db8:7::1", "2a02:db8:7::5", "2a02:db8:8::1")
+	expect("foreign view", SeedViewOf(foreign), canonical(foreign), true)
 }
 
 func TestSeedViewOf(t *testing.T) {
