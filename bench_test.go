@@ -647,16 +647,19 @@ func BenchmarkTGARound(b *testing.B) {
 // with per-scan churn confined to two shards. The full sub-benchmark
 // rewrites every payload each time (CheckpointFullEvery=1); the delta
 // sub-benchmark chains delta checkpoints carrying only the dirty shards.
-// ckpt-bytes/op is the manifest's total payload size per checkpoint —
-// the on-disk write amplification the delta path exists to cut.
+// Both cluster the pool into 256 /64s, keeping the seen-/64 table and the
+// APD history tiny; delta-wide spreads it over 2^15 /64s, all tested in
+// the first APD round, so those two tables hold ~33 k rows each as on a
+// long durable timeline. ckpt-bytes/op is the manifest's total payload
+// size per checkpoint — the on-disk write amplification the delta path
+// exists to cut.
 func BenchmarkCheckpointDelta(b *testing.B) {
 	const (
 		poolSize    = 1 << 18
-		prefixes64  = 256 // the pool clusters into 256 /64s, keeping seen64 tiny
 		churnShards = 2
 		churnPerDay = 100
 	)
-	churnFor := func(day int) []ip6.Addr {
+	churnFor := func(day, prefixes64 int) []ip6.Addr {
 		r := rng.NewStream(uint64(day), "ckpt-bench-churn")
 		out := make([]ip6.Addr, 0, churnPerDay)
 		for len(out) < churnPerDay {
@@ -667,7 +670,7 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 		}
 		return out
 	}
-	run := func(b *testing.B, fullEvery int) {
+	run := func(b *testing.B, fullEvery, prefixes64 int) {
 		w, err := worldgen.Generate(worldgen.Params{
 			Seed: 7, Scale: 1.0 / 20000, TailASes: 32, ScanIntervalDays: 7,
 		})
@@ -685,11 +688,12 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 				if day == 0 {
 					return pool, nil
 				}
-				return churnFor(day), nil
+				return churnFor(day, prefixes64), nil
 			},
 		}
 		cfg := core.DefaultConfig(7)
 		cfg.CheckpointFullEvery = fullEvery
+		cfg.APDMaxNewCandidates = prefixes64
 		svc := core.NewService(cfg, w.Net, []*sources.Feed{feed}, nil)
 		defer svc.Close()
 		ctx := context.Background()
@@ -739,8 +743,9 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(bytesTotal)/float64(b.N), "ckpt-bytes/op")
 	}
-	b.Run("full", func(b *testing.B) { run(b, 1) })
-	b.Run("delta", func(b *testing.B) { run(b, 1<<30) })
+	b.Run("full", func(b *testing.B) { run(b, 1, 256) })
+	b.Run("delta", func(b *testing.B) { run(b, 1<<30, 256) })
+	b.Run("delta-wide", func(b *testing.B) { run(b, 1<<30, 1<<15) })
 }
 
 // BenchmarkServeUnderScan measures query latency while the timeline

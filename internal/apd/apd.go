@@ -142,11 +142,13 @@ type Detector struct {
 	cfg     Config
 
 	// The per-prefix history is flat: rows[p] is the prefix's row in
-	// hist, a row is the last MergeScans+1 round bitmaps oldest first,
-	// and histLen says how many of them are recorded yet. A round costs
+	// hist, keys[row] its prefix, a row is the last MergeScans+1 round
+	// bitmaps oldest first, and histLen says how many of them are
+	// recorded yet. Rows are numbered in first-seen order. A round costs
 	// each candidate one map lookup and no allocation once its row
 	// exists.
 	rows    map[ip6.Prefix]int32
+	keys    []ip6.Prefix
 	hist    []uint16
 	histLen []uint16
 
@@ -350,8 +352,9 @@ func (d *Detector) record(p ip6.Prefix, bitmap uint16) uint16 {
 	stride := d.cfg.MergeScans + 1
 	row, ok := d.rows[p]
 	if !ok {
-		row = int32(len(d.histLen))
+		row = int32(len(d.keys))
 		d.rows[p] = row
+		d.keys = append(d.keys, p)
 		d.hist = append(d.hist, make([]uint16, stride)...)
 		d.histLen = append(d.histLen, 0)
 	}
@@ -406,31 +409,42 @@ type HistoryEntry struct {
 	Counts []uint16
 }
 
-// ExportHistory returns the per-prefix detection history sorted by
-// prefix — the deterministic order checkpoint encodings require. The
+// ExportHistory returns the per-prefix detection history in first-seen
+// order: row by row, as Run created them. That order is deterministic
+// without sorting — Run records candidates in list order whatever the
+// engine shape, and a detector that imported a history continues its
+// rows — so a checkpoint writes the previous copy plus a suffix. The
 // Counts slices alias the detector's rows; they are valid until the next
 // Run or ImportHistory.
 func (d *Detector) ExportHistory() []HistoryEntry {
 	stride := d.cfg.MergeScans + 1
-	out := make([]HistoryEntry, 0, len(d.rows))
-	for p, row := range d.rows {
-		at := int(row) * stride
-		out = append(out, HistoryEntry{Prefix: p, Counts: d.hist[at : at+int(d.histLen[row])]})
+	out := make([]HistoryEntry, len(d.keys))
+	for row, p := range d.keys {
+		at := row * stride
+		out[row] = HistoryEntry{Prefix: p, Counts: d.hist[at : at+int(d.histLen[row])]}
 	}
-	sort.Slice(out, func(i, j int) bool { return ip6.ComparePrefix(out[i].Prefix, out[j].Prefix) < 0 })
 	return out
 }
 
 // ImportHistory replaces the detector's history with the given entries,
-// keeping each prefix's newest MergeScans+1 rounds — all a row holds.
-func (d *Detector) ImportHistory(entries []HistoryEntry) {
+// in their order, keeping each prefix's newest MergeScans+1 rounds — all
+// a row holds. Any order imports (detection does not depend on it); a
+// prefix listed twice is an error and leaves the detector unchanged.
+func (d *Detector) ImportHistory(entries []HistoryEntry) error {
 	stride := d.cfg.MergeScans + 1
-	d.rows = make(map[ip6.Prefix]int32, len(entries))
-	d.hist = make([]uint16, len(entries)*stride)
-	d.histLen = make([]uint16, len(entries))
+	rows := make(map[ip6.Prefix]int32, len(entries))
+	keys := make([]ip6.Prefix, len(entries))
+	hist := make([]uint16, len(entries)*stride)
+	histLen := make([]uint16, len(entries))
 	for i, e := range entries {
+		if _, dup := rows[e.Prefix]; dup {
+			return fmt.Errorf("apd: history lists %v twice", e.Prefix)
+		}
 		counts := e.Counts[max(0, len(e.Counts)-stride):]
-		d.rows[e.Prefix] = int32(i)
-		d.histLen[i] = uint16(copy(d.hist[i*stride:], counts))
+		rows[e.Prefix] = int32(i)
+		keys[i] = e.Prefix
+		histLen[i] = uint16(copy(hist[i*stride:], counts))
 	}
+	d.rows, d.keys, d.hist, d.histLen = rows, keys, hist, histLen
+	return nil
 }

@@ -3,6 +3,7 @@ package apd
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -203,43 +204,86 @@ func TestDetectorMatchesNaiveReference(t *testing.T) {
 }
 
 // TestHistoryRoundtrip pins the flat history rows to the checkpoint
-// contract: an imported detector continues exactly like the exporter.
+// contract: the export lists prefixes in first-seen order, an imported
+// detector exports the same rows and continues exactly like the
+// exporter, and so does one that imported the rows sorted by prefix (the
+// order older checkpoints wrote). A prefix listed twice is refused.
 func TestHistoryRoundtrip(t *testing.T) {
 	n := testWorld(t)
 	cfg := scan.DefaultConfig(5)
 	cfg.LossRate = 0.5
+	ctx := context.Background()
 	live := NewDetector(scan.New(n, cfg), DefaultConfig())
+	var firstSeen []ip6.Prefix
+	seen := make(map[ip6.Prefix]bool)
 	for round := 0; round < 6; round++ {
-		if _, err := live.Run(context.Background(), roundCandidates(round), round); err != nil {
+		cands := roundCandidates(round)
+		if _, err := live.Run(ctx, cands, round); err != nil {
 			t.Fatal(err)
+		}
+		for _, p := range cands {
+			if !seen[p] {
+				seen[p] = true
+				firstSeen = append(firstSeen, p)
+			}
 		}
 	}
 	exported := live.ExportHistory()
+	if len(exported) != len(firstSeen) {
+		t.Fatalf("%d rows exported, %d prefixes seen", len(exported), len(firstSeen))
+	}
 	for i, e := range exported {
 		if len(e.Counts) == 0 || len(e.Counts) > 4 {
 			t.Fatalf("%v: %d rounds exported", e.Prefix, len(e.Counts))
 		}
-		if i > 0 && ip6.ComparePrefix(exported[i-1].Prefix, e.Prefix) >= 0 {
-			t.Fatal("export not sorted by prefix")
+		if e.Prefix != firstSeen[i] {
+			t.Fatalf("row %d is %v, first-seen order has %v", i, e.Prefix, firstSeen[i])
 		}
 	}
+
 	resumed := NewDetector(scan.New(n, cfg), DefaultConfig())
-	resumed.ImportHistory(exported)
+	if err := resumed.ImportHistory(exported); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(resumed.ExportHistory(), exported) {
 		t.Fatal("import → export changed the history")
 	}
+	sorted := slices.Clone(exported)
+	slices.SortFunc(sorted, func(a, b HistoryEntry) int { return ip6.ComparePrefix(a.Prefix, b.Prefix) })
+	if slices.EqualFunc(sorted, exported, func(a, b HistoryEntry) bool { return a.Prefix == b.Prefix }) {
+		t.Fatal("first-seen order is already prefix order: the sorted import proves nothing")
+	}
+	fromSorted := NewDetector(scan.New(n, cfg), DefaultConfig())
+	if err := fromSorted.ImportHistory(sorted); err != nil {
+		t.Fatal(err)
+	}
+
 	for round := 6; round < 9; round++ {
-		a, err := live.Run(context.Background(), roundCandidates(round), round)
+		want, err := live.Run(ctx, roundCandidates(round), round)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := resumed.Run(context.Background(), roundCandidates(round), round)
-		if err != nil {
-			t.Fatal(err)
+		for name, d := range map[string]*Detector{"resumed": resumed, "prefix-sorted import": fromSorted} {
+			got, err := d.Run(ctx, roundCandidates(round), round)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Detections(), got.Detections()) {
+				t.Fatalf("round %d: %s detector diverged", round, name)
+			}
 		}
-		if !reflect.DeepEqual(a.Detections(), b.Detections()) {
-			t.Fatalf("round %d: resumed detector diverged", round)
-		}
+	}
+	if !reflect.DeepEqual(resumed.ExportHistory(), live.ExportHistory()) {
+		t.Fatal("resumed detector's rows left first-seen order")
+	}
+
+	dup := append(slices.Clone(exported[:3]), exported[1])
+	before := resumed.ExportHistory()
+	if err := resumed.ImportHistory(dup); err == nil {
+		t.Fatal("history listing a prefix twice imported")
+	}
+	if !reflect.DeepEqual(resumed.ExportHistory(), before) {
+		t.Fatal("refused import changed the detector")
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strconv"
 
 	"hitlist6/internal/apd"
@@ -271,12 +271,7 @@ func (s *Service) Checkpoint(dir string) (err error) {
 	if err := writePrefixList(w, ckptPending64File, s.pendingAPD64); err != nil {
 		return err
 	}
-	seen := make([]ip6.Prefix, 0, len(s.seen64))
-	for p := range s.seen64 {
-		seen = append(seen, p)
-	}
-	sortPrefixes(seen)
-	if err := writePrefixList(w, ckptSeen64File, seen); err != nil {
+	if err := writePrefixList(w, ckptSeen64File, s.seen64Order); err != nil {
 		return err
 	}
 
@@ -396,7 +391,7 @@ func (s *Service) writeActive(w *ckpt.Writer) error {
 			recs = append(recs, activeRec{addr: a, st: *st})
 			return true
 		})
-		sort.Slice(recs, func(x, y int) bool { return recs[x].addr.Less(recs[y].addr) })
+		slices.SortFunc(recs, func(x, y activeRec) int { return x.addr.Compare(y.addr) })
 		for _, r := range recs {
 			copy(rec[:], r.addr[:])
 			binary.LittleEndian.PutUint32(rec[16:], uint32(int32(r.st.firstDay)))
@@ -426,20 +421,14 @@ func (s *Service) writeAPDHistory(w *ckpt.Writer) error {
 	if _, err := bw.Write(n4[:]); err != nil {
 		return err
 	}
-	var u2 [2]byte
 	for _, e := range entries {
-		if err := writePrefix(bw, e.Prefix); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint16(u2[:], uint16(len(e.Counts)))
-		if _, err := bw.Write(u2[:]); err != nil {
-			return err
-		}
+		buf := appendPrefix(bw.AvailableBuffer(), e.Prefix)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Counts)))
 		for _, c := range e.Counts {
-			binary.LittleEndian.PutUint16(u2[:], c)
-			if _, err := bw.Write(u2[:]); err != nil {
-				return err
-			}
+			buf = binary.LittleEndian.AppendUint16(buf, c)
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -562,7 +551,7 @@ func writePrefixList(w *ckpt.Writer, name string, prefixes []ip6.Prefix) error {
 		return err
 	}
 	for _, p := range prefixes {
-		if err := writePrefix(bw, p); err != nil {
+		if _, err := bw.Write(appendPrefix(bw.AvailableBuffer(), p)); err != nil {
 			return err
 		}
 	}
@@ -573,25 +562,53 @@ func writePrefixList(w *ckpt.Writer, name string, prefixes []ip6.Prefix) error {
 	return f.Close()
 }
 
-func writePrefix(w io.Writer, p ip6.Prefix) error {
-	var buf [ip6.AddrBytes + 1]byte
+// appendPrefix appends p's 17-byte record (masked address + length).
+// Writers build records in bufio's free space (AvailableBuffer), so
+// staging a table allocates nothing per entry.
+func appendPrefix(b []byte, p ip6.Prefix) []byte {
 	a := p.Addr()
-	copy(buf[:], a[:])
-	buf[ip6.AddrBytes] = byte(p.Bits())
-	_, err := w.Write(buf[:])
-	return err
+	return append(append(b, a[:]...), byte(p.Bits()))
 }
 
+// readPrefix reads one appendPrefix record; a length byte above 128 is
+// an error, not a panic.
 func readPrefix(r io.Reader) (ip6.Prefix, error) {
 	var buf [ip6.AddrBytes + 1]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return ip6.Prefix{}, err
 	}
-	return ip6.PrefixFrom(ip6.AddrFrom16([ip6.AddrBytes]byte(buf[:ip6.AddrBytes])), int(buf[ip6.AddrBytes])), nil
+	bits := int(buf[ip6.AddrBytes])
+	if bits > 128 {
+		return ip6.Prefix{}, fmt.Errorf("prefix length %d", bits)
+	}
+	return ip6.PrefixFrom(ip6.AddrFrom16([ip6.AddrBytes]byte(buf[:ip6.AddrBytes])), bits), nil
 }
 
-func sortPrefixes(ps []ip6.Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return ip6.ComparePrefix(ps[i], ps[j]) < 0 })
+// openTable opens a binary table payload (a 4-byte entry count, then the
+// entries) and reads its count, refusing one the manifest's byte size
+// cannot hold at minEntry bytes per entry: a damaged header never sizes
+// an allocation. The caller closes the file.
+func openTable(snap *ckpt.Snapshot, name string, minEntry int64) (*os.File, *bufio.Reader, int, error) {
+	fi, ok := snap.Info(name)
+	if !ok {
+		return nil, nil, 0, fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, name)
+	}
+	f, err := os.Open(snap.Path(name))
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	br := bufio.NewReaderSize(f, 64*1024)
+	var n4 [4]byte
+	if _, err := io.ReadFull(br, n4[:]); err != nil {
+		f.Close()
+		return nil, nil, 0, fmt.Errorf("%w: %s header: %v", ckpt.ErrCorrupt, name, err)
+	}
+	n := int64(binary.LittleEndian.Uint32(n4[:]))
+	if n > (fi.Bytes-int64(len(n4)))/minEntry {
+		f.Close()
+		return nil, nil, 0, fmt.Errorf("%w: %s claims %d entries in %d bytes", ckpt.ErrCorrupt, name, n, fi.Bytes)
+	}
+	return f, br, int(n), nil
 }
 
 // Resume rebuilds a Service from the newest complete checkpoint under
@@ -775,17 +792,15 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 	if err := s.readAPDHistory(snap); err != nil {
 		return err
 	}
-	pending, err := readPrefixList(snap, ckptPending64File)
+	pending, _, err := readPrefixList(snap, ckptPending64File)
 	if err != nil {
 		return err
 	}
 	s.pendingAPD64 = pending
-	seen, err := readPrefixList(snap, ckptSeen64File)
-	if err != nil {
+	// The /64s reload in file order, so the next checkpoint appends to
+	// exactly the list this one wrote.
+	if s.seen64Order, s.seen64, err = readPrefixList(snap, ckptSeen64File); err != nil {
 		return err
-	}
-	for _, p := range seen {
-		s.seen64[p] = struct{}{}
 	}
 	if s.spill != nil {
 		if err := s.spill.err(); err != nil {
@@ -898,28 +913,20 @@ func (s *Service) readActive(snap *ckpt.Snapshot) error {
 	return nil
 }
 
-// readAPDHistory rebuilds the detector's response history.
+// readAPDHistory rebuilds the detector's response history in file order.
 func (s *Service) readAPDHistory(snap *ckpt.Snapshot) error {
-	if !snap.Has(ckptAPDFile) {
-		return fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, ckptAPDFile)
-	}
-	f, err := os.Open(snap.Path(ckptAPDFile))
+	// An entry is at least a prefix and a 2-byte round count.
+	f, br, n, err := openTable(snap, ckptAPDFile, ip6.AddrBytes+1+2)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64*1024)
-	var n4 [4]byte
-	if _, err := io.ReadFull(br, n4[:]); err != nil {
-		return fmt.Errorf("%w: %s header: %v", ckpt.ErrCorrupt, ckptAPDFile, err)
-	}
-	n := binary.LittleEndian.Uint32(n4[:])
 	entries := make([]apd.HistoryEntry, 0, n)
 	var u2 [2]byte
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		p, err := readPrefix(br)
 		if err != nil {
-			return fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, ckptAPDFile, err)
+			return fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, ckptAPDFile, err)
 		}
 		if _, err := io.ReadFull(br, u2[:]); err != nil {
 			return fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, ckptAPDFile, err)
@@ -933,7 +940,9 @@ func (s *Service) readAPDHistory(snap *ckpt.Snapshot) error {
 		}
 		entries = append(entries, apd.HistoryEntry{Prefix: p, Counts: counts})
 	}
-	s.detector.ImportHistory(entries)
+	if err := s.detector.ImportHistory(entries); err != nil {
+		return fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, ckptAPDFile, err)
+	}
 	return nil
 }
 
@@ -1081,29 +1090,26 @@ func (s *Service) ingestJournaled(srcs []sources.NamedSource, day int, rec *Scan
 	return jr.Remove()
 }
 
-// readPrefixList loads a prefix table in file order.
-func readPrefixList(snap *ckpt.Snapshot, name string) ([]ip6.Prefix, error) {
-	if !snap.Has(name) {
-		return nil, fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, name)
-	}
-	f, err := os.Open(snap.Path(name))
+// readPrefixList loads a prefix table in file order, plus its members as
+// a set; a prefix listed twice is corrupt.
+func readPrefixList(snap *ckpt.Snapshot, name string) ([]ip6.Prefix, map[ip6.Prefix]struct{}, error) {
+	f, br, n, err := openTable(snap, name, ip6.AddrBytes+1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64*1024)
-	var n4 [4]byte
-	if _, err := io.ReadFull(br, n4[:]); err != nil {
-		return nil, fmt.Errorf("%w: %s header: %v", ckpt.ErrCorrupt, name, err)
-	}
-	n := binary.LittleEndian.Uint32(n4[:])
 	out := make([]ip6.Prefix, 0, n)
-	for i := uint32(0); i < n; i++ {
+	set := make(map[ip6.Prefix]struct{}, n)
+	for i := 0; i < n; i++ {
 		p, err := readPrefix(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, name, err)
+			return nil, nil, fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, name, err)
 		}
+		if _, dup := set[p]; dup {
+			return nil, nil, fmt.Errorf("%w: %s lists %v twice", ckpt.ErrCorrupt, name, p)
+		}
+		set[p] = struct{}{}
 		out = append(out, p)
 	}
-	return out, nil
+	return out, set, nil
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,6 +107,201 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 			t.Fatalf("%s: close resumed: %v", tc.label, err)
 		}
 	}
+}
+
+// TestCheckpointPayloadsMatchAcrossShapes pins the checkpoint bytes, not
+// just the outputs, to the timeline: the APD history and the seen-/64
+// table are written in first-seen order without sorting, so that order
+// must be the same for every execution shape. On a generated world with
+// a checkpoint after every scan, the final unsharded payloads are
+// byte-equal across worker counts, a spill budget, and an interrupt
+// after scan 5 followed by Resume.
+func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generated-world checkpoint payloads in -short mode")
+	}
+	var days []int
+	for d := 0; d <= 140; d += 14 {
+		days = append(days, d)
+	}
+	payloads := []string{ckptAPDFile, ckptSeen64File, ckptActiveFile, ckptStateFile}
+	run := func(label string, shape func(cfg *Config, scratch string), interruptAfter int) map[string][]byte {
+		scratch := t.TempDir()
+		ckdir := filepath.Join(scratch, "ckpt")
+		cfg := DefaultConfig(23)
+		cfg.CheckpointDir = ckdir
+		cfg.CheckpointEvery = 1
+		shape(&cfg, scratch)
+		w, feeds := generatedWorld(t, 23)
+		s := NewService(cfg, w, feeds, nil)
+		if interruptAfter > 0 {
+			runDays(t, s, days[:interruptAfter])
+			if err := s.Close(); err != nil {
+				t.Fatalf("%s: close: %v", label, err)
+			}
+			w2, feeds2 := generatedWorld(t, 23)
+			var err error
+			if s, err = Resume(ckdir, cfg, w2, feeds2, nil); err != nil {
+				t.Fatalf("%s: resume: %v", label, err)
+			}
+			runDays(t, s, days[interruptAfter:])
+		} else {
+			runDays(t, s, days)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
+		}
+		out := make(map[string][]byte, len(payloads))
+		for _, name := range payloads {
+			b, err := os.ReadFile(filepath.Join(ckdir, name))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			out[name] = b
+		}
+		return out
+	}
+
+	base := run("workers 1", func(c *Config, _ string) { c.ScanWorkers = 1 }, 0)
+	// 4-byte count plus 17-byte prefixes: the tables must hold enough
+	// rows for their order to matter.
+	for _, name := range []string{ckptAPDFile, ckptSeen64File} {
+		if len(base[name]) < 4+100*17 {
+			t.Fatalf("%s is only %d bytes: the scenario exercises too little", name, len(base[name]))
+		}
+	}
+	for _, tc := range []struct {
+		label          string
+		shape          func(cfg *Config, scratch string)
+		interruptAfter int
+	}{
+		{"workers 4", func(c *Config, _ string) { c.ScanWorkers = 4 }, 0},
+		{"spill budget", func(c *Config, d string) { c.MemoryBudget = spillBudget; c.SpillDir = filepath.Join(d, "spill") }, 0},
+		{"resume after scan 5", func(c *Config, _ string) { c.ScanWorkers = 2 }, 5},
+	} {
+		got := run(tc.label, tc.shape, tc.interruptAfter)
+		for _, name := range payloads {
+			if !bytes.Equal(got[name], base[name]) {
+				t.Errorf("%s: %s differs from workers 1 (%d vs %d bytes)", tc.label, name, len(got[name]), len(base[name]))
+			}
+		}
+	}
+}
+
+// recommit replaces payload name of the checkpoint at dir with data and
+// re-stamps its manifest entry (size and CRC), so the damage is one
+// Resume's CRC check cannot see and the payload reader must catch.
+func recommit(t *testing.T, dir, name string, data []byte) {
+	t.Helper()
+	m, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for i := range m.Files {
+		if m.Files[i].Name == name {
+			m.Files[i].Bytes = int64(len(data))
+			m.Files[i].CRC = fmt.Sprintf("%016x", crc64.Checksum(data, crc64.MakeTable(crc64.ECMA)))
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("%s not in manifest", name)
+	}
+	mb, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ckpt.ManifestName), mb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeRefusesMalformedTables: the binary prefix tables fail closed
+// on damage that passes the CRC check — a header count the file cannot
+// hold, a prefix length above 128, a prefix listed twice — with
+// ckpt.ErrCorrupt from Resume, never a panic or a huge allocation.
+func TestResumeRefusesMalformedTables(t *testing.T) {
+	ckdir := filepath.Join(t.TempDir(), "ckpt")
+	n, feeds := tinyWorld(t)
+	s := NewService(ckptTinyCfg(ckdir), n, feeds, nil)
+	runDays(t, s, weekly(0, 28))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(ckdir, ckpt.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{ckptAPDFile, ckptSeen64File} {
+		if b, err := os.ReadFile(filepath.Join(ckdir, name)); err != nil || binary.LittleEndian.Uint32(b) == 0 {
+			t.Fatalf("%s: empty or unreadable (%v): nothing to damage", name, err)
+		}
+	}
+
+	const rec = ip6.AddrBytes + 1 // one prefix record
+	withCount := func(b []byte, n uint32) []byte {
+		binary.LittleEndian.PutUint32(b, n)
+		return b
+	}
+	hugeCount := func(b []byte) []byte { return withCount(b, 0xffffffff) }
+	badLen := func(b []byte) []byte { b[4+ip6.AddrBytes] = 200; return b }
+	// dupFirst appends a copy of the table's first entry, entryLen bytes.
+	dupFirst := func(entryLen func(b []byte) int) func([]byte) []byte {
+		return func(b []byte) []byte {
+			b = append(b, b[4:4+entryLen(b)]...)
+			return withCount(b, binary.LittleEndian.Uint32(b)+1)
+		}
+	}
+	prefixEntry := func([]byte) int { return rec }
+	apdEntry := func(b []byte) int { return rec + 2 + 2*int(binary.LittleEndian.Uint16(b[4+rec:])) }
+
+	for _, tc := range []struct {
+		name   string
+		defect func([]byte) []byte
+	}{
+		{ckptAPDFile, hugeCount},
+		{ckptAPDFile, badLen},
+		{ckptAPDFile, dupFirst(apdEntry)},
+		{ckptSeen64File, hugeCount},
+		{ckptSeen64File, badLen},
+		{ckptSeen64File, dupFirst(prefixEntry)},
+		{ckptPending64File, hugeCount},
+	} {
+		path := filepath.Join(ckdir, tc.name)
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recommit(t, ckdir, tc.name, tc.defect(bytes.Clone(orig)))
+
+		n2, feeds2 := tinyWorld(t)
+		s2, err := Resume(ckdir, ckptTinyCfg(ckdir), n2, feeds2, nil)
+		if !errors.Is(err, ckpt.ErrCorrupt) {
+			if s2 != nil {
+				s2.Close()
+			}
+			t.Errorf("%s: resume from a malformed table: err = %v, want ErrCorrupt", tc.name, err)
+		}
+
+		if err := os.WriteFile(path, orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(ckdir, ckpt.ManifestName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The restored checkpoint loads: the damage, not the fixture, failed.
+	n3, feeds3 := tinyWorld(t)
+	s3, err := Resume(ckdir, ckptTinyCfg(ckdir), n3, feeds3, nil)
+	if err != nil {
+		t.Fatalf("resume from the undamaged checkpoint: %v", err)
+	}
+	s3.Close()
 }
 
 // TestResumeGenerationContinuity pins the serving cadence across a

@@ -15,11 +15,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -317,6 +319,7 @@ type Service struct {
 	bgpCands     []bgpCandidate
 	apdCands     []ip6.Prefix // the round's candidate list, reused across rounds
 	seen64       map[ip6.Prefix]struct{}
+	seen64Order  []ip6.Prefix // seen64 in first-seen (ingest sequence) order, written unsorted
 	tracker      *gfw.Tracker
 	everResp     [netmodel.NumProtocols]ip6.SpillableSet
 	everRespAny  ip6.SpillableSet
@@ -1020,7 +1023,7 @@ func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanReco
 	// Track newly admitted /64s for alias detection in input order, as a
 	// serial pass would have: the APD candidate queue is order-sensitive
 	// (its cap decides which /64s are tested this round vs queued).
-	sort.Slice(admitted, func(i, j int) bool { return admitted[i].seq < admitted[j].seq })
+	slices.SortFunc(admitted, func(a, b routedInput) int { return cmp.Compare(a.seq, b.seq) })
 	for _, e := range admitted {
 		s.trackSlash64(e.addr)
 	}
@@ -1032,6 +1035,7 @@ func (s *Service) trackSlash64(a ip6.Addr) {
 	p64 := ip6.Slash64(a)
 	if _, ok := s.seen64[p64]; !ok {
 		s.seen64[p64] = struct{}{}
+		s.seen64Order = append(s.seen64Order, p64)
 		s.pendingAPD64 = append(s.pendingAPD64, p64)
 	}
 }

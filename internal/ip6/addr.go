@@ -68,15 +68,20 @@ func (a Addr) Lo() uint64 { return binary.BigEndian.Uint64(a[8:]) }
 // IsZero reports whether the address is ::.
 func (a Addr) IsZero() bool { return a == Addr{} }
 
-// Compare orders addresses numerically: -1, 0 or +1.
+// Compare orders addresses numerically: -1, 0 or +1. The address is two
+// big-endian words, so comparing Hi then Lo is the byte-wise order in two
+// steps instead of sixteen — every sort, merge and binary search over
+// addresses runs through here.
 func (a Addr) Compare(b Addr) int {
-	for i := 0; i < 16; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
+	x, y := a.Hi(), b.Hi()
+	if x == y {
+		x, y = a.Lo(), b.Lo()
+	}
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
 	}
 	return 0
 }

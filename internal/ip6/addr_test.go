@@ -1,6 +1,7 @@
 package ip6
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +141,17 @@ func TestCompare(t *testing.T) {
 	}
 	if !a.Less(b) || b.Less(a) {
 		t.Error("Less wrong")
+	}
+	// The word-wise compare must be the byte-wise order: pairs share a
+	// random-length common prefix, so both words decide some of them.
+	r := rng.NewStream(5, "compare")
+	for i := 0; i < 100_000; i++ {
+		x := AddrFromUint64s(r.Uint64(), r.Uint64())
+		y := AddrFromUint64s(r.Uint64(), r.Uint64())
+		copy(y[:r.Intn(17)], x[:])
+		if got, want := x.Compare(y), bytes.Compare(x[:], y[:]); got != want {
+			t.Fatalf("%v vs %v: Compare %d, byte order %d", x, y, got, want)
+		}
 	}
 }
 

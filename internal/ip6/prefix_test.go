@@ -324,6 +324,24 @@ func BenchmarkPrefixMapLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkSortAddrs sorts 2^14 addresses clustered into 2^12 /64s, so
+// most comparisons tie on the high word — the shape of a per-shard scan
+// set or a spill run.
+func BenchmarkSortAddrs(b *testing.B) {
+	r := newBenchStream()
+	src := make([]Addr, 1<<14)
+	for i := range src {
+		src[i] = AddrFromUint64s(0x2001<<48|r.Uint64n(1<<12), r.Uint64())
+	}
+	buf := make([]Addr, len(src))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, src)
+		SortAddrs(buf)
+	}
+}
+
 func BenchmarkSetAdd(b *testing.B) {
 	r := newBenchStream()
 	s := NewSet(b.N)
