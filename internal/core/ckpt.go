@@ -12,6 +12,14 @@ package core
 // to an uninterrupted run for any worker count, FleetWorkers, memory
 // budget and serve cadence (TestResumeMatchesUninterrupted).
 //
+// Service.payloads is the one payload table: every payload but
+// state.json, once, in manifest file order (records, snapshots, active,
+// the address sets with unresp.hl6 last, apd_history, pending64,
+// seen64). A row is an address set, written as a .hl6 image or shard
+// delta, or a write/read pair. Checkpoint and Resume both walk it; the
+// order is part of the format (TestCheckpointManifestsMatchGolden).
+// state.json stays outside because Resume reads it before NewService.
+//
 // Deliberately not persisted: lastMain (the wall-clock shard profile —
 // outputs are pinned hand-out-order-invariant, so the resumed run's
 // first scan just orders shards by size) and published serve
@@ -24,11 +32,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
-	"strconv"
 
 	"hitlist6/internal/apd"
 	"hitlist6/internal/ckpt"
@@ -65,13 +73,12 @@ func ckptLastCleanFile(p int) string { return fmt.Sprintf("lastclean_%d.hl6", p)
 // only ever holds committed state.
 func JournalPath(dir string) string { return dir + ".journal" }
 
-// ckptState is the JSON-encoded scalar state plus the configuration
-// digest Resume verifies before loading anything.
-type ckptState struct {
-	// Configuration digest: the knobs that shape service state. Worker
-	// counts, FleetWorkers, memory budget and batch size are deliberately
-	// absent — outputs are pinned invariant to them, so a resumed run
-	// may change them freely.
+// ckptConfig is the configuration digest Resume verifies before loading
+// anything: the knobs that shape service state. Worker counts,
+// FleetWorkers, memory budget and batch size are deliberately absent —
+// outputs are pinned invariant to them, so a resumed run may change them
+// freely.
+type ckptConfig struct {
 	Seed             uint64 `json:"seed"`
 	Protocols        []int  `json:"protocols"`
 	UnresponsiveDays int    `json:"unresponsive_days"`
@@ -82,26 +89,32 @@ type ckptState struct {
 	SnapshotDays     []int  `json:"snapshot_days,omitempty"`
 	ServeEvery       int    `json:"serve_every,omitempty"`
 	TGAFeedName      string `json:"tga_feed,omitempty"`
+}
+
+// ckptState is state.json: the configuration digest (encoding/json
+// writes the embedded fields first) plus the scalar state.
+type ckptState struct {
+	ckptConfig
 
 	// Cursor and cumulative accounting.
-	ScanIndex    int                `json:"scan_index"`
-	InputTotal   int                `json:"input_total"`
-	BlockedTotal int                `json:"blocked_total"`
-	GFWTotal     int                `json:"gfw_total"`
-	AliasedTotal int                `json:"aliased_total"`
-	EvictedTotal int                `json:"evicted_total"`
-	GFWDeployed  bool               `json:"gfw_deployed"`
-	PerASInput   map[string]ASInput `json:"per_as_input,omitempty"`
-	InputByFeed  map[string]int     `json:"input_by_feed,omitempty"`
-	Aliased      []string           `json:"aliased_prefixes,omitempty"`
-	SnapQueue    []int              `json:"snap_queue,omitempty"`
-	ServeScans   int                `json:"serve_scans"`
-	Generation   uint64             `json:"generation"`
+	ScanIndex    int             `json:"scan_index"`
+	InputTotal   int             `json:"input_total"`
+	BlockedTotal int             `json:"blocked_total"`
+	GFWTotal     int             `json:"gfw_total"`
+	AliasedTotal int             `json:"aliased_total"`
+	EvictedTotal int             `json:"evicted_total"`
+	GFWDeployed  bool            `json:"gfw_deployed"`
+	PerASInput   map[int]ASInput `json:"per_as_input,omitempty"`
+	InputByFeed  map[string]int  `json:"input_by_feed,omitempty"`
+	Aliased      []string        `json:"aliased_prefixes,omitempty"`
+	SnapQueue    []int           `json:"snap_queue,omitempty"`
+	ServeScans   int             `json:"serve_scans"`
+	Generation   uint64          `json:"generation"`
 }
 
 // configState extracts the digest fields from a (normalized) Config.
-func configState(cfg Config) ckptState {
-	st := ckptState{
+func configState(cfg Config) ckptConfig {
+	c := ckptConfig{
 		Seed:             cfg.Seed,
 		UnresponsiveDays: cfg.UnresponsiveDays,
 		GFWFilterFromDay: cfg.GFWFilterFromDay,
@@ -112,12 +125,12 @@ func configState(cfg Config) ckptState {
 		ServeEvery:       cfg.ServeEvery,
 	}
 	for _, p := range cfg.Protocols {
-		st.Protocols = append(st.Protocols, int(p))
+		c.Protocols = append(c.Protocols, int(p))
 	}
 	if cfg.TGAFeed != nil {
-		st.TGAFeedName = cfg.TGAFeed.Name()
+		c.TGAFeedName = cfg.TGAFeed.Name()
 	}
-	return st
+	return c
 }
 
 // defaultCheckpointFullEvery is the compaction cadence when
@@ -158,39 +171,80 @@ func dirtyMask(mark *ckptMark, set ip6.SpillableSet) uint64 {
 	return mask
 }
 
-// ckptPayload is one delta-eligible address-set payload.
+// ckptPayload is one row of the payload table: an address set, or a
+// payload with its own encoding when set is nil.
 type ckptPayload struct {
-	name string
-	set  ip6.SpillableSet
+	name  string
+	set   ip6.SpillableSet
+	write func(w *ckpt.Writer, name string) error
+	read  func(snap *ckpt.Snapshot, name string) error
 }
 
-// addrSetPayloads lists the cumulative address sets a checkpoint stages
-// as (possibly delta) .hl6 payloads, in canonical write order. The list
-// is computed per call: payloads appear as the state they mirror does
-// (the GFW drop set after deployment, lastClean after the first scan).
-func (s *Service) addrSetPayloads() []ckptPayload {
+// payloads is the checkpoint payload table, in manifest file order. It
+// is built per call: set rows appear as the state they mirror does (the
+// GFW drop set after deployment, lastClean after the first scan, the
+// unresponsive pool when retained), and they capture the set objects
+// current at the call.
+func (s *Service) payloads() []ckptPayload {
 	out := []ckptPayload{
-		{ckptInputSeenFile, s.inputSeen},
-		{ckptEverAnyFile, s.everRespAny},
+		{name: ckptRecordsFile,
+			write: func(w *ckpt.Writer, name string) error {
+				return writeJSONFile(w, name, s.records, int64(len(s.records)))
+			},
+			read: func(snap *ckpt.Snapshot, name string) error { return readJSONFile(snap, name, &s.records) }},
+		{name: ckptSnapshotsFile, write: s.writeSnapshots, read: s.readSnapshots},
+		{name: ckptActiveFile, write: s.writeActive, read: s.readActive},
+		{name: ckptInputSeenFile, set: s.inputSeen},
+		{name: ckptEverAnyFile, set: s.everRespAny},
 	}
 	for p := range s.everResp {
-		out = append(out, ckptPayload{ckptEverRespFile(p), s.everResp[p]})
+		out = append(out, ckptPayload{name: ckptEverRespFile(p), set: s.everResp[p]})
 	}
 	if s.gfwDeployed {
-		out = append(out, ckptPayload{ckptGFWDropFile, s.gfwInputDrop})
+		out = append(out, ckptPayload{name: ckptGFWDropFile, set: s.gfwInputDrop})
 	}
-	out = append(out, ckptPayload{ckptPrevRespFile, s.prevRespAny})
+	out = append(out, ckptPayload{name: ckptPrevRespFile, set: s.prevRespAny})
 	if s.lastClean != nil {
 		for _, p := range s.cfg.Protocols {
-			out = append(out, ckptPayload{ckptLastCleanFile(int(p)), s.lastClean[p]})
+			out = append(out, ckptPayload{name: ckptLastCleanFile(int(p)), set: s.lastClean[p]})
 		}
 	}
 	inj, other, real := s.tracker.EvidenceSets()
 	out = append(out,
-		ckptPayload{ckptTrkInjFile, inj},
-		ckptPayload{ckptTrkOtherFile, other},
-		ckptPayload{ckptTrkRealFile, real})
-	return out
+		ckptPayload{name: ckptTrkInjFile, set: inj},
+		ckptPayload{name: ckptTrkOtherFile, set: other},
+		ckptPayload{name: ckptTrkRealFile, set: real})
+	if s.cfg.RetainUnresponsive {
+		out = append(out, ckptPayload{name: ckptUnrespFile, set: s.unresponsive})
+	}
+	return append(out,
+		ckptPayload{name: ckptAPDFile, write: s.writeAPDHistory, read: s.readAPDHistory},
+		ckptPayload{name: ckptPending64File,
+			write: func(w *ckpt.Writer, name string) error { return writePrefixList(w, name, s.pendingAPD64) },
+			read: func(snap *ckpt.Snapshot, name string) (err error) {
+				s.pendingAPD64, _, err = readPrefixList(snap, name)
+				return err
+			}},
+		// The /64s reload in file order, so the next checkpoint appends
+		// to exactly the list this one wrote.
+		ckptPayload{name: ckptSeen64File,
+			write: func(w *ckpt.Writer, name string) error { return writePrefixList(w, name, s.seen64Order) },
+			read: func(snap *ckpt.Snapshot, name string) (err error) {
+				s.seen64Order, s.seen64, err = readPrefixList(snap, name)
+				return err
+			}})
+}
+
+// setMarks records every address-set row's current shard epochs: the
+// baseline the next delta checkpoint diffs against.
+func (s *Service) setMarks() map[string]*ckptMark {
+	marks := make(map[string]*ckptMark)
+	for _, pl := range s.payloads() {
+		if pl.set != nil {
+			marks[pl.name] = markOf(pl.set)
+		}
+	}
+	return marks
 }
 
 // Checkpoint writes a crash-consistent snapshot of the service's full
@@ -245,34 +299,20 @@ func (s *Service) Checkpoint(dir string) (err error) {
 	if err := s.writeState(w); err != nil {
 		return err
 	}
-	if err := writeJSONFile(w, ckptRecordsFile, s.records, int64(len(s.records))); err != nil {
-		return err
-	}
-	if err := s.writeSnapshots(w); err != nil {
-		return err
-	}
-	if err := s.writeActive(w); err != nil {
-		return err
-	}
-	newMarks := make(map[string]*ckptMark)
-	for _, pl := range s.addrSetPayloads() {
-		if err := s.writeAddrSet(w, pl.name, pl.set, delta, newMarks); err != nil {
+	for _, pl := range s.payloads() {
+		if pl.set == nil {
+			if err := pl.write(w, pl.name); err != nil {
+				return err
+			}
+			continue
+		}
+		mask := ^uint64(0)
+		if delta {
+			mask = dirtyMask(s.ckptMarks[pl.name], pl.set)
+		}
+		if err := writeAddrSet(w, pl.name, pl.set, mask, delta); err != nil {
 			return err
 		}
-	}
-	if s.cfg.RetainUnresponsive {
-		if err := writeFlatSet(w, ckptUnrespFile, s.unresponsive); err != nil {
-			return err
-		}
-	}
-	if err := s.writeAPDHistory(w); err != nil {
-		return err
-	}
-	if err := writePrefixList(w, ckptPending64File, s.pendingAPD64); err != nil {
-		return err
-	}
-	if err := writePrefixList(w, ckptSeen64File, s.seen64Order); err != nil {
-		return err
 	}
 
 	lastDay := -1
@@ -288,7 +328,7 @@ func (s *Service) Checkpoint(dir string) (err error) {
 	}
 	// Only a committed head updates the delta baseline — an aborted
 	// write leaves the old head (and its marks) valid.
-	s.ckptMarks = newMarks
+	s.ckptMarks = s.setMarks()
 	s.ckptDir = filepath.Clean(dir)
 	s.ckptScan = s.scanIndex
 	if delta {
@@ -301,55 +341,58 @@ func (s *Service) Checkpoint(dir string) (err error) {
 
 // writeState stages state.json.
 func (s *Service) writeState(w *ckpt.Writer) error {
-	st := configState(s.cfg)
-	st.ScanIndex = s.scanIndex
-	st.InputTotal = s.inputTotal
-	st.BlockedTotal = s.blockedTotal
-	st.GFWTotal = s.gfwTotal
-	st.AliasedTotal = s.aliasedTotal
-	st.EvictedTotal = s.evictedTotal
-	st.GFWDeployed = s.gfwDeployed
-	st.ServeScans = s.serveScans
-	st.Generation = s.queryHandle.Generation()
-	if len(s.perASInput) > 0 {
-		st.PerASInput = make(map[string]ASInput, len(s.perASInput))
-		for asn, ai := range s.perASInput {
-			st.PerASInput[strconv.Itoa(asn)] = *ai
-		}
+	st := ckptState{
+		ckptConfig:   configState(s.cfg),
+		ScanIndex:    s.scanIndex,
+		InputTotal:   s.inputTotal,
+		BlockedTotal: s.blockedTotal,
+		GFWTotal:     s.gfwTotal,
+		AliasedTotal: s.aliasedTotal,
+		EvictedTotal: s.evictedTotal,
+		GFWDeployed:  s.gfwDeployed,
+		PerASInput:   make(map[int]ASInput, len(s.perASInput)),
+		InputByFeed:  s.inputByFeed,
+		SnapQueue:    s.snapQueue,
+		ServeScans:   s.serveScans,
+		Generation:   s.queryHandle.Generation(),
 	}
-	if len(s.inputByFeed) > 0 {
-		st.InputByFeed = s.inputByFeed
+	for asn, ai := range s.perASInput {
+		st.PerASInput[asn] = *ai
 	}
 	for _, p := range s.aliased.Prefixes() {
 		st.Aliased = append(st.Aliased, p.String())
 	}
-	st.SnapQueue = s.snapQueue
 	return writeJSONFile(w, ckptStateFile, &st, 0)
 }
 
-// writeSnapshots stages snapshots.json: requested-day keys mapping to
-// sorted string-encoded sets (the exact encoding golden comparisons use,
-// so a JSON round trip is loss-free).
-func (s *Service) writeSnapshots(w *ckpt.Writer) error {
-	type ckptSnapshot struct {
-		Day        int                 `json:"day"`
-		Responsive map[string][]string `json:"responsive"`
-		Any        []string            `json:"responsive_any"`
-		Aliased    []string            `json:"aliased"`
-	}
-	out := make(map[string]ckptSnapshot, len(s.snapshots))
+// ckptSnapshot is one captured snapshot in snapshots.json, keyed by its
+// requested day: sets as sorted address strings (the exact encoding
+// golden comparisons use, so a JSON round trip is loss-free).
+type ckptSnapshot struct {
+	Day        int                            `json:"day"`
+	Responsive map[netmodel.Protocol][]string `json:"responsive"`
+	Any        []string                       `json:"responsive_any"`
+	Aliased    []string                       `json:"aliased"`
+}
+
+// writeSnapshots stages snapshots.json.
+func (s *Service) writeSnapshots(w *ckpt.Writer, name string) error {
+	out := make(map[int]ckptSnapshot, len(s.snapshots))
 	for want, snap := range s.snapshots {
-		cs := ckptSnapshot{Day: snap.Day, Responsive: make(map[string][]string, len(snap.Responsive))}
-		for p, set := range snap.Responsive {
-			cs.Responsive[strconv.Itoa(int(p))] = addrStrings(set)
+		cs := ckptSnapshot{
+			Day:        snap.Day,
+			Responsive: make(map[netmodel.Protocol][]string, len(snap.Responsive)),
+			Any:        addrStrings(snap.ResponsiveAny),
 		}
-		cs.Any = addrStrings(snap.ResponsiveAny)
+		for p, set := range snap.Responsive {
+			cs.Responsive[p] = addrStrings(set)
+		}
 		for _, p := range snap.Aliased {
 			cs.Aliased = append(cs.Aliased, p.String())
 		}
-		out[strconv.Itoa(want)] = cs
+		out[want] = cs
 	}
-	return writeJSONFile(w, ckptSnapshotsFile, out, int64(len(out)))
+	return writeJSONFile(w, name, out, int64(len(out)))
 }
 
 func addrStrings(set ip6.Set) []string {
@@ -360,81 +403,86 @@ func addrStrings(set ip6.Set) []string {
 	return out
 }
 
+// activeRecLen is one active.bin record: address, firstDay,
+// lastSuccessDay.
+const activeRecLen = ip6.AddrBytes + 8
+
 // writeActive stages the target store: a per-shard count table, then
 // each shard's (address, firstDay, lastSuccessDay) records sorted by
 // address.
-func (s *Service) writeActive(w *ckpt.Writer) error {
-	f, err := w.Create(ckptActiveFile)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 64*1024)
-	var hdr [8 * ip6.AddrShards]byte
-	total := int64(0)
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		n := s.active.ShardLen(sh)
-		binary.LittleEndian.PutUint64(hdr[8*sh:], uint64(n))
-		total += int64(n)
-	}
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	type activeRec struct {
-		addr ip6.Addr
-		st   targetState
-	}
-	var recs []activeRec
-	var rec [ip6.AddrBytes + 8]byte
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		recs = recs[:0]
-		s.active.WalkShard(sh, func(a ip6.Addr, st *targetState) bool {
-			recs = append(recs, activeRec{addr: a, st: *st})
-			return true
-		})
-		slices.SortFunc(recs, func(x, y activeRec) int { return x.addr.Compare(y.addr) })
-		for _, r := range recs {
-			copy(rec[:], r.addr[:])
-			binary.LittleEndian.PutUint32(rec[16:], uint32(int32(r.st.firstDay)))
-			binary.LittleEndian.PutUint32(rec[20:], uint32(int32(r.st.lastSuccessDay)))
-			if _, err := bw.Write(rec[:]); err != nil {
-				return err
+func (s *Service) writeActive(w *ckpt.Writer, name string) error {
+	return writePayload(w, name, int64(s.active.Len()), func(bw *bufio.Writer) error {
+		var hdr [8 * ip6.AddrShards]byte
+		for sh := 0; sh < ip6.AddrShards; sh++ {
+			binary.LittleEndian.PutUint64(hdr[8*sh:], uint64(s.active.ShardLen(sh)))
+		}
+		if _, err := bw.Write(hdr[:]); err != nil {
+			return err
+		}
+		type activeRec struct {
+			addr ip6.Addr
+			st   targetState
+		}
+		var recs []activeRec
+		var rec [activeRecLen]byte
+		for sh := 0; sh < ip6.AddrShards; sh++ {
+			recs = recs[:0]
+			s.active.WalkShard(sh, func(a ip6.Addr, st *targetState) bool {
+				recs = append(recs, activeRec{addr: a, st: *st})
+				return true
+			})
+			slices.SortFunc(recs, func(x, y activeRec) int { return x.addr.Compare(y.addr) })
+			for _, r := range recs {
+				copy(rec[:], r.addr[:])
+				binary.LittleEndian.PutUint32(rec[16:], uint32(int32(r.st.firstDay)))
+				binary.LittleEndian.PutUint32(rec[20:], uint32(int32(r.st.lastSuccessDay)))
+				if _, err := bw.Write(rec[:]); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	f.SetCount(total)
-	return f.Close()
+		return nil
+	})
 }
 
 // writeAPDHistory stages the detector's per-prefix response history.
-func (s *Service) writeAPDHistory(w *ckpt.Writer) error {
+func (s *Service) writeAPDHistory(w *ckpt.Writer, name string) error {
 	entries := s.detector.ExportHistory()
-	f, err := w.Create(ckptAPDFile)
+	return writePayload(w, name, int64(len(entries)), func(bw *bufio.Writer) error {
+		var n4 [4]byte
+		binary.LittleEndian.PutUint32(n4[:], uint32(len(entries)))
+		if _, err := bw.Write(n4[:]); err != nil {
+			return err
+		}
+		for _, e := range entries {
+			buf := appendPrefix(bw.AvailableBuffer(), e.Prefix)
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Counts)))
+			for _, c := range e.Counts {
+				buf = binary.LittleEndian.AppendUint16(buf, c)
+			}
+			if _, err := bw.Write(buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// writePayload stages one payload file: body writes its bytes through a
+// buffered writer, count is the manifest's item count.
+func writePayload(w *ckpt.Writer, name string, count int64, body func(bw *bufio.Writer) error) error {
+	f, err := w.Create(name)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriterSize(f, 64*1024)
-	var n4 [4]byte
-	binary.LittleEndian.PutUint32(n4[:], uint32(len(entries)))
-	if _, err := bw.Write(n4[:]); err != nil {
+	if err := body(bw); err != nil {
 		return err
-	}
-	for _, e := range entries {
-		buf := appendPrefix(bw.AvailableBuffer(), e.Prefix)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Counts)))
-		for _, c := range e.Counts {
-			buf = binary.LittleEndian.AppendUint16(buf, c)
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	f.SetCount(int64(len(entries)))
+	f.SetCount(count)
 	return f.Close()
 }
 
@@ -458,29 +506,11 @@ func writeJSONFile(w *ckpt.Writer, name string, v any, count int64) error {
 
 // writeAddrSet stages a sharded address set as a .hl6 image, streamed in
 // shard-sorted order: resident shards sort a copy, SpillSet shards merge
-// their frozen runs straight off disk. With dirtyOnly set the payload is
-// a delta: shards whose epoch matches the previous checkpoint's mark are
-// written with zero count and excluded from the file's DeltaShards
-// bitmap — readers resolve them through the parent chain. newMarks, when
-// non-nil, receives the set's current epochs under name so the next
-// checkpoint can diff against this one.
-func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, dirtyOnly bool, newMarks map[string]*ckptMark) error {
-	mask := ^uint64(0)
-	if dirtyOnly {
-		mask = dirtyMask(s.ckptMarks[name], set)
-	}
-	if err := writeAddrSetMasked(w, name, set, mask, dirtyOnly); err != nil {
-		return err
-	}
-	if newMarks != nil {
-		newMarks[name] = markOf(set)
-	}
-	return nil
-}
-
-// writeAddrSetMasked streams the shards selected by mask; with delta set
-// the file records mask as its DeltaShards bitmap.
-func writeAddrSetMasked(w *ckpt.Writer, name string, set ip6.SpillableSet, mask uint64, delta bool) error {
+// their frozen runs straight off disk. Only the shards selected by mask
+// are written; the others get a zero count. With delta set the file
+// records mask as its DeltaShards bitmap, and readers resolve the
+// unwritten shards through the parent chain.
+func writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, mask uint64, delta bool) error {
 	f, err := w.Create(name)
 	if err != nil {
 		return err
@@ -526,40 +556,22 @@ func writeAddrSetMasked(w *ckpt.Writer, name string, set ip6.SpillableSet, mask 
 	return f.Close()
 }
 
-// writeFlatSet stages a flat Set as a .hl6 image, bucketing by canonical
-// shard first. Always full content: the fresh bucketing set has no
-// epoch continuity to diff against.
-func writeFlatSet(w *ckpt.Writer, name string, set ip6.Set) error {
-	sharded := ip6.NewShardedSet()
-	for a := range set {
-		sharded.Add(a)
-	}
-	return writeAddrSetMasked(w, name, sharded, ^uint64(0), false)
-}
-
 // writePrefixList stages prefixes in the given order (17 bytes each:
 // masked address + length).
 func writePrefixList(w *ckpt.Writer, name string, prefixes []ip6.Prefix) error {
-	f, err := w.Create(name)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 64*1024)
-	var n4 [4]byte
-	binary.LittleEndian.PutUint32(n4[:], uint32(len(prefixes)))
-	if _, err := bw.Write(n4[:]); err != nil {
-		return err
-	}
-	for _, p := range prefixes {
-		if _, err := bw.Write(appendPrefix(bw.AvailableBuffer(), p)); err != nil {
+	return writePayload(w, name, int64(len(prefixes)), func(bw *bufio.Writer) error {
+		var n4 [4]byte
+		binary.LittleEndian.PutUint32(n4[:], uint32(len(prefixes)))
+		if _, err := bw.Write(n4[:]); err != nil {
 			return err
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	f.SetCount(int64(len(prefixes)))
-	return f.Close()
+		for _, p := range prefixes {
+			if _, err := bw.Write(appendPrefix(bw.AvailableBuffer(), p)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // appendPrefix appends p's 17-byte record (masked address + length).
@@ -644,9 +656,9 @@ func Resume(dir string, cfg Config, net *netmodel.Network, feeds []*sources.Feed
 			return nil, fmt.Errorf("core: resume spill state: %w", err)
 		}
 	}
-	if err := checkConfig(configState(s.cfg), st); err != nil {
+	if now := configState(s.cfg); !reflect.DeepEqual(now, st.ckptConfig) {
 		s.Close()
-		return nil, err
+		return nil, fmt.Errorf("%w: configuration drift: checkpoint was taken with different state-shaping settings (have %+v, checkpoint %+v)", ckpt.ErrCorrupt, now, st.ckptConfig)
 	}
 	if err := s.restoreFrom(snap, &st); err != nil {
 		s.Close()
@@ -658,11 +670,7 @@ func Resume(dir string, cfg Config, net *netmodel.Network, feeds []*sources.Feed
 	// resolve leaves no baseline, so the next checkpoint is a full
 	// rewrite — correct in every crash window.
 	if filepath.Clean(resolved) == filepath.Clean(dir) {
-		marks := make(map[string]*ckptMark)
-		for _, pl := range s.addrSetPayloads() {
-			marks[pl.name] = markOf(pl.set)
-		}
-		s.ckptMarks = marks
+		s.ckptMarks = s.setMarks()
 		s.ckptDir = filepath.Clean(dir)
 		s.ckptScan = snap.Manifest.ScanIndex
 		s.ckptDepth = snap.Manifest.Depth
@@ -674,28 +682,8 @@ func Resume(dir string, cfg Config, net *netmodel.Network, feeds []*sources.Feed
 	return s, nil
 }
 
-// checkConfig verifies the resumed configuration digest matches the
-// checkpointed one.
-func checkConfig(now, saved ckptState) error {
-	saved = ckptState{
-		Seed:             saved.Seed,
-		Protocols:        saved.Protocols,
-		UnresponsiveDays: saved.UnresponsiveDays,
-		GFWFilterFromDay: saved.GFWFilterFromDay,
-		APDEveryScans:    saved.APDEveryScans,
-		APDMaxNew:        saved.APDMaxNew,
-		RetainUnresp:     saved.RetainUnresp,
-		SnapshotDays:     saved.SnapshotDays,
-		ServeEvery:       saved.ServeEvery,
-		TGAFeedName:      saved.TGAFeedName,
-	}
-	if !reflect.DeepEqual(now, saved) {
-		return fmt.Errorf("%w: configuration drift: checkpoint was taken with different state-shaping settings (have %+v, checkpoint %+v)", ckpt.ErrCorrupt, now, saved)
-	}
-	return nil
-}
-
-// restoreFrom loads every payload into the freshly built service.
+// restoreFrom loads every payload into the freshly built service: the
+// scalar state from st, then each row of the payload table.
 func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 	s.scanIndex = st.ScanIndex
 	s.inputTotal = st.InputTotal
@@ -706,16 +694,9 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 	s.serveScans = st.ServeScans
 	s.queryHandle.RestoreGeneration(st.Generation)
 	for asn, ai := range st.PerASInput {
-		n, err := strconv.Atoi(asn)
-		if err != nil {
-			return fmt.Errorf("%w: per-AS key %q", ckpt.ErrCorrupt, asn)
-		}
-		cp := ai
-		s.perASInput[n] = &cp
+		s.perASInput[asn] = &ai
 	}
-	for feed, n := range st.InputByFeed {
-		s.inputByFeed[feed] = n
-	}
+	maps.Copy(s.inputByFeed, st.InputByFeed)
 	for _, ps := range st.Aliased {
 		p, err := ip6.ParsePrefix(ps)
 		if err != nil {
@@ -726,81 +707,28 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 	s.aliased.Freeze()
 	s.snapQueue = append([]int(nil), st.SnapQueue...)
 
-	if err := readJSONFile(snap, ckptRecordsFile, &s.records); err != nil {
-		return err
-	}
-	if err := s.readSnapshots(snap); err != nil {
-		return err
-	}
-	if err := s.readActive(snap); err != nil {
-		return err
-	}
-	if err := loadAddrSet(snap, ckptInputSeenFile, s.inputSeen); err != nil {
-		return err
-	}
-	if err := loadAddrSet(snap, ckptEverAnyFile, s.everRespAny); err != nil {
-		return err
-	}
-	for p := range s.everResp {
-		if err := loadAddrSet(snap, ckptEverRespFile(p), s.everResp[p]); err != nil {
-			return err
-		}
-	}
+	// The sets that exist for only part of a run get fresh objects before
+	// the table is built, so its rows name them.
 	if st.GFWDeployed {
 		s.gfwDeployed = true
-		drop := s.newCumulativeSet()
-		if s.spill != nil {
-			if err := s.spill.err(); err != nil {
-				return fmt.Errorf("core: resume spill state: %w", err)
-			}
-		}
-		if err := loadAddrSet(snap, ckptGFWDropFile, drop); err != nil {
-			return err
-		}
-		s.gfwInputDrop = drop
-	}
-	if err := loadAddrSet(snap, ckptPrevRespFile, s.prevRespAny); err != nil {
-		return err
+		s.gfwInputDrop = s.newCumulativeSet()
 	}
 	if snap.HasInChain(ckptLastCleanFile(int(s.cfg.Protocols[0]))) {
 		s.lastClean = make(map[netmodel.Protocol]*ip6.ShardedSet, len(s.cfg.Protocols))
 		for _, p := range s.cfg.Protocols {
-			set := ip6.NewShardedSet()
-			if err := loadAddrSet(snap, ckptLastCleanFile(int(p)), set); err != nil {
-				return err
-			}
-			s.lastClean[p] = set
+			s.lastClean[p] = ip6.NewShardedSet()
 		}
 	}
-	inj, other, real := s.tracker.EvidenceSets()
-	if err := loadAddrSet(snap, ckptTrkInjFile, inj); err != nil {
-		return err
-	}
-	if err := loadAddrSet(snap, ckptTrkOtherFile, other); err != nil {
-		return err
-	}
-	if err := loadAddrSet(snap, ckptTrkRealFile, real); err != nil {
-		return err
-	}
-	if s.cfg.RetainUnresponsive && snap.HasInChain(ckptUnrespFile) {
-		flat := ip6.NewShardedSet()
-		if err := loadAddrSet(snap, ckptUnrespFile, flat); err != nil {
+	for _, pl := range s.payloads() {
+		var err error
+		if pl.set != nil {
+			err = loadAddrSet(snap, pl.name, pl.set)
+		} else {
+			err = pl.read(snap, pl.name)
+		}
+		if err != nil {
 			return err
 		}
-		s.unresponsive = flat.Merge()
-	}
-	if err := s.readAPDHistory(snap); err != nil {
-		return err
-	}
-	pending, _, err := readPrefixList(snap, ckptPending64File)
-	if err != nil {
-		return err
-	}
-	s.pendingAPD64 = pending
-	// The /64s reload in file order, so the next checkpoint appends to
-	// exactly the list this one wrote.
-	if s.seen64Order, s.seen64, err = readPrefixList(snap, ckptSeen64File); err != nil {
-		return err
 	}
 	if s.spill != nil {
 		if err := s.spill.err(); err != nil {
@@ -826,34 +754,24 @@ func readJSONFile(snap *ckpt.Snapshot, name string, v any) error {
 }
 
 // readSnapshots rebuilds the captured snapshots.
-func (s *Service) readSnapshots(snap *ckpt.Snapshot) error {
-	type ckptSnapshot struct {
-		Day        int                 `json:"day"`
-		Responsive map[string][]string `json:"responsive"`
-		Any        []string            `json:"responsive_any"`
-		Aliased    []string            `json:"aliased"`
-	}
-	var raw map[string]ckptSnapshot
-	if err := readJSONFile(snap, ckptSnapshotsFile, &raw); err != nil {
+func (s *Service) readSnapshots(snap *ckpt.Snapshot, name string) error {
+	var raw map[int]ckptSnapshot
+	if err := readJSONFile(snap, name, &raw); err != nil {
 		return err
 	}
-	for key, cs := range raw {
-		want, err := strconv.Atoi(key)
-		if err != nil {
-			return fmt.Errorf("%w: snapshot key %q", ckpt.ErrCorrupt, key)
-		}
+	for want, cs := range raw {
 		out := &Snapshot{Day: cs.Day, Responsive: make(map[netmodel.Protocol]ip6.Set, len(cs.Responsive))}
-		for pk, addrs := range cs.Responsive {
-			p, err := strconv.Atoi(pk)
-			if err != nil || p < 0 || p >= netmodel.NumProtocols {
-				return fmt.Errorf("%w: snapshot protocol key %q", ckpt.ErrCorrupt, pk)
+		for p, addrs := range cs.Responsive {
+			if p >= netmodel.NumProtocols {
+				return fmt.Errorf("%w: snapshot protocol key %d", ckpt.ErrCorrupt, p)
 			}
 			set, err := parseAddrSet(addrs)
 			if err != nil {
 				return err
 			}
-			out.Responsive[netmodel.Protocol(p)] = set
+			out.Responsive[p] = set
 		}
+		var err error
 		if out.ResponsiveAny, err = parseAddrSet(cs.Any); err != nil {
 			return err
 		}
@@ -881,12 +799,17 @@ func parseAddrSet(addrs []string) (ip6.Set, error) {
 	return set, nil
 }
 
-// readActive rebuilds the sharded target store.
-func (s *Service) readActive(snap *ckpt.Snapshot) error {
-	if !snap.Has(ckptActiveFile) {
-		return fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, ckptActiveFile)
+// readActive rebuilds the sharded target store. It fails closed on a
+// table writeActive cannot have written: the header's counts must
+// account for the file's bytes exactly, and every shard's records must
+// belong to that shard in strictly ascending order — the scan engine
+// refuses a mis-sharded scan set, so a bad record must not get that far.
+func (s *Service) readActive(snap *ckpt.Snapshot, name string) error {
+	fi, ok := snap.Info(name)
+	if !ok {
+		return fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, name)
 	}
-	f, err := os.Open(snap.Path(ckptActiveFile))
+	f, err := os.Open(snap.Path(name))
 	if err != nil {
 		return err
 	}
@@ -894,16 +817,36 @@ func (s *Service) readActive(snap *ckpt.Snapshot) error {
 	br := bufio.NewReaderSize(f, 64*1024)
 	var hdr [8 * ip6.AddrShards]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return fmt.Errorf("%w: %s header: %v", ckpt.ErrCorrupt, ckptActiveFile, err)
+		return fmt.Errorf("%w: %s header: %v", ckpt.ErrCorrupt, name, err)
 	}
-	var rec [ip6.AddrBytes + 8]byte
+	body := uint64(fi.Bytes) - uint64(len(hdr))
+	var total uint64
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		n := binary.LittleEndian.Uint64(hdr[8*sh:])
+		if n > body/activeRecLen {
+			return fmt.Errorf("%w: %s claims %d records for shard %d in %d bytes", ckpt.ErrCorrupt, name, n, sh, fi.Bytes)
+		}
+		total += n
+	}
+	if total*activeRecLen != body {
+		return fmt.Errorf("%w: %s counts %d records in %d bytes", ckpt.ErrCorrupt, name, total, fi.Bytes)
+	}
+	var rec [activeRecLen]byte
+	for sh := 0; sh < ip6.AddrShards; sh++ {
+		n := binary.LittleEndian.Uint64(hdr[8*sh:])
+		var prev ip6.Addr
 		for i := uint64(0); i < n; i++ {
 			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, ckptActiveFile, err)
+				return fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, name, err)
 			}
 			a := ip6.AddrFrom16([ip6.AddrBytes]byte(rec[:ip6.AddrBytes]))
+			if ip6.ShardOf(a) != sh {
+				return fmt.Errorf("%w: %s lists %v under shard %d", ckpt.ErrCorrupt, name, a, sh)
+			}
+			if i > 0 && a.Compare(prev) <= 0 {
+				return fmt.Errorf("%w: %s shard %d is not strictly ascending at %v", ckpt.ErrCorrupt, name, sh, a)
+			}
+			prev = a
 			s.active.PutInShard(sh, a, &targetState{
 				firstDay:       int(int32(binary.LittleEndian.Uint32(rec[16:]))),
 				lastSuccessDay: int(int32(binary.LittleEndian.Uint32(rec[20:]))),
@@ -914,9 +857,9 @@ func (s *Service) readActive(snap *ckpt.Snapshot) error {
 }
 
 // readAPDHistory rebuilds the detector's response history in file order.
-func (s *Service) readAPDHistory(snap *ckpt.Snapshot) error {
+func (s *Service) readAPDHistory(snap *ckpt.Snapshot, name string) error {
 	// An entry is at least a prefix and a 2-byte round count.
-	f, br, n, err := openTable(snap, ckptAPDFile, ip6.AddrBytes+1+2)
+	f, br, n, err := openTable(snap, name, ip6.AddrBytes+1+2)
 	if err != nil {
 		return err
 	}
@@ -926,22 +869,22 @@ func (s *Service) readAPDHistory(snap *ckpt.Snapshot) error {
 	for i := 0; i < n; i++ {
 		p, err := readPrefix(br)
 		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, ckptAPDFile, err)
+			return fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, name, err)
 		}
 		if _, err := io.ReadFull(br, u2[:]); err != nil {
-			return fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, ckptAPDFile, err)
+			return fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, name, err)
 		}
 		counts := make([]uint16, binary.LittleEndian.Uint16(u2[:]))
 		for j := range counts {
 			if _, err := io.ReadFull(br, u2[:]); err != nil {
-				return fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, ckptAPDFile, err)
+				return fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, name, err)
 			}
 			counts[j] = binary.LittleEndian.Uint16(u2[:])
 		}
 		entries = append(entries, apd.HistoryEntry{Prefix: p, Counts: counts})
 	}
 	if err := s.detector.ImportHistory(entries); err != nil {
-		return fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, ckptAPDFile, err)
+		return fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, name, err)
 	}
 	return nil
 }
@@ -960,38 +903,26 @@ func loadAddrSet(snap *ckpt.Snapshot, name string, set ip6.SpillableSet) error {
 			r.Close()
 		}
 	}()
-	shardCursor := func(sh int) (func() (ip6.Addr, bool, error), error) {
+	spill, _ := set.(*ip6.SpillSet)
+	for sh := 0; sh < ip6.AddrShards; sh++ {
 		lvl := snap.FindShard(name, sh)
 		if lvl == nil {
-			return nil, fmt.Errorf("%w: %s shard %d unresolved in delta chain", ckpt.ErrCorrupt, name, sh)
+			return fmt.Errorf("%w: %s shard %d unresolved in delta chain", ckpt.ErrCorrupt, name, sh)
 		}
 		rdr, ok := readers[lvl.Dir]
 		if !ok {
 			var err error
-			rdr, err = hlfile.Open(lvl.Path(name))
-			if err != nil {
-				return nil, fmt.Errorf("core: opening %s: %w", lvl.Path(name), err)
+			if rdr, err = hlfile.Open(lvl.Path(name)); err != nil {
+				return fmt.Errorf("core: opening %s: %w", lvl.Path(name), err)
 			}
 			readers[lvl.Dir] = rdr
 		}
-		return rdr.ShardCursor(sh), nil
-	}
-	if spill, ok := set.(*ip6.SpillSet); ok {
-		for sh := 0; sh < ip6.AddrShards; sh++ {
-			cur, err := shardCursor(sh)
-			if err != nil {
-				return err
-			}
+		cur := rdr.ShardCursor(sh)
+		if spill != nil {
 			if err := spill.ImportShardSorted(sh, cur); err != nil {
 				return fmt.Errorf("core: loading %s: %w", name, err)
 			}
-		}
-		return nil
-	}
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		cur, err := shardCursor(sh)
-		if err != nil {
-			return err
+			continue
 		}
 		for {
 			a, ok, err := cur()

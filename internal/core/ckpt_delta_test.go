@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hitlist6/internal/ckpt"
@@ -24,20 +25,26 @@ func parkedChainDirs(t *testing.T, ckdir string) []string {
 // compaction disabled every checkpoint after the first is a delta, so
 // interrupting after k scans leaves a k-1-deep parent chain — and a
 // Resume through that chain, continued to the end of the timeline, is
-// pinned to the same goldens every full-checkpoint run is.
+// pinned to the same goldens every full-checkpoint run is. The retained
+// unresponsive pool is one of the delta payloads, and the resumed pool
+// equals an uninterrupted run's.
 func TestResumeFromDeltaChain(t *testing.T) {
 	days := weekly(0, 196)
-	const k = 10
+	const k = 14 // the tiny world's first eviction is at scan 13
 	ckdir := filepath.Join(t.TempDir(), "ckpt")
 	mkCfg := func() Config {
 		cfg := ckptTinyCfg(ckdir)
 		cfg.CheckpointFullEvery = 1 << 20 // never compact within this run
+		cfg.RetainUnresponsive = true
 		return cfg
 	}
 
 	n, feeds := tinyWorld(t)
 	s := NewService(mkCfg(), n, feeds, nil)
 	runDays(t, s, days[:k])
+	if s.UnresponsivePool().Len() == 0 {
+		t.Fatal("unresponsive pool empty at the interrupt: nothing to restore")
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +59,10 @@ func TestResumeFromDeltaChain(t *testing.T) {
 	if parked := parkedChainDirs(t, ckdir); len(parked) != k-1 {
 		t.Fatalf("parked chain dirs = %v, want %d of them", parked, k-1)
 	}
+	i := slices.IndexFunc(m.Files, func(fi ckpt.FileInfo) bool { return fi.Name == ckptUnrespFile })
+	if i < 0 || !m.Files[i].Delta {
+		t.Fatalf("head manifest does not list %s as a delta payload", ckptUnrespFile)
+	}
 
 	n2, feeds2 := tinyWorld(t)
 	s2, err := Resume(ckdir, mkCfg(), n2, feeds2, nil)
@@ -65,6 +76,16 @@ func TestResumeFromDeltaChain(t *testing.T) {
 	compareGolden(t, "reference_tiny.json", goldenFrom(s2.Records(), s2.Snapshots()), "resume from delta chain")
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	n3, feeds3 := tinyWorld(t)
+	cfg := mkCfg()
+	cfg.CheckpointDir = filepath.Join(t.TempDir(), "ckpt")
+	ref := NewService(cfg, n3, feeds3, nil)
+	runDays(t, ref, days)
+	want, got := ref.UnresponsivePool().Merge().Sorted(), s2.UnresponsivePool().Merge().Sorted()
+	if !slices.Equal(got, want) {
+		t.Fatalf("resumed unresponsive pool %v, uninterrupted run's %v", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hitlist6/internal/ckpt"
@@ -188,6 +190,88 @@ func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 	}
 }
 
+// manifestDigest hashes what a manifest says about its payloads — each
+// file's name, size, CRC-64, item count and delta bitmap, in file order —
+// together with the chain parent and depth. Cursor fields (scan index,
+// last day, generation) are left out: the records goldens pin those.
+func manifestDigest(m ckpt.Manifest) string {
+	h := sha256.New()
+	for _, fi := range m.Files {
+		fmt.Fprintf(h, "%s %d %s %d %t %s\n", fi.Name, fi.Bytes, fi.CRC, fi.Count, fi.Delta, fi.DeltaShards)
+	}
+	fmt.Fprintf(h, "parent %q depth %d\n", m.Parent, m.Depth)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestCheckpointManifestsMatchGolden pins the bytes Checkpoint writes,
+// not just the outputs a resume reproduces: after every scan of the
+// durable reference timeline the head manifest's digest matches
+// testdata/ckpt_manifests_tiny.json, resident and with a spill budget,
+// at Workers 1 and 4 — one golden for all four shapes. Payload order,
+// sizes, CRCs and delta bitmaps are all in the digest. Regenerate with
+// -update-ref only for a change that means to alter the checkpoint
+// format.
+func TestCheckpointManifestsMatchGolden(t *testing.T) {
+	const golden = "ckpt_manifests_tiny.json"
+	run := func(spill bool, workers int) []string {
+		scratch := t.TempDir()
+		ckdir := filepath.Join(scratch, "ckpt")
+		cfg := ckptTinyCfg(ckdir)
+		cfg.ScanWorkers = workers
+		if spill {
+			cfg.MemoryBudget = spillBudget
+			cfg.SpillDir = filepath.Join(scratch, "spill")
+		}
+		n, feeds := tinyWorld(t)
+		s := NewService(cfg, n, feeds, nil)
+		var digests []string
+		for _, d := range weekly(0, 196) {
+			runDays(t, s, []int{d})
+			m, err := ckpt.ReadManifest(ckdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests = append(digests, manifestDigest(m))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return digests
+	}
+
+	if *updateRef {
+		data, err := json.MarshalIndent(run(false, 1), "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(refPath(golden), append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(refPath(golden))
+	if err != nil {
+		t.Fatalf("manifest golden missing (run with -update-ref to capture): %v", err)
+	}
+	var want []string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, spill := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			got := run(spill, workers)
+			if len(got) != len(want) {
+				t.Fatalf("spill=%v workers=%d: %d checkpoints, golden has %d", spill, workers, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("spill=%v workers=%d: manifest after scan %d differs from the golden", spill, workers, i+1)
+					break
+				}
+			}
+		}
+	}
+}
+
 // recommit replaces payload name of the checkpoint at dir with data and
 // re-stamps its manifest entry (size and CRC), so the damage is one
 // Resume's CRC check cannot see and the payload reader must catch.
@@ -220,10 +304,12 @@ func recommit(t *testing.T, dir, name string, data []byte) {
 	}
 }
 
-// TestResumeRefusesMalformedTables: the binary prefix tables fail closed
-// on damage that passes the CRC check — a header count the file cannot
-// hold, a prefix length above 128, a prefix listed twice — with
-// ckpt.ErrCorrupt from Resume, never a panic or a huge allocation.
+// TestResumeRefusesMalformedTables: the binary tables fail closed on
+// damage that passes the CRC check — a header count the file cannot
+// hold, a prefix length above 128, a prefix listed twice; in active.bin
+// a record counted under the wrong shard, a shard out of order, bytes
+// past the last record — with ckpt.ErrCorrupt from Resume, never a
+// panic, a huge allocation or a store the next scan trips over.
 func TestResumeRefusesMalformedTables(t *testing.T) {
 	ckdir := filepath.Join(t.TempDir(), "ckpt")
 	n, feeds := tinyWorld(t)
@@ -257,9 +343,54 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 		}
 	}
 	prefixEntry := func([]byte) int { return rec }
+
+	// active.bin: a uint64 count per shard, then the shards' records.
+	shardCount := func(b []byte, sh int) int { return int(binary.LittleEndian.Uint64(b[8*sh:])) }
+	addCount := func(b []byte, sh, d int) {
+		binary.LittleEndian.PutUint64(b[8*sh:], uint64(shardCount(b, sh)+d))
+	}
+	// firstShard returns the first non-empty shard after shard 0 and the
+	// offset of its first record.
+	firstShard := func(b []byte) (int, int) {
+		off := 8 * ip6.AddrShards
+		for sh := 0; sh < ip6.AddrShards; sh++ {
+			if sh > 0 && shardCount(b, sh) > 0 {
+				return sh, off
+			}
+			off += shardCount(b, sh) * activeRecLen
+		}
+		t.Fatal("no active records after shard 0")
+		return 0, 0
+	}
+	activeHuge := func(b []byte) []byte { binary.LittleEndian.PutUint64(b, 1<<60); return b }
+	// Count a shard's first record as the previous shard's last.
+	moveRecord := func(b []byte) []byte {
+		sh, _ := firstShard(b)
+		addCount(b, sh-1, 1)
+		addCount(b, sh, -1)
+		return b
+	}
+	// insertAfterFirst files a second record right after a shard's first
+	// one: a copy of it, or the nearest lower address in the same shard.
+	insertAfterFirst := func(lower bool) func([]byte) []byte {
+		return func(b []byte) []byte {
+			sh, off := firstShard(b)
+			r := bytes.Clone(b[off : off+activeRecLen])
+			if lower {
+				a := ip6.AddrFrom16([ip6.AddrBytes]byte(r[:ip6.AddrBytes])).Prev()
+				for ip6.ShardOf(a) != sh {
+					a = a.Prev()
+				}
+				copy(r, a[:])
+			}
+			addCount(b, sh, 1)
+			return slices.Concat(b[:off+activeRecLen], r, b[off+activeRecLen:])
+		}
+	}
+	trailing := func(b []byte) []byte { return append(b, make([]byte, activeRecLen)...) }
 	apdEntry := func(b []byte) int { return rec + 2 + 2*int(binary.LittleEndian.Uint16(b[4+rec:])) }
 
-	for _, tc := range []struct {
+	for i, tc := range []struct {
 		name   string
 		defect func([]byte) []byte
 	}{
@@ -270,6 +401,11 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 		{ckptSeen64File, badLen},
 		{ckptSeen64File, dupFirst(prefixEntry)},
 		{ckptPending64File, hugeCount},
+		{ckptActiveFile, activeHuge},
+		{ckptActiveFile, moveRecord},
+		{ckptActiveFile, insertAfterFirst(false)},
+		{ckptActiveFile, insertAfterFirst(true)},
+		{ckptActiveFile, trailing},
 	} {
 		path := filepath.Join(ckdir, tc.name)
 		orig, err := os.ReadFile(path)
@@ -284,7 +420,7 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 			if s2 != nil {
 				s2.Close()
 			}
-			t.Errorf("%s: resume from a malformed table: err = %v, want ErrCorrupt", tc.name, err)
+			t.Errorf("case %d, %s: resume from a malformed table: err = %v, want ErrCorrupt", i, tc.name, err)
 		}
 
 		if err := os.WriteFile(path, orig, 0o644); err != nil {

@@ -300,7 +300,7 @@ type Service struct {
 	evictedTotal int
 	gfwDeployed  bool
 	gfwInputDrop ip6.SpillableSet // the cumulative "134 M" filter once deployed
-	unresponsive ip6.Set          // evicted addresses (if retained)
+	unresponsive *ip6.ShardedSet  // evicted addresses (if retained)
 
 	// spill is non-nil when MemoryBudget is set: the scratch directory
 	// and the disk-backed sets to compact, error-check and close.
@@ -334,8 +334,6 @@ type Service struct {
 	scanShards [][]ip6.Addr
 	// routeBuf is the reusable per-shard routing scratch of ingest.
 	routeBuf [][]routedInput
-	// evictBuf is the reusable per-shard eviction scratch of buildScanSet.
-	evictBuf []evictRes
 
 	records   []*ScanRecord
 	snapshots map[int]*Snapshot
@@ -375,12 +373,6 @@ type routedInput struct {
 	addr ip6.Addr
 	feed int32
 	seq  int32
-}
-
-// evictRes is one shard's slice of an eviction sweep.
-type evictRes struct {
-	count   int
-	evicted []ip6.Addr // retained for the unresponsive pool only
 }
 
 // ASInput aggregates cumulative input per AS (Figure 2's ingredients).
@@ -524,7 +516,7 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 		workers:      workers,
 		spill:        newSpillState(cfg),
 		perASInput:   make(map[int]*ASInput),
-		unresponsive: ip6.NewSet(0),
+		unresponsive: ip6.NewShardedSet(),
 		active:       ip6.NewShardedMap[*targetState](),
 		aliased:      ip6.NewPrefixSet(),
 		seen64:       make(map[ip6.Prefix]struct{}),
@@ -622,7 +614,7 @@ func (s *Service) QueryHandle() *serve.Handle { return s.queryHandle }
 
 // UnresponsivePool returns the 30-day-evicted addresses (empty unless
 // Config.RetainUnresponsive).
-func (s *Service) UnresponsivePool() ip6.Set { return s.unresponsive }
+func (s *Service) UnresponsivePool() *ip6.ShardedSet { return s.unresponsive }
 
 // InputByFeed returns cumulative new-input counts per feed name.
 func (s *Service) InputByFeed() map[string]int { return s.inputByFeed }
@@ -1247,13 +1239,8 @@ func (s *Service) coveredByAliased(p ip6.Prefix) bool {
 // deterministic for order-sensitive sinks (records themselves are
 // order-independent), and costs less than one global sort.
 func (s *Service) buildScanSet(day int, rec *ScanRecord) int {
-	if s.evictBuf == nil {
-		s.evictBuf = make([]evictRes, ip6.AddrShards)
-	}
-	evs := s.evictBuf
+	var evicted [ip6.AddrShards]int
 	ip6.ParallelShards(s.workers, func(sh int) {
-		evs[sh] = evictRes{evicted: evs[sh].evicted[:0]}
-		ev := &evs[sh]
 		targets := s.scanShards[sh][:0]
 		s.active.WalkShard(sh, func(a ip6.Addr, st *targetState) bool {
 			ref := st.lastSuccessDay
@@ -1262,9 +1249,9 @@ func (s *Service) buildScanSet(day int, rec *ScanRecord) int {
 			}
 			if day-ref > s.cfg.UnresponsiveDays {
 				s.active.DeleteInShard(sh, a)
-				ev.count++
+				evicted[sh]++
 				if s.cfg.RetainUnresponsive {
-					ev.evicted = append(ev.evicted, a)
+					s.unresponsive.AddToShard(sh, a)
 				}
 				return true
 			}
@@ -1275,11 +1262,10 @@ func (s *Service) buildScanSet(day int, rec *ScanRecord) int {
 		s.scanShards[sh] = targets
 	})
 	total := 0
-	for sh := range evs {
+	for sh, n := range evicted {
 		total += len(s.scanShards[sh])
-		rec.Evicted += evs[sh].count
-		s.evictedTotal += evs[sh].count
-		s.unresponsive.AddSlice(evs[sh].evicted)
+		rec.Evicted += n
+		s.evictedTotal += n
 	}
 	return total
 }

@@ -119,7 +119,7 @@ func TestThirtyDayEviction(t *testing.T) {
 	runDays(t, s, weekly(0, 112))
 	dying := ip6.MustParseAddr("2001:100::81")
 	if s.UnresponsivePool().Len() == 0 || !s.UnresponsivePool().Has(dying) {
-		t.Errorf("dying host not evicted: pool=%v", s.UnresponsivePool().Sorted())
+		t.Errorf("dying host not evicted: pool=%v", s.UnresponsivePool().Merge().Sorted())
 	}
 	// The web host survives.
 	last := s.Records()[len(s.Records())-1]

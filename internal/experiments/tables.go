@@ -174,11 +174,12 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 	unresp := s.Svc.UnresponsivePool()
 	tracker := s.Svc.Tracker()
 	pool := make([]ip6.Addr, 0, unresp.Len())
-	for a := range unresp {
+	unresp.Walk(func(a ip6.Addr) bool {
 		if !tracker.InjectedSeenHas(a) {
 			pool = append(pool, a)
 		}
-	}
+		return true
+	})
 	ip6.SortAddrs(pool)
 	raws = append(raws, rawSource{name: "Unresponsive", addrs: pool, rescan: true})
 
