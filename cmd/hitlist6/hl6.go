@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"hitlist6/internal/ckpt"
@@ -210,9 +209,10 @@ func hl6Info(args []string) {
 }
 
 // ckptInfo prints a checkpoint directory's manifest: scan cursor, serve
-// generation, delta-chain shape (when the head is a delta checkpoint),
-// every payload file with size and item count, and the ingest-journal
-// status next to the directory.
+// generation, the segment's size, every payload with its offset in the
+// segment, size and item count, the delta-chain shape (when the head is
+// a delta checkpoint), and the ingest-journal status next to the
+// directory.
 func ckptInfo(dir string) {
 	resolved, err := ckpt.Resolve(dir)
 	if err != nil {
@@ -233,25 +233,26 @@ func ckptInfo(dir string) {
 	fmt.Printf("scans completed: %d\n", m.ScanIndex)
 	fmt.Printf("last scan day:   %s\n", lastDay)
 	fmt.Printf("generation:      %d\n", m.Generation)
+	if st, err := os.Stat(filepath.Join(resolved, ckpt.SegmentName)); err == nil {
+		fmt.Printf("segment:         %s, %d bytes\n", ckpt.SegmentName, st.Size())
+	} else {
+		fmt.Printf("segment:         %s UNREADABLE: %v\n", ckpt.SegmentName, err)
+	}
 	printFiles := func(files []ckpt.FileInfo) int64 {
 		var bytes int64
 		for _, fi := range files {
 			bytes += fi.Bytes
 		}
-		fmt.Printf("payload files:   %d (%d bytes)\n", len(files), bytes)
+		fmt.Printf("payloads:        %d (%d bytes)\n", len(files), bytes)
 		for _, fi := range files {
 			suffix := ""
 			if fi.Delta {
-				if mask, err := strconv.ParseUint(fi.DeltaShards, 16, 64); err == nil {
-					suffix = fmt.Sprintf("  [delta, %d/%d shards]", bits.OnesCount64(mask), ip6.AddrShards)
-				} else {
-					suffix = "  [delta]"
-				}
+				suffix = fmt.Sprintf("  [delta, %d/%d shards]", bits.OnesCount64(fi.Shards), ip6.AddrShards)
 			}
 			if fi.Count > 0 {
-				fmt.Printf("  %-20s %12d bytes %12d items%s\n", fi.Name, fi.Bytes, fi.Count, suffix)
+				fmt.Printf("  %-20s @%-10d %12d bytes %12d items%s\n", fi.Name, fi.Offset, fi.Bytes, fi.Count, suffix)
 			} else {
-				fmt.Printf("  %-20s %12d bytes%s\n", fi.Name, fi.Bytes, suffix)
+				fmt.Printf("  %-20s @%-10d %12d bytes%s\n", fi.Name, fi.Offset, fi.Bytes, suffix)
 			}
 		}
 		return bytes

@@ -1,33 +1,43 @@
 // Package ckpt implements crash-consistent checkpoint directories: a set
-// of named payload files plus a manifest recording each file's size and
-// CRC, committed atomically so that a reader always finds either a
-// complete previous checkpoint or a complete new one — never a partial
-// mix, no matter where a crash lands.
+// of named payloads stored back to back in one segment file plus a
+// manifest recording each payload's offset, size and CRC, committed
+// atomically so that a reader always finds either a complete previous
+// checkpoint or a complete new one — never a partial mix, no matter
+// where a crash lands.
 //
-// Write protocol (Begin → Create/Close per file → Commit):
+// A committed checkpoint directory holds exactly two files:
 //
-//  1. every payload file is written into a fresh temp directory next to
-//     the destination and fsynced on close;
-//  2. the manifest — naming every payload file with its byte size and
-//     CRC-64 — is written and fsynced last, so a temp directory holding
-//     a manifest holds everything the manifest promises;
+//	payloads.seg   every payload's bytes, in manifest order, no framing
+//	manifest.json  version, cursor fields, and per payload its name,
+//	               offset, byte size, CRC-64 and (for deltas) shard bitmap
+//
+// Write protocol (Begin → Create/Close per payload → Commit):
+//
+//  1. every payload is appended to payloads.seg in a fresh temp directory
+//     next to the destination; Commit fsyncs the segment once;
+//  2. the manifest — naming every payload with its offset, byte size and
+//     CRC-64 — is written and fsynced last, so a temp directory holding a
+//     manifest holds everything the manifest promises;
 //  3. Commit renames the previous checkpoint (if any) to dest+".prev",
 //     renames the temp directory to dest, and removes the ".prev" copy.
 //
 // The only crash windows are therefore: no manifest in the temp dir
 // (garbage, ignored), dest missing but dest+".prev" complete (Resolve
 // falls back to it), or both present (dest is newer and wins). Open
-// re-verifies every payload file's size and CRC against the manifest
-// before handing anything to the caller — a truncated, bit-flipped or
-// missing file refuses loudly with ErrCorrupt rather than half-loading.
+// re-verifies the whole segment against the manifest before handing
+// anything to the caller: the entries must tile it exactly — the first
+// at offset 0, each next one where the previous ends, the last ending
+// at the segment's size — and every section's CRC must match. A gap, an
+// overlap, trailing bytes, a bit flip or a missing segment refuses
+// loudly with ErrCorrupt rather than half-loading.
 //
 // # Delta chains
 //
 // A checkpoint may be written as a delta against the checkpoint
-// currently at dest (BeginDelta): payload files marked Delta carry only
-// the shards named in their DeltaShards bitmap, and the manifest's
-// Parent field names the sibling directory — dest + ".p<scanIndex>" —
-// the superseded head is parked under at commit time instead of being
+// currently at dest (BeginDelta): payloads marked Delta carry only the
+// shards named in their DeltaShards bitmap, and the manifest's Parent
+// field names the sibling directory — dest + ".p<scanIndex>" — the
+// superseded head is parked under at commit time instead of being
 // removed. OpenChain resolves the whole parent chain (every level fully
 // CRC-verified; a missing or damaged parent is ErrCorrupt), and
 // FindShard answers "which chain level holds the current content of
@@ -41,6 +51,7 @@
 package ckpt
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -56,30 +67,46 @@ import (
 // ManifestName is the manifest's file name inside a checkpoint directory.
 const ManifestName = "manifest.json"
 
-// Version is the current checkpoint format version.
-const Version = 1
+// SegmentName is the file inside a checkpoint directory that holds every
+// payload's bytes, back to back in manifest order.
+const SegmentName = "payloads.seg"
+
+// Version is the current checkpoint format version. Version 1 stored
+// every payload as a file of its own; its manifests are refused like any
+// other version skew.
+const Version = 2
 
 // ErrCorrupt tags every validation failure Open returns (wrapped with
 // detail); errors.Is(err, ErrCorrupt) distinguishes a damaged checkpoint
 // from plain I/O errors.
 var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
 
-// crcTable is the CRC-64/ECMA table every file checksum uses.
+// crcTable is the CRC-64/ECMA table every payload checksum uses.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// FileInfo describes one payload file in the manifest.
+// segBufSize is the write buffer in front of the segment and the read
+// buffer Open verifies it with.
+const segBufSize = 64 << 10
+
+// FileInfo describes one payload in the manifest: its section of the
+// segment and the checksum of those bytes.
 type FileInfo struct {
-	Name  string `json:"name"`
-	Bytes int64  `json:"bytes"`
-	CRC   string `json:"crc64"` // 16 hex digits, CRC-64/ECMA of the contents
-	Count int64  `json:"count,omitempty"`
+	Name   string `json:"name"`
+	Offset int64  `json:"offset"` // start of the payload's bytes in the segment
+	Bytes  int64  `json:"bytes"`
+	CRC    string `json:"crc64"` // 16 hex digits, CRC-64/ECMA of the payload
+	Count  int64  `json:"count,omitempty"`
 
 	// Delta marks a payload written as a shard delta: only the shards
-	// whose bit is set in DeltaShards are present in this file; every
+	// whose bit is set in DeltaShards are present in this payload; every
 	// other shard's content lives at some older chain level. A payload
 	// without Delta carries all shards.
 	Delta       bool   `json:"delta,omitempty"`
 	DeltaShards string `json:"delta_shards,omitempty"` // 16 hex digits, bit i = shard i present
+
+	// Shards is the shard bitmap the payload carries: DeltaShards parsed
+	// for a delta, every bit for a full payload. ReadManifest fills it.
+	Shards uint64 `json:"-"`
 }
 
 // Manifest is the checkpoint's table of contents plus the service-level
@@ -98,11 +125,16 @@ type Manifest struct {
 	Depth  int    `json:"depth,omitempty"`
 }
 
-// Writer stages one checkpoint. Files must be created and closed one at
-// a time; Commit finalizes, Abort discards.
+// Writer stages one checkpoint. Payloads must be created and closed one
+// at a time, each appended to the staged segment; Commit finalizes,
+// Abort discards.
 type Writer struct {
 	dest  string
 	tmp   string
+	seg   *os.File
+	bw    *bufio.Writer
+	off   int64 // segment bytes written so far
+	cur   *File // the payload being written; nil between payloads
 	files []FileInfo
 	done  bool
 
@@ -124,7 +156,12 @@ func Begin(dest string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: creating staging dir: %w", err)
 	}
-	return &Writer{dest: dest, tmp: tmp}, nil
+	seg, err := os.Create(filepath.Join(tmp, SegmentName))
+	if err != nil {
+		os.RemoveAll(tmp)
+		return nil, fmt.Errorf("ckpt: creating segment: %w", err)
+	}
+	return &Writer{dest: dest, tmp: tmp, seg: seg, bw: bufio.NewWriterSize(seg, segBufSize)}, nil
 }
 
 // BeginDelta stages a checkpoint that chains onto the checkpoint
@@ -147,12 +184,12 @@ func BeginDelta(dest string) (*Writer, error) {
 	return w, nil
 }
 
-// File is one payload file being written: an io.Writer that tracks size
-// and CRC, fsyncs on Close, and records itself in the manifest.
+// File is one payload being written: an io.Writer that appends to the
+// segment, tracks size and CRC, and records its manifest entry on Close.
 type File struct {
 	w           *Writer
 	name        string
-	f           *os.File
+	off         int64
 	crc         hash.Hash64
 	n           int64
 	count       int64
@@ -160,32 +197,45 @@ type File struct {
 	deltaShards uint64
 }
 
-// Create opens payload file name in the staging directory. Close the
-// returned File before creating the next one.
+// Create starts payload name at the segment's current end. Close the
+// returned File before creating the next one: a second Create while one
+// is open is refused, since interleaved writes would corrupt both.
 func (w *Writer) Create(name string) (*File, error) {
+	if w.done {
+		return nil, fmt.Errorf("ckpt: writer already finished")
+	}
 	if name == ManifestName || name != filepath.Base(name) {
-		return nil, fmt.Errorf("ckpt: invalid payload file name %q", name)
+		return nil, fmt.Errorf("ckpt: invalid payload name %q", name)
 	}
-	f, err := os.Create(filepath.Join(w.tmp, name))
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: creating %s: %w", name, err)
+	if w.cur != nil {
+		return nil, fmt.Errorf("ckpt: creating %s while %s is still open", name, w.cur.name)
 	}
-	return &File{w: w, name: name, f: f, crc: crc64.New(crcTable)}, nil
+	for _, fi := range w.files {
+		if fi.Name == name {
+			return nil, fmt.Errorf("ckpt: payload %s written twice", name)
+		}
+	}
+	w.cur = &File{w: w, name: name, off: w.off, crc: crc64.New(crcTable)}
+	return w.cur, nil
 }
 
 // Write appends to the payload, folding the bytes into the running CRC.
 func (f *File) Write(p []byte) (int, error) {
-	n, err := f.f.Write(p)
+	if f.w.cur != f {
+		return 0, fmt.Errorf("ckpt: write to closed payload %s", f.name)
+	}
+	n, err := f.w.bw.Write(p)
 	f.crc.Write(p[:n])
 	f.n += int64(n)
+	f.w.off += int64(n)
 	return n, err
 }
 
-// SetCount records an item count (addresses, records) in the file's
+// SetCount records an item count (addresses, records) in the payload's
 // manifest entry — display metadata only, not validated.
 func (f *File) SetCount(n int64) { f.count = n }
 
-// SetDeltaShards marks the file as a shard delta carrying exactly the
+// SetDeltaShards marks the payload as a shard delta carrying exactly the
 // shards whose bit is set in mask (bit i = shard i). Unlike Count this
 // is load-bearing: readers resolve absent shards through the parent
 // chain.
@@ -194,24 +244,25 @@ func (f *File) SetDeltaShards(mask uint64) {
 	f.deltaShards = mask
 }
 
-// Close fsyncs the payload and records its manifest entry.
+// Close records the payload's manifest entry. Nothing is synced here:
+// Commit fsyncs the whole segment once.
 func (f *File) Close() error {
-	if err := f.f.Sync(); err != nil {
-		f.f.Close()
-		return fmt.Errorf("ckpt: syncing %s: %w", f.name, err)
+	if f.w.cur != f {
+		return fmt.Errorf("ckpt: payload %s already closed", f.name)
 	}
-	if err := f.f.Close(); err != nil {
-		return fmt.Errorf("ckpt: closing %s: %w", f.name, err)
-	}
+	f.w.cur = nil
 	fi := FileInfo{
-		Name:  f.name,
-		Bytes: f.n,
-		CRC:   fmt.Sprintf("%016x", f.crc.Sum64()),
-		Count: f.count,
+		Name:   f.name,
+		Offset: f.off,
+		Bytes:  f.n,
+		CRC:    fmt.Sprintf("%016x", f.crc.Sum64()),
+		Count:  f.count,
+		Shards: ^uint64(0),
 	}
 	if f.delta {
 		fi.Delta = true
 		fi.DeltaShards = fmt.Sprintf("%016x", f.deltaShards)
+		fi.Shards = f.deltaShards
 	}
 	f.w.files = append(f.w.files, fi)
 	return nil
@@ -224,17 +275,47 @@ func (w *Writer) Abort() {
 		return
 	}
 	w.done = true
+	if w.seg != nil {
+		w.seg.Close()
+		w.seg = nil
+	}
 	os.RemoveAll(w.tmp)
 }
 
-// Commit writes the manifest (stamped with the writer's file table) and
-// atomically replaces dest with the staged directory. On error the
-// staging directory is removed and dest is untouched — except in the
-// narrow window between the two renames, which Resolve covers via the
-// ".prev" fallback.
+// finishSegment flushes, fsyncs and closes the staged segment: the one
+// data fsync of a commit.
+func (w *Writer) finishSegment() error {
+	err := w.bw.Flush()
+	if err == nil {
+		err = w.seg.Sync()
+	}
+	if cerr := w.seg.Close(); err == nil {
+		err = cerr
+	}
+	w.seg = nil
+	if err != nil {
+		return fmt.Errorf("ckpt: writing segment: %w", err)
+	}
+	return nil
+}
+
+// Commit makes the segment durable, writes the manifest (stamped with
+// the writer's payload table) and atomically replaces dest with the
+// staged directory. On error the staging directory is removed and dest
+// is untouched — except in the narrow window between the two renames,
+// which Resolve covers via the ".prev" fallback.
 func (w *Writer) Commit(m Manifest) error {
 	if w.done {
 		return fmt.Errorf("ckpt: writer already finished")
+	}
+	if w.cur != nil {
+		name := w.cur.name
+		w.Abort()
+		return fmt.Errorf("ckpt: committing with payload %s still open", name)
+	}
+	if err := w.finishSegment(); err != nil {
+		w.Abort()
+		return err
 	}
 	m.Version = Version
 	m.Files = w.files
@@ -324,20 +405,24 @@ func (w *Writer) commitDelta() error {
 }
 
 // chainDirs lists dest's parked delta parents — sibling directories
-// named dest + ".p<digits>" — in ascending scan-index order.
+// named dest + ".p<digits>" — in ascending scan-index order. It lists
+// the parent directory rather than globbing, so a dest containing glob
+// metacharacters ("run[1]/ck") still finds its chain.
 func chainDirs(dest string) ([]string, error) {
-	matches, err := filepath.Glob(dest + ".p*")
+	entries, err := os.ReadDir(filepath.Dir(dest))
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: listing chain of %s: %w", dest, err)
 	}
+	prefix := filepath.Base(dest) + ".p"
 	var dirs []string
 	var scans []int
-	for _, m := range matches {
-		n, err := strconv.Atoi(strings.TrimPrefix(m, dest+".p"))
-		if err != nil {
+	for _, e := range entries {
+		digits, ok := strings.CutPrefix(e.Name(), prefix)
+		n, err := strconv.Atoi(digits)
+		if !ok || err != nil {
 			continue // ".prev", journals, unrelated siblings
 		}
-		dirs = append(dirs, m)
+		dirs = append(dirs, dest+".p"+digits)
 		scans = append(scans, n)
 	}
 	// Insertion sort by scan index — chains are bounded-depth small.
@@ -431,8 +516,10 @@ type Snapshot struct {
 	byName map[string]FileInfo
 }
 
-// ReadManifest parses a checkpoint directory's manifest without
-// validating the payload files — the cheap path for status display.
+// ReadManifest parses a checkpoint directory's manifest without reading
+// the segment — the cheap path for status display. Each delta bitmap is
+// parsed here, once: one that is not 16 hex digits is ErrCorrupt, since
+// a misread bitmap would resolve shards from the wrong chain level.
 func ReadManifest(dir string) (Manifest, error) {
 	var m Manifest
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -445,12 +532,25 @@ func ReadManifest(dir string) (Manifest, error) {
 	if m.Version != Version {
 		return m, fmt.Errorf("%w: manifest version %d, want %d", ErrCorrupt, m.Version, Version)
 	}
+	for i := range m.Files {
+		fi := &m.Files[i]
+		fi.Shards = ^uint64(0)
+		if !fi.Delta {
+			continue
+		}
+		mask, err := strconv.ParseUint(fi.DeltaShards, 16, 64)
+		if err != nil || len(fi.DeltaShards) != 16 {
+			return m, fmt.Errorf("%w: %s delta bitmap %q", ErrCorrupt, fi.Name, fi.DeltaShards)
+		}
+		fi.Shards = mask
+	}
 	return m, nil
 }
 
-// Open reads dir's manifest and verifies every payload file it names —
-// existence, exact byte size, and CRC — before returning. Any mismatch
-// returns an error wrapping ErrCorrupt; nothing is ever half-loaded.
+// Open reads dir's manifest and verifies the segment against it — the
+// entries tile the segment exactly and every section's CRC matches —
+// before returning. Any mismatch returns an error wrapping ErrCorrupt;
+// nothing is ever half-loaded.
 func Open(dir string) (*Snapshot, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
@@ -458,34 +558,58 @@ func Open(dir string) (*Snapshot, error) {
 	}
 	s := &Snapshot{Dir: dir, Manifest: m, byName: make(map[string]FileInfo, len(m.Files))}
 	for _, fi := range m.Files {
-		if err := verifyFile(dir, fi); err != nil {
-			return nil, err
+		if _, dup := s.byName[fi.Name]; dup {
+			return nil, fmt.Errorf("%w: manifest lists %s twice", ErrCorrupt, fi.Name)
 		}
 		s.byName[fi.Name] = fi
+	}
+	if err := verifySegment(dir, m.Files); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// verifyFile checks one payload file's size and CRC against its entry.
-func verifyFile(dir string, fi FileInfo) error {
-	f, err := os.Open(filepath.Join(dir, fi.Name))
+// verifySegment reads dir's segment once, front to back: each entry
+// must start where the previous one ended (the first at 0), the last
+// must end at the segment's size, and each section's CRC must match.
+func verifySegment(dir string, files []FileInfo) error {
+	f, err := os.Open(filepath.Join(dir, SegmentName))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return fmt.Errorf("%w: %s missing", ErrCorrupt, fi.Name)
+			return fmt.Errorf("%w: %s missing", ErrCorrupt, SegmentName)
 		}
 		return err
 	}
 	defer f.Close()
-	crc := crc64.New(crcTable)
-	n, err := io.Copy(crc, f)
+	st, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("ckpt: reading %s: %w", fi.Name, err)
+		return err
 	}
-	if n != fi.Bytes {
-		return fmt.Errorf("%w: %s is %d bytes, manifest says %d", ErrCorrupt, fi.Name, n, fi.Bytes)
+	size := st.Size()
+	buf := make([]byte, segBufSize)
+	var end int64
+	for _, fi := range files {
+		if fi.Offset != end {
+			return fmt.Errorf("%w: %s starts at offset %d, previous payload ends at %d", ErrCorrupt, fi.Name, fi.Offset, end)
+		}
+		if fi.Bytes < 0 || fi.Bytes > size-end {
+			return fmt.Errorf("%w: %s claims %d bytes at offset %d of a %d-byte segment", ErrCorrupt, fi.Name, fi.Bytes, fi.Offset, size)
+		}
+		crc := crc64.New(crcTable)
+		n, err := io.CopyBuffer(crc, io.LimitReader(f, fi.Bytes), buf)
+		if err != nil {
+			return fmt.Errorf("ckpt: reading %s: %w", fi.Name, err)
+		}
+		if n != fi.Bytes {
+			return fmt.Errorf("%w: %s is %d bytes, manifest says %d", ErrCorrupt, fi.Name, n, fi.Bytes)
+		}
+		if got := fmt.Sprintf("%016x", crc.Sum64()); got != fi.CRC {
+			return fmt.Errorf("%w: %s CRC %s, manifest says %s", ErrCorrupt, fi.Name, got, fi.CRC)
+		}
+		end += fi.Bytes
 	}
-	if got := fmt.Sprintf("%016x", crc.Sum64()); got != fi.CRC {
-		return fmt.Errorf("%w: %s CRC %s, manifest says %s", ErrCorrupt, fi.Name, got, fi.CRC)
+	if end != size {
+		return fmt.Errorf("%w: %s is %d bytes, payloads end at %d", ErrCorrupt, SegmentName, size, end)
 	}
 	return nil
 }
@@ -527,19 +651,34 @@ func OpenChain(dir string) (*Snapshot, error) {
 	return head, nil
 }
 
-// Path returns the absolute path of payload file name.
-func (s *Snapshot) Path(name string) string { return filepath.Join(s.Dir, name) }
+// Section is one payload's bytes within a checkpoint segment, readable
+// sequentially or at offsets; Close releases the segment handle.
+type Section struct {
+	*io.SectionReader
+	f *os.File
+}
 
-// Has reports whether the manifest names the payload file.
+// Close closes the segment file the section reads from.
+func (s *Section) Close() error { return s.f.Close() }
+
+// Open returns payload name's section of the segment; a name the
+// manifest does not list is ErrCorrupt. The caller closes the section.
+func (s *Snapshot) Open(name string) (*Section, error) {
+	fi, ok := s.byName[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s missing from manifest", ErrCorrupt, name)
+	}
+	f, err := os.Open(filepath.Join(s.Dir, SegmentName))
+	if err != nil {
+		return nil, err
+	}
+	return &Section{SectionReader: io.NewSectionReader(f, fi.Offset, fi.Bytes), f: f}, nil
+}
+
+// Has reports whether the manifest names the payload.
 func (s *Snapshot) Has(name string) bool {
 	_, ok := s.byName[name]
 	return ok
-}
-
-// Info returns the manifest entry for name.
-func (s *Snapshot) Info(name string) (FileInfo, bool) {
-	fi, ok := s.byName[name]
-	return fi, ok
 }
 
 // HasShard reports whether this snapshot's own copy of payload name
@@ -547,17 +686,7 @@ func (s *Snapshot) Info(name string) (FileInfo, bool) {
 // those in its bitmap.
 func (s *Snapshot) HasShard(name string, sh int) bool {
 	fi, ok := s.byName[name]
-	if !ok {
-		return false
-	}
-	if !fi.Delta {
-		return true
-	}
-	mask, err := strconv.ParseUint(fi.DeltaShards, 16, 64)
-	if err != nil {
-		return false
-	}
-	return mask&(1<<uint(sh)) != 0
+	return ok && fi.Shards&(1<<uint(sh)) != 0
 }
 
 // FindShard returns the newest chain level (this snapshot or an
@@ -574,7 +703,7 @@ func (s *Snapshot) FindShard(name string, sh int) *Snapshot {
 	return nil
 }
 
-// HasInChain reports whether any chain level names the payload file.
+// HasInChain reports whether any chain level names the payload.
 func (s *Snapshot) HasInChain(name string) bool {
 	for cur := s; cur != nil; cur = cur.Parent {
 		if cur.Has(name) {

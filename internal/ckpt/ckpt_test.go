@@ -1,30 +1,46 @@
-package ckpt
+package ckpt_test
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"hitlist6/internal/ckpt"
+	"hitlist6/internal/ckpt/ckpttest"
 	"hitlist6/internal/ip6"
 )
 
-// writeCheckpoint commits a checkpoint with the given payload files.
-func writeCheckpoint(t *testing.T, dest string, files map[string]string, m Manifest) {
+// writeCheckpoint commits a checkpoint with the given payloads, written
+// in name order.
+func writeCheckpoint(t *testing.T, dest string, files map[string]string, m ckpt.Manifest) {
 	t.Helper()
-	w, err := Begin(dest)
+	w, err := ckpt.Begin(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range files {
+	commitPayloads(t, w, files, m)
+}
+
+// commitPayloads writes files into w in name order and commits it.
+func commitPayloads(t *testing.T, w *ckpt.Writer, files map[string]string, m ckpt.Manifest) {
+	t.Helper()
+	var names []string
+	for name := range files {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
 		f, err := w.Create(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Write([]byte(body)); err != nil {
+		if _, err := f.Write([]byte(files[name])); err != nil {
 			t.Fatal(err)
 		}
-		f.SetCount(int64(len(body)))
+		f.SetCount(int64(len(files[name])))
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -34,30 +50,63 @@ func writeCheckpoint(t *testing.T, dest string, files map[string]string, m Manif
 	}
 }
 
+// readPayload returns payload name's bytes through Snapshot.Open.
+func readPayload(t *testing.T, s *ckpt.Snapshot, name string) string {
+	t.Helper()
+	sec, err := s.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sec.Close()
+	b, err := io.ReadAll(sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// dirEntries lists the names in dir.
+func dirEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
 func TestCommitOpenRoundtrip(t *testing.T) {
 	dest := filepath.Join(t.TempDir(), "ckpt")
 	writeCheckpoint(t, dest,
 		map[string]string{"a.bin": "alpha", "b.bin": "bravo-bravo"},
-		Manifest{ScanIndex: 3, LastDay: 21, Generation: 7})
+		ckpt.Manifest{ScanIndex: 3, LastDay: 21, Generation: 7})
 
-	s, err := Open(dest)
+	s, err := ckpt.Open(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := s.Manifest
-	if m.Version != Version || m.ScanIndex != 3 || m.LastDay != 21 || m.Generation != 7 {
+	if m.Version != ckpt.Version || m.ScanIndex != 3 || m.LastDay != 21 || m.Generation != 7 {
 		t.Fatalf("manifest = %+v", m)
 	}
 	if !s.Has("a.bin") || !s.Has("b.bin") || s.Has("c.bin") {
 		t.Fatal("Has reports wrong payload set")
 	}
-	fi, ok := s.Info("b.bin")
-	if !ok || fi.Bytes != 11 || fi.Count != 11 {
-		t.Fatalf("Info(b.bin) = %+v, %v", fi, ok)
+	if fi := m.Files[1]; fi.Name != "b.bin" || fi.Offset != 5 || fi.Bytes != 11 || fi.Count != 11 {
+		t.Fatalf("second manifest entry = %+v, want b.bin at offset 5", fi)
 	}
-	body, err := os.ReadFile(s.Path("a.bin"))
-	if err != nil || string(body) != "alpha" {
-		t.Fatalf("payload a.bin = %q, %v", body, err)
+	if got := readPayload(t, s, "a.bin"); got != "alpha" {
+		t.Fatalf("payload a.bin = %q", got)
+	}
+	if got := readPayload(t, s, "b.bin"); got != "bravo-bravo" {
+		t.Fatalf("payload b.bin = %q", got)
+	}
+	if _, err := s.Open("c.bin"); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("Open(c.bin) err = %v, want ErrCorrupt", err)
 	}
 	// No staging or .prev debris after a clean commit.
 	if _, err := os.Stat(dest + ".prev"); !os.IsNotExist(err) {
@@ -65,21 +114,43 @@ func TestCommitOpenRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCommitLeavesManifestAndSegment: whatever the payload count, full
+// or delta, a committed checkpoint directory is exactly the manifest and
+// the one segment every payload went into.
+func TestCommitLeavesManifestAndSegment(t *testing.T) {
+	dest := filepath.Join(t.TempDir(), "ckpt")
+	want := []string{ckpt.ManifestName, ckpt.SegmentName}
+	slices.Sort(want)
+	writeCheckpoint(t, dest, map[string]string{"a.bin": "alpha", "b.bin": "bravo", "c.bin": ""}, ckpt.Manifest{ScanIndex: 1})
+	if got := dirEntries(t, dest); !slices.Equal(got, want) {
+		t.Fatalf("full checkpoint holds %v, want %v", got, want)
+	}
+	w, err := ckpt.BeginDelta(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitPayloads(t, w, map[string]string{"a.bin": "alpha2"}, ckpt.Manifest{ScanIndex: 2})
+	for _, dir := range []string{dest, dest + ".p1"} {
+		if got := dirEntries(t, dir); !slices.Equal(got, want) {
+			t.Fatalf("%s holds %v, want %v", dir, got, want)
+		}
+	}
+}
+
 func TestCommitReplacesExisting(t *testing.T) {
 	dest := filepath.Join(t.TempDir(), "ckpt")
-	writeCheckpoint(t, dest, map[string]string{"a.bin": "old"}, Manifest{ScanIndex: 1})
-	writeCheckpoint(t, dest, map[string]string{"a.bin": "new!", "b.bin": "added"}, Manifest{ScanIndex: 2})
+	writeCheckpoint(t, dest, map[string]string{"a.bin": "old"}, ckpt.Manifest{ScanIndex: 1})
+	writeCheckpoint(t, dest, map[string]string{"a.bin": "new!", "b.bin": "added"}, ckpt.Manifest{ScanIndex: 2})
 
-	s, err := Open(dest)
+	s, err := ckpt.Open(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Manifest.ScanIndex != 2 {
 		t.Fatalf("scan index = %d, want 2", s.Manifest.ScanIndex)
 	}
-	body, err := os.ReadFile(s.Path("a.bin"))
-	if err != nil || string(body) != "new!" {
-		t.Fatalf("payload a.bin = %q, %v", body, err)
+	if got := readPayload(t, s, "a.bin"); got != "new!" {
+		t.Fatalf("payload a.bin = %q", got)
 	}
 	if _, err := os.Stat(dest + ".prev"); !os.IsNotExist(err) {
 		t.Fatalf(".prev left behind: %v", err)
@@ -89,7 +160,7 @@ func TestCommitReplacesExisting(t *testing.T) {
 func TestAbortLeavesNothing(t *testing.T) {
 	parent := t.TempDir()
 	dest := filepath.Join(parent, "ckpt")
-	w, err := Begin(dest)
+	w, err := ckpt.Begin(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,26 +182,66 @@ func TestAbortLeavesNothing(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesWhileOpen: payloads share one segment, so a second
+// Create before the first File is closed must be refused — interleaved
+// writes would corrupt both sections silently — and so must a write
+// through a closed File or a Commit with a File still open.
+func TestCreateRefusesWhileOpen(t *testing.T) {
+	dest := filepath.Join(t.TempDir(), "ckpt")
+	w, err := ckpt.Begin(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := w.Create("a.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Create("b.bin"); err == nil {
+		t.Fatal("second Create with a.bin open succeeded; want refusal")
+	}
+	a.Write([]byte("alpha"))
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Write([]byte("late")); err == nil {
+		t.Fatal("write through a closed File succeeded; want refusal")
+	}
+	if _, err := w.Create("a.bin"); err == nil {
+		t.Fatal("Create of a payload already written succeeded; want refusal")
+	}
+	b, err := w.Create("b.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Write([]byte("bravo"))
+	if err := w.Commit(ckpt.Manifest{}); err == nil {
+		t.Fatal("Commit with b.bin open succeeded; want refusal")
+	}
+	if _, err := os.Stat(dest); !os.IsNotExist(err) {
+		t.Fatalf("refused commit published %s: %v", dest, err)
+	}
+}
+
 // TestResolvePrevFallback covers the narrow commit crash window: the
 // previous checkpoint parked at dest+".prev" but the new one not yet
 // renamed into place. Resolve must fall back to the parked copy and
 // Open must validate it fully.
 func TestResolvePrevFallback(t *testing.T) {
 	dest := filepath.Join(t.TempDir(), "ckpt")
-	writeCheckpoint(t, dest, map[string]string{"a.bin": "survivor"}, Manifest{ScanIndex: 5})
+	writeCheckpoint(t, dest, map[string]string{"a.bin": "survivor"}, ckpt.Manifest{ScanIndex: 5})
 	// Simulate the crash: dest was renamed away, replacement never landed.
 	if err := os.Rename(dest, dest+".prev"); err != nil {
 		t.Fatal(err)
 	}
 
-	resolved, err := Resolve(dest)
+	resolved, err := ckpt.Resolve(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resolved != dest+".prev" {
 		t.Fatalf("resolved %s, want %s", resolved, dest+".prev")
 	}
-	s, err := Open(resolved)
+	s, err := ckpt.Open(resolved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,79 +251,170 @@ func TestResolvePrevFallback(t *testing.T) {
 }
 
 func TestResolveMissing(t *testing.T) {
-	_, err := Resolve(filepath.Join(t.TempDir(), "nope"))
+	_, err := ckpt.Resolve(filepath.Join(t.TempDir(), "nope"))
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("err = %v, want os.ErrNotExist", err)
 	}
 }
 
-// TestOpenRefusesCorruption: every damage mode — truncation, bit flips,
-// a deleted payload, garbage or version-skewed manifests — must refuse
-// with ErrCorrupt rather than half-load.
+// TestChainDirsGlobMeta: a checkpoint path containing glob
+// metacharacters must still find its parked delta parents — a full
+// commit prunes them, and with the head gone Resolve falls back to the
+// newest one.
+func TestChainDirsGlobMeta(t *testing.T) {
+	dest := filepath.Join(t.TempDir(), "run[1]", "ck")
+	commit := func(scan int, delta bool) {
+		t.Helper()
+		begin := ckpt.Begin
+		if delta {
+			begin = ckpt.BeginDelta
+		}
+		w, err := begin(dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commitPayloads(t, w, map[string]string{"a.bin": "scan"}, ckpt.Manifest{ScanIndex: scan})
+	}
+	commit(1, false)
+	commit(2, true)
+	commit(3, true)
+	commit(4, false)
+	if got := dirEntries(t, filepath.Dir(dest)); !slices.Equal(got, []string{"ck"}) {
+		t.Fatalf("after the final full commit %s holds %v, want only the head", filepath.Dir(dest), got)
+	}
+	commit(5, true)
+	// The crash window of a delta commit: head parked, new head not yet
+	// published.
+	if err := os.RemoveAll(dest); err != nil {
+		t.Fatal(err)
+	}
+	resolved, err := ckpt.Resolve(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resolved != dest+".p4" {
+		t.Fatalf("resolved %s, want %s", resolved, dest+".p4")
+	}
+}
+
+// TestOpenRefusesCorruption: every damage mode — a payload truncated,
+// extended, bit-flipped or cut out of the segment, a segment that the
+// manifest's entries do not tile exactly or that is missing, garbage or
+// version-skewed manifests, a malformed delta bitmap — must refuse with
+// ErrCorrupt rather than half-load.
 func TestOpenRefusesCorruption(t *testing.T) {
+	editPayload := func(edit func([]byte) []byte) func(*testing.T, string) {
+		return func(t *testing.T, dest string) { ckpttest.Edit(t, dest, "a.bin", false, edit) }
+	}
+	editManifest := func(edit func(*ckpt.Manifest)) func(*testing.T, string) {
+		return func(t *testing.T, dest string) {
+			m, err := ckpt.ReadManifest(dest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(&m)
+			ckpttest.WriteManifest(t, dest, m)
+		}
+	}
+	writeManifest := func(data string) func(*testing.T, string) {
+		return func(t *testing.T, dest string) {
+			if err := os.WriteFile(filepath.Join(dest, ckpt.ManifestName), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	cases := []struct {
 		label  string
 		damage func(t *testing.T, dest string)
 	}{
-		{"truncated payload", func(t *testing.T, dest string) {
-			if err := os.Truncate(filepath.Join(dest, "a.bin"), 2); err != nil {
+		{"truncated payload", editPayload(func(b []byte) []byte { return b[:2] })},
+		{"extended payload", editPayload(func(b []byte) []byte { return append(b, 'x') })},
+		{"bit flip", editPayload(func(b []byte) []byte { b[0] ^= 0x01; return b })},
+		{"missing payload", editPayload(func([]byte) []byte { return nil })},
+		{"missing segment", func(t *testing.T, dest string) {
+			if err := os.Remove(filepath.Join(dest, ckpt.SegmentName)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"extended payload", func(t *testing.T, dest string) {
-			f, err := os.OpenFile(filepath.Join(dest, "a.bin"), os.O_APPEND|os.O_WRONLY, 0)
+		{"trailing segment bytes", func(t *testing.T, dest string) {
+			f, err := os.OpenFile(filepath.Join(dest, ckpt.SegmentName), os.O_APPEND|os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			f.Write([]byte("x"))
 			f.Close()
 		}},
-		{"bit flip", func(t *testing.T, dest string) {
-			path := filepath.Join(dest, "a.bin")
-			b, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b[0] ^= 0x01
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"missing payload", func(t *testing.T, dest string) {
-			if err := os.Remove(filepath.Join(dest, "a.bin")); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"garbage manifest", func(t *testing.T, dest string) {
-			if err := os.WriteFile(filepath.Join(dest, ManifestName), []byte("{\"version\": 1,"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"version skew", func(t *testing.T, dest string) {
-			if err := os.WriteFile(filepath.Join(dest, ManifestName), []byte("{\"version\": 99}\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"gap", editManifest(func(m *ckpt.Manifest) { m.Files[1].Offset++ })},
+		{"overlap", editManifest(func(m *ckpt.Manifest) { m.Files[1].Offset-- })},
+		{"offset past end", editManifest(func(m *ckpt.Manifest) { m.Files[1].Offset = 1 << 40 })},
+		{"size past end", editManifest(func(m *ckpt.Manifest) { m.Files[1].Bytes += 1 << 40 })},
+		{"negative size", editManifest(func(m *ckpt.Manifest) { m.Files[0].Bytes = -1 })},
+		{"duplicate name", editManifest(func(m *ckpt.Manifest) { m.Files[1].Name = m.Files[0].Name })},
+		{"delta_shards zz", editManifest(func(m *ckpt.Manifest) { m.Files[0].Delta, m.Files[0].DeltaShards = true, "zz" })},
+		{"delta_shards short", editManifest(func(m *ckpt.Manifest) { m.Files[0].Delta, m.Files[0].DeltaShards = true, "ff" })},
+		{"version 1", editManifest(func(m *ckpt.Manifest) { m.Version = 1 })},
+		{"garbage manifest", writeManifest("{\"version\": 2,")},
+		{"version skew", writeManifest("{\"version\": 99}\n")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
 			dest := filepath.Join(t.TempDir(), "ckpt")
-			writeCheckpoint(t, dest, map[string]string{"a.bin": "payload bytes"}, Manifest{})
+			writeCheckpoint(t, dest, map[string]string{"a.bin": "payload bytes", "b.bin": "more payload bytes"}, ckpt.Manifest{})
+			if _, err := ckpt.Open(dest); err != nil {
+				t.Fatalf("undamaged checkpoint: %v", err)
+			}
 			tc.damage(t, dest)
-			if _, err := Open(dest); !errors.Is(err, ErrCorrupt) {
+			if _, err := ckpt.Open(dest); !errors.Is(err, ckpt.ErrCorrupt) {
 				t.Fatalf("err = %v, want ErrCorrupt", err)
 			}
 		})
 	}
 }
 
+// TestShardsFromDeltaBitmap: the manifest's delta bitmap is parsed once
+// and drives HasShard; a full payload carries every shard.
+func TestShardsFromDeltaBitmap(t *testing.T) {
+	dest := filepath.Join(t.TempDir(), "ckpt")
+	writeCheckpoint(t, dest, map[string]string{"full.bin": "x"}, ckpt.Manifest{ScanIndex: 1})
+	w, err := ckpt.BeginDelta(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := w.Create("full.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetDeltaShards(1<<3 | 1<<63)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(ckpt.Manifest{ScanIndex: 2}); err != nil {
+		t.Fatal(err)
+	}
+	head, err := ckpt.OpenChain(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sh, want := range map[int]bool{0: false, 3: true, 62: false, 63: true} {
+		if got := head.HasShard("full.bin", sh); got != want {
+			t.Errorf("head HasShard(%d) = %v, want %v", sh, got, want)
+		}
+	}
+	if lvl := head.FindShard("full.bin", 0); lvl != head.Parent {
+		t.Errorf("FindShard(0) = %v, want the full parent", lvl)
+	}
+	if !head.Parent.HasShard("full.bin", 0) {
+		t.Error("a full payload must carry every shard")
+	}
+}
+
 func TestCreateRejectsBadNames(t *testing.T) {
-	w, err := Begin(filepath.Join(t.TempDir(), "ckpt"))
+	w, err := ckpt.Begin(filepath.Join(t.TempDir(), "ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	for _, name := range []string{ManifestName, "sub/file.bin", "../escape"} {
+	for _, name := range []string{ckpt.ManifestName, "sub/file.bin", "../escape"} {
 		if _, err := w.Create(name); err == nil {
 			t.Fatalf("Create(%q) succeeded; want refusal", name)
 		}
@@ -230,7 +432,7 @@ func TestJournalRoundtrip(t *testing.T) {
 		{1, ip6.MustParseAddr("fe80::1")},
 	}
 
-	jw, err := CreateJournal(path)
+	jw, err := ckpt.CreateJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +448,12 @@ func TestJournalRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	count, bytes, ok, err := JournalStat(path)
+	count, bytes, ok, err := ckpt.JournalStat(path)
 	if err != nil || !ok || count != int64(len(recs)) {
 		t.Fatalf("JournalStat = %d, %d, %v, %v", count, bytes, ok, err)
 	}
 
-	jr, err := OpenJournal(path)
+	jr, err := ckpt.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +475,14 @@ func TestJournalRoundtrip(t *testing.T) {
 	if err := jr.Remove(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, err := JournalStat(path); ok || err != nil {
+	if _, _, ok, err := ckpt.JournalStat(path); ok || err != nil {
 		t.Fatalf("after remove: ok=%v err=%v", ok, err)
 	}
 }
 
 func TestJournalDiscard(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scan.journal")
-	jw, err := CreateJournal(path)
+	jw, err := ckpt.CreateJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +498,7 @@ func TestOpenJournalBadMagic(t *testing.T) {
 	if err := os.WriteFile(path, []byte("NOPE-not-a-journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	if _, err := ckpt.OpenJournal(path); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("err = %v, want ckpt.ErrCorrupt", err)
 	}
 }

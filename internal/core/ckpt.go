@@ -6,7 +6,8 @@ package core
 // sets as .hl6 images streamed shard-sorted (resident sets sort a copy,
 // SpillSets merge their frozen runs without materializing anything),
 // the active target store and APD history as small binary tables, and
-// counters/records/snapshots as JSON — then commits atomically. Resume
+// counters/records/snapshots as JSON — each a payload appended to the
+// checkpoint's one segment, then commits atomically. Resume
 // rebuilds a Service from the newest complete checkpoint; a timeline
 // interrupted at day k (SIGKILL included) and resumed is byte-identical
 // to an uninterrupted run for any worker count, FleetWorkers, memory
@@ -46,7 +47,8 @@ import (
 	"hitlist6/internal/sources"
 )
 
-// Checkpoint payload file names.
+// Checkpoint payload names: each names a section of the checkpoint's
+// segment, not a file.
 const (
 	ckptStateFile     = "state.json"
 	ckptRecordsFile   = "records.json"
@@ -468,7 +470,7 @@ func (s *Service) writeAPDHistory(w *ckpt.Writer, name string) error {
 	})
 }
 
-// writePayload stages one payload file: body writes its bytes through a
+// writePayload stages one payload: body writes its bytes through a
 // buffered writer, count is the manifest's item count.
 func writePayload(w *ckpt.Writer, name string, count int64, body func(bw *bufio.Writer) error) error {
 	f, err := w.Create(name)
@@ -486,7 +488,7 @@ func writePayload(w *ckpt.Writer, name string, count int64, body func(bw *bufio.
 	return f.Close()
 }
 
-// writeJSONFile stages one JSON payload file.
+// writeJSONFile stages one JSON payload.
 func writeJSONFile(w *ckpt.Writer, name string, v any, count int64) error {
 	f, err := w.Create(name)
 	if err != nil {
@@ -507,7 +509,7 @@ func writeJSONFile(w *ckpt.Writer, name string, v any, count int64) error {
 // writeAddrSet stages a sharded address set as a .hl6 image, streamed in
 // shard-sorted order: resident shards sort a copy, SpillSet shards merge
 // their frozen runs straight off disk. Only the shards selected by mask
-// are written; the others get a zero count. With delta set the file
+// are written; the others get a zero count. With delta set the payload
 // records mask as its DeltaShards bitmap, and readers resolve the
 // unwritten shards through the parent chain.
 func writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, mask uint64, delta bool) error {
@@ -597,30 +599,26 @@ func readPrefix(r io.Reader) (ip6.Prefix, error) {
 }
 
 // openTable opens a binary table payload (a 4-byte entry count, then the
-// entries) and reads its count, refusing one the manifest's byte size
+// entries) and reads its count, refusing one the payload's byte size
 // cannot hold at minEntry bytes per entry: a damaged header never sizes
-// an allocation. The caller closes the file.
-func openTable(snap *ckpt.Snapshot, name string, minEntry int64) (*os.File, *bufio.Reader, int, error) {
-	fi, ok := snap.Info(name)
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, name)
-	}
-	f, err := os.Open(snap.Path(name))
+// an allocation. The caller closes the section.
+func openTable(snap *ckpt.Snapshot, name string, minEntry int64) (*ckpt.Section, *bufio.Reader, int, error) {
+	sec, err := snap.Open(name)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	br := bufio.NewReaderSize(f, 64*1024)
+	br := bufio.NewReaderSize(sec, 64*1024)
 	var n4 [4]byte
 	if _, err := io.ReadFull(br, n4[:]); err != nil {
-		f.Close()
+		sec.Close()
 		return nil, nil, 0, fmt.Errorf("%w: %s header: %v", ckpt.ErrCorrupt, name, err)
 	}
 	n := int64(binary.LittleEndian.Uint32(n4[:]))
-	if n > (fi.Bytes-int64(len(n4)))/minEntry {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("%w: %s claims %d entries in %d bytes", ckpt.ErrCorrupt, name, n, fi.Bytes)
+	if n > (sec.Size()-int64(len(n4)))/minEntry {
+		sec.Close()
+		return nil, nil, 0, fmt.Errorf("%w: %s claims %d entries in %d bytes", ckpt.ErrCorrupt, name, n, sec.Size())
 	}
-	return f, br, int(n), nil
+	return sec, br, int(n), nil
 }
 
 // Resume rebuilds a Service from the newest complete checkpoint under
@@ -632,7 +630,7 @@ func openTable(snap *ckpt.Snapshot, name string, minEntry int64) (*os.File, *buf
 // memory budget and serve attachment may differ freely — outputs are
 // pinned invariant to them. A stale ingest journal next to dir is debris
 // from a crash mid-scan and is discarded: the interrupted scan re-runs
-// in full on the resumed service. Validation failures (truncated files,
+// in full on the resumed service. Validation failures (truncated payloads,
 // CRC mismatches, missing or damaged chain parents, config drift) return
 // an error with no service constructed — restore never half-loads.
 func Resume(dir string, cfg Config, net *netmodel.Network, feeds []*sources.Feed, blocklist *ip6.PrefixSet) (*Service, error) {
@@ -740,12 +738,14 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 
 // readJSONFile parses one JSON payload.
 func readJSONFile(snap *ckpt.Snapshot, name string, v any) error {
-	if !snap.Has(name) {
-		return fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, name)
-	}
-	data, err := os.ReadFile(snap.Path(name))
+	sec, err := snap.Open(name)
 	if err != nil {
 		return err
+	}
+	defer sec.Close()
+	data := make([]byte, sec.Size())
+	if _, err := io.ReadFull(sec, data); err != nil {
+		return fmt.Errorf("core: reading %s: %w", name, err)
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, name, err)
@@ -801,35 +801,31 @@ func parseAddrSet(addrs []string) (ip6.Set, error) {
 
 // readActive rebuilds the sharded target store. It fails closed on a
 // table writeActive cannot have written: the header's counts must
-// account for the file's bytes exactly, and every shard's records must
+// account for the payload's bytes exactly, and every shard's records must
 // belong to that shard in strictly ascending order — the scan engine
 // refuses a mis-sharded scan set, so a bad record must not get that far.
 func (s *Service) readActive(snap *ckpt.Snapshot, name string) error {
-	fi, ok := snap.Info(name)
-	if !ok {
-		return fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, name)
-	}
-	f, err := os.Open(snap.Path(name))
+	sec, err := snap.Open(name)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 64*1024)
+	defer sec.Close()
+	br := bufio.NewReaderSize(sec, 64*1024)
 	var hdr [8 * ip6.AddrShards]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return fmt.Errorf("%w: %s header: %v", ckpt.ErrCorrupt, name, err)
 	}
-	body := uint64(fi.Bytes) - uint64(len(hdr))
+	body := uint64(sec.Size()) - uint64(len(hdr))
 	var total uint64
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		n := binary.LittleEndian.Uint64(hdr[8*sh:])
 		if n > body/activeRecLen {
-			return fmt.Errorf("%w: %s claims %d records for shard %d in %d bytes", ckpt.ErrCorrupt, name, n, sh, fi.Bytes)
+			return fmt.Errorf("%w: %s claims %d records for shard %d in %d bytes", ckpt.ErrCorrupt, name, n, sh, sec.Size())
 		}
 		total += n
 	}
 	if total*activeRecLen != body {
-		return fmt.Errorf("%w: %s counts %d records in %d bytes", ckpt.ErrCorrupt, name, total, fi.Bytes)
+		return fmt.Errorf("%w: %s counts %d records in %d bytes", ckpt.ErrCorrupt, name, total, sec.Size())
 	}
 	var rec [activeRecLen]byte
 	for sh := 0; sh < ip6.AddrShards; sh++ {
@@ -859,11 +855,11 @@ func (s *Service) readActive(snap *ckpt.Snapshot, name string) error {
 // readAPDHistory rebuilds the detector's response history in file order.
 func (s *Service) readAPDHistory(snap *ckpt.Snapshot, name string) error {
 	// An entry is at least a prefix and a 2-byte round count.
-	f, br, n, err := openTable(snap, name, ip6.AddrBytes+1+2)
+	sec, br, n, err := openTable(snap, name, ip6.AddrBytes+1+2)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer sec.Close()
 	entries := make([]apd.HistoryEntry, 0, n)
 	var u2 [2]byte
 	for i := 0; i < n; i++ {
@@ -898,9 +894,10 @@ func loadAddrSet(snap *ckpt.Snapshot, name string, set ip6.SpillableSet) error {
 		return fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, name)
 	}
 	readers := make(map[string]*hlfile.Reader)
+	var secs []*ckpt.Section
 	defer func() {
-		for _, r := range readers {
-			r.Close()
+		for _, sec := range secs {
+			sec.Close()
 		}
 	}()
 	spill, _ := set.(*ip6.SpillSet)
@@ -911,9 +908,13 @@ func loadAddrSet(snap *ckpt.Snapshot, name string, set ip6.SpillableSet) error {
 		}
 		rdr, ok := readers[lvl.Dir]
 		if !ok {
-			var err error
-			if rdr, err = hlfile.Open(lvl.Path(name)); err != nil {
-				return fmt.Errorf("core: opening %s: %w", lvl.Path(name), err)
+			sec, err := lvl.Open(name)
+			if err != nil {
+				return err
+			}
+			secs = append(secs, sec)
+			if rdr, err = hlfile.NewReader(sec, sec.Size()); err != nil {
+				return fmt.Errorf("core: opening %s in %s: %w", name, lvl.Dir, err)
 			}
 			readers[lvl.Dir] = rdr
 		}
@@ -1024,11 +1025,11 @@ func (s *Service) ingestJournaled(srcs []sources.NamedSource, day int, rec *Scan
 // readPrefixList loads a prefix table in file order, plus its members as
 // a set; a prefix listed twice is corrupt.
 func readPrefixList(snap *ckpt.Snapshot, name string) ([]ip6.Prefix, map[ip6.Prefix]struct{}, error) {
-	f, br, n, err := openTable(snap, name, ip6.AddrBytes+1)
+	sec, br, n, err := openTable(snap, name, ip6.AddrBytes+1)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer f.Close()
+	defer sec.Close()
 	out := make([]ip6.Prefix, 0, n)
 	set := make(map[ip6.Prefix]struct{}, n)
 	for i := 0; i < n; i++ {

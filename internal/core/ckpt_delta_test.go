@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hitlist6/internal/ckpt"
+	"hitlist6/internal/ckpt/ckpttest"
 )
 
 // parkedChainDirs lists the parked delta-parent directories next to a
@@ -164,20 +165,12 @@ func deltaChainFixture(t *testing.T, k int) (ckdir string, parked []string) {
 func TestResumeRefusesCorruptDeltaParent(t *testing.T) {
 	ckdir, parked := deltaChainFixture(t, 5)
 
-	path := filepath.Join(parked[0], ckptActiveFile)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0x40
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	ckpttest.Edit(t, parked[0], ckptActiveFile, false, flipMiddle)
 
 	cfg := ckptTinyCfg(ckdir)
 	cfg.CheckpointFullEvery = 1 << 20
 	n, feeds := tinyWorld(t)
-	_, err = Resume(ckdir, cfg, n, feeds, nil)
+	_, err := Resume(ckdir, cfg, n, feeds, nil)
 	if !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("resume with bit-flipped chain parent: err = %v, want ErrCorrupt", err)
 	}

@@ -7,13 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"hitlist6/internal/ckpt"
+	"hitlist6/internal/ckpt/ckpttest"
 	"hitlist6/internal/ip6"
 )
 
@@ -155,11 +155,7 @@ func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 		}
 		out := make(map[string][]byte, len(payloads))
 		for _, name := range payloads {
-			b, err := os.ReadFile(filepath.Join(ckdir, name))
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			out[name] = b
+			out[name] = ckpttest.Payload(t, ckdir, name)
 		}
 		return out
 	}
@@ -272,38 +268,6 @@ func TestCheckpointManifestsMatchGolden(t *testing.T) {
 	}
 }
 
-// recommit replaces payload name of the checkpoint at dir with data and
-// re-stamps its manifest entry (size and CRC), so the damage is one
-// Resume's CRC check cannot see and the payload reader must catch.
-func recommit(t *testing.T, dir, name string, data []byte) {
-	t.Helper()
-	m, err := ckpt.ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for i := range m.Files {
-		if m.Files[i].Name == name {
-			m.Files[i].Bytes = int64(len(data))
-			m.Files[i].CRC = fmt.Sprintf("%016x", crc64.Checksum(data, crc64.MakeTable(crc64.ECMA)))
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("%s not in manifest", name)
-	}
-	mb, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ckpt.ManifestName), mb, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestResumeRefusesMalformedTables: the binary tables fail closed on
 // damage that passes the CRC check — a header count the file cannot
 // hold, a prefix length above 128, a prefix listed twice; in active.bin
@@ -318,13 +282,10 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := os.ReadFile(filepath.Join(ckdir, ckpt.ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	restore := ckpttest.Save(t, ckdir)
 	for _, name := range []string{ckptAPDFile, ckptSeen64File} {
-		if b, err := os.ReadFile(filepath.Join(ckdir, name)); err != nil || binary.LittleEndian.Uint32(b) == 0 {
-			t.Fatalf("%s: empty or unreadable (%v): nothing to damage", name, err)
+		if b := ckpttest.Payload(t, ckdir, name); binary.LittleEndian.Uint32(b) == 0 {
+			t.Fatalf("%s: empty: nothing to damage", name)
 		}
 	}
 
@@ -407,12 +368,9 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 		{ckptActiveFile, insertAfterFirst(true)},
 		{ckptActiveFile, trailing},
 	} {
-		path := filepath.Join(ckdir, tc.name)
-		orig, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recommit(t, ckdir, tc.name, tc.defect(bytes.Clone(orig)))
+		// Re-stamped damage passes the segment's CRC check, so the
+		// payload's own reader must catch it.
+		ckpttest.Edit(t, ckdir, tc.name, true, tc.defect)
 
 		n2, feeds2 := tinyWorld(t)
 		s2, err := Resume(ckdir, ckptTinyCfg(ckdir), n2, feeds2, nil)
@@ -423,12 +381,7 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 			t.Errorf("case %d, %s: resume from a malformed table: err = %v, want ErrCorrupt", i, tc.name, err)
 		}
 
-		if err := os.WriteFile(path, orig, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(ckdir, ckpt.ManifestName), manifest, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		restore()
 	}
 
 	// The restored checkpoint loads: the damage, not the fixture, failed.
@@ -494,9 +447,8 @@ func TestResumeGenerationContinuity(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesCorruptCheckpoint: a bit-flip in any payload file
-// must make Resume refuse loudly with ckpt.ErrCorrupt — never
-// half-load.
+// TestResumeRefusesCorruptCheckpoint: a bit-flip in any payload must
+// make Resume refuse loudly with ckpt.ErrCorrupt — never half-load.
 func TestResumeRefusesCorruptCheckpoint(t *testing.T) {
 	ckdir := filepath.Join(t.TempDir(), "ckpt")
 	n, feeds := tinyWorld(t)
@@ -506,21 +458,19 @@ func TestResumeRefusesCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(ckdir, ckptActiveFile)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0x40
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	ckpttest.Edit(t, ckdir, ckptActiveFile, false, flipMiddle)
 
 	n2, feeds2 := tinyWorld(t)
-	_, err = Resume(ckdir, ckptTinyCfg(ckdir), n2, feeds2, nil)
+	_, err := Resume(ckdir, ckptTinyCfg(ckdir), n2, feeds2, nil)
 	if !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("resume from bit-flipped checkpoint: err = %v, want ErrCorrupt", err)
 	}
+}
+
+// flipMiddle flips one bit in the middle of a payload.
+func flipMiddle(b []byte) []byte {
+	b[len(b)/2] ^= 0x40
+	return b
 }
 
 // TestResumeRefusesConfigMismatch: a checkpoint taken under one config

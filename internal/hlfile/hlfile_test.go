@@ -1,11 +1,14 @@
 package hlfile_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -196,10 +199,71 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 		if !errors.Is(err, hlfile.ErrFormat) {
 			t.Errorf("%s: error %v is not ErrFormat", name, err)
 		}
+		// NewReader shares the validation.
+		if _, err := hlfile.NewReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, hlfile.ErrFormat) {
+			t.Errorf("%s: NewReader error %v is not ErrFormat", name, err)
+		}
 	}
 	// Missing files surface as plain I/O errors, not format errors.
 	if _, err := hlfile.Open(filepath.Join(dir, "nope.hl6")); err == nil || errors.Is(err, hlfile.ErrFormat) {
 		t.Errorf("missing file: err %v", err)
+	}
+}
+
+// TestNewReaderMatchesOpen: an image embedded in a larger blob, served
+// through NewReader over a section, reads exactly like the file Open
+// maps — per-shard cursors and whole-image pulls alike.
+func TestNewReaderMatchesOpen(t *testing.T) {
+	path := writeFile(t, testAddrs(3, 3000), 1<<20)
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := slices.Concat([]byte("prefix bytes"), image, []byte("suffix"))
+	sec := io.NewSectionReader(bytes.NewReader(blob), int64(len("prefix bytes")), int64(len(image)))
+	embedded, err := hlfile.NewReader(sec, sec.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer embedded.Close()
+	file, err := hlfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+
+	if embedded.Mapped() {
+		t.Fatal("NewReader claims a mapping")
+	}
+	want, err := scan.Collect(file.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := scan.Collect(embedded.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("NewReader source diverges from Open's")
+	}
+	for sh := 0; sh < ip6.AddrShards; sh++ {
+		drain := func(r *hlfile.Reader) []ip6.Addr {
+			var out []ip6.Addr
+			cur := r.ShardCursor(sh)
+			for {
+				a, ok, err := cur()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return out
+				}
+				out = append(out, a)
+			}
+		}
+		if w, g := drain(file), drain(embedded); !slices.Equal(w, g) || len(g) != file.ShardLen(sh) {
+			t.Fatalf("shard %d: NewReader cursor yields %d addrs, Open's %d", sh, len(g), len(w))
+		}
 	}
 }
 

@@ -5,21 +5,24 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"unsafe"
 
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/scan"
 )
 
-// Reader is an open .hl6 file. The body is memory-mapped when the
+// Reader is an open .hl6 image. Open maps a whole file when the
 // platform supports it (reads then touch pages on demand and the OS page
-// cache is the only buffer) and served through ReadAt otherwise; either
-// way no address is resident until a consumer pulls it. A Reader is
-// safe for concurrent shard cursors — the scan engine pulls each shard
-// from its own worker.
+// cache is the only buffer) and serves it through ReadAt otherwise;
+// NewReader serves an image embedded in something larger — a checkpoint
+// segment's section — through ReadAt. Either way no address is resident
+// until a consumer pulls it. A Reader is safe for concurrent shard
+// cursors — the scan engine pulls each shard from its own worker.
 type Reader struct {
-	f      *os.File
-	data   []byte // non-nil iff mmap succeeded
+	ra     io.ReaderAt
+	f      *os.File // the file Open opened, closed by Close; nil for NewReader
+	data   []byte   // non-nil iff mmap succeeded
 	counts [ip6.AddrShards]int
 	starts [ip6.AddrShards + 1]int64 // cumulative address index of each shard
 	total  int64
@@ -31,24 +34,31 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := newReader(f)
+	st, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	r, err := NewReader(f, st.Size())
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r.f = f
+	// Best-effort mmap; ReadAt covers platforms (and failures) without it.
+	r.data = mmapFile(f, st.Size())
 	return r, nil
 }
 
-func newReader(f *os.File) (*Reader, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if st.Size() < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes, smaller than the %d-byte header", ErrFormat, st.Size(), headerSize)
+// NewReader validates the header of the size-byte image readable through
+// ra against its size and serves it through ReadAt. ra stays the
+// caller's: Close does not close it.
+func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
+	if size < headerSize {
+		return nil, fmt.Errorf("%w: %d bytes, smaller than the %d-byte header", ErrFormat, size, headerSize)
 	}
 	hdr := make([]byte, headerSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
+	if _, err := ra.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("hlfile: reading header: %w", err)
 	}
 	if [4]byte(hdr[:4]) != magic {
@@ -60,31 +70,31 @@ func newReader(f *os.File) (*Reader, error) {
 	if s := binary.LittleEndian.Uint32(hdr[8:]); s != ip6.AddrShards {
 		return nil, fmt.Errorf("%w: %d shards, want %d", ErrFormat, s, ip6.AddrShards)
 	}
-	r := &Reader{f: f}
+	r := &Reader{ra: ra}
 	for i := 0; i < ip6.AddrShards; i++ {
 		c := binary.LittleEndian.Uint64(hdr[16+8*i:])
-		if c > uint64(st.Size())/ip6.AddrBytes {
+		if c > uint64(size)/ip6.AddrBytes {
 			return nil, fmt.Errorf("%w: shard %d count %d exceeds file size", ErrFormat, i, c)
 		}
 		r.counts[i] = int(c)
 		r.starts[i+1] = r.starts[i] + int64(c)
 	}
 	r.total = r.starts[ip6.AddrShards]
-	if want := headerSize + r.total*ip6.AddrBytes; st.Size() != want {
-		return nil, fmt.Errorf("%w: %d bytes, header implies %d (truncated or trailing garbage)", ErrFormat, st.Size(), want)
-	}
-	// Best-effort mmap; ReadAt covers platforms (and failures) without it.
-	if st.Size() > 0 {
-		r.data = mmapFile(f, st.Size())
+	if want := headerSize + r.total*ip6.AddrBytes; size != want {
+		return nil, fmt.Errorf("%w: %d bytes, header implies %d (truncated or trailing garbage)", ErrFormat, size, want)
 	}
 	return r, nil
 }
 
-// Close unmaps and closes the file.
+// Close unmaps and closes the file Open opened; for a NewReader it
+// releases nothing.
 func (r *Reader) Close() error {
 	if r.data != nil {
 		munmapFile(r.data)
 		r.data = nil
+	}
+	if r.f == nil {
+		return nil
 	}
 	return r.f.Close()
 }
@@ -120,7 +130,7 @@ func (r *Reader) readAddrs(idx int64, buf []ip6.Addr) error {
 		return nil
 	}
 	raw := unsafe.Slice((*byte)(unsafe.Pointer(&buf[0])), len(buf)*ip6.AddrBytes)
-	if _, err := r.f.ReadAt(raw, headerSize+idx*ip6.AddrBytes); err != nil {
+	if _, err := r.ra.ReadAt(raw, headerSize+idx*ip6.AddrBytes); err != nil {
 		return fmt.Errorf("hlfile: reading body: %w", err)
 	}
 	return nil
@@ -152,32 +162,45 @@ func (r *Reader) SortedSet() (*ip6.SortedShardSet, error) {
 	return ip6.SortedFromShards(shards), nil
 }
 
+// cursorChunk is how many addresses one ShardCursor read fetches.
+const cursorChunk = 4096
+
+// cursorChunks recycles ShardCursor read buffers: a checkpoint restore
+// drains one cursor per shard of every payload in turn, so a drained
+// cursor's chunk serves the next one instead of a fresh 64 KiB each.
+var cursorChunks = sync.Pool{New: func() any { return new([cursorChunk]ip6.Addr) }}
+
 // ShardCursor returns a pull cursor over shard sh's addresses in file
 // order (sorted ascending, duplicate-free by format contract): each call
 // yields the next address, with ok=false at end of shard. Reads go
 // through bounded chunks, so a cursor holds O(chunk) memory regardless
-// of shard size — the checkpoint-restore path feeds these straight into
-// resident sets or SpillSet.ImportShardSorted.
+// of shard size, and hands its chunk back once drained — the
+// checkpoint-restore path feeds these straight into resident sets or
+// SpillSet.ImportShardSorted.
 func (r *Reader) ShardCursor(sh int) func() (ip6.Addr, bool, error) {
 	idx := r.starts[sh]
 	left := r.counts[sh]
-	buf := make([]ip6.Addr, 0, 4096)
+	var chunk *[cursorChunk]ip6.Addr
+	var buf []ip6.Addr
 	pos := 0
 	return func() (ip6.Addr, bool, error) {
 		if pos == len(buf) {
 			if left == 0 {
+				if chunk != nil {
+					cursorChunks.Put(chunk)
+					chunk, buf, pos = nil, nil, 0
+				}
 				return ip6.Addr{}, false, nil
 			}
-			n := cap(buf)
-			if n > left {
-				n = left
+			if chunk == nil {
+				chunk = cursorChunks.Get().(*[cursorChunk]ip6.Addr)
 			}
-			buf = buf[:n]
+			buf = chunk[:min(cursorChunk, left)]
 			if err := r.readAddrs(idx, buf); err != nil {
 				return ip6.Addr{}, false, err
 			}
-			idx += int64(n)
-			left -= n
+			idx += int64(len(buf))
+			left -= len(buf)
 			pos = 0
 		}
 		a := buf[pos]
