@@ -3,11 +3,13 @@ package core
 // Checkpoint/restore: a crash-consistent on-disk image of full service
 // state, so a multi-week timeline survives restarts. Service.Checkpoint
 // stages every piece of cumulative state into a ckpt.Writer — address
-// sets as .hl6 images streamed shard-sorted (resident sets sort a copy,
-// SpillSets merge their frozen runs without materializing anything),
-// the active target store and APD history as small binary tables, and
-// counters/records/snapshots as JSON — each a payload appended to the
-// checkpoint's one segment, then commits atomically. Resume
+// sets as .hl6 images streamed shard-sorted (resident shards are copied
+// and sorted on the service's worker pool, a bounded window of
+// ip6.ShardPipeline slots at a time, and written in shard order so the
+// bytes never depend on the worker count; SpillSets merge their frozen runs without materializing
+// anything), the active target store and APD history as small binary
+// tables, and counters/records/snapshots as JSON — each a payload
+// appended to the checkpoint's one segment, then commits atomically. Resume
 // rebuilds a Service from the newest complete checkpoint; a timeline
 // interrupted at day k (SIGKILL included) and resumed is byte-identical
 // to an uninterrupted run for any worker count, FleetWorkers, memory
@@ -29,6 +31,7 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -312,7 +315,7 @@ func (s *Service) Checkpoint(dir string) (err error) {
 		if delta {
 			mask = dirtyMask(s.ckptMarks[pl.name], pl.set)
 		}
-		if err := writeAddrSet(w, pl.name, pl.set, mask, delta); err != nil {
+		if err := s.writeAddrSet(w, pl.name, pl.set, mask, delta); err != nil {
 			return err
 		}
 	}
@@ -409,9 +412,17 @@ func addrStrings(set ip6.Set) []string {
 // lastSuccessDay.
 const activeRecLen = ip6.AddrBytes + 8
 
+// activeRec is one target-store entry as writeActive sorts it: the
+// address as native words, so comparisons decode nothing.
+type activeRec struct {
+	hi, lo                   uint64
+	firstDay, lastSuccessDay int32
+}
+
 // writeActive stages the target store: a per-shard count table, then
 // each shard's (address, firstDay, lastSuccessDay) records sorted by
-// address.
+// address. Shards are collected and sorted on the worker pool and
+// written in shard order.
 func (s *Service) writeActive(w *ckpt.Writer, name string) error {
 	return writePayload(w, name, int64(s.active.Len()), func(bw *bufio.Writer) error {
 		var hdr [8 * ip6.AddrShards]byte
@@ -421,29 +432,34 @@ func (s *Service) writeActive(w *ckpt.Writer, name string) error {
 		if _, err := bw.Write(hdr[:]); err != nil {
 			return err
 		}
-		type activeRec struct {
-			addr ip6.Addr
-			st   targetState
-		}
-		var recs []activeRec
-		var rec [activeRecLen]byte
-		for sh := 0; sh < ip6.AddrShards; sh++ {
-			recs = recs[:0]
+		prepare := func(sh int, buf *[]activeRec) error {
+			recs := slices.Grow((*buf)[:0], s.active.ShardLen(sh))
 			s.active.WalkShard(sh, func(a ip6.Addr, st *targetState) bool {
-				recs = append(recs, activeRec{addr: a, st: *st})
+				recs = append(recs, activeRec{a.Hi(), a.Lo(), int32(st.firstDay), int32(st.lastSuccessDay)})
 				return true
 			})
-			slices.SortFunc(recs, func(x, y activeRec) int { return x.addr.Compare(y.addr) })
-			for _, r := range recs {
-				copy(rec[:], r.addr[:])
-				binary.LittleEndian.PutUint32(rec[16:], uint32(int32(r.st.firstDay)))
-				binary.LittleEndian.PutUint32(rec[20:], uint32(int32(r.st.lastSuccessDay)))
+			slices.SortFunc(recs, func(x, y activeRec) int {
+				if c := cmp.Compare(x.hi, y.hi); c != 0 {
+					return c
+				}
+				return cmp.Compare(x.lo, y.lo)
+			})
+			*buf = recs
+			return nil
+		}
+		return s.ckptActive.Run(s.workers, ^uint64(0), prepare, func(_ int, buf *[]activeRec) error {
+			var rec [activeRecLen]byte
+			for _, r := range *buf {
+				binary.BigEndian.PutUint64(rec[0:], r.hi)
+				binary.BigEndian.PutUint64(rec[8:], r.lo)
+				binary.LittleEndian.PutUint32(rec[16:], uint32(r.firstDay))
+				binary.LittleEndian.PutUint32(rec[20:], uint32(r.lastSuccessDay))
 				if _, err := bw.Write(rec[:]); err != nil {
 					return err
 				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
 }
 
@@ -507,12 +523,15 @@ func writeJSONFile(w *ckpt.Writer, name string, v any, count int64) error {
 }
 
 // writeAddrSet stages a sharded address set as a .hl6 image, streamed in
-// shard-sorted order: resident shards sort a copy, SpillSet shards merge
-// their frozen runs straight off disk. Only the shards selected by mask
-// are written; the others get a zero count. With delta set the payload
-// records mask as its DeltaShards bitmap, and readers resolve the
-// unwritten shards through the parent chain.
-func writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, mask uint64, delta bool) error {
+// shard-sorted order. Resident shards are copied and sorted on the
+// worker pool, a bounded window of them at a time, and written in shard
+// order; SpillSet shards merge their frozen runs straight off disk one
+// after another (freezing appends to the run file all shards share).
+// Only the shards selected by mask are written; the others get a zero
+// count. With delta set the payload records mask as its DeltaShards
+// bitmap, and readers resolve the unwritten shards through the parent
+// chain.
+func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, mask uint64, delta bool) error {
 	f, err := w.Create(name)
 	if err != nil {
 		return err
@@ -526,27 +545,23 @@ func writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, mask uint64
 		counts[sh] = uint64(set.ShardLen(sh))
 		total += int64(counts[sh])
 	}
-	spill, _ := set.(*ip6.SpillSet)
-	var scratch []ip6.Addr
-	err = hlfile.WriteSharded(f, &counts, func(sh int, emit func(ip6.Addr) error) error {
-		if mask&(1<<uint(sh)) == 0 {
+	err = hlfile.WriteSharded(f, &counts, func(put func(int, []ip6.Addr) error) error {
+		if spill, ok := set.(*ip6.SpillSet); ok {
+			return writeSpilledShards(spill, mask, put)
+		}
+		prepare := func(sh int, buf *[]ip6.Addr) error {
+			addrs := slices.Grow((*buf)[:0], int(counts[sh]))
+			set.WalkShard(sh, func(a ip6.Addr) bool {
+				addrs = append(addrs, a)
+				return true
+			})
+			ip6.SortAddrs(addrs)
+			*buf = addrs
 			return nil
 		}
-		if spill != nil {
-			return spill.WalkShardSorted(sh, emit)
-		}
-		scratch = scratch[:0]
-		set.WalkShard(sh, func(a ip6.Addr) bool {
-			scratch = append(scratch, a)
-			return true
+		return s.ckptShards.Run(s.workers, mask, prepare, func(sh int, buf *[]ip6.Addr) error {
+			return put(sh, *buf)
 		})
-		ip6.SortAddrs(scratch)
-		for _, a := range scratch {
-			if err := emit(a); err != nil {
-				return err
-			}
-		}
-		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("core: writing %s: %w", name, err)
@@ -556,6 +571,36 @@ func writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, mask uint64
 	}
 	f.SetCount(total)
 	return f.Close()
+}
+
+// writeSpilledShards streams the masked shards of a SpillSet to put in
+// runs of up to spillChunk addresses.
+func writeSpilledShards(spill *ip6.SpillSet, mask uint64, put func(int, []ip6.Addr) error) error {
+	const spillChunk = 256
+	chunk := make([]ip6.Addr, 0, spillChunk)
+	for sh := 0; sh < ip6.AddrShards; sh++ {
+		if mask&(1<<uint(sh)) == 0 {
+			continue
+		}
+		err := spill.WalkShardSorted(sh, func(a ip6.Addr) error {
+			if len(chunk) == spillChunk {
+				if err := put(sh, chunk); err != nil {
+					return err
+				}
+				chunk = chunk[:0]
+			}
+			chunk = append(chunk, a)
+			return nil
+		})
+		if err == nil {
+			err = put(sh, chunk)
+		}
+		if err != nil {
+			return err
+		}
+		chunk = chunk[:0]
+	}
+	return nil
 }
 
 // writePrefixList stages prefixes in the given order (17 bytes each:
@@ -918,7 +963,7 @@ func loadAddrSet(snap *ckpt.Snapshot, name string, set ip6.SpillableSet) error {
 			}
 			readers[lvl.Dir] = rdr
 		}
-		cur := rdr.ShardCursor(sh)
+		cur := checkedCursor(name, sh, rdr.ShardCursor(sh))
 		if spill != nil {
 			if err := spill.ImportShardSorted(sh, cur); err != nil {
 				return fmt.Errorf("core: loading %s: %w", name, err)
@@ -937,6 +982,31 @@ func loadAddrSet(snap *ckpt.Snapshot, name string, set ip6.SpillableSet) error {
 		}
 	}
 	return nil
+}
+
+// checkedCursor wraps a payload shard's cursor so that it fails closed,
+// with ckpt.ErrCorrupt, on a run writeAddrSet cannot have written: every
+// address must belong to shard sh, in strictly ascending order. A
+// resident set would file a stray address where Has never looks, and a
+// spilled shard imports the run as-is, so binary search would misread an
+// unsorted one.
+func checkedCursor(name string, sh int, cur func() (ip6.Addr, bool, error)) func() (ip6.Addr, bool, error) {
+	var prev ip6.Addr
+	first := true
+	return func() (ip6.Addr, bool, error) {
+		a, ok, err := cur()
+		if err != nil || !ok {
+			return a, ok, err
+		}
+		if ip6.ShardOf(a) != sh {
+			return a, false, fmt.Errorf("%w: %s lists %v under shard %d", ckpt.ErrCorrupt, name, a, sh)
+		}
+		if !first && a.Compare(prev) <= 0 {
+			return a, false, fmt.Errorf("%w: %s shard %d is not strictly ascending at %v", ckpt.ErrCorrupt, name, sh, a)
+		}
+		prev, first = a, false
+		return a, true, nil
+	}
 }
 
 // journalChunk is how many journal records one replay chunk admits:

@@ -117,7 +117,10 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 // must be the same for every execution shape. On a generated world with
 // a checkpoint after every scan, the final unsharded payloads are
 // byte-equal across worker counts, a spill budget, and an interrupt
-// after scan 5 followed by Resume.
+// after scan 5 followed by Resume. A full checkpoint of the final state
+// into a fresh directory — every set shard sorted on the worker pool —
+// is byte-equal payload for payload at Workers 1, 2, 4 and 8, spilling
+// or resumed.
 func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generated-world checkpoint payloads in -short mode")
@@ -127,7 +130,9 @@ func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 		days = append(days, d)
 	}
 	payloads := []string{ckptAPDFile, ckptSeen64File, ckptActiveFile, ckptStateFile}
-	run := func(label string, shape func(cfg *Config, scratch string), interruptAfter int) map[string][]byte {
+	// run returns the final head's unsharded payloads, and every payload
+	// of a full checkpoint of the final state.
+	run := func(label string, shape func(cfg *Config, scratch string), interruptAfter int) (map[string][]byte, map[string][]byte) {
 		scratch := t.TempDir()
 		ckdir := filepath.Join(scratch, "ckpt")
 		cfg := DefaultConfig(23)
@@ -150,6 +155,10 @@ func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 		} else {
 			runDays(t, s, days)
 		}
+		fulldir := filepath.Join(scratch, "full")
+		if err := s.Checkpoint(fulldir); err != nil {
+			t.Fatalf("%s: full checkpoint: %v", label, err)
+		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("%s: close: %v", label, err)
 		}
@@ -157,10 +166,26 @@ func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 		for _, name := range payloads {
 			out[name] = ckpttest.Payload(t, ckdir, name)
 		}
-		return out
+		m, err := ckpt.ReadManifest(fulldir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := make(map[string][]byte, len(m.Files))
+		for _, fi := range m.Files {
+			if fi.Delta {
+				t.Fatalf("%s: %s is a delta in a fresh directory", label, fi.Name)
+			}
+			full[fi.Name] = ckpttest.Payload(t, fulldir, fi.Name)
+		}
+		return out, full
 	}
 
-	base := run("workers 1", func(c *Config, _ string) { c.ScanWorkers = 1 }, 0)
+	base, baseFull := run("workers 1", func(c *Config, _ string) { c.ScanWorkers = 1 }, 0)
+	// Enough addresses that most shards hold several, so the full
+	// checkpoint's .hl6 and active.bin shards are really sorted.
+	if n := len(baseFull[ckptInputSeenFile]); n < (16+8*ip6.AddrShards)+ip6.AddrShards*4*ip6.AddrBytes {
+		t.Fatalf("%s is only %d bytes: the scenario exercises too little", ckptInputSeenFile, n)
+	}
 	// 4-byte count plus 17-byte prefixes: the tables must hold enough
 	// rows for their order to matter.
 	for _, name := range []string{ckptAPDFile, ckptSeen64File} {
@@ -174,13 +199,22 @@ func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 		interruptAfter int
 	}{
 		{"workers 4", func(c *Config, _ string) { c.ScanWorkers = 4 }, 0},
+		{"workers 8", func(c *Config, _ string) { c.ScanWorkers = 8 }, 0},
 		{"spill budget", func(c *Config, d string) { c.MemoryBudget = spillBudget; c.SpillDir = filepath.Join(d, "spill") }, 0},
 		{"resume after scan 5", func(c *Config, _ string) { c.ScanWorkers = 2 }, 5},
 	} {
-		got := run(tc.label, tc.shape, tc.interruptAfter)
+		got, gotFull := run(tc.label, tc.shape, tc.interruptAfter)
 		for _, name := range payloads {
 			if !bytes.Equal(got[name], base[name]) {
 				t.Errorf("%s: %s differs from workers 1 (%d vs %d bytes)", tc.label, name, len(got[name]), len(base[name]))
+			}
+		}
+		if len(gotFull) != len(baseFull) {
+			t.Errorf("%s: full checkpoint holds %d payloads, workers 1 %d", tc.label, len(gotFull), len(baseFull))
+		}
+		for name, want := range baseFull {
+			if b, ok := gotFull[name]; !ok || !bytes.Equal(b, want) {
+				t.Errorf("%s: full checkpoint %s differs from workers 1 (%d vs %d bytes)", tc.label, name, len(b), len(want))
 			}
 		}
 	}
@@ -391,6 +425,122 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 		t.Fatalf("resume from the undamaged checkpoint: %v", err)
 	}
 	s3.Close()
+}
+
+// TestResumeRefusesMalformedSets: a .hl6 set payload whose shard runs
+// writeAddrSet cannot have written — an address counted under the
+// previous shard, two addresses of a shard swapped, an address listed
+// twice — fails Resume with ckpt.ErrCorrupt, for a resident and for a
+// spilling service. Re-stamped damage passes the segment's CRC check and
+// the .hl6 header check, so only loadAddrSet's own walk can catch it.
+func TestResumeRefusesMalformedSets(t *testing.T) {
+	scratch := t.TempDir()
+	ckdir := filepath.Join(scratch, "ckpt")
+	n, feeds := tinyWorld(t)
+	cfg := ckptTinyCfg(ckdir)
+	cfg.CheckpointFullEvery = 1 // the head carries every shard
+	s := NewService(cfg, n, feeds, nil)
+	runDays(t, s, weekly(0, 196))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restore := ckpttest.Save(t, ckdir)
+
+	// .hl6: a 16-byte prologue, a uint64 count per shard, then the
+	// shards' 16-byte addresses.
+	const body = 16 + 8*ip6.AddrShards
+	count := func(b []byte, sh int) int { return int(binary.LittleEndian.Uint64(b[16+8*sh:])) }
+	addCount := func(b []byte, sh, d int) {
+		binary.LittleEndian.PutUint64(b[16+8*sh:], uint64(count(b, sh)+d))
+	}
+	// shardWith returns the first shard after shard 0 holding at least
+	// least addresses, and the offset of its first address.
+	shardWith := func(b []byte, least int) (int, int) {
+		off := body
+		for sh := 0; sh < ip6.AddrShards; sh++ {
+			if sh > 0 && count(b, sh) >= least {
+				return sh, off
+			}
+			off += count(b, sh) * ip6.AddrBytes
+		}
+		t.Fatalf("no shard after 0 holds %d addresses", least)
+		return 0, 0
+	}
+	// moveAddr counts a shard's first address as the previous shard's
+	// last, choosing a shard where that keeps the run ascending, so only
+	// the shard check can object.
+	moveAddr := func(b []byte) []byte {
+		addr := func(off int) ip6.Addr { return ip6.AddrFrom16([ip6.AddrBytes]byte(b[off:])) }
+		off := body + count(b, 0)*ip6.AddrBytes
+		for sh := 1; sh < ip6.AddrShards; sh++ {
+			if count(b, sh) > 0 && (count(b, sh-1) == 0 || addr(off-ip6.AddrBytes).Less(addr(off))) {
+				addCount(b, sh-1, 1)
+				addCount(b, sh, -1)
+				return b
+			}
+			off += count(b, sh) * ip6.AddrBytes
+		}
+		t.Fatal("no address to move")
+		return nil
+	}
+	swapAddrs := func(b []byte) []byte {
+		_, off := shardWith(b, 2)
+		x, y := b[off:off+ip6.AddrBytes], b[off+ip6.AddrBytes:off+2*ip6.AddrBytes]
+		tmp := bytes.Clone(x)
+		copy(x, y)
+		copy(y, tmp)
+		return b
+	}
+	dupAddr := func(b []byte) []byte {
+		sh, off := shardWith(b, 1)
+		addCount(b, sh, 1)
+		end := off + ip6.AddrBytes
+		return slices.Concat(b[:end], b[off:end], b[end:])
+	}
+
+	resident := ckptTinyCfg(ckdir)
+	spilling := ckptTinyCfg(ckdir)
+	spilling.MemoryBudget = spillBudget
+	spilling.SpillDir = filepath.Join(scratch, "spill")
+	if err := os.MkdirAll(spilling.SpillDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	shapes := []struct {
+		label string
+		cfg   Config
+	}{{"resident", resident}, {"spill", spilling}}
+	for _, tc := range []struct {
+		label  string
+		defect func([]byte) []byte
+	}{
+		{"moved address", moveAddr},
+		{"swapped addresses", swapAddrs},
+		{"duplicated address", dupAddr},
+	} {
+		ckpttest.Edit(t, ckdir, ckptInputSeenFile, true, tc.defect)
+		for _, shape := range shapes {
+			n2, feeds2 := tinyWorld(t)
+			s2, err := Resume(ckdir, shape.cfg, n2, feeds2, nil)
+			if !errors.Is(err, ckpt.ErrCorrupt) {
+				if s2 != nil {
+					s2.Close()
+				}
+				t.Errorf("%s, %s: resume: err = %v, want ErrCorrupt", tc.label, shape.label, err)
+			}
+		}
+		restore()
+	}
+
+	// The restored checkpoint loads in both shapes: the damage, not the
+	// fixture, failed.
+	for _, shape := range shapes {
+		n3, feeds3 := tinyWorld(t)
+		s3, err := Resume(ckdir, shape.cfg, n3, feeds3, nil)
+		if err != nil {
+			t.Fatalf("%s: resume from the undamaged checkpoint: %v", shape.label, err)
+		}
+		s3.Close()
+	}
 }
 
 // TestResumeGenerationContinuity pins the serving cadence across a

@@ -363,6 +363,11 @@ type Service struct {
 	ckptDir   string
 	ckptDepth int
 	ckptScan  int
+
+	// Per-shard staging buffers for checkpoint payloads, kept across
+	// checkpoints: address-set shards and active.bin shards.
+	ckptShards ip6.ShardPipeline[[]ip6.Addr]
+	ckptActive ip6.ShardPipeline[[]activeRec]
 }
 
 // routedInput is one ingest candidate routed to its shard: the address,

@@ -244,40 +244,44 @@ func (b *bodyWriter) flush() error {
 // .hl6 image to w. Unlike Writer — which sorts arbitrary input and
 // backfills the header with WriteAt — the per-shard counts are declared
 // up front, so the whole file flows sequentially through any io.Writer
-// (checkpointing wraps one that tracks size and CRC). walk is called for
-// each shard in canonical order and must emit exactly counts[sh]
-// addresses, sorted ascending and duplicate-free; a count mismatch
-// aborts loudly rather than producing a file whose header lies.
-func WriteSharded(w io.Writer, counts *[ip6.AddrShards]uint64, walk func(sh int, emit func(ip6.Addr) error) error) error {
+// (checkpointing wraps a buffered one that tracks size and CRC). body
+// hands the addresses to put in runs: put(sh, run) appends run to shard
+// sh's body with one Write, shards in canonical order (a shard may take
+// several runs), and every shard must receive exactly counts[sh]
+// addresses, sorted ascending and duplicate-free. A shard out of order or
+// a count mismatch aborts loudly rather than producing a file whose
+// header lies.
+func WriteSharded(w io.Writer, counts *[ip6.AddrShards]uint64, body func(put func(sh int, run []ip6.Addr) error) error) error {
 	if _, err := w.Write(encodeHeader(counts)); err != nil {
 		return fmt.Errorf("hlfile: writing header: %w", err)
 	}
-	buf := make([]byte, 0, 64*1024)
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		n := uint64(0)
-		if err := walk(sh, func(a ip6.Addr) error {
-			n++
-			buf = append(buf, a[:]...)
-			if len(buf) >= 64*1024 {
-				if _, err := w.Write(buf); err != nil {
-					return fmt.Errorf("hlfile: writing body: %w", err)
-				}
-				buf = buf[:0]
+	cur, n := 0, uint64(0) // the shard being written and its addresses so far
+	// finishTo closes every shard below sh, checking its count.
+	finishTo := func(sh int) error {
+		for ; cur < sh; cur, n = cur+1, 0 {
+			if n != counts[cur] {
+				return fmt.Errorf("hlfile: shard %d emitted %d addresses, declared %d", cur, n, counts[cur])
 			}
-			return nil
-		}); err != nil {
+		}
+		return nil
+	}
+	put := func(sh int, run []ip6.Addr) error {
+		if sh < cur || sh >= ip6.AddrShards {
+			return fmt.Errorf("hlfile: shard %d written after shard %d", sh, cur)
+		}
+		if err := finishTo(sh); err != nil {
 			return err
 		}
-		if n != counts[sh] {
-			return fmt.Errorf("hlfile: shard %d emitted %d addresses, declared %d", sh, n, counts[sh])
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
+		n += uint64(len(run))
+		if _, err := w.Write(addrBytes(run)); err != nil {
 			return fmt.Errorf("hlfile: writing body: %w", err)
 		}
+		return nil
 	}
-	return nil
+	if err := body(put); err != nil {
+		return err
+	}
+	return finishTo(ip6.AddrShards)
 }
 
 // Write converts a materialized address slice to a .hl6 file — the

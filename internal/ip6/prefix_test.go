@@ -1,6 +1,7 @@
 package ip6
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -324,21 +325,61 @@ func BenchmarkPrefixMapLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkSortAddrs sorts 2^14 addresses clustered into 2^12 /64s, so
-// most comparisons tie on the high word — the shape of a per-shard scan
-// set or a spill run.
-func BenchmarkSortAddrs(b *testing.B) {
+// TestSortAddrsMatchesReference pins SortAddrs to a comparison sort on
+// Compare over random slices: empty and tiny ones, duplicates, and runs
+// sharing a high word so the low word decides.
+func TestSortAddrsMatchesReference(t *testing.T) {
 	r := newBenchStream()
-	src := make([]Addr, 1<<14)
-	for i := range src {
-		src[i] = AddrFromUint64s(0x2001<<48|r.Uint64n(1<<12), r.Uint64())
+	for trial := 0; trial < 400; trial++ {
+		n := trial % 4 // lengths 0–3 first, then larger
+		if trial >= 40 {
+			n = int(r.Uint64n(600))
+		}
+		his := 1 + r.Uint64n(8) // few distinct high words: many ties
+		addrs := make([]Addr, n)
+		for i := range addrs {
+			addrs[i] = AddrFromUint64s(0x2001<<48|r.Uint64n(his), r.Uint64n(1+uint64(n)))
+			if i > 0 && r.Uint64n(4) == 0 {
+				addrs[i] = addrs[r.Uint64n(uint64(i))]
+			}
+		}
+		want := slices.Clone(addrs)
+		slices.SortFunc(want, Addr.Compare)
+		SortAddrs(addrs)
+		if !slices.Equal(addrs, want) {
+			t.Fatalf("trial %d (n=%d): SortAddrs differs from the reference sort", trial, n)
+		}
 	}
-	buf := make([]Addr, len(src))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		SortAddrs(buf)
+}
+
+// BenchmarkSortAddrs sorts two shapes: "clustered" is 2^14 addresses in
+// 2^12 /64s, so many comparisons tie on the high word — a spill run or a
+// scan set; "shard" is 6 500 addresses spread over a /32, about one
+// resident shard of the timeline's cumulative input set as a checkpoint
+// sorts it.
+func BenchmarkSortAddrs(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		n        int
+		slash64s uint64
+	}{
+		{"clustered", 1 << 14, 1 << 12},
+		{"shard", 6500, 1 << 32},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := newBenchStream()
+			src := make([]Addr, bc.n)
+			for i := range src {
+				src[i] = AddrFromUint64s(0x2001<<48|r.Uint64n(bc.slash64s), r.Uint64())
+			}
+			buf := make([]Addr, len(src))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(buf, src)
+				SortAddrs(buf)
+			}
+		})
 	}
 }
 

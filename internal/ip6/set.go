@@ -1,6 +1,9 @@
 package ip6
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // Set is an unordered set of IPv6 addresses.
 type Set map[Addr]struct{}
@@ -136,9 +139,50 @@ func (s Set) Sorted() []Addr {
 	return out
 }
 
-// SortAddrs sorts a slice of addresses in place, ascending. The generic
-// sort avoids the reflection and closure allocations of sort.Slice —
-// per-shard scan-set sorting calls this once per shard per scan.
+// addrWords is an address as its two native-order words: the sort key
+// SortAddrs compares without re-decoding big-endian bytes each time.
+type addrWords struct{ hi, lo uint64 }
+
+// compareWords orders word pairs as Compare orders the addresses.
+func compareWords(x, y addrWords) int {
+	if x.hi != y.hi {
+		if x.hi < y.hi {
+			return -1
+		}
+		return 1
+	}
+	if x.lo < y.lo {
+		return -1
+	}
+	if x.lo > y.lo {
+		return 1
+	}
+	return 0
+}
+
+// wordScratch recycles SortAddrs' key buffers, so steady-state sorts
+// allocate nothing.
+var wordScratch = sync.Pool{New: func() any { return new([]addrWords) }}
+
+// SortAddrs sorts a slice of addresses in place, ascending. Each
+// address's words are loaded once into pooled scratch, sorted as native
+// uint64 pairs and written back: pdqsort compares each element many
+// times, and Compare would byte-swap both words on every comparison.
+// Per-shard scan-set sorting, frozen snapshots and checkpoints all sort
+// through here.
 func SortAddrs(addrs []Addr) {
-	slices.SortFunc(addrs, func(a, b Addr) int { return a.Compare(b) })
+	if len(addrs) < 2 {
+		return
+	}
+	bp := wordScratch.Get().(*[]addrWords)
+	words := slices.Grow((*bp)[:0], len(addrs))[:len(addrs)]
+	for i, a := range addrs {
+		words[i] = addrWords{a.Hi(), a.Lo()}
+	}
+	slices.SortFunc(words, compareWords)
+	for i, w := range words {
+		addrs[i] = AddrFromUint64s(w.hi, w.lo)
+	}
+	*bp = words
+	wordScratch.Put(bp)
 }
