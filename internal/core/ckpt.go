@@ -582,7 +582,18 @@ func writeSpilledShards(spill *ip6.SpillSet, mask uint64, put func(int, []ip6.Ad
 		if mask&(1<<uint(sh)) == 0 {
 			continue
 		}
-		err := spill.WalkShardSorted(sh, func(a ip6.Addr) error {
+		next, err := spill.ShardSortedCursor(sh)
+		if err != nil {
+			return err
+		}
+		for {
+			a, ok, err := next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
 			if len(chunk) == spillChunk {
 				if err := put(sh, chunk); err != nil {
 					return err
@@ -590,12 +601,8 @@ func writeSpilledShards(spill *ip6.SpillSet, mask uint64, put func(int, []ip6.Ad
 				chunk = chunk[:0]
 			}
 			chunk = append(chunk, a)
-			return nil
-		})
-		if err == nil {
-			err = put(sh, chunk)
 		}
-		if err != nil {
+		if err := put(sh, chunk); err != nil {
 			return err
 		}
 		chunk = chunk[:0]
@@ -990,7 +997,7 @@ func loadAddrSet(snap *ckpt.Snapshot, name string, set ip6.SpillableSet) error {
 // resident set would file a stray address where Has never looks, and a
 // spilled shard imports the run as-is, so binary search would misread an
 // unsorted one.
-func checkedCursor(name string, sh int, cur func() (ip6.Addr, bool, error)) func() (ip6.Addr, bool, error) {
+func checkedCursor(name string, sh int, cur ip6.Cursor) ip6.Cursor {
 	var prev ip6.Addr
 	first := true
 	return func() (ip6.Addr, bool, error) {

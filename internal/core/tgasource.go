@@ -5,34 +5,20 @@ package core
 // stream — the order the former materialized union.Sorted() slice fixed,
 // which seq numbers and the APD candidate queue depend on. sortedUnionSource
 // reproduces exactly that order without materializing anything: one
-// ascending cursor per shard, interleaved by an address-keyed min-heap.
+// ascending cursor per shard, merged by ip6.MergeCursors.
 
 import (
 	"io"
 
 	"hitlist6/internal/ip6"
+	"hitlist6/internal/scan"
 )
-
-// addrCursor pulls one shard's members in ascending order; ok=false ends
-// the stream.
-type addrCursor func() (ip6.Addr, bool, error)
-
-type unionEntry struct {
-	head ip6.Addr
-	next addrCursor
-}
-
-// unionSource is the scan.TargetSource over the merged shard cursors.
-type unionSource struct {
-	heap []unionEntry
-	err  error // deferred cursor error, surfaced on the next pull
-}
 
 // sortedUnionSource streams u's members in ascending address order —
 // byte-identical to scan.SliceSource over a sorted materialization of u.
 // The set must not be mutated while the source is being consumed.
-func sortedUnionSource(u ip6.SpillableSet) (*unionSource, error) {
-	s := &unionSource{}
+func sortedUnionSource(u ip6.SpillableSet) (scan.TargetSource, error) {
+	var curs []ip6.Cursor
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		if u.ShardLen(sh) == 0 {
 			continue
@@ -41,24 +27,15 @@ func sortedUnionSource(u ip6.SpillableSet) (*unionSource, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, ok, err := cur()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			s.heap = append(s.heap, unionEntry{head: a, next: cur})
-		}
+		curs = append(curs, cur)
 	}
-	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-	return s, nil
+	return &cursorSource{next: ip6.MergeCursors(curs...)}, nil
 }
 
 // shardSortedCursor returns shard sh's ascending cursor: the spill set's
 // run-merging cursor when the union is disk-backed, otherwise a sort of
 // the resident shard (scan-sized — one shard of one round's responders).
-func shardSortedCursor(u ip6.SpillableSet, sh int) (addrCursor, error) {
+func shardSortedCursor(u ip6.SpillableSet, sh int) (ip6.Cursor, error) {
 	if sp, ok := u.(*ip6.SpillSet); ok {
 		return sp.ShardSortedCursor(sh)
 	}
@@ -68,65 +45,34 @@ func shardSortedCursor(u ip6.SpillableSet, sh int) (addrCursor, error) {
 		return true
 	})
 	ip6.SortAddrs(members)
-	i := 0
-	return func() (ip6.Addr, bool, error) {
-		if i >= len(members) {
-			return ip6.Addr{}, false, nil
-		}
-		a := members[i]
-		i++
-		return a, true, nil
-	}, nil
+	return ip6.SliceCursor(members), nil
 }
 
-func (s *unionSource) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(s.heap) && s.heap[l].head.Less(s.heap[min].head) {
-			min = l
-		}
-		if r < len(s.heap) && s.heap[r].head.Less(s.heap[min].head) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		s.heap[i], s.heap[min] = s.heap[min], s.heap[i]
-		i = min
-	}
+// cursorSource is the scan.TargetSource over a cursor. It delivers every
+// address pulled before a cursor error; the error surfaces on the next
+// pull, so no address is lost or reordered.
+type cursorSource struct {
+	next ip6.Cursor
+	err  error // io.EOF or the cursor's error, returned once buf is empty
 }
 
 // Next implements scan.TargetSource.
-func (s *unionSource) Next(buf []ip6.Addr) (int, error) {
-	if s.err != nil {
-		return 0, s.err
-	}
+func (s *cursorSource) Next(buf []ip6.Addr) (int, error) {
 	n := 0
-	for n < len(buf) && len(s.heap) > 0 {
-		e := &s.heap[0]
-		buf[n] = e.head
-		n++
-		a, ok, err := e.next()
-		if err != nil {
-			// Deliver what was already merged; the error surfaces on the
-			// next pull so no address is lost or reordered.
+	for n < len(buf) && s.err == nil {
+		a, ok, err := s.next()
+		switch {
+		case err != nil:
 			s.err = err
-			return n, nil
-		}
-		if ok {
-			e.head = a
-		} else {
-			last := len(s.heap) - 1
-			s.heap[0] = s.heap[last]
-			s.heap = s.heap[:last]
-		}
-		if len(s.heap) > 0 {
-			s.siftDown(0)
+		case !ok:
+			s.err = io.EOF
+		default:
+			buf[n] = a
+			n++
 		}
 	}
-	if n == 0 {
-		return 0, io.EOF
+	if n > 0 {
+		return n, nil
 	}
-	return n, nil
+	return 0, s.err
 }

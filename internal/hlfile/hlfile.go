@@ -175,14 +175,20 @@ func (w *Writer) Finish() (err error) {
 	}
 	bw := newBodyWriter(out, headerSize)
 	for sh := 0; sh < ip6.AddrShards; sh++ {
-		n := uint64(0)
-		if err := ip6.MergeRuns(w.rf, w.runs[sh], func(a ip6.Addr) error {
-			n++
-			return bw.append(a)
-		}); err != nil {
-			return err
+		next := w.rf.Merge(w.runs[sh])
+		for {
+			a, ok, err := next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			counts[sh]++
+			if err := bw.append(a); err != nil {
+				return err
+			}
 		}
-		counts[sh] = n
 	}
 	if err := bw.flush(); err != nil {
 		return err

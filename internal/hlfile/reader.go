@@ -184,7 +184,7 @@ var cursorChunks = sync.Pool{New: func() any { return new([cursorChunk]ip6.Addr)
 // of shard size, and hands its chunk back once drained — the
 // checkpoint-restore path feeds these straight into resident sets or
 // SpillSet.ImportShardSorted.
-func (r *Reader) ShardCursor(sh int) func() (ip6.Addr, bool, error) {
+func (r *Reader) ShardCursor(sh int) ip6.Cursor {
 	idx := r.starts[sh]
 	left := r.counts[sh]
 	var chunk *[cursorChunk]ip6.Addr

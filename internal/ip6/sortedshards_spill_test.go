@@ -76,9 +76,9 @@ func TestFreezeSortedSetDeltaSpill(t *testing.T) {
 	requireEqualFrozen(t, gen3, gen2)
 }
 
-// TestShardSortedCursor pins the pull cursor against WalkShardSorted:
-// identical addresses in identical order, duplicate-free across runs,
-// clean end-of-stream.
+// TestShardSortedCursor pins the cursor against a sorted Merge() of the
+// set: each shard's members in ascending order, duplicate-free across
+// runs, clean end-of-stream.
 func TestShardSortedCursor(t *testing.T) {
 	spill, err := NewSpillSet(t.TempDir(), 4) // several runs per shard
 	if err != nil {
@@ -90,14 +90,11 @@ func TestShardSortedCursor(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		spill.Add(AddrFromUint64s(0x2001_0db8_0000_0000|r.Uint64()>>32, r.Uint64()))
 	}
+	want := make([][]Addr, AddrShards)
+	for _, a := range spill.Merge().Sorted() {
+		want[ShardOf(a)] = append(want[ShardOf(a)], a)
+	}
 	for sh := 0; sh < AddrShards; sh++ {
-		var want []Addr
-		if err := spill.WalkShardSorted(sh, func(a Addr) error {
-			want = append(want, a)
-			return nil
-		}); err != nil {
-			t.Fatalf("shard %d: walk: %v", sh, err)
-		}
 		cur, err := spill.ShardSortedCursor(sh)
 		if err != nil {
 			t.Fatalf("shard %d: %v", sh, err)
@@ -113,12 +110,12 @@ func TestShardSortedCursor(t *testing.T) {
 			}
 			got = append(got, a)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("shard %d: %d addrs, want %d", sh, len(got), len(want))
+		if len(got) != len(want[sh]) {
+			t.Fatalf("shard %d: %d addrs, want %d", sh, len(got), len(want[sh]))
 		}
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("shard %d[%d]: %v, want %v", sh, i, got[i], want[i])
+			if got[i] != want[sh][i] {
+				t.Fatalf("shard %d[%d]: %v, want %v", sh, i, got[i], want[sh][i])
 			}
 		}
 		// Exhausted cursors stay exhausted.

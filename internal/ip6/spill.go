@@ -6,10 +6,10 @@ package ip6
 // of the measurement — at paper scale hundreds of millions of 16-byte
 // addresses, far beyond what fits in RAM as Go maps. SpillableSet is the
 // small interface both the resident ShardedSet and the disk-backed
-// SpillSet satisfy, and RunFile/Run/MergeRuns are the sorted-run
-// primitives SpillSet (and the hlfile writer) are built from: frozen
-// sorted runs appended to a scratch file, fence-indexed point lookups,
-// and k-way streaming merges.
+// SpillSet satisfy, and RunFile/Run are the sorted-run primitives
+// SpillSet (and the hlfile writer) are built from: frozen sorted runs
+// appended to a scratch file, fence-indexed point lookups, and run
+// cursors that MergeCursors streams together.
 
 import (
 	"fmt"
@@ -131,7 +131,7 @@ func buildFence(addrs []Addr) (fence []Addr, last Addr) {
 }
 
 // WriteRun appends addrs — which must be sorted ascending — as one run
-// and returns its handle. Duplicates within addrs are kept (MergeRuns
+// and returns its handle. Duplicates within addrs are kept (MergeCursors
 // drops them); an empty slice yields an empty run.
 func (rf *RunFile) WriteRun(addrs []Addr) (Run, error) {
 	if len(addrs) == 0 {
@@ -203,128 +203,45 @@ func compareBytes(a Addr, b []byte) int {
 	return 0
 }
 
-// runReader streams one run in order, chunk by chunk.
-type runReader struct {
-	rf   *RunFile
-	run  *Run
-	pos  int // addresses consumed
-	buf  []byte
-	cur  []byte // unread remainder of buf
-	size int    // chunk size in addresses
-}
+// runChunk is how many addresses one RunFile.Cursor read fetches.
+const runChunk = 1024
 
-func newRunReader(rf *RunFile, r *Run, chunkAddrs int) *runReader {
-	if chunkAddrs <= 0 {
-		chunkAddrs = 1024
-	}
-	return &runReader{rf: rf, run: r, size: chunkAddrs}
-}
-
-// next returns the next address; ok=false at end of run.
-func (rr *runReader) next() (Addr, bool, error) {
-	if len(rr.cur) == 0 {
-		left := rr.run.count - rr.pos
-		if left == 0 {
-			return Addr{}, false, nil
-		}
-		n := rr.size
-		if n > left {
-			n = left
-		}
-		need := n * AddrBytes
-		if cap(rr.buf) < need {
-			rr.buf = make([]byte, need)
-		}
-		rr.cur = rr.buf[:need]
-		if _, err := rr.rf.f.ReadAt(rr.cur, rr.run.off+int64(rr.pos*AddrBytes)); err != nil {
-			return Addr{}, false, fmt.Errorf("ip6: reading run: %w", err)
-		}
-		rr.pos += n
-	}
-	var a Addr
-	copy(a[:], rr.cur)
-	rr.cur = rr.cur[AddrBytes:]
-	return a, true, nil
-}
-
-// MergeRuns streams the sorted union of the given runs to emit, dropping
-// duplicates (within and across runs). Runs must each be sorted; the
-// merge reads bounded chunks per run and keeps a min-heap of run heads,
-// so memory is O(runs) and comparisons O(N log runs) — linear even for
-// the hundreds-of-runs fan-in an uncompacted writer accumulates on
-// hitlist-scale conversions. A non-nil error from emit aborts the merge.
-func MergeRuns(rf *RunFile, runs []*Run, emit func(Addr) error) error {
-	h := mergeHeap{}
-	for _, r := range runs {
-		if r.count == 0 {
-			continue
-		}
-		rr := newRunReader(rf, r, 0)
-		a, ok, err := rr.next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			h.entries = append(h.entries, mergeEntry{head: a, rr: rr})
-		}
-	}
-	for i := len(h.entries)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-	var lastEmitted Addr
-	emitted := false
-	for len(h.entries) > 0 {
-		e := &h.entries[0]
-		a := e.head
-		if !emitted || lastEmitted != a {
-			if err := emit(a); err != nil {
-				return err
+// Cursor returns a cursor over run r, read in chunks of up to runChunk
+// addresses.
+func (rf *RunFile) Cursor(r *Run) Cursor {
+	off, left := r.off, r.count
+	var buf, cur []byte // cur is the unread remainder of buf
+	return func() (Addr, bool, error) {
+		if len(cur) == 0 {
+			if left == 0 {
+				return Addr{}, false, nil
 			}
-			lastEmitted, emitted = a, true
+			need := min(left, runChunk) * AddrBytes
+			if cap(buf) < need {
+				buf = make([]byte, need)
+			}
+			if _, err := rf.f.ReadAt(buf[:need], off); err != nil {
+				return Addr{}, false, fmt.Errorf("ip6: reading run: %w", err)
+			}
+			cur = buf[:need]
+			off += int64(need)
+			left -= need / AddrBytes
 		}
-		nxt, ok, err := e.rr.next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			e.head = nxt
-		} else {
-			last := len(h.entries) - 1
-			h.entries[0] = h.entries[last]
-			h.entries = h.entries[:last]
-		}
-		h.siftDown(0)
+		var a Addr
+		copy(a[:], cur)
+		cur = cur[AddrBytes:]
+		return a, true, nil
 	}
-	return nil
 }
 
-// mergeHeap is a hand-rolled binary min-heap of run cursors keyed by
-// their head address (container/heap's interface indirection costs an
-// allocation per op on the merge hot path).
-type mergeEntry struct {
-	head Addr
-	rr   *runReader
-}
-
-type mergeHeap struct{ entries []mergeEntry }
-
-func (h *mergeHeap) siftDown(i int) {
-	n := len(h.entries)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h.entries[l].head.Less(h.entries[min].head) {
-			min = l
-		}
-		if r < n && h.entries[r].head.Less(h.entries[min].head) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h.entries[i], h.entries[min] = h.entries[min], h.entries[i]
-		i = min
+// Merge returns a cursor over the sorted union of runs, dropping
+// duplicates within and across them.
+func (rf *RunFile) Merge(runs []*Run) Cursor {
+	curs := make([]Cursor, len(runs))
+	for i, r := range runs {
+		curs[i] = rf.Cursor(r)
 	}
+	return MergeCursors(curs...)
 }
 
 // runWriter appends one run incrementally — the streaming counterpart of
@@ -377,6 +294,19 @@ func (w *runWriter) flush() error {
 	}
 	w.buf = w.buf[:0]
 	return nil
+}
+
+// appendAll appends every address next yields.
+func (w *runWriter) appendAll(next Cursor) error {
+	for {
+		a, ok, err := next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := w.append(a); err != nil {
+			return err
+		}
+	}
 }
 
 // finish flushes and returns the completed run.
@@ -577,9 +507,9 @@ func (s *SpillSet) WalkShard(i int, fn func(Addr) bool) {
 		}
 	}
 	for _, r := range sh.runs {
-		rr := newRunReader(s.rf, r, 0)
+		next := s.rf.Cursor(r)
 		for {
-			a, ok, err := rr.next()
+			a, ok, err := next()
 			if err != nil {
 				s.fail(err)
 				return
@@ -594,35 +524,14 @@ func (s *SpillSet) WalkShard(i int, fn func(Addr) bool) {
 	}
 }
 
-// WalkShardSorted streams shard i's members to emit in ascending address
-// order. The shard's resident delta is frozen to disk first (a
-// membership-invariant state change: the spill trigger is shard-local, so
-// later observations are unaffected), then the frozen runs are k-way
-// merged. A non-nil error from emit aborts the walk; disk errors are
-// sticky (Err) and returned.
-func (s *SpillSet) WalkShardSorted(i int, emit func(Addr) error) error {
-	s.freeze(i)
-	sh := &s.shards[i]
-	if len(sh.delta) != 0 {
-		// freeze left the delta resident, which only happens on a disk
-		// error — surface the sticky error rather than emitting out of
-		// order.
-		if err := s.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("ip6: shard %d delta not frozen", i)
-	}
-	return MergeRuns(s.rf, sh.runs, emit)
-}
-
-// ShardSortedCursor returns a pull cursor over shard i's members in
-// ascending address order — the cursor form of WalkShardSorted, for
-// consumers that interleave several shards' streams (the TGA feedback
-// merge). The shard's resident delta is frozen first, then the cursor
-// k-way merges the frozen runs with a bounded read buffer per run; the
-// shard must not be mutated while the cursor is in use. Disk errors are
-// sticky (Err) and returned through the cursor.
-func (s *SpillSet) ShardSortedCursor(i int) (func() (Addr, bool, error), error) {
+// ShardSortedCursor returns a cursor over shard i's members in ascending
+// address order. The shard's resident delta is frozen to disk first (a
+// membership-invariant state change: the spill trigger is shard-local,
+// so later observations are unaffected), then the cursor merges the
+// frozen runs with a bounded read buffer per run; the shard must not be
+// mutated while the cursor is in use. A freeze error is sticky (Err);
+// a read error comes back through the cursor only.
+func (s *SpillSet) ShardSortedCursor(i int) (Cursor, error) {
 	s.freeze(i)
 	sh := &s.shards[i]
 	if len(sh.delta) != 0 {
@@ -634,50 +543,7 @@ func (s *SpillSet) ShardSortedCursor(i int) (func() (Addr, bool, error), error) 
 		}
 		return nil, fmt.Errorf("ip6: shard %d delta not frozen", i)
 	}
-	h := &mergeHeap{}
-	for _, r := range sh.runs {
-		if r.count == 0 {
-			continue
-		}
-		rr := newRunReader(s.rf, r, 0)
-		a, ok, err := rr.next()
-		if err != nil {
-			s.fail(err)
-			return nil, err
-		}
-		if ok {
-			h.entries = append(h.entries, mergeEntry{head: a, rr: rr})
-		}
-	}
-	for j := len(h.entries)/2 - 1; j >= 0; j-- {
-		h.siftDown(j)
-	}
-	var last Addr
-	emitted := false
-	return func() (Addr, bool, error) {
-		for len(h.entries) > 0 {
-			e := &h.entries[0]
-			a := e.head
-			nxt, ok, err := e.rr.next()
-			if err != nil {
-				s.fail(err)
-				return Addr{}, false, err
-			}
-			if ok {
-				e.head = nxt
-			} else {
-				lastIdx := len(h.entries) - 1
-				h.entries[0] = h.entries[lastIdx]
-				h.entries = h.entries[:lastIdx]
-			}
-			h.siftDown(0)
-			if !emitted || last != a { // runs are disjoint; dedup is defensive
-				last, emitted = a, true
-				return a, true, nil
-			}
-		}
-		return Addr{}, false, nil
-	}, nil
+	return s.rf.Merge(sh.runs), nil
 }
 
 // ImportShardSorted bulk-loads shard i from a cursor yielding strictly
@@ -687,7 +553,7 @@ func (s *SpillSet) ShardSortedCursor(i int) (func() (Addr, bool, error), error) 
 // imports must run serially across shards. The loaded addresses land as
 // one frozen run without counting toward FrozenRuns (a reload is not a
 // spill).
-func (s *SpillSet) ImportShardSorted(i int, next func() (Addr, bool, error)) error {
+func (s *SpillSet) ImportShardSorted(i int, next Cursor) error {
 	sh := &s.shards[i]
 	if len(sh.delta) != 0 || len(sh.runs) != 0 {
 		return fmt.Errorf("ip6: importing into non-empty shard %d", i)
@@ -771,7 +637,7 @@ func (s *SpillSet) Compact() error {
 			continue
 		}
 		w := s.rf.newRunWriter()
-		if err := MergeRuns(s.rf, sh.runs, w.append); err != nil {
+		if err := w.appendAll(s.rf.Merge(sh.runs)); err != nil {
 			s.fail(err)
 			return err
 		}
@@ -805,7 +671,7 @@ func (s *SpillSet) rotate() error {
 			continue
 		}
 		w := fresh.newRunWriter()
-		if err := MergeRuns(s.rf, sh.runs, w.append); err != nil {
+		if err := w.appendAll(s.rf.Merge(sh.runs)); err != nil {
 			fresh.Close()
 			return err
 		}

@@ -81,11 +81,8 @@ func TestRunFileWriteHasMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var merged []Addr
-	if err := MergeRuns(rf, []*Run{&r1, &r2, &r3}, func(a Addr) error {
-		merged = append(merged, a)
-		return nil
-	}); err != nil {
+	merged, err := drainCursor(rf.Merge([]*Run{&r1, &r2, &r3}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(merged) != len(addrs) {
