@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -210,9 +209,9 @@ func hl6Info(args []string) {
 
 // ckptInfo prints a checkpoint directory's manifest: scan cursor, serve
 // generation, the segment's size, every payload with its offset in the
-// segment, size and item count, the delta-chain shape (when the head is
-// a delta checkpoint), and the ingest-journal status next to the
-// directory.
+// segment, size, item count and [append] tag, the delta chain level by
+// level with each level's bytes (when the head is a delta checkpoint),
+// and the ingest-journal status next to the directory.
 func ckptInfo(dir string) {
 	resolved, err := ckpt.Resolve(dir)
 	if err != nil {
@@ -246,8 +245,8 @@ func ckptInfo(dir string) {
 		fmt.Printf("payloads:        %d (%d bytes)\n", len(files), bytes)
 		for _, fi := range files {
 			suffix := ""
-			if fi.Delta {
-				suffix = fmt.Sprintf("  [delta, %d/%d shards]", bits.OnesCount64(fi.Shards), ip6.AddrShards)
+			if fi.Append {
+				suffix = "  [append]"
 			}
 			if fi.Count > 0 {
 				fmt.Printf("  %-20s @%-10d %12d bytes %12d items%s\n", fi.Name, fi.Offset, fi.Bytes, fi.Count, suffix)
@@ -260,6 +259,7 @@ func ckptInfo(dir string) {
 	headBytes := printFiles(m.Files)
 	if m.Parent != "" {
 		fmt.Printf("delta chain:     depth %d (head + parents below, oldest last)\n", m.Depth)
+		fmt.Printf("  %-20s scans=%-4d %12d bytes  (%s)\n", filepath.Base(resolved), m.ScanIndex, headBytes, levelKind(m))
 		base := filepath.Dir(resolved)
 		cur, total := m, headBytes
 		for cur.Parent != "" {
@@ -274,11 +274,7 @@ func ckptInfo(dir string) {
 				pbytes += fi.Bytes
 			}
 			total += pbytes
-			kind := "delta"
-			if pm.Parent == "" {
-				kind = "full"
-			}
-			fmt.Printf("  %-20s scans=%-4d %12d bytes  (%s)\n", cur.Parent, pm.ScanIndex, pbytes, kind)
+			fmt.Printf("  %-20s scans=%-4d %12d bytes  (%s)\n", cur.Parent, pm.ScanIndex, pbytes, levelKind(pm))
 			cur = pm
 		}
 		fmt.Printf("chain total:     %d bytes\n", total)
@@ -292,6 +288,21 @@ func ckptInfo(dir string) {
 	} else {
 		fmt.Printf("journal:         %d records (%d bytes) — mid-scan debris, discarded on resume\n", count, jbytes)
 	}
+}
+
+// levelKind describes one chain level: "full", or a delta with how many
+// of its payloads append.
+func levelKind(m ckpt.Manifest) string {
+	if m.Parent == "" {
+		return "full"
+	}
+	n := 0
+	for _, fi := range m.Files {
+		if fi.Append {
+			n++
+		}
+	}
+	return fmt.Sprintf("delta, %d/%d payloads append", n, len(m.Files))
 }
 
 // hl6Sample prints a deterministic query workload drawn from a .hl6:

@@ -152,6 +152,12 @@ type Detector struct {
 	hist    []uint16
 	histLen []uint16
 
+	// round counts the rounds Run recorded; stamp[row] is the round that
+	// last recorded the row (0: imported), so a checkpoint can append
+	// just the rows recorded since its parent (ExportRecorded).
+	round uint32
+	stamp []uint32
+
 	// queue is the sharded slot queue, reused across rounds so
 	// steady-state detection allocates no per-round slot storage.
 	queue slotQueue
@@ -313,6 +319,7 @@ func (d *Detector) Run(ctx context.Context, candidates []ip6.Prefix, day int) (*
 		return nil, err
 	}
 	nprotos := len(d.cfg.Protocols)
+	d.round++
 	stats, err := d.scanner.StreamFrom(ctx, q, d.cfg.Protocols, day, func(b *scan.Batch) error {
 		q.mark(b, nprotos)
 		return nil
@@ -357,7 +364,9 @@ func (d *Detector) record(p ip6.Prefix, bitmap uint16) uint16 {
 		d.keys = append(d.keys, p)
 		d.hist = append(d.hist, make([]uint16, stride)...)
 		d.histLen = append(d.histLen, 0)
+		d.stamp = append(d.stamp, 0)
 	}
+	d.stamp[row] = d.round
 	h := d.hist[int(row)*stride : (int(row)+1)*stride]
 	n := int(d.histLen[row])
 	if n == stride {
@@ -403,8 +412,10 @@ func Aggregate(aliased []ip6.Prefix) []ip6.Prefix {
 
 // HistoryEntry is one prefix's response-pattern history — the state a
 // checkpoint must carry so a resumed timeline's MergeScans window sees
-// exactly the rounds an uninterrupted run would.
+// exactly the rounds an uninterrupted run would. Row is the prefix's row
+// index: its place in first-seen order.
 type HistoryEntry struct {
+	Row    int
 	Prefix ip6.Prefix
 	Counts []uint16
 }
@@ -413,23 +424,40 @@ type HistoryEntry struct {
 // order: row by row, as Run created them. That order is deterministic
 // without sorting — Run records candidates in list order whatever the
 // engine shape, and a detector that imported a history continues its
-// rows — so a checkpoint writes the previous copy plus a suffix. The
-// Counts slices alias the detector's rows; they are valid until the next
-// Run or ImportHistory.
-func (d *Detector) ExportHistory() []HistoryEntry {
+// rows. The Counts slices alias the detector's rows; they are valid
+// until the next Run, ImportHistory or ApplyHistory.
+func (d *Detector) ExportHistory() []HistoryEntry { return d.export(0, true) }
+
+// Round returns how many rounds Run has recorded; ImportHistory does not
+// reset it.
+func (d *Detector) Round() uint32 { return d.round }
+
+// ExportRecorded returns, in row order, the rows recorded by rounds after
+// round — what changed since a checkpoint taken at Round() == round.
+// Imported rows count as recorded at round 0. The Counts slices alias
+// the detector's rows, as ExportHistory's do.
+func (d *Detector) ExportRecorded(round uint32) []HistoryEntry { return d.export(round, false) }
+
+func (d *Detector) export(after uint32, all bool) []HistoryEntry {
 	stride := d.cfg.MergeScans + 1
-	out := make([]HistoryEntry, len(d.keys))
+	var out []HistoryEntry
+	if all {
+		out = make([]HistoryEntry, 0, len(d.keys))
+	}
 	for row, p := range d.keys {
-		at := row * stride
-		out[row] = HistoryEntry{Prefix: p, Counts: d.hist[at : at+int(d.histLen[row])]}
+		if all || d.stamp[row] > after {
+			at := row * stride
+			out = append(out, HistoryEntry{Row: row, Prefix: p, Counts: d.hist[at : at+int(d.histLen[row])]})
+		}
 	}
 	return out
 }
 
 // ImportHistory replaces the detector's history with the given entries,
-// in their order, keeping each prefix's newest MergeScans+1 rounds — all
-// a row holds. Any order imports (detection does not depend on it); a
-// prefix listed twice is an error and leaves the detector unchanged.
+// in their order (Row is ignored), keeping each prefix's newest
+// MergeScans+1 rounds — all a row holds. Any order imports (detection
+// does not depend on it); a prefix listed twice is an error and leaves
+// the detector unchanged.
 func (d *Detector) ImportHistory(entries []HistoryEntry) error {
 	stride := d.cfg.MergeScans + 1
 	rows := make(map[ip6.Prefix]int32, len(entries))
@@ -446,5 +474,39 @@ func (d *Detector) ImportHistory(entries []HistoryEntry) error {
 		histLen[i] = uint16(copy(hist[i*stride:], counts))
 	}
 	d.rows, d.keys, d.hist, d.histLen = rows, keys, hist, histLen
+	d.stamp = make([]uint32, len(entries))
+	return nil
+}
+
+// ApplyHistory applies rows exported by ExportRecorded over the history
+// they were recorded on, in ascending row order: an entry naming an
+// existing row must carry that row's prefix and replaces its counts; one
+// naming the next row appends it. A row index out of order or past the
+// next row, a prefix that differs from its row's, or a new row whose
+// prefix already has one is an error, and may leave the history partly
+// applied.
+func (d *Detector) ApplyHistory(entries []HistoryEntry) error {
+	stride := d.cfg.MergeScans + 1
+	last := -1
+	for _, e := range entries {
+		switch {
+		case e.Row <= last || e.Row > len(d.keys):
+			return fmt.Errorf("apd: history row %d after row %d of %d", e.Row, last, len(d.keys))
+		case e.Row < len(d.keys) && d.keys[e.Row] != e.Prefix:
+			return fmt.Errorf("apd: history row %d names %v, the base has %v", e.Row, e.Prefix, d.keys[e.Row])
+		case e.Row == len(d.keys):
+			if _, dup := d.rows[e.Prefix]; dup {
+				return fmt.Errorf("apd: history lists %v twice", e.Prefix)
+			}
+			d.rows[e.Prefix] = int32(e.Row)
+			d.keys = append(d.keys, e.Prefix)
+			d.hist = append(d.hist, make([]uint16, stride)...)
+			d.histLen = append(d.histLen, 0)
+			d.stamp = append(d.stamp, 0)
+		}
+		counts := e.Counts[max(0, len(e.Counts)-stride):]
+		d.histLen[e.Row] = uint16(copy(d.hist[e.Row*stride:(e.Row+1)*stride], counts))
+		last = e.Row
+	}
 	return nil
 }

@@ -9,7 +9,7 @@
 //
 //	payloads.seg   every payload's bytes, in manifest order, no framing
 //	manifest.json  version, cursor fields, and per payload its name,
-//	               offset, byte size, CRC-64 and (for deltas) shard bitmap
+//	               offset, byte size, CRC-64 and (for appends) an Append flag
 //
 // Write protocol (Begin → Create/Close per payload → Commit):
 //
@@ -34,20 +34,25 @@
 // # Delta chains
 //
 // A checkpoint may be written as a delta against the checkpoint
-// currently at dest (BeginDelta): payloads marked Delta carry only the
-// shards named in their DeltaShards bitmap, and the manifest's Parent
-// field names the sibling directory — dest + ".p<scanIndex>" — the
-// superseded head is parked under at commit time instead of being
-// removed. OpenChain resolves the whole parent chain (every level fully
-// CRC-verified; a missing or damaged parent is ErrCorrupt), and
-// FindShard answers "which chain level holds the current content of
-// shard sh" — the newest level whose payload carries that shard. The
-// delta commit's crash windows mirror the full commit's: before the
-// park rename the old chain is intact at dest; between the park and
-// publish renames Resolve falls back to the highest-numbered parked
-// parent; after publish the new head is live. A full (non-delta) commit
-// into dest collapses the chain: its .p* parents are removed once the
-// new head is durable.
+// currently at dest (BeginDelta): the manifest's Parent field names the
+// sibling directory — dest + ".p<scanIndex>" — the superseded head is
+// parked under at commit time instead of being removed. A delta level
+// writes each payload either in full, exactly as a full checkpoint
+// would, or marked Append: then it holds only what was added since the
+// parent, and its current content is the newest level holding it in
+// full plus every Append level above that, oldest first. The payload
+// owner decides per payload; this package only resolves the levels.
+// OpenChain resolves the whole parent chain (every level fully
+// CRC-verified; a missing or damaged parent is ErrCorrupt), and Levels
+// returns the levels one payload resolves through — ErrCorrupt when a
+// level lacks it or no full copy lies under its Append levels. A
+// manifest without a parent that marks a payload Append is refused on
+// read. The delta commit's crash windows mirror the full commit's:
+// before the park rename the old chain is intact at dest; between the
+// park and publish renames Resolve falls back to the highest-numbered
+// parked parent; after publish the new head is live. A full (non-delta)
+// commit into dest collapses the chain: its .p* parents are removed
+// once the new head is durable.
 package ckpt
 
 import (
@@ -60,6 +65,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -72,9 +78,10 @@ const ManifestName = "manifest.json"
 const SegmentName = "payloads.seg"
 
 // Version is the current checkpoint format version. Version 1 stored
-// every payload as a file of its own; its manifests are refused like any
-// other version skew.
-const Version = 2
+// every payload as a file of its own and version 2 marked delta payloads
+// with a shard bitmap; their manifests are refused like any other
+// version skew.
+const Version = 3
 
 // ErrCorrupt tags every validation failure Open returns (wrapped with
 // detail); errors.Is(err, ErrCorrupt) distinguishes a damaged checkpoint
@@ -97,16 +104,10 @@ type FileInfo struct {
 	CRC    string `json:"crc64"` // 16 hex digits, CRC-64/ECMA of the payload
 	Count  int64  `json:"count,omitempty"`
 
-	// Delta marks a payload written as a shard delta: only the shards
-	// whose bit is set in DeltaShards are present in this payload; every
-	// other shard's content lives at some older chain level. A payload
-	// without Delta carries all shards.
-	Delta       bool   `json:"delta,omitempty"`
-	DeltaShards string `json:"delta_shards,omitempty"` // 16 hex digits, bit i = shard i present
-
-	// Shards is the shard bitmap the payload carries: DeltaShards parsed
-	// for a delta, every bit for a full payload. ReadManifest fills it.
-	Shards uint64 `json:"-"`
+	// Append marks a payload that holds only what was added since the
+	// parent level; the rest of its content lives at older levels (see
+	// Snapshot.Levels). A payload without it is complete on its own.
+	Append bool `json:"append,omitempty"`
 }
 
 // Manifest is the checkpoint's table of contents plus the service-level
@@ -187,14 +188,13 @@ func BeginDelta(dest string) (*Writer, error) {
 // File is one payload being written: an io.Writer that appends to the
 // segment, tracks size and CRC, and records its manifest entry on Close.
 type File struct {
-	w           *Writer
-	name        string
-	off         int64
-	crc         hash.Hash64
-	n           int64
-	count       int64
-	delta       bool
-	deltaShards uint64
+	w      *Writer
+	name   string
+	off    int64
+	crc    hash.Hash64
+	n      int64
+	count  int64
+	append bool
 }
 
 // Create starts payload name at the segment's current end. Close the
@@ -235,14 +235,10 @@ func (f *File) Write(p []byte) (int, error) {
 // manifest entry — display metadata only, not validated.
 func (f *File) SetCount(n int64) { f.count = n }
 
-// SetDeltaShards marks the payload as a shard delta carrying exactly the
-// shards whose bit is set in mask (bit i = shard i). Unlike Count this
-// is load-bearing: readers resolve absent shards through the parent
-// chain.
-func (f *File) SetDeltaShards(mask uint64) {
-	f.delta = true
-	f.deltaShards = mask
-}
+// SetAppend marks the payload as holding only what was added since the
+// parent level. Unlike Count this is load-bearing: readers resolve the
+// rest through the parent chain (Snapshot.Levels).
+func (f *File) SetAppend() { f.append = true }
 
 // Close records the payload's manifest entry. Nothing is synced here:
 // Commit fsyncs the whole segment once.
@@ -251,20 +247,14 @@ func (f *File) Close() error {
 		return fmt.Errorf("ckpt: payload %s already closed", f.name)
 	}
 	f.w.cur = nil
-	fi := FileInfo{
+	f.w.files = append(f.w.files, FileInfo{
 		Name:   f.name,
 		Offset: f.off,
 		Bytes:  f.n,
 		CRC:    fmt.Sprintf("%016x", f.crc.Sum64()),
 		Count:  f.count,
-		Shards: ^uint64(0),
-	}
-	if f.delta {
-		fi.Delta = true
-		fi.DeltaShards = fmt.Sprintf("%016x", f.deltaShards)
-		fi.Shards = f.deltaShards
-	}
-	f.w.files = append(f.w.files, fi)
+		Append: f.append,
+	})
 	return nil
 }
 
@@ -517,9 +507,9 @@ type Snapshot struct {
 }
 
 // ReadManifest parses a checkpoint directory's manifest without reading
-// the segment — the cheap path for status display. Each delta bitmap is
-// parsed here, once: one that is not 16 hex digits is ErrCorrupt, since
-// a misread bitmap would resolve shards from the wrong chain level.
+// the segment — the cheap path for status display. A manifest without a
+// parent that marks a payload Append is ErrCorrupt: that payload has no
+// full base to resolve against.
 func ReadManifest(dir string) (Manifest, error) {
 	var m Manifest
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -532,17 +522,10 @@ func ReadManifest(dir string) (Manifest, error) {
 	if m.Version != Version {
 		return m, fmt.Errorf("%w: manifest version %d, want %d", ErrCorrupt, m.Version, Version)
 	}
-	for i := range m.Files {
-		fi := &m.Files[i]
-		fi.Shards = ^uint64(0)
-		if !fi.Delta {
-			continue
+	for _, fi := range m.Files {
+		if fi.Append && m.Parent == "" {
+			return m, fmt.Errorf("%w: %s is an append payload in a checkpoint without a parent", ErrCorrupt, fi.Name)
 		}
-		mask, err := strconv.ParseUint(fi.DeltaShards, 16, 64)
-		if err != nil || len(fi.DeltaShards) != 16 {
-			return m, fmt.Errorf("%w: %s delta bitmap %q", ErrCorrupt, fi.Name, fi.DeltaShards)
-		}
-		fi.Shards = mask
 	}
 	return m, nil
 }
@@ -681,34 +664,23 @@ func (s *Snapshot) Has(name string) bool {
 	return ok
 }
 
-// HasShard reports whether this snapshot's own copy of payload name
-// carries shard sh: a full payload carries every shard, a delta only
-// those in its bitmap.
-func (s *Snapshot) HasShard(name string, sh int) bool {
-	fi, ok := s.byName[name]
-	return ok && fi.Shards&(1<<uint(sh)) != 0
-}
-
-// FindShard returns the newest chain level (this snapshot or an
-// ancestor) whose payload name carries shard sh, or nil when no level
-// does. That level holds the shard's current content: a delta writes a
-// shard exactly when it changed, so absence at newer levels proves the
-// older copy is still current.
-func (s *Snapshot) FindShard(name string, sh int) *Snapshot {
+// Levels returns the chain levels payload name resolves through, oldest
+// first: the newest level (this snapshot or an ancestor) holding it in
+// full, then every Append level above that, ending at s. A level without
+// the payload, or Append levels with no full copy under them — the chain
+// ends, or s was opened without OpenChain — is ErrCorrupt.
+func (s *Snapshot) Levels(name string) ([]*Snapshot, error) {
+	var out []*Snapshot
 	for cur := s; cur != nil; cur = cur.Parent {
-		if cur.HasShard(name, sh) {
-			return cur
+		fi, ok := cur.byName[name]
+		if !ok {
+			return nil, fmt.Errorf("%w: %s missing from %s", ErrCorrupt, name, cur.Dir)
+		}
+		out = append(out, cur)
+		if !fi.Append {
+			slices.Reverse(out)
+			return out, nil
 		}
 	}
-	return nil
-}
-
-// HasInChain reports whether any chain level names the payload.
-func (s *Snapshot) HasInChain(name string) bool {
-	for cur := s; cur != nil; cur = cur.Parent {
-		if cur.Has(name) {
-			return true
-		}
-	}
-	return false
+	return nil, fmt.Errorf("%w: %s has append levels with no full base under them", ErrCorrupt, name)
 }

@@ -1,11 +1,14 @@
 package ckpt_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"hitlist6/internal/ckpt"
@@ -300,8 +303,9 @@ func TestChainDirsGlobMeta(t *testing.T) {
 // TestOpenRefusesCorruption: every damage mode — a payload truncated,
 // extended, bit-flipped or cut out of the segment, a segment that the
 // manifest's entries do not tile exactly or that is missing, garbage or
-// version-skewed manifests, a malformed delta bitmap — must refuse with
-// ErrCorrupt rather than half-load.
+// version-skewed manifests, an Append payload without a parent to append
+// to or an Append flag that is not a bool — must refuse with ErrCorrupt
+// rather than half-load.
 func TestOpenRefusesCorruption(t *testing.T) {
 	editPayload := func(edit func([]byte) []byte) func(*testing.T, string) {
 		return func(t *testing.T, dest string) { ckpttest.Edit(t, dest, "a.bin", false, edit) }
@@ -350,10 +354,21 @@ func TestOpenRefusesCorruption(t *testing.T) {
 		{"size past end", editManifest(func(m *ckpt.Manifest) { m.Files[1].Bytes += 1 << 40 })},
 		{"negative size", editManifest(func(m *ckpt.Manifest) { m.Files[0].Bytes = -1 })},
 		{"duplicate name", editManifest(func(m *ckpt.Manifest) { m.Files[1].Name = m.Files[0].Name })},
-		{"delta_shards zz", editManifest(func(m *ckpt.Manifest) { m.Files[0].Delta, m.Files[0].DeltaShards = true, "zz" })},
-		{"delta_shards short", editManifest(func(m *ckpt.Manifest) { m.Files[0].Delta, m.Files[0].DeltaShards = true, "ff" })},
+		{"append without parent", editManifest(func(m *ckpt.Manifest) { m.Files[0].Append = true })},
+		{"append not a bool", func(t *testing.T, dest string) {
+			path := filepath.Join(dest, ckpt.ManifestName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = bytes.Replace(data, []byte(`"name": "a.bin",`), []byte(`"name": "a.bin", "append": "zz",`), 1)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"version 1", editManifest(func(m *ckpt.Manifest) { m.Version = 1 })},
-		{"garbage manifest", writeManifest("{\"version\": 2,")},
+		{"version 2", editManifest(func(m *ckpt.Manifest) { m.Version = 2 })},
+		{"garbage manifest", writeManifest("{\"version\": 3,")},
 		{"version skew", writeManifest("{\"version\": 99}\n")},
 	}
 	for _, tc := range cases {
@@ -371,40 +386,78 @@ func TestOpenRefusesCorruption(t *testing.T) {
 	}
 }
 
-// TestShardsFromDeltaBitmap: the manifest's delta bitmap is parsed once
-// and drives HasShard; a full payload carries every shard.
-func TestShardsFromDeltaBitmap(t *testing.T) {
+// TestAppendLevelsResolveToFullBase: a payload resolves from the newest
+// level holding it in full up through every Append level above, oldest
+// first. Append levels with no full copy under them — a level in
+// between without the payload, or a snapshot opened without its chain —
+// are ErrCorrupt.
+func TestAppendLevelsResolveToFullBase(t *testing.T) {
 	dest := filepath.Join(t.TempDir(), "ckpt")
-	writeCheckpoint(t, dest, map[string]string{"full.bin": "x"}, ckpt.Manifest{ScanIndex: 1})
-	w, err := ckpt.BeginDelta(dest)
-	if err != nil {
-		t.Fatal(err)
+	writeCheckpoint(t, dest, map[string]string{"a.bin": "a1", "b.bin": "b1"}, ckpt.Manifest{ScanIndex: 1})
+	// commitDelta commits a delta at scan with the named payloads, the
+	// ones prefixed "+" marked Append.
+	commitDelta := func(scan int, payloads ...string) {
+		t.Helper()
+		w, err := ckpt.BeginDelta(dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			name, appendOnly := strings.CutPrefix(p, "+")
+			f, err := w.Create(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(f, "%s at %d", name, scan)
+			if appendOnly {
+				f.SetAppend()
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Commit(ckpt.Manifest{ScanIndex: scan}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	f, err := w.Create("full.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetDeltaShards(1<<3 | 1<<63)
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(ckpt.Manifest{ScanIndex: 2}); err != nil {
-		t.Fatal(err)
-	}
+	// a.bin appends at both deltas; b.bin is rewritten full at scan 2;
+	// c.bin appears full at scan 3; d.bin appends at scan 3 with nothing
+	// under it.
+	commitDelta(2, "+a.bin", "b.bin")
+	commitDelta(3, "+a.bin", "+b.bin", "c.bin", "+d.bin")
+
 	head, err := ckpt.OpenChain(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sh, want := range map[int]bool{0: false, 3: true, 62: false, 63: true} {
-		if got := head.HasShard("full.bin", sh); got != want {
-			t.Errorf("head HasShard(%d) = %v, want %v", sh, got, want)
+	dirs := func(levels []*ckpt.Snapshot) []string {
+		var out []string
+		for _, lvl := range levels {
+			out = append(out, filepath.Base(lvl.Dir))
+		}
+		return out
+	}
+	for name, want := range map[string][]string{
+		"a.bin": {"ckpt.p1", "ckpt.p2", "ckpt"},
+		"b.bin": {"ckpt.p2", "ckpt"},
+		"c.bin": {"ckpt"},
+	} {
+		levels, err := head.Levels(name)
+		if err != nil || !slices.Equal(dirs(levels), want) {
+			t.Errorf("Levels(%s) = %v, %v; want %v", name, dirs(levels), err, want)
 		}
 	}
-	if lvl := head.FindShard("full.bin", 0); lvl != head.Parent {
-		t.Errorf("FindShard(0) = %v, want the full parent", lvl)
+	for _, name := range []string{"d.bin", "missing.bin"} {
+		if _, err := head.Levels(name); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("Levels(%s) err = %v, want ErrCorrupt", name, err)
+		}
 	}
-	if !head.Parent.HasShard("full.bin", 0) {
-		t.Error("a full payload must carry every shard")
+	alone, err := ckpt.Open(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alone.Levels("a.bin"); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("Levels on a head opened without its chain: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -8,14 +8,14 @@ import (
 	"testing"
 
 	"hitlist6/internal/ckpt"
-	"hitlist6/internal/ip6"
 )
 
 // FuzzOpen mutates the manifest of a committed two-level chain — a delta
 // head over a full parent, two payloads at each level — and holds Open
 // and OpenChain to their contract: a snapshot or an error, never a
-// panic, and every payload of every level a snapshot hands out reads
-// back exactly the bytes its manifest entry claims.
+// panic, every payload of every level a snapshot hands out reads back
+// exactly the bytes its manifest entry claims, and resolving it through
+// the chain (Levels) returns levels or an error.
 func FuzzOpen(f *testing.F) {
 	dest := filepath.Join(f.TempDir(), "ck")
 	writeFuzzChain(f, dest)
@@ -37,8 +37,8 @@ func FuzzOpen(f *testing.F) {
 			for lvl := s; lvl != nil; lvl = lvl.Parent {
 				for _, fi := range lvl.Manifest.Files {
 					readSection(t, lvl, fi)
-					for sh := 0; sh < ip6.AddrShards; sh++ {
-						s.FindShard(fi.Name, sh)
+					if levels, err := lvl.Levels(fi.Name); (levels == nil) == (err == nil) {
+						t.Fatalf("%s: levels %v with error %v", fi.Name, levels, err)
 					}
 				}
 			}
@@ -47,7 +47,7 @@ func FuzzOpen(f *testing.F) {
 }
 
 // writeFuzzChain commits the fuzz fixture: a full checkpoint at scan 1,
-// then a delta at scan 2 whose a.bin carries shards 0 and 2.
+// then a delta at scan 2 whose a.bin appends to the parent's.
 func writeFuzzChain(f *testing.F, dest string) {
 	for scan, begin := range []func(string) (*ckpt.Writer, error){ckpt.Begin, ckpt.BeginDelta} {
 		w, err := begin(dest)
@@ -61,7 +61,7 @@ func writeFuzzChain(f *testing.F, dest string) {
 			}
 			fmt.Fprintf(p, "%s at scan %d", name, scan+1)
 			if scan == 1 && name == "a.bin" {
-				p.SetDeltaShards(0b101)
+				p.SetAppend()
 			}
 			if err := p.Close(); err != nil {
 				f.Fatal(err)

@@ -18,10 +18,19 @@ package core
 // Service.payloads is the one payload table: every payload but
 // state.json, once, in manifest file order (records, snapshots, active,
 // the address sets with unresp.hl6 last, apd_history, pending64,
-// seen64). A row is an address set, written as a .hl6 image or shard
-// delta, or a write/read pair. Checkpoint and Resume both walk it; the
-// order is part of the format (TestCheckpointManifestsMatchGolden).
-// state.json stays outside because Resume reads it before NewService.
+// seen64). A row is an address set, written as a .hl6 image, or a
+// write/read pair. Checkpoint and Resume both walk it; the order is part
+// of the format (TestCheckpointManifestsMatchGolden). state.json stays
+// outside because Resume reads it before NewService.
+//
+// A delta checkpoint appends to its parent what the scans since added:
+// an address set whose add log is complete writes the logged addresses
+// as a .hl6 image, records.json and seen64.bin their new suffix, and
+// apd_history.bin the rows recorded since, each with its row index.
+// Every other payload, and every set that was replaced, had a shard
+// replaced (SetShard) or outgrew its log, is written in full, exactly as
+// a full checkpoint writes it. Resume resolves each payload through the
+// chain (ckpt.Snapshot.Levels) and applies its levels oldest first.
 //
 // Deliberately not persisted: lastMain (the wall-clock shard profile —
 // outputs are pinned hand-out-order-invariant, so the resumed run's
@@ -143,46 +152,27 @@ func configState(cfg Config) ckptConfig {
 // checkpoints bounds restore to reading at most 8 chain levels.
 const defaultCheckpointFullEvery = 8
 
-// ckptMark remembers which set object a checkpoint payload was written
-// from and the per-shard epochs at write time. Object identity matters:
-// epochs are only comparable within one set object, so a wholesale set
-// replacement (GFW-filter deployment swaps in a fresh drop set) makes
-// every shard dirty automatically.
-type ckptMark struct {
-	set    ip6.SpillableSet
-	epochs [ip6.AddrShards]uint64
-}
-
-func markOf(set ip6.SpillableSet) *ckptMark {
-	m := &ckptMark{set: set}
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		m.epochs[sh] = set.ShardEpoch(sh)
-	}
-	return m
-}
-
-// dirtyMask returns the bitmap of shards whose epoch moved since mark
-// (bit i = shard i dirty); with no usable mark every shard is dirty.
-func dirtyMask(mark *ckptMark, set ip6.SpillableSet) uint64 {
-	if mark == nil || mark.set != set {
-		return ^uint64(0)
-	}
-	var mask uint64
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if set.ShardEpoch(sh) != mark.epochs[sh] {
-			mask |= 1 << uint(sh)
-		}
-	}
-	return mask
+// ckptBase is the checkpoint this process last committed into dir, or
+// resumed from its head: what the next delta checkpoint appends to. It
+// holds the lengths of the append-only tables and the APD round the
+// history was written at; the sets keep their own add logs.
+type ckptBase struct {
+	dir         string
+	scan, depth int
+	records     int
+	seen64      int
+	apdRound    uint32
 }
 
 // ckptPayload is one row of the payload table: an address set, or a
-// payload with its own encoding when set is nil.
+// payload with its own encoding when set is nil. write gets the base of
+// a delta checkpoint (nil for a full one); read gets the payload's chain
+// levels, oldest first.
 type ckptPayload struct {
 	name  string
 	set   ip6.SpillableSet
-	write func(w *ckpt.Writer, name string) error
-	read  func(snap *ckpt.Snapshot, name string) error
+	write func(w *ckpt.Writer, name string, base *ckptBase) error
+	read  func(levels []*ckpt.Snapshot, name string) error
 }
 
 // payloads is the checkpoint payload table, in manifest file order. It
@@ -192,13 +182,9 @@ type ckptPayload struct {
 // current at the call.
 func (s *Service) payloads() []ckptPayload {
 	out := []ckptPayload{
-		{name: ckptRecordsFile,
-			write: func(w *ckpt.Writer, name string) error {
-				return writeJSONFile(w, name, s.records, int64(len(s.records)))
-			},
-			read: func(snap *ckpt.Snapshot, name string) error { return readJSONFile(snap, name, &s.records) }},
-		{name: ckptSnapshotsFile, write: s.writeSnapshots, read: s.readSnapshots},
-		{name: ckptActiveFile, write: s.writeActive, read: s.readActive},
+		{name: ckptRecordsFile, write: s.writeRecords, read: s.readRecords},
+		{name: ckptSnapshotsFile, write: s.writeSnapshots, read: whole(s.readSnapshots)},
+		{name: ckptActiveFile, write: s.writeActive, read: whole(s.readActive)},
 		{name: ckptInputSeenFile, set: s.inputSeen},
 		{name: ckptEverAnyFile, set: s.everRespAny},
 	}
@@ -225,31 +211,50 @@ func (s *Service) payloads() []ckptPayload {
 	return append(out,
 		ckptPayload{name: ckptAPDFile, write: s.writeAPDHistory, read: s.readAPDHistory},
 		ckptPayload{name: ckptPending64File,
-			write: func(w *ckpt.Writer, name string) error { return writePrefixList(w, name, s.pendingAPD64) },
-			read: func(snap *ckpt.Snapshot, name string) (err error) {
-				s.pendingAPD64, _, err = readPrefixList(snap, name)
+			write: func(w *ckpt.Writer, name string, _ *ckptBase) error {
+				return writePrefixList(w, name, s.pendingAPD64, false)
+			},
+			read: func(levels []*ckpt.Snapshot, name string) (err error) {
+				if _, err := fullLevel(levels, name); err != nil {
+					return err
+				}
+				s.pendingAPD64, _, err = readPrefixList(levels, name)
 				return err
 			}},
 		// The /64s reload in file order, so the next checkpoint appends
 		// to exactly the list this one wrote.
 		ckptPayload{name: ckptSeen64File,
-			write: func(w *ckpt.Writer, name string) error { return writePrefixList(w, name, s.seen64Order) },
-			read: func(snap *ckpt.Snapshot, name string) (err error) {
-				s.seen64Order, s.seen64, err = readPrefixList(snap, name)
+			write: func(w *ckpt.Writer, name string, base *ckptBase) error {
+				if base != nil {
+					return writePrefixList(w, name, s.seen64Order[base.seen64:], true)
+				}
+				return writePrefixList(w, name, s.seen64Order, false)
+			},
+			read: func(levels []*ckpt.Snapshot, name string) (err error) {
+				s.seen64Order, s.seen64, err = readPrefixList(levels, name)
 				return err
 			}})
 }
 
-// setMarks records every address-set row's current shard epochs: the
-// baseline the next delta checkpoint diffs against.
-func (s *Service) setMarks() map[string]*ckptMark {
-	marks := make(map[string]*ckptMark)
+// setBase makes the checkpoint just committed into dir (or resumed from
+// its head) the base of the next delta: it records the table lengths
+// that checkpoint holds and starts every set's add log empty. Only this
+// starts a log, so a set object that later replaces one of these (the
+// GFW drop set at deployment) has none and is written full.
+func (s *Service) setBase(dir string, scan, depth int) {
+	s.ckptBase = &ckptBase{
+		dir:      filepath.Clean(dir),
+		scan:     scan,
+		depth:    depth,
+		records:  len(s.records),
+		seen64:   len(s.seen64Order),
+		apdRound: s.detector.Round(),
+	}
 	for _, pl := range s.payloads() {
 		if pl.set != nil {
-			marks[pl.name] = markOf(pl.set)
+			pl.set.StartLog()
 		}
 	}
-	return marks
 }
 
 // Checkpoint writes a crash-consistent snapshot of the service's full
@@ -258,12 +263,12 @@ func (s *Service) setMarks() map[string]*ckptMark {
 // disk as a side effect, which changes no membership observation.
 //
 // Successive checkpoints into the same directory are written as deltas:
-// cumulative address-set payloads carry only the shards whose mutation
-// epoch advanced since the previous checkpoint, the superseded head is
-// parked as the new head's parent, and Resume resolves shards through
-// the chain. Every CheckpointFullEvery-th checkpoint (and any checkpoint
-// without a usable parent — first ever, different directory, resumed
-// from a fallback) is a full rewrite that collapses the chain.
+// the append-only payloads carry only what the scans since the previous
+// checkpoint added, the superseded head is parked as the new head's
+// parent, and Resume resolves payloads through the chain. Every
+// CheckpointFullEvery-th checkpoint (and any checkpoint without a usable
+// parent — first ever, different directory, resumed from a fallback) is
+// a full rewrite that collapses the chain.
 func (s *Service) Checkpoint(dir string) (err error) {
 	if s.spill != nil {
 		if err := s.spill.err(); err != nil {
@@ -279,15 +284,17 @@ func (s *Service) Checkpoint(dir string) (err error) {
 	}
 	// Delta only against a head this process wrote (or resumed from) at
 	// an earlier scan: equal scan indexes would collide in the parent
-	// namespace, and a foreign directory has no marks to diff against.
-	delta := s.ckptMarks != nil && s.ckptDir == filepath.Clean(dir) &&
-		s.scanIndex > s.ckptScan && s.ckptDepth+1 < fullEvery
+	// namespace, and a foreign directory holds nothing to append to.
+	base := s.ckptBase
+	if base != nil && (base.dir != filepath.Clean(dir) || s.scanIndex <= base.scan || base.depth+1 >= fullEvery) {
+		base = nil
+	}
 	var w *ckpt.Writer
-	if delta {
+	if base != nil {
 		if w, err = ckpt.BeginDelta(dir); err != nil {
 			// Head unreadable (wiped, damaged): fall back to a full
 			// rewrite rather than failing the checkpoint.
-			delta, w = false, nil
+			base, w = nil, nil
 		}
 	}
 	if w == nil {
@@ -306,16 +313,11 @@ func (s *Service) Checkpoint(dir string) (err error) {
 	}
 	for _, pl := range s.payloads() {
 		if pl.set == nil {
-			if err := pl.write(w, pl.name); err != nil {
-				return err
-			}
-			continue
+			err = pl.write(w, pl.name, base)
+		} else {
+			err = s.writeAddrSet(w, pl.name, pl.set, base != nil && pl.set.LogComplete())
 		}
-		mask := ^uint64(0)
-		if delta {
-			mask = dirtyMask(s.ckptMarks[pl.name], pl.set)
-		}
-		if err := s.writeAddrSet(w, pl.name, pl.set, mask, delta); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -331,16 +333,14 @@ func (s *Service) Checkpoint(dir string) (err error) {
 	}); err != nil {
 		return err
 	}
-	// Only a committed head updates the delta baseline — an aborted
-	// write leaves the old head (and its marks) valid.
-	s.ckptMarks = s.setMarks()
-	s.ckptDir = filepath.Clean(dir)
-	s.ckptScan = s.scanIndex
-	if delta {
-		s.ckptDepth++
-	} else {
-		s.ckptDepth = 0
+	// Only a committed head becomes the base — an aborted write leaves
+	// the old head valid and the add logs growing, so the next delta
+	// carries the additions of both.
+	depth := 0
+	if base != nil {
+		depth = base.depth + 1
 	}
+	s.setBase(dir, s.scanIndex, depth)
 	return nil
 }
 
@@ -367,7 +367,17 @@ func (s *Service) writeState(w *ckpt.Writer) error {
 	for _, p := range s.aliased.Prefixes() {
 		st.Aliased = append(st.Aliased, p.String())
 	}
-	return writeJSONFile(w, ckptStateFile, &st, 0)
+	return writeJSONFile(w, ckptStateFile, &st, 0, false)
+}
+
+// writeRecords stages records.json: every record, or in a delta the
+// records since the base.
+func (s *Service) writeRecords(w *ckpt.Writer, name string, base *ckptBase) error {
+	if base != nil {
+		recs := s.records[base.records:]
+		return writeJSONFile(w, name, recs, int64(len(recs)), true)
+	}
+	return writeJSONFile(w, name, s.records, int64(len(s.records)), false)
 }
 
 // ckptSnapshot is one captured snapshot in snapshots.json, keyed by its
@@ -381,7 +391,7 @@ type ckptSnapshot struct {
 }
 
 // writeSnapshots stages snapshots.json.
-func (s *Service) writeSnapshots(w *ckpt.Writer, name string) error {
+func (s *Service) writeSnapshots(w *ckpt.Writer, name string, _ *ckptBase) error {
 	out := make(map[int]ckptSnapshot, len(s.snapshots))
 	for want, snap := range s.snapshots {
 		cs := ckptSnapshot{
@@ -397,7 +407,7 @@ func (s *Service) writeSnapshots(w *ckpt.Writer, name string) error {
 		}
 		out[want] = cs
 	}
-	return writeJSONFile(w, name, out, int64(len(out)))
+	return writeJSONFile(w, name, out, int64(len(out)), false)
 }
 
 func addrStrings(set ip6.Set) []string {
@@ -423,8 +433,8 @@ type activeRec struct {
 // each shard's (address, firstDay, lastSuccessDay) records sorted by
 // address. Shards are collected and sorted on the worker pool and
 // written in shard order.
-func (s *Service) writeActive(w *ckpt.Writer, name string) error {
-	return writePayload(w, name, int64(s.active.Len()), func(bw *bufio.Writer) error {
+func (s *Service) writeActive(w *ckpt.Writer, name string, _ *ckptBase) error {
+	return writePayload(w, name, int64(s.active.Len()), false, func(bw *bufio.Writer) error {
 		var hdr [8 * ip6.AddrShards]byte
 		for sh := 0; sh < ip6.AddrShards; sh++ {
 			binary.LittleEndian.PutUint64(hdr[8*sh:], uint64(s.active.ShardLen(sh)))
@@ -447,7 +457,7 @@ func (s *Service) writeActive(w *ckpt.Writer, name string) error {
 			*buf = recs
 			return nil
 		}
-		return s.ckptActive.Run(s.workers, ^uint64(0), prepare, func(_ int, buf *[]activeRec) error {
+		return s.ckptActive.Run(s.workers, prepare, func(_ int, buf *[]activeRec) error {
 			var rec [activeRecLen]byte
 			for _, r := range *buf {
 				binary.BigEndian.PutUint64(rec[0:], r.hi)
@@ -463,17 +473,29 @@ func (s *Service) writeActive(w *ckpt.Writer, name string) error {
 	})
 }
 
-// writeAPDHistory stages the detector's per-prefix response history.
-func (s *Service) writeAPDHistory(w *ckpt.Writer, name string) error {
-	entries := s.detector.ExportHistory()
-	return writePayload(w, name, int64(len(entries)), func(bw *bufio.Writer) error {
+// writeAPDHistory stages the detector's per-prefix response history: a
+// 4-byte row count, then each row's prefix, count of rounds and the
+// rounds' bitmaps. A delta writes the rows recorded since the base, each
+// led by its 4-byte row index.
+func (s *Service) writeAPDHistory(w *ckpt.Writer, name string, base *ckptBase) error {
+	var entries []apd.HistoryEntry
+	if base != nil {
+		entries = s.detector.ExportRecorded(base.apdRound)
+	} else {
+		entries = s.detector.ExportHistory()
+	}
+	return writePayload(w, name, int64(len(entries)), base != nil, func(bw *bufio.Writer) error {
 		var n4 [4]byte
 		binary.LittleEndian.PutUint32(n4[:], uint32(len(entries)))
 		if _, err := bw.Write(n4[:]); err != nil {
 			return err
 		}
 		for _, e := range entries {
-			buf := appendPrefix(bw.AvailableBuffer(), e.Prefix)
+			buf := bw.AvailableBuffer()
+			if base != nil {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Row))
+			}
+			buf = appendPrefix(buf, e.Prefix)
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Counts)))
 			for _, c := range e.Counts {
 				buf = binary.LittleEndian.AppendUint16(buf, c)
@@ -486,10 +508,19 @@ func (s *Service) writeAPDHistory(w *ckpt.Writer, name string) error {
 	})
 }
 
+// createPayload starts payload name, marked Append when appendOnly.
+func createPayload(w *ckpt.Writer, name string, appendOnly bool) (*ckpt.File, error) {
+	f, err := w.Create(name)
+	if err == nil && appendOnly {
+		f.SetAppend()
+	}
+	return f, err
+}
+
 // writePayload stages one payload: body writes its bytes through a
 // buffered writer, count is the manifest's item count.
-func writePayload(w *ckpt.Writer, name string, count int64, body func(bw *bufio.Writer) error) error {
-	f, err := w.Create(name)
+func writePayload(w *ckpt.Writer, name string, count int64, appendOnly bool, body func(bw *bufio.Writer) error) error {
+	f, err := createPayload(w, name, appendOnly)
 	if err != nil {
 		return err
 	}
@@ -505,8 +536,8 @@ func writePayload(w *ckpt.Writer, name string, count int64, body func(bw *bufio.
 }
 
 // writeJSONFile stages one JSON payload.
-func writeJSONFile(w *ckpt.Writer, name string, v any, count int64) error {
-	f, err := w.Create(name)
+func writeJSONFile(w *ckpt.Writer, name string, v any, count int64, appendOnly bool) error {
+	f, err := createPayload(w, name, appendOnly)
 	if err != nil {
 		return err
 	}
@@ -523,31 +554,34 @@ func writeJSONFile(w *ckpt.Writer, name string, v any, count int64) error {
 }
 
 // writeAddrSet stages a sharded address set as a .hl6 image, streamed in
-// shard-sorted order. Resident shards are copied and sorted on the
-// worker pool, a bounded window of them at a time, and written in shard
-// order; SpillSet shards merge their frozen runs straight off disk one
-// after another (freezing appends to the run file all shards share).
-// Only the shards selected by mask are written; the others get a zero
-// count. With delta set the payload records mask as its DeltaShards
-// bitmap, and readers resolve the unwritten shards through the parent
-// chain.
-func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, mask uint64, delta bool) error {
-	f, err := w.Create(name)
+// shard-sorted order: the whole set, or with appendLog only the
+// addresses its add log holds, marked Append. A whole resident set's
+// shards are copied and sorted on the worker pool, a bounded window of
+// them at a time, and written in shard order; a SpillSet's shards merge
+// their frozen runs straight off disk one after another (freezing
+// appends to the run file all shards share), and a log is pulled through
+// its set's LogCursor.
+func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, appendLog bool) error {
+	f, err := createPayload(w, name, appendLog)
 	if err != nil {
 		return err
 	}
 	var counts [ip6.AddrShards]uint64
 	total := int64(0)
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if mask&(1<<uint(sh)) == 0 {
-			continue
+	for sh := range counts {
+		if appendLog {
+			counts[sh] = uint64(set.LogLen(sh))
+		} else {
+			counts[sh] = uint64(set.ShardLen(sh))
 		}
-		counts[sh] = uint64(set.ShardLen(sh))
 		total += int64(counts[sh])
 	}
 	err = hlfile.WriteSharded(f, &counts, func(put func(int, []ip6.Addr) error) error {
+		if appendLog {
+			return putCursors(put, &counts, func(sh int) (ip6.Cursor, error) { return set.LogCursor(sh), nil })
+		}
 		if spill, ok := set.(*ip6.SpillSet); ok {
-			return writeSpilledShards(spill, mask, put)
+			return putCursors(put, &counts, spill.ShardSortedCursor)
 		}
 		prepare := func(sh int, buf *[]ip6.Addr) error {
 			addrs := slices.Grow((*buf)[:0], int(counts[sh]))
@@ -559,30 +593,27 @@ func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet
 			*buf = addrs
 			return nil
 		}
-		return s.ckptShards.Run(s.workers, mask, prepare, func(sh int, buf *[]ip6.Addr) error {
+		return s.ckptShards.Run(s.workers, prepare, func(sh int, buf *[]ip6.Addr) error {
 			return put(sh, *buf)
 		})
 	})
 	if err != nil {
 		return fmt.Errorf("core: writing %s: %w", name, err)
 	}
-	if delta {
-		f.SetDeltaShards(mask)
-	}
 	f.SetCount(total)
 	return f.Close()
 }
 
-// writeSpilledShards streams the masked shards of a SpillSet to put in
-// runs of up to spillChunk addresses.
-func writeSpilledShards(spill *ip6.SpillSet, mask uint64, put func(int, []ip6.Addr) error) error {
-	const spillChunk = 256
-	chunk := make([]ip6.Addr, 0, spillChunk)
+// putCursors streams the cursor of every shard counts declares
+// non-empty to put, in shard order, in runs of up to putChunk addresses.
+func putCursors(put func(int, []ip6.Addr) error, counts *[ip6.AddrShards]uint64, cursor func(sh int) (ip6.Cursor, error)) error {
+	const putChunk = 256
+	chunk := make([]ip6.Addr, 0, putChunk)
 	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if mask&(1<<uint(sh)) == 0 {
+		if counts[sh] == 0 {
 			continue
 		}
-		next, err := spill.ShardSortedCursor(sh)
+		next, err := cursor(sh)
 		if err != nil {
 			return err
 		}
@@ -594,7 +625,7 @@ func writeSpilledShards(spill *ip6.SpillSet, mask uint64, put func(int, []ip6.Ad
 			if !ok {
 				break
 			}
-			if len(chunk) == spillChunk {
+			if len(chunk) == putChunk {
 				if err := put(sh, chunk); err != nil {
 					return err
 				}
@@ -610,10 +641,10 @@ func writeSpilledShards(spill *ip6.SpillSet, mask uint64, put func(int, []ip6.Ad
 	return nil
 }
 
-// writePrefixList stages prefixes in the given order (17 bytes each:
-// masked address + length).
-func writePrefixList(w *ckpt.Writer, name string, prefixes []ip6.Prefix) error {
-	return writePayload(w, name, int64(len(prefixes)), func(bw *bufio.Writer) error {
+// writePrefixList stages prefixes in the given order (a 4-byte count,
+// then 17 bytes each: masked address + length).
+func writePrefixList(w *ckpt.Writer, name string, prefixes []ip6.Prefix, appendOnly bool) error {
+	return writePayload(w, name, int64(len(prefixes)), appendOnly, func(bw *bufio.Writer) error {
 		var n4 [4]byte
 		binary.LittleEndian.PutUint32(n4[:], uint32(len(prefixes)))
 		if _, err := bw.Write(n4[:]); err != nil {
@@ -650,12 +681,12 @@ func readPrefix(r io.Reader) (ip6.Prefix, error) {
 	return ip6.PrefixFrom(ip6.AddrFrom16([ip6.AddrBytes]byte(buf[:ip6.AddrBytes])), bits), nil
 }
 
-// openTable opens a binary table payload (a 4-byte entry count, then the
-// entries) and reads its count, refusing one the payload's byte size
-// cannot hold at minEntry bytes per entry: a damaged header never sizes
-// an allocation. The caller closes the section.
-func openTable(snap *ckpt.Snapshot, name string, minEntry int64) (*ckpt.Section, *bufio.Reader, int, error) {
-	sec, err := snap.Open(name)
+// openTable opens one level of a binary table payload (a 4-byte entry
+// count, then the entries) and reads its count, refusing one the
+// payload's byte size cannot hold at minEntry bytes per entry: a damaged
+// header never sizes an allocation. The caller closes the section.
+func openTable(lvl *ckpt.Snapshot, name string, minEntry int64) (*ckpt.Section, *bufio.Reader, int, error) {
+	sec, err := lvl.Open(name)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -676,8 +707,8 @@ func openTable(snap *ckpt.Snapshot, name string, minEntry int64) (*ckpt.Section,
 // Resume rebuilds a Service from the newest complete checkpoint under
 // dir (falling back to the ".prev" copy or a parked delta parent if a
 // crash interrupted the commit renames). Delta chains are resolved and
-// fully verified: every payload shard is loaded from the newest chain
-// level that carries it. cfg must agree with the checkpointed
+// fully verified: every payload is loaded from its newest full copy plus
+// the append levels above it. cfg must agree with the checkpointed
 // configuration on every state-shaping knob; worker count, FleetWorkers,
 // memory budget and serve attachment may differ freely — outputs are
 // pinned invariant to them. A stale ingest journal next to dir is debris
@@ -695,7 +726,11 @@ func Resume(dir string, cfg Config, net *netmodel.Network, feeds []*sources.Feed
 		return nil, err
 	}
 	var st ckptState
-	if err := readJSONFile(snap, ckptStateFile, &st); err != nil {
+	levels, err := snap.Levels(ckptStateFile)
+	if err == nil {
+		err = whole(func(lvl *ckpt.Snapshot, name string) error { return readJSONFile(lvl, name, &st) })(levels, ckptStateFile)
+	}
+	if err != nil {
 		return nil, err
 	}
 
@@ -715,15 +750,12 @@ func Resume(dir string, cfg Config, net *netmodel.Network, feeds []*sources.Feed
 		return nil, err
 	}
 	// With the head itself resolved (not a fallback copy under another
-	// name), the loaded sets' current epochs become the delta baseline:
-	// the next Checkpoint into dir can chain onto this head. A fallback
-	// resolve leaves no baseline, so the next checkpoint is a full
-	// rewrite — correct in every crash window.
+	// name), the loaded state becomes the delta base: the next
+	// Checkpoint into dir can chain onto this head. A fallback resolve
+	// leaves no base, so the next checkpoint is a full rewrite — correct
+	// in every crash window.
 	if filepath.Clean(resolved) == filepath.Clean(dir) {
-		s.ckptMarks = s.setMarks()
-		s.ckptDir = filepath.Clean(dir)
-		s.ckptScan = snap.Manifest.ScanIndex
-		s.ckptDepth = snap.Manifest.Depth
+		s.setBase(dir, snap.Manifest.ScanIndex, snap.Manifest.Depth)
 	}
 	// A journal file here means the crash landed mid-scan, after spooling
 	// candidates but before the scan finalized: the whole scan replays on
@@ -763,22 +795,25 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 		s.gfwDeployed = true
 		s.gfwInputDrop = s.newCumulativeSet()
 	}
-	if snap.HasInChain(ckptLastCleanFile(int(s.cfg.Protocols[0]))) {
+	if snap.Has(ckptLastCleanFile(int(s.cfg.Protocols[0]))) {
 		s.lastClean = make(map[netmodel.Protocol]*ip6.ShardedSet, len(s.cfg.Protocols))
 		for _, p := range s.cfg.Protocols {
 			s.lastClean[p] = ip6.NewShardedSet()
 		}
 	}
 	for _, pl := range s.payloads() {
-		var err error
-		if pl.set != nil {
-			err = loadAddrSet(snap, pl.name, pl.set)
-		} else {
-			err = pl.read(snap, pl.name)
+		levels, err := snap.Levels(pl.name)
+		if err == nil && pl.set != nil {
+			err = loadAddrSet(levels, pl.name, pl.set)
+		} else if err == nil {
+			err = pl.read(levels, pl.name)
 		}
 		if err != nil {
 			return err
 		}
+	}
+	if len(s.records) != s.scanIndex {
+		return fmt.Errorf("%w: %s holds %d records, state.json counts %d scans", ckpt.ErrCorrupt, ckptRecordsFile, len(s.records), s.scanIndex)
 	}
 	if s.spill != nil {
 		if err := s.spill.err(); err != nil {
@@ -788,9 +823,44 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 	return nil
 }
 
-// readJSONFile parses one JSON payload.
-func readJSONFile(snap *ckpt.Snapshot, name string, v any) error {
-	sec, err := snap.Open(name)
+// whole adapts the reader of a payload that is only ever written full to
+// the chain-levels signature: more than one level means the head marks
+// it Append, which no writer does.
+func whole(read func(lvl *ckpt.Snapshot, name string) error) func(levels []*ckpt.Snapshot, name string) error {
+	return func(levels []*ckpt.Snapshot, name string) error {
+		lvl, err := fullLevel(levels, name)
+		if err != nil {
+			return err
+		}
+		return read(lvl, name)
+	}
+}
+
+// fullLevel returns the one level of a payload that is only ever written
+// full.
+func fullLevel(levels []*ckpt.Snapshot, name string) (*ckpt.Snapshot, error) {
+	if len(levels) != 1 {
+		return nil, fmt.Errorf("%w: %s is written full, but the head appends to it", ckpt.ErrCorrupt, name)
+	}
+	return levels[0], nil
+}
+
+// readRecords loads records.json: the full list, then each append
+// level's records after it.
+func (s *Service) readRecords(levels []*ckpt.Snapshot, name string) error {
+	for _, lvl := range levels {
+		var recs []*ScanRecord
+		if err := readJSONFile(lvl, name, &recs); err != nil {
+			return err
+		}
+		s.records = append(s.records, recs...)
+	}
+	return nil
+}
+
+// readJSONFile parses one level of a JSON payload.
+func readJSONFile(lvl *ckpt.Snapshot, name string, v any) error {
+	sec, err := lvl.Open(name)
 	if err != nil {
 		return err
 	}
@@ -806,9 +876,9 @@ func readJSONFile(snap *ckpt.Snapshot, name string, v any) error {
 }
 
 // readSnapshots rebuilds the captured snapshots.
-func (s *Service) readSnapshots(snap *ckpt.Snapshot, name string) error {
+func (s *Service) readSnapshots(lvl *ckpt.Snapshot, name string) error {
 	var raw map[int]ckptSnapshot
-	if err := readJSONFile(snap, name, &raw); err != nil {
+	if err := readJSONFile(lvl, name, &raw); err != nil {
 		return err
 	}
 	for want, cs := range raw {
@@ -856,8 +926,8 @@ func parseAddrSet(addrs []string) (ip6.Set, error) {
 // account for the payload's bytes exactly, and every shard's records must
 // belong to that shard in strictly ascending order — the scan engine
 // refuses a mis-sharded scan set, so a bad record must not get that far.
-func (s *Service) readActive(snap *ckpt.Snapshot, name string) error {
-	sec, err := snap.Open(name)
+func (s *Service) readActive(lvl *ckpt.Snapshot, name string) error {
+	sec, err := lvl.Open(name)
 	if err != nil {
 		return err
 	}
@@ -904,88 +974,123 @@ func (s *Service) readActive(snap *ckpt.Snapshot, name string) error {
 	return nil
 }
 
-// readAPDHistory rebuilds the detector's response history in file order.
-func (s *Service) readAPDHistory(snap *ckpt.Snapshot, name string) error {
-	// An entry is at least a prefix and a 2-byte round count.
-	sec, br, n, err := openTable(snap, name, ip6.AddrBytes+1+2)
-	if err != nil {
-		return err
-	}
-	defer sec.Close()
-	entries := make([]apd.HistoryEntry, 0, n)
-	var u2 [2]byte
-	for i := 0; i < n; i++ {
-		p, err := readPrefix(br)
+// readAPDHistory rebuilds the detector's response history: the full
+// level in file order, then each append level's rows over it. An append
+// row whose index skips ahead or names a different prefix than the row
+// it replaces is ckpt.ErrCorrupt.
+func (s *Service) readAPDHistory(levels []*ckpt.Snapshot, name string) error {
+	for i, lvl := range levels {
+		entries, err := readAPDLevel(lvl, name, i > 0)
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			err = s.detector.ImportHistory(entries)
+		} else {
+			err = s.detector.ApplyHistory(entries)
+		}
 		if err != nil {
 			return fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, name, err)
 		}
-		if _, err := io.ReadFull(br, u2[:]); err != nil {
-			return fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, name, err)
-		}
-		counts := make([]uint16, binary.LittleEndian.Uint16(u2[:]))
-		for j := range counts {
-			if _, err := io.ReadFull(br, u2[:]); err != nil {
-				return fmt.Errorf("%w: %s truncated: %v", ckpt.ErrCorrupt, name, err)
-			}
-			counts[j] = binary.LittleEndian.Uint16(u2[:])
-		}
-		entries = append(entries, apd.HistoryEntry{Prefix: p, Counts: counts})
-	}
-	if err := s.detector.ImportHistory(entries); err != nil {
-		return fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, name, err)
 	}
 	return nil
 }
 
-// loadAddrSet streams a .hl6 payload back into a sharded set, resolving
-// each shard through the delta chain: the newest level carrying the
-// shard holds its current content (a delta writes a shard exactly when
-// it changed). Single-level checkpoints degenerate to one reader.
-func loadAddrSet(snap *ckpt.Snapshot, name string, set ip6.SpillableSet) error {
-	if !snap.HasInChain(name) {
-		return fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, name)
+// readAPDLevel reads one level of apd_history.bin; withRow says its rows
+// are led by their row index (an append level).
+func readAPDLevel(lvl *ckpt.Snapshot, name string, withRow bool) ([]apd.HistoryEntry, error) {
+	// An entry is at least a prefix and a 2-byte round count.
+	minEntry := int64(ip6.AddrBytes + 1 + 2)
+	if withRow {
+		minEntry += 4
 	}
-	readers := make(map[string]*hlfile.Reader)
-	var secs []*ckpt.Section
-	defer func() {
-		for _, sec := range secs {
-			sec.Close()
+	sec, br, n, err := openTable(lvl, name, minEntry)
+	if err != nil {
+		return nil, err
+	}
+	defer sec.Close()
+	corrupt := func(err error) ([]apd.HistoryEntry, error) {
+		return nil, fmt.Errorf("%w: %s in %s: %v", ckpt.ErrCorrupt, name, lvl.Dir, err)
+	}
+	entries := make([]apd.HistoryEntry, 0, n)
+	var u4 [4]byte
+	for i := 0; i < n; i++ {
+		e := apd.HistoryEntry{Row: i}
+		if withRow {
+			if _, err := io.ReadFull(br, u4[:]); err != nil {
+				return corrupt(err)
+			}
+			e.Row = int(binary.LittleEndian.Uint32(u4[:]))
 		}
-	}()
+		if e.Prefix, err = readPrefix(br); err != nil {
+			return corrupt(err)
+		}
+		if _, err := io.ReadFull(br, u4[:2]); err != nil {
+			return corrupt(err)
+		}
+		e.Counts = make([]uint16, binary.LittleEndian.Uint16(u4[:2]))
+		for j := range e.Counts {
+			if _, err := io.ReadFull(br, u4[:2]); err != nil {
+				return corrupt(err)
+			}
+			e.Counts[j] = binary.LittleEndian.Uint16(u4[:2])
+		}
+		entries = append(entries, e)
+	}
+	return entries, nil
+}
+
+// loadAddrSet streams a .hl6 payload's chain levels back into a sharded
+// set, shard by shard: a resident set adds every level's run, a SpillSet
+// imports their merge as one run. Levels are disjoint by construction —
+// an append level logs only addresses its base did not hold — so a
+// shard that ends up smaller than its levels' counts summed repeats an
+// address, and is ckpt.ErrCorrupt. Single-level payloads degenerate to
+// one reader.
+func loadAddrSet(levels []*ckpt.Snapshot, name string, set ip6.SpillableSet) error {
+	rdrs := make([]*hlfile.Reader, len(levels))
+	for i, lvl := range levels {
+		sec, err := lvl.Open(name)
+		if err != nil {
+			return err
+		}
+		defer sec.Close()
+		if rdrs[i], err = hlfile.NewReader(sec, sec.Size()); err != nil {
+			return fmt.Errorf("core: opening %s in %s: %w", name, lvl.Dir, err)
+		}
+	}
 	spill, _ := set.(*ip6.SpillSet)
+	curs := make([]ip6.Cursor, len(rdrs))
 	for sh := 0; sh < ip6.AddrShards; sh++ {
-		lvl := snap.FindShard(name, sh)
-		if lvl == nil {
-			return fmt.Errorf("%w: %s shard %d unresolved in delta chain", ckpt.ErrCorrupt, name, sh)
+		want := 0
+		for i, r := range rdrs {
+			curs[i] = checkedCursor(name, sh, r.ShardCursor(sh))
+			want += r.ShardLen(sh)
 		}
-		rdr, ok := readers[lvl.Dir]
-		if !ok {
-			sec, err := lvl.Open(name)
-			if err != nil {
-				return err
-			}
-			secs = append(secs, sec)
-			if rdr, err = hlfile.NewReader(sec, sec.Size()); err != nil {
-				return fmt.Errorf("core: opening %s in %s: %w", name, lvl.Dir, err)
-			}
-			readers[lvl.Dir] = rdr
-		}
-		cur := checkedCursor(name, sh, rdr.ShardCursor(sh))
 		if spill != nil {
+			cur := curs[0]
+			if len(curs) > 1 {
+				cur = ip6.MergeCursors(curs...)
+			}
 			if err := spill.ImportShardSorted(sh, cur); err != nil {
 				return fmt.Errorf("core: loading %s: %w", name, err)
 			}
-			continue
+		} else {
+			for _, cur := range curs {
+				for {
+					a, ok, err := cur()
+					if err != nil {
+						return fmt.Errorf("core: loading %s: %w", name, err)
+					}
+					if !ok {
+						break
+					}
+					set.AddToShard(sh, a)
+				}
+			}
 		}
-		for {
-			a, ok, err := cur()
-			if err != nil {
-				return fmt.Errorf("core: loading %s: %w", name, err)
-			}
-			if !ok {
-				break
-			}
-			set.AddToShard(sh, a)
+		if got := set.ShardLen(sh); got != want {
+			return fmt.Errorf("%w: %s shard %d holds %d addresses, its levels list %d: an append level repeats an address", ckpt.ErrCorrupt, name, sh, got, want)
 		}
 	}
 	return nil
@@ -1099,26 +1204,35 @@ func (s *Service) ingestJournaled(srcs []sources.NamedSource, day int, rec *Scan
 	return jr.Remove()
 }
 
-// readPrefixList loads a prefix table in file order, plus its members as
-// a set; a prefix listed twice is corrupt.
-func readPrefixList(snap *ckpt.Snapshot, name string) ([]ip6.Prefix, map[ip6.Prefix]struct{}, error) {
-	sec, br, n, err := openTable(snap, name, ip6.AddrBytes+1)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer sec.Close()
-	out := make([]ip6.Prefix, 0, n)
-	set := make(map[ip6.Prefix]struct{}, n)
-	for i := 0; i < n; i++ {
-		p, err := readPrefix(br)
+// readPrefixList loads a prefix table's levels, each in file order, plus
+// its members as a set; a prefix listed twice, at one level or across
+// two, is corrupt.
+func readPrefixList(levels []*ckpt.Snapshot, name string) ([]ip6.Prefix, map[ip6.Prefix]struct{}, error) {
+	var out []ip6.Prefix
+	var set map[ip6.Prefix]struct{}
+	for _, lvl := range levels {
+		sec, br, n, err := openTable(lvl, name, ip6.AddrBytes+1)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, name, err)
+			return nil, nil, err
 		}
-		if _, dup := set[p]; dup {
-			return nil, nil, fmt.Errorf("%w: %s lists %v twice", ckpt.ErrCorrupt, name, p)
+		if set == nil {
+			set = make(map[ip6.Prefix]struct{}, n) // sized by the full level, the bulk
 		}
-		set[p] = struct{}{}
-		out = append(out, p)
+		out = slices.Grow(out, n)
+		for i := 0; i < n; i++ {
+			p, err := readPrefix(br)
+			if err != nil {
+				sec.Close()
+				return nil, nil, fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, name, err)
+			}
+			if _, dup := set[p]; dup {
+				sec.Close()
+				return nil, nil, fmt.Errorf("%w: %s lists %v twice", ckpt.ErrCorrupt, name, p)
+			}
+			set[p] = struct{}{}
+			out = append(out, p)
+		}
+		sec.Close()
 	}
 	return out, set, nil
 }

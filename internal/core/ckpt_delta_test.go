@@ -1,14 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"hitlist6/internal/ckpt"
 	"hitlist6/internal/ckpt/ckpttest"
+	"hitlist6/internal/ip6"
 )
 
 // parkedChainDirs lists the parked delta-parent directories next to a
@@ -61,8 +66,8 @@ func TestResumeFromDeltaChain(t *testing.T) {
 		t.Fatalf("parked chain dirs = %v, want %d of them", parked, k-1)
 	}
 	i := slices.IndexFunc(m.Files, func(fi ckpt.FileInfo) bool { return fi.Name == ckptUnrespFile })
-	if i < 0 || !m.Files[i].Delta {
-		t.Fatalf("head manifest does not list %s as a delta payload", ckptUnrespFile)
+	if i < 0 || !m.Files[i].Append {
+		t.Fatalf("head manifest does not list %s as an append payload", ckptUnrespFile)
 	}
 
 	n2, feeds2 := tinyWorld(t)
@@ -192,4 +197,152 @@ func TestResumeRefusesMissingDeltaParent(t *testing.T) {
 	if !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("resume with missing chain parent: err = %v, want ErrCorrupt", err)
 	}
+}
+
+// TestAppendChainMatchesFull is the append-format equivalence gate: on
+// the durable reference timeline with compaction off, resident and
+// spilling, the head after every scan resumes into a service whose full
+// checkpoint equals, payload for payload and byte for byte, the full
+// checkpoint of a twin service that never wrote a delta. Along the way:
+//   - a checkpoint that fails before its commit renames leaves the add
+//     logs growing, so the next delta carries both scans' additions;
+//   - the sets with replaced shards (prevresp, lastclean_*) are always
+//     written full, the GFW drop set is written full at the checkpoint
+//     that first sees it (a replaced set object), and a set whose shard
+//     log outgrew its bound is written full.
+func TestAppendChainMatchesFull(t *testing.T) {
+	days := weekly(0, 196)
+	const (
+		failAt     = 10 // this scan's checkpoint fails before publishing
+		overflowAt = 20 // before this scan, one inputseen shard gains 3×logFloor addresses
+	)
+	for _, spill := range []bool{false, true} {
+		scratch := t.TempDir()
+		ckdir, refdir := filepath.Join(scratch, "ckpt"), filepath.Join(scratch, "ref")
+		mkCfg := func(dir, spillDir string) Config {
+			cfg := ckptTinyCfg(dir)
+			cfg.CheckpointFullEvery = 1000
+			if spill {
+				cfg.MemoryBudget = spillBudget
+				cfg.SpillDir = filepath.Join(scratch, spillDir)
+			}
+			return cfg
+		}
+		label := fmt.Sprintf("spill=%v", spill)
+		n, feeds := tinyWorld(t)
+		live := NewService(mkCfg(ckdir, "spill-live"), n, feeds, nil)
+		refCfg := mkCfg(refdir, "spill-ref")
+		refCfg.CheckpointFullEvery = 1 // every checkpoint full
+		nr, feedsr := tinyWorld(t)
+		ref := NewService(refCfg, nr, feedsr, nil)
+
+		sawGFWDrop := false
+		for i, d := range days {
+			scan := i + 1
+			if scan == overflowAt {
+				for k, added := uint64(0), 0; added < 3*64; k++ {
+					if a := ip6.AddrFromUint64s(0x2001_0db8_0000_0000, k); ip6.ShardOf(a) == 5 {
+						live.inputSeen.Add(a)
+						ref.inputSeen.Add(a)
+						added++
+					}
+				}
+			}
+			runDays(t, ref, []int{d})
+			if scan == failAt {
+				// Occupy the slot the head would be parked in.
+				park := fmt.Sprintf("%s.p%d", ckdir, scan-1)
+				if err := os.Mkdir(park, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := live.RunScan(context.Background(), d); err == nil {
+					t.Fatalf("%s: scan %d: checkpoint into an occupied parent slot succeeded", label, scan)
+				}
+				if err := os.Remove(park); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			runDays(t, live, []int{d})
+
+			m, err := ckpt.ReadManifest(ckdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantDepth := i // one level per scan, none for the failed one
+			if scan > failAt {
+				wantDepth--
+			}
+			if m.Depth != wantDepth {
+				t.Fatalf("%s: scan %d: head depth %d, want %d", label, scan, m.Depth, wantDepth)
+			}
+			for _, fi := range m.Files {
+				switch {
+				case fi.Name == ckptRecordsFile && scan == failAt+1:
+					if !fi.Append || fi.Count != 2 {
+						t.Errorf("%s: scan %d: %s append=%v count=%d, want both scans since the parent", label, scan, fi.Name, fi.Append, fi.Count)
+					}
+				case fi.Name == ckptPrevRespFile || strings.HasPrefix(fi.Name, "lastclean_"):
+					if fi.Append {
+						t.Errorf("%s: scan %d: %s appends, but SetShard replaces its shards", label, scan, fi.Name)
+					}
+				case fi.Name == ckptGFWDropFile && !sawGFWDrop:
+					sawGFWDrop = true
+					if fi.Append {
+						t.Errorf("%s: scan %d: %s appends on its first checkpoint", label, scan, fi.Name)
+					}
+				case fi.Name == ckptInputSeenFile:
+					if fi.Append == (scan == overflowAt || scan == 1) {
+						t.Errorf("%s: scan %d: %s append=%v", label, scan, fi.Name, fi.Append)
+					}
+				}
+			}
+
+			cfg := mkCfg(ckdir, fmt.Sprintf("spill-r%d", scan))
+			nr2, feedsr2 := tinyWorld(t)
+			resumed, err := Resume(ckdir, cfg, nr2, feedsr2, nil)
+			if err != nil {
+				t.Fatalf("%s: scan %d: resume: %v", label, scan, err)
+			}
+			fulldir := filepath.Join(scratch, fmt.Sprintf("full%d", scan))
+			if err := resumed.Checkpoint(fulldir); err != nil {
+				t.Fatalf("%s: scan %d: full checkpoint of the resumed service: %v", label, scan, err)
+			}
+			if err := resumed.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, want := payloadsOf(t, fulldir), payloadsOf(t, refdir)
+			if len(got) != len(want) {
+				t.Errorf("%s: scan %d: %d payloads, the twin's full checkpoint %d", label, scan, len(got), len(want))
+			}
+			for name, b := range want {
+				if !bytes.Equal(got[name], b) {
+					t.Errorf("%s: scan %d: resumed %s differs from the twin's (%d vs %d bytes)", label, scan, name, len(got[name]), len(b))
+				}
+			}
+			os.RemoveAll(fulldir)
+		}
+		if !sawGFWDrop {
+			t.Fatalf("%s: the GFW drop set never reached a checkpoint", label)
+		}
+		for _, s := range []*Service{live, ref} {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// payloadsOf returns every payload of the checkpoint at dir by name.
+func payloadsOf(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	m, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(m.Files))
+	for _, fi := range m.Files {
+		out[fi.Name] = ckpttest.Payload(t, dir, fi.Name)
+	}
+	return out
 }

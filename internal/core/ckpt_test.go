@@ -172,8 +172,8 @@ func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 		}
 		full := make(map[string][]byte, len(m.Files))
 		for _, fi := range m.Files {
-			if fi.Delta {
-				t.Fatalf("%s: %s is a delta in a fresh directory", label, fi.Name)
+			if fi.Append {
+				t.Fatalf("%s: %s is an append payload in a fresh directory", label, fi.Name)
 			}
 			full[fi.Name] = ckpttest.Payload(t, fulldir, fi.Name)
 		}
@@ -221,13 +221,16 @@ func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 }
 
 // manifestDigest hashes what a manifest says about its payloads — each
-// file's name, size, CRC-64, item count and delta bitmap, in file order —
+// file's name, size, CRC-64, item count and Append flag, in file order —
 // together with the chain parent and depth. Cursor fields (scan index,
-// last day, generation) are left out: the records goldens pin those.
+// last day, generation) are left out: the records goldens pin those. The
+// space before each line's end is where format 2 printed a delta
+// bitmap, empty for a full payload, so a full manifest hashes as it did
+// then.
 func manifestDigest(m ckpt.Manifest) string {
 	h := sha256.New()
 	for _, fi := range m.Files {
-		fmt.Fprintf(h, "%s %d %s %d %t %s\n", fi.Name, fi.Bytes, fi.CRC, fi.Count, fi.Delta, fi.DeltaShards)
+		fmt.Fprintf(h, "%s %d %s %d %t \n", fi.Name, fi.Bytes, fi.CRC, fi.Count, fi.Append)
 	}
 	fmt.Fprintf(h, "parent %q depth %d\n", m.Parent, m.Depth)
 	return fmt.Sprintf("%x", h.Sum(nil))
@@ -238,7 +241,7 @@ func manifestDigest(m ckpt.Manifest) string {
 // durable reference timeline the head manifest's digest matches
 // testdata/ckpt_manifests_tiny.json, resident and with a spill budget,
 // at Workers 1 and 4 — one golden for all four shapes. Payload order,
-// sizes, CRCs and delta bitmaps are all in the digest. Regenerate with
+// sizes, CRCs and Append flags are all in the digest. Regenerate with
 // -update-ref only for a change that means to alter the checkpoint
 // format.
 func TestCheckpointManifestsMatchGolden(t *testing.T) {
@@ -302,16 +305,54 @@ func TestCheckpointManifestsMatchGolden(t *testing.T) {
 	}
 }
 
+// appendChainFixture runs the durable reference timeline for k scans
+// with compaction disabled, so the head is a delta whose append-only
+// payloads sit on a full base k-1 levels down, and returns the head's
+// directory and the base's.
+func appendChainFixture(t *testing.T, k int) (ckdir, base string) {
+	t.Helper()
+	ckdir = filepath.Join(t.TempDir(), "ckpt")
+	cfg := ckptTinyCfg(ckdir)
+	cfg.CheckpointFullEvery = 1 << 20
+	n, feeds := tinyWorld(t)
+	s := NewService(cfg, n, feeds, nil)
+	runDays(t, s, weekly(0, 196)[:k])
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return ckdir, ckdir + ".p1"
+}
+
+// markAppend marks payload name of the checkpoint at dir Append in its
+// manifest.
+func markAppend(t *testing.T, dir, name string) {
+	t.Helper()
+	m, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(m.Files, func(fi ckpt.FileInfo) bool { return fi.Name == name })
+	m.Files[i].Append = true
+	ckpttest.WriteManifest(t, dir, m)
+}
+
 // TestResumeRefusesMalformedTables: the binary tables fail closed on
 // damage that passes the CRC check — a header count the file cannot
 // hold, a prefix length above 128, a prefix listed twice; in active.bin
 // a record counted under the wrong shard, a shard out of order, bytes
 // past the last record — with ckpt.ErrCorrupt from Resume, never a
-// panic, a huge allocation or a store the next scan trips over.
+// panic, a huge allocation or a store the next scan trips over. On a
+// delta head the same holds for what the tables append: an APD row index
+// that skips ahead, repeats or names a different prefix than the base's
+// row, a seen64 suffix that re-lists a /64 of the base, an append level
+// with no full base under it, and an Append flag on a table that is only
+// ever written full.
 func TestResumeRefusesMalformedTables(t *testing.T) {
 	ckdir := filepath.Join(t.TempDir(), "ckpt")
 	n, feeds := tinyWorld(t)
-	s := NewService(ckptTinyCfg(ckdir), n, feeds, nil)
+	cfg := ckptTinyCfg(ckdir)
+	cfg.CheckpointFullEvery = 1 // the head holds every table in full
+	s := NewService(cfg, n, feeds, nil)
 	runDays(t, s, weekly(0, 28))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -425,14 +466,63 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 		t.Fatalf("resume from the undamaged checkpoint: %v", err)
 	}
 	s3.Close()
+
+	// Append levels: a delta head over a full base four levels down.
+	head, base := appendChainFixture(t, 5)
+	restoreHead, restoreBase := ckpttest.Save(t, head), ckpttest.Save(t, base)
+	const rowRec = 4 + rec // an append APD row leads with its index
+	if b := ckpttest.Payload(t, head, ckptAPDFile); binary.LittleEndian.Uint32(b) < 2 || binary.LittleEndian.Uint32(b[4:]) != 0 {
+		t.Fatal("head's APD history does not re-record the base's row 0 and another: nothing to damage")
+	}
+	skipRow := func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 1<<20); return b }
+	otherPrefix := func(b []byte) []byte { b[8] ^= 0x80; return b } // row 0 now names another /k
+	appendRowEntry := func(b []byte) int { return rowRec + 2 + 2*int(binary.LittleEndian.Uint16(b[4+rowRec:])) }
+	baseSeen64 := ckpttest.Payload(t, base, ckptSeen64File)
+	relist := func(b []byte) []byte {
+		b = append(b, baseSeen64[4:4+rec]...)
+		return withCount(b, binary.LittleEndian.Uint32(b)+1)
+	}
+	for i, tc := range []struct {
+		label  string
+		damage func()
+	}{
+		{"APD row skips ahead", func() { ckpttest.Edit(t, head, ckptAPDFile, true, skipRow) }},
+		{"APD row repeats", func() { ckpttest.Edit(t, head, ckptAPDFile, true, dupFirst(appendRowEntry)) }},
+		{"APD row names another prefix", func() { ckpttest.Edit(t, head, ckptAPDFile, true, otherPrefix) }},
+		{"seen64 re-lists a base /64", func() { ckpttest.Edit(t, head, ckptSeen64File, true, relist) }},
+		{"no full base", func() { markAppend(t, base, ckptAPDFile) }},
+		{"full-only table appends", func() { markAppend(t, head, ckptActiveFile) }},
+	} {
+		tc.damage()
+		n2, feeds2 := tinyWorld(t)
+		cfg := ckptTinyCfg(head)
+		cfg.CheckpointFullEvery = 1 << 20
+		s2, err := Resume(head, cfg, n2, feeds2, nil)
+		if !errors.Is(err, ckpt.ErrCorrupt) {
+			if s2 != nil {
+				s2.Close()
+			}
+			t.Errorf("append case %d, %s: resume: err = %v, want ErrCorrupt", i, tc.label, err)
+		}
+		restoreHead()
+		restoreBase()
+	}
+	n4, feeds4 := tinyWorld(t)
+	s4, err := Resume(head, ckptTinyCfg(head), n4, feeds4, nil)
+	if err != nil {
+		t.Fatalf("resume from the undamaged delta head: %v", err)
+	}
+	s4.Close()
 }
 
 // TestResumeRefusesMalformedSets: a .hl6 set payload whose shard runs
 // writeAddrSet cannot have written — an address counted under the
 // previous shard, two addresses of a shard swapped, an address listed
-// twice — fails Resume with ckpt.ErrCorrupt, for a resident and for a
-// spilling service. Re-stamped damage passes the segment's CRC check and
-// the .hl6 header check, so only loadAddrSet's own walk can catch it.
+// twice, an append run repeating an address its base holds, append
+// levels with no full base under them — fails Resume with
+// ckpt.ErrCorrupt, for a resident and for a spilling service. Re-stamped
+// damage passes the segment's CRC check and the .hl6 header check, so
+// only loadAddrSet's own walk can catch it.
 func TestResumeRefusesMalformedSets(t *testing.T) {
 	scratch := t.TempDir()
 	ckdir := filepath.Join(scratch, "ckpt")
@@ -538,6 +628,70 @@ func TestResumeRefusesMalformedSets(t *testing.T) {
 		s3, err := Resume(ckdir, shape.cfg, n3, feeds3, nil)
 		if err != nil {
 			t.Fatalf("%s: resume from the undamaged checkpoint: %v", shape.label, err)
+		}
+		s3.Close()
+	}
+
+	// Append levels: a delta head over a full base four levels down.
+	head, base := appendChainFixture(t, 5)
+	restoreHead, restoreBase := ckpttest.Save(t, head), ckpttest.Save(t, base)
+	if m, err := ckpt.ReadManifest(head); err != nil || !slices.ContainsFunc(m.Files, func(fi ckpt.FileInfo) bool {
+		return fi.Name == ckptInputSeenFile && fi.Append
+	}) {
+		t.Fatalf("head does not append %s (%v): nothing to damage", ckptInputSeenFile, err)
+	}
+	baseImg := ckpttest.Payload(t, base, ckptInputSeenFile)
+	// repeatBase files the base's first address of some shard into the
+	// head's run of that shard, in order, so only the merged count can
+	// object.
+	repeatBase := func(b []byte) []byte {
+		off, baseOff := body, body
+		for sh := 0; sh < ip6.AddrShards; sh++ {
+			if count(baseImg, sh) > 0 {
+				a := ip6.AddrFrom16([ip6.AddrBytes]byte(baseImg[baseOff:]))
+				at := off
+				for i := 0; i < count(b, sh) && ip6.AddrFrom16([ip6.AddrBytes]byte(b[at:])).Less(a); i++ {
+					at += ip6.AddrBytes
+				}
+				addCount(b, sh, 1)
+				return slices.Concat(b[:at], a[:], b[at:])
+			}
+			off += count(b, sh) * ip6.AddrBytes
+			baseOff += count(baseImg, sh) * ip6.AddrBytes
+		}
+		t.Fatal("base holds no address")
+		return nil
+	}
+	for _, tc := range []struct {
+		label  string
+		damage func()
+	}{
+		{"append repeats a base address", func() { ckpttest.Edit(t, head, ckptInputSeenFile, true, repeatBase) }},
+		{"no full base", func() { markAppend(t, base, ckptInputSeenFile) }},
+	} {
+		for _, shape := range shapes {
+			tc.damage()
+			cfg := shape.cfg
+			cfg.CheckpointDir = head
+			n2, feeds2 := tinyWorld(t)
+			s2, err := Resume(head, cfg, n2, feeds2, nil)
+			if !errors.Is(err, ckpt.ErrCorrupt) {
+				if s2 != nil {
+					s2.Close()
+				}
+				t.Errorf("%s, %s: resume: err = %v, want ErrCorrupt", tc.label, shape.label, err)
+			}
+			restoreHead()
+			restoreBase()
+		}
+	}
+	for _, shape := range shapes {
+		cfg := shape.cfg
+		cfg.CheckpointDir = head
+		n3, feeds3 := tinyWorld(t)
+		s3, err := Resume(head, cfg, n3, feeds3, nil)
+		if err != nil {
+			t.Fatalf("%s: resume from the undamaged delta head: %v", shape.label, err)
 		}
 		s3.Close()
 	}

@@ -147,9 +147,9 @@ type Config struct {
 	CheckpointEvery int
 
 	// CheckpointFullEvery bounds the delta-checkpoint chain: successive
-	// checkpoints into the same directory write only dirty shards'
-	// payloads against the previous checkpoint, and every Kth checkpoint
-	// is a full rewrite (compaction) that collapses the chain. 0 means
+	// checkpoints into the same directory append what the scans since
+	// the previous checkpoint added, and every Kth checkpoint is a full
+	// rewrite (compaction) that collapses the chain. 0 means
 	// the default (8); 1 disables deltas entirely. Restore cost and
 	// crash-recovery surface grow with chain depth, write cost shrinks —
 	// this is the dial between them.
@@ -354,15 +354,10 @@ type Service struct {
 	tgaFrozen *ip6.SortedShardSet
 	tgaView   *tga.SeedView
 
-	// Delta-checkpoint state: identity of the last checkpoint this
-	// process committed into ckptDir (or resumed from its head), the
-	// chain depth there, and per-payload shard-epoch marks — what the
-	// next Checkpoint diffs the cumulative sets against. ckptMarks nil
-	// means no usable parent: the next checkpoint is a full rewrite.
-	ckptMarks map[string]*ckptMark
-	ckptDir   string
-	ckptDepth int
-	ckptScan  int
+	// ckptBase is the checkpoint the next delta appends to: the last one
+	// this process committed (or resumed from). nil means no usable
+	// parent: the next checkpoint is a full rewrite, and no set logs.
+	ckptBase *ckptBase
 
 	// Per-shard staging buffers for checkpoint payloads, kept across
 	// checkpoints: address-set shards and active.bin shards.

@@ -54,7 +54,7 @@ func TestWriteShardedMatchesWriter(t *testing.T) {
 		var p ip6.ShardPipeline[[]ip6.Addr]
 		var got bytes.Buffer
 		err := hlfile.WriteSharded(&got, counts, func(put func(int, []ip6.Addr) error) error {
-			return p.Run(workers, ^uint64(0), func(sh int, buf *[]ip6.Addr) error {
+			return p.Run(workers, func(sh int, buf *[]ip6.Addr) error {
 				*buf = append((*buf)[:0], runs[sh]...)
 				return nil
 			}, func(sh int, buf *[]ip6.Addr) error {
@@ -132,7 +132,7 @@ func TestWriteShardedRefuses(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			var p ip6.ShardPipeline[[]ip6.Addr]
 			err := hlfile.WriteSharded(&failingWriter{limit: tc.limit}, tc.counts, func(put func(int, []ip6.Addr) error) error {
-				return p.Run(workers, ^uint64(0), func(sh int, buf *[]ip6.Addr) error {
+				return p.Run(workers, func(sh int, buf *[]ip6.Addr) error {
 					*buf = append((*buf)[:0], runs[sh]...)
 					return nil
 				}, func(sh int, buf *[]ip6.Addr) error { return put(sh, *buf) })

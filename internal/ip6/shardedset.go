@@ -30,14 +30,17 @@ func ShardOf(a Addr) int {
 //
 // Each shard carries a mutation epoch: a counter bumped whenever the
 // shard's membership actually changes. Consumers that derive per-shard
-// artifacts (frozen sorted indexes, checkpoint payloads) record the
-// epochs they built against and later rebuild only the shards whose
-// epoch advanced. The invariant is one-directional per set object:
-// an unchanged epoch guarantees unchanged membership; a bumped epoch
-// merely permits a change.
+// artifacts (frozen sorted indexes) record the epochs they built against
+// and later rebuild only the shards whose epoch advanced. The invariant
+// is one-directional per set object: an unchanged epoch guarantees
+// unchanged membership; a bumped epoch merely permits a change.
+//
+// After StartLog, the set also logs the addresses each shard newly
+// gains, for delta checkpoints (see SpillableSet.StartLog).
 type ShardedSet struct {
 	shards [AddrShards]Set
 	epochs [AddrShards]uint64
+	log    *addLog // nil until StartLog
 }
 
 // NewShardedSet returns an empty ShardedSet. Shard maps are allocated
@@ -58,6 +61,9 @@ func (s *ShardedSet) AddToShard(i int, a Addr) bool {
 	}
 	if s.shards[i].Add(a) {
 		s.epochs[i]++
+		if s.log != nil {
+			s.log.add(i, a, len(s.shards[i]))
+		}
 		return true
 	}
 	return false
@@ -73,7 +79,15 @@ func (s *ShardedSet) AddAllToShard(i int, set Set) {
 		s.shards[i] = NewSet(len(set))
 	}
 	before := len(s.shards[i])
-	s.shards[i].AddAll(set)
+	if s.log == nil {
+		s.shards[i].AddAll(set)
+	} else {
+		for a := range set {
+			if s.shards[i].Add(a) {
+				s.log.add(i, a, len(s.shards[i]))
+			}
+		}
+	}
 	if len(s.shards[i]) != before {
 		s.epochs[i]++
 	}
@@ -84,12 +98,38 @@ func (s *ShardedSet) AddAllToShard(i int, set Set) {
 // when the replacement actually changes membership — wholesale
 // replacement with equal content (the digest finalizer installs a fresh
 // per-scan responder set every scan, usually identical to the last) must
-// not invalidate artifacts frozen from the old content.
+// not invalidate artifacts frozen from the old content. A replaced
+// shard may have lost members, so it loses the add log.
 func (s *ShardedSet) SetShard(i int, set Set) {
 	if !s.shards[i].Equal(set) {
 		s.epochs[i]++
 	}
 	s.shards[i] = set
+	if s.log != nil {
+		s.log.drop(i)
+	}
+}
+
+// StartLog starts, or restarts empty, the log of added addresses.
+func (s *ShardedSet) StartLog() {
+	if s.log == nil {
+		s.log = &addLog{}
+	}
+	s.log.start()
+}
+
+// LogComplete reports whether the log holds everything added since
+// StartLog.
+func (s *ShardedSet) LogComplete() bool { return s.log != nil && s.log.complete() }
+
+// LogLen returns how many addresses shard i's log holds.
+func (s *ShardedSet) LogLen(i int) int { return s.log.n[i] }
+
+// LogCursor returns shard i's logged addresses in ascending order,
+// sorting the log in place.
+func (s *ShardedSet) LogCursor(i int) Cursor {
+	SortAddrs(s.log.shards[i])
+	return SliceCursor(s.log.shards[i])
 }
 
 // ShardEpoch returns shard i's mutation epoch.
@@ -134,7 +174,8 @@ func (s *ShardedSet) Merge() Set {
 	return out
 }
 
-// Clone returns a deep copy, shard epochs included.
+// Clone returns a deep copy, shard epochs included; the copy does not
+// log.
 func (s *ShardedSet) Clone() *ShardedSet {
 	c := &ShardedSet{epochs: s.epochs}
 	for i, sh := range s.shards {

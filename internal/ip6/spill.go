@@ -56,10 +56,25 @@ type SpillableSet interface {
 	Merge() Set
 	// ShardEpoch returns shard i's mutation epoch: a counter that is
 	// unchanged only if the shard's membership is unchanged (for this set
-	// object — epochs are not comparable across objects). Dirty-shard
-	// consumers (incremental snapshot freezes, delta checkpoints) hinge
-	// on this guarantee.
+	// object — epochs are not comparable across objects). Incremental
+	// snapshot freezes hinge on this guarantee.
 	ShardEpoch(i int) uint64
+
+	// StartLog starts, or restarts empty, the log of the addresses each
+	// shard newly gains: what a delta checkpoint appends. A set does not
+	// log until it is called.
+	StartLog()
+	// LogComplete reports whether the log holds everything added since
+	// StartLog: it was started, no SetShard ran since, and no shard's log
+	// outgrew its bound.
+	LogComplete() bool
+	// LogLen returns how many addresses shard i's log holds; only while
+	// LogComplete.
+	LogLen(i int) int
+	// LogCursor returns shard i's logged addresses in ascending order;
+	// only while LogComplete, and the shard must not be mutated while
+	// the cursor is in use.
+	LogCursor(i int) Cursor
 }
 
 // ShardedSet must satisfy the interface it anchors.
@@ -100,6 +115,17 @@ func (rf *RunFile) Close() error {
 		err = rmErr
 	}
 	return err
+}
+
+// truncate empties the file, dropping every run written to it.
+func (rf *RunFile) truncate() error {
+	rf.mu.Lock()
+	defer rf.mu.Unlock()
+	if err := rf.f.Truncate(0); err != nil {
+		return fmt.Errorf("ip6: truncating run file: %w", err)
+	}
+	rf.sz = 0
+	return nil
 }
 
 // Size returns the bytes appended so far.
@@ -343,18 +369,31 @@ func (w *runWriter) finish() (Run, error) {
 // Disk errors are sticky: the failing operation degrades (Has reports
 // false, Add drops the freeze) and Err returns the first error for the
 // owner to surface at its next checkpoint.
+//
+// The add log (StartLog) is bounded the same way: a shard keeps at most
+// budget logged addresses resident and spills the rest as sorted runs
+// into a second scratch file, which StartLog discards.
 type SpillSet struct {
 	rf     *RunFile
 	dir    string
 	budget int
 	shards [AddrShards]spillShard
 	epochs [AddrShards]uint64 // per-shard mutation epochs (see SpillableSet)
+	log    *spillLog          // nil until StartLog
 
 	frozen atomic.Int64 // runs frozen over the set's lifetime (telemetry)
 	failed atomic.Bool  // latch: stop freezing after the first disk error
 
 	errMu    sync.Mutex
 	firstErr error
+}
+
+// spillLog is a SpillSet's add log: the resident part in addLog, the
+// spilled part as runs in its own scratch file.
+type spillLog struct {
+	addLog
+	rf   *RunFile // nil only when creating it failed
+	runs [AddrShards][]*Run
 }
 
 type spillShard struct {
@@ -381,8 +420,13 @@ func NewSpillSet(dir string, budget int) (*SpillSet, error) {
 
 var _ SpillableSet = (*SpillSet)(nil)
 
-// Close releases the scratch file.
-func (s *SpillSet) Close() error { return s.rf.Close() }
+// Close releases the scratch files.
+func (s *SpillSet) Close() error {
+	if s.log != nil && s.log.rf != nil {
+		s.log.rf.Close()
+	}
+	return s.rf.Close()
+}
 
 // Err returns the first disk error any operation hit, or nil.
 func (s *SpillSet) Err() error {
@@ -423,6 +467,9 @@ func (s *SpillSet) AddToShard(i int, a Addr) bool {
 	}
 	sh.delta[a] = struct{}{}
 	s.epochs[i]++
+	if s.log != nil {
+		s.logAdd(i, a)
+	}
 	// The failed latch stops freeze attempts after a disk error: without
 	// it every over-budget insert would re-sort and re-write the whole
 	// delta against a dead disk. Membership stays correct (the delta just
@@ -458,6 +505,71 @@ func (s *SpillSet) freeze(i int) {
 	sh.ondisk += run.count
 	sh.delta = NewSet(0)
 	s.frozen.Add(1)
+}
+
+// logAdd logs a, just added to shard i, spilling the shard's resident
+// log as a sorted run once it reaches the budget. A failed spill keeps
+// the log resident and latches the sticky error, as freeze does.
+func (s *SpillSet) logAdd(i int, a Addr) {
+	l := s.log
+	if l.lost[i] {
+		return
+	}
+	if !l.add(i, a, s.ShardLen(i)) {
+		l.runs[i] = nil
+		return
+	}
+	if len(l.shards[i]) < s.budget || l.rf == nil || s.failed.Load() {
+		return
+	}
+	SortAddrs(l.shards[i])
+	run, err := l.rf.WriteRun(l.shards[i])
+	if err != nil {
+		s.fail(err)
+		return
+	}
+	l.runs[i] = append(l.runs[i], &run)
+	l.shards[i] = l.shards[i][:0]
+}
+
+// StartLog starts, or restarts empty, the log of added addresses. The
+// log's scratch file is created on the first call and emptied on later
+// ones; failing to create or empty it latches the sticky error and keeps
+// logs resident.
+func (s *SpillSet) StartLog() {
+	if s.log == nil {
+		s.log = &spillLog{}
+		rf, err := OpenRunFile(s.dir, "ip6-log-*.runs")
+		if err != nil {
+			s.fail(err)
+		}
+		s.log.rf = rf
+	} else if s.log.rf != nil {
+		if err := s.log.rf.truncate(); err != nil {
+			s.fail(err)
+		}
+	}
+	s.log.start()
+	s.log.runs = [AddrShards][]*Run{}
+}
+
+// LogComplete reports whether the log holds everything added since
+// StartLog.
+func (s *SpillSet) LogComplete() bool { return s.log != nil && s.log.complete() }
+
+// LogLen returns how many addresses shard i's log holds.
+func (s *SpillSet) LogLen(i int) int { return s.log.n[i] }
+
+// LogCursor returns shard i's logged addresses in ascending order: its
+// spilled log runs merged with the resident part, sorted in place.
+func (s *SpillSet) LogCursor(i int) Cursor {
+	l := s.log
+	SortAddrs(l.shards[i])
+	curs := []Cursor{SliceCursor(l.shards[i])}
+	for _, r := range l.runs[i] {
+		curs = append(curs, l.rf.Cursor(r))
+	}
+	return MergeCursors(curs...)
 }
 
 // Has reports membership.
