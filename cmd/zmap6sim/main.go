@@ -7,13 +7,11 @@
 // resident memory bounded by pull buffers, not input size), or, with
 // -sample N, from a random sample of the world's announced space. Either
 // way they reach the probe workers through a pull-based scan.TargetSource
-// — no global target slice is ever built (pass -ordered, which must
-// buffer the full result set anyway, to opt out).
+// — no global target slice is ever built.
 //
 // Results stream through the sharded scan engine and are written as
 // batches complete — like real ZMap, output row order is arrival order,
-// not input order (rows within a batch stay in probe order). Pass
-// -ordered to buffer the full result set and emit input order instead.
+// not input order (rows within a batch stay in probe order).
 // Pass -fleet N to run the scan on N probe workers with canonical-order
 // output: each shard's rows buffer in a per-shard body and the bodies
 // concatenate in shard order, byte-identical to a `-workers 1
@@ -64,6 +62,7 @@ import (
 	"sync"
 	"syscall"
 
+	"hitlist6/internal/dnswire"
 	"hitlist6/internal/hlfile"
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -154,7 +153,6 @@ func main() {
 		batchSize   = flag.Int("batch", 0, "streamed batch size (0 = default)")
 		chunk       = flag.Int("chunk", 0, "target-source pull chunk size (0 = default)")
 		sinkQueue   = flag.Int("sinkqueue", 8, "bounded CSV delivery queue depth (0 = write inline on probe workers)")
-		ordered     = flag.Bool("ordered", false, "buffer results and write in input order")
 		fleetN      = flag.Int("fleet", 0, "run the scan on N probe workers; CSV comes out in canonical shard order, byte-identical to -workers 1 -sinkqueue 0")
 		fleetKill   = flag.String("fleetkill", "", "comma-separated fleet worker indices to kill at their first fault point (recovery drill; leave at least one survivor)")
 		batchStats  = flag.Bool("batchstats", false, "print per-batch throughput to stderr")
@@ -178,6 +176,12 @@ func main() {
 	}
 	if *serveAddr != "" && *spillDir == "" {
 		*distinct = true
+	}
+	// An unencodable question would only fail on the first UDP/53 probe,
+	// inside a probe worker; refuse it as a usage error up front.
+	if _, err := dnswire.NewQuery(0, *qname, dnswire.TypeAAAA).Encode(); err != nil {
+		fmt.Fprintf(os.Stderr, "bad -qname: %v\n", err)
+		os.Exit(2)
 	}
 
 	wp := worldgen.TimelineParams(*seed)
@@ -262,9 +266,6 @@ func main() {
 	cfg.SourceChunk = *chunk
 	cfg.SinkQueueDepth = *sinkQueue
 	if *fleetN > 0 {
-		if *ordered {
-			die("-fleet is incompatible with -ordered\n")
-		}
 		cfg.Workers = *fleetN
 		// The per-shard bodies share nothing, so workers write them
 		// inline; the queue exists to keep workers off one shared stdout.
@@ -339,7 +340,7 @@ func main() {
 		shSrc, ok := src.(scan.ShardedSource)
 		if !ok {
 			// Line and sample sources are plain streams; shard them by
-			// materializing (the same trade -ordered makes).
+			// materializing the target list.
 			targets, err := scan.Collect(src)
 			if err != nil {
 				die("collecting targets: %v\n", err)
@@ -396,31 +397,6 @@ func main() {
 			}
 			if _, err := os.Stdout.Write(bufs[sh].Bytes()); err != nil {
 				die("%v\n", err)
-			}
-		}
-	} else if *ordered {
-		// Input-order output requires the full result cross product, and
-		// therefore the materialized target list.
-		targets, err := scan.Collect(src)
-		if err != nil {
-			die("collecting targets: %v\n", err)
-		}
-		results, st, err := s.Scan(ctx, targets, protos, *day)
-		if err != nil {
-			die("scanning: %v\n", err)
-		}
-		stats = st
-		for _, r := range results {
-			if responders != nil && r.Success {
-				responders.Add(r.Target)
-			}
-			if err := out.Write(r); err != nil {
-				die("%v\n", err)
-			}
-		}
-		if spillSet != nil {
-			if err := spillSet.Compact(); err != nil {
-				die("compacting spill set: %v\n", err)
 			}
 		}
 	} else {

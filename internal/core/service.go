@@ -1040,7 +1040,7 @@ func (s *Service) trackSlash64(a ip6.Addr) {
 // deltas merge in canonical shard order.
 func (s *Service) deployGFWFilter(rec *ScanRecord) {
 	s.gfwDeployed = true
-	drop := s.tracker.InjectedOnlySharded()
+	drop := s.tracker.InjectedOnly()
 	// Under a memory budget the cumulative drop list moves into a
 	// disk-backed set inside the same per-shard sweep that purges the
 	// active window, so the resident tracker-built copy dies with this

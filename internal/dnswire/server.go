@@ -77,7 +77,9 @@ func DecodeQueryInto(msg []byte, q *ServerQuery) error {
 		if off+1+b > len(msg) {
 			return ErrTruncated
 		}
-		if total += b + 1; total > 255 {
+		// RFC 1035 caps a name at 255 wire octets: the length-prefixed
+		// labels plus the root octet — the bound Decode enforces too.
+		if total += b + 1; total+1 > 255 {
 			return ErrNameTooLong
 		}
 		if len(q.Name) > 0 {

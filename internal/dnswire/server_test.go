@@ -26,6 +26,38 @@ func TestDecodeQueryInto(t *testing.T) {
 	if len(q.Raw) != len(wire)-12 || !bytes.Equal(q.Raw, wire[12:]) {
 		t.Fatalf("Raw mismatch")
 	}
+	// The longest legal name: 253 characters, 255 octets on the wire.
+	if err := DecodeQueryInto(rawQuery(253), &q); err != nil || len(q.Name) != 253 {
+		t.Fatalf("253-char name: err = %v, decoded %d chars", err, len(q.Name))
+	}
+}
+
+// rawQuery hand-encodes an A query whose name is n characters of
+// 63-octet labels — past Encode's own length check.
+func rawQuery(n int) []byte {
+	msg := []byte{0x12, 0x34, 0x01, 0, 0, 1, 0, 0, 0, 0, 0, 0}
+	for n > 0 {
+		l := min(n, 63)
+		msg = append(msg, byte(l))
+		msg = append(msg, bytes.Repeat([]byte{'a'}, l)...)
+		if n -= l; n > 0 {
+			n-- // the dot between labels
+		}
+	}
+	return append(msg, 0, 0, 1, 0, 1)
+}
+
+// TestDecodeQueryIntoNameBoundMatchesDecode: both decoders draw the
+// 255-octet wire bound at the same name length.
+func TestDecodeQueryIntoNameBoundMatchesDecode(t *testing.T) {
+	var q ServerQuery
+	for _, n := range []int{253, 254} {
+		errQ := DecodeQueryInto(rawQuery(n), &q)
+		_, errD := Decode(rawQuery(n))
+		if (errQ == nil) != (errD == nil) {
+			t.Errorf("%d-char name: DecodeQueryInto err = %v, Decode err = %v", n, errQ, errD)
+		}
+	}
 }
 
 func TestDecodeQueryIntoRejects(t *testing.T) {
@@ -44,6 +76,7 @@ func TestDecodeQueryIntoRejects(t *testing.T) {
 		msg  []byte
 		want error
 	}{
+		{"254-char name", rawQuery(254), ErrNameTooLong},
 		{"short", []byte{1, 2, 3}, ErrTruncated},
 		{"response", resp, ErrNotAQuery},
 		{"two questions", twoQ, ErrBadQuestion},

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
 	"hitlist6/internal/worldgen"
 )
@@ -110,11 +111,12 @@ func TestShapes(t *testing.T) {
 	impacted := s.Svc.Tracker().InjectedOnly()
 	if impacted.Len() > 0 {
 		cn := 0
-		for a := range impacted {
+		impacted.Walk(func(a ip6.Addr) bool {
 			if as := s.World.Net.AS.Lookup(a); as != nil && as.Country == "CN" {
 				cn++
 			}
-		}
+			return true
+		})
 		if float64(cn) < 0.9*float64(impacted.Len()) {
 			t.Errorf("GFW set not Chinese: %d/%d", cn, impacted.Len())
 		}

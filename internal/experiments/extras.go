@@ -48,7 +48,41 @@ func DNSEval(ctx context.Context, s *Suite, w io.Writer) error {
 	probe := scan.New(s.World.Net, cfg)
 
 	s.World.Net.NSLogSnapshot() // clear any earlier entries
-	results, _, err := probe.Scan(ctx, targets, []netmodel.Protocol{netmodel.UDP53}, worldgen.EndDay)
+	// Batches arrive concurrently, so the counters sit under a lock. The
+	// DNS payloads alias the batch arena and are decoded inside the sink;
+	// the AAAA answers wait for the NS log, read once the scan is done.
+	var (
+		mu                                 sync.Mutex
+		refusing, referral, broken, silent int
+		answered                           []ip6.Addr
+	)
+	_, err = probe.StreamFrom(ctx, scan.SliceSource(targets), []netmodel.Protocol{netmodel.UDP53}, worldgen.EndDay, func(b *scan.Batch) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range b.Results {
+			r := &b.Results[i]
+			if !r.Success || len(r.DNS) == 0 {
+				silent++
+				continue
+			}
+			m, err := dnswire.Decode(r.DNS[0])
+			if err != nil {
+				broken++
+				continue
+			}
+			switch {
+			case m.Header.RCode == dnswire.RCodeRefused || m.Header.RCode == dnswire.RCodeServFail || m.Header.RCode == dnswire.RCodeNXDomain:
+				refusing++
+			case m.Header.RCode == dnswire.RCodeNoError && len(m.Answers) > 0 && m.Answers[0].Type == dnswire.TypeAAAA && m.Answers[0].Target != "localhost":
+				answered = append(answered, r.Target)
+			case len(m.Authority) > 0 && m.Authority[0].Type == dnswire.TypeNS:
+				referral++
+			default:
+				broken++
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -56,33 +90,13 @@ func DNSEval(ctx context.Context, s *Suite, w io.Writer) error {
 	for _, q := range s.World.Net.NSLogSnapshot() {
 		nslog[q.QName] = q.Source
 	}
-
-	var refusing, open, referral, proxy, broken, silent int
-	for _, r := range results {
-		if !r.Success || len(r.DNS) == 0 {
-			silent++
-			continue
-		}
-		m, err := dnswire.Decode(r.DNS[0])
-		if err != nil {
-			broken++
-			continue
-		}
-		qname := dnswire.NormalizeName(qnameFor(r.Target))
-		switch {
-		case m.Header.RCode == dnswire.RCodeRefused || m.Header.RCode == dnswire.RCodeServFail || m.Header.RCode == dnswire.RCodeNXDomain:
-			refusing++
-		case m.Header.RCode == dnswire.RCodeNoError && len(m.Answers) > 0 && m.Answers[0].Type == dnswire.TypeAAAA && m.Answers[0].Target != "localhost":
-			if src, ok := nslog[qname]; ok && src == r.Target {
-				open++
-			} else if ok {
-				proxy++
-			} else {
-				broken++
-			}
-		case len(m.Authority) > 0 && m.Authority[0].Type == dnswire.TypeNS:
-			referral++
-		default:
+	var open, proxy int
+	for _, a := range answered {
+		if src, ok := nslog[dnswire.NormalizeName(qnameFor(a))]; ok && src == a {
+			open++
+		} else if ok {
+			proxy++
+		} else {
 			broken++
 		}
 	}
@@ -358,31 +372,41 @@ func Ablations(ctx context.Context, s *Suite, w io.Writer) error {
 			cnTargets = append(cnTargets, cn.RandomAddr(rr))
 		}
 	}
-	results, _, err := s.Svc.Scanner().Scan(ctx, cnTargets, []netmodel.Protocol{netmodel.UDP53}, worldgen.EndDay)
+	// The counts are order-free, so concurrent batches fold in under a
+	// lock; the classifier reads the arena-backed payloads in the sink.
+	var (
+		mu                                                sync.Mutex
+		aOnly, teredo, multiResp, detected, truthInjected int
+	)
+	_, err = s.Svc.Scanner().StreamFrom(ctx, scan.SliceSource(cnTargets), []netmodel.Protocol{netmodel.UDP53}, worldgen.EndDay, func(b *scan.Batch) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range b.Results {
+			res := &b.Results[i]
+			if !res.Success {
+				continue
+			}
+			c := gfw.ClassifyResult(*res)
+			if c.AForAAAA {
+				aOnly++
+			}
+			if c.Teredo {
+				teredo++
+			}
+			if c.MultiResponse {
+				multiResp++
+			}
+			if c.Injected() {
+				detected++
+			}
+			if res.InjectedTruth > 0 {
+				truthInjected++
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	var aOnly, teredo, multiResp, detected, truthInjected int
-	for _, res := range results {
-		if !res.Success {
-			continue
-		}
-		c := gfw.ClassifyResult(res)
-		if c.AForAAAA {
-			aOnly++
-		}
-		if c.Teredo {
-			teredo++
-		}
-		if c.MultiResponse {
-			multiResp++
-		}
-		if c.Injected() {
-			detected++
-		}
-		if res.InjectedTruth > 0 {
-			truthInjected++
-		}
 	}
 	tbE := analysis.NewTable("evidence", "responses")
 	tbE.Row("A-for-AAAA", aOnly)

@@ -37,11 +37,6 @@ type Params struct {
 	ScanStride int
 }
 
-// DefaultParams is the full reproduction configuration.
-func DefaultParams(seed uint64) Params {
-	return Params{Seed: seed, Scale: 1.0 / 500, TailASes: 240, ScanStride: 1}
-}
-
 // QuickParams is a reduced configuration for tests and benchmarks.
 func QuickParams(seed uint64) Params {
 	return Params{Seed: seed, Scale: 1.0 / 10000, TailASes: 48, ScanStride: 4}

@@ -379,7 +379,7 @@ func Table5(ctx context.Context, s *Suite, w io.Writer) error {
 		return err
 	}
 	impacted := s.Svc.Tracker().InjectedOnly()
-	counts := analysis.ByAS(impacted, s.World.Net.AS)
+	counts := analysis.ByAS(impacted.Merge(), s.World.Net.AS)
 	fmt.Fprintf(w, "Table 5 — top 10 ASes impacted by the GFW (total %s addresses)\n\n",
 		analysis.Humanize(impacted.Len()))
 	tb := analysis.NewTable("AS", "addresses", "%", "CDF")

@@ -26,22 +26,32 @@ type FPSample struct {
 }
 
 // CollectTCP handshakes with n pseudo-random addresses inside prefix and
-// returns the observed fingerprints. Unresponsive draws are skipped.
+// returns the observed fingerprints in canonical shard order (draw order
+// within a shard), so the samples are the same for any worker count.
+// Unresponsive draws are skipped.
 func CollectTCP(ctx context.Context, s *scan.Scanner, prefix ip6.Prefix, n, day int) ([]FPSample, error) {
 	r := rng.NewStream(rng.Mix(prefix.Addr().Hi(), uint64(prefix.Bits()), uint64(day)), "fp-collect")
 	targets := make([]ip6.Addr, n)
 	for i := range targets {
 		targets[i] = prefix.RandomAddr(r)
 	}
-	results, _, err := s.Scan(ctx, targets, []netmodel.Protocol{netmodel.TCP80}, day)
+	// Same-shard batches arrive in order on one goroutine at a time, so
+	// the per-shard slots need no locking.
+	var shards [ip6.AddrShards][]FPSample
+	_, err := s.StreamFrom(ctx, scan.SliceSource(targets), []netmodel.Protocol{netmodel.TCP80}, day, func(b *scan.Batch) error {
+		for _, res := range b.Results {
+			if res.Success && res.Kind == netmodel.RespSynAck {
+				shards[b.Shard] = append(shards[b.Shard], FPSample{Addr: res.Target, FP: res.FP})
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint: scanning %v: %w", prefix, err)
 	}
 	var out []FPSample
-	for _, res := range results {
-		if res.Success && res.Kind == netmodel.RespSynAck {
-			out = append(out, FPSample{Addr: res.Target, FP: res.FP})
-		}
+	for _, sh := range shards {
+		out = append(out, sh...)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package fingerprint
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"hitlist6/internal/ip6"
@@ -51,6 +52,36 @@ func TestCollectAndSummarizeUniform(t *testing.T) {
 	sum := Summarize(samples)
 	if !sum.Uniform || sum.Distinct != 1 || sum.WindowOnly {
 		t.Errorf("uniform fleet: %+v", sum)
+	}
+}
+
+// TestCollectTCPWorkerInvariant pins CollectTCP's output order: samples
+// come out in canonical shard order, so a one-worker and an eight-worker
+// scanner return identical slices, loss-skipped draws included.
+func TestCollectTCPWorkerInvariant(t *testing.T) {
+	n := testWorld(t)
+	collect := func(workers int) []FPSample {
+		cfg := scan.DefaultConfig(3)
+		cfg.LossRate = 0.2
+		cfg.Retries = 0
+		cfg.Workers = workers
+		samples, err := CollectTCP(context.Background(), scan.New(n, cfg), ip6.MustParsePrefix("2a04:4e40:3::/48"), 200, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return samples
+	}
+	one, eight := collect(1), collect(8)
+	if len(one) == 0 || len(one) == 200 {
+		t.Fatalf("%d of 200 draws answered; loss is not exercised", len(one))
+	}
+	if !reflect.DeepEqual(one, eight) {
+		t.Fatal("Workers 1 and 8 collected different samples")
+	}
+	for i := 1; i < len(one); i++ {
+		if ip6.ShardOf(one[i].Addr) < ip6.ShardOf(one[i-1].Addr) {
+			t.Fatalf("sample %d is out of canonical shard order", i)
+		}
 	}
 }
 

@@ -184,56 +184,20 @@ func (t *Tracker) AddEvidenceShard(i int, injectedDNS ip6.Set, cleanByProto *[ne
 	}
 }
 
-// Observe folds one scan's results into the cumulative evidence, routing
-// each address to its canonical shard — the convenience path for
-// non-streaming consumers (e.g. replaying CSV-parsed results).
-// Single-goroutine use only.
-func (t *Tracker) Observe(results []scan.Result) {
-	for i := range results {
-		r := &results[i]
-		if !r.Success {
-			continue
-		}
-		sh := ip6.ShardOf(r.Target)
-		if r.Proto != netmodel.UDP53 {
-			t.otherProto.AddToShard(sh, r.Target)
-		} else if ClassifyResult(*r).Injected() {
-			t.injectedSeen.AddToShard(sh, r.Target)
-		} else {
-			t.realDNS.AddToShard(sh, r.Target)
-		}
-	}
-}
-
-// walkInjectedOnly visits every address that ever triggered an injection
-// and never answered anything else — the one copy of the filter-list
-// predicate both materializations below share.
-func (t *Tracker) walkInjectedOnly(fn func(sh int, a ip6.Addr)) {
+// InjectedOnly returns the addresses that ever triggered an injection and
+// never answered anything else — the set the paper removes from the
+// cumulative input — keeping the shard partitioning, so consumers that
+// sweep it shard by shard (the service's cumulative input filter) keep
+// shard-local membership checks and never pay for a flat merged copy.
+func (t *Tracker) InjectedOnly() *ip6.ShardedSet {
+	out := ip6.NewShardedSet()
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		for a := range t.injectedSeen.Shard(sh) {
 			if !t.otherProto.HasInShard(sh, a) && !t.realDNS.HasInShard(sh, a) {
-				fn(sh, a)
+				out.AddToShard(sh, a)
 			}
 		}
 	}
-}
-
-// InjectedOnly returns the addresses that ever triggered an injection and
-// never answered anything else — the set the paper removes from the
-// cumulative input.
-func (t *Tracker) InjectedOnly() ip6.Set {
-	out := ip6.NewSet(0)
-	t.walkInjectedOnly(func(_ int, a ip6.Addr) { out.Add(a) })
-	return out
-}
-
-// InjectedOnlySharded is InjectedOnly preserving the shard partitioning:
-// consumers that sweep the list shard by shard (the service's cumulative
-// input filter) keep shard-local membership checks and never pay for a
-// flat merged copy.
-func (t *Tracker) InjectedOnlySharded() *ip6.ShardedSet {
-	out := ip6.NewShardedSet()
-	t.walkInjectedOnly(func(sh int, a ip6.Addr) { out.AddToShard(sh, a) })
 	return out
 }
 

@@ -144,10 +144,28 @@ func TestTracker(t *testing.T) {
 		return r
 	}
 
+	// observe folds results in the way the service does: classified,
+	// then handed to AddEvidenceShard one address at a time.
+	observe := func(tr *Tracker, results []scan.Result) {
+		for _, r := range results {
+			if !r.Success {
+				continue
+			}
+			injected := ip6.NewSet(0)
+			var clean [netmodel.NumProtocols]ip6.Set
+			if r.Proto == netmodel.UDP53 && ClassifyResult(r).Injected() {
+				injected.Add(r.Target)
+			} else {
+				clean[r.Proto] = ip6.SetOf(r.Target)
+			}
+			tr.AddEvidenceShard(ip6.ShardOf(r.Target), injected, &clean)
+		}
+	}
+
 	tr := NewTracker()
 	// Scan 1: a pure-GFW ghost, a GFW-seen host that also does ICMP, a
 	// clean DNS server.
-	tr.Observe([]scan.Result{
+	observe(tr, []scan.Result{
 		mk("240e::1", netmodel.UDP53, true),
 		mk("240e::53", netmodel.UDP53, true),
 		mk("240e::53", netmodel.ICMP, false),
@@ -156,7 +174,7 @@ func TestTracker(t *testing.T) {
 	})
 	only := tr.InjectedOnly()
 	if only.Len() != 1 || !only.Has(ip6.MustParseAddr("240e::1")) {
-		t.Errorf("InjectedOnly: %v", only.Sorted())
+		t.Errorf("InjectedOnly: %v", only.Merge().Sorted())
 	}
 	if tr.InjectedSeen().Len() != 2 {
 		t.Errorf("InjectedSeen: %d", tr.InjectedSeen().Len())
@@ -168,7 +186,7 @@ func TestTracker(t *testing.T) {
 
 	// Scan 2: the ghost turns out to answer TCP later → leaves the
 	// injected-only set.
-	tr.Observe([]scan.Result{{Target: ip6.MustParseAddr("240e::1"), Proto: netmodel.TCP80, Success: true}})
+	observe(tr, []scan.Result{{Target: ip6.MustParseAddr("240e::1"), Proto: netmodel.TCP80, Success: true}})
 	if tr.InjectedOnly().Len() != 0 {
 		t.Error("InjectedOnly should shrink when other protocols respond")
 	}

@@ -182,9 +182,6 @@ func (p Prefix) NthAddr(n uint64) Addr {
 	return AddrFromUint64s(a.Hi(), lo)
 }
 
-// PrefixOf returns the /bits prefix containing a.
-func PrefixOf(a Addr, bits int) Prefix { return PrefixFrom(a, bits) }
-
 // Slash64 returns the /64 containing a; the most common grouping in the
 // hitlist pipeline.
 func Slash64(a Addr) Prefix { return PrefixFrom(a, 64) }

@@ -43,9 +43,7 @@ func TestTrueRespondsMatchesProbe(t *testing.T) {
 				case UDP443:
 					probe = Probe{Kind: QUICInitial, Target: target, Day: day, Port: 443}
 				case UDP53:
-					q := dnswire.NewQuery(9, "www.google.com", dnswire.TypeAAAA)
-					wire, _ := q.Encode()
-					probe = Probe{Kind: DNSQuery, Target: target, Day: day, Payload: wire}
+					probe = Probe{Kind: DNSQuery, Target: target, Day: day, Query: dnswire.NewQuery(9, "www.google.com", dnswire.TypeAAAA), TxID: 9}
 				}
 				resp := net.Probe(probe)
 				measured := resp.Positive() && resp.Kind != RespRST

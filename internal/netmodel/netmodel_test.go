@@ -67,11 +67,10 @@ func testWorld(t testing.TB) *Network {
 func dnsProbe(t testing.TB, target ip6.Addr, day int, qname string) Probe {
 	t.Helper()
 	q := dnswire.NewQuery(0x4242, qname, dnswire.TypeAAAA)
-	wire, err := q.Encode()
-	if err != nil {
+	if _, err := q.Encode(); err != nil {
 		t.Fatal(err)
 	}
-	return Probe{Kind: DNSQuery, Target: target, Day: day, Payload: wire}
+	return Probe{Kind: DNSQuery, Target: target, Day: day, Query: q, TxID: 0x4242}
 }
 
 func TestHostResponsiveness(t *testing.T) {
@@ -281,6 +280,23 @@ func TestTooBigTrickSharedCache(t *testing.T) {
 	// The cache expires after pmtuHoldDays.
 	if r := net.Probe(Probe{Kind: EchoRequest, Target: sameBackend, Day: day + pmtuHoldDays + 1, Size: 1300}); r.Fragmented {
 		t.Error("PMTU cache did not expire")
+	}
+}
+
+// TestDNSProbeWithoutQuery: a DNS probe's question travels in Query.
+// One with no Query, or with a question-less one, draws nothing — not
+// even an injection from the path or a DNS host's own answer.
+func TestDNSProbeWithoutQuery(t *testing.T) {
+	net := testWorld(t)
+	for _, target := range []ip6.Addr{ip6.MustParseAddr("240e::1234"), ip6.MustParseAddr("2001:4d00::53")} {
+		if r := net.Probe(dnsProbe(t, target, 150, "www.google.com")); r.Kind != RespDNS {
+			t.Fatalf("%v: a full probe draws %+v, want a DNS answer", target, r)
+		}
+		for _, q := range []*dnswire.Message{nil, {}} {
+			if r := net.Probe(Probe{Kind: DNSQuery, Target: target, Day: 150, Query: q, TxID: 1}); r.Kind != RespNone || len(r.DNS) != 0 {
+				t.Errorf("%v: probe with query %+v draws %+v", target, q, r)
+			}
+		}
 	}
 }
 

@@ -17,28 +17,26 @@ type ProbeKind uint8
 const (
 	EchoRequest  ProbeKind = iota // ICMPv6 echo request (Size selects payload)
 	TCPSYN                        // TCP SYN to Port
-	DNSQuery                      // UDP datagram to port 53 carrying Payload
+	DNSQuery                      // UDP datagram to port 53 carrying Query
 	QUICInitial                   // UDP datagram to port 443 (QUIC Initial)
 	PacketTooBig                  // ICMPv6 Packet Too Big carrying MTU
 )
 
 // Probe is one outgoing packet.
 type Probe struct {
-	Kind    ProbeKind
-	Target  ip6.Addr
-	Day     int
-	Size    int    // echo payload size (TBT sends 1300 B)
-	Port    uint16 // TCP destination port
-	Payload []byte // DNS query wire bytes for DNSQuery
-	MTU     uint16 // MTU announced in PacketTooBig
+	Kind   ProbeKind
+	Target ip6.Addr
+	Day    int
+	Size   int    // echo payload size (TBT sends 1300 B)
+	Port   uint16 // TCP destination port
+	MTU    uint16 // MTU announced in PacketTooBig
 
-	// Query, when non-nil, is the parsed form of the DNS query and lets
-	// the network skip decoding Payload — the scanner sets it from a
-	// per-qname template so the probe hot path never re-parses the same
-	// wire bytes. The message is shared across probes and must be treated
-	// as read-only; TxID carries the per-probe transaction ID the reply
-	// echoes (Query.Header.ID is ignored). When Query is nil the query is
-	// decoded from Payload as always, with the ID taken from the wire.
+	// Query is a DNSQuery probe's question, already parsed — the scanner
+	// shares one per-qname template across probes, so the probe hot path
+	// never parses wire bytes. The message must be treated as read-only;
+	// TxID carries the per-probe transaction ID the reply echoes
+	// (Query.Header.ID is ignored). A DNSQuery with a nil Query, or one
+	// without a question, draws no answer.
 	Query *dnswire.Message
 	TxID  uint16
 
@@ -435,19 +433,8 @@ func (n *Network) probeQUIC(p *Probe, res *Resolved) Response {
 }
 
 func (n *Network) probeDNS(p *Probe, res *Resolved) Response {
-	query := p.Query
-	txid := p.TxID
-	if query == nil {
-		// Compatibility path for hand-built probes carrying only wire
-		// bytes: decode once, take the transaction ID from the wire.
-		q, err := dnswire.Decode(p.Payload)
-		if err != nil {
-			return Response{}
-		}
-		query = q
-		txid = q.Header.ID
-	}
-	if len(query.Questions) == 0 {
+	query, txid := p.Query, p.TxID
+	if query == nil || len(query.Questions) == 0 {
 		return Response{}
 	}
 	var resp Response

@@ -150,15 +150,13 @@ type Scanner struct {
 	net *netmodel.Network
 	cfg Config
 
-	// dnsQuery/dnsWire are the precomputed DNS probe template for the
-	// fixed-QName configuration: the query is encoded and parsed once at
-	// construction, and every UDP/53 probe carries the shared parsed
-	// message plus its per-probe transaction ID (netmodel.Probe.Query /
-	// TxID) instead of paying a NewQuery+Encode+Decode round trip. Both
-	// are read-only after New. With QNameFor set (per-target qnames) the
+	// dnsQuery is the precomputed DNS probe template for the fixed-QName
+	// configuration: the query is built and checked encodable once at
+	// construction, and every UDP/53 probe carries the shared message
+	// plus its per-probe transaction ID (netmodel.Probe.Query / TxID)
+	// instead of building its own. It is read-only after New. With QNameFor set (per-target qnames) the
 	// template is nil and probes build their query per call.
 	dnsQuery *dnswire.Message
-	dnsWire  []byte
 
 	// bufPool recycles batch result buffers across StreamFrom calls; sinks
 	// must not retain batches, which is what makes this reuse sound.
@@ -166,8 +164,7 @@ type Scanner struct {
 
 	// arenaPool recycles the per-batch DNS wire arenas (UDP/53 streams
 	// only). The same no-retention contract covers the payloads: a sink
-	// keeping Result.DNS past its return must deep-copy, as Scan's
-	// materializing wrapper does.
+	// keeping Result.DNS past its return must deep-copy it.
 	arenaPool sync.Pool
 
 	// lossTh is Config.LossRate as a threshold on the low 32 bits of the
@@ -198,13 +195,9 @@ func New(net *netmodel.Network, cfg Config) *Scanner {
 		// An unencodable QName leaves the template nil; the per-probe
 		// path then reports it exactly as before (panic on first UDP/53
 		// probe), so template construction never changes behavior.
-		if wire, err := dnswire.NewQuery(0, cfg.QName, dnswire.TypeAAAA).Encode(); err == nil {
-			// Parse the template back from its own wire bytes so the
-			// shared message is exactly what netmodel used to decode per
-			// probe.
-			if q, err := dnswire.Decode(wire); err == nil {
-				s.dnsQuery, s.dnsWire = q, wire
-			}
+		q := dnswire.NewQuery(0, cfg.QName, dnswire.TypeAAAA)
+		if _, err := q.Encode(); err == nil {
+			s.dnsQuery = q
 		}
 	}
 	return s
@@ -314,55 +307,20 @@ func (s *Scanner) buildProbe(t *target, proto netmodel.Protocol) netmodel.Probe 
 		txid := uint16(t.mix.Add(uint64(t.day)).Sum())
 		if s.dnsQuery != nil {
 			// Template fast path: the shared parsed query plus the
-			// per-probe transaction ID. Payload carries the template wire
-			// bytes (transaction ID zero) for generic consumers; the
-			// network reads Query/TxID and never re-parses them.
-			return netmodel.Probe{
-				Kind: netmodel.DNSQuery, Target: t.addr, Day: t.day,
-				Payload: s.dnsWire, Query: s.dnsQuery, TxID: txid,
-			}
+			// per-probe transaction ID.
+			return netmodel.Probe{Kind: netmodel.DNSQuery, Target: t.addr, Day: t.day, Query: s.dnsQuery, TxID: txid}
 		}
 		qname := s.cfg.QName
 		if s.cfg.QNameFor != nil {
 			qname = s.cfg.QNameFor(t.addr)
 		}
 		q := dnswire.NewQuery(txid, qname, dnswire.TypeAAAA)
-		wire, err := q.Encode()
-		if err != nil {
+		if _, err := q.Encode(); err != nil {
 			panic(fmt.Sprintf("scan: building DNS query for %q: %v", qname, err))
 		}
-		return netmodel.Probe{Kind: netmodel.DNSQuery, Target: t.addr, Day: t.day, Payload: wire, Query: q, TxID: txid}
+		return netmodel.Probe{Kind: netmodel.DNSQuery, Target: t.addr, Day: t.day, Query: q, TxID: txid}
 	}
 	panic(fmt.Sprintf("scan: unknown protocol %v", proto))
-}
-
-// Scan probes every target with every requested protocol and returns all
-// results. Order follows (target, protocol) input order. The context
-// cancels the scan early; the partial result set and ctx.Err() are
-// returned. Scan is a thin wrapper over StreamFrom that materializes the
-// full cross product — streaming consumers should use StreamFrom directly
-// and skip this allocation.
-func (s *Scanner) Scan(ctx context.Context, targets []ip6.Addr, protos []netmodel.Protocol, day int) ([]Result, Stats, error) {
-	results := make([]Result, len(targets)*len(protos))
-	st, err := s.StreamFrom(ctx, SliceSource(targets), protos, day, func(b *Batch) error {
-		// Batches write disjoint index ranges, so no locking is needed.
-		for i := range b.Results {
-			r := b.Results[i]
-			if len(r.DNS) > 0 {
-				// The engine recycles the DNS wire buffers together with
-				// the batch; the materialized result set outlives both,
-				// so the payloads are deep-copied out here.
-				dns := make([][]byte, len(r.DNS))
-				for j, w := range r.DNS {
-					dns[j] = append([]byte(nil), w...)
-				}
-				r.DNS = dns
-			}
-			results[b.OrigIndex(i)] = r
-		}
-		return nil
-	})
-	return results, st, err
 }
 
 // StreamResponsiveFrom probes everything src yields and accumulates, per

@@ -47,6 +47,32 @@ func allProtos() []netmodel.Protocol {
 	return []netmodel.Protocol{netmodel.ICMP, netmodel.TCP443, netmodel.TCP80, netmodel.UDP443, netmodel.UDP53}
 }
 
+// scanAll streams targets through s and returns every result, DNS
+// payloads deep-copied out of the recycled batch arenas, in canonical
+// shard order (probe order within a shard) — the same slice for any
+// worker count or batch size.
+func scanAll(ctx context.Context, s *Scanner, targets []ip6.Addr, protos []netmodel.Protocol, day int) ([]Result, Stats, error) {
+	var shards [ip6.AddrShards][]Result
+	st, err := s.StreamFrom(ctx, SliceSource(targets), protos, day, func(b *Batch) error {
+		for _, r := range b.Results {
+			if len(r.DNS) > 0 {
+				dns := make([][]byte, len(r.DNS))
+				for j, w := range r.DNS {
+					dns[j] = append([]byte(nil), w...)
+				}
+				r.DNS = dns
+			}
+			shards[b.Shard] = append(shards[b.Shard], r)
+		}
+		return nil
+	})
+	var out []Result
+	for _, sh := range shards {
+		out = append(out, sh...)
+	}
+	return out, st, err
+}
+
 func TestScanBasic(t *testing.T) {
 	n := testNet(t)
 	cfg := DefaultConfig(1)
@@ -57,7 +83,7 @@ func TestScanBasic(t *testing.T) {
 		ip6.MustParseAddr("2001:100::53"),
 		ip6.MustParseAddr("2001:100::dead"),
 	}
-	results, stats, err := s.Scan(context.Background(), targets, allProtos(), 5)
+	results, stats, err := scanAll(context.Background(), s, targets, allProtos(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +112,11 @@ func TestScanBasic(t *testing.T) {
 	if stats.ProbesSent == 0 || stats.Successes == 0 || stats.EstimatedSeconds <= 0 {
 		t.Errorf("stats: %+v", stats)
 	}
-	// Result ordering matches input order.
-	if results[0].Target != targets[0] || results[0].Proto != allProtos()[0] {
-		t.Error("result order broken")
+	// Each target's results are consecutive, in protocol order.
+	for i, r := range results {
+		if r.Proto != allProtos()[i%5] || r.Target != results[i-i%5].Target {
+			t.Fatalf("result %d is %v %v: order broken", i, r.Target, r.Proto)
+		}
 	}
 }
 
@@ -103,8 +131,11 @@ func TestScanDeterminism(t *testing.T) {
 	for i := uint64(0); i < 200; i++ {
 		targets = append(targets, p.NthAddr(i))
 	}
-	r1, _, _ := s.Scan(context.Background(), targets, []netmodel.Protocol{netmodel.ICMP}, 5)
-	r2, _, _ := s.Scan(context.Background(), targets, []netmodel.Protocol{netmodel.ICMP}, 5)
+	r1, _, _ := scanAll(context.Background(), s, targets, []netmodel.Protocol{netmodel.ICMP}, 5)
+	r2, _, _ := scanAll(context.Background(), s, targets, []netmodel.Protocol{netmodel.ICMP}, 5)
+	if len(r1) != len(targets) || len(r2) != len(targets) {
+		t.Fatalf("results: %d and %d, want %d", len(r1), len(r2), len(targets))
+	}
 	for i := range r1 {
 		if r1[i].Success != r2[i].Success {
 			t.Fatalf("non-deterministic at %d", i)
@@ -162,7 +193,7 @@ func TestScanContextCancel(t *testing.T) {
 	for i := uint64(0); i < 10000; i++ {
 		targets = append(targets, p.NthAddr(i))
 	}
-	_, _, err := s.Scan(ctx, targets, allProtos(), 1)
+	_, _, err := scanAll(ctx, s, targets, allProtos(), 1)
 	if err == nil {
 		t.Error("cancelled scan returned nil error")
 	}
@@ -222,7 +253,7 @@ func TestCSVRoundtrip(t *testing.T) {
 		ip6.MustParseAddr("240e::1"),
 		ip6.MustParseAddr("2001:100::53"),
 	}
-	results, _, err := s.Scan(context.Background(), targets, allProtos(), 3)
+	results, _, err := scanAll(context.Background(), s, targets, allProtos(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +330,7 @@ func BenchmarkScanICMP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Scan(context.Background(), targets, []netmodel.Protocol{netmodel.ICMP}, 1); err != nil {
+		if _, err := s.StreamFrom(context.Background(), SliceSource(targets), []netmodel.Protocol{netmodel.ICMP}, 1, func(*Batch) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

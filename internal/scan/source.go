@@ -64,12 +64,6 @@ type ShardSizer interface {
 	ShardLen(sh int) int
 }
 
-// origSource is the internal refinement Stream uses to thread
-// original-position mappings (Batch.OrigIndex) through StreamFrom.
-type origSource interface {
-	shardOrig(sh int) []int
-}
-
 // SliceSource wraps a materialized target slice as a TargetSource. The
 // returned source also implements ShardedSource (partitioning lazily,
 // preserving input order within each shard), SpanSource and ShardSizer,
@@ -82,7 +76,7 @@ func SliceSource(addrs []ip6.Addr) TargetSource {
 type sliceSource struct {
 	rest  []ip6.Addr
 	all   []ip6.Addr
-	plans []shardPlan
+	plans [][]ip6.Addr
 }
 
 func (s *sliceSource) Next(buf []ip6.Addr) (int, error) {
@@ -106,7 +100,7 @@ func (s *sliceSource) Span(max int) ([]ip6.Addr, error) {
 	return seg, nil
 }
 
-func (s *sliceSource) built() []shardPlan {
+func (s *sliceSource) built() [][]ip6.Addr {
 	if s.plans == nil {
 		s.plans = buildPlans(s.all)
 	}
@@ -114,16 +108,14 @@ func (s *sliceSource) built() []shardPlan {
 }
 
 func (s *sliceSource) ShardSource(sh int) TargetSource {
-	plan := &s.built()[sh]
-	if len(plan.targets) == 0 {
+	plan := s.built()[sh]
+	if len(plan) == 0 {
 		return nil
 	}
-	return &spanSlice{rest: plan.targets}
+	return &spanSlice{rest: plan}
 }
 
-func (s *sliceSource) ShardLen(sh int) int { return len(s.built()[sh].targets) }
-
-func (s *sliceSource) shardOrig(sh int) []int { return s.built()[sh].orig }
+func (s *sliceSource) ShardLen(sh int) int { return len(s.built()[sh]) }
 
 // spanSlice is the per-shard cursor of slice-backed sharded sources.
 type spanSlice struct{ rest []ip6.Addr }

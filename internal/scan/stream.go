@@ -51,11 +51,8 @@ type Batch struct {
 	// Stats covers this batch only (per-batch throughput accounting).
 	Stats Stats
 
-	// start is the batch's offset in the shard's flat probe sequence;
-	// orig maps shard-local target positions back to input positions.
-	start   int
-	orig    []int
-	nprotos int
+	// start is the batch's offset in the shard's flat probe sequence.
+	start int
 
 	// arena owns the DNS wire buffers the batch's Results reference
 	// (UDP/53 streams only). It is recycled together with the Results
@@ -72,16 +69,6 @@ type Batch struct {
 // looking results up by address.
 func (b *Batch) Offset() int { return b.start }
 
-// OrigIndex returns the position of Results[i] in the canonical
-// (target, protocol) cross-product ordering of the originating
-// SliceSource — the index Scan uses to place results. Batches from any
-// other source carry no position mapping; OrigIndex must not be called
-// on them.
-func (b *Batch) OrigIndex(i int) int {
-	pos := b.start + i
-	return b.orig[pos/b.nprotos]*b.nprotos + pos%b.nprotos
-}
-
 // Sink consumes streamed batches. It may be invoked concurrently from
 // multiple worker goroutines, but calls for the same shard are sequential
 // and in Seq order; per-shard state therefore needs no locking. The batch
@@ -89,35 +76,26 @@ func (b *Batch) OrigIndex(i int) int {
 // aborts the stream.
 type Sink func(*Batch) error
 
-// shardPlan is the deterministic probe plan of one shard.
-type shardPlan struct {
-	targets []ip6.Addr
-	orig    []int
-}
-
-// buildPlans partitions targets into per-shard plans, preserving input
-// order within each shard. Two passes: count, then fill two exactly-sized
-// backing arrays shared by all shards (append-growth on 64 slices would
-// roughly double the allocation).
-func buildPlans(targets []ip6.Addr) []shardPlan {
+// buildPlans partitions targets into per-shard probe plans, preserving
+// input order within each shard. Two passes: count, then fill one
+// exactly-sized backing array shared by all shards (append-growth on 64
+// slices would roughly double the allocation).
+func buildPlans(targets []ip6.Addr) [][]ip6.Addr {
 	var counts [ip6.AddrShards]int
 	for _, t := range targets {
 		counts[ip6.ShardOf(t)]++
 	}
-	tbuf := make([]ip6.Addr, 0, len(targets))
-	obuf := make([]int, 0, len(targets))
-	plans := make([]shardPlan, ip6.AddrShards)
+	buf := make([]ip6.Addr, 0, len(targets))
+	plans := make([][]ip6.Addr, ip6.AddrShards)
 	off := 0
 	for sh := range plans {
 		end := off + counts[sh]
-		plans[sh].targets = tbuf[off:off:end]
-		plans[sh].orig = obuf[off:off:end]
+		plans[sh] = buf[off:off:end]
 		off = end
 	}
-	for i, t := range targets {
+	for _, t := range targets {
 		sh := ip6.ShardOf(t)
-		plans[sh].targets = append(plans[sh].targets, t)
-		plans[sh].orig = append(plans[sh].orig, i)
+		plans[sh] = append(plans[sh], t)
 	}
 	return plans
 }
@@ -259,18 +237,17 @@ type shardProbe struct {
 	held   []*Batch
 }
 
-// newShardProbe starts a shard's probe state. orig is the optional
-// original-position mapping (slice-backed streams); size is the shard's
-// total target count when known, -1 otherwise — it only tunes the first
+// newShardProbe starts a shard's probe state. size is the shard's total
+// target count when known, -1 otherwise — it only tunes the first
 // buffer's capacity.
-func (r *streamRun) newShardProbe(shard int, orig []int, size int) shardProbe {
+func (r *streamRun) newShardProbe(shard int, size int) shardProbe {
 	need := r.batchSize
 	if size >= 0 {
 		if n := size * len(r.protos); n < need {
 			need = n
 		}
 	}
-	b := &Batch{Shard: shard, orig: orig, nprotos: len(r.protos)}
+	b := &Batch{Shard: shard}
 	b.Results = r.s.getBuf(need)
 	b.arena = r.s.getArena(r.protos)
 	return shardProbe{run: r, shard: shard, b: b, need: need}
@@ -304,7 +281,7 @@ func (p *shardProbe) flush() error {
 	// or the held list, either of which pools its buffer once the sink
 	// has seen it; probing continues immediately into a fresh buffer.
 	full := p.b
-	p.b = &Batch{Shard: p.shard, Seq: full.Seq + 1, start: p.pos, orig: full.orig, nprotos: full.nprotos}
+	p.b = &Batch{Shard: p.shard, Seq: full.Seq + 1, start: p.pos}
 	p.b.Results = r.s.getBuf(p.need)
 	p.b.arena = r.s.getArena(r.protos)
 	if !p.hold {
@@ -540,7 +517,6 @@ func (r *streamRun) runSharded(src ShardedSource) {
 	if len(q.pending) == 0 {
 		return
 	}
-	origs, _ := src.(origSource)
 	sizes, _ := src.(ShardSizer)
 	size := func(sh int) int {
 		if sizes == nil {
@@ -593,11 +569,7 @@ func (r *streamRun) runSharded(src ShardedSource) {
 				tot := &r.total.shards[sh]
 				probes, nanos := tot.probes.Load(), tot.nanos.Load()
 				if err == nil {
-					var orig []int
-					if origs != nil {
-						orig = origs.shardOrig(sh)
-					}
-					sp = r.newShardProbe(sh, orig, size(sh))
+					sp = r.newShardProbe(sh, size(sh))
 					sp.hold, sp.worker = hook != nil, w
 					err = r.pullShard(&sp, feed, &buf)
 				}
@@ -733,7 +705,7 @@ func (r *streamRun) runRouted(src TargetSource) {
 						break
 					}
 					if rs.sp == nil {
-						sp := r.newShardProbe(sh, nil, -1)
+						sp := r.newShardProbe(sh, -1)
 						rs.sp = &sp
 					}
 					sp := rs.sp

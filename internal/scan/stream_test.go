@@ -22,9 +22,9 @@ func streamTargets(n int) []ip6.Addr {
 	return out
 }
 
-// TestStreamScanEquivalence: Scan is a wrapper over StreamFrom, and a manual
-// StreamFrom consumer reassembling via OrigIndex must reproduce Scan's output
-// exactly, for several worker counts and batch sizes.
+// TestStreamScanEquivalence: a scan collected in canonical shard order,
+// DNS payloads deep-copied, is the same slice with the same deterministic
+// stats for several worker counts and batch sizes.
 func TestStreamScanEquivalence(t *testing.T) {
 	n := testNet(t)
 	targets := append(streamTargets(150),
@@ -42,40 +42,21 @@ func TestStreamScanEquivalence(t *testing.T) {
 		return New(n, cfg)
 	}
 
-	base, baseStats, err := mk(1, 4).Scan(context.Background(), targets, protos, 9)
+	base, baseStats, err := scanAll(context.Background(), mk(1, 4), targets, protos, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(base) != len(targets)*len(protos) {
+		t.Fatalf("results: %d, want %d", len(base), len(targets)*len(protos))
+	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for _, batch := range []int{1, 7, 1024} {
-			s := mk(workers, batch)
-			got := make([]Result, len(targets)*len(protos))
-			var mu sync.Mutex
-			stats, err := s.StreamFrom(context.Background(), SliceSource(targets), protos, 9, func(b *Batch) error {
-				mu.Lock()
-				defer mu.Unlock()
-				for i := range b.Results {
-					r := b.Results[i]
-					// Retaining sinks deep-copy DNS payloads: the wire
-					// buffers recycle with the batch. The DeepEqual
-					// against Scan below pins that the wrapper's own
-					// deep-copy reproduces the streamed bytes exactly.
-					if len(r.DNS) > 0 {
-						dns := make([][]byte, len(r.DNS))
-						for j, w := range r.DNS {
-							dns[j] = append([]byte(nil), w...)
-						}
-						r.DNS = dns
-					}
-					got[b.OrigIndex(i)] = r
-				}
-				return nil
-			})
+			got, stats, err := scanAll(context.Background(), mk(workers, batch), targets, protos, 9)
 			if err != nil {
 				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
 			}
 			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("workers=%d batch=%d: streamed results differ from Scan", workers, batch)
+				t.Fatalf("workers=%d batch=%d: results differ", workers, batch)
 			}
 			if stats.ProbesSent != baseStats.ProbesSent ||
 				stats.Responses != baseStats.Responses ||
@@ -319,7 +300,7 @@ func TestProbeAccountingCountsActualAttempts(t *testing.T) {
 	cfg.LossRate = 0
 	cfg.Retries = 3
 	s := New(n, cfg)
-	_, st, err := s.Scan(context.Background(), targets, []netmodel.Protocol{netmodel.ICMP}, 5)
+	_, st, err := scanAll(context.Background(), s, targets, []netmodel.Protocol{netmodel.ICMP}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +314,7 @@ func TestProbeAccountingCountsActualAttempts(t *testing.T) {
 
 	cfg.LossRate = 0.3
 	s = New(n, cfg)
-	_, st, err = s.Scan(context.Background(), targets, []netmodel.Protocol{netmodel.ICMP}, 5)
+	_, st, err = scanAll(context.Background(), s, targets, []netmodel.Protocol{netmodel.ICMP}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 //
 // A Feed is a named deterministic generator over simulation days. The world
 // generator wires concrete feeds to the synthetic Internet; the service
-// core just drains whatever is active.
+// core just pulls whatever is active.
 package sources
 
 import (
@@ -45,42 +45,6 @@ type Feed struct {
 
 // ActiveAt reports whether the feed produces data at the given day.
 func (f *Feed) ActiveAt(day int) bool { return day >= f.FromDay && day < f.ToDay }
-
-// Drain collects from every active feed and returns candidates per feed
-// name, preserving feed order. Cancellation is honored between feeds: on
-// a cancelled context (or a feed error) the feeds already collected are
-// returned alongside the error, so callers can account for partial
-// progress.
-func Drain(ctx context.Context, feeds []*Feed, day int) (map[string][]ip6.Addr, error) {
-	out := make(map[string][]ip6.Addr, len(feeds))
-	for _, f := range feeds {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		if !f.ActiveAt(day) {
-			continue
-		}
-		var addrs []ip6.Addr
-		var err error
-		if f.Open != nil {
-			// Streaming feeds materialize through their source here —
-			// Drain is the compat path — keeping Open's documented
-			// precedence over Collect on both consumption paths. The
-			// source wraps its own errors with feed attribution.
-			addrs, err = scan.Collect(f.Source(ctx, day))
-		} else {
-			addrs, err = f.Collect(ctx, day)
-			if err != nil {
-				err = fmt.Errorf("sources: feed %s at day %d: %w", f.Name, day, err)
-			}
-		}
-		if err != nil {
-			return out, err
-		}
-		out[f.Name] = addrs
-	}
-	return out, nil
-}
 
 // NamedSource pairs a feed's name with its streaming candidate source
 // for one day.

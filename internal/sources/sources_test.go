@@ -31,7 +31,22 @@ func TestSnapshotFeed(t *testing.T) {
 	}
 }
 
-func TestRecurringFeedAndDrain(t *testing.T) {
+// collectOpen pulls every source Open returns for day, in feed order,
+// into a map by feed name. It stops at the first failing source and
+// returns the feeds already collected alongside the error.
+func collectOpen(ctx context.Context, feeds []*Feed, day int) (map[string][]ip6.Addr, error) {
+	out := make(map[string][]ip6.Addr)
+	for _, ns := range Open(ctx, feeds, day) {
+		addrs, err := scan.Collect(ns.Src)
+		if err != nil {
+			return out, err
+		}
+		out[ns.Name] = addrs
+	}
+	return out, nil
+}
+
+func TestRecurringFeedAndOpen(t *testing.T) {
 	calls := 0
 	f1 := Recurring("dns", 0, 1000, func(day int) []ip6.Addr {
 		calls++
@@ -39,19 +54,19 @@ func TestRecurringFeedAndDrain(t *testing.T) {
 	})
 	f2 := Snapshot("ark", 500, []ip6.Addr{ip6.MustParseAddr("2001:db9::2")})
 
-	out, err := Drain(context.Background(), []*Feed{f1, f2}, 10)
+	out, err := collectOpen(context.Background(), []*Feed{f1, f2}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || len(out["dns"]) != 1 {
-		t.Errorf("drain day 10: %v", out)
+		t.Errorf("day 10: %v", out)
 	}
-	out, err = Drain(context.Background(), []*Feed{f1, f2}, 500)
+	out, err = collectOpen(context.Background(), []*Feed{f1, f2}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 2 {
-		t.Errorf("drain day 500: %v", out)
+		t.Errorf("day 500: %v", out)
 	}
 	if calls != 2 {
 		t.Errorf("collect calls: %d", calls)
@@ -157,9 +172,10 @@ func TestTracerouteFeed(t *testing.T) {
 	}
 }
 
-// TestDrainHonorsContext: cancellation between feeds stops the drain and
-// returns the feeds already collected alongside ctx's error.
-func TestDrainHonorsContext(t *testing.T) {
+// TestOpenHonorsContext: each source Open returns checks ctx before
+// collecting, so cancellation between feeds stops the pull with the
+// feeds already collected and ctx's error.
+func TestOpenHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	a1 := []ip6.Addr{ip6.MustParseAddr("2001:db9::1")}
 	collected := []string{}
@@ -173,7 +189,7 @@ func TestDrainHonorsContext(t *testing.T) {
 				return a1, nil
 			}}
 	}
-	out, err := Drain(ctx, []*Feed{mk("a", false), mk("b", true), mk("c", false)}, 5)
+	out, err := collectOpen(ctx, []*Feed{mk("a", false), mk("b", true), mk("c", false)}, 5)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -188,7 +204,7 @@ func TestDrainHonorsContext(t *testing.T) {
 	boom := errors.New("collector offline")
 	bad := &Feed{Name: "bad", FromDay: 0, ToDay: 100,
 		Collect: func(context.Context, int) ([]ip6.Addr, error) { return nil, boom }}
-	out, err = Drain(context.Background(), []*Feed{mk("a", false), bad}, 5)
+	out, err = collectOpen(context.Background(), []*Feed{mk("a", false), bad}, 5)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -252,8 +268,7 @@ func TestFeedSource(t *testing.T) {
 
 // TestHitlistFileFeed pins the streaming .hl6-backed feed: lazy open on
 // the first pull, full contents delivered, open errors surfacing from
-// Next, inactivity yielding an empty stream, and Drain's materializing
-// compat path agreeing with the stream.
+// Next, and inactivity yielding an empty stream.
 func TestHitlistFileFeed(t *testing.T) {
 	addrs := []ip6.Addr{
 		ip6.MustParseAddr("2001:db8::1"),
@@ -281,15 +296,6 @@ func TestHitlistFileFeed(t *testing.T) {
 	empty, err := scan.Collect(f.Source(context.Background(), 10))
 	if err != nil || len(empty) != 0 {
 		t.Errorf("inactive day yielded %d addrs, err %v", len(empty), err)
-	}
-
-	// Drain's compat path materializes the same contents.
-	drained, err := Drain(context.Background(), []*Feed{f}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(drained["rdns-import"]) != len(addrs) {
-		t.Errorf("Drain got %d addrs", len(drained["rdns-import"]))
 	}
 
 	// A missing file fails at pull time, not construction time.

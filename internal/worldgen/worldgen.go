@@ -40,12 +40,6 @@ func TimelineParams(seed uint64) Params {
 	return Params{Seed: seed, Scale: 1.0 / 500, TailASes: 240, ScanIntervalDays: 7}
 }
 
-// SnapshotParams is the default configuration for single-snapshot
-// experiments (aliased prefix analysis, new sources).
-func SnapshotParams(seed uint64) Params {
-	return Params{Seed: seed, Scale: 1.0 / 200, TailASes: 240, ScanIntervalDays: 7}
-}
-
 // TestParams is a miniature world for unit tests.
 func TestParams(seed uint64) Params {
 	return Params{Seed: seed, Scale: 1.0 / 20000, TailASes: 24, ScanIntervalDays: 7}

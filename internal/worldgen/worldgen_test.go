@@ -4,10 +4,26 @@ import (
 	"context"
 	"testing"
 
+	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
+	"hitlist6/internal/scan"
 	"hitlist6/internal/sources"
 	"hitlist6/internal/yarrp"
 )
+
+// collectFeeds pulls every feed active at day into a map by feed name.
+func collectFeeds(t *testing.T, feeds []*sources.Feed, day int) map[string][]ip6.Addr {
+	t.Helper()
+	out := make(map[string][]ip6.Addr)
+	for _, ns := range sources.Open(context.Background(), feeds, day) {
+		addrs, err := scan.Collect(ns.Src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ns.Name] = addrs
+	}
+	return out
+}
 
 func TestGenerateBasics(t *testing.T) {
 	w, err := Generate(TestParams(1))
@@ -101,10 +117,7 @@ func TestFeedsProduceInput(t *testing.T) {
 	if len(feeds) < 6 {
 		t.Fatalf("feeds: %d", len(feeds))
 	}
-	out, err := sources.Drain(context.Background(), feeds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := collectFeeds(t, feeds, 0)
 	total := 0
 	for name, addrs := range out {
 		total += len(addrs)
@@ -124,15 +137,15 @@ func TestFeedsProduceInput(t *testing.T) {
 	// rDNS snapshot stays open for two weeks (until the next scheduled
 	// scan) and then closes.
 	rdnsDay := netmodel.DayOf(2019, 2, 1)
-	out, _ = sources.Drain(context.Background(), feeds, rdnsDay)
+	out = collectFeeds(t, feeds, rdnsDay)
 	if len(out["rdns"]) == 0 {
 		t.Error("rdns feed empty on its day")
 	}
-	out, _ = sources.Drain(context.Background(), feeds, rdnsDay+7)
+	out = collectFeeds(t, feeds, rdnsDay+7)
 	if len(out["rdns"]) == 0 {
 		t.Error("rdns feed must cover the following scan")
 	}
-	out, _ = sources.Drain(context.Background(), feeds, rdnsDay+20)
+	out = collectFeeds(t, feeds, rdnsDay+20)
 	if len(out["rdns"]) != 0 {
 		t.Error("rdns feed active past its window")
 	}
