@@ -28,6 +28,10 @@
 // -cpuprofile and -memprofile write pprof profiles of the scan (the CPU
 // profile starts after world generation), so probe-hot-path regressions
 // are diagnosable against a real scan shape without editing benchmarks.
+// They cover -timeline too: the CPU profile spans every scan of the
+// timeline (and the resume), the heap profile is taken after the last
+// scan, and SIGINT/SIGTERM stops the timeline after the scan in flight
+// with both profiles still written.
 //
 // -serve ADDR attaches the hitlist-as-a-service layer after the scan:
 // the distinct-responder set (implies -distinct) freezes into a
@@ -42,6 +46,7 @@
 //	zmap6sim -sample 10000 -batchstats > scan.csv
 //	zmap6sim -sample 100000 -cpuprofile cpu.out -memprofile mem.out > /dev/null
 //	zmap6sim -sample 100000 -serve :5353 > scan.csv
+//	zmap6sim -timeline -scale 0.00025 -stride 8 -cpuprofile cpu.out -memprofile mem.out > /dev/null
 package main
 
 import (
@@ -170,8 +175,9 @@ func main() {
 		pause       = flag.Duration("pause", 0, "-timeline: pause between scans")
 	)
 	flag.Parse()
+	prof := &profiles{cpuPath: *cpuProfile, memPath: *memProfile}
 	if *timeline {
-		timelineMain(*scale, *seed, *stride, *ckptDir, *ckptEvery, *ckptFull, *resume, *pause)
+		timelineMain(*scale, *seed, *stride, *ckptDir, *ckptEvery, *ckptFull, *resume, *pause, prof)
 		return
 	}
 	if *serveAddr != "" && *spillDir == "" {
@@ -294,35 +300,13 @@ func main() {
 	// instead of by editing benchmarks. The CPU profile starts after
 	// world generation — the scan is what the flag is for — and is
 	// flushed through the cleanup chain so error exits keep it too.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			die("creating cpu profile: %v\n", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			die("starting cpu profile: %v\n", err)
-		}
-		prev := cleanup
-		cleanup = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			prev()
-		}
+	if err := prof.start(); err != nil {
+		die("%v\n", err)
 	}
-	writeMemProfile := func() {
-		if *memProfile == "" {
-			return
-		}
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating mem profile: %v\n", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC() // surface live heap, not transient garbage
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "writing mem profile: %v\n", err)
-		}
+	prev := cleanup
+	cleanup = func() {
+		prof.stopCPU()
+		prev()
 	}
 
 	out, err := scan.NewWriter(os.Stdout)
@@ -498,8 +482,60 @@ func main() {
 		<-sig
 		conn.Close()
 	}
-	writeMemProfile()
+	prof.writeHeap()
 	cleanup()
+}
+
+// profiles owns -cpuprofile and -memprofile for either mode. Callers
+// start the CPU profile after world generation, so the scans are what
+// it samples; writeHeap takes the heap profile after the last scan.
+type profiles struct {
+	cpuPath, memPath string
+	cpu              *os.File
+}
+
+// start begins the CPU profile, if one was asked for.
+func (p *profiles) start() error {
+	if p.cpuPath == "" {
+		return nil
+	}
+	f, err := os.Create(p.cpuPath)
+	if err != nil {
+		return fmt.Errorf("creating cpu profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("starting cpu profile: %w", err)
+	}
+	p.cpu = f
+	return nil
+}
+
+// stopCPU flushes the CPU profile; safe to call more than once.
+func (p *profiles) stopCPU() {
+	if p.cpu == nil {
+		return
+	}
+	pprof.StopCPUProfile()
+	p.cpu.Close()
+	p.cpu = nil
+}
+
+// writeHeap writes the heap profile, if one was asked for.
+func (p *profiles) writeHeap() {
+	if p.memPath == "" {
+		return
+	}
+	f, err := os.Create(p.memPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "creating mem profile: %v\n", err)
+		return
+	}
+	defer f.Close()
+	runtime.GC() // surface live heap, not transient garbage
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		fmt.Fprintf(os.Stderr, "writing mem profile: %v\n", err)
+	}
 }
 
 // printFleetSummary renders the per-worker table: shard counts, probes,

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/signal"
 	"strconv"
+	"syscall"
 	"time"
 
 	"hitlist6/internal/core"
@@ -23,7 +25,11 @@ import (
 // rows of every completed scan, and continues the schedule — so a run
 // SIGKILLed anywhere and resumed produces byte-identical CSV to an
 // uninterrupted one (the CI kill-and-resume job diffs them with cmp).
-func timelineMain(scale float64, seed uint64, stride int, ckptDir string, ckptEvery, ckptFull int, resume bool, pause time.Duration) {
+// prof's CPU profile starts after world generation and spans the resume
+// and every scan; its heap profile is taken after the last scan. With a
+// profile asked for, SIGINT/SIGTERM ends the timeline after the scan in
+// flight, writes both profiles and exits 1.
+func timelineMain(scale float64, seed uint64, stride int, ckptDir string, ckptEvery, ckptFull int, resume bool, pause time.Duration, prof *profiles) {
 	if resume && ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "-resume needs -ckpt")
 		os.Exit(2)
@@ -40,6 +46,11 @@ func timelineMain(scale float64, seed uint64, stride int, ckptDir string, ckptEv
 		os.Exit(1)
 	}
 	feeds := w.BuildFeeds(yarrp.New(w.Net, yarrp.Config{Seed: seed}))
+	if err := prof.start(); err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		os.Exit(1)
+	}
+	defer prof.stopCPU()
 
 	cfg := core.DefaultConfig(seed)
 	cfg.GFWFilterFromDay = netmodel.DayOf(2022, time.February, 7)
@@ -55,6 +66,7 @@ func timelineMain(scale float64, seed uint64, stride int, ckptDir string, ckptEv
 			svc = nil
 		} else if err != nil {
 			fmt.Fprintf(os.Stderr, "resuming: %v\n", err)
+			prof.stopCPU()
 			os.Exit(1)
 		} else {
 			fmt.Fprintf(os.Stderr, "resumed from %s: %d scans completed\n", ckptDir, len(svc.Records()))
@@ -67,6 +79,7 @@ func timelineMain(scale float64, seed uint64, stride int, ckptDir string, ckptEv
 	die := func(format string, a ...any) {
 		fmt.Fprintf(os.Stderr, format, a...)
 		svc.Close()
+		prof.stopCPU()
 		os.Exit(1)
 	}
 
@@ -113,15 +126,30 @@ func timelineMain(scale float64, seed uint64, stride int, ckptDir string, ckptEv
 	}
 
 	ctx := context.Background()
-	for i := len(svc.Records()) * stride; i < len(w.ScanDays); i += stride {
+	if prof.cpuPath != "" || prof.memPath != "" {
+		var stop context.CancelFunc
+		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		defer stop()
+	}
+	for i := len(svc.Records()) * stride; i < len(w.ScanDays) && ctx.Err() == nil; i += stride {
 		rec, err := svc.RunScan(ctx, w.ScanDays[i])
 		if err != nil {
+			if ctx.Err() != nil {
+				break
+			}
 			die("scan at day %d: %v\n", w.ScanDays[i], err)
 		}
 		writeRow(rec)
 		if pause > 0 {
-			time.Sleep(pause)
+			select {
+			case <-ctx.Done():
+			case <-time.After(pause):
+			}
 		}
+	}
+	prof.writeHeap()
+	if ctx.Err() != nil {
+		die("interrupted after %d scans\n", len(svc.Records()))
 	}
 
 	f := svc.Funnel()

@@ -5,6 +5,7 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -302,7 +303,9 @@ type EUI64Stats struct {
 	TopMACAddrs int
 	// SingleUseMACs counts MACs seen in exactly one address.
 	SingleUseMACs int
-	TopOUI        [3]byte
+	// TopOUI is the OUI of the most frequent MAC; of MACs tied at the
+	// top count, the smallest in byte order.
+	TopOUI [3]byte
 }
 
 // EUI64Analysis computes EUI-64 statistics over a set.
@@ -318,7 +321,7 @@ func EUI64Analysis(set ip6.Set) EUI64Stats {
 	st.DistinctMACs = len(macCount)
 	var topMAC ip6.MAC
 	for mac, c := range macCount {
-		if c > st.TopMACAddrs {
+		if c > st.TopMACAddrs || (c == st.TopMACAddrs && bytes.Compare(mac[:], topMAC[:]) < 0) {
 			st.TopMACAddrs = c
 			topMAC = mac
 		}

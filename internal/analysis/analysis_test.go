@@ -235,3 +235,25 @@ func TestEUI64Analysis(t *testing.T) {
 		t.Errorf("top OUI: %v", st.TopOUI)
 	}
 }
+
+// TestEUI64TopOUITie: two MACs tied at the top count report the smaller
+// MAC's OUI, on every run and for either insertion order.
+func TestEUI64TopOUITie(t *testing.T) {
+	small := ip6.MAC{0x00, 0x1e, 0x73, 1, 2, 3}
+	large := ip6.MAC{0x28, 0x6f, 0x7f, 9, 9, 9}
+	for _, order := range [][2]ip6.MAC{{small, large}, {large, small}} {
+		for run := 0; run < 50; run++ {
+			set := ip6.NewSet(0)
+			for _, mac := range order {
+				for _, ps := range []string{"2003:1::/64", "2003:2::/64"} {
+					set.Add(ip6.AddrFromMAC(ip6.MustParsePrefix(ps), mac))
+				}
+			}
+			st := EUI64Analysis(set)
+			if st.TopMACAddrs != 2 || st.TopOUI != small.OUI() {
+				t.Fatalf("order %v run %d: top %d addresses, OUI %x; want 2, %x",
+					order, run, st.TopMACAddrs, st.TopOUI, small.OUI())
+			}
+		}
+	}
+}

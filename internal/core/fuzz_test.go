@@ -85,3 +85,54 @@ func FuzzCheckpointTables(f *testing.F) {
 		}
 	})
 }
+
+// FuzzResumeState feeds arbitrary bytes to Resume as state.json, restamped
+// into the valid checkpoint a service wrote so the damage passes the
+// manifest's CRC and only the state reader and restoreFrom see it.
+// Resume must return a service or an error wrapping ckpt.ErrCorrupt; it
+// must never panic, read out of range or size an allocation from a
+// count the bytes cannot hold.
+func FuzzResumeState(f *testing.F) {
+	base := filepath.Join(f.TempDir(), "ck")
+	n, feeds := tinyWorld(f)
+	s := NewService(DefaultConfig(1), n, feeds, nil)
+	runDays(f, s, weekly(0, 70))
+	if err := s.Checkpoint(base); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, name := range []string{ckpt.ManifestName, ckpt.SegmentName} {
+		b, err := os.ReadFile(filepath.Join(base, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		files[name] = b
+	}
+	f.Add(ckpttest.Payload(f, base, ckptStateFile))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := filepath.Join(t.TempDir(), "ck")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ckpttest.Edit(t, dir, ckptStateFile, true, func([]byte) []byte { return data })
+		svc, err := Resume(dir, DefaultConfig(1), n, feeds, nil)
+		if err != nil {
+			if !errors.Is(err, ckpt.ErrCorrupt) {
+				t.Fatalf("Resume: %v, want ckpt.ErrCorrupt", err)
+			}
+			return
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

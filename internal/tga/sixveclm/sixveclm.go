@@ -38,16 +38,22 @@ func DefaultConfig() Config { return Config{Seed: 6, Temperature: 0.8, Order: 2}
 // position (16..31) conditioned on the two preceding nibbles.
 const iidContexts = 16 * 16 * 16
 
+// powMemo bounds the per-generator table of tempered weights: counts
+// below it are raised to 1/Temperature once, larger ones every time.
+const powMemo = 1024
+
 // Generator is the 6VecLM TGA: integer transition counts for the IID
 // contexts and the sorted distinct /64s of the seeds, both grown by the
 // seeds each view adds, plus a per-context sampler built on first use
-// and dropped when new seeds change that context's counts.
+// and dropped when new seeds change that context's counts. pow memoizes
+// the tempered weight of each small count (0 = not yet computed).
 type Generator struct {
 	cfg      Config
 	kept     tga.KeptSpans
 	counts   [iidContexts][16]int64
 	samplers [iidContexts]*rng.Weighted
 	prefixes []ip6.Prefix
+	pow      [powMemo]float64
 }
 
 // New returns a 6VecLM generator.
@@ -81,11 +87,23 @@ func (g *Generator) sampler(c int) *rng.Weighted {
 	if g.samplers[c] == nil {
 		var w [16]float64
 		for v, cnt := range g.counts[c] {
-			w[v] = math.Pow(0.02+float64(cnt), 1.0/g.cfg.Temperature)
+			w[v] = g.weight(cnt)
 		}
 		g.samplers[c] = rng.NewWeighted(w[:])
 	}
 	return g.samplers[c]
+}
+
+// weight is the tempered, smoothed weight of a transition count.
+func (g *Generator) weight(cnt int64) float64 {
+	if cnt < powMemo && g.pow[cnt] != 0 {
+		return g.pow[cnt]
+	}
+	w := math.Pow(0.02+float64(cnt), 1.0/g.cfg.Temperature)
+	if cnt < powMemo {
+		g.pow[cnt] = w
+	}
+	return w
 }
 
 // update grows the model by the seeds the view adds (or rebuilds it from

@@ -5,6 +5,11 @@ package tga
 // incrementally — and NewViewSource adapts that push stream into the
 // scan engine's pull-based TargetSource, so "generate → probe → feed
 // back" runs end to end without ever materializing a candidate list.
+// Generation starts when the source is made, not on its first pull: a
+// round that chains several generators' sources (scan.Chain) has every
+// model updating and emitting side by side while the first source's
+// candidates are pulled, and the chain still delivers each source's
+// stream whole, in order.
 
 import (
 	"io"
@@ -35,15 +40,16 @@ type ViewStreamer interface {
 const sourceChunk = 256
 
 // Source streams a generator's candidates as a pull-based
-// scan.TargetSource. The generator runs in its own goroutine, bounded by
-// a small chunk channel, so at most a few chunks exist at once no matter
-// how large the budget is. The stream is deterministic: pulls see
-// exactly EmitView's output order. Close stops an unfinished generator;
-// scan.Scanner.StreamFrom calls it automatically when the stream ends.
+// scan.TargetSource. The generator runs in its own goroutine, started
+// when the source is made and bounded by a small chunk channel, so at
+// most a few chunks exist at once no matter how large the budget is. The
+// stream is deterministic: pulls see exactly EmitView's output order.
+//
+// The goroutine owns the generator until the stream ends, so a caller
+// must either drain the source to io.EOF or Close it before it hands the
+// same generator to another source; scan.Scanner.StreamFrom closes its
+// source on every path.
 type Source struct {
-	emit func(yield func(ip6.Addr) bool)
-
-	started  bool
 	ch       chan []ip6.Addr
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -53,15 +59,11 @@ type Source struct {
 }
 
 // NewViewSource returns a pull source over g's candidate stream for the
-// view and budget. Generation starts lazily on the first pull, which is
-// when the generator's model grows by the view's new seeds.
+// view and budget, and starts the generator: its model grows by the
+// view's new seeds and its first chunks fill while the caller does
+// other work.
 func NewViewSource(g ViewStreamer, view *SeedView, budget int) *Source {
-	return &Source{emit: func(yield func(ip6.Addr) bool) { g.EmitView(view, budget, yield) }}
-}
-
-func (s *Source) start() {
-	s.ch = make(chan []ip6.Addr, 4)
-	s.stop = make(chan struct{})
+	s := &Source{ch: make(chan []ip6.Addr, 4), stop: make(chan struct{})}
 	go func() {
 		defer close(s.ch)
 		buf := make([]ip6.Addr, 0, sourceChunk)
@@ -77,7 +79,7 @@ func (s *Source) start() {
 				return false
 			}
 		}
-		s.emit(func(a ip6.Addr) bool {
+		g.EmitView(view, budget, func(a ip6.Addr) bool {
 			buf = append(buf, a)
 			if len(buf) == sourceChunk {
 				return flush()
@@ -91,14 +93,11 @@ func (s *Source) start() {
 		})
 		flush()
 	}()
+	return s
 }
 
 // Next implements scan.TargetSource.
 func (s *Source) Next(buf []ip6.Addr) (int, error) {
-	if !s.started {
-		s.started = true
-		s.start()
-	}
 	for len(s.cur) == 0 {
 		if s.done {
 			return 0, io.EOF
@@ -116,11 +115,14 @@ func (s *Source) Next(buf []ip6.Addr) (int, error) {
 	return n, nil
 }
 
-// Close stops the generator goroutine; safe to call more than once, and
-// after exhaustion. It never blocks.
+// Close stops the generator and returns once its goroutine has: a model
+// update in progress runs to its end first, so after Close the generator
+// is free for the next source. Safe to call more than once, and after
+// exhaustion; pulls after Close return what was already pulled into the
+// current chunk and then io.EOF.
 func (s *Source) Close() error {
-	if s.started {
-		s.stopOnce.Do(func() { close(s.stop) })
+	s.stopOnce.Do(func() { close(s.stop) })
+	for range s.ch { // drop unpulled chunks until the goroutine ends
 	}
 	return nil
 }

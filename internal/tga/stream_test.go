@@ -6,8 +6,11 @@ import (
 	"encoding/hex"
 	"io"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -242,6 +245,171 @@ func TestSourceEarlyClose(t *testing.T) {
 		}
 	}
 	t.Fatal("source did not terminate after Close")
+}
+
+// pullAll drains src with pulls of bufSize addresses.
+func pullAll(t *testing.T, src scan.TargetSource, bufSize int) []ip6.Addr {
+	t.Helper()
+	var out []ip6.Addr
+	buf := make([]ip6.Addr, bufSize)
+	for {
+		n, err := src.Next(buf)
+		out = append(out, buf[:n]...)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestChainedRoundMatchesSerial pins a round of the TGA loop: the five
+// generators' sources, all started when made and joined with
+// scan.Chain, deliver exactly what five twin generators emit run one
+// after another — over two successive grow-only views, so the second
+// round's incremental model updates also run side by side — for any
+// pull buffer size.
+func TestChainedRoundMatchesSerial(t *testing.T) {
+	seeds := streamSeeds()
+	set := ip6.NewShardedSet()
+	var views []*tga.SeedView
+	var prev *ip6.SortedShardSet
+	for _, part := range [][]ip6.Addr{seeds[:len(seeds)/2], seeds[len(seeds)/2:]} {
+		for _, a := range part {
+			set.Add(a)
+		}
+		prev, _, _ = ip6.FreezeSortedDelta(set, prev)
+		views = append(views, tga.NewSeedView(prev))
+	}
+	const budget = 400
+	for _, bufSize := range []int{1, 7, 513} {
+		gens, twins := generators(), generators()
+		for round, v := range views {
+			var want []ip6.Addr
+			for _, g := range twins {
+				want = append(want, emitAll(g, v, budget)...)
+			}
+			srcs := make([]scan.TargetSource, len(gens))
+			for i, g := range gens {
+				srcs[i] = tga.NewViewSource(g, v, budget)
+			}
+			chain := scan.Chain(srcs...)
+			got := pullAll(t, chain, bufSize)
+			if err := chain.(io.Closer).Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatalf("round %d: no candidates generated", round)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("buf %d round %d: chained stream diverges from the serial twins (%d vs %d candidates)",
+					bufSize, round, len(got), len(want))
+			}
+		}
+	}
+}
+
+// gatedGen is a ViewStreamer whose model update blocks until the test
+// releases it, and which counts the EmitView calls in flight. Stopped by
+// its yield, it takes a moment to unwind, as a real model does.
+type gatedGen struct {
+	entered  chan struct{} // one send per EmitView, on entry
+	release  chan struct{} // one receive per EmitView, ending its update
+	inFlight atomic.Int32
+	maxSeen  atomic.Int32
+}
+
+func (g *gatedGen) Name() string { return "gated" }
+
+func (g *gatedGen) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
+	n := g.inFlight.Add(1)
+	defer g.inFlight.Add(-1)
+	for m := g.maxSeen.Load(); n > m && !g.maxSeen.CompareAndSwap(m, n); m = g.maxSeen.Load() {
+	}
+	g.entered <- struct{}{}
+	<-g.release
+	p := ip6.MustParsePrefix("2001:db8:99::/64")
+	for i := 0; i < budget; i++ {
+		if !yield(p.NthAddr(uint64(i))) {
+			time.Sleep(10 * time.Millisecond)
+			return
+		}
+	}
+}
+
+// TestSourceCloseJoinsGenerator: Close returns only once the generator's
+// EmitView has — on a source never pulled, whose update is still
+// running, and on a partly pulled one — so a new source over the same
+// generator never overlaps the old one, and no goroutine outlives its
+// source.
+func TestSourceCloseJoinsGenerator(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	g := &gatedGen{entered: make(chan struct{}), release: make(chan struct{})}
+	v := tga.SeedViewOf(streamSeeds())
+	const budget = 1 << 20
+	start := func(what string, budget int) *tga.Source {
+		t.Helper()
+		src := tga.NewViewSource(g, v, budget)
+		select {
+		case <-g.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the generator did not start when the source was made", what)
+		}
+		return src
+	}
+
+	// Never pulled: Close waits out the blocked update.
+	src := start("unpulled source", budget)
+	closed := make(chan struct{})
+	go func() {
+		src.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while the generator's update was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	g.release <- struct{}{}
+	<-closed
+	if n := g.inFlight.Load(); n != 0 {
+		t.Fatalf("after Close of an unpulled source: %d EmitView calls in flight", n)
+	}
+
+	// Partly pulled: Close waits for EmitView to unwind, and a second
+	// source over the same generator starts only after it.
+	src = start("partly pulled source", budget)
+	g.release <- struct{}{}
+	buf := make([]ip6.Addr, 16)
+	if n, err := src.Next(buf); n == 0 || err != nil {
+		t.Fatalf("first pull: n=%d err=%v", n, err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := g.inFlight.Load(); n != 0 {
+		t.Fatalf("after Close of a partly pulled source: %d EmitView calls in flight", n)
+	}
+	next := start("second source", 1000)
+	g.release <- struct{}{}
+	if got := len(pullAll(t, next, 64)); got != 1000 {
+		t.Fatalf("second source pulled %d candidates, want 1000", got)
+	}
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m := g.maxSeen.Load(); m > 1 {
+		t.Fatalf("%d EmitView calls ran on one generator at once", m)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive their sources (baseline %d)", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestStreamingDedupMatchesDedupAgainstSeeds pins scan.Dedup as the
