@@ -506,7 +506,7 @@ func TestJournalRoundtrip(t *testing.T) {
 		t.Fatalf("JournalStat = %d, %d, %v, %v", count, bytes, ok, err)
 	}
 
-	jr, err := ckpt.OpenJournal(path)
+	jr, err := ckpt.OpenJournal(path, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,59 @@ func TestOpenJournalBadMagic(t *testing.T) {
 	if err := os.WriteFile(path, []byte("NOPE-not-a-journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ckpt.OpenJournal(path); !errors.Is(err, ckpt.ErrCorrupt) {
+	if _, err := ckpt.OpenJournal(path, 1); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("err = %v, want ckpt.ErrCorrupt", err)
+	}
+}
+
+// TestJournalFailsClosed: replay refuses a record naming a feed the
+// replaying ingest does not have, and a torn trailing record, with
+// ckpt.ErrCorrupt after handing out the whole records before it.
+func TestJournalFailsClosed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scan.journal")
+	jw, err := ckpt.CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, feed := range []int32{0, 1, 2, -1} {
+		if err := jw.Add(feed, ip6.MustParseAddr("2001:db8::1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(feeds int) (int, error) {
+		t.Helper()
+		jr, err := ckpt.OpenJournal(path, feeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jr.Close()
+		for n := 0; ; n++ {
+			_, _, ok, err := jr.Next()
+			if err != nil || !ok {
+				return n, err
+			}
+		}
+	}
+	// Feeds 2 and -1 (stored as 0xffffffff) are out of range for two feeds.
+	if n, err := replay(2); n != 2 || !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("feed out of range: %d records, err %v; want 2, ckpt.ErrCorrupt", n, err)
+	}
+	if n, err := replay(3); n != 3 || !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("feed -1: %d records, err %v; want 3, ckpt.ErrCorrupt", n, err)
+	}
+	// Cut the last record short: the three whole ones replay, then the
+	// torn tail fails closed.
+	if err := os.WriteFile(path, whole[:len(whole)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := replay(3); n != 3 || !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("torn record: %d records, err %v; want 3, ckpt.ErrCorrupt", n, err)
 	}
 }

@@ -88,13 +88,16 @@ func (j *JournalWriter) Discard() {
 
 // JournalReader replays a journal in write order.
 type JournalReader struct {
-	path string
-	f    *os.File
-	br   *bufio.Reader
+	path  string
+	f     *os.File
+	br    *bufio.Reader
+	feeds int
 }
 
-// OpenJournal opens the journal at path for replay.
-func OpenJournal(path string) (*JournalReader, error) {
+// OpenJournal opens the journal at path for replay. feeds is the number
+// of sources the journal was spooled from: a record naming a feed outside
+// [0, feeds) is corrupt.
+func OpenJournal(path string, feeds int) (*JournalReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -105,21 +108,28 @@ func OpenJournal(path string) (*JournalReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: journal %s: bad magic", ErrCorrupt, path)
 	}
-	return &JournalReader{path: path, f: f, br: br}, nil
+	return &JournalReader{path: path, f: f, br: br, feeds: feeds}, nil
 }
 
-// Next returns the next record; ok=false at end of journal.
+// Next returns the next record; ok=false at end of journal. A torn
+// trailing record or a feed index out of range fails closed with
+// ErrCorrupt.
 func (j *JournalReader) Next() (feed int32, a ip6.Addr, ok bool, err error) {
 	var rec [journalRecBytes]byte
-	if _, rerr := io.ReadFull(j.br, rec[:]); rerr != nil {
-		if rerr == io.EOF {
-			return 0, ip6.Addr{}, false, nil
-		}
+	switch _, rerr := io.ReadFull(j.br, rec[:]); {
+	case rerr == io.EOF:
+		return 0, ip6.Addr{}, false, nil
+	case rerr == io.ErrUnexpectedEOF:
+		return 0, ip6.Addr{}, false, fmt.Errorf("%w: journal %s: torn trailing record", ErrCorrupt, j.path)
+	case rerr != nil:
 		return 0, ip6.Addr{}, false, fmt.Errorf("ckpt: reading journal: %w", rerr)
 	}
-	feed = int32(binary.LittleEndian.Uint32(rec[:]))
+	idx := binary.LittleEndian.Uint32(rec[:])
+	if int64(idx) >= int64(j.feeds) {
+		return 0, ip6.Addr{}, false, fmt.Errorf("%w: journal %s: feed %d of %d", ErrCorrupt, j.path, idx, j.feeds)
+	}
 	copy(a[:], rec[4:])
-	return feed, a, true, nil
+	return int32(idx), a, true, nil
 }
 
 // Close closes the reader (the file stays; the replaying owner removes

@@ -1178,7 +1178,7 @@ func (s *Service) ingestJournaled(srcs []sources.NamedSource, day int, rec *Scan
 	}
 
 	// Replay phase: bounded chunks through the per-shard admission sweep.
-	jr, err := ckpt.OpenJournal(jpath)
+	jr, err := ckpt.OpenJournal(jpath, len(srcs))
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package netmodel
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"hitlist6/internal/dnswire"
 	"hitlist6/internal/ip6"
@@ -55,36 +54,6 @@ type GFWModel struct {
 	TeredoServers []ip6.IPv4
 
 	seed uint64
-
-	// templates caches one encoded reply per (question, flags, answer
-	// type): injection re-encodes the same handful of censored qnames
-	// millions of times, so forging becomes one copy with the ID, TTL
-	// and rdata patched in place. Keyed by injectKey.
-	templates sync.Map
-
-	// noTemplates disables the cache (the equivalence test's knob for
-	// the always-encode reference path).
-	noTemplates bool
-}
-
-// injectKey identifies one cached forged-reply template. Everything the
-// encoded bytes depend on is in the key except ID, TTL and rdata, which
-// are patched per injection (rdata length is fixed by ansType).
-type injectKey struct {
-	name    string
-	qtype   dnswire.Type
-	qclass  dnswire.Class
-	rd      bool
-	ansType dnswire.Type
-}
-
-// injectTemplate is the cached encoding plus its patch offsets. The ID
-// lives at offset 0; the answer's TTL and rdata sit at fixed trailing
-// offsets because the record is the last thing AppendReply emits.
-type injectTemplate struct {
-	wire   []byte
-	ttlOff int
-	rdOff  int
 }
 
 // NewGFWModel builds an injector with the default forged-address pools.
@@ -152,124 +121,43 @@ func (g *GFWModel) ActiveAt(day int) bool {
 	return ok
 }
 
-// Inject returns the forged wire-format responses for a query towards
-// target, or nil when the injector stays silent. Multiple injectors on the
-// path produce two or three answers, as the paper observed ("ZMap
-// accumulated two or three responses for each scanned address"). txid is
-// the per-probe transaction ID the forged replies echo; query may be a
-// shared read-only template (its Header.ID is ignored).
-func (g *GFWModel) Inject(target ip6.Addr, targetAS *AS, query *dnswire.Message, txid uint16, day int) [][]byte {
-	return g.injectInto(nil, target, targetAS, query, txid, day)
-}
-
-// injectInto is Inject with the forged replies built from arena slots
-// (nil arena falls back to heap allocation — the public path).
-func (g *GFWModel) injectInto(arena *WireArena, target ip6.Addr, targetAS *AS, query *dnswire.Message, txid uint16, day int) [][]byte {
+// injectInto returns the wire-format replies the injectors forge for a
+// probe towards target, or nil when the injector stays silent: plan is
+// the probe's DNS plan, which already settled that an era covers the day
+// and the question is blocked (plan.inject), so only the target's AS is
+// left to check. Multiple injectors on the path produce two or three
+// answers, as the paper observed ("ZMap accumulated two or three
+// responses for each scanned address"). Each reply is the plan's template
+// with txid, a per-reply TTL and the forged address patched in, built
+// from arena slots (nil arena falls back to heap allocation).
+func (g *GFWModel) injectInto(arena *WireArena, plan *DNSPlan, target ip6.Addr, targetAS *AS, txid uint16) [][]byte {
 	if targetAS == nil || !g.AffectedASNs[targetAS.ASN] {
 		return nil
 	}
-	era, ok := g.eraAt(day)
-	if !ok {
-		return nil
-	}
-	if len(query.Questions) == 0 {
-		return nil
-	}
-	q := query.Questions[0]
-	if !g.Blocked(q.Name) {
-		// Unblocked domains — including the authors' own — draw no
-		// answer at all, not even a DNS error.
-		return nil
-	}
-	hdr := dnswire.Header{
-		ID:                 txid,
-		Response:           true,
-		RecursionDesired:   query.Header.RecursionDesired,
-		RecursionAvailable: true,
-		RCode:              dnswire.RCodeNoError,
-	}
-	n := 2 + int(rng.Mix(g.seed, target.Hi(), target.Lo(), uint64(day), 0x6f3)%2)
+	day := uint64(plan.day)
+	n := 2 + int(rng.Mix(g.seed, target.Hi(), target.Lo(), day, 0x6f3)%2)
 	out := arena.List()
 	if out == nil {
 		out = make([][]byte, 0, n)
 	}
+	tpl := plan.template()
 	for i := 0; i < n; i++ {
-		h := rng.Mix(g.seed, target.Hi(), target.Lo(), uint64(day), uint64(i), 0x9a1)
-		ttl := 60 + uint32(h%240)
-		var wire []byte
-		var err error
-		switch era.Mode {
-		case InjectA:
-			// An A record answering an AAAA question: the signature of
-			// the first two events. One allocation per forged message —
-			// the old Reply+Encode pair burned six on the same bytes.
-			a := g.WrongIPv4s[h%uint64(len(g.WrongIPv4s))]
-			wire, err = g.forge(arena, hdr, query, dnswire.TypeA, ttl, a[:])
-		case InjectTeredo:
+		h := rng.Mix(g.seed, target.Hi(), target.Lo(), day, uint64(i), 0x9a1)
+		wire := arena.Seal(append(arena.Wire(), tpl...))
+		binary.BigEndian.PutUint16(wire, txid)
+		binary.BigEndian.PutUint32(wire[plan.ttlOff:], 60+uint32(h%240))
+		if plan.mode == InjectTeredo {
 			server := g.TeredoServers[h%uint64(len(g.TeredoServers))]
 			client := g.WrongIPv4s[(h>>8)%uint64(len(g.WrongIPv4s))]
 			aaaa := ip6.TeredoAddr(server, client)
-			wire, err = g.forge(arena, hdr, query, dnswire.TypeAAAA, ttl, aaaa[:])
-		}
-		if err != nil {
-			// The forged reply is built from validated parts; failing to
-			// encode indicates a programming error.
-			panic("netmodel: encoding injected response: " + err.Error())
+			copy(wire[plan.rdOff:], aaaa[:])
+		} else {
+			// An A record answering an AAAA question: the signature of
+			// the first two events.
+			a := g.WrongIPv4s[h%uint64(len(g.WrongIPv4s))]
+			copy(wire[plan.rdOff:], a[:])
 		}
 		out = append(out, wire)
 	}
 	return arena.SealList(out)
-}
-
-// forge encodes one injected reply: the cached-template fast path for
-// the single-question queries every scanner sends, the generic encoder
-// (byte-identical for this shape) for anything else.
-func (g *GFWModel) forge(arena *WireArena, hdr dnswire.Header, query *dnswire.Message, ansType dnswire.Type, ttl uint32, rdata []byte) ([]byte, error) {
-	q := query.Questions[0]
-	if len(query.Questions) == 1 {
-		if g.noTemplates {
-			wire, err := dnswire.AppendReply(arena.Wire(), hdr, q, ansType, ttl, rdata)
-			if err != nil {
-				return nil, err
-			}
-			return arena.Seal(wire), nil
-		}
-		return g.forgeFromTemplate(arena, hdr, q, ansType, ttl, rdata)
-	}
-	reply := &dnswire.Message{Header: hdr, Questions: query.Questions}
-	rr := dnswire.RR{Name: q.Name, Type: ansType, TTL: ttl}
-	switch ansType {
-	case dnswire.TypeA:
-		copy(rr.A[:], rdata)
-	case dnswire.TypeAAAA:
-		copy(rr.AAAA[:], rdata)
-	}
-	reply.Answers = append(reply.Answers, rr)
-	return reply.Encode()
-}
-
-// forgeFromTemplate copies the cached encoding for this question shape
-// and patches the three per-injection fields in place. AppendReply lays
-// the message out as header (ID at 0, flags at 2), question, then a
-// single answer whose TTL(4), rdlen(2), rdata trail the buffer — so the
-// patch offsets are len-relative constants captured at template build.
-func (g *GFWModel) forgeFromTemplate(arena *WireArena, hdr dnswire.Header, q dnswire.Question, ansType dnswire.Type, ttl uint32, rdata []byte) ([]byte, error) {
-	key := injectKey{name: q.Name, qtype: q.Type, qclass: q.Class, rd: hdr.RecursionDesired, ansType: ansType}
-	v, ok := g.templates.Load(key)
-	if !ok {
-		proto := hdr
-		proto.ID = 0
-		tw, err := dnswire.AppendReply(nil, proto, q, ansType, 0, make([]byte, len(rdata)))
-		if err != nil {
-			return nil, err
-		}
-		rdOff := len(tw) - len(rdata)
-		v, _ = g.templates.LoadOrStore(key, &injectTemplate{wire: tw, ttlOff: rdOff - 6, rdOff: rdOff})
-	}
-	t := v.(*injectTemplate)
-	wire := arena.Seal(append(arena.Wire(), t.wire...))
-	binary.BigEndian.PutUint16(wire, hdr.ID)
-	binary.BigEndian.PutUint32(wire[t.ttlOff:], ttl)
-	copy(wire[t.rdOff:], rdata)
-	return wire, nil
 }

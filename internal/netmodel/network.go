@@ -22,7 +22,8 @@ const (
 	PacketTooBig                  // ICMPv6 Packet Too Big carrying MTU
 )
 
-// Probe is one outgoing packet.
+// Probe is one outgoing packet. Network.Probe sends it to Target on
+// Day; ProbeResolved takes both from its Resolved instead.
 type Probe struct {
 	Kind   ProbeKind
 	Target ip6.Addr
@@ -39,6 +40,13 @@ type Probe struct {
 	// without a question, draws no answer.
 	Query *dnswire.Message
 	TxID  uint16
+
+	// Plan, when non-nil, is PlanDNS(Query, Day) made once and shared by
+	// every probe carrying the same Query on the same Day — the scan
+	// engine makes one per scan. A plan is valid for one query and one
+	// day: a DNSQuery probe whose Plan was made for another query or day,
+	// or that has none, has one made for the call.
+	Plan *DNSPlan
 
 	// Arena, when non-nil, recycles the response's DNS wire buffers:
 	// replies are appended into arena slots instead of fresh heap
@@ -319,19 +327,13 @@ func (n *Network) Resolve(target ip6.Addr, shard, day int) Resolved {
 // It is safe for concurrent use.
 func (n *Network) Probe(p Probe) Response {
 	res := n.Resolve(p.Target, ip6.ShardOf(p.Target), p.Day)
-	return n.probeResolved(&p, &res)
+	return n.ProbeResolved(&p, &res)
 }
 
-// ProbeResolved is Probe against an already resolved target: p.Target and
-// p.Day are taken from res, whatever the probe carries.
-func (n *Network) ProbeResolved(p Probe, res *Resolved) Response {
-	p.Target, p.Day = res.target, res.day
-	return n.probeResolved(&p, res)
-}
-
-// probeResolved is the one probe implementation; p.Target and p.Day
-// agree with res.
-func (n *Network) probeResolved(p *Probe, res *Resolved) Response {
+// ProbeResolved is Probe against an already resolved target: the target
+// and day are taken from res, whatever p.Target and p.Day say. p is only
+// read, so a caller may send the same probe again.
+func (n *Network) ProbeResolved(p *Probe, res *Resolved) Response {
 	n.probes[res.shard].n.Add(1)
 	switch p.Kind {
 	case EchoRequest:
@@ -380,7 +382,7 @@ func (n *Network) probeEcho(p *Probe, res *Resolved) Response {
 	if !res.responds(ICMP) {
 		return Response{}
 	}
-	mtu, _, _ := n.effectiveMTU(p.Target, p.Day, res)
+	mtu, _, _ := n.effectiveMTU(res.target, res.day, res)
 	frag := p.Size > 0 && p.Size+48 > int(mtu) // 40 B IPv6 + 8 B ICMPv6 headers
 	return Response{Kind: RespEchoReply, Fragmented: frag}
 }
@@ -394,8 +396,8 @@ func (n *Network) probePTB(p *Probe, res *Resolved) Response {
 	if mtu < 1280 {
 		mtu = 1280
 	}
-	if _, key, ok := n.effectiveMTU(p.Target, p.Day, res); ok {
-		n.pmtu.set(key, mtu, p.Day)
+	if _, key, ok := n.effectiveMTU(res.target, res.day, res); ok {
+		n.pmtu.set(key, mtu, res.day)
 	}
 	return Response{}
 }
@@ -411,14 +413,14 @@ func (n *Network) probeTCP(p *Probe, res *Resolved) Response {
 		return Response{}
 	}
 	if r := res.rule; r != nil && r.Protos.Has(proto) {
-		return Response{Kind: RespSynAck, FP: r.FingerprintFor(p.Target)}
+		return Response{Kind: RespSynAck, FP: r.FingerprintFor(res.target)}
 	}
 	if h := res.host; h != nil {
-		if h.RespondsTo(proto, p.Day) {
+		if h.RespondsTo(proto, res.day) {
 			return Response{Kind: RespSynAck, FP: h.FP}
 		}
 		// A live host without the port sends RST when it is up at all.
-		if h.upAt(p.Day) && h.Protos.Has(ICMP) {
+		if h.upAt(res.day) && h.Protos.Has(ICMP) {
 			return Response{Kind: RespRST}
 		}
 	}
@@ -433,17 +435,20 @@ func (n *Network) probeQUIC(p *Probe, res *Resolved) Response {
 }
 
 func (n *Network) probeDNS(p *Probe, res *Resolved) Response {
-	query, txid := p.Query, p.TxID
-	if query == nil || len(query.Questions) == 0 {
+	if p.Query == nil || len(p.Query.Questions) == 0 {
 		return Response{}
+	}
+	plan := p.Plan
+	if plan == nil || plan.query != p.Query || plan.day != res.day {
+		own := n.PlanDNS(p.Query, res.day)
+		plan = &own
 	}
 	var resp Response
 
 	// GFW injection happens on the path, before and regardless of the
-	// target itself.
-	if n.GFW != nil {
-		targetAS := n.AS.Lookup(p.Target)
-		if injected := n.GFW.injectInto(p.Arena, p.Target, targetAS, query, txid, p.Day); len(injected) > 0 {
+	// target itself; only a plan that can inject pays the AS lookup.
+	if plan.inject {
+		if injected := n.GFW.injectInto(p.Arena, plan, res.target, n.AS.Lookup(res.target), p.TxID); len(injected) > 0 {
 			resp.DNS = injected
 			resp.InjectedCount = len(injected)
 			resp.Kind = RespDNS
@@ -457,14 +462,14 @@ func (n *Network) probeDNS(p *Probe, res *Resolved) Response {
 		if behavior == DNSNone {
 			behavior = DNSRefusing
 		}
-	} else if h := res.host; h != nil && h.RespondsTo(UDP53, p.Day) {
+	} else if h := res.host; h != nil && h.RespondsTo(UDP53, res.day) {
 		behavior = h.DNS
 		if behavior == DNSNone {
 			behavior = DNSRefusing
 		}
 	}
 	if behavior != DNSNone {
-		if wire := n.answerDNS(p.Arena, p.Target, behavior, query, txid, p.Day); wire != nil {
+		if wire := n.answerDNS(p.Arena, plan, res.target, behavior, p.TxID); wire != nil {
 			if resp.DNS == nil {
 				resp.DNS = p.Arena.List()
 			}
@@ -483,7 +488,8 @@ func syntheticAAAA(qname string) ip6.Addr {
 	return ip6.AddrFromUint64s(0x2a0e_b107_0000_0000|h>>40, h)
 }
 
-func (n *Network) answerDNS(arena *WireArena, src ip6.Addr, behavior DNSBehavior, query *dnswire.Message, txid uint16, day int) []byte {
+func (n *Network) answerDNS(arena *WireArena, plan *DNSPlan, src ip6.Addr, behavior DNSBehavior, txid uint16) []byte {
+	query := plan.query
 	q := query.Questions[0]
 	// replyHeader is the header every branch shares; AppendReply takes it
 	// directly for the single-allocation fast paths, the slow branches
@@ -493,14 +499,13 @@ func (n *Network) answerDNS(arena *WireArena, src ip6.Addr, behavior DNSBehavior
 		Response:         true,
 		RecursionDesired: query.Header.RecursionDesired,
 	}
-	inOurZone := n.OurZone != "" && nameInZone(q.Name, n.OurZone)
 	switch behavior {
 	case DNSRefusing:
 		hdr.RCode = dnswire.RCodeRefused
 		return n.replyWire(arena, query, hdr, 0, 0, nil)
 	case DNSOpenResolver, DNSProxy:
 		hdr.RecursionAvailable = true
-		if inOurZone {
+		if plan.inOurZone {
 			logged := src
 			if behavior == DNSProxy {
 				// The recursion exits through a different interface: the
@@ -512,8 +517,7 @@ func (n *Network) answerDNS(arena *WireArena, src ip6.Addr, behavior DNSBehavior
 			n.recordNSQuery(logged, dnswire.NormalizeName(q.Name))
 		}
 		if q.Type == dnswire.TypeAAAA {
-			aaaa := syntheticAAAA(q.Name)
-			return n.replyWire(arena, query, hdr, dnswire.TypeAAAA, 300, aaaa[:])
+			return n.replyWire(arena, query, hdr, dnswire.TypeAAAA, 300, plan.aaaa[:])
 		}
 		return n.replyWire(arena, query, hdr, 0, 0, nil)
 	case DNSReferral:
@@ -527,7 +531,7 @@ func (n *Network) answerDNS(arena *WireArena, src ip6.Addr, behavior DNSBehavior
 		return encodeReply(reply)
 	case DNSBroken:
 		// Incorrect status codes or referrals to localhost.
-		if rng.Mix(src.Hi(), src.Lo(), uint64(day), 0xb40c)%2 == 0 {
+		if rng.Mix(src.Hi(), src.Lo(), uint64(plan.day), 0xb40c)%2 == 0 {
 			hdr.RCode = dnswire.RCodeNotImp
 			return n.replyWire(arena, query, hdr, 0, 0, nil)
 		}

@@ -236,30 +236,37 @@ type target struct {
 	mix  rng.MixState // rng.MixPrefix(seed, addr.Hi(), addr.Lo())
 }
 
-// resolve looks a target up for a day. shard must be ip6.ShardOf(addr).
-func (s *Scanner) resolve(addr ip6.Addr, shard, day int) target {
-	return target{
-		addr: addr,
-		day:  day,
-		res:  s.net.Resolve(addr, shard, day),
-		mix:  rng.MixPrefix(s.cfg.Seed, addr.Hi(), addr.Lo()),
-	}
+// resolve looks a target up for a day into t, in place (the probe loop
+// reuses one target). shard must be ip6.ShardOf(addr).
+func (s *Scanner) resolve(t *target, addr ip6.Addr, shard, day int) {
+	t.addr, t.day = addr, day
+	t.res = s.net.Resolve(addr, shard, day)
+	t.mix = rng.MixPrefix(s.cfg.Seed, addr.Hi(), addr.Lo())
 }
 
 // ProbeOne probes a single target with a single protocol, honoring loss
-// and retries.
+// and retries. A UDP/53 probe makes its DNS plan for the call.
 func (s *Scanner) ProbeOne(addr ip6.Addr, proto netmodel.Protocol, day int) Result {
-	t := s.resolve(addr, ip6.ShardOf(addr), day)
-	return s.probe(&t, proto, nil)
+	var t target
+	s.resolve(&t, addr, ip6.ShardOf(addr), day)
+	var res Result
+	s.probe(&t, proto, nil, nil, &res)
+	return res
 }
 
-// probe sends one protocol's probes at a resolved target, with the
-// response's DNS wire buffers drawn from arena slots when one is
-// supplied — the streaming engine's path, which pairs an arena with each
-// batch and recycles both together. The returned Result's DNS slices
-// then alias arena memory and are only valid until the arena resets.
-func (s *Scanner) probe(t *target, proto netmodel.Protocol, arena *netmodel.WireArena) Result {
-	res := Result{Target: t.addr, Proto: proto, Day: t.day}
+// probe sends one protocol's probes at a resolved target and fills res,
+// which must be zero, in place — field by field, because a composite
+// store of the whole Result is a block copy on this, the hottest loop of
+// a scan. The response's DNS wire buffers are drawn from arena slots when
+// one is supplied — the streaming engine's path, which pairs an arena
+// with each batch and recycles both together; res.DNS then aliases arena
+// memory and is only valid until the arena resets. plan, when non-nil, is
+// the scan's shared DNS plan for s.dnsQuery on t.day.
+func (s *Scanner) probe(t *target, proto netmodel.Protocol, arena *netmodel.WireArena, plan *netmodel.DNSPlan, res *Result) {
+	res.Target, res.Proto, res.Day = t.addr, proto, t.day
+	var pr netmodel.Probe
+	s.buildProbe(&pr, t, proto)
+	pr.Arena, pr.Plan = arena, plan
 	// Deterministic per-attempt loss: Mix(seed, hi, lo, proto, day,
 	// attempt, 0x1055) against the loss threshold (0 when loss is off).
 	loss := t.mix.Add(uint64(proto)).Add(uint64(t.day))
@@ -267,9 +274,7 @@ func (s *Scanner) probe(t *target, proto netmodel.Protocol, arena *netmodel.Wire
 		if loss.Add(uint64(attempt)).Add(0x1055).Sum()&0xffffffff < s.lossTh {
 			continue
 		}
-		pr := s.buildProbe(t, proto)
-		pr.Arena = arena
-		resp := s.net.ProbeResolved(pr, &t.res)
+		resp := s.net.ProbeResolved(&pr, &t.res)
 		if resp.Kind == netmodel.RespNone {
 			// Genuine silence: retrying cannot change the outcome, the
 			// world is deterministic within a day.
@@ -290,37 +295,41 @@ func (s *Scanner) probe(t *target, proto netmodel.Protocol, arena *netmodel.Wire
 		// retry at a silent target.
 		res.Attempts = uint16(1 + s.cfg.Retries)
 	}
-	return res
 }
 
-func (s *Scanner) buildProbe(t *target, proto netmodel.Protocol) netmodel.Probe {
+// buildProbe fills the zero probe pr for one protocol at a resolved
+// target; ProbeResolved takes the target and day from t.res.
+func (s *Scanner) buildProbe(pr *netmodel.Probe, t *target, proto netmodel.Protocol) {
 	switch proto {
 	case netmodel.ICMP:
-		return netmodel.Probe{Kind: netmodel.EchoRequest, Target: t.addr, Day: t.day, Size: 8}
+		pr.Kind, pr.Size = netmodel.EchoRequest, 8
 	case netmodel.TCP80:
-		return netmodel.Probe{Kind: netmodel.TCPSYN, Target: t.addr, Day: t.day, Port: 80}
+		pr.Kind, pr.Port = netmodel.TCPSYN, 80
 	case netmodel.TCP443:
-		return netmodel.Probe{Kind: netmodel.TCPSYN, Target: t.addr, Day: t.day, Port: 443}
+		pr.Kind, pr.Port = netmodel.TCPSYN, 443
 	case netmodel.UDP443:
-		return netmodel.Probe{Kind: netmodel.QUICInitial, Target: t.addr, Day: t.day, Port: 443}
+		pr.Kind, pr.Port = netmodel.QUICInitial, 443
 	case netmodel.UDP53:
-		txid := uint16(t.mix.Add(uint64(t.day)).Sum())
+		pr.Kind = netmodel.DNSQuery
+		pr.TxID = uint16(t.mix.Add(uint64(t.day)).Sum())
 		if s.dnsQuery != nil {
 			// Template fast path: the shared parsed query plus the
 			// per-probe transaction ID.
-			return netmodel.Probe{Kind: netmodel.DNSQuery, Target: t.addr, Day: t.day, Query: s.dnsQuery, TxID: txid}
+			pr.Query = s.dnsQuery
+			return
 		}
 		qname := s.cfg.QName
 		if s.cfg.QNameFor != nil {
 			qname = s.cfg.QNameFor(t.addr)
 		}
-		q := dnswire.NewQuery(txid, qname, dnswire.TypeAAAA)
+		q := dnswire.NewQuery(pr.TxID, qname, dnswire.TypeAAAA)
 		if _, err := q.Encode(); err != nil {
 			panic(fmt.Sprintf("scan: building DNS query for %q: %v", qname, err))
 		}
-		return netmodel.Probe{Kind: netmodel.DNSQuery, Target: t.addr, Day: t.day, Query: q, TxID: txid}
+		pr.Query = q
+	default:
+		panic(fmt.Sprintf("scan: unknown protocol %v", proto))
 	}
-	panic(fmt.Sprintf("scan: unknown protocol %v", proto))
 }
 
 // StreamResponsiveFrom probes everything src yields and accumulates, per

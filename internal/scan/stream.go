@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -143,6 +144,10 @@ func (s *Scanner) StreamFrom(ctx context.Context, src TargetSource, protos []net
 	if s.cfg.SinkQueueDepth > 0 {
 		run.queue = newSinkQueue(s, sink, s.cfg.SinkQueueDepth, run.fail)
 	}
+	if s.dnsQuery != nil && slices.Contains(protos, netmodel.UDP53) {
+		plan := s.net.PlanDNS(s.dnsQuery, day)
+		run.plan = &plan
+	}
 
 	if sharded, ok := src.(ShardedSource); ok {
 		run.runSharded(sharded)
@@ -177,6 +182,10 @@ type streamRun struct {
 	sink   Sink
 	queue  *sinkQueue
 	total  *streamTotals
+
+	// plan is the stream's one DNS plan, shared read-only by every
+	// UDP/53 probe: nil unless the scanner has a fixed query.
+	plan *netmodel.DNSPlan
 
 	batchSize int
 	chunk     int
@@ -318,6 +327,7 @@ func (p *shardProbe) probe(targets []ip6.Addr) error {
 	r := p.run
 	t0 := time.Now()
 	defer func() { r.total.addNanos(p.shard, time.Since(t0)) }()
+	var t target
 	for _, a := range targets {
 		// The one ShardOf per target: the shard keys the host lookup and
 		// the digest every consumer merges by, so a source that mis-shards
@@ -325,9 +335,11 @@ func (p *shardProbe) probe(targets []ip6.Addr) error {
 		if sh := ip6.ShardOf(a); sh != p.shard {
 			return fmt.Errorf("scan: source yielded %v (shard %d) in shard %d", a, sh, p.shard)
 		}
-		t := r.s.resolve(a, p.shard, r.day)
+		r.s.resolve(&t, a, p.shard, r.day)
 		for _, proto := range r.protos {
-			res := r.s.probe(&t, proto, p.b.arena)
+			p.b.Results = append(p.b.Results, Result{})
+			res := &p.b.Results[len(p.b.Results)-1]
+			r.s.probe(&t, proto, p.b.arena, r.plan, res)
 			p.b.Stats.ProbesSent += uint64(res.Attempts)
 			if res.Kind != netmodel.RespNone {
 				p.b.Stats.Responses++
@@ -335,7 +347,6 @@ func (p *shardProbe) probe(targets []ip6.Addr) error {
 			if res.Success {
 				p.b.Stats.Successes++
 			}
-			p.b.Results = append(p.b.Results, res)
 			p.pos++
 			if len(p.b.Results) == r.batchSize {
 				if err := p.flush(); err != nil {
@@ -877,14 +888,7 @@ func (s *Scanner) putBuf(buf []Result) {
 // getArena returns a pooled DNS wire arena for a stream probing UDP/53,
 // nil otherwise — non-DNS streams never touch the arena machinery.
 func (s *Scanner) getArena(protos []netmodel.Protocol) *netmodel.WireArena {
-	dns := false
-	for _, p := range protos {
-		if p == netmodel.UDP53 {
-			dns = true
-			break
-		}
-	}
-	if !dns {
+	if !slices.Contains(protos, netmodel.UDP53) {
 		return nil
 	}
 	if a, ok := s.arenaPool.Get().(*netmodel.WireArena); ok {
