@@ -1,0 +1,421 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand/v2"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"hitlist6/internal/gfw"
+	"hitlist6/internal/ip6"
+	"hitlist6/internal/netmodel"
+	"hitlist6/internal/rng"
+	"hitlist6/internal/scan"
+	"hitlist6/internal/sources"
+	"hitlist6/internal/tga"
+)
+
+// lookupActive returns a's row state in the active table.
+func lookupActive(s *Service, a ip6.Addr) (targetState, bool) {
+	sh := ip6.ShardOf(a)
+	i, ok := slices.BinarySearchFunc(s.active.addrs[sh], a, ip6.Addr.Compare)
+	if !ok {
+		return targetState{}, false
+	}
+	return s.active.state[sh][i], true
+}
+
+// TestDigestSinkRefusesMisplacedResult: the sink names a result's table
+// row by its position in the scan, so a success that is not the scan
+// set's entry at that position fails the scan, with nothing mutated.
+func TestDigestSinkRefusesMisplacedResult(t *testing.T) {
+	n, feeds := tinyWorld(t)
+	s := NewService(DefaultConfig(1), n, feeds, nil)
+	runDays(t, s, []int{0})
+	web := ip6.MustParseAddr("2001:100::80")
+	before, ok := lookupActive(s, web)
+	if !ok {
+		t.Fatal("web host not active")
+	}
+	injBefore, _, otherBefore := s.Tracker().Stats()
+	s.buildScanSet(7, &ScanRecord{})
+	sh := ip6.ShardOf(web)
+	row := slices.Index(s.active.addrs[sh], web)
+
+	// A stream over a scan set whose web row was swapped for another
+	// responder of the same shard: an aliased address answers ICMP.
+	var stranger ip6.Addr
+	alias := ip6.MustParsePrefix("2001:100:a::/64")
+	for i := uint64(0); ; i++ {
+		if stranger = alias.NthAddr(i); ip6.ShardOf(stranger) == sh {
+			break
+		}
+	}
+	shards := slices.Clone(s.active.addrs)
+	shards[sh] = slices.Clone(shards[sh])
+	shards[sh][row] = stranger
+	digests := make([]shardDigest, ip6.AddrShards)
+	_, err := s.mainScanner.StreamFrom(context.Background(), scan.ShardSlices(shards), s.cfg.Protocols, 7, s.digestSink(digests))
+	if err == nil || !strings.Contains(err.Error(), "scan-set row") {
+		t.Fatalf("stream over a foreign scan set: err = %v", err)
+	}
+
+	// A batch reaching past the shard's rows.
+	nprotos := len(s.cfg.Protocols)
+	b := &scan.Batch{Shard: sh, Results: make([]scan.Result, nprotos*(len(s.active.addrs[sh])+1))}
+	last := &b.Results[len(b.Results)-1]
+	last.Target, last.Proto, last.Success = web, s.cfg.Protocols[nprotos-1], true
+	if err := s.digestSink(make([]shardDigest, ip6.AddrShards))(b); err == nil {
+		t.Fatal("sink accepted a result past the scan set")
+	}
+
+	if st, _ := lookupActive(s, web); st != before {
+		t.Errorf("refused scan changed web's state: %+v → %+v", before, st)
+	}
+	if inj, _, other := s.Tracker().Stats(); inj != injBefore || other != otherBefore {
+		t.Errorf("refused scan mutated tracker: injected %d→%d other %d→%d", injBefore, inj, otherBefore, other)
+	}
+}
+
+// refWorld is a random tiny world for TestActiveTableMatchesReference:
+// hosts and aliased /64s in a cloud /32, injected-DNS ghosts and hosts in
+// a CN prefix, feeds that release a pool of addresses over time, and a
+// TGA feed drawing from a second pool.
+type refWorld struct {
+	net      *netmodel.Network
+	feeds    []*sources.Feed
+	block    *ip6.PrefixSet
+	pool     []ip6.Addr
+	from     []int // pool[i] enters the feeds on day from[i]
+	tgaPool  []ip6.Addr
+	seed     uint64
+	nfeeds   int
+	deployAt int
+}
+
+func newRefWorld(seed uint64) *refWorld {
+	r := rand.New(rand.NewPCG(seed, 0x5eed))
+	ases := []*netmodel.AS{
+		{ASN: 100, Name: "Cloud", Country: "DE", Category: netmodel.CatCloud,
+			Announced: []ip6.Prefix{ip6.MustParsePrefix("2001:100::/32")}, AnnouncedFrom: []int{0}},
+		{ASN: 4134, Name: "CN", Country: "CN", Category: netmodel.CatISP,
+			Announced: []ip6.Prefix{ip6.MustParsePrefix("240e::/24")}, AnnouncedFrom: []int{0}},
+	}
+	w := &refWorld{net: netmodel.NewNetwork(seed, netmodel.NewASTable(ases)), seed: seed, nfeeds: 1 + r.IntN(3)}
+	protos := []netmodel.Protocol{netmodel.ICMP, netmodel.TCP443, netmodel.TCP80, netmodel.UDP443, netmodel.UDP53}
+	addr := func(s string, iid uint64) ip6.Addr {
+		p := ip6.MustParsePrefix(s)
+		return p.NthAddr(iid)
+	}
+	host := func(a ip6.Addr) {
+		var set []netmodel.Protocol
+		for _, p := range protos {
+			if r.IntN(2) == 0 {
+				set = append(set, p)
+			}
+		}
+		born := r.IntN(60)
+		death := netmodel.Forever
+		if r.IntN(3) == 0 {
+			death = born + 10 + r.IntN(120)
+		}
+		w.net.AddHost(&netmodel.Host{Addr: a, Protos: netmodel.ProtoSetOf(set...), BornDay: born, DeathDay: death,
+			UptimePermille: uint16(500 + r.IntN(501)), FP: netmodel.FPLinux, DNS: netmodel.DNSRefusing, MTU: 1500})
+	}
+	// Cloud /64s 2001:100:X::/64; X = 7 is blocklisted.
+	for i := 0; i < 60+r.IntN(60); i++ {
+		a := addr(fmt.Sprintf("2001:100:%x::/64", r.IntN(8)), uint64(1+r.IntN(40)))
+		if r.IntN(3) > 0 {
+			host(a)
+		}
+		w.pool = append(w.pool, a)
+	}
+	// Aliased /64s, some born after their addresses enter the feeds.
+	for i := 0; i < 1+r.IntN(3); i++ {
+		p := ip6.MustParsePrefix(fmt.Sprintf("2001:100:f%x::/64", i))
+		w.net.AddAlias(&netmodel.AliasRule{Prefix: p, AS: ases[0], Protos: netmodel.ProtoSetOf(netmodel.ICMP, netmodel.TCP80),
+			BornDay: r.IntN(40), DeathDay: netmodel.Forever, Backends: 1, FP: netmodel.FPBSD, MTU: 1500})
+		for j := 0; j < 2+r.IntN(4); j++ {
+			w.pool = append(w.pool, p.NthAddr(uint64(100+r.IntN(1000))))
+		}
+	}
+	// CN: ghosts that only ever draw injected answers, and a few hosts.
+	for i := 0; i < 10+r.IntN(20); i++ {
+		a := addr("240e::/64", uint64(1+r.IntN(500)))
+		if r.IntN(4) == 0 {
+			host(a)
+		}
+		w.pool = append(w.pool, a)
+	}
+	for range w.pool {
+		w.from = append(w.from, r.IntN(80))
+	}
+	for i := 0; i < 40; i++ {
+		a := addr(fmt.Sprintf("2001:100:%x::/64", r.IntN(8)), uint64(200+r.IntN(40)))
+		if r.IntN(2) == 0 {
+			host(a)
+		}
+		w.tgaPool = append(w.tgaPool, a)
+	}
+	g := netmodel.NewGFWModel(seed)
+	g.AffectedASNs[4134] = true
+	g.BlockedDomains["google.com"] = true
+	g.Eras = []netmodel.InjectionEra{{StartDay: 20 + r.IntN(40), EndDay: 150 + r.IntN(100), Mode: netmodel.InjectTeredo}}
+	w.net.GFW = g
+	w.deployAt = netmodel.Forever
+	if r.IntN(3) > 0 {
+		w.deployAt = 60 + r.IntN(100)
+	}
+	w.block = ip6.NewPrefixSet()
+	w.block.Add(ip6.MustParsePrefix("2001:100:7::/48"))
+	for k := 0; k < w.nfeeds; k++ {
+		w.feeds = append(w.feeds, sources.Recurring(fmt.Sprintf("feed%d", k), 0, netmodel.Forever, func(day int) []ip6.Addr {
+			return w.feedDay(k, day)
+		}))
+	}
+	return w
+}
+
+// feedDay is what feed k yields on day: a day-dependent half of the pool
+// entries released by then.
+func (w *refWorld) feedDay(k, day int) []ip6.Addr {
+	var out []ip6.Addr
+	for i, a := range w.pool {
+		if w.from[i] <= day && rng.Mix(w.seed, uint64(k), uint64(day), uint64(i))%2 == 0 {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// tgaDay is what the TGA feed proposes on day.
+func (w *refWorld) tgaDay(day int) []ip6.Addr {
+	var out []ip6.Addr
+	for i, a := range w.tgaPool {
+		if rng.Mix(w.seed, 0x7a, uint64(day), uint64(i))%4 == 0 {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// refTGAFeed proposes refWorld.tgaDay, whatever the seeds.
+type refTGAFeed struct{ w *refWorld }
+
+func (refTGAFeed) Name() string { return "tga-ref" }
+
+func (f refTGAFeed) Candidates(day int, _ *tga.SeedView) scan.TargetSource {
+	return scan.SliceSource(f.w.tgaDay(day))
+}
+
+// refModel is the active window as a map, kept by the window's rules
+// from what the service exposes: its input-dedup set, blocklist, aliased
+// prefixes and GFW drop list are the model's own copies or read from the
+// service; responses come from probing each target one by one.
+type refModel struct {
+	rows     map[ip6.Addr]targetState
+	seen     map[ip6.Addr]bool
+	drop     *ip6.ShardedSet // the deployed GFW drop list
+	deployed bool
+
+	evicted, purged, dropped, tgaAdmitted int
+}
+
+// admit runs the admission chain for one candidate.
+func (m *refModel) admit(s *Service, aliased *ip6.PrefixSet, a ip6.Addr, day int) {
+	if !a.IsGlobalUnicast() || m.seen[a] {
+		return
+	}
+	m.seen[a] = true
+	if s.block.Contains(a) || (m.deployed && m.drop.Has(a)) || aliased.Contains(a) {
+		return
+	}
+	m.rows[a] = targetState{firstDay: day, lastSuccessDay: -1}
+}
+
+// responds probes a on every protocol: any success, and any success that
+// is not an injected DNS answer.
+func responds(s *Service, a ip6.Addr, day int) (raw, clean bool) {
+	for _, p := range s.cfg.Protocols {
+		r := s.Scanner().ProbeOne(a, p, day)
+		if !r.Success {
+			continue
+		}
+		raw = true
+		if !(p == netmodel.UDP53 && gfw.ClassifyResult(r).Injected()) {
+			clean = true
+		}
+	}
+	return raw, clean
+}
+
+// scan advances the model over one RunScan at day; before is the
+// aliased set and tracker drop list from before the scan.
+func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, day int, aliasedBefore *ip6.PrefixSet, dropBefore *ip6.ShardedSet) (scanned, evicted int) {
+	for k := 0; k < w.nfeeds; k++ {
+		for _, a := range w.feedDay(k, day) {
+			m.admit(s, aliasedBefore, a, day)
+		}
+	}
+	if !m.deployed && day >= s.cfg.GFWFilterFromDay {
+		m.deployed, m.drop = true, dropBefore
+		for a := range m.rows {
+			if m.drop.Has(a) {
+				delete(m.rows, a)
+				m.dropped++
+			}
+		}
+	}
+	// Admission filters against the aliased set and every round purges
+	// what it detects, so whatever the set covers now was purged.
+	for a := range m.rows {
+		if s.aliased.Contains(a) {
+			delete(m.rows, a)
+			m.purged++
+		}
+	}
+	for a, st := range m.rows {
+		ref := st.lastSuccessDay
+		if ref < 0 {
+			ref = st.firstDay
+		}
+		if day-ref > s.cfg.UnresponsiveDays {
+			delete(m.rows, a)
+			evicted++
+			if s.cfg.RetainUnresponsive && !s.unresponsive.Has(a) {
+				t.Errorf("day %d: evicted %v not in the unresponsive pool", day, a)
+			}
+		}
+	}
+	m.evicted += evicted
+	scanned = len(m.rows)
+	for a, st := range m.rows {
+		raw, clean := responds(s, a, day)
+		if clean || (raw && !m.deployed) {
+			st.lastSuccessDay = day
+			m.rows[a] = st
+		}
+	}
+	if s.cfg.TGAFeed != nil && s.EverResponsiveAnyLen() > 0 {
+		round := make(map[ip6.Addr]bool)
+		var resp []ip6.Addr
+		for _, a := range w.tgaDay(day) {
+			if m.seen[a] || round[a] {
+				continue
+			}
+			round[a] = true
+			if raw, _ := responds(s, a, day); raw {
+				resp = append(resp, a)
+			}
+		}
+		for _, a := range resp {
+			m.admit(s, s.aliased, a, day)
+			if _, ok := m.rows[a]; ok {
+				m.tgaAdmitted++
+			}
+		}
+	}
+	return scanned, evicted
+}
+
+// TestActiveTableMatchesReference runs random tiny worlds and configs
+// against a map model of the active window: after every scan, every
+// shard of the table is strictly ascending, holds only its own shard's
+// addresses, and equals the model, rows and states.
+func TestActiveTableMatchesReference(t *testing.T) {
+	cases := 8
+	if testing.Short() {
+		cases = 3
+	}
+	var total refModel
+	for c := 0; c < cases; c++ {
+		seed := uint64(1000 + c)
+		r := rand.New(rand.NewPCG(seed, 0xcf9))
+		w := newRefWorld(seed)
+		cfg := DefaultConfig(seed)
+		cfg.ScanWorkers = []int{1, 4}[r.IntN(2)]
+		if r.IntN(2) == 0 {
+			cfg.FleetWorkers = 2
+		}
+		cfg.RetainUnresponsive = r.IntN(2) == 0
+		cfg.GFWFilterFromDay = w.deployAt
+		cfg.APDMaxNewCandidates = []int{1, 2, 4096}[r.IntN(3)]
+		cfg.UnresponsiveDays = 10 + r.IntN(30)
+		if r.IntN(2) == 0 {
+			cfg.TGAFeed = refTGAFeed{w}
+		}
+		if r.IntN(3) == 0 {
+			cfg.CheckpointDir = filepath.Join(t.TempDir(), "ckpt")
+			cfg.CheckpointEvery = 1 + r.IntN(3)
+		}
+		name := fmt.Sprintf("seed=%d/workers=%d/fleet=%d/retain=%v/deploy=%d/apd=%d/tga=%v/journal=%v", seed,
+			cfg.ScanWorkers, cfg.FleetWorkers, cfg.RetainUnresponsive, cfg.GFWFilterFromDay, cfg.APDMaxNewCandidates,
+			cfg.TGAFeed != nil, cfg.CheckpointDir != "")
+		t.Run(name, func(t *testing.T) {
+			s := NewService(cfg, w.net, w.feeds, w.block)
+			defer s.Close()
+			m := &refModel{rows: make(map[ip6.Addr]targetState), seen: make(map[ip6.Addr]bool)}
+			for day := 0; day < 240; day += 1 + r.IntN(9) {
+				aliasedBefore := ip6.NewPrefixSet()
+				for _, p := range s.aliased.Prefixes() {
+					aliasedBefore.Add(p)
+				}
+				var dropBefore *ip6.ShardedSet
+				if !s.gfwDeployed {
+					dropBefore = s.tracker.InjectedOnly()
+				}
+				rec, err := s.RunScan(context.Background(), day)
+				if err != nil {
+					t.Fatalf("day %d: %v", day, err)
+				}
+				scanned, evicted := m.scan(t, s, w, day, aliasedBefore, dropBefore)
+				if rec.ScannedTargets != scanned || rec.Evicted != evicted {
+					t.Fatalf("day %d: record scanned %d evicted %d, model %d %d", day, rec.ScannedTargets, rec.Evicted, scanned, evicted)
+				}
+				checkActive(t, s, m.rows, day)
+			}
+			total.evicted += m.evicted
+			total.purged += m.purged
+			total.dropped += m.dropped
+			total.tgaAdmitted += m.tgaAdmitted
+		})
+	}
+	// Every removal and admission path must have been exercised.
+	if total.evicted == 0 || total.purged == 0 || total.dropped == 0 || total.tgaAdmitted == 0 {
+		t.Errorf("cases left a path idle: evicted %d, purged %d, GFW-dropped %d, TGA-admitted %d",
+			total.evicted, total.purged, total.dropped, total.tgaAdmitted)
+	}
+}
+
+// checkActive compares the table with the model.
+func checkActive(t *testing.T, s *Service, want map[ip6.Addr]targetState, day int) {
+	t.Helper()
+	n := 0
+	for sh, addrs := range s.active.addrs {
+		if len(s.active.state[sh]) != len(addrs) {
+			t.Fatalf("day %d: shard %d has %d addresses, %d states", day, sh, len(addrs), len(s.active.state[sh]))
+		}
+		for i, a := range addrs {
+			if ip6.ShardOf(a) != sh {
+				t.Fatalf("day %d: %v in shard %d", day, a, sh)
+			}
+			if i > 0 && addrs[i-1].Compare(a) >= 0 {
+				t.Fatalf("day %d: shard %d not strictly ascending at %v", day, sh, a)
+			}
+			st, ok := want[a]
+			if !ok {
+				t.Fatalf("day %d: %v active, not in the model", day, a)
+			}
+			if got := s.active.state[sh][i]; got != st {
+				t.Fatalf("day %d: %v state %+v, model %+v", day, a, got, st)
+			}
+		}
+		n += len(addrs)
+	}
+	if n != len(want) {
+		t.Fatalf("day %d: %d active, model %d", day, n, len(want))
+	}
+}

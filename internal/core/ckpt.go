@@ -40,7 +40,6 @@ package core
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -422,54 +421,32 @@ func addrStrings(set ip6.Set) []string {
 // lastSuccessDay.
 const activeRecLen = ip6.AddrBytes + 8
 
-// activeRec is one target-store entry as writeActive sorts it: the
-// address as native words, so comparisons decode nothing.
-type activeRec struct {
-	hi, lo                   uint64
-	firstDay, lastSuccessDay int32
-}
-
 // writeActive stages the target store: a per-shard count table, then
-// each shard's (address, firstDay, lastSuccessDay) records sorted by
-// address. Shards are collected and sorted on the worker pool and
-// written in shard order.
+// each shard's (address, firstDay, lastSuccessDay) records, which the
+// store already keeps in address order, written in shard order.
 func (s *Service) writeActive(w *ckpt.Writer, name string, _ *ckptBase) error {
-	return writePayload(w, name, int64(s.active.Len()), false, func(bw *bufio.Writer) error {
+	return writePayload(w, name, int64(s.active.len()), false, func(bw *bufio.Writer) error {
 		var hdr [8 * ip6.AddrShards]byte
-		for sh := 0; sh < ip6.AddrShards; sh++ {
-			binary.LittleEndian.PutUint64(hdr[8*sh:], uint64(s.active.ShardLen(sh)))
+		for sh, addrs := range s.active.addrs {
+			binary.LittleEndian.PutUint64(hdr[8*sh:], uint64(len(addrs)))
 		}
 		if _, err := bw.Write(hdr[:]); err != nil {
 			return err
 		}
-		prepare := func(sh int, buf *[]activeRec) error {
-			recs := slices.Grow((*buf)[:0], s.active.ShardLen(sh))
-			s.active.WalkShard(sh, func(a ip6.Addr, st *targetState) bool {
-				recs = append(recs, activeRec{a.Hi(), a.Lo(), int32(st.firstDay), int32(st.lastSuccessDay)})
-				return true
-			})
-			slices.SortFunc(recs, func(x, y activeRec) int {
-				if c := cmp.Compare(x.hi, y.hi); c != 0 {
-					return c
-				}
-				return cmp.Compare(x.lo, y.lo)
-			})
-			*buf = recs
-			return nil
-		}
-		return s.ckptActive.Run(s.workers, prepare, func(_ int, buf *[]activeRec) error {
-			var rec [activeRecLen]byte
-			for _, r := range *buf {
-				binary.BigEndian.PutUint64(rec[0:], r.hi)
-				binary.BigEndian.PutUint64(rec[8:], r.lo)
-				binary.LittleEndian.PutUint32(rec[16:], uint32(r.firstDay))
-				binary.LittleEndian.PutUint32(rec[20:], uint32(r.lastSuccessDay))
+		var rec [activeRecLen]byte
+		for sh, addrs := range s.active.addrs {
+			for i, a := range addrs {
+				st := &s.active.state[sh][i]
+				binary.BigEndian.PutUint64(rec[0:], a.Hi())
+				binary.BigEndian.PutUint64(rec[8:], a.Lo())
+				binary.LittleEndian.PutUint32(rec[16:], uint32(int32(st.firstDay)))
+				binary.LittleEndian.PutUint32(rec[20:], uint32(int32(st.lastSuccessDay)))
 				if _, err := bw.Write(rec[:]); err != nil {
 					return err
 				}
 			}
-			return nil
-		})
+		}
+		return nil
 	})
 }
 
@@ -921,11 +898,13 @@ func parseAddrSet(addrs []string) (ip6.Set, error) {
 	return set, nil
 }
 
-// readActive rebuilds the sharded target store. It fails closed on a
-// table writeActive cannot have written: the header's counts must
-// account for the payload's bytes exactly, and every shard's records must
-// belong to that shard in strictly ascending order — the scan engine
-// refuses a mis-sharded scan set, so a bad record must not get that far.
+// readActive rebuilds the target store, appending each shard's records
+// to its table in file order. It fails closed on a table writeActive
+// cannot have written: the header's counts must account for the
+// payload's bytes exactly, and every shard's records must belong to that
+// shard in strictly ascending order: the store keeps that order and the
+// scan's digest relies on it, and the scan engine refuses a mis-sharded
+// scan set, so a bad record must not get that far.
 func (s *Service) readActive(lvl *ckpt.Snapshot, name string) error {
 	sec, err := lvl.Open(name)
 	if err != nil {
@@ -952,6 +931,8 @@ func (s *Service) readActive(lvl *ckpt.Snapshot, name string) error {
 	var rec [activeRecLen]byte
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		n := binary.LittleEndian.Uint64(hdr[8*sh:])
+		s.active.addrs[sh] = make([]ip6.Addr, 0, n)
+		s.active.state[sh] = make([]targetState, 0, n)
 		var prev ip6.Addr
 		for i := uint64(0); i < n; i++ {
 			if _, err := io.ReadFull(br, rec[:]); err != nil {
@@ -965,7 +946,8 @@ func (s *Service) readActive(lvl *ckpt.Snapshot, name string) error {
 				return fmt.Errorf("%w: %s shard %d is not strictly ascending at %v", ckpt.ErrCorrupt, name, sh, a)
 			}
 			prev = a
-			s.active.PutInShard(sh, a, &targetState{
+			s.active.addrs[sh] = append(s.active.addrs[sh], a)
+			s.active.state[sh] = append(s.active.state[sh], targetState{
 				firstDay:       int(int32(binary.LittleEndian.Uint32(rec[16:]))),
 				lastSuccessDay: int(int32(binary.LittleEndian.Uint32(rec[20:]))),
 			})

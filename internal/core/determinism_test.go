@@ -136,35 +136,40 @@ func TestDigestDeterministicOnGeneratedWorld(t *testing.T) {
 // streaming sink folds batches into shard-local digests only, so a scan
 // that errors or is cancelled mid-stream leaves the service — tracker
 // evidence, target liveness — exactly as it was. State changes happen
-// solely in finalizeDigest, which runs only for completed scans.
+// solely in finalizeDigest, which runs only for completed scans. The sink
+// is driven by a real stream over the day's scan set.
 func TestDigestSinkIsPureAccumulation(t *testing.T) {
 	n, feeds := tinyWorld(t)
+	// fresh is admitted on day 0 but only comes up on day 7, so its
+	// tracker evidence is new at the day-7 scan.
+	fresh := ip6.MustParseAddr("2001:100::99")
+	n.AddHost(&netmodel.Host{Addr: fresh, Protos: netmodel.ProtoSetOf(netmodel.ICMP),
+		BornDay: 7, DeathDay: netmodel.Forever, UptimePermille: 1000, MTU: 1500})
+	feeds = append(feeds, sources.Recurring("fresh", 0, netmodel.Forever, func(int) []ip6.Addr {
+		return []ip6.Addr{fresh}
+	}))
 	s := NewService(DefaultConfig(1), n, feeds, nil)
 	runDays(t, s, []int{0})
 
 	web := ip6.MustParseAddr("2001:100::80")
-	st, ok := s.active.Get(web)
+	st, ok := lookupActive(s, web)
 	if !ok {
 		t.Fatal("web host not active")
+	}
+	if _, ok := lookupActive(s, fresh); !ok {
+		t.Fatal("fresh host not active")
 	}
 	dayBefore := st.lastSuccessDay
 	injBefore, _, otherBefore := s.Tracker().Stats()
 
-	// fresh has never responded before, so its tracker evidence is new.
-	fresh := ip6.MustParseAddr("2001:100::99")
-	digests := make([]*shardDigest, ip6.AddrShards)
-	sink := s.digestSink(digests)
-	for _, r := range []scan.Result{
-		{Target: web, Proto: netmodel.ICMP, Day: 7, Success: true},
-		{Target: fresh, Proto: netmodel.ICMP, Day: 7, Success: true},
-	} {
-		if err := sink(&scan.Batch{Shard: ip6.ShardOf(r.Target), Results: []scan.Result{r}}); err != nil {
-			t.Fatal(err)
-		}
+	s.buildScanSet(7, &ScanRecord{})
+	digests := make([]shardDigest, ip6.AddrShards)
+	if _, err := s.mainScanner.StreamFrom(context.Background(), scan.ShardSlices(s.active.addrs), s.cfg.Protocols, 7, s.digestSink(digests)); err != nil {
+		t.Fatal(err)
 	}
 
 	// The sink alone must not have touched service state.
-	if st.lastSuccessDay != dayBefore {
+	if st, _ := lookupActive(s, web); st.lastSuccessDay != dayBefore {
 		t.Errorf("sink bumped lastSuccessDay: %d", st.lastSuccessDay)
 	}
 	if inj, _, other := s.Tracker().Stats(); inj != injBefore || other != otherBefore {
@@ -173,7 +178,7 @@ func TestDigestSinkIsPureAccumulation(t *testing.T) {
 
 	// Finalize applies it.
 	s.finalizeDigest(digests, 7, &ScanRecord{})
-	if st.lastSuccessDay != 7 {
+	if st, _ := lookupActive(s, web); st.lastSuccessDay != 7 {
 		t.Errorf("finalize did not bump lastSuccessDay: %d", st.lastSuccessDay)
 	}
 	if _, _, other := s.Tracker().Stats(); other != otherBefore+1 {

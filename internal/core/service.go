@@ -185,12 +185,6 @@ func DefaultConfig(seed uint64) Config {
 	}
 }
 
-// targetState tracks one address in the active scan window.
-type targetState struct {
-	firstDay       int
-	lastSuccessDay int // -1 until first success
-}
-
 // ScanRecord is the per-scan output row (the Figure 3/4 series).
 type ScanRecord struct {
 	Index int
@@ -306,13 +300,14 @@ type Service struct {
 	// and the disk-backed sets to compact, error-check and close.
 	spill *spillState
 
-	// active is the sharded target store: per-address scan-window state,
-	// partitioned exactly like the scan engine's batch delivery. Ingest,
+	// active is the target store: per-address scan-window state in one
+	// sorted table per shard, partitioned exactly like the scan engine's
+	// batch delivery, whose address columns are the scan set. Ingest,
 	// eviction, alias purges, the GFW cleanup and digest finalization all
 	// run as per-shard sweeps over it and merge their counters in
 	// canonical shard order, so records stay bit-identical for any
 	// worker count.
-	active *ip6.ShardedMap[*targetState]
+	active activeTable
 
 	aliased      *ip6.PrefixSet
 	pendingAPD64 []ip6.Prefix // newly seen /64s queued for APD
@@ -327,11 +322,9 @@ type Service struct {
 	lastClean    map[netmodel.Protocol]*ip6.ShardedSet
 	inputByFeed  map[string]int
 
-	// scanShards holds the per-shard scan-set buffers, rebuilt by the
-	// 30-day filter each scan and fed straight into StreamFrom; the
-	// backing arrays are reused across scans, so steady-state scans
-	// allocate no scan-set memory at all.
-	scanShards [][]ip6.Addr
+	// digests are the main scan's per-shard accumulators, reset before
+	// every scan; their position and address lists keep their capacity.
+	digests []shardDigest
 	// routeBuf is the reusable per-shard routing scratch of ingest.
 	routeBuf [][]routedInput
 
@@ -359,10 +352,9 @@ type Service struct {
 	// parent: the next checkpoint is a full rewrite, and no set logs.
 	ckptBase *ckptBase
 
-	// Per-shard staging buffers for checkpoint payloads, kept across
-	// checkpoints: address-set shards and active.bin shards.
+	// Per-shard staging buffers for address-set checkpoint payloads,
+	// kept across checkpoints.
 	ckptShards ip6.ShardPipeline[[]ip6.Addr]
-	ckptActive ip6.ShardPipeline[[]activeRec]
 }
 
 // routedInput is one ingest candidate routed to its shard: the address,
@@ -517,13 +509,13 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 		spill:        newSpillState(cfg),
 		perASInput:   make(map[int]*ASInput),
 		unresponsive: ip6.NewShardedSet(),
-		active:       ip6.NewShardedMap[*targetState](),
+		active:       newActiveTable(),
 		aliased:      ip6.NewPrefixSet(),
 		seen64:       make(map[ip6.Prefix]struct{}),
 		tracker:      gfw.NewTracker(),
 		prevRespAny:  ip6.NewShardedSet(),
 		inputByFeed:  make(map[string]int),
-		scanShards:   make([][]ip6.Addr, ip6.AddrShards),
+		digests:      make([]shardDigest, ip6.AddrShards),
 		routeBuf:     make([][]routedInput, ip6.AddrShards),
 		snapshots:    make(map[int]*Snapshot),
 		snapQueue:    append([]int(nil), cfg.SnapshotDays...),
@@ -676,7 +668,7 @@ func (s *Service) Funnel() Funnel {
 		GFWFiltered:  s.gfwTotal,
 		AliasedInput: s.aliasedTotal,
 		Evicted:      s.evictedTotal,
-		ActiveScan:   s.active.Len(),
+		ActiveScan:   s.active.len(),
 		Responsive:   resp,
 	}
 }
@@ -717,12 +709,12 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	rec.AliasedPrefixes = s.aliased.Len()
 
 	// 4. 30-day filter: eviction runs as a per-shard sweep over the
-	// target store, refilling the reusable per-shard scan-set buffers.
+	// target store, whose sorted address columns are then the scan set.
 	rec.ScannedTargets = s.buildScanSet(day, rec)
 
-	// 5+6. The scan, streamed: the per-shard scan sets wrap into a
-	// sharded TargetSource the engine's probe workers pull directly (no
-	// concatenated global target slice), batches are classified and
+	// 5+6. The scan, streamed: the store's per-shard address columns wrap
+	// into a sharded TargetSource the engine's probe workers pull directly
+	// (no concatenated global target slice), batches are classified and
 	// folded into per-shard accumulators concurrently as they complete —
 	// the full targets × protocols result slice is never materialized —
 	// then the accumulators merge in canonical shard order.
@@ -730,9 +722,12 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	// (slowest shards first, so stragglers overlap the cheap tail instead
 	// of serializing after it). Purely a wall-clock input — per-shard
 	// outputs do not depend on the order.
-	digests := make([]*shardDigest, ip6.AddrShards)
+	digests := s.digests
+	for sh := range digests {
+		digests[sh].reset()
+	}
 	s.mainScanner.SetShardProfile(s.lastMain.PerShard)
-	stats, err := s.mainScanner.StreamFrom(ctx, scan.ShardSlices(s.scanShards), s.cfg.Protocols, day, s.digestSink(digests))
+	stats, err := s.mainScanner.StreamFrom(ctx, scan.ShardSlices(s.active.addrs), s.cfg.Protocols, day, s.digestSink(digests))
 	if err != nil {
 		return nil, fmt.Errorf("core: scanning: %w", err)
 	}
@@ -804,14 +799,15 @@ type admitOutcome int
 const (
 	admitDup      admitOutcome = iota // already known: nothing counted
 	admitFiltered                     // counted as input, removed by a filter
-	admitAdmitted                     // counted and inserted into the store
+	admitAdmitted                     // counted, and passed every filter
 )
 
 // admitOne runs the admission chain — dedup, AS attribution, blocklist /
-// GFW / aliased filters, store insert — for one candidate in shard sh,
-// recording outcomes in c. Only shard-owned and counter state is
-// written, so distinct shards may run it concurrently.
-func (s *Service) admitOne(sh int, a ip6.Addr, day int, c *ingestCounters) admitOutcome {
+// GFW / aliased filters — for one candidate in shard sh, recording
+// outcomes in c; the caller inserts admitted candidates into the store.
+// Only shard-owned and counter state is written, so distinct shards may
+// run it concurrently.
+func (s *Service) admitOne(sh int, a ip6.Addr, c *ingestCounters) admitOutcome {
 	if !s.inputSeen.AddToShard(sh, a) {
 		return admitDup // already known (or already evicted once)
 	}
@@ -845,7 +841,6 @@ func (s *Service) admitOne(sh int, a ip6.Addr, day int, c *ingestCounters) admit
 		ai.Aliased++
 		return admitFiltered
 	}
-	s.active.PutInShard(sh, a, &targetState{firstDay: day, lastSuccessDay: -1})
 	return admitAdmitted
 }
 
@@ -958,9 +953,10 @@ func (s *Service) dropRouted() {
 
 // admitRouted is the one admission sweep: it admits the candidates
 // waiting in routeBuf (and empties it). Every shard runs the lookup-heavy
-// part (dedup, AS attribution, blocklist / GFW / alias filters, store
-// insert) independently on the worker pool — an address only ever
-// touches its own shard, so the sweep is lock-free. The merge walks
+// part (dedup, AS attribution, blocklist / GFW / alias filters) and
+// merges what it admitted into its store table independently on the
+// worker pool — an address only ever touches its own shard, so the
+// sweep is lock-free. The merge walks
 // shards in canonical order, and anything order-sensitive (the APD /64
 // queue, per-feed attribution of same-day duplicates) is resolved by the
 // deterministic input sequence number, so results are bit-identical to a
@@ -983,7 +979,7 @@ func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanReco
 			perFeed:        make([]int, len(srcs)),
 		}
 		for _, e := range entries {
-			outcome := s.admitOne(sh, e.addr, day, &r.ingestCounters)
+			outcome := s.admitOne(sh, e.addr, &r.ingestCounters)
 			if outcome == admitDup {
 				continue
 			}
@@ -991,6 +987,15 @@ func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanReco
 			if outcome == admitAdmitted {
 				r.admitted = append(r.admitted, e)
 			}
+		}
+		// inputSeen let each address through once, so none of them is in
+		// the table yet.
+		if len(r.admitted) > 0 {
+			add := make([]ip6.Addr, len(r.admitted))
+			for i, e := range r.admitted {
+				add[i] = e.addr
+			}
+			s.active.admit(sh, add, day)
 		}
 		results[sh] = r
 	})
@@ -1035,9 +1040,9 @@ func (s *Service) trackSlash64(a ip6.Addr) {
 // deployGFWFilter materializes the cumulative injected-only list and
 // removes it from the active window — the paper's one-time cleanup of
 // 134 M addresses in February 2022. The drop list arrives sharded from
-// the tracker, so the purge is a per-shard sweep: each shard deletes its
-// own slice of the list from the target store, and the per-AS counter
-// deltas merge in canonical shard order.
+// the tracker, so the purge is a per-shard sweep: each shard's table
+// drops the rows its slice of the list holds in one in-place pass, and
+// the per-AS counter deltas merge in canonical shard order.
 func (s *Service) deployGFWFilter(rec *ScanRecord) {
 	s.gfwDeployed = true
 	drop := s.tracker.InjectedOnly()
@@ -1052,17 +1057,15 @@ func (s *Service) deployGFWFilter(rec *ScanRecord) {
 	dropped := make([]shardPurge, ip6.AddrShards)
 	ip6.ParallelShards(s.workers, func(sh int) {
 		d := &dropped[sh]
-		drop.WalkShard(sh, func(a ip6.Addr) bool {
-			if s.active.DeleteInShard(sh, a) {
-				d.count++
-				asn := 0
-				if as := s.net.AS.Lookup(a); as != nil {
-					asn = as.ASN
+		if shardDrop := drop.Shard(sh); len(shardDrop) > 0 {
+			s.active.removeIf(sh, func(a ip6.Addr, _ targetState) bool {
+				if !shardDrop.Has(a) {
+					return false
 				}
-				d.addAS(asn)
-			}
-			return true
-		})
+				d.add(s.net, a)
+				return true
+			})
+		}
 		if spillDrop != nil {
 			spillDrop.AddAllToShard(sh, drop.Shard(sh))
 		}
@@ -1093,10 +1096,16 @@ type shardPurge struct {
 	perAS map[int]int
 }
 
-func (d *shardPurge) addAS(asn int) {
+// add counts one removed address under its AS.
+func (d *shardPurge) add(net *netmodel.Network, a ip6.Addr) {
+	asn := 0
+	if as := net.AS.Lookup(a); as != nil {
+		asn = as.ASN
+	}
 	if d.perAS == nil {
 		d.perAS = make(map[int]int)
 	}
+	d.count++
 	d.perAS[asn]++
 }
 
@@ -1161,16 +1170,11 @@ func (s *Service) runAPD(ctx context.Context, day int, rec *ScanRecord) error {
 	purged := make([]shardPurge, ip6.AddrShards)
 	ip6.ParallelShards(s.workers, func(sh int) {
 		d := &purged[sh]
-		s.active.WalkShard(sh, func(a ip6.Addr, _ *targetState) bool {
-			if fresh.Contains(a) {
-				s.active.DeleteInShard(sh, a)
-				d.count++
-				asn := 0
-				if as := s.net.AS.Lookup(a); as != nil {
-					asn = as.ASN
-				}
-				d.addAS(asn)
+		s.active.removeIf(sh, func(a ip6.Addr, _ targetState) bool {
+			if !fresh.Contains(a) {
+				return false
 			}
+			d.add(s.net, a)
 			return true
 		})
 	})
@@ -1230,40 +1234,33 @@ func (s *Service) coveredByAliased(p ip6.Prefix) bool {
 	return ok && m.Bits() <= p.Bits()
 }
 
-// buildScanSet applies the 30-day filter and rebuilds the per-shard scan
-// sets in s.scanShards, returning the total target count. Every shard
-// evicts its stale targets and sorts its survivors independently on the
-// worker pool; the global concatenated-and-sorted target slice of the
-// serial implementation is gone — the scanner consumes the shard slices
-// directly. Per-shard sorting keeps the engine's batch sequences
-// deterministic for order-sensitive sinks (records themselves are
-// order-independent), and costs less than one global sort.
+// buildScanSet applies the 30-day filter, returning the scan set's total
+// target count. Every shard evicts its stale rows in one in-place pass on
+// the worker pool; what is left of its address column, still ascending,
+// is the shard's scan set, which the scanner consumes directly. The
+// ascending order keeps the engine's batch sequences deterministic, and
+// it is what lets the digest name a target by its position.
 func (s *Service) buildScanSet(day int, rec *ScanRecord) int {
 	var evicted [ip6.AddrShards]int
 	ip6.ParallelShards(s.workers, func(sh int) {
-		targets := s.scanShards[sh][:0]
-		s.active.WalkShard(sh, func(a ip6.Addr, st *targetState) bool {
+		s.active.removeIf(sh, func(a ip6.Addr, st targetState) bool {
 			ref := st.lastSuccessDay
 			if ref < 0 {
 				ref = st.firstDay
 			}
-			if day-ref > s.cfg.UnresponsiveDays {
-				s.active.DeleteInShard(sh, a)
-				evicted[sh]++
-				if s.cfg.RetainUnresponsive {
-					s.unresponsive.AddToShard(sh, a)
-				}
-				return true
+			if day-ref <= s.cfg.UnresponsiveDays {
+				return false
 			}
-			targets = append(targets, a)
+			evicted[sh]++
+			if s.cfg.RetainUnresponsive {
+				s.unresponsive.AddToShard(sh, a)
+			}
 			return true
 		})
-		ip6.SortAddrs(targets)
-		s.scanShards[sh] = targets
 	})
 	total := 0
 	for sh, n := range evicted {
-		total += len(s.scanShards[sh])
+		total += len(s.active.addrs[sh])
 		rec.Evicted += n
 		s.evictedTotal += n
 	}
@@ -1276,55 +1273,78 @@ func (s *Service) buildScanSet(day int, rec *ScanRecord) int {
 // merge into the ScanRecord walks shards in canonical order, which makes
 // records and snapshots bit-identical for any worker count or batch size.
 type shardDigest struct {
-	raw, clean   [netmodel.NumProtocols]int
-	rawAny       ip6.Set
-	cleanAny     ip6.Set
-	cleanByProto [netmodel.NumProtocols]ip6.Set
-	injectedDNS  ip6.Set
-	injectedRes  int
+	raw, clean [netmodel.NumProtocols]int
+	// rawAt and cleanAt are the scan-set positions — rows of the shard's
+	// active table — of the targets with at least one success, and with
+	// at least one clean success, ascending.
+	rawAt, cleanAt []int
+	cleanAny       ip6.Set
+	cleanByProto   [netmodel.NumProtocols]ip6.Set
+	injectedDNS    []ip6.Addr // targets with an injected answer, ascending
+	injectedRes    int
 
 	// Churn counters, filled in by finalizeDigest.
 	firstResp, respAgain, unresp int
 }
 
-// digestSink returns the scan.Sink that classifies and folds streamed
-// batches into per-shard accumulators. It runs on the engine's worker
-// goroutines and touches only its shard's digest (an address lives in
-// exactly one shard); service state stays untouched until finalizeDigest,
-// so an errored or cancelled scan mutates nothing.
-func (s *Service) digestSink(digests []*shardDigest) scan.Sink {
+// reset empties d for the next scan, keeping its lists' capacity. The
+// sets went to service state at the last finalization, so a shard starts
+// without them until its first batch.
+func (d *shardDigest) reset() {
+	*d = shardDigest{rawAt: d.rawAt[:0], cleanAt: d.cleanAt[:0], injectedDNS: d.injectedDNS[:0]}
+}
+
+// digestSink returns the scan.Sink that classifies and folds the main
+// scan's batches into per-shard accumulators. The scan streams the active
+// table's address columns, so a result's position in its shard's probe
+// sequence (Batch.Offset) names the table row it belongs to; a success
+// whose target is not that row's address fails the scan. The sink runs on
+// the engine's worker goroutines and touches only its shard's digest (an
+// address lives in exactly one shard); service state stays untouched
+// until finalizeDigest, so an errored or cancelled scan mutates nothing.
+func (s *Service) digestSink(digests []shardDigest) scan.Sink {
+	nprotos := len(s.cfg.Protocols)
 	return func(b *scan.Batch) error {
-		d := digests[b.Shard]
-		if d == nil {
-			d = &shardDigest{
-				rawAny:      ip6.NewSet(0),
-				cleanAny:    ip6.NewSet(0),
-				injectedDNS: ip6.NewSet(0),
-			}
+		d := &digests[b.Shard]
+		if d.cleanAny == nil {
+			d.cleanAny = ip6.NewSet(0)
 			for i := range d.cleanByProto {
 				d.cleanByProto[i] = ip6.NewSet(0)
 			}
-			digests[b.Shard] = d
 		}
+		targets := s.active.addrs[b.Shard]
+		row, proto := b.Offset()/nprotos, b.Offset()%nprotos
 		for i := range b.Results {
-			r := &b.Results[i]
+			r, at := &b.Results[i], row
+			if proto++; proto == nprotos {
+				row, proto = row+1, 0
+			}
 			if !r.Success {
 				continue
 			}
-			// Classify exactly once; the evidence sets below feed the
-			// GFW tracker at finalize time (the old path re-parsed the
-			// DNS payload three times per result).
+			if at >= len(targets) || targets[at] != r.Target {
+				return fmt.Errorf("core: result for %v does not match shard %d's scan-set row %d", r.Target, b.Shard, at)
+			}
+			// Classify exactly once; the evidence below feeds the GFW
+			// tracker at finalize time. A target's results are adjacent, so
+			// a row is new to rawAt or cleanAt exactly when it is not the
+			// last one recorded.
 			injected := r.Proto == netmodel.UDP53 && gfw.ClassifyResult(*r).Injected()
 			d.raw[r.Proto]++
-			d.rawAny.Add(r.Target)
+			if n := len(d.rawAt); n == 0 || d.rawAt[n-1] != at {
+				d.rawAt = append(d.rawAt, at)
+			}
 			if injected {
 				d.injectedRes++
-				d.injectedDNS.Add(r.Target)
-			} else {
-				d.clean[r.Proto]++
-				d.cleanAny.Add(r.Target)
-				d.cleanByProto[r.Proto].Add(r.Target)
+				d.injectedDNS = append(d.injectedDNS, r.Target)
+				continue
 			}
+			d.clean[r.Proto]++
+			if n := len(d.cleanAt); n == 0 || d.cleanAt[n-1] != at {
+				d.cleanAt = append(d.cleanAt, at)
+				d.cleanAny.Add(r.Target)
+			}
+			d.cleanByProto[r.Proto].Add(r.Target)
 		}
 		return nil
 	}
@@ -1333,11 +1353,11 @@ func (s *Service) digestSink(digests []*shardDigest) scan.Sink {
 // finalizeDigest applies the per-shard accumulators to service state —
 // target liveness, GFW evidence, cumulative responsive sets, churn — as a
 // per-shard sweep on the worker pool (shards are independent, and with
-// the sharded target store the liveness bumps are shard-local too: no
+// the sharded target store the liveness writes are shard-local too: no
 // cross-shard locking anywhere), then merges the counters into the record
 // in canonical shard order. It only runs for a completed scan, so aborted
 // scans leave the service exactly as it was.
-func (s *Service) finalizeDigest(digests []*shardDigest, day int, rec *ScanRecord) {
+func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord) {
 	// lastClean persists across scans: SetShard replaces each shard's
 	// content anyway, and a persistent set object is what lets its shard
 	// epochs prove "unchanged since the last publication" to the
@@ -1351,29 +1371,24 @@ func (s *Service) finalizeDigest(digests []*shardDigest, day int, rec *ScanRecor
 		}
 	}
 
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if digests[sh] == nil {
-			// A shard with no batches still matters: its previously
-			// responsive addresses all churned to unresponsive. The zero
-			// digest's nil sets are safe to read.
-			digests[sh] = &shardDigest{}
-		}
-	}
+	// A shard with no batches still matters: its previously responsive
+	// addresses all churned to unresponsive. Its digest's nil sets are
+	// safe to read.
 	ip6.ParallelShards(s.workers, func(sh int) {
-		d := digests[sh]
+		d := &digests[sh]
 		// Target liveness: before the filter deployment, injected
 		// success keeps the target alive (that is the published
 		// behaviour), so any response counts; after deployment only
-		// clean responses do. Addresses of one shard never appear in
-		// another, so the targetState writes are race-free.
-		bump := d.cleanAny
+		// clean responses do. The digest holds table rows, and the table
+		// has not changed since the scan read it. Addresses of one shard
+		// never appear in another, so the writes are race-free.
+		bump := d.cleanAt
 		if !s.gfwDeployed {
-			bump = d.rawAny
+			bump = d.rawAt
 		}
-		for a := range bump {
-			if st, ok := s.active.GetInShard(sh, a); ok {
-				st.lastSuccessDay = day
-			}
+		state := s.active.state[sh]
+		for _, at := range bump {
+			state[at].lastSuccessDay = day
 		}
 		s.tracker.AddEvidenceShard(sh, d.injectedDNS, &d.cleanByProto)
 
@@ -1401,14 +1416,14 @@ func (s *Service) finalizeDigest(digests []*shardDigest, day int, rec *ScanRecor
 	})
 
 	for sh := 0; sh < ip6.AddrShards; sh++ {
-		d := digests[sh]
+		d := &digests[sh]
 		for p := 0; p < netmodel.NumProtocols; p++ {
 			rec.ResponsiveRaw[p] += d.raw[p]
 			rec.ResponsiveClean[p] += d.clean[p]
 		}
 		// Shards partition the address space, so disjoint-set lengths sum
 		// to the union's cardinality.
-		rec.TotalRaw += d.rawAny.Len()
+		rec.TotalRaw += len(d.rawAt)
 		rec.TotalClean += d.cleanAny.Len()
 		rec.InjectedDNS += d.injectedRes
 		rec.FirstResp += d.firstResp

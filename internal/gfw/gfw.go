@@ -169,12 +169,15 @@ func NewTracker() *Tracker {
 }
 
 // AddEvidenceShard folds one shard's per-scan evidence into the tracker:
-// the targets that drew an injected DNS answer, plus the clean responsive
-// sets per protocol (UDP/53 feeds the real-DNS evidence, every other
-// protocol the other-protocol evidence). Distinct shards may be folded
-// concurrently; every address must hash to shard i.
-func (t *Tracker) AddEvidenceShard(i int, injectedDNS ip6.Set, cleanByProto *[netmodel.NumProtocols]ip6.Set) {
-	t.injectedSeen.AddAllToShard(i, injectedDNS)
+// the targets that drew an injected DNS answer (a list, as a scan yields
+// them; repeats are harmless), plus the clean responsive sets per
+// protocol (UDP/53 feeds the real-DNS evidence, every other protocol the
+// other-protocol evidence). Distinct shards may be folded concurrently;
+// every address must hash to shard i.
+func (t *Tracker) AddEvidenceShard(i int, injectedDNS []ip6.Addr, cleanByProto *[netmodel.NumProtocols]ip6.Set) {
+	for _, a := range injectedDNS {
+		t.injectedSeen.AddToShard(i, a)
+	}
 	for p, set := range cleanByProto {
 		if netmodel.Protocol(p) == netmodel.UDP53 {
 			t.realDNS.AddAllToShard(i, set)

@@ -151,10 +151,10 @@ func TestTracker(t *testing.T) {
 			if !r.Success {
 				continue
 			}
-			injected := ip6.NewSet(0)
+			var injected []ip6.Addr
 			var clean [netmodel.NumProtocols]ip6.Set
 			if r.Proto == netmodel.UDP53 && ClassifyResult(r).Injected() {
-				injected.Add(r.Target)
+				injected = append(injected, r.Target)
 			} else {
 				clean[r.Proto] = ip6.SetOf(r.Target)
 			}

@@ -5,109 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// ShardedMap is a map[Addr]V partitioned into AddrShards disjoint maps by
-// ShardOf — the keyed counterpart of ShardedSet. It exists so that
-// per-address bookkeeping (the service's active-target store) can live
-// shard-aligned with the scan engine's batch delivery: each shard may be
-// written by at most one goroutine at a time, so per-shard sweeps need no
-// locking, and any consumer that merges derived state in canonical shard
-// order is deterministic by construction.
-//
-// The zero value is not ready for use; call NewShardedMap.
-type ShardedMap[V any] struct {
-	shards [AddrShards]map[Addr]V
-}
-
-// NewShardedMap returns an empty ShardedMap. Shard maps are allocated
-// lazily on first insert.
-func NewShardedMap[V any]() *ShardedMap[V] { return &ShardedMap[V]{} }
-
-// Get returns the value stored for a.
-func (m *ShardedMap[V]) Get(a Addr) (V, bool) { return m.GetInShard(ShardOf(a), a) }
-
-// GetInShard returns the value stored for a in shard i, skipping the
-// shard hash when the caller already knows it.
-func (m *ShardedMap[V]) GetInShard(i int, a Addr) (V, bool) {
-	var zero V
-	sh := m.shards[i]
-	if sh == nil {
-		return zero, false
-	}
-	v, ok := sh[a]
-	if !ok {
-		return zero, false
-	}
-	return v, true
-}
-
-// Put stores v for a in its canonical shard. Not safe for concurrent
-// use — use PutInShard from per-shard workers instead.
-func (m *ShardedMap[V]) Put(a Addr, v V) { m.PutInShard(ShardOf(a), a, v) }
-
-// PutInShard stores v for a in shard i. The caller must ensure
-// ShardOf(a) == i and that no other goroutine touches shard i
-// concurrently.
-func (m *ShardedMap[V]) PutInShard(i int, a Addr, v V) {
-	if m.shards[i] == nil {
-		m.shards[i] = make(map[Addr]V)
-	}
-	m.shards[i][a] = v
-}
-
-// Delete removes a; it reports whether a was present. Not safe for
-// concurrent use — use DeleteInShard from per-shard workers instead.
-func (m *ShardedMap[V]) Delete(a Addr) bool { return m.DeleteInShard(ShardOf(a), a) }
-
-// DeleteInShard removes a from shard i under the same contract as
-// PutInShard. Deleting the key most recently yielded by WalkShard is
-// safe (Go map deletion during range).
-func (m *ShardedMap[V]) DeleteInShard(i int, a Addr) bool {
-	sh := m.shards[i]
-	if sh == nil {
-		return false
-	}
-	if _, ok := sh[a]; !ok {
-		return false
-	}
-	delete(sh, a)
-	return true
-}
-
-// Len returns the total entry count across shards.
-func (m *ShardedMap[V]) Len() int {
-	n := 0
-	for _, sh := range m.shards {
-		n += len(sh)
-	}
-	return n
-}
-
-// ShardLen returns the entry count of shard i.
-func (m *ShardedMap[V]) ShardLen(i int) int { return len(m.shards[i]) }
-
-// WalkShard visits every entry of shard i in map order (unspecified); fn
-// returning false stops the walk. fn may delete the entry it was called
-// with via DeleteInShard.
-func (m *ShardedMap[V]) WalkShard(i int, fn func(Addr, V) bool) {
-	for a, v := range m.shards[i] {
-		if !fn(a, v) {
-			return
-		}
-	}
-}
-
-// Walk visits every entry, shard by shard in canonical order; fn
-// returning false stops the walk.
-func (m *ShardedMap[V]) Walk(fn func(Addr, V) bool) {
-	for i := range m.shards {
-		for a, v := range m.shards[i] {
-			if !fn(a, v) {
-				return
-			}
-		}
-	}
-}
-
 // ParallelShards runs fn for every shard index in [0, AddrShards) on up
 // to workers goroutines, returning when all shards are done. Shard
 // indices are handed out atomically, so each fn(i) runs exactly once and

@@ -10,95 +10,6 @@ import (
 	"time"
 )
 
-func TestShardedMapBasics(t *testing.T) {
-	m := NewShardedMap[int]()
-	addrs := shardedTestAddrs(500)
-	for i, a := range addrs {
-		m.Put(a, i)
-	}
-	if m.Len() != len(addrs) {
-		t.Fatalf("len %d, want %d", m.Len(), len(addrs))
-	}
-	for i, a := range addrs {
-		v, ok := m.Get(a)
-		if !ok || v != i {
-			t.Fatalf("get %v = %d,%v want %d", a, v, ok, i)
-		}
-		if v, ok := m.GetInShard(ShardOf(a), a); !ok || v != i {
-			t.Fatalf("GetInShard %v = %d,%v", a, v, ok)
-		}
-	}
-	// Shard lengths partition the total.
-	sum := 0
-	for sh := 0; sh < AddrShards; sh++ {
-		sum += m.ShardLen(sh)
-	}
-	if sum != m.Len() {
-		t.Errorf("shard lengths sum %d, want %d", sum, m.Len())
-	}
-	// Walk visits every entry once, shards in canonical order.
-	seen := 0
-	lastShard := -1
-	m.Walk(func(a Addr, v int) bool {
-		seen++
-		if sh := ShardOf(a); sh < lastShard {
-			t.Errorf("walk shard order regressed: %d after %d", sh, lastShard)
-		} else {
-			lastShard = sh
-		}
-		return true
-	})
-	if seen != len(addrs) {
-		t.Errorf("walk visited %d, want %d", seen, len(addrs))
-	}
-	// Delete removes exactly the requested entries.
-	for _, a := range addrs[:100] {
-		if !m.Delete(a) {
-			t.Fatalf("delete %v reported absent", a)
-		}
-		if m.Delete(a) {
-			t.Fatalf("double delete %v reported present", a)
-		}
-	}
-	if m.Len() != len(addrs)-100 {
-		t.Errorf("len after delete %d", m.Len())
-	}
-	if _, ok := m.Get(addrs[0]); ok {
-		t.Error("deleted entry still present")
-	}
-}
-
-func TestShardedMapDeleteDuringWalk(t *testing.T) {
-	m := NewShardedMap[int]()
-	addrs := shardedTestAddrs(300)
-	for i, a := range addrs {
-		m.Put(a, i)
-	}
-	for sh := 0; sh < AddrShards; sh++ {
-		m.WalkShard(sh, func(a Addr, v int) bool {
-			if v%2 == 0 {
-				m.DeleteInShard(sh, a)
-			}
-			return true
-		})
-	}
-	want := 0
-	for i := range addrs {
-		if i%2 == 1 {
-			want++
-		}
-	}
-	if m.Len() != want {
-		t.Errorf("len after walk-delete %d, want %d", m.Len(), want)
-	}
-	m.Walk(func(a Addr, v int) bool {
-		if v%2 == 0 {
-			t.Errorf("even entry %d survived", v)
-		}
-		return true
-	})
-}
-
 func TestParallelShards(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, AddrShards + 5} {
 		var hits [AddrShards]atomic.Int32

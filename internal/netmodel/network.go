@@ -128,8 +128,9 @@ type Network struct {
 
 	// probes counts served probes on shard-striped padded atomics: the
 	// scan engine works one shard per worker at a time, so concurrent
-	// workers increment disjoint cache lines and the old global mutex's
-	// contention is gone. ProbeCount aggregates the stripes on read.
+	// workers add to disjoint cache lines, and they add once per segment
+	// of probing (CountProbes) rather than once per probe. ProbeCount
+	// aggregates the stripes on read.
 	probes [ip6.AddrShards]probeStripe
 
 	// transit caches the backbone ASes for path synthesis.
@@ -250,6 +251,15 @@ func (n *Network) ProbeCount() uint64 {
 	return total
 }
 
+// CountProbes adds k probes served to targets of shard to ProbeCount.
+// Probe counts its own call; a caller of ProbeResolved counts the calls
+// it made, and may add up many of them first.
+func (n *Network) CountProbes(shard int, k uint64) {
+	if k > 0 {
+		n.probes[shard].n.Add(k)
+	}
+}
+
 // ResetPMTU clears all poisoned PMTU caches (between TBT runs).
 func (n *Network) ResetPMTU() { n.pmtu.reset() }
 
@@ -327,14 +337,15 @@ func (n *Network) Resolve(target ip6.Addr, shard, day int) Resolved {
 // It is safe for concurrent use.
 func (n *Network) Probe(p Probe) Response {
 	res := n.Resolve(p.Target, ip6.ShardOf(p.Target), p.Day)
+	n.CountProbes(res.shard, 1)
 	return n.ProbeResolved(&p, &res)
 }
 
 // ProbeResolved is Probe against an already resolved target: the target
 // and day are taken from res, whatever p.Target and p.Day say. p is only
-// read, so a caller may send the same probe again.
+// read, so a caller may send the same probe again. It does not count
+// toward ProbeCount: the caller reports its calls through CountProbes.
 func (n *Network) ProbeResolved(p *Probe, res *Resolved) Response {
-	n.probes[res.shard].n.Add(1)
 	switch p.Kind {
 	case EchoRequest:
 		return n.probeEcho(p, res)

@@ -248,9 +248,10 @@ func (s *Scanner) resolve(t *target, addr ip6.Addr, shard, day int) {
 // and retries. A UDP/53 probe makes its DNS plan for the call.
 func (s *Scanner) ProbeOne(addr ip6.Addr, proto netmodel.Protocol, day int) Result {
 	var t target
-	s.resolve(&t, addr, ip6.ShardOf(addr), day)
+	sh := ip6.ShardOf(addr)
+	s.resolve(&t, addr, sh, day)
 	var res Result
-	s.probe(&t, proto, nil, nil, &res)
+	s.net.CountProbes(sh, s.probe(&t, proto, nil, nil, &res))
 	return res
 }
 
@@ -261,8 +262,10 @@ func (s *Scanner) ProbeOne(addr ip6.Addr, proto netmodel.Protocol, day int) Resu
 // one is supplied — the streaming engine's path, which pairs an arena
 // with each batch and recycles both together; res.DNS then aliases arena
 // memory and is only valid until the arena resets. plan, when non-nil, is
-// the scan's shared DNS plan for s.dnsQuery on t.day.
-func (s *Scanner) probe(t *target, proto netmodel.Protocol, arena *netmodel.WireArena, plan *netmodel.DNSPlan, res *Result) {
+// the scan's shared DNS plan for s.dnsQuery on t.day. It returns how many
+// probes the network served — attempts lost before reaching it are not
+// among them — for the caller to add to the network's ProbeCount.
+func (s *Scanner) probe(t *target, proto netmodel.Protocol, arena *netmodel.WireArena, plan *netmodel.DNSPlan, res *Result) (served uint64) {
 	res.Target, res.Proto, res.Day = t.addr, proto, t.day
 	var pr netmodel.Probe
 	s.buildProbe(&pr, t, proto)
@@ -275,6 +278,7 @@ func (s *Scanner) probe(t *target, proto netmodel.Protocol, arena *netmodel.Wire
 			continue
 		}
 		resp := s.net.ProbeResolved(&pr, &t.res)
+		served++
 		if resp.Kind == netmodel.RespNone {
 			// Genuine silence: retrying cannot change the outcome, the
 			// world is deterministic within a day.
@@ -295,6 +299,7 @@ func (s *Scanner) probe(t *target, proto netmodel.Protocol, arena *netmodel.Wire
 		// retry at a silent target.
 		res.Attempts = uint16(1 + s.cfg.Retries)
 	}
+	return served
 }
 
 // buildProbe fills the zero probe pr for one protocol at a resolved

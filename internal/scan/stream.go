@@ -326,7 +326,13 @@ func (r *streamRun) deliver(b *Batch) error {
 func (p *shardProbe) probe(targets []ip6.Addr) error {
 	r := p.run
 	t0 := time.Now()
-	defer func() { r.total.addNanos(p.shard, time.Since(t0)) }()
+	// Probes served are added to the network's count once per segment,
+	// on every exit, instead of once per probe.
+	var served uint64
+	defer func() {
+		r.s.net.CountProbes(p.shard, served)
+		r.total.addNanos(p.shard, time.Since(t0))
+	}()
 	var t target
 	for _, a := range targets {
 		// The one ShardOf per target: the shard keys the host lookup and
@@ -339,7 +345,7 @@ func (p *shardProbe) probe(targets []ip6.Addr) error {
 		for _, proto := range r.protos {
 			p.b.Results = append(p.b.Results, Result{})
 			res := &p.b.Results[len(p.b.Results)-1]
-			r.s.probe(&t, proto, p.b.arena, r.plan, res)
+			served += r.s.probe(&t, proto, p.b.arena, r.plan, res)
 			p.b.Stats.ProbesSent += uint64(res.Attempts)
 			if res.Kind != netmodel.RespNone {
 				p.b.Stats.Responses++

@@ -339,3 +339,47 @@ func TestProbeOneAttempts(t *testing.T) {
 		t.Errorf("silent host attempts: %d, want %d", r.Attempts, 1+cfg.Retries)
 	}
 }
+
+// TestStreamProbeCountMatchesServed: the stream adds its probes to the
+// network's ProbeCount once per segment, and the total must be exactly
+// what a serial ProbeOne loop serves — probes that reached the network,
+// so lost attempts (which Result.Attempts and Stats.ProbesSent do
+// charge) are not among them.
+func TestStreamProbeCountMatchesServed(t *testing.T) {
+	n := testNet(t)
+	targets := append(streamTargets(300),
+		ip6.MustParseAddr("2001:100::80"),
+		ip6.MustParseAddr("2001:100::53"),
+		ip6.MustParseAddr("2001:100::dead"),
+		ip6.MustParseAddr("240e::1"),
+		ip6.MustParseAddr("240e::2"))
+	protos := allProtos()
+	cfg := DefaultConfig(5)
+	cfg.LossRate = 0.3
+	cfg.Retries = 2
+
+	s := New(n, cfg)
+	before := n.ProbeCount()
+	for _, a := range targets {
+		for _, p := range protos {
+			s.ProbeOne(a, p, 5)
+		}
+	}
+	serial := n.ProbeCount() - before
+
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		s := New(n, cfg)
+		before := n.ProbeCount()
+		_, st, err := scanAll(context.Background(), s, targets, protos, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := n.ProbeCount() - before; got != serial {
+			t.Errorf("workers=%d: stream served %d probes, ProbeOne loop %d", workers, got, serial)
+		}
+		if serial >= st.ProbesSent {
+			t.Errorf("workers=%d: served %d not below attempts %d at loss %.1f", workers, serial, st.ProbesSent, cfg.LossRate)
+		}
+	}
+}
