@@ -214,13 +214,20 @@ func (f refTGAFeed) Candidates(day int, _ *tga.SeedView) scan.TargetSource {
 // refModel is the active window as a map, kept by the window's rules
 // from what the service exposes: its input-dedup set, blocklist, aliased
 // prefixes and GFW drop list are the model's own copies or read from the
-// service; responses come from probing each target one by one.
+// service; responses come from probing each target one by one. It also
+// keeps the last scan's clean responders, on any protocol and per
+// protocol, every address that ever responded clean, and the last
+// scan's churn.
 type refModel struct {
 	rows     map[ip6.Addr]targetState
 	seen     map[ip6.Addr]bool
 	drop     *ip6.ShardedSet // the deployed GFW drop list
 	deployed bool
 
+	respAny, ever map[ip6.Addr]bool
+	resp          [netmodel.NumProtocols]map[ip6.Addr]bool
+
+	firstResp, respAgain, unresp          int // the last scan's churn
 	evicted, purged, dropped, tgaAdmitted int
 }
 
@@ -236,9 +243,9 @@ func (m *refModel) admit(s *Service, aliased *ip6.PrefixSet, a ip6.Addr, day int
 	m.rows[a] = targetState{firstDay: day, lastSuccessDay: -1}
 }
 
-// responds probes a on every protocol: any success, and any success that
-// is not an injected DNS answer.
-func responds(s *Service, a ip6.Addr, day int) (raw, clean bool) {
+// responds probes a on every protocol: whether any probe succeeded, and
+// the protocols whose success is not an injected DNS answer.
+func responds(s *Service, a ip6.Addr, day int) (raw bool, clean []netmodel.Protocol) {
 	for _, p := range s.cfg.Protocols {
 		r := s.Scanner().ProbeOne(a, p, day)
 		if !r.Success {
@@ -246,7 +253,7 @@ func responds(s *Service, a ip6.Addr, day int) (raw, clean bool) {
 		}
 		raw = true
 		if !(p == netmodel.UDP53 && gfw.ClassifyResult(r).Injected()) {
-			clean = true
+			clean = append(clean, p)
 		}
 	}
 	return raw, clean
@@ -292,13 +299,39 @@ func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, day int, aliasedB
 	}
 	m.evicted += evicted
 	scanned = len(m.rows)
+	respAny := make(map[ip6.Addr]bool)
+	var resp [netmodel.NumProtocols]map[ip6.Addr]bool
+	for p := range resp {
+		resp[p] = make(map[ip6.Addr]bool)
+	}
 	for a, st := range m.rows {
 		raw, clean := responds(s, a, day)
-		if clean || (raw && !m.deployed) {
+		if len(clean) > 0 || (raw && !m.deployed) {
 			st.lastSuccessDay = day
 			m.rows[a] = st
 		}
+		for _, p := range clean {
+			resp[p][a] = true
+			respAny[a] = true
+		}
 	}
+	m.firstResp, m.respAgain, m.unresp = 0, 0, 0
+	for a := range respAny {
+		switch {
+		case m.respAny[a]:
+		case m.ever[a]:
+			m.respAgain++
+		default:
+			m.firstResp++
+		}
+		m.ever[a] = true
+	}
+	for a := range m.respAny {
+		if !respAny[a] {
+			m.unresp++
+		}
+	}
+	m.respAny, m.resp = respAny, resp
 	if s.cfg.TGAFeed != nil && s.EverResponsiveAnyLen() > 0 {
 		round := make(map[ip6.Addr]bool)
 		var resp []ip6.Addr
@@ -324,7 +357,9 @@ func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, day int, aliasedB
 // TestActiveTableMatchesReference runs random tiny worlds and configs
 // against a map model of the active window: after every scan, every
 // shard of the table is strictly ascending, holds only its own shard's
-// addresses, and equals the model, rows and states.
+// addresses, and equals the model, rows and states. So does every shard
+// of the last scan's responder columns, any-protocol and per protocol,
+// and the record's clean-responder count and churn are the model's.
 func TestActiveTableMatchesReference(t *testing.T) {
 	cases := 8
 	if testing.Short() {
@@ -357,7 +392,7 @@ func TestActiveTableMatchesReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := NewService(cfg, w.net, w.feeds, w.block)
 			defer s.Close()
-			m := &refModel{rows: make(map[ip6.Addr]targetState), seen: make(map[ip6.Addr]bool)}
+			m := &refModel{rows: make(map[ip6.Addr]targetState), seen: make(map[ip6.Addr]bool), ever: make(map[ip6.Addr]bool)}
 			for day := 0; day < 240; day += 1 + r.IntN(9) {
 				aliasedBefore := ip6.NewPrefixSet()
 				for _, p := range s.aliased.Prefixes() {
@@ -376,6 +411,17 @@ func TestActiveTableMatchesReference(t *testing.T) {
 					t.Fatalf("day %d: record scanned %d evicted %d, model %d %d", day, rec.ScannedTargets, rec.Evicted, scanned, evicted)
 				}
 				checkActive(t, s, m.rows, day)
+				checkColumns(t, fmt.Sprintf("day %d: prevRespAny", day), &s.prevRespAny, m.respAny)
+				for _, p := range s.cfg.Protocols {
+					checkColumns(t, fmt.Sprintf("day %d: lastClean[%v]", day, p), &s.lastClean[p], m.resp[p])
+				}
+				if got, want := [4]int{rec.TotalClean, rec.FirstResp, rec.RespAgain, rec.Unresp},
+					[4]int{len(m.respAny), m.firstResp, m.respAgain, m.unresp}; got != want {
+					t.Fatalf("day %d: record clean/first/again/unresp %v, model %v", day, got, want)
+				}
+				total.firstResp += m.firstResp
+				total.respAgain += m.respAgain
+				total.unresp += m.unresp
 			}
 			total.evicted += m.evicted
 			total.purged += m.purged
@@ -383,10 +429,39 @@ func TestActiveTableMatchesReference(t *testing.T) {
 			total.tgaAdmitted += m.tgaAdmitted
 		})
 	}
-	// Every removal and admission path must have been exercised.
+	// Every removal and admission path, and every kind of churn, must
+	// have been exercised.
 	if total.evicted == 0 || total.purged == 0 || total.dropped == 0 || total.tgaAdmitted == 0 {
 		t.Errorf("cases left a path idle: evicted %d, purged %d, GFW-dropped %d, TGA-admitted %d",
 			total.evicted, total.purged, total.dropped, total.tgaAdmitted)
+	}
+	if total.firstResp == 0 || total.respAgain == 0 || total.unresp == 0 {
+		t.Errorf("cases left churn idle: first %d, again %d, unresponsive %d", total.firstResp, total.respAgain, total.unresp)
+	}
+}
+
+// checkColumns compares responder columns with the model's set: every
+// shard strictly ascending, holding only its own shard's addresses, all
+// of them in the model, and as many as the model holds.
+func checkColumns(t *testing.T, label string, cols *respColumns, want map[ip6.Addr]bool) {
+	t.Helper()
+	n := 0
+	for sh, col := range cols {
+		for i, a := range col {
+			if ip6.ShardOf(a) != sh {
+				t.Fatalf("%s: %v in shard %d", label, a, sh)
+			}
+			if i > 0 && col[i-1].Compare(a) >= 0 {
+				t.Fatalf("%s: shard %d not strictly ascending at %v", label, sh, a)
+			}
+			if !want[a] {
+				t.Fatalf("%s: %v responded, not in the model", label, a)
+			}
+		}
+		n += len(col)
+	}
+	if n != len(want) {
+		t.Fatalf("%s: %d responders, model %d", label, n, len(want))
 	}
 }
 

@@ -18,19 +18,22 @@ package core
 // Service.payloads is the one payload table: every payload but
 // state.json, once, in manifest file order (records, snapshots, active,
 // the address sets with unresp.hl6 last, apd_history, pending64,
-// seen64). A row is an address set, written as a .hl6 image, or a
-// write/read pair. Checkpoint and Resume both walk it; the order is part
-// of the format (TestCheckpointManifestsMatchGolden). state.json stays
-// outside because Resume reads it before NewService.
+// seen64). A row is a cumulative address set, written as a .hl6 image,
+// or a write/read pair — the last scan's responder columns (prevresp,
+// lastclean_*) are such pairs, .hl6 images too. Checkpoint and Resume
+// both walk it; the order is part of the format
+// (TestCheckpointManifestsMatchGolden). state.json stays outside because
+// Resume reads it before NewService.
 //
 // A delta checkpoint appends to its parent what the scans since added:
 // an address set whose add log is complete writes the logged addresses
 // as a .hl6 image, records.json and seen64.bin their new suffix, and
 // apd_history.bin the rows recorded since, each with its row index.
-// Every other payload, and every set that was replaced, had a shard
-// replaced (SetShard) or outgrew its log, is written in full, exactly as
-// a full checkpoint writes it. Resume resolves each payload through the
-// chain (ckpt.Snapshot.Levels) and applies its levels oldest first.
+// Every other payload — the responder columns, which a scan replaces
+// wholesale, among them — and every set that was replaced or outgrew its
+// log, is written in full, exactly as a full checkpoint writes it.
+// Resume resolves each payload through the chain (ckpt.Snapshot.Levels)
+// and applies its levels oldest first.
 //
 // Deliberately not persisted: lastMain (the wall-clock shard profile —
 // outputs are pinned hand-out-order-invariant, so the resumed run's
@@ -193,10 +196,10 @@ func (s *Service) payloads() []ckptPayload {
 	if s.gfwDeployed {
 		out = append(out, ckptPayload{name: ckptGFWDropFile, set: s.gfwInputDrop})
 	}
-	out = append(out, ckptPayload{name: ckptPrevRespFile, set: s.prevRespAny})
-	if s.lastClean != nil {
+	out = append(out, columnsPayload(ckptPrevRespFile, &s.prevRespAny))
+	if s.scanIndex > 0 {
 		for _, p := range s.cfg.Protocols {
-			out = append(out, ckptPayload{name: ckptLastCleanFile(int(p)), set: s.lastClean[p]})
+			out = append(out, columnsPayload(ckptLastCleanFile(int(p)), &s.lastClean[p]))
 		}
 	}
 	inj, other, real := s.tracker.EvidenceSets()
@@ -539,21 +542,15 @@ func writeJSONFile(w *ckpt.Writer, name string, v any, count int64, appendOnly b
 // appends to the run file all shards share), and a log is pulled through
 // its set's LogCursor.
 func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, appendLog bool) error {
-	f, err := createPayload(w, name, appendLog)
-	if err != nil {
-		return err
-	}
 	var counts [ip6.AddrShards]uint64
-	total := int64(0)
 	for sh := range counts {
 		if appendLog {
 			counts[sh] = uint64(set.LogLen(sh))
 		} else {
 			counts[sh] = uint64(set.ShardLen(sh))
 		}
-		total += int64(counts[sh])
 	}
-	err = hlfile.WriteSharded(f, &counts, func(put func(int, []ip6.Addr) error) error {
+	return writeHL6(w, name, appendLog, &counts, func(put func(int, []ip6.Addr) error) error {
 		if appendLog {
 			return putCursors(put, &counts, func(sh int) (ip6.Cursor, error) { return set.LogCursor(sh), nil })
 		}
@@ -574,11 +571,74 @@ func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet
 			return put(sh, *buf)
 		})
 	})
+}
+
+// writeHL6 stages a .hl6 payload of counts[sh] addresses per shard,
+// which body puts in shard order (hlfile.WriteSharded), marked Append
+// when appendOnly.
+func writeHL6(w *ckpt.Writer, name string, appendOnly bool, counts *[ip6.AddrShards]uint64, body func(put func(int, []ip6.Addr) error) error) error {
+	f, err := createPayload(w, name, appendOnly)
 	if err != nil {
+		return err
+	}
+	if err := hlfile.WriteSharded(f, counts, body); err != nil {
 		return fmt.Errorf("core: writing %s: %w", name, err)
+	}
+	total := int64(0)
+	for _, n := range counts {
+		total += int64(n)
 	}
 	f.SetCount(total)
 	return f.Close()
+}
+
+// columnsPayload is the payload row of a per-scan responder set: written
+// full from its columns as a .hl6 image, and read back into fresh
+// columns, each shard strictly ascending and its own. A scan replaces
+// the columns wholesale, so no level ever appends to one.
+func columnsPayload(name string, cols *respColumns) ckptPayload {
+	return ckptPayload{name: name,
+		write: func(w *ckpt.Writer, name string, _ *ckptBase) error {
+			var counts [ip6.AddrShards]uint64
+			for sh, col := range cols {
+				counts[sh] = uint64(len(col))
+			}
+			return writeHL6(w, name, false, &counts, func(put func(int, []ip6.Addr) error) error {
+				for sh, col := range cols {
+					if err := put(sh, col); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		},
+		read: whole(func(lvl *ckpt.Snapshot, name string) error {
+			sec, err := lvl.Open(name)
+			if err != nil {
+				return err
+			}
+			defer sec.Close()
+			r, err := hlfile.NewReader(sec, sec.Size())
+			if err != nil {
+				return fmt.Errorf("core: opening %s in %s: %w", name, lvl.Dir, err)
+			}
+			for sh := range cols {
+				col := make([]ip6.Addr, 0, r.ShardLen(sh))
+				next := checkedCursor(name, sh, r.ShardCursor(sh))
+				for {
+					a, ok, err := next()
+					if err != nil {
+						return fmt.Errorf("core: loading %s: %w", name, err)
+					}
+					if !ok {
+						break
+					}
+					col = append(col, a)
+				}
+				cols[sh] = col
+			}
+			return nil
+		})}
 }
 
 // putCursors streams the cursor of every shard counts declares
@@ -771,12 +831,6 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 	if st.GFWDeployed {
 		s.gfwDeployed = true
 		s.gfwInputDrop = s.newCumulativeSet()
-	}
-	if snap.Has(ckptLastCleanFile(int(s.cfg.Protocols[0]))) {
-		s.lastClean = make(map[netmodel.Protocol]*ip6.ShardedSet, len(s.cfg.Protocols))
-		for _, p := range s.cfg.Protocols {
-			s.lastClean[p] = ip6.NewShardedSet()
-		}
 	}
 	for _, pl := range s.payloads() {
 		levels, err := snap.Levels(pl.name)

@@ -284,7 +284,7 @@ func TestAppendChainMatchesFull(t *testing.T) {
 					}
 				case fi.Name == ckptPrevRespFile || strings.HasPrefix(fi.Name, "lastclean_"):
 					if fi.Append {
-						t.Errorf("%s: scan %d: %s appends, but SetShard replaces its shards", label, scan, fi.Name)
+						t.Errorf("%s: scan %d: %s appends, but every scan replaces its columns", label, scan, fi.Name)
 					}
 				case fi.Name == ckptGFWDropFile && !sawGFWDrop:
 					sawGFWDrop = true

@@ -15,6 +15,8 @@ import (
 	"hitlist6/internal/ckpt"
 	"hitlist6/internal/ckpt/ckpttest"
 	"hitlist6/internal/ip6"
+	"hitlist6/internal/netmodel"
+	"hitlist6/internal/sources"
 )
 
 // ckptTinyCfg is the reference-scenario config with durability on:
@@ -516,17 +518,32 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 }
 
 // TestResumeRefusesMalformedSets: a .hl6 set payload whose shard runs
-// writeAddrSet cannot have written — an address counted under the
-// previous shard, two addresses of a shard swapped, an address listed
-// twice, an append run repeating an address its base holds, append
-// levels with no full base under them — fails Resume with
-// ckpt.ErrCorrupt, for a resident and for a spilling service. Re-stamped
-// damage passes the segment's CRC check and the .hl6 header check, so
-// only loadAddrSet's own walk can catch it.
+// the checkpoint writer cannot have written — an address counted under
+// the previous shard, two addresses of a shard swapped, an address
+// listed twice, an append run repeating an address its base holds,
+// append levels with no full base under them, an append level of a
+// responder column — fails Resume with ckpt.ErrCorrupt, for a resident
+// and for a spilling service, in a cumulative set (inputseen) and in the
+// last scan's responder columns (prevresp, lastclean). Re-stamped damage
+// passes the segment's CRC check and the .hl6 header check, so only the
+// readers' own walks can catch it.
 func TestResumeRefusesMalformedSets(t *testing.T) {
 	scratch := t.TempDir()
 	ckdir := filepath.Join(scratch, "ckpt")
-	n, feeds := tinyWorld(t)
+	// The tiny world plus enough ICMP hosts that the responder columns
+	// hold shards of two and more addresses to damage.
+	world := func() (*netmodel.Network, []*sources.Feed) {
+		n, feeds := tinyWorld(t)
+		var extra []ip6.Addr
+		for i := uint64(1); i <= 48; i++ {
+			a := ip6.MustParsePrefix("2001:100:1::/64").NthAddr(i)
+			n.AddHost(&netmodel.Host{Addr: a, Protos: netmodel.ProtoSetOf(netmodel.ICMP),
+				BornDay: 0, DeathDay: netmodel.Forever, UptimePermille: 1000, MTU: 1500})
+			extra = append(extra, a)
+		}
+		return n, append(feeds, sources.Recurring("extra", 0, netmodel.Forever, func(int) []ip6.Addr { return extra }))
+	}
+	n, feeds := world()
 	cfg := ckptTinyCfg(ckdir)
 	cfg.CheckpointFullEvery = 1 // the head carries every shard
 	s := NewService(cfg, n, feeds, nil)
@@ -599,32 +616,34 @@ func TestResumeRefusesMalformedSets(t *testing.T) {
 		label string
 		cfg   Config
 	}{{"resident", resident}, {"spill", spilling}}
-	for _, tc := range []struct {
-		label  string
-		defect func([]byte) []byte
-	}{
-		{"moved address", moveAddr},
-		{"swapped addresses", swapAddrs},
-		{"duplicated address", dupAddr},
-	} {
-		ckpttest.Edit(t, ckdir, ckptInputSeenFile, true, tc.defect)
-		for _, shape := range shapes {
-			n2, feeds2 := tinyWorld(t)
-			s2, err := Resume(ckdir, shape.cfg, n2, feeds2, nil)
-			if !errors.Is(err, ckpt.ErrCorrupt) {
-				if s2 != nil {
-					s2.Close()
+	for _, name := range []string{ckptInputSeenFile, ckptPrevRespFile, ckptLastCleanFile(int(netmodel.ICMP))} {
+		for _, tc := range []struct {
+			label  string
+			defect func([]byte) []byte
+		}{
+			{"moved address", moveAddr},
+			{"swapped addresses", swapAddrs},
+			{"duplicated address", dupAddr},
+		} {
+			ckpttest.Edit(t, ckdir, name, true, tc.defect)
+			for _, shape := range shapes {
+				n2, feeds2 := world()
+				s2, err := Resume(ckdir, shape.cfg, n2, feeds2, nil)
+				if !errors.Is(err, ckpt.ErrCorrupt) {
+					if s2 != nil {
+						s2.Close()
+					}
+					t.Errorf("%s, %s, %s: resume: err = %v, want ErrCorrupt", name, tc.label, shape.label, err)
 				}
-				t.Errorf("%s, %s: resume: err = %v, want ErrCorrupt", tc.label, shape.label, err)
 			}
+			restore()
 		}
-		restore()
 	}
 
 	// The restored checkpoint loads in both shapes: the damage, not the
 	// fixture, failed.
 	for _, shape := range shapes {
-		n3, feeds3 := tinyWorld(t)
+		n3, feeds3 := world()
 		s3, err := Resume(ckdir, shape.cfg, n3, feeds3, nil)
 		if err != nil {
 			t.Fatalf("%s: resume from the undamaged checkpoint: %v", shape.label, err)
@@ -668,6 +687,7 @@ func TestResumeRefusesMalformedSets(t *testing.T) {
 	}{
 		{"append repeats a base address", func() { ckpttest.Edit(t, head, ckptInputSeenFile, true, repeatBase) }},
 		{"no full base", func() { markAppend(t, base, ckptInputSeenFile) }},
+		{"responder column appends", func() { markAppend(t, head, ckptPrevRespFile) }},
 	} {
 		for _, shape := range shapes {
 			tc.damage()

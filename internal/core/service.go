@@ -318,9 +318,15 @@ type Service struct {
 	tracker      *gfw.Tracker
 	everResp     [netmodel.NumProtocols]ip6.SpillableSet
 	everRespAny  ip6.SpillableSet
-	prevRespAny  *ip6.ShardedSet // last scan's clean responders: scan-sized, stays resident
-	lastClean    map[netmodel.Protocol]*ip6.ShardedSet
 	inputByFeed  map[string]int
+
+	// prevRespAny and lastClean are the last scan's clean responders, on
+	// any protocol and per protocol: scan-sized, resident, one ascending
+	// column per shard. A column is never written again once built, so
+	// published snapshots wrap it without a copy, and a shard whose
+	// responders did not change keeps the very same slice.
+	prevRespAny respColumns
+	lastClean   [netmodel.NumProtocols]respColumns
 
 	// digests are the main scan's per-shard accumulators, reset before
 	// every scan; their position and address lists keep their capacity.
@@ -513,7 +519,6 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 		aliased:      ip6.NewPrefixSet(),
 		seen64:       make(map[ip6.Prefix]struct{}),
 		tracker:      gfw.NewTracker(),
-		prevRespAny:  ip6.NewShardedSet(),
 		inputByFeed:  make(map[string]int),
 		digests:      make([]shardDigest, ip6.AddrShards),
 		routeBuf:     make([][]routedInput, ip6.AddrShards),
@@ -1276,22 +1281,25 @@ type shardDigest struct {
 	raw, clean [netmodel.NumProtocols]int
 	// rawAt and cleanAt are the scan-set positions — rows of the shard's
 	// active table — of the targets with at least one success, and with
-	// at least one clean success, ascending.
+	// at least one clean success; cleanBy[p] holds the rows with a clean
+	// success on protocol p. All ascending.
 	rawAt, cleanAt []int
-	cleanAny       ip6.Set
-	cleanByProto   [netmodel.NumProtocols]ip6.Set
+	cleanBy        [netmodel.NumProtocols][]int
 	injectedDNS    []ip6.Addr // targets with an injected answer, ascending
+	cleanOther     []ip6.Addr // targets clean on a protocol other than UDP/53, ascending
 	injectedRes    int
 
 	// Churn counters, filled in by finalizeDigest.
 	firstResp, respAgain, unresp int
 }
 
-// reset empties d for the next scan, keeping its lists' capacity. The
-// sets went to service state at the last finalization, so a shard starts
-// without them until its first batch.
+// reset empties d for the next scan, keeping its lists' capacity.
 func (d *shardDigest) reset() {
-	*d = shardDigest{rawAt: d.rawAt[:0], cleanAt: d.cleanAt[:0], injectedDNS: d.injectedDNS[:0]}
+	keep := shardDigest{rawAt: d.rawAt[:0], cleanAt: d.cleanAt[:0], injectedDNS: d.injectedDNS[:0], cleanOther: d.cleanOther[:0]}
+	for p, rows := range d.cleanBy {
+		keep.cleanBy[p] = rows[:0]
+	}
+	*d = keep
 }
 
 // digestSink returns the scan.Sink that classifies and folds the main
@@ -1306,12 +1314,6 @@ func (s *Service) digestSink(digests []shardDigest) scan.Sink {
 	nprotos := len(s.cfg.Protocols)
 	return func(b *scan.Batch) error {
 		d := &digests[b.Shard]
-		if d.cleanAny == nil {
-			d.cleanAny = ip6.NewSet(0)
-			for i := range d.cleanByProto {
-				d.cleanByProto[i] = ip6.NewSet(0)
-			}
-		}
 		targets := s.active.addrs[b.Shard]
 		row, proto := b.Offset()/nprotos, b.Offset()%nprotos
 		for i := range b.Results {
@@ -1326,10 +1328,12 @@ func (s *Service) digestSink(digests []shardDigest) scan.Sink {
 				return fmt.Errorf("core: result for %v does not match shard %d's scan-set row %d", r.Target, b.Shard, at)
 			}
 			// Classify exactly once; the evidence below feeds the GFW
-			// tracker at finalize time. A target's results are adjacent, so
-			// a row is new to rawAt or cleanAt exactly when it is not the
-			// last one recorded.
-			injected := r.Proto == netmodel.UDP53 && gfw.ClassifyResult(*r).Injected()
+			// tracker at finalize time. A target's results are adjacent and
+			// rows arrive in order, so a row is new to a list exactly when
+			// it is not the last one recorded, and every list stays
+			// ascending.
+			dns := r.Proto == netmodel.UDP53
+			injected := dns && gfw.ClassifyMessages(r.DNS).Injected()
 			d.raw[r.Proto]++
 			if n := len(d.rawAt); n == 0 || d.rawAt[n-1] != at {
 				d.rawAt = append(d.rawAt, at)
@@ -1340,39 +1344,56 @@ func (s *Service) digestSink(digests []shardDigest) scan.Sink {
 				continue
 			}
 			d.clean[r.Proto]++
+			if rows := d.cleanBy[r.Proto]; len(rows) == 0 || rows[len(rows)-1] != at {
+				d.cleanBy[r.Proto] = append(rows, at)
+			}
 			if n := len(d.cleanAt); n == 0 || d.cleanAt[n-1] != at {
 				d.cleanAt = append(d.cleanAt, at)
-				d.cleanAny.Add(r.Target)
 			}
-			d.cleanByProto[r.Proto].Add(r.Target)
+			if n := len(d.cleanOther); !dns && (n == 0 || d.cleanOther[n-1] != r.Target) {
+				d.cleanOther = append(d.cleanOther, r.Target)
+			}
 		}
 		return nil
 	}
 }
 
-// finalizeDigest applies the per-shard accumulators to service state —
-// target liveness, GFW evidence, cumulative responsive sets, churn — as a
-// per-shard sweep on the worker pool (shards are independent, and with
-// the sharded target store the liveness writes are shard-local too: no
-// cross-shard locking anywhere), then merges the counters into the record
-// in canonical shard order. It only runs for a completed scan, so aborted
-// scans leave the service exactly as it was.
-func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord) {
-	// lastClean persists across scans: SetShard replaces each shard's
-	// content anyway, and a persistent set object is what lets its shard
-	// epochs prove "unchanged since the last publication" to the
-	// incremental snapshot freeze (SetShard only bumps an epoch when the
-	// replacement actually changes membership).
-	lastClean := s.lastClean
-	if lastClean == nil {
-		lastClean = make(map[netmodel.Protocol]*ip6.ShardedSet, len(s.cfg.Protocols))
-		for _, p := range s.cfg.Protocols {
-			lastClean[p] = ip6.NewShardedSet()
-		}
-	}
+// respColumns is a per-scan responder set: one ascending address column
+// per shard.
+type respColumns [ip6.AddrShards][]ip6.Addr
 
+// set returns the columns as one flat Set.
+func (c *respColumns) set() ip6.Set { return ip6.SetOf(slices.Concat(c[:]...)...) }
+
+// column returns the addresses at rows of targets: cur itself when they
+// are exactly cur, or else a fresh slice, never cur's array — a column
+// is immutable once built. changed reports which.
+func column(cur, targets []ip6.Addr, rows []int) (col []ip6.Addr, changed bool) {
+	same := len(cur) == len(rows)
+	for i := 0; same && i < len(rows); i++ {
+		same = targets[rows[i]] == cur[i]
+	}
+	if same {
+		return cur, false
+	}
+	col = make([]ip6.Addr, len(rows))
+	for i, r := range rows {
+		col[i] = targets[r]
+	}
+	return col, true
+}
+
+// finalizeDigest applies the per-shard accumulators to service state —
+// target liveness, GFW evidence, this scan's responder columns, the
+// cumulative responsive sets, churn — as a per-shard sweep on the worker
+// pool (shards are independent, and with the sharded target store the
+// liveness writes are shard-local too: no cross-shard locking anywhere),
+// then merges the counters into the record in canonical shard order. It
+// only runs for a completed scan, so aborted scans leave the service
+// exactly as it was.
+func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord) {
 	// A shard with no batches still matters: its previously responsive
-	// addresses all churned to unresponsive. Its digest's nil sets are
+	// addresses all churned to unresponsive. Its digest's empty lists are
 	// safe to read.
 	ip6.ParallelShards(s.workers, func(sh int) {
 		d := &digests[sh]
@@ -1390,29 +1411,29 @@ func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord
 		for _, at := range bump {
 			state[at].lastSuccessDay = day
 		}
-		s.tracker.AddEvidenceShard(sh, d.injectedDNS, &d.cleanByProto)
 
-		prev := s.prevRespAny.Shard(sh)
-		for a := range d.cleanAny {
-			if !prev.Has(a) {
-				if s.everRespAny.HasInShard(sh, a) {
-					d.respAgain++
-				} else {
-					d.firstResp++
-				}
-			}
-		}
-		for a := range prev {
-			if !d.cleanAny.Has(a) {
-				d.unresp++
-			}
-		}
-		s.everRespAny.AddAllToShard(sh, d.cleanAny)
+		// An unchanged column was added to its cumulative set when it was
+		// built, so only a changed one is added again.
+		targets := s.active.addrs[sh]
 		for _, p := range s.cfg.Protocols {
-			s.everResp[p].AddAllToShard(sh, d.cleanByProto[p])
-			lastClean[p].SetShard(sh, d.cleanByProto[p])
+			col, changed := column(s.lastClean[p][sh], targets, d.cleanBy[p])
+			if changed {
+				for _, a := range col {
+					s.everResp[p].AddToShard(sh, a)
+				}
+				s.lastClean[p][sh] = col
+			}
 		}
-		s.prevRespAny.SetShard(sh, d.cleanAny)
+		s.tracker.AddEvidenceShard(sh, d.injectedDNS, s.lastClean[netmodel.UDP53][sh], d.cleanOther)
+
+		col, changed := column(s.prevRespAny[sh], targets, d.cleanAt)
+		if changed {
+			s.churn(sh, d, s.prevRespAny[sh], col)
+			for _, a := range col {
+				s.everRespAny.AddToShard(sh, a)
+			}
+			s.prevRespAny[sh] = col
+		}
 	})
 
 	for sh := 0; sh < ip6.AddrShards; sh++ {
@@ -1424,32 +1445,63 @@ func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord
 		// Shards partition the address space, so disjoint-set lengths sum
 		// to the union's cardinality.
 		rec.TotalRaw += len(d.rawAt)
-		rec.TotalClean += d.cleanAny.Len()
+		rec.TotalClean += len(d.cleanAt)
 		rec.InjectedDNS += d.injectedRes
 		rec.FirstResp += d.firstResp
 		rec.RespAgain += d.respAgain
 		rec.Unresp += d.unresp
 	}
-	s.lastClean = lastClean
 	s.publishServeSnapshot(day)
 }
 
+// churn counts into d how shard sh's clean responders moved from last
+// scan's column prev to this scan's cur, in one merge walk: an address
+// only in cur responds for the first time ever or again, one only in
+// prev stopped responding. It runs before cur joins everRespAny.
+func (s *Service) churn(sh int, d *shardDigest, prev, cur []ip6.Addr) {
+	i, j := 0, 0
+	for i < len(prev) || j < len(cur) {
+		switch {
+		case j == len(cur) || (i < len(prev) && prev[i].Less(cur[j])):
+			d.unresp++
+			i++
+		case i == len(prev) || cur[j].Less(prev[i]):
+			if s.everRespAny.HasInShard(sh, cur[j]) {
+				d.respAgain++
+			} else {
+				d.firstResp++
+			}
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+}
+
+// sameSlice reports whether a and b are the same slice: equal lengths
+// over the same array, or both empty.
+func sameSlice(a, b []ip6.Addr) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // publishServeSnapshot builds and publishes the serving layer's immutable
-// snapshot for this scan: frozen sorted copies of the clean responsive
-// sets (any-protocol and per-protocol), a frozen clone of the
-// aliased-prefix index, and the frozen GFW injection-evidence set. The
-// copies are independent of the live state — the timeline mutates on
-// without ever touching a published snapshot — and the publish itself is
-// one atomic pointer swap on the QueryHandle, so concurrent readers see
-// either the whole previous snapshot or the whole new one, never a mix.
+// snapshot for this scan: the clean responder columns (any-protocol and
+// per-protocol) wrapped as sorted sets without a copy, a frozen clone of
+// the aliased-prefix index, and the frozen GFW injection-evidence set.
+// None of it is live state — the columns are never written again, and
+// the timeline mutates on without ever touching a published snapshot —
+// and the publish itself is one atomic pointer swap on the QueryHandle,
+// so concurrent readers see either the whole previous snapshot or the
+// whole new one, never a mix.
 //
-// Publication is copy-on-publish incremental: hitlists are highly stable
-// between consecutive scans, so each set's freeze shares the previous
-// generation's frozen per-shard slices and re-sorts only shards whose
-// mutation epoch advanced (ip6.FreezeSortedDelta). Shared slices are
-// immutable on both sides, so old and new snapshots stay independently
-// queryable. After a restore the previous generation is gone and the
-// first publish degrades to a full freeze.
+// Publication is incremental: hitlists are highly stable between
+// consecutive scans, so most shards publish the very slice the previous
+// generation did. A responder shard is shared when its column is the
+// previous snapshot's slice, and refrozen (rebuilt) otherwise; the
+// injection-evidence set re-sorts only shards whose mutation epoch
+// advanced (ip6.FreezeSortedDelta). After a restore the previous
+// generation is gone and the first publish counts every shard refrozen.
 func (s *Service) publishServeSnapshot(day int) {
 	if !s.cfg.ServeSnapshots {
 		return
@@ -1462,11 +1514,15 @@ func (s *Service) publishServeSnapshot(day int) {
 	start := time.Now()
 	prev := s.queryHandle.Current()
 	refrozen, shared := 0, 0
-	freeze := func(set *ip6.ShardedSet, prevIdx *ip6.SortedShardSet) *ip6.SortedShardSet {
-		out, r, sh := ip6.FreezeSortedDelta(set, prevIdx)
-		refrozen += r
-		shared += sh
-		return out
+	wrap := func(cols *respColumns, prevSet *ip6.SortedShardSet) *ip6.SortedShardSet {
+		for sh, col := range cols {
+			if prevSet != nil && sameSlice(col, prevSet.Shard(sh)) {
+				shared++
+			} else {
+				refrozen++
+			}
+		}
+		return ip6.SortedFromShards(*cols)
 	}
 	var perProto [netmodel.NumProtocols]*ip6.SortedShardSet
 	for _, p := range s.cfg.Protocols {
@@ -1474,13 +1530,13 @@ func (s *Service) publishServeSnapshot(day int) {
 		if prev != nil {
 			prevP = prev.PerProto[p]
 		}
-		perProto[p] = freeze(s.lastClean[p], prevP)
+		perProto[p] = wrap(&s.lastClean[p], prevP)
 	}
 	var prevAny, prevInj *ip6.SortedShardSet
 	if prev != nil {
 		prevAny, prevInj = prev.Any, prev.Injected
 	}
-	any := freeze(s.prevRespAny, prevAny)
+	any := wrap(&s.prevRespAny, prevAny)
 	inj, r, sh := s.tracker.FreezeInjectedSeenDelta(prevInj)
 	refrozen += r
 	shared += sh
@@ -1643,7 +1699,7 @@ func (s *Service) tgaSeedView() (*tga.SeedView, int) {
 }
 
 // maybeSnapshot captures due snapshots. Snapshots read only the
-// scan-sized resident sets (prevRespAny, lastClean, aliased), so no
+// scan-sized resident state (prevRespAny, lastClean, aliased), so no
 // spill interaction happens here; the spilled cumulative sets were
 // compacted moments earlier in RunScan's digest-finalization step, which
 // is what keeps the InputSeen/EverResponsive accessor merges cheap at
@@ -1654,12 +1710,12 @@ func (s *Service) maybeSnapshot(day int) {
 		s.snapQueue = s.snapQueue[1:]
 		snap := &Snapshot{
 			Day:           day,
-			Responsive:    make(map[netmodel.Protocol]ip6.Set, len(s.lastClean)),
-			ResponsiveAny: s.prevRespAny.Merge(),
+			Responsive:    make(map[netmodel.Protocol]ip6.Set, len(s.cfg.Protocols)),
+			ResponsiveAny: s.prevRespAny.set(),
 			Aliased:       s.aliased.Prefixes(),
 		}
-		for p, set := range s.lastClean {
-			snap.Responsive[p] = set.Merge()
+		for _, p := range s.cfg.Protocols {
+			snap.Responsive[p] = s.lastClean[p].set()
 		}
 		s.snapshots[want] = snap
 	}

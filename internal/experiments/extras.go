@@ -386,7 +386,7 @@ func Ablations(ctx context.Context, s *Suite, w io.Writer) error {
 			if !res.Success {
 				continue
 			}
-			c := gfw.ClassifyResult(*res)
+			c := gfw.ClassifyMessages(res.DNS)
 			if c.AForAAAA {
 				aOnly++
 			}

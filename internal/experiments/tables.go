@@ -260,7 +260,7 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 					if !r.Success {
 						continue
 					}
-					if r.Proto == netmodel.UDP53 && gfw.ClassifyResult(*r).Injected() {
+					if r.Proto == netmodel.UDP53 && gfw.ClassifyMessages(r.DNS).Injected() {
 						filtered[b.Shard]++
 						continue
 					}

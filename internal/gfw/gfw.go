@@ -169,21 +169,20 @@ func NewTracker() *Tracker {
 }
 
 // AddEvidenceShard folds one shard's per-scan evidence into the tracker:
-// the targets that drew an injected DNS answer (a list, as a scan yields
-// them; repeats are harmless), plus the clean responsive sets per
-// protocol (UDP/53 feeds the real-DNS evidence, every other protocol the
-// other-protocol evidence). Distinct shards may be folded concurrently;
-// every address must hash to shard i.
-func (t *Tracker) AddEvidenceShard(i int, injectedDNS []ip6.Addr, cleanByProto *[netmodel.NumProtocols]ip6.Set) {
+// the targets that drew an injected DNS answer, the targets with a clean
+// UDP/53 answer (the real-DNS evidence) and the targets clean on any
+// other protocol (the other-protocol evidence), each list ascending and
+// duplicate-free as a scan's digest yields them. Distinct shards may be
+// folded concurrently; every address must hash to shard i.
+func (t *Tracker) AddEvidenceShard(i int, injectedDNS, cleanDNS, cleanOther []ip6.Addr) {
 	for _, a := range injectedDNS {
 		t.injectedSeen.AddToShard(i, a)
 	}
-	for p, set := range cleanByProto {
-		if netmodel.Protocol(p) == netmodel.UDP53 {
-			t.realDNS.AddAllToShard(i, set)
-		} else {
-			t.otherProto.AddAllToShard(i, set)
-		}
+	for _, a := range cleanDNS {
+		t.realDNS.AddToShard(i, a)
+	}
+	for _, a := range cleanOther {
+		t.otherProto.AddToShard(i, a)
 	}
 }
 

@@ -151,14 +151,16 @@ func TestTracker(t *testing.T) {
 			if !r.Success {
 				continue
 			}
-			var injected []ip6.Addr
-			var clean [netmodel.NumProtocols]ip6.Set
-			if r.Proto == netmodel.UDP53 && ClassifyResult(r).Injected() {
+			var injected, cleanDNS, cleanOther []ip6.Addr
+			switch {
+			case r.Proto != netmodel.UDP53:
+				cleanOther = append(cleanOther, r.Target)
+			case ClassifyResult(r).Injected():
 				injected = append(injected, r.Target)
-			} else {
-				clean[r.Proto] = ip6.SetOf(r.Target)
+			default:
+				cleanDNS = append(cleanDNS, r.Target)
 			}
-			tr.AddEvidenceShard(ip6.ShardOf(r.Target), injected, &clean)
+			tr.AddEvidenceShard(ip6.ShardOf(r.Target), injected, cleanDNS, cleanOther)
 		}
 	}
 

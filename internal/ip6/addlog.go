@@ -9,9 +9,8 @@ const logFloor = 64
 // StartLog: what a delta checkpoint appends. The sets never remove an
 // address, so every logged address is distinct and still a member.
 //
-// A shard's log is lost — the set must be written whole — after a
-// SetShard on it or once it outgrows its bound (logFloor, or half the
-// shard). Both the log and its shard grow by one per logged address, so
+// A shard's log is lost — the set must be written whole — once it
+// outgrows its bound (logFloor, or half the shard). Both the log and its shard grow by one per logged address, so
 // whether the bound was crossed depends only on the final counts, never
 // on the order addresses arrived in: a resident and a spilled set of the
 // same content lose their logs at the same point. All state is per

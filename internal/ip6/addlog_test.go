@@ -10,8 +10,7 @@ import (
 // between StartLog calls — re-added members as well as new addresses,
 // every shard on its own goroutine — and holds each round's log to a
 // reference: exactly the addresses that were new, ascending. A shard that gained more than logFloor addresses
-// and more than half its size loses the log for every shape at once, and
-// so does a SetShard on the resident set.
+// and more than half its size loses the log for every shape at once.
 func TestAddLogMatchesReference(t *testing.T) {
 	res := NewShardedSet()
 	var spills []*SpillSet
@@ -107,10 +106,5 @@ func TestAddLogMatchesReference(t *testing.T) {
 	}
 	if len(have) != res.Len() {
 		t.Fatalf("reference holds %d, set %d", len(have), res.Len())
-	}
-	res.StartLog()
-	res.SetShard(0, res.Shard(0).Clone())
-	if res.LogComplete() {
-		t.Fatal("the log survived a SetShard")
 	}
 }

@@ -49,20 +49,6 @@ func (s Set) Has(a Addr) bool { _, ok := s[a]; return ok }
 // Delete removes a.
 func (s Set) Delete(a Addr) { delete(s, a) }
 
-// Equal reports whether s and other hold exactly the same members; a nil
-// set equals an empty one.
-func (s Set) Equal(other Set) bool {
-	if len(s) != len(other) {
-		return false
-	}
-	for a := range s {
-		if _, ok := other[a]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Len returns the cardinality.
 func (s Set) Len() int { return len(s) }
 

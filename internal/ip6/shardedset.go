@@ -93,23 +93,6 @@ func (s *ShardedSet) AddAllToShard(i int, set Set) {
 	}
 }
 
-// SetShard replaces shard i with set (taking ownership, no copy). Every
-// member of set must hash to shard i. The shard's epoch advances only
-// when the replacement actually changes membership — wholesale
-// replacement with equal content (the digest finalizer installs a fresh
-// per-scan responder set every scan, usually identical to the last) must
-// not invalidate artifacts frozen from the old content. A replaced
-// shard may have lost members, so it loses the add log.
-func (s *ShardedSet) SetShard(i int, set Set) {
-	if !s.shards[i].Equal(set) {
-		s.epochs[i]++
-	}
-	s.shards[i] = set
-	if s.log != nil {
-		s.log.drop(i)
-	}
-}
-
 // StartLog starts, or restarts empty, the log of added addresses.
 func (s *ShardedSet) StartLog() {
 	if s.log == nil {

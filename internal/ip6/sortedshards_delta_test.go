@@ -109,31 +109,3 @@ func TestFreezeSortedDelta(t *testing.T) {
 		requireEqualFrozen(t, got, FreezeSorted(s))
 	}
 }
-
-// TestSetShardEpoch pins the content-aware SetShard: replacing a shard
-// with an equal set (including nil≡empty) must not advance the epoch,
-// while a genuine change must.
-func TestSetShardEpoch(t *testing.T) {
-	s := NewShardedSet()
-	a := AddrFromUint64s(0x2001_0db8, 1)
-	sh := ShardOf(a)
-
-	e0 := s.ShardEpoch(sh)
-	s.SetShard(sh, NewSet(0)) // empty ≡ nil: no change
-	if s.ShardEpoch(sh) != e0 {
-		t.Fatal("empty-for-nil SetShard bumped the epoch")
-	}
-	other := NewSet(1)
-	other.Add(a)
-	s.SetShard(sh, other)
-	if s.ShardEpoch(sh) == e0 {
-		t.Fatal("content change did not bump the epoch")
-	}
-	e1 := s.ShardEpoch(sh)
-	same := NewSet(1)
-	same.Add(a)
-	s.SetShard(sh, same) // different object, same content
-	if s.ShardEpoch(sh) != e1 {
-		t.Fatal("equal-content SetShard bumped the epoch")
-	}
-}

@@ -65,8 +65,7 @@ type SpillableSet interface {
 	// log until it is called.
 	StartLog()
 	// LogComplete reports whether the log holds everything added since
-	// StartLog: it was started, no SetShard ran since, and no shard's log
-	// outgrew its bound.
+	// StartLog: it was started and no shard's log outgrew its bound.
 	LogComplete() bool
 	// LogLen returns how many addresses shard i's log holds; only while
 	// LogComplete.
