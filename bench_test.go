@@ -431,9 +431,9 @@ func BenchmarkServeQPS(b *testing.B) {
 // snapshot generation from a 2^17-member set when only a few shards
 // changed since the previous publication — the steady state of a stable
 // hitlist. The full sub-benchmark re-freezes all 64 shards every time;
-// the delta sub-benchmark uses copy-on-publish (FreezeSortedDelta),
-// re-freezing only the dirty shards and sharing the rest with the
-// previous generation.
+// the delta sub-benchmark publishes a cumulative set's view: the churn
+// folds into the dirty shards' columns and the rest are the previous
+// generation's very slices.
 func BenchmarkSnapshotPublish(b *testing.B) {
 	const dirtyShards = 4 // churn confined to 4 of the 64 shards (<10% dirty)
 	r := rng.NewStream(42, "publish-bench")
@@ -469,17 +469,19 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 	b.Run("delta", func(b *testing.B) {
 		churn := fresh(b.N * dirtyShards)
 		h := serve.NewHandle()
-		prev := ip6.FreezeSorted(members)
+		set := cumulativeOf(members)
+		prev := foldedView(b, set)
 		refrozen, shared := 0, 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, a := range churn[i*dirtyShards : (i+1)*dirtyShards] {
-				members.Add(a)
+				set.Add(a)
 			}
-			out, rf, sh := ip6.FreezeSortedDelta(members, prev)
+			out := foldedView(b, set)
+			rf := refrozenShards(prev, out)
 			refrozen += rf
-			shared += sh
+			shared += ip6.AddrShards - rf
 			h.Publish(serve.NewSnapshot(100, out, perProto, nil, nil))
 			prev = out
 		}
@@ -489,17 +491,48 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 	})
 }
 
+// cumulativeOf returns a folded cumulative set holding members.
+func cumulativeOf(members *ip6.ShardedSet) *ip6.SpillSet {
+	set := ip6.NewResidentSet()
+	members.Walk(func(a ip6.Addr) bool { set.Add(a); return true })
+	set.Compact()
+	return set
+}
+
+// foldedView folds set and returns its view.
+func foldedView(b *testing.B, set *ip6.SpillSet) *ip6.SortedShardSet {
+	if err := set.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	v, err := set.View()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v
+}
+
+// refrozenShards counts the shards of cur that are not prev's very span.
+func refrozenShards(prev, cur *ip6.SortedShardSet) int {
+	n := 0
+	for sh := 0; sh < ip6.AddrShards; sh++ {
+		if !tga.SameSpan(prev.Shard(sh), cur.Shard(sh)) {
+			n++
+		}
+	}
+	return n
+}
+
 // BenchmarkSeedView measures the per-round cost of handing the TGA
 // generators their seed view from a 2^17-member cumulative responsive
-// set. steady is the no-new-responders round: every shard's epoch holds,
-// the delta freeze shares all 64 spans and the round costs nanoseconds
-// regardless of cumulative size. churn confines new responders to 4
-// shards — only those re-walk and re-sort, so the freeze cost tracks the
-// dirtied shards, not the set.
+// set. steady is the no-new-responders round: no shard has a pending Δ,
+// the view wraps all 64 columns as they are and the round costs
+// nanoseconds regardless of cumulative size. churn confines new
+// responders to 4 shards — only those fold into fresh columns, so the
+// cost tracks the dirtied shards, not the set.
 func BenchmarkSeedView(b *testing.B) {
 	const dirtyShards = 4
 	r := rng.NewStream(43, "seedview-bench")
-	members := ip6.NewShardedSet()
+	members := ip6.NewResidentSet()
 	for i := 0; i < 1<<17; i++ {
 		members.Add(ip6.AddrFromUint64s(0x2001_0000_0000_0000|r.Uint64()&0xffff_ffff, r.Uint64()))
 	}
@@ -515,12 +548,12 @@ func BenchmarkSeedView(b *testing.B) {
 	}
 
 	b.Run("steady", func(b *testing.B) {
-		prev, _, _ := ip6.FreezeSortedDelta(members, nil)
+		prev := foldedView(b, members)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, rf, _ := ip6.FreezeSortedDelta(members, prev)
-			if rf != 0 {
+			out := foldedView(b, members)
+			if rf := refrozenShards(prev, out); rf != 0 {
 				b.Fatalf("steady round refroze %d shards", rf)
 			}
 			prev = out
@@ -530,7 +563,7 @@ func BenchmarkSeedView(b *testing.B) {
 
 	b.Run("churn", func(b *testing.B) {
 		churn := fresh(b.N * dirtyShards)
-		prev, _, _ := ip6.FreezeSortedDelta(members, nil)
+		prev := foldedView(b, members)
 		refrozen := 0
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -538,8 +571,8 @@ func BenchmarkSeedView(b *testing.B) {
 			for _, a := range churn[i*dirtyShards : (i+1)*dirtyShards] {
 				members.Add(a)
 			}
-			out, rf, _ := ip6.FreezeSortedDelta(members, prev)
-			refrozen += rf
+			out := foldedView(b, members)
+			refrozen += refrozenShards(prev, out)
 			prev = out
 		}
 		b.StopTimer()
@@ -548,8 +581,8 @@ func BenchmarkSeedView(b *testing.B) {
 }
 
 // BenchmarkTGARound measures one generate-round of the incremental TGA
-// pipeline over a 2^17-seed view, once per generator: the epoch-delta
-// freeze, the generator's model update, and draining the streamed
+// pipeline over a 2^17-seed view, once per generator: folding the seed
+// set into its view, the generator's model update, and draining the streamed
 // candidate source (budget 4096). steady re-runs the round with no new
 // seeds — every span is unchanged by identity, the model update is free
 // and the round pays emission alone. churn adds 4 seeds from the first 4
@@ -564,8 +597,8 @@ func BenchmarkTGARound(b *testing.B) {
 		func() tga.ViewStreamer { return sixgan.New(sixgan.DefaultConfig()) },
 		func() tga.ViewStreamer { return sixveclm.New(sixveclm.DefaultConfig()) },
 	}
-	seedSet := func() *ip6.ShardedSet {
-		members := ip6.NewShardedSet()
+	seedSet := func() *ip6.SpillSet {
+		members := ip6.NewResidentSet()
 		// Structured seeds: 1024 /64s, each a dense run with gap 2 (gaps
 		// for distance clustering, partly filled nibbles for the tree and
 		// graph patterns) plus random IIDs (variety for the sampling
@@ -615,7 +648,7 @@ func BenchmarkTGARound(b *testing.B) {
 						}
 					}
 				}
-				prev, _, _ := ip6.FreezeSortedDelta(members, nil)
+				prev := foldedView(b, members)
 				drain(b, feed, tga.NewSeedView(prev)) // prime: pay the one-time model build
 				cands, refrozen := 0, 0
 				b.ReportAllocs()
@@ -626,7 +659,8 @@ func BenchmarkTGARound(b *testing.B) {
 							members.Add(a)
 						}
 					}
-					out, rf, _ := ip6.FreezeSortedDelta(members, prev)
+					out := foldedView(b, members)
+					rf := refrozenShards(prev, out)
 					if churn == nil && rf != 0 {
 						b.Fatalf("steady round refroze %d shards", rf)
 					}

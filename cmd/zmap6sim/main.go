@@ -241,8 +241,7 @@ func main() {
 	// scratch file; die routes error exits through it so a failed scan
 	// never leaves multi-GB run files in the user's spill directory
 	// (os.Exit skips defers).
-	var responders ip6.SpillableSet
-	var spillSet *ip6.SpillSet
+	var responders, spillSet *ip6.SpillSet
 	cleanup := func() {}
 	if *spillDir != "" {
 		budget := int64(*memBudget) << 20 / ip6.AddrBytes / ip6.AddrShards
@@ -255,7 +254,7 @@ func main() {
 		spillSet = ss
 		responders = ss
 	} else if *distinct {
-		responders = ip6.NewShardedSet()
+		responders = ip6.NewResidentSet()
 	}
 	die := func(format string, a ...any) {
 		fmt.Fprintf(os.Stderr, format, a...)
@@ -456,17 +455,13 @@ func main() {
 		if err != nil {
 			die("listening for -serve: %v\n", err)
 		}
-		var shards [ip6.AddrShards][]ip6.Addr
-		for sh := 0; sh < ip6.AddrShards; sh++ {
-			responders.WalkShard(sh, func(a ip6.Addr) bool {
-				shards[sh] = append(shards[sh], a)
-				return true
-			})
-			ip6.SortAddrs(shards[sh])
+		view, err := responders.View()
+		if err != nil {
+			die("reading responders: %v\n", err)
 		}
 		h := serve.NewHandle()
 		var perProto [netmodel.NumProtocols]*ip6.SortedShardSet
-		h.Publish(serve.NewSnapshot(*day, ip6.SortedFromShards(shards), perProto, nil, nil))
+		h.Publish(serve.NewSnapshot(*day, view, perProto, nil, nil))
 		responder := serve.NewDNSResponder(h, *serveZone)
 		for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 			go func() {

@@ -221,7 +221,7 @@ func (f refTGAFeed) Candidates(day int, _ *tga.SeedView) scan.TargetSource {
 type refModel struct {
 	rows     map[ip6.Addr]targetState
 	seen     map[ip6.Addr]bool
-	drop     *ip6.ShardedSet // the deployed GFW drop list
+	drop     *ip6.SortedShardSet // the deployed GFW drop list
 	deployed bool
 
 	respAny, ever map[ip6.Addr]bool
@@ -261,7 +261,7 @@ func responds(s *Service, a ip6.Addr, day int) (raw bool, clean []netmodel.Proto
 
 // scan advances the model over one RunScan at day; before is the
 // aliased set and tracker drop list from before the scan.
-func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, day int, aliasedBefore *ip6.PrefixSet, dropBefore *ip6.ShardedSet) (scanned, evicted int) {
+func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, day int, aliasedBefore *ip6.PrefixSet, dropBefore *ip6.SortedShardSet) (scanned, evicted int) {
 	for k := 0; k < w.nfeeds; k++ {
 		for _, a := range w.feedDay(k, day) {
 			m.admit(s, aliasedBefore, a, day)
@@ -398,7 +398,7 @@ func TestActiveTableMatchesReference(t *testing.T) {
 				for _, p := range s.aliased.Prefixes() {
 					aliasedBefore.Add(p)
 				}
-				var dropBefore *ip6.ShardedSet
+				var dropBefore *ip6.SortedShardSet
 				if !s.gfwDeployed {
 					dropBefore = s.tracker.InjectedOnly()
 				}

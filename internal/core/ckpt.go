@@ -3,13 +3,12 @@ package core
 // Checkpoint/restore: a crash-consistent on-disk image of full service
 // state, so a multi-week timeline survives restarts. Service.Checkpoint
 // stages every piece of cumulative state into a ckpt.Writer — address
-// sets as .hl6 images streamed shard-sorted (resident shards are copied
-// and sorted on the service's worker pool, a bounded window of
-// ip6.ShardPipeline slots at a time, and written in shard order so the
-// bytes never depend on the worker count; SpillSets merge their frozen runs without materializing
-// anything), the active target store and APD history as small binary
-// tables, and counters/records/snapshots as JSON — each a payload
-// appended to the checkpoint's one segment, then commits atomically. Resume
+// sets as .hl6 images written in shard order (a resident set's folded
+// columns go in as they are, with no copy and no sort; a spilled set's
+// shards merge their frozen runs without materializing anything), the
+// active target store and APD history as small binary tables, and
+// counters/records/snapshots as JSON — each a payload appended to the
+// checkpoint's one segment, then commits atomically. Resume
 // rebuilds a Service from the newest complete checkpoint; a timeline
 // interrupted at day k (SIGKILL included) and resumed is byte-identical
 // to an uninterrupted run for any worker count, FleetWorkers, memory
@@ -172,7 +171,7 @@ type ckptBase struct {
 // levels, oldest first.
 type ckptPayload struct {
 	name  string
-	set   ip6.SpillableSet
+	set   *ip6.SpillSet
 	write func(w *ckpt.Writer, name string, base *ckptBase) error
 	read  func(levels []*ckpt.Snapshot, name string) error
 }
@@ -261,8 +260,8 @@ func (s *Service) setBase(dir string, scan, depth int) {
 
 // Checkpoint writes a crash-consistent snapshot of the service's full
 // state to dir (atomically replacing any previous checkpoint there).
-// The service stays usable afterwards; SpillSet deltas are frozen to
-// disk as a side effect, which changes no membership observation.
+// The service stays usable afterwards. A service halted by a half-applied
+// scan (see RunScan) refuses, leaving dir as it was.
 //
 // Successive checkpoints into the same directory are written as deltas:
 // the append-only payloads carry only what the scans since the previous
@@ -272,6 +271,9 @@ func (s *Service) setBase(dir string, scan, depth int) {
 // parent — first ever, different directory, resumed from a fallback) is
 // a full rewrite that collapses the chain.
 func (s *Service) Checkpoint(dir string) (err error) {
+	if s.halted != nil {
+		return fmt.Errorf("core: checkpoint of a service halted by a half-applied scan: %w", s.halted)
+	}
 	if s.spill != nil {
 		if err := s.spill.err(); err != nil {
 			return fmt.Errorf("core: checkpoint with failed spill state: %w", err)
@@ -533,15 +535,13 @@ func writeJSONFile(w *ckpt.Writer, name string, v any, count int64, appendOnly b
 	return f.Close()
 }
 
-// writeAddrSet stages a sharded address set as a .hl6 image, streamed in
-// shard-sorted order: the whole set, or with appendLog only the
-// addresses its add log holds, marked Append. A whole resident set's
-// shards are copied and sorted on the worker pool, a bounded window of
-// them at a time, and written in shard order; a SpillSet's shards merge
-// their frozen runs straight off disk one after another (freezing
-// appends to the run file all shards share), and a log is pulled through
+// writeAddrSet stages a cumulative set as a .hl6 image in shard order:
+// the whole set, or with appendLog only the addresses its add log holds,
+// marked Append. A resident shard with no pending Δ goes to the writer as
+// its column, as it is; any other shard streams its cursor (the column
+// or the runs merged off disk, and the Δ), and a log is pulled through
 // its set's LogCursor.
-func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, appendLog bool) error {
+func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set *ip6.SpillSet, appendLog bool) error {
 	var counts [ip6.AddrShards]uint64
 	for sh := range counts {
 		if appendLog {
@@ -551,25 +551,46 @@ func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet
 		}
 	}
 	return writeHL6(w, name, appendLog, &counts, func(put func(int, []ip6.Addr) error) error {
-		if appendLog {
-			return putCursors(put, &counts, func(sh int) (ip6.Cursor, error) { return set.LogCursor(sh), nil })
+		const putChunk = 256
+		chunk := make([]ip6.Addr, 0, putChunk)
+		for sh := 0; sh < ip6.AddrShards; sh++ {
+			if counts[sh] == 0 {
+				continue
+			}
+			var next ip6.Cursor
+			switch col, whole := set.Column(sh); {
+			case appendLog:
+				next = set.LogCursor(sh)
+			case whole:
+				if err := put(sh, col); err != nil {
+					return err
+				}
+				continue
+			default:
+				next = set.ShardCursor(sh)
+			}
+			for {
+				a, ok, err := next()
+				if err != nil {
+					return err
+				}
+				if !ok {
+					break
+				}
+				if len(chunk) == putChunk {
+					if err := put(sh, chunk); err != nil {
+						return err
+					}
+					chunk = chunk[:0]
+				}
+				chunk = append(chunk, a)
+			}
+			if err := put(sh, chunk); err != nil {
+				return err
+			}
+			chunk = chunk[:0]
 		}
-		if spill, ok := set.(*ip6.SpillSet); ok {
-			return putCursors(put, &counts, spill.ShardSortedCursor)
-		}
-		prepare := func(sh int, buf *[]ip6.Addr) error {
-			addrs := slices.Grow((*buf)[:0], int(counts[sh]))
-			set.WalkShard(sh, func(a ip6.Addr) bool {
-				addrs = append(addrs, a)
-				return true
-			})
-			ip6.SortAddrs(addrs)
-			*buf = addrs
-			return nil
-		}
-		return s.ckptShards.Run(s.workers, prepare, func(sh int, buf *[]ip6.Addr) error {
-			return put(sh, *buf)
-		})
+		return nil
 	})
 }
 
@@ -639,43 +660,6 @@ func columnsPayload(name string, cols *respColumns) ckptPayload {
 			}
 			return nil
 		})}
-}
-
-// putCursors streams the cursor of every shard counts declares
-// non-empty to put, in shard order, in runs of up to putChunk addresses.
-func putCursors(put func(int, []ip6.Addr) error, counts *[ip6.AddrShards]uint64, cursor func(sh int) (ip6.Cursor, error)) error {
-	const putChunk = 256
-	chunk := make([]ip6.Addr, 0, putChunk)
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if counts[sh] == 0 {
-			continue
-		}
-		next, err := cursor(sh)
-		if err != nil {
-			return err
-		}
-		for {
-			a, ok, err := next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if len(chunk) == putChunk {
-				if err := put(sh, chunk); err != nil {
-					return err
-				}
-				chunk = chunk[:0]
-			}
-			chunk = append(chunk, a)
-		}
-		if err := put(sh, chunk); err != nil {
-			return err
-		}
-		chunk = chunk[:0]
-	}
-	return nil
 }
 
 // writePrefixList stages prefixes in the given order (a 4-byte count,
@@ -1076,14 +1060,13 @@ func readAPDLevel(lvl *ckpt.Snapshot, name string, withRow bool) ([]apd.HistoryE
 	return entries, nil
 }
 
-// loadAddrSet streams a .hl6 payload's chain levels back into a sharded
-// set, shard by shard: a resident set adds every level's run, a SpillSet
-// imports their merge as one run. Levels are disjoint by construction —
-// an append level logs only addresses its base did not hold — so a
-// shard that ends up smaller than its levels' counts summed repeats an
-// address, and is ckpt.ErrCorrupt. Single-level payloads degenerate to
-// one reader.
-func loadAddrSet(levels []*ckpt.Snapshot, name string, set ip6.SpillableSet) error {
+// loadAddrSet streams a .hl6 payload's chain levels back into a
+// cumulative set, shard by shard: the levels' merge imports as the
+// shard's column, or as its one run when the set is spilled. Levels are
+// disjoint by construction — an append level logs only addresses its
+// base did not hold — so a shard that ends up smaller than its levels'
+// counts summed repeats an address, and is ckpt.ErrCorrupt.
+func loadAddrSet(levels []*ckpt.Snapshot, name string, set *ip6.SpillSet) error {
 	rdrs := make([]*hlfile.Reader, len(levels))
 	for i, lvl := range levels {
 		sec, err := lvl.Open(name)
@@ -1095,7 +1078,6 @@ func loadAddrSet(levels []*ckpt.Snapshot, name string, set ip6.SpillableSet) err
 			return fmt.Errorf("core: opening %s in %s: %w", name, lvl.Dir, err)
 		}
 	}
-	spill, _ := set.(*ip6.SpillSet)
 	curs := make([]ip6.Cursor, len(rdrs))
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		want := 0
@@ -1103,27 +1085,12 @@ func loadAddrSet(levels []*ckpt.Snapshot, name string, set ip6.SpillableSet) err
 			curs[i] = checkedCursor(name, sh, r.ShardCursor(sh))
 			want += r.ShardLen(sh)
 		}
-		if spill != nil {
-			cur := curs[0]
-			if len(curs) > 1 {
-				cur = ip6.MergeCursors(curs...)
-			}
-			if err := spill.ImportShardSorted(sh, cur); err != nil {
-				return fmt.Errorf("core: loading %s: %w", name, err)
-			}
-		} else {
-			for _, cur := range curs {
-				for {
-					a, ok, err := cur()
-					if err != nil {
-						return fmt.Errorf("core: loading %s: %w", name, err)
-					}
-					if !ok {
-						break
-					}
-					set.AddToShard(sh, a)
-				}
-			}
+		cur := curs[0]
+		if len(curs) > 1 {
+			cur = ip6.MergeCursors(curs...)
+		}
+		if err := set.ImportShardSorted(sh, want, cur); err != nil {
+			return fmt.Errorf("core: loading %s: %w", name, err)
 		}
 		if got := set.ShardLen(sh); got != want {
 			return fmt.Errorf("%w: %s shard %d holds %d addresses, its levels list %d: an append level repeats an address", ckpt.ErrCorrupt, name, sh, got, want)
@@ -1134,10 +1101,9 @@ func loadAddrSet(levels []*ckpt.Snapshot, name string, set ip6.SpillableSet) err
 
 // checkedCursor wraps a payload shard's cursor so that it fails closed,
 // with ckpt.ErrCorrupt, on a run writeAddrSet cannot have written: every
-// address must belong to shard sh, in strictly ascending order. A
-// resident set would file a stray address where Has never looks, and a
-// spilled shard imports the run as-is, so binary search would misread an
-// unsorted one.
+// address must belong to shard sh, in strictly ascending order. A shard
+// imports the run as-is, so a stray address would sit where Has never
+// looks, and binary search would misread an unsorted one.
 func checkedCursor(name string, sh int, cur ip6.Cursor) ip6.Cursor {
 	var prev ip6.Addr
 	first := true

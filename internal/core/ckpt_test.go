@@ -120,7 +120,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 // a checkpoint after every scan, the final unsharded payloads are
 // byte-equal across worker counts, a spill budget, and an interrupt
 // after scan 5 followed by Resume. A full checkpoint of the final state
-// into a fresh directory — every set shard sorted on the worker pool —
+// into a fresh directory — every set written from its shards in order —
 // is byte-equal payload for payload at Workers 1, 2, 4 and 8, spilling
 // or resumed.
 func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {

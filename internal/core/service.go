@@ -243,10 +243,10 @@ type ScanRecord struct {
 	TGACandidates int `json:"-"`
 	TGAResponsive int `json:"-"`
 
-	// TGARefrozenShards counts seed-view shards the round's epoch-delta
-	// freeze had to re-freeze (dirtied since the previous round); 0 on
-	// steady-state rounds. Excluded from goldens like the other TGA
-	// counters.
+	// TGARefrozenShards counts seed-view shards that gained responders
+	// since the previous round's view (every shard in a service's first
+	// round); 0 on steady-state rounds. Excluded from goldens like the
+	// other TGA counters.
 	TGARefrozenShards int `json:"-"`
 }
 
@@ -282,10 +282,9 @@ type Service struct {
 	workers int
 
 	// Cumulative input accounting. The history-sized sets (inputSeen,
-	// gfwInputDrop, everResp*, everRespAny) are used through
-	// ip6.SpillableSet: resident ShardedSets by default, disk-backed
-	// SpillSets under Config.MemoryBudget.
-	inputSeen    ip6.SpillableSet
+	// gfwInputDrop, everResp*, everRespAny) are ip6.SpillSets: resident
+	// columns by default, disk-backed under Config.MemoryBudget.
+	inputSeen    *ip6.SpillSet
 	perASInput   map[int]*ASInput
 	inputTotal   int
 	blockedTotal int
@@ -293,8 +292,8 @@ type Service struct {
 	aliasedTotal int
 	evictedTotal int
 	gfwDeployed  bool
-	gfwInputDrop ip6.SpillableSet // the cumulative "134 M" filter once deployed
-	unresponsive *ip6.ShardedSet  // evicted addresses (if retained)
+	gfwInputDrop *ip6.SpillSet // the cumulative "134 M" filter once deployed
+	unresponsive *ip6.SpillSet // evicted addresses (if retained), resident
 
 	// spill is non-nil when MemoryBudget is set: the scratch directory
 	// and the disk-backed sets to compact, error-check and close.
@@ -316,8 +315,8 @@ type Service struct {
 	seen64       map[ip6.Prefix]struct{}
 	seen64Order  []ip6.Prefix // seen64 in first-seen (ingest sequence) order, written unsorted
 	tracker      *gfw.Tracker
-	everResp     [netmodel.NumProtocols]ip6.SpillableSet
-	everRespAny  ip6.SpillableSet
+	everResp     [netmodel.NumProtocols]*ip6.SpillSet
+	everRespAny  *ip6.SpillSet
 	inputByFeed  map[string]int
 
 	// prevRespAny and lastClean are the last scan's clean responders, on
@@ -345,22 +344,21 @@ type Service struct {
 	queryHandle *serve.Handle
 	serveScans  int
 
-	// tgaFrozen is the frozen sorted form of everRespAny runTGA hands its
-	// generators (wrapped as tgaView); each round's epoch-delta freeze
-	// re-freezes only dirtied shards and pointer-shares the rest, so
-	// steady-state rounds (no new responders) reuse every span for free
-	// and the cumulative seed slice is never materialized.
-	tgaFrozen *ip6.SortedShardSet
-	tgaView   *tga.SeedView
+	// tgaView is the seed view of everRespAny the last TGA round handed
+	// its generators: the set's folded columns wrapped without a copy, so
+	// a shard with no new responder since is the very same span in the
+	// next round's view.
+	tgaView *tga.SeedView
 
 	// ckptBase is the checkpoint the next delta appends to: the last one
 	// this process committed (or resumed from). nil means no usable
 	// parent: the next checkpoint is a full rewrite, and no set logs.
 	ckptBase *ckptBase
 
-	// Per-shard staging buffers for address-set checkpoint payloads,
-	// kept across checkpoints.
-	ckptShards ip6.ShardPipeline[[]ip6.Addr]
+	// halted is the error of a scan that failed after its digest began to
+	// apply: state advanced with no record appended, so every later
+	// RunScan and Checkpoint refuses (see RunScan).
+	halted error
 }
 
 // routedInput is one ingest candidate routed to its shard: the address,
@@ -397,14 +395,15 @@ type spillState struct {
 const spillSets = netmodel.NumProtocols + 3
 
 // newSet returns a fresh disk-backed set sharing the spill state's
-// budget, recording (and re-reporting) the first creation error.
+// budget. A creation error is recorded for RunScan, Checkpoint and Resume
+// to refuse on, and an empty resident set stands in, never written.
 func (sp *spillState) newSet() *ip6.SpillSet {
 	set, err := ip6.NewSpillSet(sp.dir, sp.shardBudget)
 	if err != nil {
 		if sp.initErr == nil {
 			sp.initErr = err
 		}
-		return nil
+		return ip6.NewResidentSet()
 	}
 	sp.sets = append(sp.sets, set)
 	return set
@@ -417,17 +416,6 @@ func (sp *spillState) err() error {
 	}
 	for _, set := range sp.sets {
 		if err := set.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// compact folds every set's runs down (one run per shard) — the merge
-// step of digest finalization and snapshot capture.
-func (sp *spillState) compact() error {
-	for _, set := range sp.sets {
-		if err := set.Compact(); err != nil {
 			return err
 		}
 	}
@@ -514,7 +502,7 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 		workers:      workers,
 		spill:        newSpillState(cfg),
 		perASInput:   make(map[int]*ASInput),
-		unresponsive: ip6.NewShardedSet(),
+		unresponsive: ip6.NewResidentSet(),
 		active:       newActiveTable(),
 		aliased:      ip6.NewPrefixSet(),
 		seen64:       make(map[ip6.Prefix]struct{}),
@@ -530,7 +518,7 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 	// gfwInputDrop is only read once the filter deploys, and deployment
 	// replaces it wholesale — an empty resident placeholder until then
 	// (the budget split still reserves its post-deployment share).
-	s.gfwInputDrop = ip6.NewShardedSet()
+	s.gfwInputDrop = ip6.NewResidentSet()
 	s.everRespAny = s.newCumulativeSet()
 	for i := range s.everResp {
 		s.everResp[i] = s.newCumulativeSet()
@@ -545,17 +533,28 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 	return s
 }
 
-// newCumulativeSet picks the resident or disk-backed implementation for
-// one history-sized set.
-func (s *Service) newCumulativeSet() ip6.SpillableSet {
+// newCumulativeSet returns an empty history-sized set: disk-backed under
+// a memory budget, resident otherwise.
+func (s *Service) newCumulativeSet() *ip6.SpillSet {
 	if s.spill != nil {
-		if set := s.spill.newSet(); set != nil {
-			return set
-		}
-		// Creation failed; fall back resident so the service object stays
-		// usable — RunScan surfaces spill.initErr before any scan runs.
+		return s.spill.newSet()
 	}
-	return ip6.NewShardedSet()
+	return ip6.NewResidentSet()
+}
+
+// compactSets compacts every cumulative set (ip6.SpillSet.Compact): a
+// resident shard's outgrown Δ folds into its column, a spilled shard's
+// runs merge into one, so membership probes stay one fence lookup per
+// shard.
+func (s *Service) compactSets() error {
+	inj, other, real := s.tracker.EvidenceSets()
+	sets := append([]*ip6.SpillSet{s.inputSeen, s.gfwInputDrop, s.everRespAny, s.unresponsive, inj, other, real}, s.everResp[:]...)
+	for _, set := range sets {
+		if err := set.Compact(); err != nil {
+			return fmt.Errorf("core: compacting cumulative sets: %w", err)
+		}
+	}
+	return nil
 }
 
 // Close releases the spill scratch files (and the private spill
@@ -611,7 +610,7 @@ func (s *Service) QueryHandle() *serve.Handle { return s.queryHandle }
 
 // UnresponsivePool returns the 30-day-evicted addresses (empty unless
 // Config.RetainUnresponsive).
-func (s *Service) UnresponsivePool() *ip6.ShardedSet { return s.unresponsive }
+func (s *Service) UnresponsivePool() *ip6.SpillSet { return s.unresponsive }
 
 // InputByFeed returns cumulative new-input counts per feed name.
 func (s *Service) InputByFeed() map[string]int { return s.inputByFeed }
@@ -679,7 +678,18 @@ func (s *Service) Funnel() Funnel {
 }
 
 // RunScan executes one full pipeline iteration at the given day.
+//
+// A scan that fails once its digest has begun to apply — a spill error,
+// the TGA round (a failing feed, a cancelled ctx) — has advanced target
+// liveness, the cumulative sets and the responder columns with no record
+// appended, so a retry would diff its churn against the failed scan.
+// Such an error halts the service: every later RunScan and Checkpoint
+// returns it, wrapped, and writes nothing. Resume from the last
+// checkpoint to go on.
 func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
+	if s.halted != nil {
+		return nil, fmt.Errorf("core: service halted by a half-applied scan: %w", s.halted)
+	}
 	if s.spill != nil {
 		if err := s.spill.err(); err != nil {
 			return nil, fmt.Errorf("core: spill state: %w", err)
@@ -739,34 +749,9 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	rec.ProbesSent += stats.ProbesSent
 	rec.ShardStats = stats.PerShard
 	s.lastMain = stats
-	s.finalizeDigest(digests, day, rec)
-	// Digest finalization is a merge point for the spilled sets: fold
-	// each shard's frozen runs into one so membership probes stay one
-	// fence lookup per shard, and surface any disk error now.
-	if s.spill != nil {
-		if err := s.spill.compact(); err != nil {
-			return nil, fmt.Errorf("core: compacting spilled sets: %w", err)
-		}
-	}
-
-	// 6b. TGA candidate round: generate → probe → feed back, streamed
-	// end to end.
-	if s.cfg.TGAFeed != nil {
-		if err := s.runTGA(ctx, day, rec); err != nil {
-			return nil, err
-		}
-	}
-
-	// 7. Snapshots.
-	s.maybeSnapshot(day)
-
-	// Any disk error the sweeps hit (spill writes degrade softly and
-	// record a sticky error) fails the scan rather than silently running
-	// with a lossy membership view.
-	if s.spill != nil {
-		if err := s.spill.err(); err != nil {
-			return nil, fmt.Errorf("core: spill state: %w", err)
-		}
+	if err := s.applyScan(ctx, digests, day, rec); err != nil {
+		s.halted = err
+		return nil, err
 	}
 	s.records = append(s.records, rec)
 	s.scanIndex++
@@ -781,6 +766,36 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 		}
 	}
 	return rec, nil
+}
+
+// applyScan applies a completed scan to service state: the digest, the
+// TGA round and the snapshots. A failure leaves the service half-applied
+// (see RunScan).
+func (s *Service) applyScan(ctx context.Context, digests []shardDigest, day int, rec *ScanRecord) error {
+	if err := s.finalizeDigest(digests, day, rec); err != nil {
+		return err
+	}
+
+	// 6b. TGA candidate round: generate → probe → feed back, streamed
+	// end to end.
+	if s.cfg.TGAFeed != nil {
+		if err := s.runTGA(ctx, day, rec); err != nil {
+			return err
+		}
+	}
+
+	// 7. Snapshots.
+	s.maybeSnapshot(day)
+
+	// Any disk error the sweeps hit (spill writes degrade softly and
+	// record a sticky error) fails the scan rather than silently running
+	// with a lossy membership view.
+	if s.spill != nil {
+		if err := s.spill.err(); err != nil {
+			return fmt.Errorf("core: spill state: %w", err)
+		}
+	}
+	return nil
 }
 
 // ingestCounters accumulates the outcome counters of an admission sweep;
@@ -1044,42 +1059,36 @@ func (s *Service) trackSlash64(a ip6.Addr) {
 
 // deployGFWFilter materializes the cumulative injected-only list and
 // removes it from the active window — the paper's one-time cleanup of
-// 134 M addresses in February 2022. The drop list arrives sharded from
-// the tracker, so the purge is a per-shard sweep: each shard's table
-// drops the rows its slice of the list holds in one in-place pass, and
-// the per-AS counter deltas merge in canonical shard order.
+// 134 M addresses in February 2022. The drop list arrives from the
+// tracker as ascending per-shard columns, so the purge is a per-shard
+// sweep: each shard's table drops the rows its column holds in one
+// in-place merge walk, the column loads into the cumulative filter set
+// (disk-backed under a memory budget), and the per-AS counter deltas
+// merge in canonical shard order.
 func (s *Service) deployGFWFilter(rec *ScanRecord) {
 	s.gfwDeployed = true
 	drop := s.tracker.InjectedOnly()
-	// Under a memory budget the cumulative drop list moves into a
-	// disk-backed set inside the same per-shard sweep that purges the
-	// active window, so the resident tracker-built copy dies with this
-	// call instead of living for the rest of the run.
-	var spillDrop *ip6.SpillSet
-	if s.spill != nil {
-		spillDrop = s.spill.newSet()
-	}
+	s.gfwInputDrop = s.newCumulativeSet()
 	dropped := make([]shardPurge, ip6.AddrShards)
 	ip6.ParallelShards(s.workers, func(sh int) {
 		d := &dropped[sh]
-		if shardDrop := drop.Shard(sh); len(shardDrop) > 0 {
-			s.active.removeIf(sh, func(a ip6.Addr, _ targetState) bool {
-				if !shardDrop.Has(a) {
-					return false
-				}
-				d.add(s.net, a)
-				return true
-			})
+		col := drop.Shard(sh)
+		if len(col) == 0 {
+			return
 		}
-		if spillDrop != nil {
-			spillDrop.AddAllToShard(sh, drop.Shard(sh))
-		}
+		rest := col
+		s.active.removeIf(sh, func(a ip6.Addr, _ targetState) bool {
+			for len(rest) > 0 && rest[0].Less(a) {
+				rest = rest[1:]
+			}
+			if len(rest) == 0 || rest[0] != a {
+				return false
+			}
+			d.add(s.net, a)
+			return true
+		})
+		s.gfwInputDrop.AddSortedToShard(sh, col)
 	})
-	if spillDrop != nil {
-		s.gfwInputDrop = spillDrop
-	} else {
-		s.gfwInputDrop = drop
-	}
 	for sh := range dropped {
 		d := &dropped[sh]
 		rec.GFWFilteredInput += d.count
@@ -1244,10 +1253,13 @@ func (s *Service) coveredByAliased(p ip6.Prefix) bool {
 // the worker pool; what is left of its address column, still ascending,
 // is the shard's scan set, which the scanner consumes directly. The
 // ascending order keeps the engine's batch sequences deterministic, and
-// it is what lets the digest name a target by its position.
+// it is what lets the digest name a target by its position. Retained
+// evictions leave in ascending order too, and merge into the pool as one
+// list per shard.
 func (s *Service) buildScanSet(day int, rec *ScanRecord) int {
 	var evicted [ip6.AddrShards]int
 	ip6.ParallelShards(s.workers, func(sh int) {
+		var gone []ip6.Addr
 		s.active.removeIf(sh, func(a ip6.Addr, st targetState) bool {
 			ref := st.lastSuccessDay
 			if ref < 0 {
@@ -1258,10 +1270,11 @@ func (s *Service) buildScanSet(day int, rec *ScanRecord) int {
 			}
 			evicted[sh]++
 			if s.cfg.RetainUnresponsive {
-				s.unresponsive.AddToShard(sh, a)
+				gone = append(gone, a)
 			}
 			return true
 		})
+		s.unresponsive.AddSortedToShard(sh, gone)
 	})
 	total := 0
 	for sh, n := range evicted {
@@ -1389,9 +1402,13 @@ func column(cur, targets []ip6.Addr, rows []int) (col []ip6.Addr, changed bool) 
 // pool (shards are independent, and with the sharded target store the
 // liveness writes are shard-local too: no cross-shard locking anywhere),
 // then merges the counters into the record in canonical shard order. It
-// only runs for a completed scan, so aborted scans leave the service
-// exactly as it was.
-func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord) {
+// only runs for a completed scan, so a scan aborted before it leaves
+// the service exactly as it was; once it runs, an error halts the
+// service (see RunScan). Changed responder columns and the tracker's
+// evidence lists arrive ascending and merge into the cumulative sets
+// whole, and the sets are compacted before the serving snapshot is
+// published.
+func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord) error {
 	// A shard with no batches still matters: its previously responsive
 	// addresses all churned to unresponsive. Its digest's empty lists are
 	// safe to read.
@@ -1418,9 +1435,7 @@ func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord
 		for _, p := range s.cfg.Protocols {
 			col, changed := column(s.lastClean[p][sh], targets, d.cleanBy[p])
 			if changed {
-				for _, a := range col {
-					s.everResp[p].AddToShard(sh, a)
-				}
+				s.everResp[p].AddSortedToShard(sh, col)
 				s.lastClean[p][sh] = col
 			}
 		}
@@ -1429,9 +1444,7 @@ func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord
 		col, changed := column(s.prevRespAny[sh], targets, d.cleanAt)
 		if changed {
 			s.churn(sh, d, s.prevRespAny[sh], col)
-			for _, a := range col {
-				s.everRespAny.AddToShard(sh, a)
-			}
+			s.everRespAny.AddSortedToShard(sh, col)
 			s.prevRespAny[sh] = col
 		}
 	})
@@ -1451,7 +1464,11 @@ func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord
 		rec.RespAgain += d.respAgain
 		rec.Unresp += d.unresp
 	}
+	if err := s.compactSets(); err != nil {
+		return err
+	}
 	s.publishServeSnapshot(day)
+	return nil
 }
 
 // churn counts into d how shard sh's clean responders moved from last
@@ -1498,9 +1515,9 @@ func sameSlice(a, b []ip6.Addr) bool {
 // Publication is incremental: hitlists are highly stable between
 // consecutive scans, so most shards publish the very slice the previous
 // generation did. A responder shard is shared when its column is the
-// previous snapshot's slice, and refrozen (rebuilt) otherwise; the
-// injection-evidence set re-sorts only shards whose mutation epoch
-// advanced (ip6.FreezeSortedDelta). After a restore the previous
+// previous snapshot's slice, and refrozen (rebuilt) otherwise. The
+// injection-evidence set is the tracker's folded columns, wrapped the
+// same way, so it is counted the same way. After a restore the previous
 // generation is gone and the first publish counts every shard refrozen.
 func (s *Service) publishServeSnapshot(day int) {
 	if !s.cfg.ServeSnapshots {
@@ -1514,32 +1531,30 @@ func (s *Service) publishServeSnapshot(day int) {
 	start := time.Now()
 	prev := s.queryHandle.Current()
 	refrozen, shared := 0, 0
-	wrap := func(cols *respColumns, prevSet *ip6.SortedShardSet) *ip6.SortedShardSet {
-		for sh, col := range cols {
-			if prevSet != nil && sameSlice(col, prevSet.Shard(sh)) {
+	count := func(cur, prevSet *ip6.SortedShardSet) *ip6.SortedShardSet {
+		for sh := 0; sh < ip6.AddrShards; sh++ {
+			if prevSet != nil && sameSlice(cur.Shard(sh), prevSet.Shard(sh)) {
 				shared++
 			} else {
 				refrozen++
 			}
 		}
-		return ip6.SortedFromShards(*cols)
+		return cur
 	}
 	var perProto [netmodel.NumProtocols]*ip6.SortedShardSet
+	var prevAny, prevInj *ip6.SortedShardSet
+	if prev != nil {
+		prevAny, prevInj = prev.Any, prev.Injected
+	}
 	for _, p := range s.cfg.Protocols {
 		var prevP *ip6.SortedShardSet
 		if prev != nil {
 			prevP = prev.PerProto[p]
 		}
-		perProto[p] = wrap(&s.lastClean[p], prevP)
+		perProto[p] = count(ip6.SortedFromShards(s.lastClean[p]), prevP)
 	}
-	var prevAny, prevInj *ip6.SortedShardSet
-	if prev != nil {
-		prevAny, prevInj = prev.Any, prev.Injected
-	}
-	any := wrap(&s.prevRespAny, prevAny)
-	inj, r, sh := s.tracker.FreezeInjectedSeenDelta(prevInj)
-	refrozen += r
-	shared += sh
+	any := count(ip6.SortedFromShards(s.prevRespAny), prevAny)
+	inj := count(s.tracker.FreezeInjectedSeen(), prevInj)
 	s.queryHandle.Publish(serve.NewSnapshot(day, any, perProto, s.aliased.Prefixes(), inj))
 	s.queryHandle.NotePublish(refrozen, shared, time.Since(start))
 }
@@ -1593,7 +1608,10 @@ func (c *countSource) Close() error {
 // target set. No candidate list is ever materialized; only the (much
 // smaller) responder set is.
 func (s *Service) runTGA(ctx context.Context, day int, rec *ScanRecord) error {
-	seeds, refrozen := s.tgaSeedView()
+	seeds, refrozen, err := s.tgaSeedView()
+	if err != nil {
+		return fmt.Errorf("core: TGA seed view: %w", err)
+	}
 	rec.TGARefrozenShards = refrozen
 	if seeds.Len() == 0 {
 		return nil
@@ -1638,18 +1656,14 @@ func (s *Service) runTGA(ctx context.Context, day int, rec *ScanRecord) error {
 	// disk-backed like every other history-sized set — instead of a flat
 	// resident set; feedback streams it in globally sorted order without
 	// materializing a slice.
-	var union ip6.SpillableSet
-	var unionSpill *ip6.SpillSet
+	union := ip6.NewResidentSet()
 	if s.spill != nil {
 		set, err := ip6.NewSpillSet(s.spill.dir, s.spill.shardBudget)
 		if err != nil {
 			return fmt.Errorf("core: TGA union spill set: %w", err)
 		}
 		defer set.Close()
-		unionSpill = set
 		union = set
-	} else {
-		union = ip6.NewShardedSet()
 	}
 	for _, p := range s.cfg.Protocols {
 		set := resp[p]
@@ -1660,50 +1674,49 @@ func (s *Service) runTGA(ctx context.Context, day int, rec *ScanRecord) error {
 		}
 	}
 	rec.TGAResponsive = union.Len()
-	if unionSpill != nil {
-		if err := unionSpill.Err(); err != nil {
-			return fmt.Errorf("core: TGA union spill set: %w", err)
-		}
+	if err := union.Err(); err != nil {
+		return fmt.Errorf("core: TGA union spill set: %w", err)
 	}
 	if union.Len() == 0 {
 		return nil
 	}
-	src, err := sortedUnionSource(union)
-	if err != nil {
-		return fmt.Errorf("core: TGA feedback source: %w", err)
-	}
-	feedback := []sources.NamedSource{{Name: s.cfg.TGAFeed.Name(), Src: src}}
+	feedback := []sources.NamedSource{{Name: s.cfg.TGAFeed.Name(), Src: sortedUnionSource(union)}}
 	if err := s.ingest(feedback, day, rec); err != nil {
 		return err
 	}
-	if unionSpill != nil {
-		if err := unionSpill.Err(); err != nil {
-			return fmt.Errorf("core: TGA union spill set: %w", err)
-		}
+	if err := union.Err(); err != nil {
+		return fmt.Errorf("core: TGA union spill set: %w", err)
 	}
 	return nil
 }
 
-// tgaSeedView returns the generators' seed view over everRespAny,
-// re-frozen by epoch delta: only shards whose membership moved since the
-// last round are re-walked and re-sorted, the rest pointer-share their
-// frozen span with the previous view. Steady-state TGA rounds — no new
-// responders since the previous round — reuse every span for free, and
-// the cumulative seed slice is never materialized at all. It returns the
-// view plus the number of shards re-frozen.
-func (s *Service) tgaSeedView() (*tga.SeedView, int) {
-	frozen, refrozen, _ := ip6.FreezeSortedDelta(s.everRespAny, s.tgaFrozen)
-	s.tgaFrozen = frozen
-	s.tgaView = tga.NewSeedView(frozen)
-	return s.tgaView, refrozen
+// tgaSeedView returns the generators' seed view over everRespAny: its
+// folded columns wrapped without a copy (a spilled shard is read back
+// from its runs). A shard with no new responder since the last round is
+// the very slice the previous view held, so steady-state rounds reuse
+// every span for free and the cumulative seed slice is never
+// materialized. It returns the view plus the number of shards refrozen:
+// those that gained responders since the previous view — the set only
+// grows, so a shard changed exactly when its length did, resident or
+// spilled — or every shard when there is none.
+func (s *Service) tgaSeedView() (*tga.SeedView, int, error) {
+	seeds, err := s.everRespAny.View()
+	if err != nil {
+		return nil, 0, err
+	}
+	refrozen := 0
+	for sh := 0; sh < ip6.AddrShards; sh++ {
+		if s.tgaView == nil || len(seeds.Shard(sh)) != len(s.tgaView.Shard(sh)) {
+			refrozen++
+		}
+	}
+	s.tgaView = tga.NewSeedView(seeds)
+	return s.tgaView, refrozen, nil
 }
 
 // maybeSnapshot captures due snapshots. Snapshots read only the
 // scan-sized resident state (prevRespAny, lastClean, aliased), so no
-// spill interaction happens here; the spilled cumulative sets were
-// compacted moments earlier in RunScan's digest-finalization step, which
-// is what keeps the InputSeen/EverResponsive accessor merges cheap at
-// snapshot days too.
+// spill interaction happens here.
 func (s *Service) maybeSnapshot(day int) {
 	for len(s.snapQueue) > 0 && day >= s.snapQueue[0] {
 		want := s.snapQueue[0]

@@ -1,6 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -94,8 +101,8 @@ func TestTGAFeedLoop(t *testing.T) {
 // TestTGASeedViewSharesUnchangedShards pins the tentpole invariant of
 // the incremental TGA pipeline, mirroring the serve layer's
 // TestServePublishSharesUnchangedShards: successive rounds' seed views
-// pointer-share the frozen spans of shards whose membership did not
-// move, and only epoch-dirtied shards re-freeze.
+// pointer-share the spans of shards whose membership did not move, and
+// only shards that gained responders get a fresh span.
 func TestTGASeedViewSharesUnchangedShards(t *testing.T) {
 	sliceShared := func(a, b []ip6.Addr) bool {
 		return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
@@ -107,18 +114,18 @@ func TestTGASeedViewSharesUnchangedShards(t *testing.T) {
 	s := NewService(cfg, n, feeds, nil)
 
 	runDays(t, s, weekly(0, 56))
-	prev := s.tgaFrozen
+	prev := s.tgaView
 	if prev == nil || prev.Len() == 0 {
 		t.Fatal("no seed view frozen after warm-up rounds")
 	}
 	prevView := s.tgaView
 
 	// Late steady-state scans: the responsive world has been absorbed, so
-	// most shards' epochs hold still and their spans must be shared, not
+	// most shards' columns hold still and their spans must be shared, not
 	// re-frozen. (Some shards may still dirty — the alias region answers
 	// forever — so assert sharing per clean shard rather than globally.)
 	runDays(t, s, weekly(63, 63))
-	cur := s.tgaFrozen
+	cur := s.tgaView
 	if cur == prev {
 		t.Fatal("freeze did not produce a new view object")
 	}
@@ -141,12 +148,12 @@ func TestTGASeedViewSharesUnchangedShards(t *testing.T) {
 	if rec.TGARefrozenShards != refrozen {
 		t.Errorf("TGARefrozenShards=%d, want %d", rec.TGARefrozenShards, refrozen)
 	}
-	// The view wrapper is rebuilt per round but reads the same spans.
+	// The view wrapper is rebuilt per round but reads the set's columns.
 	if s.tgaView == prevView {
 		t.Error("seed view object not refreshed")
 	}
 	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if !tga.SameSpan(s.tgaView.Shard(sh), cur.Shard(sh)) {
+		if col, _ := s.everRespAny.Column(sh); !tga.SameSpan(s.tgaView.Shard(sh), col) {
 			t.Fatalf("view shard %d does not wrap the frozen span", sh)
 		}
 	}
@@ -169,5 +176,128 @@ func TestTGAStreamerFeedAdapter(t *testing.T) {
 	}
 	if cands == 0 {
 		t.Fatal("6Tree candidate feed generated nothing")
+	}
+}
+
+// errFeedDown is the failure failingFeed injects.
+var errFeedDown = errors.New("candidate feed down")
+
+// failingFeed is aliasNeighborFeed whose candidate stream fails midway on
+// failDay. It keeps the feed's name, so a checkpoint taken with it
+// resumes under the plain feed.
+type failingFeed struct {
+	aliasNeighborFeed
+	failDay int
+}
+
+func (f failingFeed) Candidates(day int, seeds *tga.SeedView) scan.TargetSource {
+	src := f.aliasNeighborFeed.Candidates(day, seeds)
+	if day != f.failDay {
+		return src
+	}
+	return &failAfter{src: src, left: 3}
+}
+
+// failAfter delivers left addresses of src, then fails.
+type failAfter struct {
+	src  scan.TargetSource
+	left int
+}
+
+func (f *failAfter) Next(buf []ip6.Addr) (int, error) {
+	if f.left == 0 {
+		return 0, errFeedDown
+	}
+	n, err := f.src.Next(buf[:min(len(buf), f.left)])
+	f.left -= n
+	return n, err
+}
+
+// dirBytes reads every file under dir, keyed by its relative path.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		out[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestTGAFeedFailureHaltsService pins the fail-closed contract of a
+// half-applied scan: a TGA round that fails after the digest applied
+// leaves the scan with no record, so the next RunScan and Checkpoint
+// return that error and write nothing — the previous checkpoint stays
+// the head — and Resume from it reproduces an uninterrupted run.
+func TestTGAFeedFailureHaltsService(t *testing.T) {
+	days := weekly(0, 56)
+	const k = 4 // scans completed before the failing one
+	cfg := DefaultConfig(1)
+	cfg.TGAFeed = aliasNeighborFeed{}
+	n, feeds := tinyWorld(t)
+	ref := NewService(cfg, n, feeds, nil)
+	runDays(t, ref, days)
+
+	scratch := t.TempDir()
+	ckdir := filepath.Join(scratch, "ckpt")
+	failing := cfg
+	failing.TGAFeed = failingFeed{failDay: days[k]}
+	n1, feeds1 := tinyWorld(t)
+	s := NewService(failing, n1, feeds1, nil)
+	runDays(t, s, days[:k])
+	if err := s.Checkpoint(ckdir); err != nil {
+		t.Fatal(err)
+	}
+	head := dirBytes(t, scratch)
+
+	ctx := context.Background()
+	if _, err := s.RunScan(ctx, days[k]); !errors.Is(err, errFeedDown) {
+		t.Fatalf("failing TGA round: err = %v, want %v", err, errFeedDown)
+	}
+	if _, err := s.RunScan(ctx, days[k+1]); !errors.Is(err, errFeedDown) {
+		t.Fatalf("scan after a half-applied one: err = %v, want the halting error", err)
+	}
+	if err := s.Checkpoint(ckdir); !errors.Is(err, errFeedDown) {
+		t.Fatalf("checkpoint after a half-applied scan: err = %v, want the halting error", err)
+	}
+	if got := dirBytes(t, scratch); !reflect.DeepEqual(got, head) {
+		t.Fatal("a refused checkpoint changed the checkpoint directory")
+	}
+	if len(s.Records()) != k {
+		t.Fatalf("%d records after the failed scan, want %d", len(s.Records()), k)
+	}
+
+	n2, feeds2 := tinyWorld(t)
+	s2, err := Resume(ckdir, cfg, n2, feeds2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDays(t, s2, days[k:])
+	// Records persist without their TGA counters, and a resumed service
+	// has no previous seed view, so its first round counts every shard
+	// refrozen: the restored records match as persisted, the scans after
+	// the head match in full but for that count.
+	got, want := stripShardTiming(s2.Records()), stripShardTiming(ref.Records())
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatal("resumed run diverges from the uninterrupted one")
+	}
+	for i := k; i < len(want); i++ {
+		g, w := *got[i], *want[i]
+		g.TGARefrozenShards, w.TGARefrozenShards = 0, 0
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("scan %d after resume: %+v, uninterrupted %+v", i, g, w)
+		}
+	}
+	if want[k].TGACandidates == 0 {
+		t.Fatal("the failing day's round had no candidates — the failure never fired mid-round")
 	}
 }

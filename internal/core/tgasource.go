@@ -4,8 +4,8 @@ package core
 // possibly disk-backed) set, but ingest consumes one globally ordered
 // stream — the order the former materialized union.Sorted() slice fixed,
 // which seq numbers and the APD candidate queue depend on. sortedUnionSource
-// reproduces exactly that order without materializing anything: one
-// ascending cursor per shard, merged by ip6.MergeCursors.
+// reproduces exactly that order without materializing anything: each
+// shard's ascending cursor, merged by ip6.MergeCursors.
 
 import (
 	"io"
@@ -17,35 +17,14 @@ import (
 // sortedUnionSource streams u's members in ascending address order —
 // byte-identical to scan.SliceSource over a sorted materialization of u.
 // The set must not be mutated while the source is being consumed.
-func sortedUnionSource(u ip6.SpillableSet) (scan.TargetSource, error) {
+func sortedUnionSource(u *ip6.SpillSet) scan.TargetSource {
 	var curs []ip6.Cursor
 	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if u.ShardLen(sh) == 0 {
-			continue
+		if u.ShardLen(sh) > 0 {
+			curs = append(curs, u.ShardCursor(sh))
 		}
-		cur, err := shardSortedCursor(u, sh)
-		if err != nil {
-			return nil, err
-		}
-		curs = append(curs, cur)
 	}
-	return &cursorSource{next: ip6.MergeCursors(curs...)}, nil
-}
-
-// shardSortedCursor returns shard sh's ascending cursor: the spill set's
-// run-merging cursor when the union is disk-backed, otherwise a sort of
-// the resident shard (scan-sized — one shard of one round's responders).
-func shardSortedCursor(u ip6.SpillableSet, sh int) (ip6.Cursor, error) {
-	if sp, ok := u.(*ip6.SpillSet); ok {
-		return sp.ShardSortedCursor(sh)
-	}
-	members := make([]ip6.Addr, 0, u.ShardLen(sh))
-	u.WalkShard(sh, func(a ip6.Addr) bool {
-		members = append(members, a)
-		return true
-	})
-	ip6.SortAddrs(members)
-	return ip6.SliceCursor(members), nil
+	return &cursorSource{next: ip6.MergeCursors(curs...)}
 }
 
 // cursorSource is the scan.TargetSource over a cursor. It delivers every

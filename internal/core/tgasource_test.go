@@ -40,7 +40,7 @@ func TestTGAFeedbackSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer spilled.Close()
-	resident := ip6.NewShardedSet()
+	resident := ip6.NewResidentSet()
 	for _, a := range addrs {
 		spilled.Add(a)
 		resident.Add(a)
@@ -49,12 +49,9 @@ func TestTGAFeedbackSource(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		u    ip6.SpillableSet
+		u    *ip6.SpillSet
 	}{{"spilled", spilled}, {"resident", resident}} {
-		src, err := sortedUnionSource(tc.u)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		src := sortedUnionSource(tc.u)
 		got, err := pullAll(src)
 		if err != io.EOF {
 			t.Fatalf("%s: ended with %v, want io.EOF", tc.name, err)
@@ -72,12 +69,13 @@ func TestTGAFeedbackSource(t *testing.T) {
 		}
 	}
 
-	// A failing shard cursor: shard 5 holds a run longer than a run
-	// cursor's first read, and its scratch file is closed under the
-	// source, so its second read fails mid-merge. Each shard-5 address
-	// comes with its predecessor from another shard, so another shard's
-	// address always sits between two of shard 5's.
-	failing, err := ip6.NewSpillSet(t.TempDir(), 1<<20)
+	// A failing shard cursor: shard 5 freezes one run longer than a run
+	// cursor's first read (its 3000th insert reaches the budget), and the
+	// scratch file is closed under the source, so its second read fails
+	// mid-merge. Each shard-5 address comes with its predecessor from
+	// another shard, so another shard's address always sits between two
+	// of shard 5's.
+	failing, err := ip6.NewSpillSet(t.TempDir(), 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +88,7 @@ func TestTGAFeedbackSource(t *testing.T) {
 		}
 	}
 	want = failing.Merge().Sorted()
-	src, err := sortedUnionSource(failing)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := sortedUnionSource(failing)
 	failing.Close()
 	got, err := pullAll(src)
 	if err == nil || err == io.EOF {

@@ -171,7 +171,10 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 	// The 30-day-unresponsive pool, cleaned from GFW-injection addresses —
 	// filtered in one pass against the tracker's sharded evidence instead
 	// of materializing the merged injection set and a diff copy.
-	unresp := s.Svc.UnresponsivePool()
+	unresp, err := s.Svc.UnresponsivePool().View()
+	if err != nil {
+		return nil, err
+	}
 	tracker := s.Svc.Tracker()
 	pool := make([]ip6.Addr, 0, unresp.Len())
 	unresp.Walk(func(a ip6.Addr) bool {
@@ -379,7 +382,9 @@ func Table5(ctx context.Context, s *Suite, w io.Writer) error {
 		return err
 	}
 	impacted := s.Svc.Tracker().InjectedOnly()
-	counts := analysis.ByAS(impacted.Merge(), s.World.Net.AS)
+	flat := ip6.NewSet(impacted.Len())
+	impacted.Walk(func(a ip6.Addr) bool { flat.Add(a); return true })
+	counts := analysis.ByAS(flat, s.World.Net.AS)
 	fmt.Fprintf(w, "Table 5 — top 10 ASes impacted by the GFW (total %s addresses)\n\n",
 		analysis.Humanize(impacted.Len()))
 	tb := analysis.NewTable("AS", "addresses", "%", "CDF")

@@ -148,23 +148,23 @@ func FilterRecords(recs []scan.Record) (kept, injected []scan.Record) {
 // 134 M addresses that saw at least one DNS injection but never responded
 // to any other protocol.
 //
-// The evidence sets are sharded by address hash (ip6.ShardedSet) so the
-// streaming scan engine can fold whole batches into the tracker from
-// concurrent workers: every address in a shard-tagged batch lands in that
-// shard, and the engine serializes same-shard batches, so no locking is
-// needed and the accumulated state is identical for any worker count.
+// The evidence sets are cumulative ip6.SpillSets, resident, sharded by
+// address hash so the service can fold a scan's evidence shard by shard
+// from concurrent workers: every address of a shard's lists lands in that
+// shard, so no locking is needed and the accumulated state is identical
+// for any worker count.
 type Tracker struct {
-	injectedSeen *ip6.ShardedSet // addresses with ≥1 injected DNS response
-	otherProto   *ip6.ShardedSet // addresses responsive to any non-DNS protocol
-	realDNS      *ip6.ShardedSet // addresses with ≥1 clean DNS response
+	injectedSeen *ip6.SpillSet // addresses with ≥1 injected DNS response
+	otherProto   *ip6.SpillSet // addresses responsive to any non-DNS protocol
+	realDNS      *ip6.SpillSet // addresses with ≥1 clean DNS response
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
 	return &Tracker{
-		injectedSeen: ip6.NewShardedSet(),
-		otherProto:   ip6.NewShardedSet(),
-		realDNS:      ip6.NewShardedSet(),
+		injectedSeen: ip6.NewResidentSet(),
+		otherProto:   ip6.NewResidentSet(),
+		realDNS:      ip6.NewResidentSet(),
 	}
 }
 
@@ -175,32 +175,44 @@ func NewTracker() *Tracker {
 // duplicate-free as a scan's digest yields them. Distinct shards may be
 // folded concurrently; every address must hash to shard i.
 func (t *Tracker) AddEvidenceShard(i int, injectedDNS, cleanDNS, cleanOther []ip6.Addr) {
-	for _, a := range injectedDNS {
-		t.injectedSeen.AddToShard(i, a)
-	}
-	for _, a := range cleanDNS {
-		t.realDNS.AddToShard(i, a)
-	}
-	for _, a := range cleanOther {
-		t.otherProto.AddToShard(i, a)
-	}
+	t.injectedSeen.AddSortedToShard(i, injectedDNS)
+	t.realDNS.AddSortedToShard(i, cleanDNS)
+	t.otherProto.AddSortedToShard(i, cleanOther)
+}
+
+// view returns set's sorted view. The tracker's sets are resident, so
+// reading one cannot fail.
+func view(set *ip6.SpillSet) *ip6.SortedShardSet {
+	v, _ := set.View()
+	return v
 }
 
 // InjectedOnly returns the addresses that ever triggered an injection and
 // never answered anything else — the set the paper removes from the
-// cumulative input — keeping the shard partitioning, so consumers that
-// sweep it shard by shard (the service's cumulative input filter) keep
-// shard-local membership checks and never pay for a flat merged copy.
-func (t *Tracker) InjectedOnly() *ip6.ShardedSet {
-	out := ip6.NewShardedSet()
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		for a := range t.injectedSeen.Shard(sh) {
-			if !t.otherProto.HasInShard(sh, a) && !t.realDNS.HasInShard(sh, a) {
-				out.AddToShard(sh, a)
+// cumulative input — as ascending per-shard columns: one merge walk per
+// shard of the injected evidence against the other two sets.
+func (t *Tracker) InjectedOnly() *ip6.SortedShardSet {
+	inj, other, real := view(t.injectedSeen), view(t.otherProto), view(t.realDNS)
+	var out [ip6.AddrShards][]ip6.Addr
+	for sh := range out {
+		o, r := other.Shard(sh), real.Shard(sh)
+		for _, a := range inj.Shard(sh) {
+			o = skipBelow(o, a)
+			r = skipBelow(r, a)
+			if (len(o) == 0 || o[0] != a) && (len(r) == 0 || r[0] != a) {
+				out[sh] = append(out[sh], a)
 			}
 		}
 	}
-	return out
+	return ip6.SortedFromShards(out)
+}
+
+// skipBelow drops the addresses of the ascending list l below a.
+func skipBelow(l []ip6.Addr, a ip6.Addr) []ip6.Addr {
+	for len(l) > 0 && l[0].Less(a) {
+		l = l[1:]
+	}
+	return l
 }
 
 // InjectedSeen returns every address that ever showed injection evidence,
@@ -218,18 +230,12 @@ func (t *Tracker) InjectedSeenHas(a ip6.Addr) bool { return t.injectedSeen.Has(a
 // materializing a merged copy.
 func (t *Tracker) InjectedSeenLen() int { return t.injectedSeen.Len() }
 
-// FreezeInjectedSeen returns an independent frozen sorted copy of the
-// injection-evidence set — the point-lookup index serve snapshots carry.
-// The tracker keeps accumulating evidence afterwards; the copy does not
-// change.
-func (t *Tracker) FreezeInjectedSeen() *ip6.SortedShardSet { return ip6.FreezeSorted(t.injectedSeen) }
-
-// FreezeInjectedSeenDelta is FreezeInjectedSeen sharing unchanged shards
-// with prev, a set previously frozen from this tracker (nil for a full
-// freeze). Returns the frozen set plus the shards re-frozen and shared.
-func (t *Tracker) FreezeInjectedSeenDelta(prev *ip6.SortedShardSet) (out *ip6.SortedShardSet, refrozen, shared int) {
-	return ip6.FreezeSortedDelta(t.injectedSeen, prev)
-}
+// FreezeInjectedSeen returns the injection-evidence set as the
+// point-lookup index serve snapshots carry: its view (ip6.SpillSet.View),
+// so a shard that gained no evidence since an earlier freeze is the very
+// same slice there. The tracker keeps accumulating evidence afterwards;
+// the frozen set does not change.
+func (t *Tracker) FreezeInjectedSeen() *ip6.SortedShardSet { return view(t.injectedSeen) }
 
 // Stats summarizes the tracker.
 func (t *Tracker) Stats() (injected, injectedOnly, otherProto int) {
@@ -238,9 +244,9 @@ func (t *Tracker) Stats() (injected, injectedOnly, otherProto int) {
 
 // EvidenceSets exposes the tracker's three cumulative evidence sets —
 // injected-seen, other-protocol, real-DNS — as live references, for
-// checkpointing: the writer walks them shard by shard, and restore loads
-// straight back into them. Callers must honor the per-shard writing
-// contract.
-func (t *Tracker) EvidenceSets() (injectedSeen, otherProto, realDNS *ip6.ShardedSet) {
+// compaction and checkpointing: the writer reads them shard by shard,
+// and restore loads straight back into them. Callers must honor the
+// per-shard writing contract.
+func (t *Tracker) EvidenceSets() (injectedSeen, otherProto, realDNS *ip6.SpillSet) {
 	return t.injectedSeen, t.otherProto, t.realDNS
 }

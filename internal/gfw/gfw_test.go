@@ -176,7 +176,7 @@ func TestTracker(t *testing.T) {
 	})
 	only := tr.InjectedOnly()
 	if only.Len() != 1 || !only.Has(ip6.MustParseAddr("240e::1")) {
-		t.Errorf("InjectedOnly: %v", only.Merge().Sorted())
+		t.Errorf("InjectedOnly: %d addresses, want only 240e::1", only.Len())
 	}
 	if tr.InjectedSeen().Len() != 2 {
 		t.Errorf("InjectedSeen: %d", tr.InjectedSeen().Len())

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"hitlist6/internal/hlfile"
 	"hitlist6/internal/ip6"
@@ -41,8 +39,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 // TestWriteShardedMatchesWriter: shards handed to WriteSharded in runs —
-// several per shard, prepared on a ShardPipeline — produce the same image
-// as the sorting Writer.
+// several per shard — produce the same image as the sorting Writer.
 func TestWriteShardedMatchesWriter(t *testing.T) {
 	addrs := testAddrs(5, 20000)
 	want, err := os.ReadFile(writeFile(t, addrs, 1<<20))
@@ -50,34 +47,30 @@ func TestWriteShardedMatchesWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs, counts := shardRuns(sortedUnique(addrs))
-	for _, workers := range []int{1, 4} {
-		var p ip6.ShardPipeline[[]ip6.Addr]
-		var got bytes.Buffer
-		err := hlfile.WriteSharded(&got, counts, func(put func(int, []ip6.Addr) error) error {
-			return p.Run(workers, func(sh int, buf *[]ip6.Addr) error {
-				*buf = append((*buf)[:0], runs[sh]...)
-				return nil
-			}, func(sh int, buf *[]ip6.Addr) error {
-				half := len(*buf) / 2
-				if err := put(sh, (*buf)[:half]); err != nil {
-					return err
-				}
-				return put(sh, (*buf)[half:])
-			})
-		})
-		if err != nil {
-			t.Fatal(err)
+	var got bytes.Buffer
+	err = hlfile.WriteSharded(&got, counts, func(put func(int, []ip6.Addr) error) error {
+		for sh, run := range runs {
+			half := len(run) / 2
+			if err := put(sh, run[:half]); err != nil {
+				return err
+			}
+			if err := put(sh, run[half:]); err != nil {
+				return err
+			}
 		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("workers %d: WriteSharded image differs from Writer's (%d vs %d bytes)", workers, got.Len(), len(want))
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("WriteSharded image differs from Writer's (%d vs %d bytes)", got.Len(), len(want))
 	}
 }
 
 // TestWriteShardedRefuses: a shard out of order or out of range, a count
-// that disagrees with the header, and a failing writer are errors; fed
-// by a ShardPipeline, WriteSharded returns the writer's or the count's
-// error with no goroutine left behind.
+// that disagrees with the header, and a failing writer are errors, and
+// WriteSharded returns the writer's or the count's error.
 func TestWriteShardedRefuses(t *testing.T) {
 	runs, counts := shardRuns(sortedUnique(testAddrs(6, 5000)))
 	all := func(put func(int, []ip6.Addr) error) error {
@@ -119,7 +112,6 @@ func TestWriteShardedRefuses(t *testing.T) {
 		}
 	}
 
-	base := runtime.NumGoroutine()
 	for _, tc := range []struct {
 		name   string
 		limit  int
@@ -129,24 +121,9 @@ func TestWriteShardedRefuses(t *testing.T) {
 		{"body write fails", 20 << 10, counts, errDiskFull},
 		{"short shard", 1 << 30, bump(7, 1), nil},
 	} {
-		for _, workers := range []int{1, 4} {
-			var p ip6.ShardPipeline[[]ip6.Addr]
-			err := hlfile.WriteSharded(&failingWriter{limit: tc.limit}, tc.counts, func(put func(int, []ip6.Addr) error) error {
-				return p.Run(workers, func(sh int, buf *[]ip6.Addr) error {
-					*buf = append((*buf)[:0], runs[sh]...)
-					return nil
-				}, func(sh int, buf *[]ip6.Addr) error { return put(sh, *buf) })
-			})
-			if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
-				t.Errorf("%s, pipeline workers %d: err = %v", tc.name, workers, err)
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base {
-				if time.Now().After(deadline) {
-					t.Fatalf("%s, pipeline workers %d: %d goroutines, %d before", tc.name, workers, runtime.NumGoroutine(), base)
-				}
-				runtime.Gosched()
-			}
+		err := hlfile.WriteSharded(&failingWriter{limit: tc.limit}, tc.counts, all)
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: err = %v", tc.name, err)
 		}
 	}
 }

@@ -5,25 +5,24 @@ import (
 	"testing"
 )
 
-// TestAddLogMatchesReference drives a resident set and spilling sets
+// TestAddLogMatchesReference drives resident and spilling sets
 // (budgets 1 and 3, so the log spills runs) through rounds of inserts
 // between StartLog calls — re-added members as well as new addresses,
-// every shard on its own goroutine — and holds each round's log to a
-// reference: exactly the addresses that were new, ascending. A shard that gained more than logFloor addresses
-// and more than half its size loses the log for every shape at once.
+// every shard on its own goroutine, as point inserts into one set of each
+// kind and as ascending bulk inserts into the other, with compactions in
+// between — and holds each round's log to a reference: exactly the
+// addresses that were new, ascending. A shard that gained more than
+// logFloor addresses and more than half its size loses the log for every
+// shape at once.
 func TestAddLogMatchesReference(t *testing.T) {
-	res := NewShardedSet()
-	var spills []*SpillSet
+	res := NewResidentSet()
+	sets := []*SpillSet{res, NewResidentSet()}
 	for _, budget := range []int{1, 3} {
 		s, err := NewSpillSet(t.TempDir(), budget)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		spills = append(spills, s)
-	}
-	sets := []SpillableSet{res}
-	for _, s := range spills {
 		sets = append(sets, s)
 	}
 	for _, s := range sets {
@@ -50,12 +49,23 @@ func TestAddLogMatchesReference(t *testing.T) {
 			have[a] = true
 		}
 		next += n
-		for _, s := range sets {
+		for i, s := range sets {
 			ParallelShards(4, func(sh int) {
+				if i%2 == 1 {
+					bulk := slices.Clone(perShard[sh])
+					SortAddrs(bulk)
+					s.AddSortedToShard(sh, bulk)
+					return
+				}
 				for _, a := range perShard[sh] {
 					s.AddToShard(sh, a)
 				}
 			})
+			if round%2 == 1 {
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		var want [AddrShards][]Addr
 		for _, a := range added {

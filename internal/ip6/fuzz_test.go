@@ -6,9 +6,9 @@ import (
 )
 
 // FuzzRunFile writes arbitrary addresses as sorted runs with WriteRun
-// and through a budget-1 SpillSet followed by Compact, then checks
-// Run.Has, SpillSet.Has and the merged cursors against a map-and-sort
-// reference. The first byte picks how many runs the addresses are split
+// and through a resident and a budget-1 SpillSet followed by Compact,
+// then checks Run.Has, SpillSet.Has, the merged cursors and the sets'
+// shard cursors and views against a map-and-sort reference. The first byte picks how many runs the addresses are split
 // into; every following byte pair is one address in a 2^16 range, so
 // duplicates and near misses are common. The committed corpus
 // (testdata/fuzz/FuzzRunFile) holds an empty input, one address,
@@ -51,14 +51,17 @@ func FuzzRunFile(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer spill.Close()
-		for _, a := range addrs {
-			spill.Add(a)
-		}
-		if err := spill.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if spill.Len() != len(want) {
-			t.Fatalf("SpillSet.Len = %d, want %d", spill.Len(), len(want))
+		sets := []*SpillSet{NewResidentSet(), spill}
+		for _, set := range sets {
+			for _, a := range addrs {
+				set.Add(a)
+			}
+			if err := set.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if set.Len() != len(want) {
+				t.Fatalf("SpillSet.Len = %d, want %d", set.Len(), len(want))
+			}
 		}
 
 		var scratch []byte
@@ -73,8 +76,10 @@ func FuzzRunFile(f *testing.F) {
 						t.Fatalf("run %d: Has(%v) = %v", j, p, got)
 					}
 				}
-				if got := spill.Has(p); got != members.Has(p) {
-					t.Fatalf("SpillSet.Has(%v) = %v", p, got)
+				for _, set := range sets {
+					if got := set.Has(p); got != members.Has(p) {
+						t.Fatalf("SpillSet.Has(%v) = %v", p, got)
+					}
 				}
 			}
 		}
@@ -84,22 +89,25 @@ func FuzzRunFile(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireAddrs(t, "merged runs", got, want)
-		for sh := 0; sh < AddrShards; sh++ {
-			cur, err := spill.ShardSortedCursor(sh)
+		for _, set := range sets {
+			view, err := set.View()
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := drainCursor(cur)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var inShard []Addr
-			for _, a := range want {
-				if ShardOf(a) == sh {
-					inShard = append(inShard, a)
+			for sh := 0; sh < AddrShards; sh++ {
+				got, err := drainCursor(set.ShardCursor(sh))
+				if err != nil {
+					t.Fatal(err)
 				}
+				var inShard []Addr
+				for _, a := range want {
+					if ShardOf(a) == sh {
+						inShard = append(inShard, a)
+					}
+				}
+				requireAddrs(t, "set shard cursor", got, inShard)
+				requireAddrs(t, "set view", view.Shard(sh), inShard)
 			}
-			requireAddrs(t, "spill shard cursor", got, inShard)
 		}
 	})
 }

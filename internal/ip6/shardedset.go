@@ -21,26 +21,16 @@ func ShardOf(a Addr) int {
 }
 
 // ShardedSet is an address set partitioned into AddrShards disjoint Sets
-// by ShardOf. It exists for parallel accumulation: each shard may be
-// written by at most one goroutine at a time (the scan engine guarantees
-// this by processing each shard sequentially), so no locking is needed,
-// and merging in canonical shard order is deterministic by construction.
+// by ShardOf: a scan-local accumulator. It exists for parallel
+// accumulation: each shard may be written by at most one goroutine at a
+// time (the scan engine guarantees this by processing each shard
+// sequentially), so no locking is needed, and merging in canonical shard
+// order is deterministic by construction. The cumulative sets that
+// outlive a scan are SpillSets.
 //
 // The zero value is not ready for use; call NewShardedSet.
-//
-// Each shard carries a mutation epoch: a counter bumped whenever the
-// shard's membership actually changes. Consumers that derive per-shard
-// artifacts (frozen sorted indexes) record the epochs they built against
-// and later rebuild only the shards whose epoch advanced. The invariant
-// is one-directional per set object: an unchanged epoch guarantees
-// unchanged membership; a bumped epoch merely permits a change.
-//
-// After StartLog, the set also logs the addresses each shard newly
-// gains, for delta checkpoints (see SpillableSet.StartLog).
 type ShardedSet struct {
 	shards [AddrShards]Set
-	epochs [AddrShards]uint64
-	log    *addLog // nil until StartLog
 }
 
 // NewShardedSet returns an empty ShardedSet. Shard maps are allocated
@@ -59,64 +49,8 @@ func (s *ShardedSet) AddToShard(i int, a Addr) bool {
 	if s.shards[i] == nil {
 		s.shards[i] = NewSet(0)
 	}
-	if s.shards[i].Add(a) {
-		s.epochs[i]++
-		if s.log != nil {
-			s.log.add(i, a, len(s.shards[i]))
-		}
-		return true
-	}
-	return false
+	return s.shards[i].Add(a)
 }
-
-// AddAllToShard inserts every member of set into shard i, under the same
-// contract as AddToShard.
-func (s *ShardedSet) AddAllToShard(i int, set Set) {
-	if len(set) == 0 {
-		return
-	}
-	if s.shards[i] == nil {
-		s.shards[i] = NewSet(len(set))
-	}
-	before := len(s.shards[i])
-	if s.log == nil {
-		s.shards[i].AddAll(set)
-	} else {
-		for a := range set {
-			if s.shards[i].Add(a) {
-				s.log.add(i, a, len(s.shards[i]))
-			}
-		}
-	}
-	if len(s.shards[i]) != before {
-		s.epochs[i]++
-	}
-}
-
-// StartLog starts, or restarts empty, the log of added addresses.
-func (s *ShardedSet) StartLog() {
-	if s.log == nil {
-		s.log = &addLog{}
-	}
-	s.log.start()
-}
-
-// LogComplete reports whether the log holds everything added since
-// StartLog.
-func (s *ShardedSet) LogComplete() bool { return s.log != nil && s.log.complete() }
-
-// LogLen returns how many addresses shard i's log holds.
-func (s *ShardedSet) LogLen(i int) int { return s.log.n[i] }
-
-// LogCursor returns shard i's logged addresses in ascending order,
-// sorting the log in place.
-func (s *ShardedSet) LogCursor(i int) Cursor {
-	SortAddrs(s.log.shards[i])
-	return SliceCursor(s.log.shards[i])
-}
-
-// ShardEpoch returns shard i's mutation epoch.
-func (s *ShardedSet) ShardEpoch(i int) uint64 { return s.epochs[i] }
 
 // Shard returns shard i's Set; it may be nil when empty. Treat as
 // read-only unless the per-shard writing contract is honored.
@@ -157,10 +91,9 @@ func (s *ShardedSet) Merge() Set {
 	return out
 }
 
-// Clone returns a deep copy, shard epochs included; the copy does not
-// log.
+// Clone returns a deep copy.
 func (s *ShardedSet) Clone() *ShardedSet {
-	c := &ShardedSet{epochs: s.epochs}
+	c := &ShardedSet{}
 	for i, sh := range s.shards {
 		if sh != nil {
 			c.shards[i] = sh.Clone()
@@ -178,16 +111,6 @@ func (s *ShardedSet) Walk(fn func(Addr) bool) {
 			if !fn(a) {
 				return
 			}
-		}
-	}
-}
-
-// WalkShard visits every member of shard i in unspecified order; fn
-// returning false stops the walk.
-func (s *ShardedSet) WalkShard(i int, fn func(Addr) bool) {
-	for a := range s.shards[i] {
-		if !fn(a) {
-			return
 		}
 	}
 }

@@ -136,22 +136,3 @@ func TestShardedSetCloneAndWalk(t *testing.T) {
 		t.Errorf("early-stop walk visited %d", n)
 	}
 }
-
-func TestShardedSetAddAllToShard(t *testing.T) {
-	addrs := shardedTestAddrs(128)
-	byShard := make([]Set, AddrShards)
-	for _, a := range addrs {
-		sh := ShardOf(a)
-		if byShard[sh] == nil {
-			byShard[sh] = NewSet(0)
-		}
-		byShard[sh].Add(a)
-	}
-	d := NewShardedSet()
-	for sh, set := range byShard {
-		d.AddAllToShard(sh, set)
-	}
-	if d.Len() != len(addrs) {
-		t.Errorf("len after AddAllToShard: %d", d.Len())
-	}
-}

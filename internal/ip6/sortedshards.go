@@ -10,69 +10,24 @@ package ip6
 type SortedShardSet struct {
 	shards [AddrShards][]Addr
 	total  int
-
-	// src and epochs record which set object each freeze was built from
-	// and the per-shard mutation epochs at freeze time, so the delta
-	// freezes can prove a shard unchanged and share its frozen slice with
-	// the next generation. src is identity only — never dereferenced for
-	// content — and is nil for wrapped sets (SortedFromShards).
-	src    any
-	epochs [AddrShards]uint64
 }
 
-// FreezeSorted builds the sorted form of s — the resident ShardedSet or
-// the disk-backed SpillSet. The result is independent of s (the
-// addresses are copied), so s may keep growing afterwards.
-func FreezeSorted(s SpillableSet) *SortedShardSet {
-	out, _, _ := FreezeSortedDelta(s, nil)
-	return out
-}
-
-// FreezeSortedDelta builds the sorted form of s, sharing the frozen
-// slices of unchanged shards with prev — a SortedShardSet previously
-// frozen from the same set object — instead of re-copying and
-// re-sorting them. A shard is provably unchanged when prev was frozen
-// from s (pointer identity) and its mutation epoch has not advanced
-// since; changed shards stream through WalkShard and are sorted once
-// into one fresh backing array. Sharing is safe because frozen slices
-// are immutable by contract. With prev nil, or frozen from a different
-// set object, every shard is re-frozen. Returns the new set plus the
-// number of shards re-frozen and shared.
-func FreezeSortedDelta(s SpillableSet, prev *SortedShardSet) (out *SortedShardSet, refrozen, shared int) {
-	if prev != nil && prev.src != s {
-		prev = nil
-	}
-	out = &SortedShardSet{src: s}
-	need := 0
-	var dirty [AddrShards]bool
-	for sh := 0; sh < AddrShards; sh++ {
-		if prev == nil || s.ShardEpoch(sh) != prev.epochs[sh] {
-			dirty[sh] = true
-			need += s.ShardLen(sh)
-		}
-	}
-	buf := make([]Addr, 0, need) // one backing array for all dirty shards
-	for sh := 0; sh < AddrShards; sh++ {
-		if !dirty[sh] {
-			out.shards[sh] = prev.shards[sh]
-			out.epochs[sh] = prev.epochs[sh]
-			out.total += len(prev.shards[sh])
-			shared++
-			continue
-		}
+// FreezeSorted builds the sorted form of a ShardedSet: each shard's
+// members copied into one shared backing array and sorted. The result is
+// independent of s, so s may keep growing afterwards. (A SpillSet's
+// sorted form is its View.)
+func FreezeSorted(s *ShardedSet) *SortedShardSet {
+	buf := make([]Addr, 0, s.Len()) // one backing array for every shard
+	var shards [AddrShards][]Addr
+	for sh := range shards {
 		start := len(buf)
-		s.WalkShard(sh, func(a Addr) bool {
+		for a := range s.Shard(sh) {
 			buf = append(buf, a)
-			return true
-		})
-		shard := buf[start:len(buf):len(buf)]
-		SortAddrs(shard)
-		out.shards[sh] = shard
-		out.epochs[sh] = s.ShardEpoch(sh)
-		out.total += len(shard)
-		refrozen++
+		}
+		shards[sh] = buf[start:len(buf):len(buf)]
+		SortAddrs(shards[sh])
 	}
-	return out, refrozen, shared
+	return SortedFromShards(shards)
 }
 
 // SortedFromShards wraps already-sorted per-shard slices — for example
@@ -111,28 +66,11 @@ func (s *SortedShardSet) HasInShard(sh int, a Addr) bool {
 	if s == nil {
 		return false
 	}
-	shard := s.shards[sh]
-	hi, lo := a.Hi(), a.Lo()
-	i, j := 0, len(shard)
-	for i < j {
-		m := int(uint(i+j) >> 1)
-		mhi, mlo := shard[m].Hi(), shard[m].Lo()
-		if mhi < hi || (mhi == hi && mlo < lo) {
-			i = m + 1
-		} else {
-			j = m
-		}
-	}
-	return i < len(shard) && shard[i].Hi() == hi && shard[i].Lo() == lo
+	return hasSorted(s.shards[sh], a)
 }
 
 // Shard returns shard i's sorted members; treat as read-only.
 func (s *SortedShardSet) Shard(i int) []Addr { return s.shards[i] }
-
-// ShardEpoch returns the mutation epoch shard i was frozen at — the
-// source set's ShardEpoch at freeze time, or 0 for wrapped sets. Epochs
-// are comparable only between freezes of the same source object.
-func (s *SortedShardSet) ShardEpoch(i int) uint64 { return s.epochs[i] }
 
 // IntersectCount returns |s ∩ o| by per-shard sorted merge walks,
 // allocating nothing. Shards partition the address space identically on

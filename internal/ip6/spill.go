@@ -1,20 +1,21 @@
 package ip6
 
-// External-memory address sets. The cumulative sets the hitlist pipeline
-// carries across scans (every address ever seen as input, every address
-// ever responsive, the deployed GFW drop list) grow with the full history
-// of the measurement — at paper scale hundreds of millions of 16-byte
-// addresses, far beyond what fits in RAM as Go maps. SpillableSet is the
-// small interface both the resident ShardedSet and the disk-backed
-// SpillSet satisfy, and RunFile/Run are the sorted-run primitives
-// SpillSet (and the hlfile writer) are built from: frozen sorted runs
-// appended to a scratch file, fence-indexed point lookups, and run
-// cursors that MergeCursors streams together.
+// Cumulative address sets. The sets the hitlist pipeline carries across
+// scans (every address ever seen as input, every address ever responsive,
+// the GFW evidence and the deployed drop list) only grow, with the full
+// history of the measurement — at paper scale hundreds of millions of
+// 16-byte addresses. SpillSet is the one type they all use: per shard an
+// immutable ascending column, or under a memory budget frozen sorted runs
+// on disk, plus a small pending Δ that Compact folds in. RunFile/Run are
+// the sorted-run primitives SpillSet (and the hlfile writer) are built
+// from: frozen sorted runs appended to a scratch file, fence-indexed
+// point lookups, and run cursors that MergeCursors streams together.
 
 import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,61 +24,6 @@ import (
 // AddrBytes is the on-disk size of one address in every external-memory
 // structure of this package (raw network byte order, no framing).
 const AddrBytes = 16
-
-// SpillableSet is the sharded address-set surface the service's
-// cumulative sets are used through. ShardedSet implements it fully
-// resident; SpillSet implements it with bounded resident memory, spilling
-// frozen sorted runs to disk. The per-shard writing contract is the same
-// as ShardedSet's: at most one goroutine touches a given shard at a time,
-// and whole-set views (Len, Merge) run only outside per-shard sweeps.
-type SpillableSet interface {
-	// Add inserts a into its canonical shard; it reports whether a was
-	// newly added. Single-goroutine use only.
-	Add(a Addr) bool
-	// AddToShard inserts a into shard i (ShardOf(a) must equal i),
-	// reporting whether a was newly added.
-	AddToShard(i int, a Addr) bool
-	// AddAllToShard inserts every member of set into shard i under the
-	// same contract as AddToShard.
-	AddAllToShard(i int, set Set)
-	// Has reports membership.
-	Has(a Addr) bool
-	// HasInShard reports membership of a in shard i, skipping the shard
-	// hash when the caller already knows it.
-	HasInShard(i int, a Addr) bool
-	// Len returns the total cardinality across shards.
-	Len() int
-	// ShardLen returns the cardinality of shard i.
-	ShardLen(i int) int
-	// WalkShard visits every member of shard i in unspecified order; fn
-	// returning false stops the walk.
-	WalkShard(i int, fn func(Addr) bool)
-	// Merge returns a new flat Set holding every member.
-	Merge() Set
-	// ShardEpoch returns shard i's mutation epoch: a counter that is
-	// unchanged only if the shard's membership is unchanged (for this set
-	// object — epochs are not comparable across objects). Incremental
-	// snapshot freezes hinge on this guarantee.
-	ShardEpoch(i int) uint64
-
-	// StartLog starts, or restarts empty, the log of the addresses each
-	// shard newly gains: what a delta checkpoint appends. A set does not
-	// log until it is called.
-	StartLog()
-	// LogComplete reports whether the log holds everything added since
-	// StartLog: it was started and no shard's log outgrew its bound.
-	LogComplete() bool
-	// LogLen returns how many addresses shard i's log holds; only while
-	// LogComplete.
-	LogLen(i int) int
-	// LogCursor returns shard i's logged addresses in ascending order;
-	// only while LogComplete, and the shard must not be mutated while
-	// the cursor is in use.
-	LogCursor(i int) Cursor
-}
-
-// ShardedSet must satisfy the interface it anchors.
-var _ SpillableSet = (*ShardedSet)(nil)
 
 // fenceEvery is the fence-index granularity of a Run: one resident
 // address per this many on-disk addresses, so a point lookup costs one
@@ -350,35 +296,48 @@ func (w *runWriter) finish() (Run, error) {
 	return Run{off: w.off, count: w.count, fence: w.fence, last: w.last}, nil
 }
 
-// SpillSet is the disk-backed SpillableSet: per shard, a small resident
-// delta Set plus frozen sorted runs in a shared scratch RunFile. When a
-// shard's delta reaches the configured budget it freezes — sorted, written
-// as a run, cleared — so resident memory is bounded by
-// AddrShards × budget addresses regardless of cardinality. Inserts check
-// membership first (delta, then runs), so runs are mutually disjoint and
-// Len is a plain counter sum. Compact merges each shard's runs into one,
-// keeping point lookups at one fence search per run.
+// SpillSet is the cumulative address set. Each shard holds its members
+// in one of two forms, plus a pending Δ:
 //
-// The spill trigger is shard-local (delta size only), so whether an
-// address lands in the delta or a run depends solely on the shard's own
-// insert sequence — never on cross-shard timing — and every set-level
-// observation (Has, Len, Merge, WalkShard membership) is deterministic
-// under the same per-shard contract ShardedSet has.
+//   - resident (NewResidentSet): one ascending column. A column is never
+//     written in place — folding a Δ in builds a fresh one (Compact when
+//     the Δ has outgrown a fraction of the column, View always), and a
+//     shard with nothing to fold keeps the very same slice — so views
+//     wrap columns without a copy, and slice identity tells a reader
+//     which shards changed.
+//   - spilled (NewSpillSet): frozen sorted runs in a shared scratch
+//     RunFile. When a shard's Δ reaches the budget it freezes — sorted,
+//     written as a run, cleared — so resident memory is bounded by
+//     AddrShards × budget addresses regardless of cardinality. Compact
+//     merges each shard's runs into one, keeping point lookups at one
+//     fence search per shard.
+//
+// The Δ holds the inserts (AddToShard, AddSortedToShard) since the last
+// fold. Inserts check membership first, so Δ, column and runs are
+// mutually disjoint and Len is a plain counter sum. Fold and spill
+// triggers are shard-local, so every observation (Has, Len, cursors,
+// views, the add log) depends solely on each shard's own insert
+// sequence, never on cross-shard timing.
+//
+// Per-shard contract: at most one goroutine touches a given shard at a
+// time; Compact and whole-set reads (Len, Merge, View) run outside
+// per-shard sweeps.
 //
 // Disk errors are sticky: the failing operation degrades (Has reports
 // false, Add drops the freeze) and Err returns the first error for the
 // owner to surface at its next checkpoint.
 //
-// The add log (StartLog) is bounded the same way: a shard keeps at most
-// budget logged addresses resident and spills the rest as sorted runs
-// into a second scratch file, which StartLog discards.
+// After StartLog the set also logs the addresses each shard newly gains,
+// for delta checkpoints. A spilled set's log is bounded like its Δ: a
+// shard keeps at most budget logged addresses resident and spills the
+// rest as sorted runs into a second scratch file, which StartLog
+// discards.
 type SpillSet struct {
-	rf     *RunFile
+	rf     *RunFile // nil for a resident set
 	dir    string
 	budget int
 	shards [AddrShards]spillShard
-	epochs [AddrShards]uint64 // per-shard mutation epochs (see SpillableSet)
-	log    *spillLog          // nil until StartLog
+	log    *spillLog // nil until StartLog
 
 	frozen atomic.Int64 // runs frozen over the set's lifetime (telemetry)
 	failed atomic.Bool  // latch: stop freezing after the first disk error
@@ -391,16 +350,21 @@ type SpillSet struct {
 // spilled part as runs in its own scratch file.
 type spillLog struct {
 	addLog
-	rf   *RunFile // nil only when creating it failed
+	rf   *RunFile // nil for a resident set, or when creating it failed
 	runs [AddrShards][]*Run
 }
 
 type spillShard struct {
-	delta   Set
-	runs    []*Run
-	ondisk  int // addresses in runs (disjoint from delta)
+	col     []Addr // resident members, ascending; never written in place
+	runs    []*Run // spilled members
+	ondisk  int    // addresses in runs
+	delta   Set    // pending inserts, disjoint from col and runs
 	scratch []byte
 }
+
+// NewResidentSet returns an empty set with no budget: every shard folds
+// into a resident column, and no scratch file is opened.
+func NewResidentSet() *SpillSet { return &SpillSet{} }
 
 // NewSpillSet creates a disk-backed set whose scratch file lives in dir
 // ("" = system temp). budget is the per-shard resident address count that
@@ -411,18 +375,16 @@ func NewSpillSet(dir string, budget int) (*SpillSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if budget < 1 {
-		budget = 1
-	}
-	return &SpillSet{rf: rf, dir: dir, budget: budget}, nil
+	return &SpillSet{rf: rf, dir: dir, budget: max(budget, 1)}, nil
 }
 
-var _ SpillableSet = (*SpillSet)(nil)
-
-// Close releases the scratch files.
+// Close releases the scratch files; harmless on a resident set.
 func (s *SpillSet) Close() error {
 	if s.log != nil && s.log.rf != nil {
 		s.log.rf.Close()
+	}
+	if s.rf == nil {
+		return nil
 	}
 	return s.rf.Close()
 }
@@ -440,7 +402,12 @@ func (s *SpillSet) Err() error {
 func (s *SpillSet) FrozenRuns() int64 { return s.frozen.Load() }
 
 // SpilledBytes reports the scratch file's current size.
-func (s *SpillSet) SpilledBytes() int64 { return s.rf.Size() }
+func (s *SpillSet) SpilledBytes() int64 {
+	if s.rf == nil {
+		return 0
+	}
+	return s.rf.Size()
+}
 
 func (s *SpillSet) fail(err error) {
 	s.failed.Store(true)
@@ -454,18 +421,41 @@ func (s *SpillSet) fail(err error) {
 // Add inserts a into its canonical shard.
 func (s *SpillSet) Add(a Addr) bool { return s.AddToShard(ShardOf(a), a) }
 
-// AddToShard inserts a into shard i under the per-shard contract,
-// reporting whether a was newly added.
+// AddToShard inserts a into shard i's Δ under the per-shard contract
+// (ShardOf(a) must equal i), reporting whether a was newly added.
 func (s *SpillSet) AddToShard(i int, a Addr) bool {
 	if s.HasInShard(i, a) {
 		return false
 	}
+	s.insert(i, a)
+	return true
+}
+
+// AddSortedToShard inserts addrs — ascending, every one in shard i —
+// under the per-shard contract. Membership in the column is one
+// galloping walk along it, so a short list costs its length times a
+// logarithm; the new addresses join the Δ like point inserts. addrs is
+// not retained.
+func (s *SpillSet) AddSortedToShard(i int, addrs []Addr) {
+	sh := &s.shards[i]
+	col := sh.col
+	for _, a := range addrs {
+		col = col[gallop(col, a):]
+		if len(col) > 0 && col[0] == a || sh.delta.Has(a) || s.inRuns(i, a) {
+			continue
+		}
+		s.insert(i, a)
+	}
+}
+
+// insert adds a, not a member, to shard i's Δ, logs it, and freezes a
+// spilled shard's Δ that reached the budget.
+func (s *SpillSet) insert(i int, a Addr) {
 	sh := &s.shards[i]
 	if sh.delta == nil {
 		sh.delta = NewSet(0)
 	}
 	sh.delta[a] = struct{}{}
-	s.epochs[i]++
 	if s.log != nil {
 		s.logAdd(i, a)
 	}
@@ -473,17 +463,57 @@ func (s *SpillSet) AddToShard(i int, a Addr) bool {
 	// it every over-budget insert would re-sort and re-write the whole
 	// delta against a dead disk. Membership stays correct (the delta just
 	// grows resident) and the sticky error surfaces via Err.
-	if len(sh.delta) >= s.budget && !s.failed.Load() {
+	if s.rf != nil && len(sh.delta) >= s.budget && !s.failed.Load() {
 		s.freeze(i)
 	}
-	return true
 }
 
-// AddAllToShard inserts every member of set into shard i.
-func (s *SpillSet) AddAllToShard(i int, set Set) {
-	for a := range set {
-		s.AddToShard(i, a)
+// merged returns col ∪ add — both ascending, no address of add in col —
+// as a fresh slice, galloping through col for each address of add.
+func merged(col, add []Addr) []Addr {
+	out := make([]Addr, 0, len(col)+len(add))
+	for _, a := range add {
+		k := gallop(col, a)
+		out = append(append(out, col[:k]...), a)
+		col = col[k:]
 	}
+	return append(out, col...)
+}
+
+// gallop is searchAddrs for an a expected near the front of sorted: it
+// doubles a probe distance until it passes a, then binary-searches the
+// last doubling, so finding m ascending addresses in turn costs
+// O(m·log(n/m)) comparisons.
+func gallop(sorted []Addr, a Addr) int {
+	lo, step := 0, 1
+	for lo+step <= len(sorted) && sorted[lo+step-1].Less(a) {
+		lo += step
+		step *= 2
+	}
+	return lo + searchAddrs(sorted[lo:min(lo+step, len(sorted))], a)
+}
+
+// searchAddrs returns the index of the first address in sorted that is
+// not below a.
+func searchAddrs(sorted []Addr, a Addr) int {
+	hi, lo := a.Hi(), a.Lo()
+	i, j := 0, len(sorted)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		mhi, mlo := sorted[m].Hi(), sorted[m].Lo()
+		if mhi < hi || (mhi == hi && mlo < lo) {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i
+}
+
+// hasSorted reports whether a is in the ascending slice sorted.
+func hasSorted(sorted []Addr, a Addr) bool {
+	i := searchAddrs(sorted, a)
+	return i < len(sorted) && sorted[i] == a
 }
 
 // freeze spills shard i's delta as a sorted run and clears it.
@@ -492,8 +522,7 @@ func (s *SpillSet) freeze(i int) {
 	if len(sh.delta) == 0 {
 		return
 	}
-	addrs := sh.delta.Sorted()
-	run, err := s.rf.WriteRun(addrs)
+	run, err := s.rf.WriteRun(sh.delta.Sorted())
 	if err != nil {
 		// Keep the delta resident: membership stays correct, the error
 		// surfaces via Err.
@@ -502,7 +531,7 @@ func (s *SpillSet) freeze(i int) {
 	}
 	sh.runs = append(sh.runs, &run)
 	sh.ondisk += run.count
-	sh.delta = NewSet(0)
+	sh.delta = nil
 	s.frozen.Add(1)
 }
 
@@ -511,14 +540,11 @@ func (s *SpillSet) freeze(i int) {
 // the log resident and latches the sticky error, as freeze does.
 func (s *SpillSet) logAdd(i int, a Addr) {
 	l := s.log
-	if l.lost[i] {
-		return
-	}
 	if !l.add(i, a, s.ShardLen(i)) {
 		l.runs[i] = nil
 		return
 	}
-	if len(l.shards[i]) < s.budget || l.rf == nil || s.failed.Load() {
+	if l.rf == nil || len(l.shards[i]) < s.budget || s.failed.Load() {
 		return
 	}
 	SortAddrs(l.shards[i])
@@ -531,18 +557,20 @@ func (s *SpillSet) logAdd(i int, a Addr) {
 	l.shards[i] = l.shards[i][:0]
 }
 
-// StartLog starts, or restarts empty, the log of added addresses. The
-// log's scratch file is created on the first call and emptied on later
-// ones; failing to create or empty it latches the sticky error and keeps
-// logs resident.
+// StartLog starts, or restarts empty, the log of added addresses. A
+// spilled set creates the log's scratch file on the first call and empties
+// it on later ones; failing to create or empty it latches the sticky
+// error and keeps logs resident.
 func (s *SpillSet) StartLog() {
 	if s.log == nil {
 		s.log = &spillLog{}
-		rf, err := OpenRunFile(s.dir, "ip6-log-*.runs")
-		if err != nil {
-			s.fail(err)
+		if s.rf != nil {
+			rf, err := OpenRunFile(s.dir, "ip6-log-*.runs")
+			if err != nil {
+				s.fail(err)
+			}
+			s.log.rf = rf
 		}
-		s.log.rf = rf
 	} else if s.log.rf != nil {
 		if err := s.log.rf.truncate(); err != nil {
 			s.fail(err)
@@ -553,14 +581,17 @@ func (s *SpillSet) StartLog() {
 }
 
 // LogComplete reports whether the log holds everything added since
-// StartLog.
+// StartLog: it was started and no shard's log outgrew its bound.
 func (s *SpillSet) LogComplete() bool { return s.log != nil && s.log.complete() }
 
-// LogLen returns how many addresses shard i's log holds.
+// LogLen returns how many addresses shard i's log holds; only while
+// LogComplete.
 func (s *SpillSet) LogLen(i int) int { return s.log.n[i] }
 
 // LogCursor returns shard i's logged addresses in ascending order: its
-// spilled log runs merged with the resident part, sorted in place.
+// spilled log runs merged with the resident part, sorted in place. Only
+// while LogComplete, and the shard must not be mutated while the cursor
+// is in use.
 func (s *SpillSet) LogCursor(i int) Cursor {
 	l := s.log
 	SortAddrs(l.shards[i])
@@ -574,12 +605,16 @@ func (s *SpillSet) LogCursor(i int) Cursor {
 // Has reports membership.
 func (s *SpillSet) Has(a Addr) bool { return s.HasInShard(ShardOf(a), a) }
 
-// HasInShard reports membership of a in shard i.
+// HasInShard reports membership of a in shard i: Δ, then a binary search
+// of the column or of each run's fence index.
 func (s *SpillSet) HasInShard(i int, a Addr) bool {
 	sh := &s.shards[i]
-	if sh.delta.Has(a) {
-		return true
-	}
+	return sh.delta.Has(a) || hasSorted(sh.col, a) || s.inRuns(i, a)
+}
+
+// inRuns reports whether a is in one of shard i's runs.
+func (s *SpillSet) inRuns(i int, a Addr) bool {
+	sh := &s.shards[i]
 	// Newest runs first: recent inserts are the likelier probes.
 	for j := len(sh.runs) - 1; j >= 0; j-- {
 		ok, err := sh.runs[j].Has(s.rf, a, &sh.scratch)
@@ -598,91 +633,110 @@ func (s *SpillSet) HasInShard(i int, a Addr) bool {
 func (s *SpillSet) Len() int {
 	n := 0
 	for i := range s.shards {
-		n += len(s.shards[i].delta) + s.shards[i].ondisk
+		n += s.ShardLen(i)
 	}
 	return n
 }
 
 // ShardLen returns the cardinality of shard i.
 func (s *SpillSet) ShardLen(i int) int {
-	return len(s.shards[i].delta) + s.shards[i].ondisk
+	sh := &s.shards[i]
+	return len(sh.col) + sh.ondisk + len(sh.delta)
 }
 
-// WalkShard visits every member of shard i (delta first, then runs in
-// freeze order); fn returning false stops the walk.
-func (s *SpillSet) WalkShard(i int, fn func(Addr) bool) {
+// Column returns shard i's resident column, and whether it holds the
+// whole shard: false when the set is spilled or the shard has a pending
+// Δ. Treat it as read-only; it stays valid, and unchanged, after later
+// inserts.
+func (s *SpillSet) Column(i int) ([]Addr, bool) {
 	sh := &s.shards[i]
-	for a := range sh.delta {
-		if !fn(a) {
-			return
-		}
-	}
+	return sh.col, s.rf == nil && len(sh.delta) == 0
+}
+
+// ShardCursor returns a cursor over shard i's members in ascending
+// order: the column or the runs, merged with a sorted copy of the Δ. The
+// shard must not be mutated while the cursor is in use; a read error
+// comes back through the cursor.
+func (s *SpillSet) ShardCursor(i int) Cursor {
+	sh := &s.shards[i]
+	curs := []Cursor{SliceCursor(sh.col)}
 	for _, r := range sh.runs {
-		next := s.rf.Cursor(r)
+		curs = append(curs, s.rf.Cursor(r))
+	}
+	if len(sh.delta) > 0 {
+		curs = append(curs, SliceCursor(sh.delta.Sorted()))
+	}
+	if len(curs) == 1 {
+		return curs[0]
+	}
+	return MergeCursors(curs...)
+}
+
+// View returns the set as a SortedShardSet. A resident set first folds
+// every pending Δ into its column, then its columns are wrapped without a
+// copy: a shard that gained nothing since an earlier view is the very
+// same slice there, and one that did is a fresh array. A spilled set's
+// shards are read back from their runs into fresh slices. The view does
+// not change when the set grows afterwards. Like Compact, View must run
+// outside per-shard sweeps.
+func (s *SpillSet) View() (*SortedShardSet, error) {
+	var shards [AddrShards][]Addr
+	if s.rf == nil {
+		s.foldShards(true)
+		for i := range shards {
+			shards[i] = s.shards[i].col
+		}
+		return SortedFromShards(shards), nil
+	}
+	for i := range shards {
+		col := make([]Addr, 0, s.ShardLen(i))
+		next := s.ShardCursor(i)
 		for {
 			a, ok, err := next()
 			if err != nil {
-				s.fail(err)
-				return
+				return nil, err
 			}
 			if !ok {
 				break
 			}
-			if !fn(a) {
-				return
-			}
+			col = append(col, a)
 		}
+		shards[i] = col
 	}
-}
-
-// ShardSortedCursor returns a cursor over shard i's members in ascending
-// address order. The shard's resident delta is frozen to disk first (a
-// membership-invariant state change: the spill trigger is shard-local,
-// so later observations are unaffected), then the cursor merges the
-// frozen runs with a bounded read buffer per run; the shard must not be
-// mutated while the cursor is in use. A freeze error is sticky (Err);
-// a read error comes back through the cursor only.
-func (s *SpillSet) ShardSortedCursor(i int) (Cursor, error) {
-	s.freeze(i)
-	sh := &s.shards[i]
-	if len(sh.delta) != 0 {
-		// freeze left the delta resident, which only happens on a disk
-		// error — surface the sticky error rather than emitting out of
-		// order.
-		if err := s.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("ip6: shard %d delta not frozen", i)
-	}
-	return s.rf.Merge(sh.runs), nil
+	return SortedFromShards(shards), nil
 }
 
 // ImportShardSorted bulk-loads shard i from a cursor yielding strictly
-// ascending addresses (every one hashing to shard i). The shard must be
-// empty — this is the checkpoint-restore path, not an insert path — and
-// because the underlying run writer claims the scratch file's tail,
-// imports must run serially across shards. The loaded addresses land as
-// one frozen run without counting toward FrozenRuns (a reload is not a
-// spill).
-func (s *SpillSet) ImportShardSorted(i int, next Cursor) error {
+// ascending addresses (every one hashing to shard i); n is the expected
+// count, a capacity hint. The shard must be empty — this is the
+// checkpoint-restore path, not an insert path — and on a spilled set the
+// run writer claims the scratch file's tail, so imports must run serially
+// across shards. A spilled shard loads as one frozen run without counting
+// toward FrozenRuns (a reload is not a spill).
+func (s *SpillSet) ImportShardSorted(i, n int, next Cursor) error {
 	sh := &s.shards[i]
-	if len(sh.delta) != 0 || len(sh.runs) != 0 {
+	if s.ShardLen(i) != 0 {
 		return fmt.Errorf("ip6: importing into non-empty shard %d", i)
 	}
+	if s.rf == nil {
+		col := make([]Addr, 0, n)
+		for {
+			a, ok, err := next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			col = append(col, a)
+		}
+		sh.col = col
+		return nil
+	}
 	w := s.rf.newRunWriter()
-	for {
-		a, ok, err := next()
-		if err != nil {
-			s.fail(err)
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := w.append(a); err != nil {
-			s.fail(err)
-			return err
-		}
+	if err := w.appendAll(next); err != nil {
+		s.fail(err)
+		return err
 	}
 	run, err := w.finish()
 	if err != nil {
@@ -692,26 +746,33 @@ func (s *SpillSet) ImportShardSorted(i int, next Cursor) error {
 	if run.count > 0 {
 		sh.runs = append(sh.runs, &run)
 		sh.ondisk = run.count
-		s.epochs[i]++
 	}
 	return nil
 }
 
-// ShardEpoch returns shard i's mutation epoch. Freezes, compaction and
-// rotation are membership-invariant and do not advance it.
-func (s *SpillSet) ShardEpoch(i int) uint64 { return s.epochs[i] }
-
-// Merge materializes the whole set — the compat view for snapshot
-// encodings and analyses that need a flat Set. It is the one operation
-// whose output is not memory-bounded; larger-than-memory consumers should
-// stream WalkShard instead.
+// Merge materializes the whole set as a flat Set — the compat view for
+// analyses that need one. Its output, like a spilled set's View, is not
+// memory-bounded; larger-than-memory consumers should stream ShardCursor.
 func (s *SpillSet) Merge() Set {
 	out := NewSet(s.Len())
 	for i := range s.shards {
-		s.WalkShard(i, func(a Addr) bool {
-			out[a] = struct{}{}
-			return true
-		})
+		sh := &s.shards[i]
+		out.AddSlice(sh.col)
+		out.AddAll(sh.delta)
+		for _, r := range sh.runs {
+			next := s.rf.Cursor(r)
+			for {
+				a, ok, err := next()
+				if err != nil {
+					s.fail(err)
+					break
+				}
+				if !ok {
+					break
+				}
+				out[a] = struct{}{}
+			}
+		}
 	}
 	return out
 }
@@ -720,15 +781,36 @@ func (s *SpillSet) Merge() Set {
 // appending instead of rewriting into a fresh file.
 const rotateMinDead = 4 << 20
 
-// Compact merges every shard's runs into at most one, bounding point
-// lookups at one fence search per shard. Deltas stay resident (they are
-// under budget by construction). The run file is append-only, so
-// superseded runs accumulate as dead bytes; once dead space exceeds the
-// live data (and a small floor), Compact rewrites the live runs into a
-// fresh scratch file and drops the old one — bounding scratch disk at
-// roughly 2× the set's size instead of growing with every merge.
-// Compact must run outside per-shard sweeps (single goroutine).
+// foldRatio and foldFloor bound a resident shard's Δ against its column:
+// Compact folds a Δ once it holds more than foldFloor addresses and more
+// than 1/foldRatio of the column's. Folding copies the whole column and
+// sorts the Δ, so a set that gains a few addresses per shard between
+// compactions (every cumulative set, every scan) copies each address
+// about foldRatio times over its lifetime instead of once per
+// compaction, and no fold is for a handful of addresses; a smaller ratio
+// copies less but lets the map-backed Δ grow toward the column's size. A
+// view folds every Δ.
+const (
+	foldRatio = 4
+	foldFloor = 64
+)
+
+// Compact folds the set down, membership unchanged. A resident set folds
+// each shard's Δ that has outgrown foldFloor and its column's
+// 1/foldRatio into a fresh column (foldShards). A spilled set merges every
+// shard's runs into at most one, bounding point lookups at one fence
+// search per shard; its Δs stay resident (they are under budget by
+// construction). The run file is append-only, so superseded runs
+// accumulate as dead bytes; once dead space exceeds the live data (and a
+// small floor), Compact rewrites the live runs into a fresh scratch file
+// and drops the old one — bounding scratch disk at roughly 2× the set's
+// size instead of growing with every merge. Compact must run outside
+// per-shard sweeps.
 func (s *SpillSet) Compact() error {
+	if s.rf == nil {
+		s.foldShards(false)
+		return nil
+	}
 	var live int64
 	for i := range s.shards {
 		live += int64(s.shards[i].ondisk) * AddrBytes
@@ -764,6 +846,31 @@ func (s *SpillSet) Compact() error {
 		sh.ondisk = run.count
 	}
 	return s.Err()
+}
+
+// foldShards folds, shards in parallel, every resident shard's Δ that
+// is due (foldDue) into a fresh column; any other shard keeps its very
+// slice.
+func (s *SpillSet) foldShards(force bool) {
+	for i := range s.shards {
+		if s.foldDue(i, force) {
+			ParallelShards(runtime.GOMAXPROCS(0), func(i int) {
+				if sh := &s.shards[i]; s.foldDue(i, force) {
+					sh.col = merged(sh.col, sh.delta.Sorted())
+					sh.delta = nil
+				}
+			})
+			return
+		}
+	}
+}
+
+// foldDue reports whether resident shard i's Δ is to fold: when it has
+// outgrown foldFloor and its column's 1/foldRatio, or with force when it
+// is not empty.
+func (s *SpillSet) foldDue(i int, force bool) bool {
+	n := len(s.shards[i].delta)
+	return n > 0 && (force || n > foldFloor && n*foldRatio > len(s.shards[i].col))
 }
 
 // rotate rewrites every shard's live runs into a fresh scratch file and

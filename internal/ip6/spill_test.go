@@ -1,7 +1,9 @@
 package ip6
 
 import (
+	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"hitlist6/internal/rng"
@@ -95,108 +97,196 @@ func TestRunFileWriteHasMerge(t *testing.T) {
 	}
 }
 
-// TestSpillSetMatchesShardedSet drives a SpillSet with a tiny budget and
-// a resident ShardedSet through the same operation sequence and checks
-// every observable view agrees.
-func TestSpillSetMatchesShardedSet(t *testing.T) {
-	spill, err := NewSpillSet(t.TempDir(), 8)
+// newTestSet returns a resident set for budget 0, else a spilling one in
+// a fresh temp directory, closed with the test.
+func newTestSet(t *testing.T, budget int) *SpillSet {
+	t.Helper()
+	if budget == 0 {
+		return NewResidentSet()
+	}
+	s, err := NewSpillSet(t.TempDir(), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer spill.Close()
-	resident := NewShardedSet()
+	t.Cleanup(func() { s.Close() })
+	return s
+}
 
-	addrs := randAddrs(3, 4000, true)
-	for i, a := range addrs {
-		sh := ShardOf(a)
-		gotNew := spill.AddToShard(sh, a)
-		wantNew := resident.AddToShard(sh, a)
-		if gotNew != wantNew {
-			t.Fatalf("insert %d: spill new=%v resident new=%v", i, gotNew, wantNew)
-		}
-		if i%997 == 0 {
-			if err := spill.Compact(); err != nil {
+// requireIdentity pins the column identity contract: a column that did
+// not change is the very same slice, and one that changed lives in a
+// fresh array.
+func requireIdentity(t *testing.T, what string, before, after []Addr, changed bool) {
+	t.Helper()
+	shared := len(before) > 0 && len(after) > 0 && &before[0] == &after[0]
+	if changed && shared {
+		t.Fatalf("%s: changed column reuses its old array", what)
+	}
+	if !changed && (len(before) != len(after) || len(before) > 0 && !shared) {
+		t.Fatalf("%s: unchanged column is not the same slice", what)
+	}
+}
+
+// TestSpillSetMatchesShardedSet drives the set — resident and at budgets
+// 1, 3 and 64 — and a map-and-sort model through the same random
+// sequence of point inserts, ascending bulk inserts and compactions,
+// checking Len, Has, every shard's cursor and the view against the model
+// along the way. On the resident set it also pins the identity
+// contract: a shard that Compact or View did not fold keeps its very
+// slice, and one that folded gets a fresh array.
+func TestSpillSetMatchesShardedSet(t *testing.T) {
+	pool := randAddrs(3, 20000, false)
+	var byShard [AddrShards][]Addr
+	for _, a := range pool {
+		byShard[ShardOf(a)] = append(byShard[ShardOf(a)], a)
+	}
+	for _, budget := range []int{0, 1, 3, 64} {
+		set := newTestSet(t, budget)
+		model := NewShardedSet()
+		r := rng.NewStream(uint64(budget), "spillset-model")
+		folds := 0
+		check := func(step int) {
+			t.Helper()
+			var before [AddrShards][]Addr
+			var pending [AddrShards]bool
+			for sh := range pending {
+				before[sh], _ = set.Column(sh)
+				pending[sh] = set.ShardLen(sh) > len(before[sh])
+			}
+			if got, want := set.Len(), model.Len(); got != want {
+				t.Fatalf("budget %d step %d: Len %d, want %d", budget, step, got, want)
+			}
+			for _, a := range pool[:200] {
+				if set.Has(a) != model.Has(a) {
+					t.Fatalf("budget %d step %d: Has(%v) = %v", budget, step, a, set.Has(a))
+				}
+			}
+			view, err := set.View()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	// Batch inserts through the AddAll path.
-	batch := SetOf(randAddrs(4, 300, false)...)
-	perShard := make([]Set, AddrShards)
-	for a := range batch {
-		sh := ShardOf(a)
-		if perShard[sh] == nil {
-			perShard[sh] = NewSet(0)
-		}
-		perShard[sh].Add(a)
-	}
-	for sh, set := range perShard {
-		if set == nil {
-			continue
-		}
-		spill.AddAllToShard(sh, set)
-		resident.AddAllToShard(sh, set)
-	}
-
-	if spill.FrozenRuns() == 0 {
-		t.Fatal("tiny budget froze no runs — spilling never happened")
-	}
-	if got, want := spill.Len(), resident.Len(); got != want {
-		t.Fatalf("Len: spill %d, resident %d", got, want)
-	}
-	for _, a := range addrs {
-		if !spill.Has(a) {
-			t.Fatalf("spill set lost %v", a)
-		}
-	}
-	for _, a := range randAddrs(5, 500, false) {
-		if spill.Has(a) != resident.Has(a) {
-			t.Fatalf("membership diverges for %v", a)
-		}
-	}
-
-	// Merge and per-shard walks agree exactly.
-	gotMerge, wantMerge := spill.Merge(), resident.Merge()
-	if len(gotMerge) != len(wantMerge) {
-		t.Fatalf("Merge: %d vs %d members", len(gotMerge), len(wantMerge))
-	}
-	for a := range wantMerge {
-		if !gotMerge.Has(a) {
-			t.Fatalf("Merge missing %v", a)
-		}
-	}
-	for sh := 0; sh < AddrShards; sh++ {
-		walked := NewSet(0)
-		spill.WalkShard(sh, func(a Addr) bool {
-			if ShardOf(a) != sh {
-				t.Fatalf("WalkShard(%d) yielded foreign addr %v", sh, a)
+			// A resident view folds every pending Δ: exactly those shards
+			// are fresh arrays, every other one is the column as it was.
+			for sh := 0; budget == 0 && sh < AddrShards; sh++ {
+				requireIdentity(t, fmt.Sprintf("step %d: view shard %d", step, sh), before[sh], view.Shard(sh), pending[sh])
 			}
-			if !walked.Add(a) {
-				t.Fatalf("WalkShard(%d) yielded %v twice", sh, a)
+			for sh := 0; sh < AddrShards; sh++ {
+				want := model.Shard(sh).Sorted()
+				got, err := drainCursor(set.ShardCursor(sh))
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireAddrs(t, fmt.Sprintf("budget %d step %d shard %d cursor", budget, step, sh), got, want)
+				requireAddrs(t, fmt.Sprintf("budget %d step %d shard %d view", budget, step, sh), view.Shard(sh), want)
+				if set.ShardLen(sh) != len(want) {
+					t.Fatalf("budget %d step %d: ShardLen(%d) = %d, want %d", budget, step, sh, set.ShardLen(sh), len(want))
+				}
 			}
-			return true
-		})
-		want := resident.Shard(sh)
-		if walked.Len() != want.Len() {
-			t.Fatalf("shard %d: walked %d, want %d", sh, walked.Len(), want.Len())
+		}
+		for step := 0; step < 300; step++ {
+			switch r.Intn(10) {
+			case 0: // compact
+				var before [AddrShards][]Addr
+				var pending [AddrShards]int
+				for sh := range before {
+					before[sh], _ = set.Column(sh)
+					pending[sh] = set.ShardLen(sh) - len(before[sh])
+				}
+				if err := set.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if budget != 0 {
+					continue
+				}
+				// A Δ folds once it outgrows foldFloor and its column's
+				// 1/foldRatio; a smaller one stays pending, and its column
+				// stays put.
+				for sh := range before {
+					due := pending[sh] > foldFloor && pending[sh]*foldRatio > len(before[sh])
+					col, whole := set.Column(sh)
+					if whole != (due || pending[sh] == 0) {
+						t.Fatalf("step %d: shard %d with %d pending over %d: whole=%v after Compact", step, sh, pending[sh], len(before[sh]), whole)
+					}
+					requireIdentity(t, fmt.Sprintf("step %d: Compact shard %d", step, sh), before[sh], col, due)
+					if due {
+						folds++
+					}
+				}
+			case 1, 2: // ascending bulk insert into one shard
+				sh := r.Intn(AddrShards)
+				var add []Addr
+				for _, a := range byShard[sh] {
+					if r.Intn(4) == 0 {
+						add = append(add, a)
+					}
+				}
+				for _, a := range add {
+					model.AddToShard(sh, a)
+				}
+				SortAddrs(add)
+				set.AddSortedToShard(sh, add)
+			default: // point inserts, new and known
+				for i := 0; i < 100; i++ {
+					a := pool[r.Intn(len(pool))]
+					sh := ShardOf(a)
+					if got, want := set.AddToShard(sh, a), model.AddToShard(sh, a); got != want {
+						t.Fatalf("budget %d step %d: AddToShard(%v) new=%v, want %v", budget, step, a, got, want)
+					}
+				}
+			}
+			if step%50 == 0 {
+				check(step)
+			}
+		}
+		if err := set.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		check(-1)
+		if budget != 0 && set.FrozenRuns() == 0 {
+			t.Fatalf("budget %d froze no runs — spilling never happened", budget)
+		}
+		if budget == 0 && folds == 0 {
+			t.Fatal("no Compact folded a Δ — the fold rule was never exercised")
+		}
+		if err := set.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(set.Merge()); got != model.Len() {
+			t.Fatalf("budget %d: Merge holds %d, want %d", budget, got, model.Len())
 		}
 	}
+}
 
-	// Compaction folds runs down without changing any view.
-	lenBefore := spill.Len()
-	if err := spill.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if spill.Len() != lenBefore {
-		t.Fatalf("Compact changed Len %d → %d", lenBefore, spill.Len())
-	}
-	for _, a := range addrs[:512] {
-		if !spill.Has(a) {
-			t.Fatalf("Compact lost %v", a)
+// TestShardSortedCursor pins ShardCursor on a set with pending Δs, folded
+// columns and several runs per shard: each shard's members in ascending
+// order, duplicate-free, clean end-of-stream.
+func TestShardSortedCursor(t *testing.T) {
+	for _, budget := range []int{0, 4} {
+		set := newTestSet(t, budget)
+		r := rng.NewStream(13, "cursor")
+		for i := 0; i < 2000; i++ {
+			set.Add(AddrFromUint64s(0x2001_0db8_0000_0000|r.Uint64()>>32, r.Uint64()))
+			if i == 1000 {
+				if err := set.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	if err := spill.Err(); err != nil {
-		t.Fatal(err)
+		want := make([][]Addr, AddrShards)
+		for _, a := range set.Merge().Sorted() {
+			want[ShardOf(a)] = append(want[ShardOf(a)], a)
+		}
+		for sh := 0; sh < AddrShards; sh++ {
+			cur := set.ShardCursor(sh)
+			got, err := drainCursor(cur)
+			if err != nil {
+				t.Fatalf("budget %d shard %d: cursor error: %v", budget, sh, err)
+			}
+			requireAddrs(t, fmt.Sprintf("budget %d shard %d", budget, sh), got, want[sh])
+			// Exhausted cursors stay exhausted.
+			if _, ok, _ := cur(); ok {
+				t.Fatalf("budget %d shard %d: cursor yielded past end", budget, sh)
+			}
+		}
 	}
 }
 
@@ -224,40 +314,46 @@ func TestSpillSetCloseRemovesScratch(t *testing.T) {
 	}
 }
 
-// TestSpillSetParallelShards exercises the per-shard contract: concurrent
-// writers on distinct shards share one scratch file.
+// TestSpillSetParallelShards exercises the per-shard contract, resident
+// and spilled: concurrent writers on distinct shards — point and bulk
+// inserts, spilled ones sharing one scratch file — then concurrent
+// readers after a Compact. CI runs it repeatedly under -race.
 func TestSpillSetParallelShards(t *testing.T) {
-	spill, err := NewSpillSet(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer spill.Close()
-
 	addrs := randAddrs(7, 5000, false)
 	perShard := make([][]Addr, AddrShards)
 	for _, a := range addrs {
 		sh := ShardOf(a)
 		perShard[sh] = append(perShard[sh], a)
 	}
-	ParallelShards(8, func(sh int) {
-		for _, a := range perShard[sh] {
-			spill.AddToShard(sh, a)
-		}
-	})
-	if err := spill.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := spill.Len(); got != len(addrs) {
-		t.Fatalf("Len %d, want %d", got, len(addrs))
-	}
-	ParallelShards(8, func(sh int) {
-		for _, a := range perShard[sh] {
-			if !spill.HasInShard(sh, a) {
-				t.Errorf("shard %d lost %v", sh, a)
-				return
+	for _, budget := range []int{0, 4} {
+		set := newTestSet(t, budget)
+		ParallelShards(8, func(sh int) {
+			half := len(perShard[sh]) / 2
+			bulk := slices.Clone(perShard[sh][:half])
+			SortAddrs(bulk)
+			set.AddSortedToShard(sh, bulk)
+			for _, a := range perShard[sh][half:] {
+				set.AddToShard(sh, a)
 			}
+		})
+		if err := set.Err(); err != nil {
+			t.Fatal(err)
 		}
-	})
+		if got := set.Len(); got != len(addrs) {
+			t.Fatalf("budget %d: Len %d, want %d", budget, got, len(addrs))
+		}
+		if err := set.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		ParallelShards(8, func(sh int) {
+			for _, a := range perShard[sh] {
+				if !set.HasInShard(sh, a) {
+					t.Errorf("budget %d: shard %d lost %v", budget, sh, a)
+					return
+				}
+			}
+		})
+	}
 }
 
 // TestSpillSetCompactRotationReclaimsSpace drives enough churn through

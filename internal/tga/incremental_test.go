@@ -14,7 +14,7 @@ import (
 )
 
 // TestIncrementalModelMatchesScratch grows the seed set shard by shard
-// across rounds through epoch-delta frozen views and checks, every
+// across rounds through views of a growing cumulative set and checks, every
 // round, that each generator's persistent incremental model emits
 // byte-identically to a fresh generator on the same view and to a fresh
 // generator over the flat seed slice; every round also hands it the same
@@ -89,16 +89,28 @@ func TestIncrementalModelMatchesScratch(t *testing.T) {
 				return got
 			}
 
-			set := ip6.NewShardedSet()
+			set := ip6.NewResidentSet()
 			var prev *ip6.SortedShardSet
 			var grown *tga.SeedView
 			for r := 0; r < rounds; r++ {
 				for _, a := range tc.pool[r*len(tc.pool)/rounds : (r+1)*len(tc.pool)/rounds] {
 					set.Add(a)
 				}
-				frozen, _, shared := ip6.FreezeSortedDelta(set, prev)
+				if err := set.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				frozen, err := set.View()
+				if err != nil {
+					t.Fatal(err)
+				}
+				shared := 0
+				for sh := 0; r > 0 && sh < ip6.AddrShards; sh++ {
+					if tga.SameSpan(prev.Shard(sh), frozen.Shard(sh)) {
+						shared++
+					}
+				}
 				if r > 0 && shared == 0 {
-					t.Fatalf("round %d: delta freeze shared no shards", r)
+					t.Fatalf("round %d: view shared no shards", r)
 				}
 				prev = frozen
 				grown = tga.NewSeedView(frozen)

@@ -1,14 +1,13 @@
 package tga
 
 // SeedView is the sharded seed contract between the pipeline and the
-// generators: per-shard sorted spans plus a total length and per-shard
-// epochs, wrapping an ip6.SortedShardSet frozen from the cumulative
-// responsive set. Views are cheap to hand out every round because the
-// freeze is an epoch delta — shards whose membership did not change
-// pointer-share their frozen span with the previous round's view, which
-// is also what lets a generator's incremental model skip an unchanged
-// shard by slice identity alone and diff only the changed ones
-// (KeptSpans).
+// generators: per-shard sorted spans plus a total length, wrapping an
+// ip6.SortedShardSet — the view of the cumulative responsive set. Views
+// are cheap to hand out every round because the set's view wraps its
+// folded columns — shards whose membership did not change share their
+// span with the previous round's view, which is also what lets a
+// generator's incremental model skip an unchanged shard by slice
+// identity alone and diff only the changed ones (KeptSpans).
 //
 // Spans are immutable by contract; generators read them but never write.
 
@@ -84,9 +83,10 @@ func (v *SeedView) Walk(fn func(ip6.Addr) bool) {
 }
 
 // SameSpan reports whether two frozen shard spans are the same immutable
-// slice. The delta freeze pointer-shares unchanged shards and allocates
-// fresh arrays for re-frozen ones, so slice identity proves a shard
-// unchanged without reading it; two empty spans are trivially the same.
+// slice. A cumulative set's view wraps the very column of a shard that
+// did not change and a fresh array for one that did, so slice identity
+// proves a shard unchanged without reading it; two empty spans are
+// trivially the same.
 func SameSpan(a, b []ip6.Addr) bool {
 	if len(a) != len(b) {
 		return false

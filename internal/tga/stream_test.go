@@ -272,15 +272,20 @@ func pullAll(t *testing.T, src scan.TargetSource, bufSize int) []ip6.Addr {
 // pull buffer size.
 func TestChainedRoundMatchesSerial(t *testing.T) {
 	seeds := streamSeeds()
-	set := ip6.NewShardedSet()
+	set := ip6.NewResidentSet()
 	var views []*tga.SeedView
-	var prev *ip6.SortedShardSet
 	for _, part := range [][]ip6.Addr{seeds[:len(seeds)/2], seeds[len(seeds)/2:]} {
 		for _, a := range part {
 			set.Add(a)
 		}
-		prev, _, _ = ip6.FreezeSortedDelta(set, prev)
-		views = append(views, tga.NewSeedView(prev))
+		if err := set.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		view, err := set.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, tga.NewSeedView(view))
 	}
 	const budget = 400
 	for _, bufSize := range []int{1, 7, 513} {
