@@ -681,12 +681,12 @@ func BenchmarkTGARound(b *testing.B) {
 // with per-scan churn of 100 addresses in two shards. The full
 // sub-benchmark rewrites every payload each time (CheckpointFullEvery=1);
 // the delta sub-benchmark chains delta checkpoints that append only what
-// each scan added: the churn addresses, the records, the new /64s and
-// the APD rows the round recorded. Both cluster the pool into 256 /64s,
-// keeping the seen-/64 table and the APD history tiny; delta-wide spreads
-// it over 2^15 /64s, all tested in the first APD round, so those two
-// tables hold ~33 k rows each as on a long durable timeline, and the
-// delta appends only the rows each round re-records.
+// each scan added: the churn addresses, the records and the APD rows
+// the round recorded. Both cluster the pool into 256 /64s, keeping the
+// APD history tiny; delta-wide spreads it over 2^15 /64s, all tested in
+// the first APD round, so the history holds ~33 k rows as on a long
+// durable timeline, and the delta appends only the rows each round
+// re-records.
 // ckpt-bytes/op is the manifest's total payload size per checkpoint —
 // the on-disk write amplification the delta path exists to cut.
 func BenchmarkCheckpointDelta(b *testing.B) {

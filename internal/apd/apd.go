@@ -383,6 +383,12 @@ func (d *Detector) record(p ip6.Prefix, bitmap uint16) uint16 {
 	return merged
 }
 
+// Has reports whether p has a history row: whether some round tested it.
+func (d *Detector) Has(p ip6.Prefix) bool {
+	_, ok := d.rows[p]
+	return ok
+}
+
 // ResponsiveSlots counts the responding slots in a bitmap.
 func ResponsiveSlots(bitmap uint16) int { return bits.OnesCount16(bitmap) }
 

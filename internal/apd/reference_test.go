@@ -248,6 +248,15 @@ func TestHistoryRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(resumed.ExportHistory(), exported) {
 		t.Fatal("import → export changed the history")
 	}
+	// Has answers from the rows alone: every tested prefix, and no other.
+	for _, p := range firstSeen {
+		if !live.Has(p) || !resumed.Has(p) {
+			t.Fatalf("Has(%v) false for a tested prefix", p)
+		}
+	}
+	if untested := ip6.MustParsePrefix("2001:db8:ffff::/64"); seen[untested] || resumed.Has(untested) {
+		t.Fatalf("Has(%v) true for an untested prefix", untested)
+	}
 	sorted := slices.Clone(exported)
 	slices.SortFunc(sorted, func(a, b HistoryEntry) int { return ip6.ComparePrefix(a.Prefix, b.Prefix) })
 	if slices.EqualFunc(sorted, exported, func(a, b HistoryEntry) bool { return a.Prefix == b.Prefix }) {

@@ -78,10 +78,11 @@ const ManifestName = "manifest.json"
 const SegmentName = "payloads.seg"
 
 // Version is the current checkpoint format version. Version 1 stored
-// every payload as a file of its own and version 2 marked delta payloads
-// with a shard bitmap; their manifests are refused like any other
-// version skew.
-const Version = 3
+// every payload as a file of its own, version 2 marked delta payloads
+// with a shard bitmap, and version 3 carried a table of the /64s alias
+// detection had seen, which the service now derives; their manifests
+// are refused like any other version skew.
+const Version = 4
 
 // ErrCorrupt tags every validation failure Open returns (wrapped with
 // detail); errors.Is(err, ErrCorrupt) distinguishes a damaged checkpoint
@@ -666,21 +667,25 @@ func (s *Snapshot) Has(name string) bool {
 
 // Levels returns the chain levels payload name resolves through, oldest
 // first: the newest level (this snapshot or an ancestor) holding it in
-// full, then every Append level above that, ending at s. A level without
-// the payload, or Append levels with no full copy under them — the chain
-// ends, or s was opened without OpenChain — is ErrCorrupt.
+// full, then every Append level above that that holds it. A delta level
+// without the payload holds no change to it and is left out. A full
+// base without the payload, or Append levels with no full copy under
+// them — the chain ends, or s was opened without OpenChain — is
+// ErrCorrupt.
 func (s *Snapshot) Levels(name string) ([]*Snapshot, error) {
 	var out []*Snapshot
 	for cur := s; cur != nil; cur = cur.Parent {
 		fi, ok := cur.byName[name]
-		if !ok {
+		switch {
+		case ok:
+			out = append(out, cur)
+			if !fi.Append {
+				slices.Reverse(out)
+				return out, nil
+			}
+		case cur.Manifest.Parent == "":
 			return nil, fmt.Errorf("%w: %s missing from %s", ErrCorrupt, name, cur.Dir)
 		}
-		out = append(out, cur)
-		if !fi.Append {
-			slices.Reverse(out)
-			return out, nil
-		}
 	}
-	return nil, fmt.Errorf("%w: %s has append levels with no full base under them", ErrCorrupt, name)
+	return nil, fmt.Errorf("%w: %s has no full copy under %s", ErrCorrupt, name, s.Dir)
 }

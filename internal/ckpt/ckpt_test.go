@@ -368,7 +368,8 @@ func TestOpenRefusesCorruption(t *testing.T) {
 		}},
 		{"version 1", editManifest(func(m *ckpt.Manifest) { m.Version = 1 })},
 		{"version 2", editManifest(func(m *ckpt.Manifest) { m.Version = 2 })},
-		{"garbage manifest", writeManifest("{\"version\": 3,")},
+		{"version 3", editManifest(func(m *ckpt.Manifest) { m.Version = 3 })},
+		{"garbage manifest", writeManifest("{\"version\": 4,")},
 		{"version skew", writeManifest("{\"version\": 99}\n")},
 	}
 	for _, tc := range cases {
@@ -388,12 +389,13 @@ func TestOpenRefusesCorruption(t *testing.T) {
 
 // TestAppendLevelsResolveToFullBase: a payload resolves from the newest
 // level holding it in full up through every Append level above, oldest
-// first. Append levels with no full copy under them — a level in
-// between without the payload, or a snapshot opened without its chain —
-// are ErrCorrupt.
+// first; a delta level without the payload holds no change and is left
+// out. A full base without the payload, and Append levels with no full
+// copy under them — the payload never written full, or a snapshot opened
+// without its chain — are ErrCorrupt.
 func TestAppendLevelsResolveToFullBase(t *testing.T) {
 	dest := filepath.Join(t.TempDir(), "ckpt")
-	writeCheckpoint(t, dest, map[string]string{"a.bin": "a1", "b.bin": "b1"}, ckpt.Manifest{ScanIndex: 1})
+	writeCheckpoint(t, dest, map[string]string{"a.bin": "a1", "b.bin": "b1", "e.bin": "e1", "f.bin": "f1"}, ckpt.Manifest{ScanIndex: 1})
 	// commitDelta commits a delta at scan with the named payloads, the
 	// ones prefixed "+" marked Append.
 	commitDelta := func(scan int, payloads ...string) {
@@ -422,9 +424,10 @@ func TestAppendLevelsResolveToFullBase(t *testing.T) {
 	}
 	// a.bin appends at both deltas; b.bin is rewritten full at scan 2;
 	// c.bin appears full at scan 3; d.bin appends at scan 3 with nothing
-	// under it.
+	// under it; e.bin is unchanged at scan 2 and appends at scan 3; f.bin
+	// is unchanged at both.
 	commitDelta(2, "+a.bin", "b.bin")
-	commitDelta(3, "+a.bin", "+b.bin", "c.bin", "+d.bin")
+	commitDelta(3, "+a.bin", "+b.bin", "c.bin", "+d.bin", "+e.bin")
 
 	head, err := ckpt.OpenChain(dest)
 	if err != nil {
@@ -441,6 +444,8 @@ func TestAppendLevelsResolveToFullBase(t *testing.T) {
 		"a.bin": {"ckpt.p1", "ckpt.p2", "ckpt"},
 		"b.bin": {"ckpt.p2", "ckpt"},
 		"c.bin": {"ckpt"},
+		"e.bin": {"ckpt.p1", "ckpt"},
+		"f.bin": {"ckpt.p1"},
 	} {
 		levels, err := head.Levels(name)
 		if err != nil || !slices.Equal(dirs(levels), want) {
@@ -456,8 +461,10 @@ func TestAppendLevelsResolveToFullBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := alone.Levels("a.bin"); !errors.Is(err, ckpt.ErrCorrupt) {
-		t.Errorf("Levels on a head opened without its chain: err = %v, want ErrCorrupt", err)
+	for _, name := range []string{"a.bin", "f.bin"} {
+		if _, err := alone.Levels(name); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("Levels(%s) on a head opened without its chain: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -53,6 +53,18 @@ func Edit(t testing.TB, dir, name string, restamp bool, edit func([]byte) []byte
 	WriteManifest(t, dir, m)
 }
 
+// Drop removes payload name from the checkpoint at dir, its bytes from
+// the segment and its entry from the manifest, later offsets shifted: the
+// checkpoint passes Open as if it had never been written with it.
+func Drop(t testing.TB, dir, name string) {
+	t.Helper()
+	Edit(t, dir, name, true, func([]byte) []byte { return nil })
+	m, _ := load(t, dir)
+	i := index(t, m, name)
+	m.Files = slices.Delete(m.Files, i, i+1)
+	WriteManifest(t, dir, m)
+}
+
 // WriteManifest replaces the manifest of the checkpoint at dir with m.
 func WriteManifest(t testing.TB, dir string, m ckpt.Manifest) {
 	t.Helper()

@@ -217,18 +217,27 @@ func (f refTGAFeed) Candidates(day int, _ *tga.SeedView) scan.TargetSource {
 // service; responses come from probing each target one by one. It also
 // keeps the last scan's clean responders, on any protocol and per
 // protocol, every address that ever responded clean, and the last
-// scan's churn.
+// scan's churn. Its alias-detection queue is kept with a table of every
+// /64 ever queued, the way the service once kept it.
 type refModel struct {
 	rows     map[ip6.Addr]targetState
 	seen     map[ip6.Addr]bool
 	drop     *ip6.SortedShardSet // the deployed GFW drop list
 	deployed bool
 
+	seen64 map[ip6.Prefix]bool // every /64 an admitted address fell in
+	queue  []ip6.Prefix        // the /64s waiting for an APD round, in admission order
+
 	respAny, ever map[ip6.Addr]bool
 	resp          [netmodel.NumProtocols]map[ip6.Addr]bool
 
 	firstResp, respAgain, unresp          int // the last scan's churn
 	evicted, purged, dropped, tgaAdmitted int
+}
+
+func newRefModel() *refModel {
+	return &refModel{rows: make(map[ip6.Addr]targetState), seen: make(map[ip6.Addr]bool), ever: make(map[ip6.Addr]bool),
+		seen64: make(map[ip6.Prefix]bool)}
 }
 
 // admit runs the admission chain for one candidate.
@@ -241,6 +250,41 @@ func (m *refModel) admit(s *Service, aliased *ip6.PrefixSet, a ip6.Addr, day int
 		return
 	}
 	m.rows[a] = targetState{firstDay: day, lastSuccessDay: -1}
+	if p64 := ip6.Slash64(a); !m.seen64[p64] {
+		m.seen64[p64] = true
+		m.queue = append(m.queue, p64)
+	}
+}
+
+// apdRound drains the queue as one alias-detection round does: /64s an
+// aliased prefix of at most 64 bits covers leave it, the first maxNew of
+// the rest are tested, and the others wait.
+func (m *refModel) apdRound(aliased *ip6.PrefixSet, maxNew int) {
+	var rest []ip6.Prefix
+	taken := 0
+	for _, p64 := range m.queue {
+		if q, ok := aliased.Match(p64.Addr()); ok && q.Bits() <= 64 {
+			continue
+		}
+		if taken < maxNew {
+			taken++
+			continue
+		}
+		rest = append(rest, p64)
+	}
+	m.queue = rest
+}
+
+// checkQueue compares the service's pending /64s with the model's queue,
+// entry for entry.
+func checkQueue(t *testing.T, s *Service, m *refModel, day int) {
+	t.Helper()
+	if !slices.Equal(s.pendingAPD64, m.queue) {
+		t.Fatalf("day %d: pending /64s %v, model %v", day, s.pendingAPD64, m.queue)
+	}
+	if len(s.pending64) != len(m.queue) {
+		t.Fatalf("day %d: %d pending /64s indexed, %d queued", day, len(s.pending64), len(m.queue))
+	}
 }
 
 // responds probes a on every protocol: whether any probe succeeded, and
@@ -259,13 +303,17 @@ func responds(s *Service, a ip6.Addr, day int) (raw bool, clean []netmodel.Proto
 	return raw, clean
 }
 
-// scan advances the model over one RunScan at day; before is the
-// aliased set and tracker drop list from before the scan.
-func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, day int, aliasedBefore *ip6.PrefixSet, dropBefore *ip6.SortedShardSet) (scanned, evicted int) {
+// scan advances the model over one RunScan at day, the service's index
+// scan; before is the aliased set and tracker drop list from before the
+// scan.
+func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, index, day int, aliasedBefore *ip6.PrefixSet, dropBefore *ip6.SortedShardSet) (scanned, evicted int) {
 	for k := 0; k < w.nfeeds; k++ {
 		for _, a := range w.feedDay(k, day) {
 			m.admit(s, aliasedBefore, a, day)
 		}
+	}
+	if index%s.cfg.APDEveryScans == 0 {
+		m.apdRound(aliasedBefore, s.cfg.APDMaxNewCandidates)
 	}
 	if !m.deployed && day >= s.cfg.GFWFilterFromDay {
 		m.deployed, m.drop = true, dropBefore
@@ -344,6 +392,8 @@ func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, day int, aliasedB
 				resp = append(resp, a)
 			}
 		}
+		// The responders are fed back in address order.
+		slices.SortFunc(resp, ip6.Addr.Compare)
 		for _, a := range resp {
 			m.admit(s, s.aliased, a, day)
 			if _, ok := m.rows[a]; ok {
@@ -359,7 +409,9 @@ func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, day int, aliasedB
 // shard of the table is strictly ascending, holds only its own shard's
 // addresses, and equals the model, rows and states. So does every shard
 // of the last scan's responder columns, any-protocol and per protocol,
-// and the record's clean-responder count and churn are the model's.
+// and the record's clean-responder count and churn are the model's. The
+// service's alias-detection queue, which it derives from the detector's
+// history, equals the model's, kept with a table of every /64 queued.
 func TestActiveTableMatchesReference(t *testing.T) {
 	cases := 8
 	if testing.Short() {
@@ -392,7 +444,7 @@ func TestActiveTableMatchesReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := NewService(cfg, w.net, w.feeds, w.block)
 			defer s.Close()
-			m := &refModel{rows: make(map[ip6.Addr]targetState), seen: make(map[ip6.Addr]bool), ever: make(map[ip6.Addr]bool)}
+			m := newRefModel()
 			for day := 0; day < 240; day += 1 + r.IntN(9) {
 				aliasedBefore := ip6.NewPrefixSet()
 				for _, p := range s.aliased.Prefixes() {
@@ -406,11 +458,12 @@ func TestActiveTableMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("day %d: %v", day, err)
 				}
-				scanned, evicted := m.scan(t, s, w, day, aliasedBefore, dropBefore)
+				scanned, evicted := m.scan(t, s, w, rec.Index, day, aliasedBefore, dropBefore)
 				if rec.ScannedTargets != scanned || rec.Evicted != evicted {
 					t.Fatalf("day %d: record scanned %d evicted %d, model %d %d", day, rec.ScannedTargets, rec.Evicted, scanned, evicted)
 				}
 				checkActive(t, s, m.rows, day)
+				checkQueue(t, s, m, day)
 				checkColumns(t, fmt.Sprintf("day %d: prevRespAny", day), &s.prevRespAny, m.respAny)
 				for _, p := range s.cfg.Protocols {
 					checkColumns(t, fmt.Sprintf("day %d: lastClean[%v]", day, p), &s.lastClean[p], m.resp[p])
@@ -437,6 +490,84 @@ func TestActiveTableMatchesReference(t *testing.T) {
 	}
 	if total.firstResp == 0 || total.respAgain == 0 || total.unresp == 0 {
 		t.Errorf("cases left churn idle: first %d, again %d, unresponsive %d", total.firstResp, total.respAgain, total.unresp)
+	}
+}
+
+// TestAPDQueueMatchesReference pins the alias-detection queue on a
+// hand-built world where two /64s are BGP-level candidates, so the BGP
+// level gives them history rows whether or not input reached them: A is
+// announced on day 20 and gets input on days 7, 21 and 35; B is
+// announced from day 0 and gets input on days 21 and 35; C and D are
+// plain /64s. With a round every other scan, the queue after every scan
+// equals the reference model's, kept with a table of every /64 queued —
+// B is queued on day 21 although the BGP level tested it on day 0, and
+// neither is queued again — uninterrupted, and resumed from the
+// checkpoint of day 28.
+func TestAPDQueueMatchesReference(t *testing.T) {
+	a64, b64 := ip6.MustParsePrefix("2001:100:0:a::/64"), ip6.MustParsePrefix("2001:100:0:b::/64")
+	c64, d64 := ip6.MustParsePrefix("2001:100:0:c::/64"), ip6.MustParsePrefix("2001:100::/64")
+	input := map[int][]ip6.Addr{
+		0:  {d64.NthAddr(1)},
+		7:  {a64.NthAddr(1)},
+		21: {b64.NthAddr(1), a64.NthAddr(2)},
+		35: {b64.NthAddr(2), a64.NthAddr(3), c64.NthAddr(1)},
+	}
+	world := func() (*netmodel.Network, []*sources.Feed) {
+		as := &netmodel.AS{ASN: 100, Name: "Cloud", Country: "DE", Category: netmodel.CatCloud,
+			Announced: []ip6.Prefix{ip6.MustParsePrefix("2001:100::/32"), a64, b64}, AnnouncedFrom: []int{0, 20, 0}}
+		n := netmodel.NewNetwork(1, netmodel.NewASTable([]*netmodel.AS{as}))
+		return n, []*sources.Feed{sources.Recurring("in", 0, netmodel.Forever, func(day int) []ip6.Addr { return input[day] })}
+	}
+	want := [][]ip6.Prefix{nil, {a64}, nil, {b64}, nil, {c64}}
+	days := weekly(0, 35)
+	const interruptAfter = 5
+	for _, resumed := range []bool{false, true} {
+		cfg := DefaultConfig(1)
+		cfg.APDEveryScans = 2
+		cfg.CheckpointDir = filepath.Join(t.TempDir(), "ckpt")
+		cfg.CheckpointEvery = 1
+		n, feeds := world()
+		s := NewService(cfg, n, feeds, ip6.NewPrefixSet())
+		if got := len(s.bgp64); got != 2 {
+			t.Fatalf("%d BGP-level /64 candidates, want 2", got)
+		}
+		m := newRefModel()
+		for i, day := range days {
+			if resumed && i == interruptAfter {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				n2, feeds2 := world()
+				var err error
+				if s, err = Resume(cfg.CheckpointDir, cfg, n2, feeds2, ip6.NewPrefixSet()); err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+			}
+			aliasedBefore := ip6.NewPrefixSet()
+			for _, p := range s.aliased.Prefixes() {
+				aliasedBefore.Add(p)
+			}
+			rec, err := s.RunScan(context.Background(), day)
+			if err != nil {
+				t.Fatalf("day %d: %v", day, err)
+			}
+			for _, a := range input[day] {
+				m.admit(s, aliasedBefore, a, day)
+			}
+			if rec.Index%s.cfg.APDEveryScans == 0 {
+				m.apdRound(aliasedBefore, s.cfg.APDMaxNewCandidates)
+			}
+			checkQueue(t, s, m, day)
+			if !slices.Equal(m.queue, want[i]) {
+				t.Fatalf("day %d: model queue %v, want %v", day, m.queue, want[i])
+			}
+		}
+		if !s.detector.Has(a64) || !s.detector.Has(b64) {
+			t.Fatal("the BGP-level /64s have no history rows")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

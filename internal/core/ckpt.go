@@ -16,29 +16,32 @@ package core
 //
 // Service.payloads is the one payload table: every payload but
 // state.json, once, in manifest file order (records, snapshots, active,
-// the address sets with unresp.hl6 last, apd_history, pending64,
-// seen64). A row is a cumulative address set, written as a .hl6 image,
-// or a write/read pair — the last scan's responder columns (prevresp,
-// lastclean_*) are such pairs, .hl6 images too. Checkpoint and Resume
-// both walk it; the order is part of the format
+// the address sets with unresp.hl6 last, apd_history, pending64). A row
+// is a cumulative address set, written as a .hl6 image, or a write/read
+// pair — the last scan's responder columns (prevresp, lastclean_*) are
+// such pairs, .hl6 images too. Checkpoint and Resume both walk it; the
+// order is part of the format
 // (TestCheckpointManifestsMatchGolden). state.json stays outside because
 // Resume reads it before NewService.
 //
 // A delta checkpoint appends to its parent what the scans since added:
 // an address set whose add log is complete writes the logged addresses
-// as a .hl6 image, records.json and seen64.bin their new suffix, and
-// apd_history.bin the rows recorded since, each with its row index.
-// Every other payload — the responder columns, which a scan replaces
-// wholesale, among them — and every set that was replaced or outgrew its
-// log, is written in full, exactly as a full checkpoint writes it.
-// Resume resolves each payload through the chain (ckpt.Snapshot.Levels)
-// and applies its levels oldest first.
+// as a .hl6 image, or nothing at all when the log is empty,
+// records.json its new suffix, and apd_history.bin the rows recorded
+// since, each with its row index. Every other payload — the responder
+// columns, which a scan replaces wholesale, among them — and every set
+// that was replaced or outgrew its log, is written in full, exactly as a
+// full checkpoint writes it. Resume resolves each payload through the
+// chain (ckpt.Snapshot.Levels, where a delta level without the payload
+// holds no change to it) and applies its levels oldest first.
 //
-// Deliberately not persisted: lastMain (the wall-clock shard profile —
-// outputs are pinned hand-out-order-invariant, so the resumed run's
-// first scan just orders shards by size) and published serve
-// snapshots (derived state; only the generation counter survives, via
-// serve.Handle.RestoreGeneration, so numbering continues seamlessly).
+// Deliberately not persisted: which /64s alias detection has seen (the
+// APD history, pending64 and bgp64_input say it; see trackSlash64),
+// lastMain (the wall-clock shard profile — outputs are pinned
+// hand-out-order-invariant, so the resumed run's first scan just orders
+// shards by size) and published serve snapshots (derived state; only the
+// generation counter survives, via serve.Handle.RestoreGeneration, so
+// numbering continues seamlessly).
 
 import (
 	"bufio"
@@ -50,7 +53,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 
 	"hitlist6/internal/apd"
 	"hitlist6/internal/ckpt"
@@ -77,7 +79,6 @@ const (
 	ckptUnrespFile    = "unresp.hl6"
 	ckptAPDFile       = "apd_history.bin"
 	ckptPending64File = "pending64.bin"
-	ckptSeen64File    = "seen64.bin"
 )
 
 func ckptEverRespFile(p int) string  { return fmt.Sprintf("everresp_%d.hl6", p) }
@@ -125,6 +126,7 @@ type ckptState struct {
 	SnapQueue    []int           `json:"snap_queue,omitempty"`
 	ServeScans   int             `json:"serve_scans"`
 	Generation   uint64          `json:"generation"`
+	BGP64Input   []string        `json:"bgp64_input,omitempty"` // BGP-level /64 candidates input queued
 }
 
 // configState extracts the digest fields from a (normalized) Config.
@@ -155,13 +157,12 @@ const defaultCheckpointFullEvery = 8
 
 // ckptBase is the checkpoint this process last committed into dir, or
 // resumed from its head: what the next delta checkpoint appends to. It
-// holds the lengths of the append-only tables and the APD round the
-// history was written at; the sets keep their own add logs.
+// holds how many records and which APD round that checkpoint wrote; the
+// sets keep their own add logs.
 type ckptBase struct {
 	dir         string
 	scan, depth int
 	records     int
-	seen64      int
 	apdRound    uint32
 }
 
@@ -213,28 +214,12 @@ func (s *Service) payloads() []ckptPayload {
 		ckptPayload{name: ckptAPDFile, write: s.writeAPDHistory, read: s.readAPDHistory},
 		ckptPayload{name: ckptPending64File,
 			write: func(w *ckpt.Writer, name string, _ *ckptBase) error {
-				return writePrefixList(w, name, s.pendingAPD64, false)
+				return writePrefixList(w, name, s.pendingAPD64)
 			},
-			read: func(levels []*ckpt.Snapshot, name string) (err error) {
-				if _, err := fullLevel(levels, name); err != nil {
-					return err
-				}
-				s.pendingAPD64, _, err = readPrefixList(levels, name)
+			read: whole(func(lvl *ckpt.Snapshot, name string) (err error) {
+				s.pendingAPD64, s.pending64, err = readPrefixList(lvl, name)
 				return err
-			}},
-		// The /64s reload in file order, so the next checkpoint appends
-		// to exactly the list this one wrote.
-		ckptPayload{name: ckptSeen64File,
-			write: func(w *ckpt.Writer, name string, base *ckptBase) error {
-				if base != nil {
-					return writePrefixList(w, name, s.seen64Order[base.seen64:], true)
-				}
-				return writePrefixList(w, name, s.seen64Order, false)
-			},
-			read: func(levels []*ckpt.Snapshot, name string) (err error) {
-				s.seen64Order, s.seen64, err = readPrefixList(levels, name)
-				return err
-			}})
+			})})
 }
 
 // setBase makes the checkpoint just committed into dir (or resumed from
@@ -248,7 +233,6 @@ func (s *Service) setBase(dir string, scan, depth int) {
 		scan:     scan,
 		depth:    depth,
 		records:  len(s.records),
-		seen64:   len(s.seen64Order),
 		apdRound: s.detector.Round(),
 	}
 	for _, pl := range s.payloads() {
@@ -370,6 +354,11 @@ func (s *Service) writeState(w *ckpt.Writer) error {
 	}
 	for _, p := range s.aliased.Prefixes() {
 		st.Aliased = append(st.Aliased, p.String())
+	}
+	for _, c := range s.bgpCands {
+		if s.bgp64[c.prefix] {
+			st.BGP64Input = append(st.BGP64Input, c.prefix.String())
+		}
 	}
 	return writeJSONFile(w, ckptStateFile, &st, 0, false)
 }
@@ -537,10 +526,10 @@ func writeJSONFile(w *ckpt.Writer, name string, v any, count int64, appendOnly b
 
 // writeAddrSet stages a cumulative set as a .hl6 image in shard order:
 // the whole set, or with appendLog only the addresses its add log holds,
-// marked Append. A resident shard with no pending Δ goes to the writer as
-// its column, as it is; any other shard streams its cursor (the column
-// or the runs merged off disk, and the Δ), and a log is pulled through
-// its set's LogCursor.
+// marked Append, and no payload at all when the log is empty. A resident
+// shard with no pending Δ goes to the writer as its column, as it is;
+// any other shard streams its cursor (the column or the runs merged off
+// disk, and the Δ), and a log is pulled through its set's LogCursor.
 func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set *ip6.SpillSet, appendLog bool) error {
 	var counts [ip6.AddrShards]uint64
 	for sh := range counts {
@@ -549,6 +538,9 @@ func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set *ip6.SpillSet, a
 		} else {
 			counts[sh] = uint64(set.ShardLen(sh))
 		}
+	}
+	if appendLog && counts == [ip6.AddrShards]uint64{} {
+		return nil
 	}
 	return writeHL6(w, name, appendLog, &counts, func(put func(int, []ip6.Addr) error) error {
 		const putChunk = 256
@@ -664,8 +656,8 @@ func columnsPayload(name string, cols *respColumns) ckptPayload {
 
 // writePrefixList stages prefixes in the given order (a 4-byte count,
 // then 17 bytes each: masked address + length).
-func writePrefixList(w *ckpt.Writer, name string, prefixes []ip6.Prefix, appendOnly bool) error {
-	return writePayload(w, name, int64(len(prefixes)), appendOnly, func(bw *bufio.Writer) error {
+func writePrefixList(w *ckpt.Writer, name string, prefixes []ip6.Prefix) error {
+	return writePayload(w, name, int64(len(prefixes)), false, func(bw *bufio.Writer) error {
 		var n4 [4]byte
 		binary.LittleEndian.PutUint32(n4[:], uint32(len(prefixes)))
 		if _, err := bw.Write(n4[:]); err != nil {
@@ -809,6 +801,13 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 	}
 	s.aliased.Freeze()
 	s.snapQueue = append([]int(nil), st.SnapQueue...)
+	for _, ps := range st.BGP64Input {
+		p, err := ip6.ParsePrefix(ps)
+		if _, bgp := s.bgp64[p]; err != nil || !bgp {
+			return fmt.Errorf("%w: %q is not a BGP-level /64 candidate", ckpt.ErrCorrupt, ps)
+		}
+		s.bgp64[p] = true
+	}
 
 	// The sets that exist for only part of a run get fresh objects before
 	// the table is built, so its rows name them.
@@ -843,21 +842,11 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 // it Append, which no writer does.
 func whole(read func(lvl *ckpt.Snapshot, name string) error) func(levels []*ckpt.Snapshot, name string) error {
 	return func(levels []*ckpt.Snapshot, name string) error {
-		lvl, err := fullLevel(levels, name)
-		if err != nil {
-			return err
+		if len(levels) != 1 {
+			return fmt.Errorf("%w: %s is written full, but the head appends to it", ckpt.ErrCorrupt, name)
 		}
-		return read(lvl, name)
+		return read(levels[0], name)
 	}
-}
-
-// fullLevel returns the one level of a payload that is only ever written
-// full.
-func fullLevel(levels []*ckpt.Snapshot, name string) (*ckpt.Snapshot, error) {
-	if len(levels) != 1 {
-		return nil, fmt.Errorf("%w: %s is written full, but the head appends to it", ckpt.ErrCorrupt, name)
-	}
-	return levels[0], nil
 }
 
 // readRecords loads records.json: the full list, then each append
@@ -1206,35 +1195,26 @@ func (s *Service) ingestJournaled(srcs []sources.NamedSource, day int, rec *Scan
 	return jr.Remove()
 }
 
-// readPrefixList loads a prefix table's levels, each in file order, plus
-// its members as a set; a prefix listed twice, at one level or across
-// two, is corrupt.
-func readPrefixList(levels []*ckpt.Snapshot, name string) ([]ip6.Prefix, map[ip6.Prefix]struct{}, error) {
-	var out []ip6.Prefix
-	var set map[ip6.Prefix]struct{}
-	for _, lvl := range levels {
-		sec, br, n, err := openTable(lvl, name, ip6.AddrBytes+1)
+// readPrefixList loads a prefix table in file order, plus its members as
+// a set; a prefix listed twice is corrupt.
+func readPrefixList(lvl *ckpt.Snapshot, name string) ([]ip6.Prefix, map[ip6.Prefix]struct{}, error) {
+	sec, br, n, err := openTable(lvl, name, ip6.AddrBytes+1)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer sec.Close()
+	out := make([]ip6.Prefix, 0, n)
+	set := make(map[ip6.Prefix]struct{}, n)
+	for i := 0; i < n; i++ {
+		p, err := readPrefix(br)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, name, err)
 		}
-		if set == nil {
-			set = make(map[ip6.Prefix]struct{}, n) // sized by the full level, the bulk
+		if _, dup := set[p]; dup {
+			return nil, nil, fmt.Errorf("%w: %s lists %v twice", ckpt.ErrCorrupt, name, p)
 		}
-		out = slices.Grow(out, n)
-		for i := 0; i < n; i++ {
-			p, err := readPrefix(br)
-			if err != nil {
-				sec.Close()
-				return nil, nil, fmt.Errorf("%w: %s: %v", ckpt.ErrCorrupt, name, err)
-			}
-			if _, dup := set[p]; dup {
-				sec.Close()
-				return nil, nil, fmt.Errorf("%w: %s lists %v twice", ckpt.ErrCorrupt, name, p)
-			}
-			set[p] = struct{}{}
-			out = append(out, p)
-		}
-		sec.Close()
+		set[p] = struct{}{}
+		out = append(out, p)
 	}
 	return out, set, nil
 }

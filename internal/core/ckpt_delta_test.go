@@ -65,9 +65,12 @@ func TestResumeFromDeltaChain(t *testing.T) {
 	if parked := parkedChainDirs(t, ckdir); len(parked) != k-1 {
 		t.Fatalf("parked chain dirs = %v, want %d of them", parked, k-1)
 	}
-	i := slices.IndexFunc(m.Files, func(fi ckpt.FileInfo) bool { return fi.Name == ckptUnrespFile })
-	if i < 0 || !m.Files[i].Append {
-		t.Fatalf("head manifest does not list %s as an append payload", ckptUnrespFile)
+	chain, err := ckpt.OpenChain(ckdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if levels, err := chain.Levels(ckptUnrespFile); err != nil || len(levels) < 2 {
+		t.Fatalf("%s resolves through %d levels (%v), want a full base and an append level", ckptUnrespFile, len(levels), err)
 	}
 
 	n2, feeds2 := tinyWorld(t)

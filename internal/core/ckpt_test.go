@@ -114,8 +114,8 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestCheckpointPayloadsMatchAcrossShapes pins the checkpoint bytes, not
-// just the outputs, to the timeline: the APD history and the seen-/64
-// table are written in first-seen order without sorting, so that order
+// just the outputs, to the timeline: the APD history and the pending /64
+// queue are written in first-seen order without sorting, so that order
 // must be the same for every execution shape. On a generated world with
 // a checkpoint after every scan, the final unsharded payloads are
 // byte-equal across worker counts, a spill budget, and an interrupt
@@ -131,7 +131,7 @@ func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 	for d := 0; d <= 140; d += 14 {
 		days = append(days, d)
 	}
-	payloads := []string{ckptAPDFile, ckptSeen64File, ckptActiveFile, ckptStateFile}
+	payloads := []string{ckptAPDFile, ckptPending64File, ckptActiveFile, ckptStateFile}
 	// run returns the final head's unsharded payloads, and every payload
 	// of a full checkpoint of the final state.
 	run := func(label string, shape func(cfg *Config, scratch string), interruptAfter int) (map[string][]byte, map[string][]byte) {
@@ -188,12 +188,10 @@ func TestCheckpointPayloadsMatchAcrossShapes(t *testing.T) {
 	if n := len(baseFull[ckptInputSeenFile]); n < (16+8*ip6.AddrShards)+ip6.AddrShards*4*ip6.AddrBytes {
 		t.Fatalf("%s is only %d bytes: the scenario exercises too little", ckptInputSeenFile, n)
 	}
-	// 4-byte count plus 17-byte prefixes: the tables must hold enough
+	// 4-byte count plus 17-byte prefixes: the history must hold enough
 	// rows for their order to matter.
-	for _, name := range []string{ckptAPDFile, ckptSeen64File} {
-		if len(base[name]) < 4+100*17 {
-			t.Fatalf("%s is only %d bytes: the scenario exercises too little", name, len(base[name]))
-		}
+	if len(base[ckptAPDFile]) < 4+100*17 {
+		t.Fatalf("%s is only %d bytes: the scenario exercises too little", ckptAPDFile, len(base[ckptAPDFile]))
 	}
 	for _, tc := range []struct {
 		label          string
@@ -346,9 +344,10 @@ func markAppend(t *testing.T, dir, name string) {
 // panic, a huge allocation or a store the next scan trips over. On a
 // delta head the same holds for what the tables append: an APD row index
 // that skips ahead, repeats or names a different prefix than the base's
-// row, a seen64 suffix that re-lists a /64 of the base, an append level
-// with no full base under it, and an Append flag on a table that is only
-// ever written full.
+// row, an append level with no full base under it, a full base without
+// one of the address sets, and an Append flag on a table that is only
+// ever written full. A format-3 manifest, which carried a table of seen
+// /64s, is refused whole.
 func TestResumeRefusesMalformedTables(t *testing.T) {
 	ckdir := filepath.Join(t.TempDir(), "ckpt")
 	n, feeds := tinyWorld(t)
@@ -360,10 +359,8 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	restore := ckpttest.Save(t, ckdir)
-	for _, name := range []string{ckptAPDFile, ckptSeen64File} {
-		if b := ckpttest.Payload(t, ckdir, name); binary.LittleEndian.Uint32(b) == 0 {
-			t.Fatalf("%s: empty: nothing to damage", name)
-		}
+	if b := ckpttest.Payload(t, ckdir, ckptAPDFile); binary.LittleEndian.Uint32(b) == 0 {
+		t.Fatalf("%s: empty: nothing to damage", ckptAPDFile)
 	}
 
 	const rec = ip6.AddrBytes + 1 // one prefix record
@@ -380,7 +377,6 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 			return withCount(b, binary.LittleEndian.Uint32(b)+1)
 		}
 	}
-	prefixEntry := func([]byte) int { return rec }
 
 	// active.bin: a uint64 count per shard, then the shards' records.
 	shardCount := func(b []byte, sh int) int { return int(binary.LittleEndian.Uint64(b[8*sh:])) }
@@ -435,9 +431,6 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 		{ckptAPDFile, hugeCount},
 		{ckptAPDFile, badLen},
 		{ckptAPDFile, dupFirst(apdEntry)},
-		{ckptSeen64File, hugeCount},
-		{ckptSeen64File, badLen},
-		{ckptSeen64File, dupFirst(prefixEntry)},
 		{ckptPending64File, hugeCount},
 		{ckptActiveFile, activeHuge},
 		{ckptActiveFile, moveRecord},
@@ -479,10 +472,29 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 	skipRow := func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 1<<20); return b }
 	otherPrefix := func(b []byte) []byte { b[8] ^= 0x80; return b } // row 0 now names another /k
 	appendRowEntry := func(b []byte) int { return rowRec + 2 + 2*int(binary.LittleEndian.Uint16(b[4+rowRec:])) }
-	baseSeen64 := ckpttest.Payload(t, base, ckptSeen64File)
-	relist := func(b []byte) []byte {
-		b = append(b, baseSeen64[4:4+rec]...)
-		return withCount(b, binary.LittleEndian.Uint32(b)+1)
+	// unchanged is an address set the head leaves out: it added nothing.
+	headM, err := ckpt.ReadManifest(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := ""
+	probe := NewService(ckptTinyCfg(head), n, feeds, nil)
+	defer probe.Close()
+	for _, pl := range probe.payloads() {
+		if pl.set != nil && !slices.ContainsFunc(headM.Files, func(fi ckpt.FileInfo) bool { return fi.Name == pl.name }) {
+			unchanged = pl.name
+		}
+	}
+	if unchanged == "" {
+		t.Fatal("the head writes every address set: no level leaves one out")
+	}
+	version := func(dir string, v int) {
+		m, err := ckpt.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Version = v
+		ckpttest.WriteManifest(t, dir, m)
 	}
 	for i, tc := range []struct {
 		label  string
@@ -491,8 +503,10 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 		{"APD row skips ahead", func() { ckpttest.Edit(t, head, ckptAPDFile, true, skipRow) }},
 		{"APD row repeats", func() { ckpttest.Edit(t, head, ckptAPDFile, true, dupFirst(appendRowEntry)) }},
 		{"APD row names another prefix", func() { ckpttest.Edit(t, head, ckptAPDFile, true, otherPrefix) }},
-		{"seen64 re-lists a base /64", func() { ckpttest.Edit(t, head, ckptSeen64File, true, relist) }},
 		{"no full base", func() { markAppend(t, base, ckptAPDFile) }},
+		{"full base without a set", func() { ckpttest.Drop(t, base, unchanged) }},
+		{"format 3 head", func() { version(head, 3) }},
+		{"format 3 base", func() { version(base, 3) }},
 		{"full-only table appends", func() { markAppend(t, head, ckptActiveFile) }},
 	} {
 		tc.damage()
@@ -651,8 +665,10 @@ func TestResumeRefusesMalformedSets(t *testing.T) {
 		s3.Close()
 	}
 
-	// Append levels: a delta head over a full base four levels down.
-	head, base := appendChainFixture(t, 5)
+	// Append levels: a delta head over a full base nine levels down, at
+	// the scan (day 63) whose new input gives the head something to
+	// append to inputseen.hl6.
+	head, base := appendChainFixture(t, 10)
 	restoreHead, restoreBase := ckpttest.Save(t, head), ckpttest.Save(t, base)
 	if m, err := ckpt.ReadManifest(head); err != nil || !slices.ContainsFunc(m.Files, func(fi ckpt.FileInfo) bool {
 		return fi.Name == ckptInputSeenFile && fi.Append

@@ -15,11 +15,11 @@ import (
 
 // fuzzTables are the checkpoint tables FuzzCheckpointTables feeds, in
 // the order its which argument selects them.
-var fuzzTables = []string{ckptAPDFile, ckptActiveFile, ckptPending64File, ckptSeen64File}
+var fuzzTables = []string{ckptAPDFile, ckptActiveFile, ckptPending64File}
 
 // FuzzCheckpointTables feeds arbitrary bytes to the binary table readers
 // of a resume — apd_history.bin (through apd.ImportHistory and
-// ApplyHistory), active.bin, pending64.bin and seen64.bin — each either
+// ApplyHistory), active.bin and pending64.bin — each either
 // as a full payload or as an append level over the valid base a durable
 // service wrote. A reader must load or fail with ckpt.ErrCorrupt; it
 // must never panic, read out of range or size an allocation from a

@@ -237,17 +237,15 @@ type ScanRecord struct {
 
 	// TGACandidates / TGAResponsive count the streamed TGA candidate
 	// round: candidates probed after input dedup, and distinct addresses
-	// among them that answered at least one protocol. Zero unless
-	// Config.TGAFeed is set; excluded from goldens, which predate the
-	// loop.
-	TGACandidates int `json:"-"`
-	TGAResponsive int `json:"-"`
+	// among them that answered at least one protocol. Zero, and left out
+	// of the JSON encoding, unless Config.TGAFeed is set.
+	TGACandidates int `json:",omitempty"`
+	TGAResponsive int `json:",omitempty"`
 
 	// TGARefrozenShards counts seed-view shards that gained responders
-	// since the previous round's view (every shard in a service's first
-	// round); 0 on steady-state rounds. Excluded from goldens like the
-	// other TGA counters.
-	TGARefrozenShards int `json:"-"`
+	// since the previous round's view: every shard in a service's first
+	// round, 0 (and omitted) on steady-state rounds.
+	TGARefrozenShards int `json:",omitempty"`
 }
 
 // Snapshot is a full state capture at one scan.
@@ -309,11 +307,11 @@ type Service struct {
 	active activeTable
 
 	aliased      *ip6.PrefixSet
-	pendingAPD64 []ip6.Prefix // newly seen /64s queued for APD
+	pendingAPD64 []ip6.Prefix            // newly seen /64s queued for APD, in ingest sequence order
+	pending64    map[ip6.Prefix]struct{} // pendingAPD64's members
 	bgpCands     []bgpCandidate
-	apdCands     []ip6.Prefix // the round's candidate list, reused across rounds
-	seen64       map[ip6.Prefix]struct{}
-	seen64Order  []ip6.Prefix // seen64 in first-seen (ingest sequence) order, written unsorted
+	bgp64        map[ip6.Prefix]bool // the BGP-level /64 candidates: true once input queued one
+	apdCands     []ip6.Prefix        // the round's candidate list, reused across rounds
 	tracker      *gfw.Tracker
 	everResp     [netmodel.NumProtocols]*ip6.SpillSet
 	everRespAny  *ip6.SpillSet
@@ -505,7 +503,7 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 		unresponsive: ip6.NewResidentSet(),
 		active:       newActiveTable(),
 		aliased:      ip6.NewPrefixSet(),
-		seen64:       make(map[ip6.Prefix]struct{}),
+		pending64:    make(map[ip6.Prefix]struct{}),
 		tracker:      gfw.NewTracker(),
 		inputByFeed:  make(map[string]int),
 		digests:      make([]shardDigest, ip6.AddrShards),
@@ -525,6 +523,12 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 	}
 	s.detector = apd.NewDetector(s.scanner, apd.DefaultConfig())
 	s.bgpCands = bgpCandidates(net.AS)
+	s.bgp64 = make(map[ip6.Prefix]bool)
+	for _, c := range s.bgpCands {
+		if c.prefix.Bits() == 64 {
+			s.bgp64[c.prefix] = false
+		}
+	}
 	if cfg.FleetWorkers > 1 {
 		scfg.Workers = cfg.FleetWorkers
 	}
@@ -1047,14 +1051,26 @@ func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanReco
 }
 
 // trackSlash64 queues a newly admitted address's /64 for alias detection
-// the first time it is seen.
+// the first time it is seen: when the detector has no history row for it
+// and it is not queued. A /64 leaves the queue only for a round, which
+// records its row, or when an aliased prefix covers it, and then
+// admission keeps every address in it out for good. The BGP level
+// records rows for its /64 candidates whatever the input, so for those
+// bgp64 says whether input queued one.
 func (s *Service) trackSlash64(a ip6.Addr) {
 	p64 := ip6.Slash64(a)
-	if _, ok := s.seen64[p64]; !ok {
-		s.seen64[p64] = struct{}{}
-		s.seen64Order = append(s.seen64Order, p64)
-		s.pendingAPD64 = append(s.pendingAPD64, p64)
+	if s.detector.Has(p64) {
+		if queued, bgp := s.bgp64[p64]; !bgp || queued {
+			return
+		}
+	} else if _, queued := s.pending64[p64]; queued {
+		return
 	}
+	if _, bgp := s.bgp64[p64]; bgp {
+		s.bgp64[p64] = true
+	}
+	s.pendingAPD64 = append(s.pendingAPD64, p64)
+	s.pending64[p64] = struct{}{}
 }
 
 // deployGFWFilter materializes the cumulative injected-only list and
@@ -1139,10 +1155,12 @@ func (s *Service) runAPD(ctx context.Context, day int, rec *ScanRecord) error {
 	taken := 0
 	for _, p64 := range s.pendingAPD64 {
 		if s.coveredByAliased(p64) {
+			delete(s.pending64, p64)
 			continue
 		}
 		if taken < s.cfg.APDMaxNewCandidates {
 			candidates = append(candidates, p64)
+			delete(s.pending64, p64)
 			taken++
 			continue
 		}
