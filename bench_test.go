@@ -333,12 +333,15 @@ func BenchmarkGFWSpikeDetection(b *testing.B) {
 	if len(recs) == 0 {
 		b.Fatal("no records")
 	}
-	tracker := s.Svc.Tracker()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		injected := tracker.InjectedSeen()
+		injected := s.Svc.Tracker().InjectedSeen()
 		published := injected.IntersectCount(snap.ResponsiveAny)
-		injectedOnly := tracker.InjectedOnly().Len()
+		impacted, err := s.Svc.InjectedOnly()
+		if err != nil {
+			b.Fatal(err)
+		}
+		injectedOnly := impacted.Len()
 		total := 0
 		for _, rec := range recs {
 			total += rec.InjectedDNS

@@ -79,10 +79,11 @@ const SegmentName = "payloads.seg"
 
 // Version is the current checkpoint format version. Version 1 stored
 // every payload as a file of its own, version 2 marked delta payloads
-// with a shard bitmap, and version 3 carried a table of the /64s alias
-// detection had seen, which the service now derives; their manifests
-// are refused like any other version skew.
-const Version = 4
+// with a shard bitmap, version 3 carried a table of the /64s alias
+// detection had seen, and version 4 carried two GFW-tracker sets that
+// copied the responsive history; the service now derives both, and
+// their manifests are refused like any other version skew.
+const Version = 5
 
 // ErrCorrupt tags every validation failure Open returns (wrapped with
 // detail); errors.Is(err, ErrCorrupt) distinguishes a damaged checkpoint

@@ -369,7 +369,8 @@ func TestOpenRefusesCorruption(t *testing.T) {
 		{"version 1", editManifest(func(m *ckpt.Manifest) { m.Version = 1 })},
 		{"version 2", editManifest(func(m *ckpt.Manifest) { m.Version = 2 })},
 		{"version 3", editManifest(func(m *ckpt.Manifest) { m.Version = 3 })},
-		{"garbage manifest", writeManifest("{\"version\": 4,")},
+		{"version 4", editManifest(func(m *ckpt.Manifest) { m.Version = 4 })},
+		{"garbage manifest", writeManifest("{\"version\": 5,")},
 		{"version skew", writeManifest("{\"version\": 99}\n")},
 	}
 	for _, tc := range cases {

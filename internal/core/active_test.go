@@ -40,7 +40,7 @@ func TestDigestSinkRefusesMisplacedResult(t *testing.T) {
 	if !ok {
 		t.Fatal("web host not active")
 	}
-	injBefore, _, otherBefore := s.Tracker().Stats()
+	injBefore, anyBefore := s.Tracker().InjectedSeenLen(), s.EverResponsiveAnyLen()
 	s.buildScanSet(7, &ScanRecord{})
 	sh := ip6.ShardOf(web)
 	row := slices.Index(s.active.addrs[sh], web)
@@ -75,8 +75,8 @@ func TestDigestSinkRefusesMisplacedResult(t *testing.T) {
 	if st, _ := lookupActive(s, web); st != before {
 		t.Errorf("refused scan changed web's state: %+v → %+v", before, st)
 	}
-	if inj, _, other := s.Tracker().Stats(); inj != injBefore || other != otherBefore {
-		t.Errorf("refused scan mutated tracker: injected %d→%d other %d→%d", injBefore, inj, otherBefore, other)
+	if inj, ever := s.Tracker().InjectedSeenLen(), s.EverResponsiveAnyLen(); inj != injBefore || ever != anyBefore {
+		t.Errorf("refused scan mutated evidence: injected %d→%d ever-responsive %d→%d", injBefore, inj, anyBefore, ever)
 	}
 }
 
@@ -212,23 +212,25 @@ func (f refTGAFeed) Candidates(day int, _ *tga.SeedView) scan.TargetSource {
 }
 
 // refModel is the active window as a map, kept by the window's rules
-// from what the service exposes: its input-dedup set, blocklist, aliased
-// prefixes and GFW drop list are the model's own copies or read from the
-// service; responses come from probing each target one by one. It also
-// keeps the last scan's clean responders, on any protocol and per
-// protocol, every address that ever responded clean, and the last
-// scan's churn. Its alias-detection queue is kept with a table of every
-// /64 ever queued, the way the service once kept it.
+// from what the service exposes: its input-dedup set and GFW drop list
+// are the model's own, its blocklist and aliased prefixes are read from
+// the service; responses come from probing each target one by one. It
+// also keeps the last scan's clean responders, on any protocol and per
+// protocol, every address that ever responded clean, every address that
+// ever drew an injected answer, and the last scan's churn. Its
+// alias-detection queue is kept with a table of every /64 ever queued,
+// the way the service once kept it.
 type refModel struct {
 	rows     map[ip6.Addr]targetState
 	seen     map[ip6.Addr]bool
-	drop     *ip6.SortedShardSet // the deployed GFW drop list
+	drop     map[ip6.Addr]bool // the deployed GFW drop list
 	deployed bool
 
 	seen64 map[ip6.Prefix]bool // every /64 an admitted address fell in
 	queue  []ip6.Prefix        // the /64s waiting for an APD round, in admission order
 
 	respAny, ever map[ip6.Addr]bool
+	injected      map[ip6.Addr]bool
 	resp          [netmodel.NumProtocols]map[ip6.Addr]bool
 
 	firstResp, respAgain, unresp          int // the last scan's churn
@@ -237,7 +239,7 @@ type refModel struct {
 
 func newRefModel() *refModel {
 	return &refModel{rows: make(map[ip6.Addr]targetState), seen: make(map[ip6.Addr]bool), ever: make(map[ip6.Addr]bool),
-		seen64: make(map[ip6.Prefix]bool)}
+		injected: make(map[ip6.Addr]bool), seen64: make(map[ip6.Prefix]bool)}
 }
 
 // admit runs the admission chain for one candidate.
@@ -246,7 +248,7 @@ func (m *refModel) admit(s *Service, aliased *ip6.PrefixSet, a ip6.Addr, day int
 		return
 	}
 	m.seen[a] = true
-	if s.block.Contains(a) || (m.deployed && m.drop.Has(a)) || aliased.Contains(a) {
+	if s.block.Contains(a) || m.drop[a] || aliased.Contains(a) {
 		return
 	}
 	m.rows[a] = targetState{firstDay: day, lastSuccessDay: -1}
@@ -287,26 +289,28 @@ func checkQueue(t *testing.T, s *Service, m *refModel, day int) {
 	}
 }
 
-// responds probes a on every protocol: whether any probe succeeded, and
-// the protocols whose success is not an injected DNS answer.
-func responds(s *Service, a ip6.Addr, day int) (raw bool, clean []netmodel.Protocol) {
+// responds probes a on every protocol: whether any probe succeeded,
+// whether one drew an injected DNS answer, and the protocols whose
+// success is not an injected DNS answer.
+func responds(s *Service, a ip6.Addr, day int) (raw, injected bool, clean []netmodel.Protocol) {
 	for _, p := range s.cfg.Protocols {
 		r := s.Scanner().ProbeOne(a, p, day)
 		if !r.Success {
 			continue
 		}
 		raw = true
-		if !(p == netmodel.UDP53 && gfw.ClassifyResult(r).Injected()) {
+		if p == netmodel.UDP53 && gfw.ClassifyResult(r).Injected() {
+			injected = true
+		} else {
 			clean = append(clean, p)
 		}
 	}
-	return raw, clean
+	return raw, injected, clean
 }
 
 // scan advances the model over one RunScan at day, the service's index
-// scan; before is the aliased set and tracker drop list from before the
-// scan.
-func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, index, day int, aliasedBefore *ip6.PrefixSet, dropBefore *ip6.SortedShardSet) (scanned, evicted int) {
+// scan; aliasedBefore is the aliased set from before the scan.
+func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, index, day int, aliasedBefore *ip6.PrefixSet) (scanned, evicted int) {
 	for k := 0; k < w.nfeeds; k++ {
 		for _, a := range w.feedDay(k, day) {
 			m.admit(s, aliasedBefore, a, day)
@@ -316,9 +320,16 @@ func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, index, day int, a
 		m.apdRound(aliasedBefore, s.cfg.APDMaxNewCandidates)
 	}
 	if !m.deployed && day >= s.cfg.GFWFilterFromDay {
-		m.deployed, m.drop = true, dropBefore
+		// The drop list: every address that ever drew an injected answer
+		// and never a clean one on any protocol.
+		m.deployed, m.drop = true, make(map[ip6.Addr]bool)
+		for a := range m.injected {
+			if !m.ever[a] {
+				m.drop[a] = true
+			}
+		}
 		for a := range m.rows {
-			if m.drop.Has(a) {
+			if m.drop[a] {
 				delete(m.rows, a)
 				m.dropped++
 			}
@@ -353,7 +364,10 @@ func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, index, day int, a
 		resp[p] = make(map[ip6.Addr]bool)
 	}
 	for a, st := range m.rows {
-		raw, clean := responds(s, a, day)
+		raw, injected, clean := responds(s, a, day)
+		if injected {
+			m.injected[a] = true
+		}
 		if len(clean) > 0 || (raw && !m.deployed) {
 			st.lastSuccessDay = day
 			m.rows[a] = st
@@ -388,7 +402,7 @@ func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, index, day int, a
 				continue
 			}
 			round[a] = true
-			if raw, _ := responds(s, a, day); raw {
+			if raw, _, _ := responds(s, a, day); raw {
 				resp = append(resp, a)
 			}
 		}
@@ -412,6 +426,8 @@ func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, index, day int, a
 // and the record's clean-responder count and churn are the model's. The
 // service's alias-detection queue, which it derives from the detector's
 // history, equals the model's, kept with a table of every /64 queued.
+// The GFW deployment drops what the model's own drop list names, and
+// with a budget of 1 byte it walks a spilled ever-responsive set.
 func TestActiveTableMatchesReference(t *testing.T) {
 	cases := 8
 	if testing.Short() {
@@ -438,9 +454,12 @@ func TestActiveTableMatchesReference(t *testing.T) {
 			cfg.CheckpointDir = filepath.Join(t.TempDir(), "ckpt")
 			cfg.CheckpointEvery = 1 + r.IntN(3)
 		}
-		name := fmt.Sprintf("seed=%d/workers=%d/fleet=%d/retain=%v/deploy=%d/apd=%d/tga=%v/journal=%v", seed,
+		if r.IntN(2) == 0 {
+			cfg.MemoryBudget = 1 // every cumulative set spills: deployment walks a spilled everRespAny
+		}
+		name := fmt.Sprintf("seed=%d/workers=%d/fleet=%d/retain=%v/deploy=%d/apd=%d/tga=%v/journal=%v/budget=%d", seed,
 			cfg.ScanWorkers, cfg.FleetWorkers, cfg.RetainUnresponsive, cfg.GFWFilterFromDay, cfg.APDMaxNewCandidates,
-			cfg.TGAFeed != nil, cfg.CheckpointDir != "")
+			cfg.TGAFeed != nil, cfg.CheckpointDir != "", cfg.MemoryBudget)
 		t.Run(name, func(t *testing.T) {
 			s := NewService(cfg, w.net, w.feeds, w.block)
 			defer s.Close()
@@ -450,15 +469,11 @@ func TestActiveTableMatchesReference(t *testing.T) {
 				for _, p := range s.aliased.Prefixes() {
 					aliasedBefore.Add(p)
 				}
-				var dropBefore *ip6.SortedShardSet
-				if !s.gfwDeployed {
-					dropBefore = s.tracker.InjectedOnly()
-				}
 				rec, err := s.RunScan(context.Background(), day)
 				if err != nil {
 					t.Fatalf("day %d: %v", day, err)
 				}
-				scanned, evicted := m.scan(t, s, w, rec.Index, day, aliasedBefore, dropBefore)
+				scanned, evicted := m.scan(t, s, w, rec.Index, day, aliasedBefore)
 				if rec.ScannedTargets != scanned || rec.Evicted != evicted {
 					t.Fatalf("day %d: record scanned %d evicted %d, model %d %d", day, rec.ScannedTargets, rec.Evicted, scanned, evicted)
 				}

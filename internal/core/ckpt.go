@@ -36,12 +36,14 @@ package core
 // holds no change to it) and applies its levels oldest first.
 //
 // Deliberately not persisted: which /64s alias detection has seen (the
-// APD history, pending64 and bgp64_input say it; see trackSlash64),
-// lastMain (the wall-clock shard profile — outputs are pinned
-// hand-out-order-invariant, so the resumed run's first scan just orders
-// shards by size) and published serve snapshots (derived state; only the
-// generation counter survives, via serve.Handle.RestoreGeneration, so
-// numbering continues seamlessly).
+// APD history, pending64 and bgp64_input say it; see trackSlash64), the
+// GFW filter list before deployment (trk_injected.hl6 minus
+// everrespany.hl6; see Service.InjectedOnly), lastMain (the wall-clock
+// shard profile — outputs are pinned hand-out-order-invariant, so the
+// resumed run's first scan just orders shards by size) and published
+// serve snapshots (derived state; only the generation counter survives,
+// via serve.Handle.RestoreGeneration, so numbering continues
+// seamlessly).
 
 import (
 	"bufio"
@@ -74,8 +76,6 @@ const (
 	ckptGFWDropFile   = "gfwdrop.hl6"
 	ckptPrevRespFile  = "prevresp.hl6"
 	ckptTrkInjFile    = "trk_injected.hl6"
-	ckptTrkOtherFile  = "trk_other.hl6"
-	ckptTrkRealFile   = "trk_realdns.hl6"
 	ckptUnrespFile    = "unresp.hl6"
 	ckptAPDFile       = "apd_history.bin"
 	ckptPending64File = "pending64.bin"
@@ -202,11 +202,7 @@ func (s *Service) payloads() []ckptPayload {
 			out = append(out, columnsPayload(ckptLastCleanFile(int(p)), &s.lastClean[p]))
 		}
 	}
-	inj, other, real := s.tracker.EvidenceSets()
-	out = append(out,
-		ckptPayload{name: ckptTrkInjFile, set: inj},
-		ckptPayload{name: ckptTrkOtherFile, set: other},
-		ckptPayload{name: ckptTrkRealFile, set: real})
+	out = append(out, ckptPayload{name: ckptTrkInjFile, set: s.tracker.EvidenceSet()})
 	if s.cfg.RetainUnresponsive {
 		out = append(out, ckptPayload{name: ckptUnrespFile, set: s.unresponsive})
 	}

@@ -505,8 +505,8 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 		{"APD row names another prefix", func() { ckpttest.Edit(t, head, ckptAPDFile, true, otherPrefix) }},
 		{"no full base", func() { markAppend(t, base, ckptAPDFile) }},
 		{"full base without a set", func() { ckpttest.Drop(t, base, unchanged) }},
-		{"format 3 head", func() { version(head, 3) }},
-		{"format 3 base", func() { version(base, 3) }},
+		{"format 4 head", func() { version(head, 4) }},
+		{"format 4 base", func() { version(base, 4) }},
 		{"full-only table appends", func() { markAppend(t, head, ckptActiveFile) }},
 	} {
 		tc.damage()

@@ -160,7 +160,7 @@ func TestDigestSinkIsPureAccumulation(t *testing.T) {
 		t.Fatal("fresh host not active")
 	}
 	dayBefore := st.lastSuccessDay
-	injBefore, _, otherBefore := s.Tracker().Stats()
+	injBefore, anyBefore := s.Tracker().InjectedSeenLen(), s.EverResponsiveAnyLen()
 
 	s.buildScanSet(7, &ScanRecord{})
 	digests := make([]shardDigest, ip6.AddrShards)
@@ -172,8 +172,8 @@ func TestDigestSinkIsPureAccumulation(t *testing.T) {
 	if st, _ := lookupActive(s, web); st.lastSuccessDay != dayBefore {
 		t.Errorf("sink bumped lastSuccessDay: %d", st.lastSuccessDay)
 	}
-	if inj, _, other := s.Tracker().Stats(); inj != injBefore || other != otherBefore {
-		t.Errorf("sink mutated tracker: injected %d→%d other %d→%d", injBefore, inj, otherBefore, other)
+	if inj, ever := s.Tracker().InjectedSeenLen(), s.EverResponsiveAnyLen(); inj != injBefore || ever != anyBefore {
+		t.Errorf("sink mutated evidence: injected %d→%d ever-responsive %d→%d", injBefore, inj, anyBefore, ever)
 	}
 
 	// Finalize applies it.
@@ -181,8 +181,8 @@ func TestDigestSinkIsPureAccumulation(t *testing.T) {
 	if st, _ := lookupActive(s, web); st.lastSuccessDay != 7 {
 		t.Errorf("finalize did not bump lastSuccessDay: %d", st.lastSuccessDay)
 	}
-	if _, _, other := s.Tracker().Stats(); other != otherBefore+1 {
-		t.Errorf("finalize did not record evidence: other %d→%d", otherBefore, other)
+	if ever := s.EverResponsiveAnyLen(); ever != anyBefore+1 {
+		t.Errorf("finalize did not record evidence: ever-responsive %d→%d", anyBefore, ever)
 	}
 }
 

@@ -109,9 +109,9 @@ type Config struct {
 	// Outputs are bit-identical with and without a budget. 0 keeps
 	// everything resident (the pre-spill behaviour). Scan-sized state
 	// (the active window, per-scan responder sets, and — with TGAFeed —
-	// the frozen per-shard seed spans the generators read) stays
-	// resident; the budget governs the history-sized sets, including the
-	// TGA round's candidate-dedup set and responder union.
+	// the frozen per-shard seed spans the generators read and the
+	// round's responder list) stays resident; the budget governs the
+	// history-sized sets, including the TGA round's candidate-dedup set.
 	MemoryBudget int64
 
 	// SpillDir is where spill scratch files live when MemoryBudget is
@@ -551,8 +551,7 @@ func (s *Service) newCumulativeSet() *ip6.SpillSet {
 // runs merge into one, so membership probes stay one fence lookup per
 // shard.
 func (s *Service) compactSets() error {
-	inj, other, real := s.tracker.EvidenceSets()
-	sets := append([]*ip6.SpillSet{s.inputSeen, s.gfwInputDrop, s.everRespAny, s.unresponsive, inj, other, real}, s.everResp[:]...)
+	sets := append([]*ip6.SpillSet{s.inputSeen, s.gfwInputDrop, s.everRespAny, s.unresponsive, s.tracker.EvidenceSet()}, s.everResp[:]...)
 	for _, set := range sets {
 		if err := set.Compact(); err != nil {
 			return fmt.Errorf("core: compacting cumulative sets: %w", err)
@@ -604,6 +603,15 @@ func (s *Service) Snapshots() map[int]*Snapshot { return s.snapshots }
 
 // Tracker exposes cumulative GFW evidence.
 func (s *Service) Tracker() *gfw.Tracker { return s.tracker }
+
+// InjectedOnly returns the cumulative GFW filter list: every address that
+// ever drew an injected DNS answer and never a clean answer on any
+// protocol (gfw.Tracker.InjectedOnly against the any-protocol
+// ever-responsive set), as ascending per-shard columns. A read error of
+// a spilled responsive shard is returned.
+func (s *Service) InjectedOnly() (*ip6.SortedShardSet, error) {
+	return s.tracker.InjectedOnly(s.everRespAny)
+}
 
 // QueryHandle returns the serving layer's snapshot handle. It is valid
 // from construction — DNS/HTTP servers attach to it before the first
@@ -710,7 +718,9 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 
 	// 2. GFW cumulative filter deployment (one-time event).
 	if !s.gfwDeployed && day >= s.cfg.GFWFilterFromDay {
-		s.deployGFWFilter(rec)
+		if err := s.deployGFWFilter(rec); err != nil {
+			return nil, fmt.Errorf("core: GFW filter deployment: %w", err)
+		}
 	}
 
 	// 3. Aliased prefix detection (before the scan, as in the pipeline).
@@ -1075,15 +1085,19 @@ func (s *Service) trackSlash64(a ip6.Addr) {
 
 // deployGFWFilter materializes the cumulative injected-only list and
 // removes it from the active window — the paper's one-time cleanup of
-// 134 M addresses in February 2022. The drop list arrives from the
-// tracker as ascending per-shard columns, so the purge is a per-shard
-// sweep: each shard's table drops the rows its column holds in one
-// in-place merge walk, the column loads into the cumulative filter set
-// (disk-backed under a memory budget), and the per-AS counter deltas
-// merge in canonical shard order.
-func (s *Service) deployGFWFilter(rec *ScanRecord) {
+// 134 M addresses in February 2022. The drop list (InjectedOnly) is
+// built before anything changes, so a read error leaves the filter
+// undeployed. It arrives as ascending per-shard columns, so the purge is
+// a per-shard sweep: each shard's table drops the rows its column holds
+// in one in-place merge walk, the column loads into the cumulative
+// filter set (disk-backed under a memory budget), and the per-AS counter
+// deltas merge in canonical shard order.
+func (s *Service) deployGFWFilter(rec *ScanRecord) error {
+	drop, err := s.InjectedOnly()
+	if err != nil {
+		return err
+	}
 	s.gfwDeployed = true
-	drop := s.tracker.InjectedOnly()
 	s.gfwInputDrop = s.newCumulativeSet()
 	dropped := make([]shardPurge, ip6.AddrShards)
 	ip6.ParallelShards(s.workers, func(sh int) {
@@ -1117,6 +1131,7 @@ func (s *Service) deployGFWFilter(rec *ScanRecord) {
 			}
 		}
 	}
+	return nil
 }
 
 // shardPurge counts one shard's removals in a purge sweep, with per-AS
@@ -1309,7 +1324,7 @@ func (s *Service) buildScanSet(day int, rec *ScanRecord) int {
 // merge into the ScanRecord walks shards in canonical order, which makes
 // records and snapshots bit-identical for any worker count or batch size.
 type shardDigest struct {
-	raw, clean [netmodel.NumProtocols]int
+	raw [netmodel.NumProtocols]int
 	// rawAt and cleanAt are the scan-set positions — rows of the shard's
 	// active table — of the targets with at least one success, and with
 	// at least one clean success; cleanBy[p] holds the rows with a clean
@@ -1317,8 +1332,6 @@ type shardDigest struct {
 	rawAt, cleanAt []int
 	cleanBy        [netmodel.NumProtocols][]int
 	injectedDNS    []ip6.Addr // targets with an injected answer, ascending
-	cleanOther     []ip6.Addr // targets clean on a protocol other than UDP/53, ascending
-	injectedRes    int
 
 	// Churn counters, filled in by finalizeDigest.
 	firstResp, respAgain, unresp int
@@ -1326,7 +1339,7 @@ type shardDigest struct {
 
 // reset empties d for the next scan, keeping its lists' capacity.
 func (d *shardDigest) reset() {
-	keep := shardDigest{rawAt: d.rawAt[:0], cleanAt: d.cleanAt[:0], injectedDNS: d.injectedDNS[:0], cleanOther: d.cleanOther[:0]}
+	keep := shardDigest{rawAt: d.rawAt[:0], cleanAt: d.cleanAt[:0], injectedDNS: d.injectedDNS[:0]}
 	for p, rows := range d.cleanBy {
 		keep.cleanBy[p] = rows[:0]
 	}
@@ -1363,26 +1376,20 @@ func (s *Service) digestSink(digests []shardDigest) scan.Sink {
 			// rows arrive in order, so a row is new to a list exactly when
 			// it is not the last one recorded, and every list stays
 			// ascending.
-			dns := r.Proto == netmodel.UDP53
-			injected := dns && gfw.ClassifyMessages(r.DNS).Injected()
+			injected := r.Proto == netmodel.UDP53 && gfw.ClassifyMessages(r.DNS).Injected()
 			d.raw[r.Proto]++
 			if n := len(d.rawAt); n == 0 || d.rawAt[n-1] != at {
 				d.rawAt = append(d.rawAt, at)
 			}
 			if injected {
-				d.injectedRes++
 				d.injectedDNS = append(d.injectedDNS, r.Target)
 				continue
 			}
-			d.clean[r.Proto]++
 			if rows := d.cleanBy[r.Proto]; len(rows) == 0 || rows[len(rows)-1] != at {
 				d.cleanBy[r.Proto] = append(rows, at)
 			}
 			if n := len(d.cleanAt); n == 0 || d.cleanAt[n-1] != at {
 				d.cleanAt = append(d.cleanAt, at)
-			}
-			if n := len(d.cleanOther); !dns && (n == 0 || d.cleanOther[n-1] != r.Target) {
-				d.cleanOther = append(d.cleanOther, r.Target)
 			}
 		}
 		return nil
@@ -1423,7 +1430,7 @@ func column(cur, targets []ip6.Addr, rows []int) (col []ip6.Addr, changed bool) 
 // only runs for a completed scan, so a scan aborted before it leaves
 // the service exactly as it was; once it runs, an error halts the
 // service (see RunScan). Changed responder columns and the tracker's
-// evidence lists arrive ascending and merge into the cumulative sets
+// evidence list arrive ascending and merge into the cumulative sets
 // whole, and the sets are compacted before the serving snapshot is
 // published.
 func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord) error {
@@ -1457,7 +1464,7 @@ func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord
 				s.lastClean[p][sh] = col
 			}
 		}
-		s.tracker.AddEvidenceShard(sh, d.injectedDNS, s.lastClean[netmodel.UDP53][sh], d.cleanOther)
+		s.tracker.AddEvidenceShard(sh, d.injectedDNS)
 
 		col, changed := column(s.prevRespAny[sh], targets, d.cleanAt)
 		if changed {
@@ -1471,13 +1478,14 @@ func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord
 		d := &digests[sh]
 		for p := 0; p < netmodel.NumProtocols; p++ {
 			rec.ResponsiveRaw[p] += d.raw[p]
-			rec.ResponsiveClean[p] += d.clean[p]
+			rec.ResponsiveClean[p] += len(d.cleanBy[p])
 		}
 		// Shards partition the address space, so disjoint-set lengths sum
-		// to the union's cardinality.
+		// to the union's cardinality; a target has one result per
+		// protocol, so a per-protocol list's length is its result count.
 		rec.TotalRaw += len(d.rawAt)
 		rec.TotalClean += len(d.cleanAt)
-		rec.InjectedDNS += d.injectedRes
+		rec.InjectedDNS += len(d.injectedDNS)
 		rec.FirstResp += d.firstResp
 		rec.RespAgain += d.respAgain
 		rec.Unresp += d.unresp
@@ -1624,7 +1632,7 @@ func (c *countSource) Close() error {
 // as input, and distinct responders are ingested as input under the
 // feed's name — so they join the active window and the next scan's
 // target set. No candidate list is ever materialized; only the (much
-// smaller) responder set is.
+// smaller) responder list is.
 func (s *Service) runTGA(ctx context.Context, day int, rec *ScanRecord) error {
 	seeds, refrozen, err := s.tgaSeedView()
 	if err != nil {
@@ -1654,7 +1662,8 @@ func (s *Service) runTGA(ctx context.Context, day int, rec *ScanRecord) error {
 		seen = &compactingSeen{set: set}
 	}
 	counted := &countSource{src: scan.DedupWith(s.cfg.TGAFeed.Candidates(day, seeds), s.inputSeen.Has, seen)}
-	resp, stats, err := s.scanner.StreamResponsiveFrom(ctx, counted, s.cfg.Protocols, day)
+	var resp tgaResponders
+	stats, err := s.scanner.StreamFrom(ctx, counted, s.cfg.Protocols, day, resp.sink)
 	if err != nil {
 		return fmt.Errorf("core: TGA candidate scan: %w", err)
 	}
@@ -1670,42 +1679,41 @@ func (s *Service) runTGA(ctx context.Context, day int, rec *ScanRecord) error {
 	rec.ProbesSent += stats.ProbesSent
 	rec.TGACandidates = counted.n
 
-	// The responder union is sharded — and, under a memory budget,
-	// disk-backed like every other history-sized set — instead of a flat
-	// resident set; feedback streams it in globally sorted order without
-	// materializing a slice.
-	union := ip6.NewResidentSet()
-	if s.spill != nil {
-		set, err := ip6.NewSpillSet(s.spill.dir, s.spill.shardBudget)
-		if err != nil {
-			return fmt.Errorf("core: TGA union spill set: %w", err)
-		}
-		defer set.Close()
-		union = set
-	}
-	for _, p := range s.cfg.Protocols {
-		set := resp[p]
-		for sh := 0; sh < ip6.AddrShards; sh++ {
-			for a := range set.Shard(sh) {
-				union.AddToShard(sh, a)
-			}
-		}
-	}
-	rec.TGAResponsive = union.Len()
-	if err := union.Err(); err != nil {
-		return fmt.Errorf("core: TGA union spill set: %w", err)
-	}
-	if union.Len() == 0 {
+	// Feedback is ingested in global address order, which seq numbers
+	// and the APD candidate queue depend on.
+	fed := resp.sorted()
+	rec.TGAResponsive = len(fed)
+	if len(fed) == 0 {
 		return nil
 	}
-	feedback := []sources.NamedSource{{Name: s.cfg.TGAFeed.Name(), Src: sortedUnionSource(union)}}
-	if err := s.ingest(feedback, day, rec); err != nil {
-		return err
+	return s.ingest([]sources.NamedSource{{Name: s.cfg.TGAFeed.Name(), Src: scan.SliceSource(fed)}}, day, rec)
+}
+
+// tgaResponders is a TGA round's responders: per shard, every candidate
+// with a success on some protocol, once, in probe order.
+type tgaResponders [ip6.AddrShards][]ip6.Addr
+
+// sink is the round's scan.Sink. A target's results are adjacent in its
+// shard's sequence (across a batch boundary too, since a shard's batches
+// arrive in order) and the round's Dedup makes candidates distinct, so a
+// target is new exactly when it is not the shard's last responder. It
+// touches only the batch's shard, so concurrent shards need no lock.
+func (t *tgaResponders) sink(b *scan.Batch) error {
+	l := t[b.Shard]
+	for i := range b.Results {
+		if r := &b.Results[i]; r.Success && (len(l) == 0 || l[len(l)-1] != r.Target) {
+			l = append(l, r.Target)
+		}
 	}
-	if err := union.Err(); err != nil {
-		return fmt.Errorf("core: TGA union spill set: %w", err)
-	}
+	t[b.Shard] = l
 	return nil
+}
+
+// sorted returns every responder, ascending.
+func (t *tgaResponders) sorted() []ip6.Addr {
+	all := slices.Concat(t[:]...)
+	ip6.SortAddrs(all)
+	return all
 }
 
 // tgaSeedView returns the generators' seed view over everRespAny: its

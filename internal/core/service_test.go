@@ -170,8 +170,11 @@ func TestGFWPublishedVsCleanAndFilter(t *testing.T) {
 	if s.Funnel().GFWFiltered == 0 {
 		t.Error("GFW input filter never fired")
 	}
-	inj, injOnly, _ := s.Tracker().Stats()
-	if inj < 2 || injOnly < 2 {
+	only, err := s.InjectedOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inj, injOnly := s.Tracker().InjectedSeenLen(), only.Len(); inj < 2 || injOnly < 2 {
 		t.Errorf("tracker stats: %d %d", inj, injOnly)
 	}
 	// New CN input arriving post-deployment is dropped at ingest.

@@ -7,9 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"hitlist6/internal/ip6"
+	"hitlist6/internal/netmodel"
+	"hitlist6/internal/rng"
 	"hitlist6/internal/scan"
 	"hitlist6/internal/tga"
 	"hitlist6/internal/tga/sixtree"
@@ -303,5 +307,66 @@ func TestTGAFeedFailureHaltsService(t *testing.T) {
 	}
 	if want[k].TGACandidates == 0 {
 		t.Fatal("the failing day's round had no candidates — the failure never fired mid-round")
+	}
+}
+
+// TestTGAFeedbackSource pins the TGA round's responder sink and its
+// feedback order with hand-made batches: every shard's results, target
+// by target and protocol by protocol, cut into batches of 7 results, so
+// one target's protocols straddle batch boundaries, with successes on
+// none, one or several protocols. The shards are fed concurrently, each
+// in order, as the engine delivers them. Every responder appears once in
+// the feedback, and the feedback is globally ascending.
+func TestTGAFeedbackSource(t *testing.T) {
+	r := rng.NewStream(23, "tga-feedback-source")
+	protos := []netmodel.Protocol{netmodel.ICMP, netmodel.TCP443, netmodel.TCP80, netmodel.UDP443, netmodel.UDP53}
+	const batchSize = 7
+	var results [ip6.AddrShards][]scan.Result
+	var want []ip6.Addr
+	straddled, multi := 0, 0
+	for i := 0; i < 3000; i++ {
+		a := ip6.AddrFromUint64s(0x2001_0db8_0000_0000|r.Uint64()>>40, r.Uint64())
+		sh := ip6.ShardOf(a)
+		first, hits := len(results[sh]), 0
+		for _, p := range protos {
+			ok := r.Uint64()%3 == 0
+			if ok {
+				hits++
+			}
+			results[sh] = append(results[sh], scan.Result{Target: a, Proto: p, Success: ok})
+		}
+		if hits > 0 {
+			want = append(want, a)
+			if first/batchSize != (len(results[sh])-1)/batchSize {
+				straddled++
+			}
+		}
+		if hits > 1 {
+			multi++
+		}
+	}
+	if straddled == 0 || multi == 0 {
+		t.Fatalf("no responder straddles a batch (%d) or succeeds on several protocols (%d)", straddled, multi)
+	}
+	ip6.SortAddrs(want)
+
+	var resp tgaResponders
+	var wg sync.WaitGroup
+	for sh := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq, rest := 0, results[sh]; len(rest) > 0; seq++ {
+				n := min(batchSize, len(rest))
+				if err := resp.sink(&scan.Batch{Shard: sh, Seq: seq, Results: rest[:n]}); err != nil {
+					t.Error(err)
+				}
+				rest = rest[n:]
+			}
+		}()
+	}
+	wg.Wait()
+	if got := resp.sorted(); !slices.Equal(got, want) {
+		t.Fatalf("feedback: %d addresses, want %d distinct responders in ascending order", len(got), len(want))
 	}
 }

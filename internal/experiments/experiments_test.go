@@ -108,7 +108,10 @@ func TestShapes(t *testing.T) {
 	}
 
 	// Shape 4: GFW-impacted addresses concentrate in Chinese ASes.
-	impacted := s.Svc.Tracker().InjectedOnly()
+	impacted, err := s.Svc.InjectedOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if impacted.Len() > 0 {
 		cn := 0
 		impacted.Walk(func(a ip6.Addr) bool {

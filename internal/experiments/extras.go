@@ -352,9 +352,12 @@ func Ablations(ctx context.Context, s *Suite, w io.Writer) error {
 
 	// (d) GFW filter placement: input-level vs post-scan.
 	fmt.Fprintf(w, "\nAblation D — GFW filter placement\n\n")
-	tracker := s.Svc.Tracker()
-	injOnly := tracker.InjectedOnly().Len()
-	injSeen := tracker.InjectedSeenLen()
+	impacted, err := s.Svc.InjectedOnly()
+	if err != nil {
+		return err
+	}
+	injOnly := impacted.Len()
+	injSeen := s.Svc.Tracker().InjectedSeenLen()
 	multi := injSeen - injOnly
 	tbD := analysis.NewTable("strategy", "addresses removed", "real multi-protocol hosts lost")
 	tbD.Row("naive input-level (drop on any injection)", analysis.Humanize(injSeen), analysis.Humanize(multi))

@@ -381,7 +381,10 @@ func Table5(ctx context.Context, s *Suite, w io.Writer) error {
 	if err := s.Run(ctx); err != nil {
 		return err
 	}
-	impacted := s.Svc.Tracker().InjectedOnly()
+	impacted, err := s.Svc.InjectedOnly()
+	if err != nil {
+		return err
+	}
 	flat := ip6.NewSet(impacted.Len())
 	impacted.Walk(func(a ip6.Addr) bool { flat.Add(a); return true })
 	counts := analysis.ByAS(flat, s.World.Net.AS)

@@ -143,76 +143,65 @@ func FilterRecords(recs []scan.Record) (kept, injected []scan.Record) {
 	return kept, injected
 }
 
-// Tracker accumulates injection evidence across the service's lifetime and
-// derives the cumulative input filter: the analog of the paper's list of
-// 134 M addresses that saw at least one DNS injection but never responded
-// to any other protocol.
+// Tracker accumulates injection evidence across the service's lifetime:
+// every address that ever drew an injected DNS answer. The paper's
+// cumulative input filter — the analog of its list of 134 M addresses
+// that saw at least one DNS injection but never responded to any other
+// protocol — is that evidence minus the responsive history the caller
+// keeps anyway (InjectedOnly), so the tracker holds no copy of it.
 //
-// The evidence sets are cumulative ip6.SpillSets, resident, sharded by
+// The evidence set is a cumulative ip6.SpillSet, resident, sharded by
 // address hash so the service can fold a scan's evidence shard by shard
-// from concurrent workers: every address of a shard's lists lands in that
+// from concurrent workers: every address of a shard's list lands in that
 // shard, so no locking is needed and the accumulated state is identical
 // for any worker count.
 type Tracker struct {
 	injectedSeen *ip6.SpillSet // addresses with ≥1 injected DNS response
-	otherProto   *ip6.SpillSet // addresses responsive to any non-DNS protocol
-	realDNS      *ip6.SpillSet // addresses with ≥1 clean DNS response
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{
-		injectedSeen: ip6.NewResidentSet(),
-		otherProto:   ip6.NewResidentSet(),
-		realDNS:      ip6.NewResidentSet(),
-	}
+	return &Tracker{injectedSeen: ip6.NewResidentSet()}
 }
 
 // AddEvidenceShard folds one shard's per-scan evidence into the tracker:
-// the targets that drew an injected DNS answer, the targets with a clean
-// UDP/53 answer (the real-DNS evidence) and the targets clean on any
-// other protocol (the other-protocol evidence), each list ascending and
+// the targets that drew an injected DNS answer, ascending and
 // duplicate-free as a scan's digest yields them. Distinct shards may be
 // folded concurrently; every address must hash to shard i.
-func (t *Tracker) AddEvidenceShard(i int, injectedDNS, cleanDNS, cleanOther []ip6.Addr) {
+func (t *Tracker) AddEvidenceShard(i int, injectedDNS []ip6.Addr) {
 	t.injectedSeen.AddSortedToShard(i, injectedDNS)
-	t.realDNS.AddSortedToShard(i, cleanDNS)
-	t.otherProto.AddSortedToShard(i, cleanOther)
-}
-
-// view returns set's sorted view. The tracker's sets are resident, so
-// reading one cannot fail.
-func view(set *ip6.SpillSet) *ip6.SortedShardSet {
-	v, _ := set.View()
-	return v
 }
 
 // InjectedOnly returns the addresses that ever triggered an injection and
 // never answered anything else — the set the paper removes from the
 // cumulative input — as ascending per-shard columns: one merge walk per
-// shard of the injected evidence against the other two sets.
-func (t *Tracker) InjectedOnly() *ip6.SortedShardSet {
-	inj, other, real := view(t.injectedSeen), view(t.otherProto), view(t.realDNS)
+// shard of the injected evidence against clean, the set of every address
+// that ever answered clean on any protocol (a clean DNS answer
+// included). clean's shards must not change during the walk; a read
+// error of a spilled clean shard is returned.
+func (t *Tracker) InjectedOnly(clean *ip6.SpillSet) (*ip6.SortedShardSet, error) {
+	inj := t.FreezeInjectedSeen()
 	var out [ip6.AddrShards][]ip6.Addr
 	for sh := range out {
-		o, r := other.Shard(sh), real.Shard(sh)
-		for _, a := range inj.Shard(sh) {
-			o = skipBelow(o, a)
-			r = skipBelow(r, a)
-			if (len(o) == 0 || o[0] != a) && (len(r) == 0 || r[0] != a) {
+		col := inj.Shard(sh)
+		if len(col) == 0 {
+			continue
+		}
+		next := clean.ShardCursor(sh)
+		c, ok, err := next()
+		for _, a := range col {
+			for err == nil && ok && c.Less(a) {
+				c, ok, err = next()
+			}
+			if err != nil {
+				return nil, err
+			}
+			if !ok || c != a {
 				out[sh] = append(out[sh], a)
 			}
 		}
 	}
-	return ip6.SortedFromShards(out)
-}
-
-// skipBelow drops the addresses of the ascending list l below a.
-func skipBelow(l []ip6.Addr, a ip6.Addr) []ip6.Addr {
-	for len(l) > 0 && l[0].Less(a) {
-		l = l[1:]
-	}
-	return l
+	return ip6.SortedFromShards(out), nil
 }
 
 // InjectedSeen returns every address that ever showed injection evidence,
@@ -235,18 +224,13 @@ func (t *Tracker) InjectedSeenLen() int { return t.injectedSeen.Len() }
 // so a shard that gained no evidence since an earlier freeze is the very
 // same slice there. The tracker keeps accumulating evidence afterwards;
 // the frozen set does not change.
-func (t *Tracker) FreezeInjectedSeen() *ip6.SortedShardSet { return view(t.injectedSeen) }
-
-// Stats summarizes the tracker.
-func (t *Tracker) Stats() (injected, injectedOnly, otherProto int) {
-	return t.injectedSeen.Len(), t.InjectedOnly().Len(), t.otherProto.Len()
+func (t *Tracker) FreezeInjectedSeen() *ip6.SortedShardSet {
+	v, _ := t.injectedSeen.View() // resident: reading it cannot fail
+	return v
 }
 
-// EvidenceSets exposes the tracker's three cumulative evidence sets —
-// injected-seen, other-protocol, real-DNS — as live references, for
-// compaction and checkpointing: the writer reads them shard by shard,
-// and restore loads straight back into them. Callers must honor the
-// per-shard writing contract.
-func (t *Tracker) EvidenceSets() (injectedSeen, otherProto, realDNS *ip6.SpillSet) {
-	return t.injectedSeen, t.otherProto, t.realDNS
-}
+// EvidenceSet exposes the tracker's cumulative injection-evidence set as
+// a live reference, for compaction and checkpointing: the writer reads
+// it shard by shard, and restore loads straight back into it. Callers
+// must honor the per-shard writing contract.
+func (t *Tracker) EvidenceSet() *ip6.SpillSet { return t.injectedSeen }

@@ -145,52 +145,83 @@ func TestTracker(t *testing.T) {
 	}
 
 	// observe folds results in the way the service does: classified,
-	// then handed to AddEvidenceShard one address at a time.
-	observe := func(tr *Tracker, results []scan.Result) {
+	// an injected answer handed to AddEvidenceShard, and every clean
+	// success, a clean DNS answer included, added to clean (the
+	// service's any-protocol ever-responsive set).
+	observe := func(tr *Tracker, clean *ip6.SpillSet, results []scan.Result) {
 		for _, r := range results {
 			if !r.Success {
 				continue
 			}
-			var injected, cleanDNS, cleanOther []ip6.Addr
-			switch {
-			case r.Proto != netmodel.UDP53:
-				cleanOther = append(cleanOther, r.Target)
-			case ClassifyResult(r).Injected():
-				injected = append(injected, r.Target)
-			default:
-				cleanDNS = append(cleanDNS, r.Target)
+			if ClassifyResult(r).Injected() {
+				tr.AddEvidenceShard(ip6.ShardOf(r.Target), []ip6.Addr{r.Target})
+			} else {
+				clean.Add(r.Target)
 			}
-			tr.AddEvidenceShard(ip6.ShardOf(r.Target), injected, cleanDNS, cleanOther)
+		}
+	}
+	injectedOnly := func(tr *Tracker, clean *ip6.SpillSet) []ip6.Addr {
+		t.Helper()
+		only, err := tr.InjectedOnly(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []ip6.Addr
+		only.Walk(func(a ip6.Addr) bool { out = append(out, a); return true })
+		ip6.SortAddrs(out)
+		return out
+	}
+	spilled, err := ip6.NewSpillSet(t.TempDir(), 1) // every shard of more than one address has runs
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spilled.Close()
+
+	// The clean set is resident, or spilled to runs with a Δ beside them.
+	for _, clean := range []*ip6.SpillSet{ip6.NewResidentSet(), spilled} {
+		tr := NewTracker()
+		// Scan 1: a pure-GFW ghost, a GFW-seen host that also does ICMP,
+		// one that will answer DNS cleanly later, a clean DNS server.
+		observe(tr, clean, []scan.Result{
+			mk("240e::1", netmodel.UDP53, true),
+			mk("240e::53", netmodel.UDP53, true),
+			mk("240e::53", netmodel.ICMP, false),
+			mk("240e::54", netmodel.UDP53, true),
+			mk("2001:100::53", netmodel.UDP53, false),
+			{Target: ip6.MustParseAddr("240e::9"), Proto: netmodel.UDP53, Success: false},
+		})
+		if got := injectedOnly(tr, clean); len(got) != 2 || got[0] != ip6.MustParseAddr("240e::1") || got[1] != ip6.MustParseAddr("240e::54") {
+			t.Errorf("InjectedOnly: %v, want [240e::1 240e::54]", got)
+		}
+		if tr.InjectedSeen().Len() != 3 || tr.InjectedSeenLen() != 3 {
+			t.Errorf("InjectedSeen: %d", tr.InjectedSeen().Len())
+		}
+
+		// Scan 2: the ghost turns out to answer TCP, and 240e::54 answers
+		// DNS cleanly → both leave the injected-only set, and the
+		// evidence stays.
+		observe(tr, clean, []scan.Result{
+			mk("240e::1", netmodel.TCP80, false),
+			mk("240e::54", netmodel.UDP53, false),
+		})
+		if got := injectedOnly(tr, clean); len(got) != 0 {
+			t.Errorf("InjectedOnly should shrink when other answers arrive: %v", got)
+		}
+		if tr.InjectedSeenLen() != 3 {
+			t.Errorf("InjectedSeen after scan 2: %d", tr.InjectedSeenLen())
 		}
 	}
 
+	// A clean shard that cannot be read fails the walk: many clean
+	// addresses give every shard runs, and the scratch file is closed.
 	tr := NewTracker()
-	// Scan 1: a pure-GFW ghost, a GFW-seen host that also does ICMP, a
-	// clean DNS server.
-	observe(tr, []scan.Result{
-		mk("240e::1", netmodel.UDP53, true),
-		mk("240e::53", netmodel.UDP53, true),
-		mk("240e::53", netmodel.ICMP, false),
-		mk("2001:100::53", netmodel.UDP53, false),
-		{Target: ip6.MustParseAddr("240e::9"), Proto: netmodel.UDP53, Success: false},
-	})
-	only := tr.InjectedOnly()
-	if only.Len() != 1 || !only.Has(ip6.MustParseAddr("240e::1")) {
-		t.Errorf("InjectedOnly: %d addresses, want only 240e::1", only.Len())
+	observe(tr, spilled, []scan.Result{mk("240e::2", netmodel.UDP53, true)})
+	for i := uint64(0); i < 2000; i++ {
+		spilled.Add(ip6.AddrFromUint64s(0x2001_0db8_0000_0000, i))
 	}
-	if tr.InjectedSeen().Len() != 2 {
-		t.Errorf("InjectedSeen: %d", tr.InjectedSeen().Len())
-	}
-	inj, injOnly, other := tr.Stats()
-	if inj != 2 || injOnly != 1 || other != 1 {
-		t.Errorf("Stats: %d %d %d", inj, injOnly, other)
-	}
-
-	// Scan 2: the ghost turns out to answer TCP later → leaves the
-	// injected-only set.
-	observe(tr, []scan.Result{{Target: ip6.MustParseAddr("240e::1"), Proto: netmodel.TCP80, Success: true}})
-	if tr.InjectedOnly().Len() != 0 {
-		t.Error("InjectedOnly should shrink when other protocols respond")
+	spilled.Close()
+	if only, err := tr.InjectedOnly(spilled); err == nil {
+		t.Errorf("InjectedOnly over a closed spilled set: %d addresses, no error", only.Len())
 	}
 }
 
