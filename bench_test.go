@@ -335,8 +335,16 @@ func BenchmarkGFWSpikeDetection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		injected := s.Svc.Tracker().InjectedSeen()
-		published := injected.IntersectCount(snap.ResponsiveAny)
+		// The evidence's sorted columns, walked in place: no merged copy.
+		injected := s.Svc.Tracker().FreezeInjectedSeen()
+		published := 0
+		for sh := 0; sh < ip6.AddrShards; sh++ {
+			for _, a := range injected.Shard(sh) {
+				if snap.ResponsiveAny.Has(a) {
+					published++
+				}
+			}
+		}
 		impacted, err := s.Svc.InjectedOnly()
 		if err != nil {
 			b.Fatal(err)

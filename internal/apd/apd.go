@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
+	"time"
 
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -120,6 +122,11 @@ type Result struct {
 	// Probes is the number of scanner probes this round used.
 	Probes int
 
+	// Draw, Stream and Record are the wall time of the round's slot draw,
+	// probe stream and history record: a measure of the machine, not an
+	// output of the round.
+	Draw, Stream, Record time.Duration
+
 	// dets holds one Detection per candidate, in candidate order.
 	dets []Detection
 }
@@ -159,8 +166,10 @@ type Detector struct {
 	stamp []uint32
 
 	// queue is the sharded slot queue, reused across rounds so
-	// steady-state detection allocates no per-round slot storage.
+	// steady-state detection allocates no per-round slot storage; rowOf
+	// is the record's per-candidate row scratch, reused the same way.
 	queue slotQueue
+	rowOf []int32
 }
 
 // NewDetector builds a detector using the given scanner.
@@ -235,35 +244,91 @@ type slotRef struct {
 // slotQueue is the sharded candidate queue feeding APD probe rounds into
 // the scan engine: every candidate's 16 slot addresses are drawn exactly
 // once and routed to their canonical shard alongside a back-reference,
-// so no flat candidates×16 target slice is ever built. It implements scan.ShardedSource — probe workers pull
-// their shard's address slice directly (zero-copy spans) — and the
-// round's sink marks refs by result position, so no result is ever
-// looked up by address.
+// so no flat candidates×16 target slice is ever built. It implements
+// scan.ShardedSource — probe workers pull their shard's address slice
+// directly (zero-copy spans) — and the round's sink marks refs by result
+// position, so no result is ever looked up by address.
 type slotQueue struct {
 	addrs [ip6.AddrShards][]ip6.Addr
 	refs  [ip6.AddrShards][]slotRef
 	// generic pull cursor (canonical shard order)
 	sh, off int
+
+	// The draw's scratch, reused across rounds: every candidate's 16 slot
+	// addresses in candidate order with their shards (AddrShards fits a
+	// byte), and per chunk of roundChunk candidates its slot count in
+	// each shard, then its first position there.
+	slots  []ip6.Addr
+	shards []uint8
+	at     [][ip6.AddrShards]int32
 }
 
-// fill routes a round's slot addresses into the queue, reusing the
-// previous round's backing arrays.
-func (q *slotQueue) fill(candidates []ip6.Prefix, day int) error {
-	for sh := range q.addrs {
-		q.addrs[sh] = q.addrs[sh][:0]
-		q.refs[sh] = q.refs[sh][:0]
-	}
-	q.sh, q.off = 0, 0
-	for i, p := range candidates {
+// roundChunk is how many candidates one task of a round's parallel draw
+// and row lookup covers.
+const roundChunk = 64
+
+// chunks returns how many roundChunk-sized chunks n candidates make.
+func chunks(n int) int { return (n + roundChunk - 1) / roundChunk }
+
+// chunk returns the candidate index range of chunk c of n candidates.
+func chunk(c, n int) (lo, hi int) { return c * roundChunk, min((c+1)*roundChunk, n) }
+
+// fill routes a round's slot addresses into the queue on up to workers
+// goroutines, reusing the previous round's backing arrays. Each shard's
+// queue holds its slots in candidate order, as one serial pass appending
+// every candidate's slots in turn would: the chunks draw their slots and
+// count them per shard, a prefix sum over the counts in chunk order gives
+// each chunk its first position in every shard, and the chunks scatter
+// their slots there. A candidate too long to subdivide is refused before
+// any slot is drawn.
+func (q *slotQueue) fill(candidates []ip6.Prefix, day, workers int) error {
+	for _, p := range candidates {
 		if p.Bits()+4 > 128 {
 			return fmt.Errorf("apd: candidate %v too long to subdivide", p)
 		}
-		for v, a := range SlotAddrs(p, day) {
-			sh := ip6.ShardOf(a)
-			q.addrs[sh] = append(q.addrs[sh], a)
-			q.refs[sh] = append(q.refs[sh], slotRef{cand: int32(i), v: byte(v)})
+	}
+	q.sh, q.off = 0, 0
+	n := len(candidates)
+	q.slots = slices.Grow(q.slots[:0], 16*n)[:16*n]
+	q.shards = slices.Grow(q.shards[:0], 16*n)[:16*n]
+	q.at = slices.Grow(q.at[:0], chunks(n))[:chunks(n)]
+	ip6.Parallel(workers, len(q.at), func(c int) {
+		count := &q.at[c]
+		*count = [ip6.AddrShards]int32{}
+		lo, hi := chunk(c, n)
+		for i := lo; i < hi; i++ {
+			slots := (*[16]ip6.Addr)(q.slots[16*i:])
+			*slots = SlotAddrs(candidates[i], day)
+			for v, a := range slots {
+				sh := ip6.ShardOf(a)
+				q.shards[16*i+v] = uint8(sh)
+				count[sh]++
+			}
+		}
+	})
+	var total [ip6.AddrShards]int32
+	for c := range q.at {
+		for sh, k := range q.at[c] {
+			q.at[c][sh] = total[sh]
+			total[sh] += k
 		}
 	}
+	for sh, k := range total {
+		q.addrs[sh] = slices.Grow(q.addrs[sh][:0], int(k))[:k]
+		q.refs[sh] = slices.Grow(q.refs[sh][:0], int(k))[:k]
+	}
+	ip6.Parallel(workers, len(q.at), func(c int) {
+		at := &q.at[c]
+		lo, hi := chunk(c, n)
+		for i := lo; i < hi; i++ {
+			for v, a := range q.slots[16*i : 16*i+16] {
+				sh := q.shards[16*i+v]
+				q.addrs[sh][at[sh]] = a
+				q.refs[sh][at[sh]] = slotRef{cand: int32(i), v: byte(v)}
+				at[sh]++
+			}
+		}
+	})
 	return nil
 }
 
@@ -312,12 +377,16 @@ func (q *slotQueue) mark(b *scan.Batch, nprotos int) {
 // pass: draw the 16 slots per candidate into the sharded queue, let the
 // engine's probe workers pull it shard by shard while the sink marks the
 // responding slots in place, fold the marks into per-candidate bitmaps,
-// and merge each with its history row.
+// and merge each with its history row. The draw and the history record
+// run on the scanner's worker pool.
 func (d *Detector) Run(ctx context.Context, candidates []ip6.Prefix, day int) (*Result, error) {
+	start := time.Now()
 	q := &d.queue
-	if err := q.fill(candidates, day); err != nil {
+	workers := d.scanner.Config().Workers
+	if err := q.fill(candidates, day, workers); err != nil {
 		return nil, err
 	}
+	drawn := time.Now()
 	nprotos := len(d.cfg.Protocols)
 	d.round++
 	stats, err := d.scanner.StreamFrom(ctx, q, d.cfg.Protocols, day, func(b *scan.Batch) error {
@@ -327,11 +396,14 @@ func (d *Detector) Run(ctx context.Context, candidates []ip6.Prefix, day int) (*
 	if err != nil {
 		return nil, fmt.Errorf("apd: scanning candidates: %w", err)
 	}
+	streamed := time.Now()
 
 	res := &Result{
 		Day:     day,
 		Aliased: ip6.NewPrefixSet(),
 		Probes:  int(stats.ProbesSent),
+		Draw:    drawn.Sub(start),
+		Stream:  streamed.Sub(drawn),
 		dets:    make([]Detection, len(candidates)),
 	}
 	for sh := range q.refs {
@@ -341,31 +413,81 @@ func (d *Detector) Run(ctx context.Context, candidates []ip6.Prefix, day int) (*
 			}
 		}
 	}
+	d.record(candidates, res.dets, workers)
 	for i, p := range candidates {
 		det := &res.dets[i]
 		det.Prefix = p
-		det.Merged = d.record(p, det.Bitmap)
 		if det.Aliased = det.Merged == 0xffff; det.Aliased {
 			res.Aliased.Add(p)
 		}
 	}
+	res.Record = time.Since(streamed)
 	return res, nil
 }
 
-// record appends this round's bitmap to p's history row (dropping the
+// rowBlock is how many consecutive history rows one worker of the
+// record's update owns, so workers do not write the same cache lines.
+const rowBlock = 64
+
+// record merges each candidate's bitmap into its history row and sets the
+// candidate's Merged, on up to workers goroutines. The rows are looked up
+// on the pool; the candidates without one get new rows serially, in
+// candidate order, so rows stay numbered in first-seen order; then each
+// worker updates the rows of its blocks, walking the candidates in order,
+// so a prefix listed twice in one round merges its listings in candidate
+// order, as one serial pass would.
+func (d *Detector) record(candidates []ip6.Prefix, dets []Detection, workers int) {
+	n := len(candidates)
+	d.rowOf = slices.Grow(d.rowOf[:0], n)[:n]
+	ip6.Parallel(workers, chunks(n), func(c int) {
+		lo, hi := chunk(c, n)
+		for i := lo; i < hi; i++ {
+			row, ok := d.rows[candidates[i]]
+			if !ok {
+				row = -1
+			}
+			d.rowOf[i] = row
+		}
+	})
+	for i, row := range d.rowOf {
+		if row >= 0 {
+			continue
+		}
+		// An earlier listing in this round may have made the row.
+		p := candidates[i]
+		if row, ok := d.rows[p]; ok {
+			d.rowOf[i] = row
+			continue
+		}
+		d.rowOf[i] = d.newRow(p)
+	}
+	parts := max(min(workers, len(d.keys)/rowBlock), 1)
+	ip6.Parallel(workers, parts, func(w int) {
+		for i, row := range d.rowOf {
+			if int(row)/rowBlock%parts == w {
+				dets[i].Merged = d.merge(row, dets[i].Bitmap)
+			}
+		}
+	})
+}
+
+// newRow appends an empty history row for p, the next in first-seen
+// order, and returns it.
+func (d *Detector) newRow(p ip6.Prefix) int32 {
+	row := int32(len(d.keys))
+	d.rows[p] = row
+	d.keys = append(d.keys, p)
+	d.hist = append(d.hist, make([]uint16, d.cfg.MergeScans+1)...)
+	d.histLen = append(d.histLen, 0)
+	d.stamp = append(d.stamp, 0)
+	return row
+}
+
+// merge appends this round's bitmap to history row row (dropping the
 // oldest entry of a full row) and returns the bitmap merged with the
 // MergeScans rounds before it.
-func (d *Detector) record(p ip6.Prefix, bitmap uint16) uint16 {
+func (d *Detector) merge(row int32, bitmap uint16) uint16 {
 	stride := d.cfg.MergeScans + 1
-	row, ok := d.rows[p]
-	if !ok {
-		row = int32(len(d.keys))
-		d.rows[p] = row
-		d.keys = append(d.keys, p)
-		d.hist = append(d.hist, make([]uint16, stride)...)
-		d.histLen = append(d.histLen, 0)
-		d.stamp = append(d.stamp, 0)
-	}
 	d.stamp[row] = d.round
 	h := d.hist[int(row)*stride : (int(row)+1)*stride]
 	n := int(d.histLen[row])

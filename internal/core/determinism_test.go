@@ -33,12 +33,14 @@ func generatedWorld(t testing.TB, seed uint64) (*netmodel.Network, []*sources.Fe
 }
 
 // stripShardTiming normalizes the throughput-telemetry parts of the
-// per-shard stats before determinism comparisons: Nanos measures the
-// machine (wall clock) and Batches the batch-size configuration, so
-// neither is a deterministic scan output. Per-shard probes, responses
-// and successes stay — they must be bit-identical like everything else.
+// records before determinism comparisons: the phase clock and the
+// per-shard Nanos measure the machine (wall clock) and Batches the
+// batch-size configuration, so none is a deterministic scan output.
+// Per-shard probes, responses and successes stay — they must be
+// bit-identical like everything else.
 func stripShardTiming(recs []*ScanRecord) []*ScanRecord {
 	for _, r := range recs {
+		r.Phases = Phases{}
 		for i := range r.ShardStats {
 			r.ShardStats[i].Nanos = 0
 			r.ShardStats[i].Batches = 0

@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"hitlist6/internal/apd"
@@ -246,6 +247,41 @@ type ScanRecord struct {
 	// since the previous round's view: every shard in a service's first
 	// round, 0 (and omitted) on steady-state rounds.
 	TGARefrozenShards int `json:",omitempty"`
+
+	// Phases is the scan's wall time per RunScan step: a measure of the
+	// machine, not an output, so it is left out of every encoding.
+	Phases Phases `json:"-"`
+}
+
+// Phases is one scan's wall time per RunScan step. The top-level phases
+// follow each other and sum to the scan's wall time; Admit lies inside
+// Ingest and TGA, and APDDraw, APDStream and APDRecord inside APD.
+type Phases struct {
+	Ingest    time.Duration // step 1: feeds drained, routed and admitted
+	GFWDeploy time.Duration // step 2: the one-time GFW cleanup
+	APD       time.Duration // step 3: candidate list, round and purge
+	ScanSet   time.Duration // step 4: eviction
+	Scan      time.Duration // step 5: the main scan
+	Digest    time.Duration // step 6: digest finalize and serve publish
+	Compact   time.Duration // step 6: cumulative-set compaction
+	TGA       time.Duration // step 6b: the TGA round and its feedback
+	Snapshot  time.Duration // step 7: snapshots and the spill check
+	// Checkpoint is step 8, the auto-checkpoint when one is due.
+	Checkpoint time.Duration
+
+	// Admit is the admission sweeps' share of Ingest and TGA.
+	Admit time.Duration
+	// APDDraw, APDStream and APDRecord are the alias round's slot draw,
+	// probe stream and history record (apd.Result).
+	APDDraw, APDStream, APDRecord time.Duration
+}
+
+// lap returns the time since *t and moves *t to now: one phase boundary.
+func lap(t *time.Time) time.Duration {
+	now := time.Now()
+	d := now.Sub(*t)
+	*t = now
+	return d
 }
 
 // Snapshot is a full state capture at one scan.
@@ -368,6 +404,16 @@ type routedInput struct {
 	feed int32
 	seq  int32
 }
+
+// admitScratch is the scratch of one shard's admission: its candidate
+// addresses, and the flags the batch joins report for them. admitPool
+// recycles it, so a sweep keeps one per worker alive, not one per shard.
+type admitScratch struct {
+	addrs       []ip6.Addr
+	fresh, drop []bool
+}
+
+var admitPool = sync.Pool{New: func() any { return new(admitScratch) }}
 
 // ASInput aggregates cumulative input per AS (Figure 2's ingredients).
 type ASInput struct {
@@ -708,6 +754,7 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 		}
 	}
 	rec := &ScanRecord{Index: s.scanIndex, Day: day}
+	clock := time.Now()
 
 	// 1. Input accumulation: each active feed drains into a lazy
 	// per-feed source and the admission sweep pulls them chunk-wise — no
@@ -715,6 +762,7 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	if err := s.ingest(sources.Open(ctx, s.feeds, day), day, rec); err != nil {
 		return nil, fmt.Errorf("core: draining feeds: %w", err)
 	}
+	rec.Phases.Ingest = lap(&clock)
 
 	// 2. GFW cumulative filter deployment (one-time event).
 	if !s.gfwDeployed && day >= s.cfg.GFWFilterFromDay {
@@ -722,6 +770,7 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 			return nil, fmt.Errorf("core: GFW filter deployment: %w", err)
 		}
 	}
+	rec.Phases.GFWDeploy = lap(&clock)
 
 	// 3. Aliased prefix detection (before the scan, as in the pipeline).
 	if s.scanIndex%s.cfg.APDEveryScans == 0 {
@@ -736,10 +785,12 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	s.aliased.Freeze()
 	s.block.Freeze()
 	rec.AliasedPrefixes = s.aliased.Len()
+	rec.Phases.APD = lap(&clock)
 
 	// 4. 30-day filter: eviction runs as a per-shard sweep over the
 	// target store, whose sorted address columns are then the scan set.
 	rec.ScannedTargets = s.buildScanSet(day, rec)
+	rec.Phases.ScanSet = lap(&clock)
 
 	// 5+6. The scan, streamed: the store's per-shard address columns wrap
 	// into a sharded TargetSource the engine's probe workers pull directly
@@ -763,7 +814,8 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	rec.ProbesSent += stats.ProbesSent
 	rec.ShardStats = stats.PerShard
 	s.lastMain = stats
-	if err := s.applyScan(ctx, digests, day, rec); err != nil {
+	rec.Phases.Scan = lap(&clock)
+	if err := s.applyScan(ctx, digests, day, rec, &clock); err != nil {
 		s.halted = err
 		return nil, err
 	}
@@ -779,16 +831,18 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 			return nil, fmt.Errorf("core: checkpoint: %w", err)
 		}
 	}
+	rec.Phases.Checkpoint = lap(&clock)
 	return rec, nil
 }
 
 // applyScan applies a completed scan to service state: the digest, the
-// TGA round and the snapshots. A failure leaves the service half-applied
-// (see RunScan).
-func (s *Service) applyScan(ctx context.Context, digests []shardDigest, day int, rec *ScanRecord) error {
+// TGA round and the snapshots, lapping clock at each phase boundary. A
+// failure leaves the service half-applied (see RunScan).
+func (s *Service) applyScan(ctx context.Context, digests []shardDigest, day int, rec *ScanRecord, clock *time.Time) error {
 	if err := s.finalizeDigest(digests, day, rec); err != nil {
 		return err
 	}
+	rec.Phases.Digest = lap(clock) - rec.Phases.Compact
 
 	// 6b. TGA candidate round: generate → probe → feed back, streamed
 	// end to end.
@@ -797,6 +851,7 @@ func (s *Service) applyScan(ctx context.Context, digests []shardDigest, day int,
 			return err
 		}
 	}
+	rec.Phases.TGA = lap(clock)
 
 	// 7. Snapshots.
 	s.maybeSnapshot(day)
@@ -809,6 +864,7 @@ func (s *Service) applyScan(ctx context.Context, digests []shardDigest, day int,
 			return fmt.Errorf("core: spill state: %w", err)
 		}
 	}
+	rec.Phases.Snapshot = lap(clock)
 	return nil
 }
 
@@ -827,24 +883,13 @@ type shardIngest struct {
 	admitted []routedInput // newly active, in seq order
 }
 
-// admitOutcome is what the shared admission chain did with one candidate.
-type admitOutcome int
-
-const (
-	admitDup      admitOutcome = iota // already known: nothing counted
-	admitFiltered                     // counted as input, removed by a filter
-	admitAdmitted                     // counted, and passed every filter
-)
-
-// admitOne runs the admission chain — dedup, AS attribution, blocklist /
-// GFW / aliased filters — for one candidate in shard sh, recording
-// outcomes in c; the caller inserts admitted candidates into the store.
-// Only shard-owned and counter state is written, so distinct shards may
-// run it concurrently.
-func (s *Service) admitOne(sh int, a ip6.Addr, c *ingestCounters) admitOutcome {
-	if !s.inputSeen.AddToShard(sh, a) {
-		return admitDup // already known (or already evicted once)
-	}
+// admitNew runs the rest of the admission chain — AS attribution,
+// blocklist / GFW / aliased filters — for a candidate that inputSeen has
+// just taken as new, recording outcomes in c, and reports whether it
+// passed every filter; the caller inserts admitted candidates into the
+// store. gfwDropped says whether the deployed GFW filter lists it. Only
+// counter state is written, so distinct shards may run it concurrently.
+func (s *Service) admitNew(a ip6.Addr, gfwDropped bool, c *ingestCounters) bool {
 	c.newInput++
 
 	asn := 0
@@ -861,21 +906,21 @@ func (s *Service) admitOne(sh int, a ip6.Addr, c *ingestCounters) admitOutcome {
 	// Blocklist filter.
 	if s.block.Contains(a) {
 		c.blocked++
-		return admitFiltered
+		return false
 	}
 	// GFW input filter (active only once deployed).
-	if s.gfwDeployed && s.gfwInputDrop.HasInShard(sh, a) {
+	if gfwDropped {
 		c.gfwDrop++
 		ai.GFW++
-		return admitFiltered
+		return false
 	}
 	// Aliased prefix filter.
 	if s.aliased.Contains(a) {
 		c.aliasedDrop++
 		ai.Aliased++
-		return admitFiltered
+		return false
 	}
-	return admitAdmitted
+	return true
 }
 
 // applyIngest merges one admission sweep's counters into the record and
@@ -1000,6 +1045,8 @@ func (s *Service) dropRouted() {
 // so every shard observes the candidate order a serial pass over the
 // whole stream would deliver.
 func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanRecord) {
+	start := time.Now()
+	defer func() { rec.Phases.Admit += time.Since(start) }()
 	// Shared reads (blocklist, AS table, aliased prefixes) are
 	// lookup-only here; all writes go to shard-owned state.
 	results := make([]*shardIngest, ip6.AddrShards)
@@ -1012,13 +1059,33 @@ func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanReco
 			ingestCounters: ingestCounters{perAS: make(map[int]*ASInput)},
 			perFeed:        make([]int, len(srcs)),
 		}
+		// Dedup is one batch of the shard's candidates against inputSeen
+		// (AddBatchToShard); what it took as new stays, in sequence
+		// order, and meets the deployed GFW filter in a second batch.
+		b := admitPool.Get().(*admitScratch)
+		defer admitPool.Put(b)
+		b.addrs = b.addrs[:0]
 		for _, e := range entries {
-			outcome := s.admitOne(sh, e.addr, &r.ingestCounters)
-			if outcome == admitDup {
-				continue
+			b.addrs = append(b.addrs, e.addr)
+		}
+		b.fresh = slices.Grow(b.fresh[:0], len(entries))[:len(entries)]
+		s.inputSeen.AddBatchToShard(sh, b.addrs, b.fresh)
+		n := 0
+		for k, e := range entries {
+			if b.fresh[k] {
+				entries[n], b.addrs[n] = e, e.addr
+				n++
 			}
+		}
+		entries, b.addrs = entries[:n], b.addrs[:n]
+		b.drop = slices.Grow(b.drop[:0], n)[:n]
+		clear(b.drop)
+		if s.gfwDeployed {
+			s.gfwInputDrop.HasBatchInShard(sh, b.addrs, b.drop)
+		}
+		for k, e := range entries {
 			r.perFeed[e.feed]++
-			if outcome == admitAdmitted {
+			if s.admitNew(e.addr, b.drop[k], &r.ingestCounters) {
 				r.admitted = append(r.admitted, e)
 			}
 		}
@@ -1189,6 +1256,7 @@ func (s *Service) runAPD(ctx context.Context, day int, rec *ScanRecord) error {
 		return fmt.Errorf("core: alias detection: %w", err)
 	}
 	rec.ProbesSent += uint64(res.Probes)
+	rec.Phases.APDDraw, rec.Phases.APDStream, rec.Phases.APDRecord = res.Draw, res.Stream, res.Record
 	// Add shortest-first so a detected /32 subsumes /64s found in the
 	// same round.
 	detected := res.Aliased.Prefixes()
@@ -1468,8 +1536,13 @@ func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord
 
 		col, changed := column(s.prevRespAny[sh], targets, d.cleanAt)
 		if changed {
-			s.churn(sh, d, s.prevRespAny[sh], col)
-			s.everRespAny.AddSortedToShard(sh, col)
+			joined := churn(d, s.prevRespAny[sh], col)
+			// Every address of the last column is in everRespAny already,
+			// so the ones this column adds to it are exactly the joined
+			// ones that respond for the first time ever.
+			first := s.everRespAny.AddSortedToShard(sh, col)
+			d.firstResp += first
+			d.respAgain += joined - first
 			s.prevRespAny[sh] = col
 		}
 	})
@@ -1490,18 +1563,20 @@ func (s *Service) finalizeDigest(digests []shardDigest, day int, rec *ScanRecord
 		rec.RespAgain += d.respAgain
 		rec.Unresp += d.unresp
 	}
+	start := time.Now()
 	if err := s.compactSets(); err != nil {
 		return err
 	}
+	rec.Phases.Compact = time.Since(start)
 	s.publishServeSnapshot(day)
 	return nil
 }
 
-// churn counts into d how shard sh's clean responders moved from last
-// scan's column prev to this scan's cur, in one merge walk: an address
-// only in cur responds for the first time ever or again, one only in
-// prev stopped responding. It runs before cur joins everRespAny.
-func (s *Service) churn(sh int, d *shardDigest, prev, cur []ip6.Addr) {
+// churn counts into d the addresses of last scan's column prev that cur
+// lacks (stopped responding), in one merge walk of the two, and returns
+// how many of cur's addresses prev lacks: each responds for the first
+// time ever or again, which finalizeDigest tells apart.
+func churn(d *shardDigest, prev, cur []ip6.Addr) (joined int) {
 	i, j := 0, 0
 	for i < len(prev) || j < len(cur) {
 		switch {
@@ -1509,17 +1584,14 @@ func (s *Service) churn(sh int, d *shardDigest, prev, cur []ip6.Addr) {
 			d.unresp++
 			i++
 		case i == len(prev) || cur[j].Less(prev[i]):
-			if s.everRespAny.HasInShard(sh, cur[j]) {
-				d.respAgain++
-			} else {
-				d.firstResp++
-			}
+			joined++
 			j++
 		default:
 			i++
 			j++
 		}
 	}
+	return joined
 }
 
 // sameSlice reports whether a and b are the same slice: equal lengths

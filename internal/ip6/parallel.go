@@ -14,13 +14,16 @@ import (
 // configurations pay nothing for the parallel plumbing. Callers must
 // merge any cross-shard state in canonical shard order afterwards to
 // stay deterministic.
-func ParallelShards(workers int, fn func(shard int)) {
-	if workers > AddrShards {
-		workers = AddrShards
-	}
+func ParallelShards(workers int, fn func(shard int)) { Parallel(workers, AddrShards, fn) }
+
+// Parallel runs fn(i) for every i in [0, n) on up to workers goroutines,
+// as ParallelShards does for shards: each index exactly once, handed out
+// atomically, inline when workers <= 1 or n <= 1.
+func Parallel(workers, n int, fn func(i int)) {
+	workers = min(workers, n)
 	if workers <= 1 {
-		for sh := 0; sh < AddrShards; sh++ {
-			fn(sh)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
@@ -32,7 +35,7 @@ func ParallelShards(workers int, fn func(shard int)) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= AddrShards {
+				if i >= n {
 					return
 				}
 				fn(i)

@@ -12,11 +12,12 @@ package ip6
 // point lookups, and run cursors that MergeCursors streams together.
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -123,42 +124,84 @@ func (rf *RunFile) WriteRun(addrs []Addr) (Run, error) {
 	return Run{off: off, count: len(addrs), fence: fence, last: last}, nil
 }
 
-// Has reports whether a is in the run. scratch is the caller's reusable
-// read buffer (grown as needed); callers honoring the per-shard contract
-// can share one per shard.
+// Has reports whether a is in the run: a one-address probe. scratch is
+// the caller's reusable read buffer (grown as needed); callers honoring
+// the per-shard contract can share one per shard.
 func (r *Run) Has(rf *RunFile, a Addr, scratch *[]byte) (bool, error) {
-	if r.count == 0 || a.Less(r.fence[0]) || r.last.Less(a) {
-		return false, nil
-	}
-	// Last fence block whose first address is <= a.
-	blk := sort.Search(len(r.fence), func(i int) bool { return a.Less(r.fence[i]) }) - 1
+	var hit [1]bool
+	err := r.probe(rf, []Addr{a}, hit[:], scratch)
+	return hit[0], err
+}
+
+// readBlock reads fence block blk of the run into scratch (grown as
+// needed) and returns its raw bytes.
+func (r *Run) readBlock(rf *RunFile, blk int, scratch *[]byte) ([]byte, error) {
 	start := blk * fenceEvery
-	n := r.count - start
-	if n > fenceEvery {
-		n = fenceEvery
-	}
-	need := n * AddrBytes
+	need := min(r.count-start, fenceEvery) * AddrBytes
 	if cap(*scratch) < need {
 		*scratch = make([]byte, need)
 	}
 	b := (*scratch)[:need]
 	if _, err := rf.f.ReadAt(b, r.off+int64(start*AddrBytes)); err != nil {
-		return false, fmt.Errorf("ip6: reading run block: %w", err)
+		return nil, fmt.Errorf("ip6: reading run block: %w", err)
 	}
-	lo, hi := 0, n
+	return b, nil
+}
+
+// searchBlock binary-searches the raw ascending addresses of b from
+// position lo on, returning the position of the first one not below a and
+// whether it is a.
+func searchBlock(b []byte, lo int, a Addr) (int, bool) {
+	hi := len(b) / AddrBytes
 	for lo < hi {
 		mid := (lo + hi) / 2
 		c := compareBytes(a, b[mid*AddrBytes:])
 		switch {
 		case c == 0:
-			return true, nil
+			return mid, true
 		case c < 0:
 			hi = mid
 		default:
 			lo = mid + 1
 		}
 	}
-	return false, nil
+	return lo, false
+}
+
+// probe marks in hit the addresses of sorted — ascending — that the run
+// holds, walking its fence index forward: every fence block that could
+// hold one of them is read once, however many of them it could hold.
+// Addresses already marked are skipped.
+func (r *Run) probe(rf *RunFile, sorted []Addr, hit []bool, scratch *[]byte) error {
+	if r.count == 0 {
+		return nil
+	}
+	var b []byte
+	blk, pos := -1, 0 // the block in b, and where its search resumes
+	for k, a := range sorted {
+		if hit[k] || a.Less(r.fence[0]) {
+			continue
+		}
+		if r.last.Less(a) {
+			return nil
+		}
+		// Last fence block whose first address is <= a, galloping on from
+		// the block of the address before.
+		from := max(blk, 0)
+		at := from + gallop(r.fence[from:], a)
+		if at == len(r.fence) || r.fence[at] != a {
+			at--
+		}
+		if at != blk {
+			var err error
+			if b, err = r.readBlock(rf, at, scratch); err != nil {
+				return err
+			}
+			blk, pos = at, 0
+		}
+		pos, hit[k] = searchBlock(b, pos, a)
+	}
+	return nil
 }
 
 // compareBytes orders a against the 16 raw bytes at b[0:16].
@@ -362,6 +405,47 @@ type spillShard struct {
 	scratch []byte
 }
 
+// batchScratch is the scratch of one batch join: a batch's addresses in
+// sorted order with their positions in the batch, the sorted addresses
+// alone, and which of them are members.
+type batchScratch struct {
+	keyed  []keyedAddr
+	sorted []Addr
+	hit    []bool
+}
+
+// batchPool recycles batch scratch, so a sweep over the shards keeps one
+// per worker alive, not one per shard, and a large batch's scratch (a
+// first scan's input) is not held for good.
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// sort fills keyed and sorted with addrs in ascending order, repeats in
+// batch order, and returns sorted.
+func (b *batchScratch) sort(addrs []Addr) []Addr {
+	b.keyed = b.keyed[:0]
+	for k, a := range addrs {
+		b.keyed = append(b.keyed, keyedAddr{addrWords{a.Hi(), a.Lo()}, int32(k)})
+	}
+	slices.SortFunc(b.keyed, func(x, y keyedAddr) int {
+		if c := compareWords(x.w, y.w); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.k, y.k)
+	})
+	b.sorted = b.sorted[:0]
+	for _, e := range b.keyed {
+		b.sorted = append(b.sorted, AddrFromUint64s(e.w.hi, e.w.lo))
+	}
+	return b.sorted
+}
+
+// keyedAddr is one batch address as sort words, and its position k in the
+// batch.
+type keyedAddr struct {
+	w addrWords
+	k int32
+}
+
 // NewResidentSet returns an empty set with no budget: every shard folds
 // into a resident column, and no scratch file is opened.
 func NewResidentSet() *SpillSet { return &SpillSet{} }
@@ -432,20 +516,97 @@ func (s *SpillSet) AddToShard(i int, a Addr) bool {
 }
 
 // AddSortedToShard inserts addrs — ascending, every one in shard i —
-// under the per-shard contract. Membership in the column is one
-// galloping walk along it, so a short list costs its length times a
-// logarithm; the new addresses join the Δ like point inserts. addrs is
-// not retained.
-func (s *SpillSet) AddSortedToShard(i int, addrs []Addr) {
-	sh := &s.shards[i]
-	col := sh.col
-	for _, a := range addrs {
-		col = col[gallop(col, a):]
-		if len(col) > 0 && col[0] == a || sh.delta.Has(a) || s.inRuns(i, a) {
-			continue
+// under the per-shard contract, and returns how many were new. Membership
+// is one forward join of the list against the shard (members); the new
+// addresses then join the Δ like point inserts. addrs is not retained.
+func (s *SpillSet) AddSortedToShard(i int, addrs []Addr) int {
+	b := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(b)
+	b.hit = s.members(i, addrs, b.hit)
+	n := 0
+	for k, a := range addrs {
+		if !b.hit[k] && (k == 0 || addrs[k-1] != a) {
+			s.insert(i, a)
+			n++
 		}
-		s.insert(i, a)
 	}
+	return n
+}
+
+// AddBatchToShard inserts addrs — every one in shard i, in any order,
+// repeats allowed — under the per-shard contract, with the outcome of
+// AddToShard called on each in turn: fresh[k] (fresh is at least
+// len(addrs) long) reports whether addrs[k] was newly added, which is
+// true for the first occurrence of each address that was not a member.
+// On a shard with runs, a sorted permutation of addrs is joined against
+// the shard in one forward pass (members), then the new addresses are
+// inserted in the caller's order, so the add log, the freeze points and
+// the runs written are the ones the point inserts would make. A shard
+// with no run takes the point inserts: with nothing to read from disk, a
+// binary search of the column costs less than sorting the batch. addrs
+// is not retained.
+func (s *SpillSet) AddBatchToShard(i int, addrs []Addr, fresh []bool) {
+	if len(s.shards[i].runs) == 0 {
+		for k, a := range addrs {
+			fresh[k] = s.AddToShard(i, a)
+		}
+		return
+	}
+	b := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(b)
+	b.hit = s.members(i, b.sort(addrs), b.hit)
+	for j, e := range b.keyed {
+		fresh[e.k] = !b.hit[j] && (j == 0 || b.keyed[j-1].w != e.w)
+	}
+	for k, a := range addrs {
+		if fresh[k] {
+			s.insert(i, a)
+		}
+	}
+}
+
+// HasBatchInShard reports in has[k] (has is at least len(addrs) long)
+// whether addrs[k] — every one in shard i, in any order — is a member of
+// shard i, under the per-shard contract: on a shard with runs by joining
+// a sorted copy of addrs against the shard in one forward pass (members),
+// on one without by point probes, as AddBatchToShard.
+func (s *SpillSet) HasBatchInShard(i int, addrs []Addr, has []bool) {
+	if len(s.shards[i].runs) == 0 {
+		for k, a := range addrs {
+			has[k] = s.HasInShard(i, a)
+		}
+		return
+	}
+	b := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(b)
+	b.hit = s.members(i, b.sort(addrs), b.hit)
+	for j, e := range b.keyed {
+		has[e.k] = b.hit[j]
+	}
+}
+
+// members reports in hit, reused and returned, which addresses of sorted
+// — ascending, every one in shard i — are members of shard i, in one
+// forward pass over each part of it: the Δ by map lookup, the column by
+// galloping, and each run by a forward probe that reads each fence block
+// at most once (Run.probe). A run read error latches Err, and the batch's
+// addresses not found before it read as absent, as HasInShard degrades.
+func (s *SpillSet) members(i int, sorted []Addr, hit []bool) []bool {
+	sh := &s.shards[i]
+	hit = hit[:0]
+	col := sh.col
+	for _, a := range sorted {
+		col = col[gallop(col, a):]
+		hit = append(hit, len(col) > 0 && col[0] == a || sh.delta.Has(a))
+	}
+	// Newest runs first, as inRuns probes.
+	for j := len(sh.runs) - 1; j >= 0; j-- {
+		if err := sh.runs[j].probe(s.rf, sorted, hit, &sh.scratch); err != nil {
+			s.fail(err)
+			break
+		}
+	}
+	return hit
 }
 
 // insert adds a, not a member, to shard i's Δ, logs it, and freezes a
