@@ -1,7 +1,7 @@
 // Command hitlist6 runs the IPv6 Hitlist service pipeline over the
 // synthetic Internet for the full 2018-2022 schedule and streams one CSV
 // row per scan to stdout (the Figure 3/4 series). With -membudget the
-// cumulative pipeline sets (input seen, ever responsive, GFW drop list)
+// cumulative pipeline sets (input seen, ever responsive, GFW evidence)
 // spill to disk under the given resident budget, so history-sized state
 // no longer scales with the run.
 //

@@ -80,10 +80,12 @@ const SegmentName = "payloads.seg"
 // Version is the current checkpoint format version. Version 1 stored
 // every payload as a file of its own, version 2 marked delta payloads
 // with a shard bitmap, version 3 carried a table of the /64s alias
-// detection had seen, and version 4 carried two GFW-tracker sets that
-// copied the responsive history; the service now derives both, and
-// their manifests are refused like any other version skew.
-const Version = 5
+// detection had seen, version 4 carried two GFW-tracker sets that
+// copied the responsive history, and version 5 carried the deployed GFW
+// filter list, which the input dedup set already covers; the service now
+// derives or drops all three, and their manifests are refused like any
+// other version skew.
+const Version = 6
 
 // ErrCorrupt tags every validation failure Open returns (wrapped with
 // detail); errors.Is(err, ErrCorrupt) distinguishes a damaged checkpoint

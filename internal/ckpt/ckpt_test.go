@@ -370,6 +370,7 @@ func TestOpenRefusesCorruption(t *testing.T) {
 		{"version 2", editManifest(func(m *ckpt.Manifest) { m.Version = 2 })},
 		{"version 3", editManifest(func(m *ckpt.Manifest) { m.Version = 3 })},
 		{"version 4", editManifest(func(m *ckpt.Manifest) { m.Version = 4 })},
+		{"version 5", editManifest(func(m *ckpt.Manifest) { m.Version = 5 })},
 		{"garbage manifest", writeManifest("{\"version\": 5,")},
 		{"version skew", writeManifest("{\"version\": 99}\n")},
 	}

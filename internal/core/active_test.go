@@ -418,6 +418,34 @@ func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, index, day int, a
 	return scanned, evicted
 }
 
+// checkEvidenceSeen asserts that every address the GFW tracker holds
+// evidence for went through input dedup, and returns how many it
+// checked. The deployment's purge list is drawn from that evidence, so
+// this is why inputSeen alone keeps the purged addresses out of later
+// input: a path that fed the tracker targets admission never saw would
+// need a separate drop list again.
+func checkEvidenceSeen(t *testing.T, s *Service, day int) int {
+	t.Helper()
+	n := 0
+	for sh := 0; sh < ip6.AddrShards; sh++ {
+		next := s.tracker.EvidenceSet().ShardCursor(sh)
+		for {
+			a, ok, err := next()
+			if err != nil {
+				t.Fatalf("day %d: reading GFW evidence: %v", day, err)
+			}
+			if !ok {
+				break
+			}
+			if !s.inputSeen.HasInShard(sh, a) {
+				t.Fatalf("day %d: GFW evidence %v never went through input dedup", day, a)
+			}
+			n++
+		}
+	}
+	return n
+}
+
 // TestActiveTableMatchesReference runs random tiny worlds and configs
 // against a map model of the active window: after every scan, every
 // shard of the table is strictly ascending, holds only its own shard's
@@ -427,13 +455,16 @@ func (m *refModel) scan(t *testing.T, s *Service, w *refWorld, index, day int, a
 // service's alias-detection queue, which it derives from the detector's
 // history, equals the model's, kept with a table of every /64 queued.
 // The GFW deployment drops what the model's own drop list names, and
-// with a budget of 1 byte it walks a spilled ever-responsive set.
+// with a budget of 1 byte it walks a spilled ever-responsive set. Every
+// address with GFW evidence is in inputSeen (checkEvidenceSeen), resident
+// and spilled.
 func TestActiveTableMatchesReference(t *testing.T) {
 	cases := 8
 	if testing.Short() {
 		cases = 3
 	}
 	var total refModel
+	var evidenceChecked [2]int // addresses checked by checkEvidenceSeen: resident, budgeted
 	for c := 0; c < cases; c++ {
 		seed := uint64(1000 + c)
 		r := rand.New(rand.NewPCG(seed, 0xcf9))
@@ -479,6 +510,7 @@ func TestActiveTableMatchesReference(t *testing.T) {
 				}
 				checkActive(t, s, m.rows, day)
 				checkQueue(t, s, m, day)
+				evidenceChecked[min(cfg.MemoryBudget, 1)] += checkEvidenceSeen(t, s, day)
 				checkColumns(t, fmt.Sprintf("day %d: prevRespAny", day), &s.prevRespAny, m.respAny)
 				for _, p := range s.cfg.Protocols {
 					checkColumns(t, fmt.Sprintf("day %d: lastClean[%v]", day, p), &s.lastClean[p], m.resp[p])
@@ -505,6 +537,9 @@ func TestActiveTableMatchesReference(t *testing.T) {
 	}
 	if total.firstResp == 0 || total.respAgain == 0 || total.unresp == 0 {
 		t.Errorf("cases left churn idle: first %d, again %d, unresponsive %d", total.firstResp, total.respAgain, total.unresp)
+	}
+	if evidenceChecked[0] == 0 || evidenceChecked[1] == 0 {
+		t.Errorf("GFW evidence checked against inputSeen: %d resident, %d budgeted; want both", evidenceChecked[0], evidenceChecked[1])
 	}
 }
 

@@ -30,19 +30,21 @@ package core
 // records.json its new suffix, and apd_history.bin the rows recorded
 // since, each with its row index. Every other payload — the responder
 // columns, which a scan replaces wholesale, among them — and every set
-// that was replaced or outgrew its log, is written in full, exactly as a
-// full checkpoint writes it. Resume resolves each payload through the
-// chain (ckpt.Snapshot.Levels, where a delta level without the payload
-// holds no change to it) and applies its levels oldest first.
+// that outgrew its log, is written in full, exactly as a full checkpoint
+// writes it. Resume resolves each payload through the chain
+// (ckpt.Snapshot.Levels, where a delta level without the payload holds
+// no change to it) and applies its levels oldest first.
 //
 // Deliberately not persisted: which /64s alias detection has seen (the
 // APD history, pending64 and bgp64_input say it; see trackSlash64), the
-// GFW filter list before deployment (trk_injected.hl6 minus
-// everrespany.hl6; see Service.InjectedOnly), lastMain (the wall-clock
-// shard profile — outputs are pinned hand-out-order-invariant, so the
-// resumed run's first scan just orders shards by size) and published
-// serve snapshots (derived state; only the generation counter survives,
-// via serve.Handle.RestoreGeneration, so numbering continues
+// GFW filter list, before or after deployment (trk_injected.hl6 minus
+// everrespany.hl6; see Service.InjectedOnly: the deployment purge
+// derives it once and inputSeen keeps its addresses out afterwards, so
+// only gfw_deployed in state.json says the filter ran), lastMain (the
+// wall-clock shard profile — outputs are pinned hand-out-order-invariant,
+// so the resumed run's first scan just orders shards by size) and
+// published serve snapshots (derived state; only the generation counter
+// survives, via serve.Handle.RestoreGeneration, so numbering continues
 // seamlessly).
 
 import (
@@ -73,7 +75,6 @@ const (
 	ckptActiveFile    = "active.bin"
 	ckptInputSeenFile = "inputseen.hl6"
 	ckptEverAnyFile   = "everrespany.hl6"
-	ckptGFWDropFile   = "gfwdrop.hl6"
 	ckptPrevRespFile  = "prevresp.hl6"
 	ckptTrkInjFile    = "trk_injected.hl6"
 	ckptUnrespFile    = "unresp.hl6"
@@ -178,10 +179,9 @@ type ckptPayload struct {
 }
 
 // payloads is the checkpoint payload table, in manifest file order. It
-// is built per call: set rows appear as the state they mirror does (the
-// GFW drop set after deployment, lastClean after the first scan, the
-// unresponsive pool when retained), and they capture the set objects
-// current at the call.
+// is built per call: set rows appear as the state they mirror does
+// (lastClean after the first scan, the unresponsive pool when retained),
+// and they capture the set objects current at the call.
 func (s *Service) payloads() []ckptPayload {
 	out := []ckptPayload{
 		{name: ckptRecordsFile, write: s.writeRecords, read: s.readRecords},
@@ -192,9 +192,6 @@ func (s *Service) payloads() []ckptPayload {
 	}
 	for p := range s.everResp {
 		out = append(out, ckptPayload{name: ckptEverRespFile(p), set: s.everResp[p]})
-	}
-	if s.gfwDeployed {
-		out = append(out, ckptPayload{name: ckptGFWDropFile, set: s.gfwInputDrop})
 	}
 	out = append(out, columnsPayload(ckptPrevRespFile, &s.prevRespAny))
 	if s.scanIndex > 0 {
@@ -221,8 +218,8 @@ func (s *Service) payloads() []ckptPayload {
 // setBase makes the checkpoint just committed into dir (or resumed from
 // its head) the base of the next delta: it records the table lengths
 // that checkpoint holds and starts every set's add log empty. Only this
-// starts a log, so a set object that later replaces one of these (the
-// GFW drop set at deployment) has none and is written full.
+// starts a log; every set object lives for the whole run, so each one's
+// log covers everything added since.
 func (s *Service) setBase(dir string, scan, depth int) {
 	s.ckptBase = &ckptBase{
 		dir:      filepath.Clean(dir),
@@ -780,6 +777,7 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 	s.inputTotal = st.InputTotal
 	s.blockedTotal = st.BlockedTotal
 	s.gfwTotal = st.GFWTotal
+	s.gfwDeployed = st.GFWDeployed
 	s.aliasedTotal = st.AliasedTotal
 	s.evictedTotal = st.EvictedTotal
 	s.serveScans = st.ServeScans
@@ -805,12 +803,6 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 		s.bgp64[p] = true
 	}
 
-	// The sets that exist for only part of a run get fresh objects before
-	// the table is built, so its rows name them.
-	if st.GFWDeployed {
-		s.gfwDeployed = true
-		s.gfwInputDrop = s.newCumulativeSet()
-	}
 	for _, pl := range s.payloads() {
 		levels, err := snap.Levels(pl.name)
 		if err == nil && pl.set != nil {

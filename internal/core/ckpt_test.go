@@ -505,8 +505,8 @@ func TestResumeRefusesMalformedTables(t *testing.T) {
 		{"APD row names another prefix", func() { ckpttest.Edit(t, head, ckptAPDFile, true, otherPrefix) }},
 		{"no full base", func() { markAppend(t, base, ckptAPDFile) }},
 		{"full base without a set", func() { ckpttest.Drop(t, base, unchanged) }},
-		{"format 4 head", func() { version(head, 4) }},
-		{"format 4 base", func() { version(base, 4) }},
+		{"previous format head", func() { version(head, ckpt.Version-1) }},
+		{"previous format base", func() { version(base, ckpt.Version-1) }},
 		{"full-only table appends", func() { markAppend(t, head, ckptActiveFile) }},
 	} {
 		tc.damage()

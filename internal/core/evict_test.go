@@ -82,7 +82,7 @@ func TestEvictedAddressNotReadmitted(t *testing.T) {
 // TestEvictionVsGFWDeployment: before the filter deploys, injected DNS
 // answers keep GFW-phantom addresses alive (the published behaviour), so
 // the 30-day filter never evicts them; deployment then removes them from
-// the active window via the cumulative filter — as a GFW drop, not an
+// the active window in the deployment purge — as a GFW drop, not an
 // eviction — and they stay out.
 func TestEvictionVsGFWDeployment(t *testing.T) {
 	n, feeds := tinyWorld(t)

@@ -6,10 +6,11 @@
 //
 // The service accumulates candidate addresses from its feeds, schedules
 // scans over simulated days, runs the multi-level aliased prefix detection,
-// classifies Great-Firewall injections from response evidence, applies the
-// cumulative GFW input filter the moment it is "deployed" (February 2022 in
-// the paper), and records per-scan series (responsiveness per protocol,
-// published vs cleaned, churn) plus full snapshots at chosen days. Those
+// classifies Great-Firewall injections from response evidence, purges the
+// cumulative GFW filter list the moment it is "deployed" (February 2022 in
+// the paper; input dedup keeps the purged addresses out after it), and
+// records per-scan series (responsiveness per protocol, published vs
+// cleaned, churn) plus full snapshots at chosen days. Those
 // records and snapshots are everything the evaluation figures and tables
 // are derived from.
 package core
@@ -101,8 +102,8 @@ type Config struct {
 
 	// MemoryBudget, when > 0, bounds the resident size (in bytes) of the
 	// cumulative sets that otherwise grow with the full measurement
-	// history — every address ever seen as input, the per-protocol and
-	// any-protocol ever-responsive sets, and the deployed GFW drop list.
+	// history — every address ever seen as input and the per-protocol
+	// and any-protocol ever-responsive sets.
 	// The budget is split evenly across those sets and their shards;
 	// each shard spills frozen sorted runs to disk past its slice and
 	// merges them at digest finalization, so a run over hitlist-scale
@@ -193,8 +194,11 @@ type ScanRecord struct {
 
 	// NewInput is the count of never-before-seen candidate addresses.
 	NewInput int
-	// BlockedInput / GFWFilteredInput / AliasedInput count new input
-	// removed by the respective filters.
+	// BlockedInput / AliasedInput count new input removed by the
+	// respective filters. GFWFilteredInput counts the active rows the
+	// GFW filter's deployment purged: it is non-zero only on the
+	// deployment scan, since inputSeen keeps every purged address out of
+	// later input.
 	BlockedInput     int
 	GFWFilteredInput int
 	AliasedInput     int
@@ -316,8 +320,8 @@ type Service struct {
 	workers int
 
 	// Cumulative input accounting. The history-sized sets (inputSeen,
-	// gfwInputDrop, everResp*, everRespAny) are ip6.SpillSets: resident
-	// columns by default, disk-backed under Config.MemoryBudget.
+	// everResp*, everRespAny) are ip6.SpillSets: resident columns by
+	// default, disk-backed under Config.MemoryBudget.
 	inputSeen    *ip6.SpillSet
 	perASInput   map[int]*ASInput
 	inputTotal   int
@@ -326,7 +330,6 @@ type Service struct {
 	aliasedTotal int
 	evictedTotal int
 	gfwDeployed  bool
-	gfwInputDrop *ip6.SpillSet // the cumulative "134 M" filter once deployed
 	unresponsive *ip6.SpillSet // evicted addresses (if retained), resident
 
 	// spill is non-nil when MemoryBudget is set: the scratch directory
@@ -406,11 +409,11 @@ type routedInput struct {
 }
 
 // admitScratch is the scratch of one shard's admission: its candidate
-// addresses, and the flags the batch joins report for them. admitPool
+// addresses, and the flags the dedup join reports for them. admitPool
 // recycles it, so a sweep keeps one per worker alive, not one per shard.
 type admitScratch struct {
-	addrs       []ip6.Addr
-	fresh, drop []bool
+	addrs []ip6.Addr
+	fresh []bool
 }
 
 var admitPool = sync.Pool{New: func() any { return new(admitScratch) }}
@@ -434,9 +437,9 @@ type spillState struct {
 }
 
 // spillSets is how many history-sized sets share the memory budget: the
-// per-protocol ever-responsive sets, the any-protocol one, the input
-// dedup set and the GFW drop list.
-const spillSets = netmodel.NumProtocols + 3
+// per-protocol ever-responsive sets, the any-protocol one and the input
+// dedup set.
+const spillSets = netmodel.NumProtocols + 2
 
 // newSet returns a fresh disk-backed set sharing the spill state's
 // budget. A creation error is recorded for RunScan, Checkpoint and Resume
@@ -559,10 +562,6 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 		queryHandle:  serve.NewHandle(),
 	}
 	s.inputSeen = s.newCumulativeSet()
-	// gfwInputDrop is only read once the filter deploys, and deployment
-	// replaces it wholesale — an empty resident placeholder until then
-	// (the budget split still reserves its post-deployment share).
-	s.gfwInputDrop = ip6.NewResidentSet()
 	s.everRespAny = s.newCumulativeSet()
 	for i := range s.everResp {
 		s.everResp[i] = s.newCumulativeSet()
@@ -597,7 +596,7 @@ func (s *Service) newCumulativeSet() *ip6.SpillSet {
 // runs merge into one, so membership probes stay one fence lookup per
 // shard.
 func (s *Service) compactSets() error {
-	sets := append([]*ip6.SpillSet{s.inputSeen, s.gfwInputDrop, s.everRespAny, s.unresponsive, s.tracker.EvidenceSet()}, s.everResp[:]...)
+	sets := append([]*ip6.SpillSet{s.inputSeen, s.everRespAny, s.unresponsive, s.tracker.EvidenceSet()}, s.everResp[:]...)
 	for _, set := range sets {
 		if err := set.Compact(); err != nil {
 			return fmt.Errorf("core: compacting cumulative sets: %w", err)
@@ -708,6 +707,8 @@ func (s *Service) EverResponsiveAny() ip6.Set { return s.everRespAny.Merge() }
 func (s *Service) EverResponsiveAnyLen() int { return s.everRespAny.Len() }
 
 // Funnel summarizes the cumulative pipeline (Figure 1's numbers).
+// GFWFiltered counts the active rows the GFW filter's deployment purged,
+// not new input (see ScanRecord.GFWFilteredInput).
 type Funnel struct {
 	Input        int
 	Blocked      int
@@ -871,8 +872,8 @@ func (s *Service) applyScan(ctx context.Context, digests []shardDigest, day int,
 // ingestCounters accumulates the outcome counters of an admission sweep;
 // applyIngest folds them into the record and cumulative totals.
 type ingestCounters struct {
-	newInput, blocked, gfwDrop, aliasedDrop int
-	perAS                                   map[int]*ASInput
+	newInput, blocked, aliasedDrop int
+	perAS                          map[int]*ASInput
 }
 
 // shardIngest accumulates one shard's slice of an ingest pass; counters
@@ -884,12 +885,14 @@ type shardIngest struct {
 }
 
 // admitNew runs the rest of the admission chain — AS attribution,
-// blocklist / GFW / aliased filters — for a candidate that inputSeen has
+// blocklist and aliased filters — for a candidate that inputSeen has
 // just taken as new, recording outcomes in c, and reports whether it
 // passed every filter; the caller inserts admitted candidates into the
-// store. gfwDropped says whether the deployed GFW filter lists it. Only
+// store. No GFW filter runs here: the deployed filter's list is
+// tracker evidence, which only main-scan targets produce, and each of
+// those went through inputSeen, so none of them is ever new again. Only
 // counter state is written, so distinct shards may run it concurrently.
-func (s *Service) admitNew(a ip6.Addr, gfwDropped bool, c *ingestCounters) bool {
+func (s *Service) admitNew(a ip6.Addr, c *ingestCounters) bool {
 	c.newInput++
 
 	asn := 0
@@ -908,12 +911,6 @@ func (s *Service) admitNew(a ip6.Addr, gfwDropped bool, c *ingestCounters) bool 
 		c.blocked++
 		return false
 	}
-	// GFW input filter (active only once deployed).
-	if gfwDropped {
-		c.gfwDrop++
-		ai.GFW++
-		return false
-	}
 	// Aliased prefix filter.
 	if s.aliased.Contains(a) {
 		c.aliasedDrop++
@@ -930,8 +927,6 @@ func (s *Service) applyIngest(rec *ScanRecord, c *ingestCounters) {
 	s.inputTotal += c.newInput
 	rec.BlockedInput += c.blocked
 	s.blockedTotal += c.blocked
-	rec.GFWFilteredInput += c.gfwDrop
-	s.gfwTotal += c.gfwDrop
 	rec.AliasedInput += c.aliasedDrop
 	s.aliasedTotal += c.aliasedDrop
 	for asn, d := range c.perAS {
@@ -941,7 +936,6 @@ func (s *Service) applyIngest(rec *ScanRecord, c *ingestCounters) {
 			s.perASInput[asn] = ai
 		}
 		ai.Total += d.Total
-		ai.GFW += d.GFW
 		ai.Aliased += d.Aliased
 	}
 }
@@ -1032,7 +1026,7 @@ func (s *Service) dropRouted() {
 
 // admitRouted is the one admission sweep: it admits the candidates
 // waiting in routeBuf (and empties it). Every shard runs the lookup-heavy
-// part (dedup, AS attribution, blocklist / GFW / alias filters) and
+// part (dedup, AS attribution, blocklist and alias filters) and
 // merges what it admitted into its store table independently on the
 // worker pool — an address only ever touches its own shard, so the
 // sweep is lock-free. The merge walks
@@ -1060,8 +1054,8 @@ func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanReco
 			perFeed:        make([]int, len(srcs)),
 		}
 		// Dedup is one batch of the shard's candidates against inputSeen
-		// (AddBatchToShard); what it took as new stays, in sequence
-		// order, and meets the deployed GFW filter in a second batch.
+		// (AddBatchToShard); what it took as new goes on, in sequence
+		// order.
 		b := admitPool.Get().(*admitScratch)
 		defer admitPool.Put(b)
 		b.addrs = b.addrs[:0]
@@ -1070,22 +1064,12 @@ func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanReco
 		}
 		b.fresh = slices.Grow(b.fresh[:0], len(entries))[:len(entries)]
 		s.inputSeen.AddBatchToShard(sh, b.addrs, b.fresh)
-		n := 0
 		for k, e := range entries {
-			if b.fresh[k] {
-				entries[n], b.addrs[n] = e, e.addr
-				n++
+			if !b.fresh[k] {
+				continue
 			}
-		}
-		entries, b.addrs = entries[:n], b.addrs[:n]
-		b.drop = slices.Grow(b.drop[:0], n)[:n]
-		clear(b.drop)
-		if s.gfwDeployed {
-			s.gfwInputDrop.HasBatchInShard(sh, b.addrs, b.drop)
-		}
-		for k, e := range entries {
 			r.perFeed[e.feed]++
-			if s.admitNew(e.addr, b.drop[k], &r.ingestCounters) {
+			if s.admitNew(e.addr, &r.ingestCounters) {
 				r.admitted = append(r.admitted, e)
 			}
 		}
@@ -1154,26 +1138,25 @@ func (s *Service) trackSlash64(a ip6.Addr) {
 // removes it from the active window — the paper's one-time cleanup of
 // 134 M addresses in February 2022. The drop list (InjectedOnly) is
 // built before anything changes, so a read error leaves the filter
-// undeployed. It arrives as ascending per-shard columns, so the purge is
-// a per-shard sweep: each shard's table drops the rows its column holds
-// in one in-place merge walk, the column loads into the cumulative
-// filter set (disk-backed under a memory budget), and the per-AS counter
-// deltas merge in canonical shard order.
+// undeployed, and it lives only for this sweep: every address on it was
+// a main-scan target, so inputSeen already keeps it out of later input.
+// It arrives as ascending per-shard columns, so the purge is a per-shard
+// sweep: each shard's table drops the rows its column holds in one
+// in-place merge walk, and the per-AS counter deltas merge in canonical
+// shard order.
 func (s *Service) deployGFWFilter(rec *ScanRecord) error {
 	drop, err := s.InjectedOnly()
 	if err != nil {
 		return err
 	}
 	s.gfwDeployed = true
-	s.gfwInputDrop = s.newCumulativeSet()
 	dropped := make([]shardPurge, ip6.AddrShards)
 	ip6.ParallelShards(s.workers, func(sh int) {
 		d := &dropped[sh]
-		col := drop.Shard(sh)
-		if len(col) == 0 {
+		rest := drop.Shard(sh)
+		if len(rest) == 0 {
 			return
 		}
-		rest := col
 		s.active.removeIf(sh, func(a ip6.Addr, _ targetState) bool {
 			for len(rest) > 0 && rest[0].Less(a) {
 				rest = rest[1:]
@@ -1184,7 +1167,6 @@ func (s *Service) deployGFWFilter(rec *ScanRecord) error {
 			d.add(s.net, a)
 			return true
 		})
-		s.gfwInputDrop.AddSortedToShard(sh, col)
 	})
 	for sh := range dropped {
 		d := &dropped[sh]

@@ -165,10 +165,10 @@ func TestGFWPublishedVsCleanAndFilter(t *testing.T) {
 	if injectedAt < 60 {
 		t.Errorf("spike before era start: day %d", injectedAt)
 	}
-	// After deployment, the cumulative filter holds the injected-only
-	// addresses and the funnel accounts for them.
+	// Deployment purges the injected-only addresses from the active
+	// window, and the funnel accounts for them.
 	if s.Funnel().GFWFiltered == 0 {
-		t.Error("GFW input filter never fired")
+		t.Error("GFW filter deployment purged nothing")
 	}
 	only, err := s.InjectedOnly()
 	if err != nil {
@@ -177,14 +177,24 @@ func TestGFWPublishedVsCleanAndFilter(t *testing.T) {
 	if inj, injOnly := s.Tracker().InjectedSeenLen(), only.Len(); inj < 2 || injOnly < 2 {
 		t.Errorf("tracker stats: %d %d", inj, injOnly)
 	}
-	// New CN input arriving post-deployment is dropped at ingest.
-	gfwIngest := 0
+	// Only the deployment scan counts GFW drops: input dedup keeps every
+	// purged address out of later input.
+	var deployRec *ScanRecord
 	for _, rec := range s.Records() {
-		if rec.Day > 150 {
-			gfwIngest += rec.GFWFilteredInput
+		switch {
+		case rec.Day < cfg.GFWFilterFromDay:
+		case deployRec == nil:
+			deployRec = rec
+		case rec.GFWFilteredInput != 0:
+			t.Errorf("day %d, after deployment: %d GFW drops, want 0", rec.Day, rec.GFWFilteredInput)
 		}
 	}
-	_ = gfwIngest // both ingest-drop and active-drop paths are valid here
+	if deployRec == nil {
+		t.Fatal("no scan at or after the deployment day")
+	}
+	if got, want := deployRec.GFWFilteredInput, s.Funnel().GFWFiltered; got != want {
+		t.Errorf("deployment scan GFW drops %d, funnel %d", got, want)
+	}
 }
 
 func TestSnapshots(t *testing.T) {

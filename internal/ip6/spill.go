@@ -2,14 +2,14 @@ package ip6
 
 // Cumulative address sets. The sets the hitlist pipeline carries across
 // scans (every address ever seen as input, every address ever responsive,
-// the GFW evidence and the deployed drop list) only grow, with the full
-// history of the measurement — at paper scale hundreds of millions of
-// 16-byte addresses. SpillSet is the one type they all use: per shard an
-// immutable ascending column, or under a memory budget frozen sorted runs
-// on disk, plus a small pending Δ that Compact folds in. RunFile/Run are
-// the sorted-run primitives SpillSet (and the hlfile writer) are built
-// from: frozen sorted runs appended to a scratch file, fence-indexed
-// point lookups, and run cursors that MergeCursors streams together.
+// the GFW evidence) only grow, with the full history of the measurement —
+// at paper scale hundreds of millions of 16-byte addresses. SpillSet is
+// the one type they all use: per shard an immutable ascending column, or
+// under a memory budget frozen sorted runs on disk, plus a small pending
+// Δ that Compact folds in. RunFile/Run are the sorted-run primitives
+// SpillSet (and the hlfile writer) are built from: frozen sorted runs
+// appended to a scratch file, fence-indexed point lookups, and run
+// cursors that MergeCursors streams together.
 
 import (
 	"cmp"
@@ -562,26 +562,6 @@ func (s *SpillSet) AddBatchToShard(i int, addrs []Addr, fresh []bool) {
 		if fresh[k] {
 			s.insert(i, a)
 		}
-	}
-}
-
-// HasBatchInShard reports in has[k] (has is at least len(addrs) long)
-// whether addrs[k] — every one in shard i, in any order — is a member of
-// shard i, under the per-shard contract: on a shard with runs by joining
-// a sorted copy of addrs against the shard in one forward pass (members),
-// on one without by point probes, as AddBatchToShard.
-func (s *SpillSet) HasBatchInShard(i int, addrs []Addr, has []bool) {
-	if len(s.shards[i].runs) == 0 {
-		for k, a := range addrs {
-			has[k] = s.HasInShard(i, a)
-		}
-		return
-	}
-	b := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(b)
-	b.hit = s.members(i, b.sort(addrs), b.hit)
-	for j, e := range b.keyed {
-		has[e.k] = b.hit[j]
 	}
 }
 

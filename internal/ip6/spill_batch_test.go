@@ -60,9 +60,8 @@ func requireTwins(t *testing.T, what string, batch, point *SpillSet, sh int) {
 	requireAddrs(t, what+": LogCursor", got, want)
 }
 
-// TestAddBatchMatchesPointInserts holds AddBatchToShard (and
-// HasBatchInShard) to a map of the members and to a twin set fed the
-// same addresses one AddToShard at a time, resident (a shard with no run takes the point path) and spilled
+// TestAddBatchMatchesPointInserts holds AddBatchToShard to a map of the
+// members and to a twin set fed the same addresses one AddToShard at a time, resident (a shard with no run takes the point path) and spilled
 // at budgets 1 and 8. The batches are shuffled and repeat addresses, and
 // they hold members of every part of the shard — the Δ or column, small
 // frozen runs and a compacted run of several fence blocks, probed at its
@@ -116,13 +115,6 @@ func TestAddBatchMatchesPointInserts(t *testing.T) {
 			}
 			r.Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
 
-			has := make([]bool, len(addrs))
-			batch.HasBatchInShard(sh, addrs, has)
-			for k, a := range addrs {
-				if want := model.Has(a); has[k] != want || point.HasInShard(sh, a) != want {
-					t.Fatalf("%s: HasBatchInShard[%d] (%v) = %v, twin %v, want %v", what, k, a, has[k], point.HasInShard(sh, a), want)
-				}
-			}
 			fresh := make([]bool, len(addrs))
 			batch.AddBatchToShard(sh, addrs, fresh)
 			for k, a := range addrs {
