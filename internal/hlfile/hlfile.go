@@ -1,7 +1,9 @@
 // Package hlfile defines the .hl6 binary hitlist format — the on-disk
 // interchange for hitlist-scale target sets — plus a bounded-memory
-// writer and an mmap/ReadAt-backed reader that plugs straight into the
-// scan engine as a sharded TargetSource.
+// writer that sorts and merges on the worker pool and replaces its
+// output only once the file is complete, and an mmap/ReadAt-backed
+// reader that plugs straight into the scan engine as a sharded
+// TargetSource.
 //
 // Layout (all integers little-endian):
 //
@@ -28,8 +30,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 
 	"hitlist6/internal/ip6"
 )
@@ -51,9 +56,22 @@ var ErrFormat = errors.New("hlfile: malformed file")
 // resident memory: incoming addresses buffer per shard, and when the
 // resident total reaches the budget every shard buffer freezes to a
 // sorted run in a scratch ip6.RunFile. Finish merges each shard's runs —
-// deduplicating on the fly — straight into the output body and then
-// backfills the header, so peak memory is the budget plus per-run merge
-// chunks regardless of input size.
+// deduplicating on the fly — into the output body, then backfills the
+// header.
+//
+// Both phases run on the worker pool (GOMAXPROCS workers). A spill sorts
+// and writes the shard buffers concurrently. Finish cuts the shards, in
+// canonical order, into groups whose runs hold at most budget addresses
+// together; a group's shards merge concurrently into one shared arena
+// and are written out in shard order, so the bytes do not depend on the
+// worker count. A shard whose runs alone exceed the budget streams
+// straight into the body instead. Peak memory is therefore the budget
+// plus per-run merge chunks regardless of input size (while a spill
+// runs, each worker also holds one shard's sort and write scratch).
+//
+// A Writer is not safe for concurrent use. Finish writes a temporary file
+// next to the output and renames it over path only once every byte is
+// written, so a failed Finish leaves any previous file at path intact.
 type Writer struct {
 	path   string
 	rf     *ip6.RunFile
@@ -110,22 +128,34 @@ func (w *Writer) AddSlice(addrs []ip6.Addr) error {
 	return nil
 }
 
-// spill freezes every non-empty shard buffer as a sorted run.
+// spill freezes every non-empty shard buffer as a sorted run, the shards
+// sorted and written concurrently (RunFile.WriteRun is safe for that).
 func (w *Writer) spill() error {
-	for sh := range w.bufs {
-		buf := w.bufs[sh]
-		if len(buf) == 0 {
-			continue
+	var errs [ip6.AddrShards]error
+	ip6.ParallelShards(runtime.GOMAXPROCS(0), func(sh int) {
+		if len(w.bufs[sh]) == 0 {
+			return
 		}
-		ip6.SortAddrs(buf)
-		run, err := w.rf.WriteRun(buf)
+		ip6.SortAddrs(w.bufs[sh])
+		run, err := w.rf.WriteRun(w.bufs[sh])
+		if err != nil {
+			errs[sh] = err
+			return
+		}
+		w.runs[sh] = append(w.runs[sh], &run)
+		w.bufs[sh] = w.bufs[sh][:0]
+	})
+	w.resident = 0
+	return firstErr(errs[:])
+}
+
+// firstErr returns the first non-nil error, in shard order.
+func firstErr(errs []error) error {
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		w.runs[sh] = append(w.runs[sh], &run)
-		w.bufs[sh] = buf[:0]
 	}
-	w.resident = 0
 	return nil
 }
 
@@ -140,9 +170,9 @@ func (w *Writer) Abort() {
 	w.rf.Close()
 }
 
-// Finish merges the spilled runs and writes the final file. The writer
-// cannot be reused afterwards; the scratch file is always removed, even
-// on error.
+// Finish merges the spilled runs and writes the final file, replacing
+// any file at path only on success. The writer cannot be reused
+// afterwards; the scratch file is always removed, even on error.
 func (w *Writer) Finish() (err error) {
 	if w.finished {
 		return fmt.Errorf("hlfile: writer already finished")
@@ -156,14 +186,23 @@ func (w *Writer) Finish() (err error) {
 	if err := w.spill(); err != nil {
 		return err
 	}
+	// Every address is in a run now; the drained buffers go, and the
+	// merge arena takes their place within the budget.
+	w.bufs = [ip6.AddrShards][]ip6.Addr{}
 
-	out, err := os.Create(w.path)
+	out, err := createTemp(w.path)
 	if err != nil {
 		return fmt.Errorf("hlfile: creating %s: %w", w.path, err)
 	}
 	defer func() {
 		if cerr := out.Close(); err == nil {
 			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(out.Name(), w.path)
+		}
+		if err != nil {
+			os.Remove(out.Name())
 		}
 	}()
 
@@ -174,21 +213,8 @@ func (w *Writer) Finish() (err error) {
 		return err
 	}
 	bw := newBodyWriter(out, headerSize)
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		next := w.rf.Merge(w.runs[sh])
-		for {
-			a, ok, err := next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			counts[sh]++
-			if err := bw.append(a); err != nil {
-				return err
-			}
-		}
+	if err := w.mergeBody(bw, &counts); err != nil {
+		return err
 	}
 	if err := bw.flush(); err != nil {
 		return err
@@ -196,6 +222,109 @@ func (w *Writer) Finish() (err error) {
 	// Backfill the real counts (writeHeader writes at offset 0).
 	return writeHeader(out, &counts)
 }
+
+// mergeBody merges every shard's runs into bw in canonical shard order,
+// recording each shard's deduplicated count. Consecutive shards whose
+// runs hold at most the budget together merge concurrently into one
+// arena (each into a slot its run total sizes, the most its merge can
+// yield) and are then written in order; a shard over the budget alone
+// streams through bw.
+func (w *Writer) mergeBody(bw *bodyWriter, counts *[ip6.AddrShards]uint64) error {
+	var total [ip6.AddrShards]int
+	left := 0 // run addresses in the shards not yet merged
+	for sh, runs := range w.runs {
+		for _, r := range runs {
+			total[sh] += r.Count()
+		}
+		left += total[sh]
+	}
+	var arena []ip6.Addr
+	var slot [ip6.AddrShards]int // shard sh merges into arena[slot[sh]:]
+	var errs [ip6.AddrShards]error
+	for lo := 0; lo < ip6.AddrShards; {
+		hi, n := lo+1, total[lo]
+		for hi < ip6.AddrShards && n+total[hi] <= w.budget {
+			n += total[hi]
+			hi++
+		}
+		left -= n
+		if n > w.budget {
+			if err := w.streamShard(bw, lo, &counts[lo]); err != nil {
+				return err
+			}
+			lo = hi
+			continue
+		}
+		if arena == nil {
+			// Sized once: no later group holds more than the budget or
+			// than every run still to merge.
+			arena = make([]ip6.Addr, min(w.budget, n+left))
+		}
+		for sh, off := lo, 0; sh < hi; sh++ {
+			slot[sh], off = off, off+total[sh]
+		}
+		ip6.Parallel(runtime.GOMAXPROCS(0), hi-lo, func(i int) {
+			sh := lo + i
+			counts[sh], errs[sh] = w.mergeShard(sh, arena[slot[sh]:slot[sh]+total[sh]])
+		})
+		if err := firstErr(errs[lo:hi]); err != nil {
+			return err
+		}
+		for sh := lo; sh < hi; sh++ {
+			if err := bw.write(addrBytes(arena[slot[sh] : slot[sh]+int(counts[sh])])); err != nil {
+				return err
+			}
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// mergeShard merges shard sh's runs into dst, which holds their total,
+// and returns how many distinct addresses it wrote.
+func (w *Writer) mergeShard(sh int, dst []ip6.Addr) (uint64, error) {
+	next := w.rf.Merge(w.runs[sh])
+	n := 0
+	for {
+		a, ok, err := next()
+		if err != nil || !ok {
+			return uint64(n), err
+		}
+		dst[n] = a
+		n++
+	}
+}
+
+// streamShard merges shard sh's runs straight into bw, counting them in
+// *count.
+func (w *Writer) streamShard(bw *bodyWriter, sh int, count *uint64) error {
+	next := w.rf.Merge(w.runs[sh])
+	for {
+		a, ok, err := next()
+		if err != nil || !ok {
+			return err
+		}
+		*count++
+		if err := bw.write(a[:]); err != nil {
+			return err
+		}
+	}
+}
+
+// createTemp creates a fresh file next to path, to be renamed over it,
+// with the permissions os.Create would give path.
+func createTemp(path string) (*os.File, error) {
+	for {
+		name := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), tempSeq.Add(1))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
+}
+
+// tempSeq numbers createTemp's names within the process.
+var tempSeq atomic.Uint64
 
 func encodeHeader(counts *[ip6.AddrShards]uint64) []byte {
 	hdr := make([]byte, headerSize)
@@ -222,27 +351,43 @@ type bodyWriter struct {
 	buf []byte
 }
 
+// bodyChunk is bodyWriter's batch size.
+const bodyChunk = 64 * 1024
+
 func newBodyWriter(f *os.File, off int64) *bodyWriter {
-	return &bodyWriter{f: f, off: off, buf: make([]byte, 0, 64*1024)}
+	return &bodyWriter{f: f, off: off, buf: make([]byte, 0, bodyChunk)}
 }
 
-func (b *bodyWriter) append(a ip6.Addr) error {
-	b.buf = append(b.buf, a[:]...)
-	if len(b.buf) >= 64*1024 {
-		return b.flush()
+// write appends p, passing a slice of at least a batch straight through.
+func (b *bodyWriter) write(p []byte) error {
+	if len(b.buf)+len(p) > bodyChunk {
+		if err := b.flush(); err != nil {
+			return err
+		}
 	}
-	return nil
+	if len(p) < bodyChunk {
+		b.buf = append(b.buf, p...)
+		return nil
+	}
+	return b.writeAt(p)
 }
 
 func (b *bodyWriter) flush() error {
-	if len(b.buf) == 0 {
+	if err := b.writeAt(b.buf); err != nil {
+		return err
+	}
+	b.buf = b.buf[:0]
+	return nil
+}
+
+func (b *bodyWriter) writeAt(p []byte) error {
+	if len(p) == 0 {
 		return nil
 	}
-	if _, err := b.f.WriteAt(b.buf, b.off); err != nil {
+	if _, err := b.f.WriteAt(p, b.off); err != nil {
 		return fmt.Errorf("hlfile: writing body: %w", err)
 	}
-	b.off += int64(len(b.buf))
-	b.buf = b.buf[:0]
+	b.off += int64(len(p))
 	return nil
 }
 

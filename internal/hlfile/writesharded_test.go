@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"runtime"
 	"testing"
 
 	"hitlist6/internal/hlfile"
@@ -65,6 +66,42 @@ func TestWriteShardedMatchesWriter(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("WriteSharded image differs from Writer's (%d vs %d bytes)", got.Len(), len(want))
+	}
+}
+
+// TestWriterMatchesWriteSharded: whatever the budget — a spill on every
+// address, a few addresses per spill, shards streamed and shards merged
+// in groups, one group, no spill before Finish — and the worker count,
+// the Writer's file is byte-equal to WriteSharded of the sorted,
+// deduplicated input, with duplicates inside runs and across them.
+func TestWriterMatchesWriteSharded(t *testing.T) {
+	addrs := testAddrs(9, 6000)           // repeats an address at once every 11
+	addrs = append(addrs, addrs[:500]...) // and repeats early ones in later runs
+	runs, counts := shardRuns(sortedUnique(addrs))
+	var want bytes.Buffer
+	err := hlfile.WriteSharded(&want, counts, func(put func(int, []ip6.Addr) error) error {
+		for sh, run := range runs {
+			if err := put(sh, run); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, budget := range []int{1, 7, 100, 1000, hlfile.DefaultWriterBudget} {
+			got, err := os.ReadFile(writeFile(t, addrs, budget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("GOMAXPROCS %d, budget %d: Writer image differs from WriteSharded's (%d vs %d bytes)", procs, budget, len(got), want.Len())
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

@@ -326,10 +326,22 @@ func BenchmarkPrefixMapLookup(b *testing.B) {
 }
 
 // TestSortAddrsMatchesReference pins SortAddrs to a comparison sort on
-// Compare over random slices: empty and tiny ones, duplicates, and runs
-// sharing a high word so the low word decides.
+// Compare: over random slices (empty and tiny ones, duplicates, and runs
+// sharing a high word so the low word decides), then over shaped inputs
+// at every length around the radix sort's insertion-sort cutoff —
+// all-equal, already sorted, reversed, keys differing only in the last
+// byte of Lo or of Hi, 15-byte shared prefixes and heavy duplicates.
 func TestSortAddrsMatchesReference(t *testing.T) {
 	r := newBenchStream()
+	check := func(name string, addrs []Addr) {
+		t.Helper()
+		want := slices.Clone(addrs)
+		slices.SortFunc(want, Addr.Compare)
+		SortAddrs(addrs)
+		if !slices.Equal(addrs, want) {
+			t.Fatalf("%s (n=%d): SortAddrs differs from the reference sort", name, len(addrs))
+		}
+	}
 	for trial := 0; trial < 400; trial++ {
 		n := trial % 4 // lengths 0–3 first, then larger
 		if trial >= 40 {
@@ -343,20 +355,44 @@ func TestSortAddrsMatchesReference(t *testing.T) {
 				addrs[i] = addrs[r.Uint64n(uint64(i))]
 			}
 		}
-		want := slices.Clone(addrs)
-		slices.SortFunc(want, Addr.Compare)
-		SortAddrs(addrs)
-		if !slices.Equal(addrs, want) {
-			t.Fatalf("trial %d (n=%d): SortAddrs differs from the reference sort", trial, n)
+		check("random", addrs)
+	}
+
+	base := AddrFromUint64s(0x2001_0db8_1234_5678, 0x9abc_def0_1122_3344)
+	shapes := []struct {
+		name string
+		gen  func(i, n int) Addr
+	}{
+		{"all-equal", func(i, n int) Addr { return base }},
+		{"sorted", func(i, n int) Addr { return AddrFromUint64s(base.Hi(), uint64(i)*0x1_0001) }},
+		{"reversed", func(i, n int) Addr { return AddrFromUint64s(base.Hi()+uint64(n-i)<<20, uint64(n-i)) }},
+		{"last-lo-byte", func(i, n int) Addr { return AddrFromUint64s(base.Hi(), base.Lo()&^0xff|r.Uint64n(256)) }},
+		{"last-hi-byte", func(i, n int) Addr { return AddrFromUint64s(base.Hi()&^0xff|r.Uint64n(256), base.Lo()) }},
+		{"15-byte-prefix", func(i, n int) Addr { a := base; a[15] = byte(n - i); return a }},
+		{"duplicates", func(i, n int) Addr { return AddrFromUint64s(base.Hi()+r.Uint64n(3)<<40, r.Uint64n(3)) }},
+		{"full-range", func(i, n int) Addr { return AddrFromUint64s(r.Uint64(), r.Uint64()) }},
+	}
+	var lengths []int
+	for _, at := range []int{2, radixCutoff, 2 * radixCutoff, 256, 256 * radixCutoff} {
+		lengths = append(lengths, at-1, at, at+1)
+	}
+	for _, sh := range shapes {
+		for _, n := range lengths {
+			addrs := make([]Addr, n)
+			for i := range addrs {
+				addrs[i] = sh.gen(i, n)
+			}
+			check(sh.name, addrs)
 		}
 	}
 }
 
-// BenchmarkSortAddrs sorts two shapes: "clustered" is 2^14 addresses in
-// 2^12 /64s, so many comparisons tie on the high word — a spill run or a
-// scan set; "shard" is 6 500 addresses spread over a /32, about one
+// BenchmarkSortAddrs sorts three shapes: "clustered" is 2^14 addresses
+// in 2^12 /64s, so many comparisons tie on the high word — a spill run or
+// a scan set; "shard" is 6 500 addresses spread over a /32, about one
 // resident shard of the timeline's cumulative input set as a checkpoint
-// sorts it.
+// sorts it; "small" is 40 addresses over a /32, about one admission
+// batch as the service's active table sorts it every sweep.
 func BenchmarkSortAddrs(b *testing.B) {
 	for _, bc := range []struct {
 		name     string
@@ -365,6 +401,7 @@ func BenchmarkSortAddrs(b *testing.B) {
 	}{
 		{"clustered", 1 << 14, 1 << 12},
 		{"shard", 6500, 1 << 32},
+		{"small", 40, 1 << 32},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := newBenchStream()

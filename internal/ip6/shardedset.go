@@ -14,10 +14,16 @@ const AddrShards = 64
 // Mix draws.
 const shardSalt = 0x5aa4d_06d1
 
+// shardMix0 is Mix's initial state, absorbed once so ShardOf's chain
+// starts from it directly.
+var shardMix0 = rng.MixPrefix()
+
 // ShardOf returns the canonical shard index of an address, in
-// [0, AddrShards).
+// [0, AddrShards): rng.Mix(a.Hi(), a.Lo(), shardSalt) % AddrShards,
+// unrolled as a MixState chain so the hot path (one call per address
+// routed anywhere) skips Mix's variadic loop.
 func ShardOf(a Addr) int {
-	return int(rng.Mix(a.Hi(), a.Lo(), shardSalt) % AddrShards)
+	return int(shardMix0.Add(a.Hi()).Add(a.Lo()).Add(shardSalt).Sum() % AddrShards)
 }
 
 // ShardedSet is an address set partitioned into AddrShards disjoint Sets

@@ -3,6 +3,8 @@ package ip6
 import (
 	"sync"
 	"testing"
+
+	"hitlist6/internal/rng"
 )
 
 func shardedTestAddrs(n int) []Addr {
@@ -21,6 +23,22 @@ func TestShardOfStableAndInRange(t *testing.T) {
 		}
 		if sh != ShardOf(a) {
 			t.Fatalf("shard not stable for %v", a)
+		}
+	}
+}
+
+// TestShardOfMatchesMix pins ShardOf to the Mix formula every on-disk
+// shard was assigned by, over random and edge addresses.
+func TestShardOfMatchesMix(t *testing.T) {
+	addrs := []Addr{{}, MustParseAddr("::1"), MustParseAddr("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"),
+		MustParseAddr("2001:db8::"), MustParseAddr("::ffff:ffff:ffff:ffff"), MustParseAddr("ffff:ffff:ffff:ffff::")}
+	r := newBenchStream()
+	for i := 0; i < 10000; i++ {
+		addrs = append(addrs, AddrFromUint64s(r.Uint64(), r.Uint64()))
+	}
+	for _, a := range addrs {
+		if got, want := ShardOf(a), int(rng.Mix(a.Hi(), a.Lo(), shardSalt)%AddrShards); got != want {
+			t.Fatalf("ShardOf(%v) = %d, want %d", a, got, want)
 		}
 	}
 }

@@ -171,6 +171,10 @@ type Scanner struct {
 	// per-attempt loss hash; 0 (never lost) when the rate is not positive.
 	lossTh uint64
 
+	// seedMix is rng.MixPrefix(Config.Seed), the state every target's
+	// loss and transaction-ID hashes resume from.
+	seedMix rng.MixState
+
 	// profile is the optional cost estimate of the sharded path's
 	// hand-out (SetShardProfile); nil means none.
 	profile atomic.Pointer[[]ShardStats]
@@ -187,7 +191,7 @@ func New(net *netmodel.Network, cfg Config) *Scanner {
 	if cfg.RatePPS <= 0 {
 		cfg.RatePPS = 100_000
 	}
-	s := &Scanner{net: net, cfg: cfg}
+	s := &Scanner{net: net, cfg: cfg, seedMix: rng.MixPrefix(cfg.Seed)}
 	if cfg.LossRate > 0 {
 		s.lossTh = uint64(cfg.LossRate * (1 << 32))
 	}
@@ -241,7 +245,7 @@ type target struct {
 func (s *Scanner) resolve(t *target, addr ip6.Addr, shard, day int) {
 	t.addr, t.day = addr, day
 	t.res = s.net.Resolve(addr, shard, day)
-	t.mix = rng.MixPrefix(s.cfg.Seed, addr.Hi(), addr.Lo())
+	t.mix = s.seedMix.Add(addr.Hi()).Add(addr.Lo())
 }
 
 // ProbeOne probes a single target with a single protocol, honoring loss
@@ -271,10 +275,14 @@ func (s *Scanner) probe(t *target, proto netmodel.Protocol, arena *netmodel.Wire
 	s.buildProbe(&pr, t, proto)
 	pr.Arena, pr.Plan = arena, plan
 	// Deterministic per-attempt loss: Mix(seed, hi, lo, proto, day,
-	// attempt, 0x1055) against the loss threshold (0 when loss is off).
-	loss := t.mix.Add(uint64(proto)).Add(uint64(t.day))
+	// attempt, 0x1055) against the loss threshold. With loss off the
+	// threshold is 0, no draw can fall below it, and none is hashed.
+	var loss rng.MixState
+	if s.lossTh != 0 {
+		loss = t.mix.Add(uint64(proto)).Add(uint64(t.day))
+	}
 	for attempt := 0; attempt <= s.cfg.Retries; attempt++ {
-		if loss.Add(uint64(attempt)).Add(0x1055).Sum()&0xffffffff < s.lossTh {
+		if s.lossTh != 0 && loss.Add(uint64(attempt)).Add(0x1055).Sum()&0xffffffff < s.lossTh {
 			continue
 		}
 		resp := s.net.ProbeResolved(&pr, &t.res)

@@ -9,6 +9,7 @@ import (
 	"hitlist6/internal/dnswire"
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
+	"hitlist6/internal/rng"
 )
 
 // testNet builds a miniature world: a reliable web host, a DNS host, an
@@ -178,6 +179,42 @@ func TestLossAndRetries(t *testing.T) {
 	// ~30% loss with 2 retries → miss rate ~2.7%.
 	if float64(retried) < 0.93*float64(len(targets)) {
 		t.Errorf("retried recovery too low: %d/%d", retried, len(targets))
+	}
+}
+
+// TestLossDrawMatchesMix pins the per-attempt loss draw to its formula,
+// Mix(seed, hi, lo, proto, day, attempt, 0x1055) against the threshold:
+// at a fully responsive prefix, each probe succeeds on the first attempt
+// whose draw is not below it, and with none it comes back silent after
+// every retry.
+func TestLossDrawMatchesMix(t *testing.T) {
+	n := testNet(t)
+	cfg := DefaultConfig(11)
+	cfg.LossRate, cfg.Retries = 0.3, 2
+	s := New(n, cfg)
+	th := uint64(cfg.LossRate * (1 << 32))
+	p := ip6.MustParsePrefix("2001:100:a::/64")
+	const day = 5
+	lost := 0
+	for i := uint64(0); i < 2000; i++ {
+		a := p.NthAddr(i)
+		want := 0 // attempts until the first draw at or above the threshold
+		for want <= cfg.Retries && rng.Mix(cfg.Seed, a.Hi(), a.Lo(), uint64(netmodel.ICMP), day, uint64(want), 0x1055)&0xffffffff < th {
+			want++
+		}
+		res := s.ProbeOne(a, netmodel.ICMP, day)
+		switch {
+		case want > cfg.Retries:
+			lost++
+			if res.Kind != netmodel.RespNone || int(res.Attempts) != 1+cfg.Retries {
+				t.Fatalf("%v: every draw lost, got kind %v after %d attempts", a, res.Kind, res.Attempts)
+			}
+		case !res.Success || int(res.Attempts) != want+1:
+			t.Fatalf("%v: want success on attempt %d, got success=%v after %d", a, want+1, res.Success, res.Attempts)
+		}
+	}
+	if lost == 0 {
+		t.Error("no target lost every attempt: the all-lost branch is not exercised")
 	}
 }
 
