@@ -505,7 +505,11 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 // cumulativeOf returns a folded cumulative set holding members.
 func cumulativeOf(members *ip6.ShardedSet) *ip6.SpillSet {
 	set := ip6.NewResidentSet()
-	members.Walk(func(a ip6.Addr) bool { set.Add(a); return true })
+	for sh := 0; sh < ip6.AddrShards; sh++ {
+		for a := range members.Shard(sh) {
+			set.Add(a)
+		}
+	}
 	set.Compact()
 	return set
 }

@@ -5,7 +5,8 @@
 // Each generator is a tga.ViewStreamer: a model fit to a sharded seed
 // view (tga.SeedViewOf turns the flat seed list into one) and sampled by
 // EmitView. Candidates stream straight from each generator into the scan
-// engine (tga.NewViewSource → Scanner.StreamResponsiveFrom): the
+// engine (tga.NewViewSource → Scanner.StreamResponsiveFrom, which
+// returns each protocol's responders as an ip6.SortedShardSet): the
 // candidate list is never materialized, which is how the pipeline stays
 // flat in memory at paper scale (6Graph alone proposes 125.8 M addresses
 // there).

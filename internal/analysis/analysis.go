@@ -30,7 +30,7 @@ type ASCount struct {
 // resolve to the same origin (or both to none), so each K-prefix is
 // looked up once. This is exact, not an aggregation shortcut; tables
 // announcing prefixes longer than /64 fall back to per-address lookups.
-func ByAS(set ip6.Set, table *netmodel.ASTable) []ASCount {
+func ByAS(set *ip6.SortedShardSet, table *netmodel.ASTable) []ASCount {
 	type asAgg struct {
 		name  string
 		count int
@@ -45,7 +45,7 @@ func ByAS(set ip6.Set, table *netmodel.ASTable) []ASCount {
 	if memoBits <= 64 {
 		memo = make(map[ip6.Addr]int)
 	}
-	for a := range set {
+	set.Walk(func(a ip6.Addr) bool {
 		asn := 0
 		if memo != nil {
 			key := ip6.PrefixFrom(a, memoBits).Addr()
@@ -68,7 +68,8 @@ func ByAS(set ip6.Set, table *netmodel.ASTable) []ASCount {
 			counts[asn] = c
 		}
 		c.count++
-	}
+		return true
+	})
 	out := make([]ASCount, 0, len(counts))
 	for asn, c := range counts {
 		out = append(out, ASCount{ASN: asn, Name: c.name, Count: c.count})
@@ -154,27 +155,10 @@ func (c CDF) SeriesPoints() []struct {
 }
 
 // Overlap computes the row-normalized overlap matrix of Figures 7 and 10:
-// cell [i][j] = |set_i ∩ set_j| / |set_i| × 100.
-func Overlap(names []string, sets []ip6.Set) [][]float64 {
-	n := len(sets)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-		for j := range out[i] {
-			if i == j || sets[i].Len() == 0 {
-				continue
-			}
-			out[i][j] = 100 * float64(sets[i].IntersectCount(sets[j])) / float64(sets[i].Len())
-		}
-	}
-	return out
-}
-
-// OverlapSorted is Overlap over frozen sorted shard sets: every cell is a
-// pair of per-shard merge walks instead of hashing one set against
-// another, and no flat set copies are ever materialized. Intersections
-// are symmetric, so each pair is walked once and normalized per row.
-func OverlapSorted(names []string, sets []*ip6.SortedShardSet) [][]float64 {
+// cell [i][j] = |set_i ∩ set_j| / |set_i| × 100, and 0 on the diagonal.
+// Every cell is a pair of per-shard merge walks; intersections are
+// symmetric, so each pair is walked once and normalized per row.
+func Overlap(names []string, sets []*ip6.SortedShardSet) [][]float64 {
 	n := len(sets)
 	out := make([][]float64, n)
 	for i := range out {
@@ -309,15 +293,16 @@ type EUI64Stats struct {
 }
 
 // EUI64Analysis computes EUI-64 statistics over a set.
-func EUI64Analysis(set ip6.Set) EUI64Stats {
+func EUI64Analysis(set *ip6.SortedShardSet) EUI64Stats {
 	st := EUI64Stats{Total: set.Len()}
 	macCount := make(map[ip6.MAC]int)
-	for a := range set {
+	set.Walk(func(a ip6.Addr) bool {
 		if mac, ok := a.EUI64MAC(); ok {
 			st.EUI64++
 			macCount[mac]++
 		}
-	}
+		return true
+	})
 	st.DistinctMACs = len(macCount)
 	var topMAC ip6.MAC
 	for mac, c := range macCount {

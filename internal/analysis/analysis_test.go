@@ -6,6 +6,7 @@ import (
 
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
+	"hitlist6/internal/rng"
 )
 
 func testTable() *netmodel.ASTable {
@@ -16,16 +17,16 @@ func testTable() *netmodel.ASTable {
 }
 
 func TestByASAndCDF(t *testing.T) {
-	set := ip6.NewSet(0)
+	var set []ip6.Addr
 	big := ip6.MustParsePrefix("2001:1::/32")
 	small := ip6.MustParsePrefix("2001:2::/32")
 	for i := uint64(0); i < 9; i++ {
-		set.Add(big.NthAddr(i))
+		set = append(set, big.NthAddr(i))
 	}
-	set.Add(small.NthAddr(0))
-	set.Add(ip6.MustParseAddr("3fff::1")) // unrouted
+	set = append(set, small.NthAddr(0))
+	set = append(set, ip6.MustParseAddr("3fff::1")) // unrouted
 
-	counts := ByAS(set, testTable())
+	counts := ByAS(ip6.SortedOf(set...), testTable())
 	if len(counts) != 3 {
 		t.Fatalf("counts: %+v", counts)
 	}
@@ -73,14 +74,14 @@ func TestByASMemoizationExact(t *testing.T) {
 	if got := table.MaxAnnouncedBits(); got != 64 {
 		t.Fatalf("MaxAnnouncedBits = %d", got)
 	}
-	set := ip6.NewSet(0)
+	var set []ip6.Addr
 	for i := uint64(0); i < 5; i++ {
-		set.Add(ip6.MustParsePrefix("2001:1::/64").NthAddr(i)) // CDN specific
+		set = append(set, ip6.MustParsePrefix("2001:1::/64").NthAddr(i)) // CDN specific
 	}
 	for i := uint64(0); i < 7; i++ {
-		set.Add(ip6.MustParsePrefix("2001:1:0:1::/64").NthAddr(i)) // Big, same /48 as the specific
+		set = append(set, ip6.MustParsePrefix("2001:1:0:1::/64").NthAddr(i)) // Big, same /48 as the specific
 	}
-	counts := ByAS(set, table)
+	counts := ByAS(ip6.SortedOf(set...), table)
 	if len(counts) != 2 {
 		t.Fatalf("counts: %+v", counts)
 	}
@@ -93,7 +94,7 @@ func TestByASMemoizationExact(t *testing.T) {
 // prefix lengths, which is exactly what makes longest-prefix matching
 // expensive (one map probe per populated length, all of them for
 // unrouted addresses).
-func benchTable(b *testing.B) (*netmodel.ASTable, ip6.Set) {
+func benchTable(b *testing.B) (*netmodel.ASTable, *ip6.SortedShardSet) {
 	b.Helper()
 	var ases []*netmodel.AS
 	lens := []int{20, 24, 28, 32, 36, 40, 44, 48}
@@ -108,21 +109,21 @@ func benchTable(b *testing.B) (*netmodel.ASTable, ip6.Set) {
 		}
 	}
 	table := netmodel.NewASTable(ases)
-	set := ip6.NewSet(0)
+	var set []ip6.Addr
 	// Dense hitlist-style population: many addresses per routed prefix,
 	// plus an unrouted tail that probes every populated length.
 	n := 0
 	for _, as := range ases {
 		p := as.Announced[0]
 		for i := uint64(0); i < 400; i++ {
-			set.Add(p.NthAddr(i * 131))
+			set = append(set, p.NthAddr(i*131))
 			n++
 		}
 	}
 	for i := uint64(0); i < 20_000; i++ {
-		set.Add(ip6.MustParsePrefix("3fff::/20").NthAddr(i * 77)) // unrouted
+		set = append(set, ip6.MustParsePrefix("3fff::/20").NthAddr(i*77)) // unrouted
 	}
-	return table, set
+	return table, ip6.SortedOf(set...)
 }
 
 // BenchmarkByAS measures per-AS aggregation over a BGP-shaped table —
@@ -140,9 +141,9 @@ func BenchmarkByAS(b *testing.B) {
 }
 
 func TestOverlap(t *testing.T) {
-	a := ip6.SetOf(ip6.MustParseAddr("2001::1"), ip6.MustParseAddr("2001::2"))
-	b := ip6.SetOf(ip6.MustParseAddr("2001::2"), ip6.MustParseAddr("2001::3"), ip6.MustParseAddr("2001::4"))
-	m := Overlap([]string{"a", "b"}, []ip6.Set{a, b})
+	a := ip6.SortedOf(ip6.MustParseAddr("2001::1"), ip6.MustParseAddr("2001::2"))
+	b := ip6.SortedOf(ip6.MustParseAddr("2001::2"), ip6.MustParseAddr("2001::3"), ip6.MustParseAddr("2001::4"))
+	m := Overlap([]string{"a", "b"}, []*ip6.SortedShardSet{a, b})
 	if m[0][1] != 50 {
 		t.Errorf("a∩b/a: %v", m[0][1])
 	}
@@ -153,9 +154,42 @@ func TestOverlap(t *testing.T) {
 		t.Error("diagonal must stay zero")
 	}
 	// Empty set row is all zeros, no panic.
-	m = Overlap([]string{"a", "e"}, []ip6.Set{a, ip6.NewSet(0)})
+	m = Overlap([]string{"a", "e"}, []*ip6.SortedShardSet{a, ip6.SortedOf()})
 	if m[1][0] != 0 {
 		t.Error("empty set row")
+	}
+
+	// Random overlapping sets against a map count of each intersection.
+	r := rng.NewStream(3, "overlap")
+	var flat [3][]ip6.Addr
+	for i := range flat {
+		for j := 0; j < 400*(i+1); j++ {
+			// A small address space, so the sets overlap and repeat.
+			flat[i] = append(flat[i], ip6.AddrFromUint64s(0x2001_0db8<<32, r.Uint64()%1500))
+		}
+	}
+	sets := make([]*ip6.SortedShardSet, len(flat))
+	for i := range flat {
+		sets[i] = ip6.SortedOf(flat[i]...)
+	}
+	m = Overlap([]string{"x", "y", "z"}, sets)
+	for i := range flat {
+		row := ip6.SetOf(flat[i]...)
+		for j := range flat {
+			want := 0.0
+			if i != j {
+				common := ip6.SetOf()
+				for _, x := range flat[j] {
+					if row.Has(x) {
+						common.Add(x)
+					}
+				}
+				want = 100 * float64(common.Len()) / float64(row.Len())
+			}
+			if m[i][j] != want {
+				t.Errorf("cell [%d][%d] = %v, want %v", i, j, m[i][j], want)
+			}
+		}
 	}
 }
 
@@ -213,18 +247,18 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestEUI64Analysis(t *testing.T) {
-	set := ip6.NewSet(0)
+	var set []ip6.Addr
 	mac1 := ip6.MAC{0x00, 0x1e, 0x73, 1, 2, 3}
 	mac2 := ip6.MAC{0x28, 0x6f, 0x7f, 9, 9, 9}
 	// mac1 under three prefixes (rotation), mac2 once, plus non-EUI.
 	for i, ps := range []string{"2003:1::/64", "2003:2::/64", "2003:3::/64"} {
-		set.Add(ip6.AddrFromMAC(ip6.MustParsePrefix(ps), mac1))
+		set = append(set, ip6.AddrFromMAC(ip6.MustParsePrefix(ps), mac1))
 		_ = i
 	}
-	set.Add(ip6.AddrFromMAC(ip6.MustParsePrefix("2003:4::/64"), mac2))
-	set.Add(ip6.MustParseAddr("2001::1"))
+	set = append(set, ip6.AddrFromMAC(ip6.MustParsePrefix("2003:4::/64"), mac2))
+	set = append(set, ip6.MustParseAddr("2001::1"))
 
-	st := EUI64Analysis(set)
+	st := EUI64Analysis(ip6.SortedOf(set...))
 	if st.Total != 5 || st.EUI64 != 4 {
 		t.Errorf("totals: %+v", st)
 	}
@@ -243,13 +277,13 @@ func TestEUI64TopOUITie(t *testing.T) {
 	large := ip6.MAC{0x28, 0x6f, 0x7f, 9, 9, 9}
 	for _, order := range [][2]ip6.MAC{{small, large}, {large, small}} {
 		for run := 0; run < 50; run++ {
-			set := ip6.NewSet(0)
+			var set []ip6.Addr
 			for _, mac := range order {
 				for _, ps := range []string{"2003:1::/64", "2003:2::/64"} {
-					set.Add(ip6.AddrFromMAC(ip6.MustParsePrefix(ps), mac))
+					set = append(set, ip6.AddrFromMAC(ip6.MustParsePrefix(ps), mac))
 				}
 			}
-			st := EUI64Analysis(set)
+			st := EUI64Analysis(ip6.SortedOf(set...))
 			if st.TopMACAddrs != 2 || st.TopOUI != small.OUI() {
 				t.Fatalf("order %v run %d: top %d addresses, OUI %x; want 2, %x",
 					order, run, st.TopMACAddrs, st.TopOUI, small.OUI())

@@ -396,8 +396,9 @@ func (s *Service) writeSnapshots(w *ckpt.Writer, name string, _ *ckptBase) error
 	return writeJSONFile(w, name, out, int64(len(out)), false)
 }
 
-func addrStrings(set ip6.Set) []string {
-	out := make([]string, 0, len(set))
+// addrStrings renders set in ascending address order.
+func addrStrings(set *ip6.SortedShardSet) []string {
+	out := make([]string, 0, set.Len())
 	for _, a := range set.Sorted() {
 		out = append(out, a.String())
 	}
@@ -874,7 +875,7 @@ func (s *Service) readSnapshots(lvl *ckpt.Snapshot, name string) error {
 		return err
 	}
 	for want, cs := range raw {
-		out := &Snapshot{Day: cs.Day, Responsive: make(map[netmodel.Protocol]ip6.Set, len(cs.Responsive))}
+		out := &Snapshot{Day: cs.Day, Responsive: make(map[netmodel.Protocol]*ip6.SortedShardSet, len(cs.Responsive))}
 		for p, addrs := range cs.Responsive {
 			if p >= netmodel.NumProtocols {
 				return fmt.Errorf("%w: snapshot protocol key %d", ckpt.ErrCorrupt, p)
@@ -901,16 +902,24 @@ func (s *Service) readSnapshots(lvl *ckpt.Snapshot, name string) error {
 	return nil
 }
 
-func parseAddrSet(addrs []string) (ip6.Set, error) {
-	set := ip6.NewSet(len(addrs))
-	for _, as := range addrs {
+// parseAddrSet routes a snapshot list, which writeSnapshots writes
+// strictly ascending, into shard columns; any other list is corrupt.
+func parseAddrSet(addrs []string) (*ip6.SortedShardSet, error) {
+	var shards [ip6.AddrShards][]ip6.Addr
+	var prev ip6.Addr
+	for i, as := range addrs {
 		a, err := ip6.ParseAddr(as)
 		if err != nil {
 			return nil, fmt.Errorf("%w: snapshot address %q", ckpt.ErrCorrupt, as)
 		}
-		set.Add(a)
+		if i > 0 && !prev.Less(a) {
+			return nil, fmt.Errorf("%w: snapshot address %q not above %q", ckpt.ErrCorrupt, as, addrs[i-1])
+		}
+		prev = a
+		sh := ip6.ShardOf(a)
+		shards[sh] = append(shards[sh], a)
 	}
-	return set, nil
+	return ip6.SortedFromShards(shards), nil
 }
 
 // readActive rebuilds the target store, appending each shard's records

@@ -630,28 +630,72 @@ func TestResumeRefusesMalformedSets(t *testing.T) {
 		label string
 		cfg   Config
 	}{{"resident", resident}, {"spill", spilling}}
-	for _, name := range []string{ckptInputSeenFile, ckptPrevRespFile, ckptLastCleanFile(int(netmodel.ICMP))} {
-		for _, tc := range []struct {
-			label  string
-			defect func([]byte) []byte
-		}{
-			{"moved address", moveAddr},
-			{"swapped addresses", swapAddrs},
-			{"duplicated address", dupAddr},
-		} {
-			ckpttest.Edit(t, ckdir, name, true, tc.defect)
-			for _, shape := range shapes {
-				n2, feeds2 := world()
-				s2, err := Resume(ckdir, shape.cfg, n2, feeds2, nil)
-				if !errors.Is(err, ckpt.ErrCorrupt) {
-					if s2 != nil {
-						s2.Close()
-					}
-					t.Errorf("%s, %s, %s: resume: err = %v, want ErrCorrupt", name, tc.label, shape.label, err)
-				}
+	// editSnapshot applies edit to the last captured snapshot's ICMP
+	// list, or with anyProto its any-protocol list, in snapshots.json.
+	editSnapshot := func(anyProto bool, edit func([]string) []string) func([]byte) []byte {
+		return func(b []byte) []byte {
+			var snaps map[int]ckptSnapshot
+			if err := json.Unmarshal(b, &snaps); err != nil {
+				t.Fatal(err)
 			}
-			restore()
+			day := -1
+			for d := range snaps {
+				day = max(day, d)
+			}
+			cs := snaps[day]
+			list := cs.Responsive[netmodel.ICMP]
+			if anyProto {
+				list = cs.Any
+			}
+			if len(list) < 2 {
+				t.Fatalf("snapshot of day %d holds %d addresses: nothing to damage", day, len(list))
+			}
+			if list = edit(list); anyProto {
+				cs.Any = list
+			} else {
+				cs.Responsive[netmodel.ICMP] = list
+			}
+			snaps[day] = cs
+			out, err := json.Marshal(snaps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
 		}
+	}
+	swapSnapshotAddrs := editSnapshot(false, func(l []string) []string {
+		l[0], l[1] = l[1], l[0]
+		return l
+	})
+	dupSnapshotAddr := editSnapshot(true, func(l []string) []string { return slices.Insert(l, 1, l[0]) })
+
+	type defect struct {
+		name, label string
+		edit        func([]byte) []byte
+	}
+	var defects []defect
+	for _, name := range []string{ckptInputSeenFile, ckptPrevRespFile, ckptLastCleanFile(int(netmodel.ICMP))} {
+		defects = append(defects,
+			defect{name, "moved address", moveAddr},
+			defect{name, "swapped addresses", swapAddrs},
+			defect{name, "duplicated address", dupAddr})
+	}
+	defects = append(defects,
+		defect{ckptSnapshotsFile, "swapped snapshot addresses", swapSnapshotAddrs},
+		defect{ckptSnapshotsFile, "duplicated snapshot address", dupSnapshotAddr})
+	for _, tc := range defects {
+		ckpttest.Edit(t, ckdir, tc.name, true, tc.edit)
+		for _, shape := range shapes {
+			n2, feeds2 := world()
+			s2, err := Resume(ckdir, shape.cfg, n2, feeds2, nil)
+			if !errors.Is(err, ckpt.ErrCorrupt) {
+				if s2 != nil {
+					s2.Close()
+				}
+				t.Errorf("%s, %s, %s: resume: err = %v, want ErrCorrupt", tc.name, tc.label, shape.label, err)
+			}
+		}
+		restore()
 	}
 
 	// The restored checkpoint loads in both shapes: the damage, not the

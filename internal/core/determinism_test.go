@@ -209,14 +209,6 @@ type refGolden struct {
 	Snapshots map[string]*refSnapshot `json:"snapshots,omitempty"`
 }
 
-func setStrings(s ip6.Set) []string {
-	out := make([]string, 0, s.Len())
-	for _, a := range s.Sorted() {
-		out = append(out, a.String())
-	}
-	return out
-}
-
 func goldenFrom(recs []*ScanRecord, snaps map[int]*Snapshot) *refGolden {
 	g := &refGolden{Records: recs}
 	if len(snaps) > 0 {
@@ -224,11 +216,11 @@ func goldenFrom(recs []*ScanRecord, snaps map[int]*Snapshot) *refGolden {
 		for day, snap := range snaps {
 			rs := &refSnapshot{
 				Day:           snap.Day,
-				ResponsiveAny: setStrings(snap.ResponsiveAny),
+				ResponsiveAny: addrStrings(snap.ResponsiveAny),
 				Responsive:    make(map[string][]string, len(snap.Responsive)),
 			}
 			for p, set := range snap.Responsive {
-				rs.Responsive[fmt.Sprint(int(p))] = setStrings(set)
+				rs.Responsive[fmt.Sprint(int(p))] = addrStrings(set)
 			}
 			for _, p := range snap.Aliased {
 				rs.Aliased = append(rs.Aliased, p.String())
@@ -369,7 +361,7 @@ func TestEverResponsiveMergedViews(t *testing.T) {
 	// Merged views are copies: mutating one must not corrupt the service.
 	before := s.EverResponsiveAny().Len()
 	for a := range any {
-		any.Delete(a)
+		delete(any, a)
 	}
 	if s.EverResponsiveAny().Len() != before {
 		t.Error("merged view shares storage with service state")

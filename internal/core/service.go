@@ -288,11 +288,13 @@ func lap(t *time.Time) time.Duration {
 	return d
 }
 
-// Snapshot is a full state capture at one scan.
+// Snapshot is a full state capture at one scan. Its sets are views of
+// that scan's clean responder columns, which are immutable, so taking a
+// snapshot copies no address.
 type Snapshot struct {
 	Day           int
-	Responsive    map[netmodel.Protocol]ip6.Set // clean view
-	ResponsiveAny ip6.Set
+	Responsive    map[netmodel.Protocol]*ip6.SortedShardSet // clean view
+	ResponsiveAny *ip6.SortedShardSet
 	Aliased       []ip6.Prefix
 }
 
@@ -674,9 +676,13 @@ func (s *Service) InputByFeed() map[string]int { return s.inputByFeed }
 
 // InputSeen returns every address ever accumulated as input (the
 // cumulative hitlist input, before filters), merged from its shards into
-// a fresh flat set. Callers that only need membership should use
-// InputSeenHas and skip the copy.
+// a fresh flat map. The benchmark (bench/) is its only caller, and its
+// move to views (ROADMAP item 2) deletes it; read InputSeenView instead.
 func (s *Service) InputSeen() ip6.Set { return s.inputSeen.Merge() }
+
+// InputSeenView returns every address ever accumulated as input, as the
+// set's view (ip6.SpillSet.View): call it between scans.
+func (s *Service) InputSeenView() (*ip6.SortedShardSet, error) { return s.inputSeen.View() }
 
 // InputSeenHas reports whether a was ever accumulated as input, without
 // materializing the merged set.
@@ -689,8 +695,9 @@ func (s *Service) Network() *netmodel.Network { return s.net }
 func (s *Service) PerASInput() map[int]*ASInput { return s.perASInput }
 
 // EverResponsive returns the cumulative clean responsive set for a
-// protocol, merged from its shards into a fresh flat set. Callers that
-// only need the cardinality should use EverResponsiveLen.
+// protocol, merged from its shards into a fresh flat map. The benchmark
+// (bench/) is its only caller, and its move to views (ROADMAP item 2)
+// deletes it; callers that need the cardinality use EverResponsiveLen.
 func (s *Service) EverResponsive(p netmodel.Protocol) ip6.Set { return s.everResp[p].Merge() }
 
 // EverResponsiveLen returns the size of the cumulative clean responsive
@@ -698,8 +705,9 @@ func (s *Service) EverResponsive(p netmodel.Protocol) ip6.Set { return s.everRes
 func (s *Service) EverResponsiveLen(p netmodel.Protocol) int { return s.everResp[p].Len() }
 
 // EverResponsiveAny returns addresses ever responsive to ≥1 protocol,
-// merged from its shards into a fresh flat set. Callers that only need
-// the cardinality should use EverResponsiveAnyLen.
+// merged from its shards into a fresh flat map. The benchmark (bench/) is
+// its only caller, and its move to views (ROADMAP item 2) deletes it;
+// callers that need the cardinality use EverResponsiveAnyLen.
 func (s *Service) EverResponsiveAny() ip6.Set { return s.everRespAny.Merge() }
 
 // EverResponsiveAnyLen returns the size of the ever-responsive-any set
@@ -1450,9 +1458,6 @@ func (s *Service) digestSink(digests []shardDigest) scan.Sink {
 // per shard.
 type respColumns [ip6.AddrShards][]ip6.Addr
 
-// set returns the columns as one flat Set.
-func (c *respColumns) set() ip6.Set { return ip6.SetOf(slices.Concat(c[:]...)...) }
-
 // column returns the addresses at rows of targets: cur itself when they
 // are exactly cur, or else a fresh slice, never cur's array — a column
 // is immutable once built. changed reports which.
@@ -1803,12 +1808,12 @@ func (s *Service) maybeSnapshot(day int) {
 		s.snapQueue = s.snapQueue[1:]
 		snap := &Snapshot{
 			Day:           day,
-			Responsive:    make(map[netmodel.Protocol]ip6.Set, len(s.cfg.Protocols)),
-			ResponsiveAny: s.prevRespAny.set(),
+			Responsive:    make(map[netmodel.Protocol]*ip6.SortedShardSet, len(s.cfg.Protocols)),
+			ResponsiveAny: ip6.SortedFromShards(s.prevRespAny),
 			Aliased:       s.aliased.Prefixes(),
 		}
 		for _, p := range s.cfg.Protocols {
-			snap.Responsive[p] = s.lastClean[p].set()
+			snap.Responsive[p] = ip6.SortedFromShards(s.lastClean[p])
 		}
 		s.snapshots[want] = snap
 	}

@@ -102,8 +102,7 @@ func TestShapes(t *testing.T) {
 	if res.UnionAny.Len() == 0 {
 		t.Fatal("new sources found nothing")
 	}
-	gain := res.UnionAny.Diff(res.Hitlist.Any)
-	if gain.Len() == 0 {
+	if res.UnionAny.IntersectCount(res.Hitlist.Any) == res.UnionAny.Len() {
 		t.Error("new sources contributed nothing new")
 	}
 

@@ -237,7 +237,11 @@ func EUI64(ctx context.Context, s *Suite, w io.Writer) error {
 	if err := s.Run(ctx); err != nil {
 		return err
 	}
-	st := analysis.EUI64Analysis(s.Svc.InputSeen())
+	input, err := s.Svc.InputSeenView()
+	if err != nil {
+		return err
+	}
+	st := analysis.EUI64Analysis(input)
 	fmt.Fprintf(w, "Section 4.1 — EUI-64 composition of the cumulative input\n\n")
 	tb := analysis.NewTable("measure", "value")
 	tb.Row("input addresses", analysis.Humanize(st.Total))
@@ -331,7 +335,7 @@ func Ablations(ctx context.Context, s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	seeds := tga.SeedViewOf(snap.ResponsiveAny.Sorted())
+	seeds := tga.NewSeedView(snap.ResponsiveAny)
 	tbC := analysis.NewTable("min size", "max gap", "candidates", "responsive", "hit rate")
 	for _, cfgRow := range []dc.Config{
 		{MinClusterSize: 10, MaxGap: 64, MaxFill: 4096},

@@ -279,8 +279,6 @@ func sortInts(xs []int) {
 }
 
 // Figure7 prints the overlap matrix between new-source responsive sets.
-// The matrix is computed from the frozen sorted-shard sets by per-shard
-// merge walks (analysis.OverlapSorted) — no flat set copies, no hashing.
 func Figure7(ctx context.Context, s *Suite, w io.Writer) error {
 	res, err := s.NewSources(ctx)
 	if err != nil {
@@ -290,9 +288,9 @@ func Figure7(ctx context.Context, s *Suite, w io.Writer) error {
 	sets := make([]*ip6.SortedShardSet, len(res.Sources))
 	for i, src := range res.Sources {
 		names[i] = src.Name
-		sets[i] = src.AnySorted
+		sets[i] = src.Any
 	}
-	m := analysis.OverlapSorted(names, sets)
+	m := analysis.Overlap(names, sets)
 	fmt.Fprintf(w, "Figure 7 — overlap between responsive addresses from new sources (%% of row)\n\n")
 	printMatrix(w, names, m)
 	return nil
@@ -348,7 +346,7 @@ func Figure10(ctx context.Context, s *Suite, w io.Writer) error {
 		return err
 	}
 	names := make([]string, 0, netmodel.NumProtocols)
-	sets := make([]ip6.Set, 0, netmodel.NumProtocols)
+	sets := make([]*ip6.SortedShardSet, 0, netmodel.NumProtocols)
 	for _, p := range netmodel.Protocols {
 		names = append(names, p.String())
 		sets = append(sets, snap.Responsive[p])

@@ -107,11 +107,8 @@ type SourceEval struct {
 	// CandidateASes counts ASes covered by the candidates.
 	CandidateASes int
 	// Responsive per protocol plus the union.
-	Responsive map[netmodel.Protocol]ip6.Set
-	Any        ip6.Set
-	// AnySorted is the frozen sorted-shard form of Any; the overlap
-	// matrix (Figure 7) is computed from it by per-shard merge walks.
-	AnySorted *ip6.SortedShardSet
+	Responsive map[netmodel.Protocol]*ip6.SortedShardSet
+	Any        *ip6.SortedShardSet
 	// GFWFiltered counts injection-classified DNS results removed.
 	GFWFiltered int
 }
@@ -120,14 +117,14 @@ type SourceEval struct {
 type NewSourcesResult struct {
 	Sources []SourceEval
 	// Union of all new-source responsive addresses.
-	UnionAny ip6.Set
+	UnionAny *ip6.SortedShardSet
 	// Hitlist is the final service snapshot for comparison.
 	Hitlist *core2
 }
 
 type core2 struct {
-	Responsive map[netmodel.Protocol]ip6.Set
-	Any        ip6.Set
+	Responsive map[netmodel.Protocol]*ip6.SortedShardSet
+	Any        *ip6.SortedShardSet
 }
 
 // NewSources runs the Section 6 evaluation once per suite: generate
@@ -146,7 +143,6 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	seeds := snap.ResponsiveAny.Sorted()
 	sc := func(x float64) int {
 		n := int(x * s.P.Scale)
 		if n < 1 {
@@ -197,7 +193,7 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 		{sixveclm.New(sixveclm.DefaultConfig()), sc(70.3e3)},
 		{dc.New(dc.DefaultConfig()), sc(5.3e6)},
 	}
-	view := tga.SeedViewOf(seeds)
+	view := tga.NewSeedView(snap.ResponsiveAny)
 	for _, g := range gens {
 		var addrs []ip6.Addr
 		g.g.EmitView(view, g.budget, func(a ip6.Addr) bool {
@@ -207,7 +203,7 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 		raws = append(raws, rawSource{name: g.g.Name(), addrs: addrs})
 	}
 
-	res := &NewSourcesResult{UnionAny: ip6.NewSet(0)}
+	res := &NewSourcesResult{UnionAny: ip6.SortedOf()}
 	scanner := s.Svc.Scanner()
 	aliased := s.Svc.AliasedPrefixes()
 
@@ -215,7 +211,7 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 		ev := SourceEval{
 			Name:       raw.name,
 			Candidates: len(raw.addrs),
-			Responsive: make(map[netmodel.Protocol]ip6.Set, netmodel.NumProtocols),
+			Responsive: make(map[netmodel.Protocol]*ip6.SortedShardSet, netmodel.NumProtocols),
 		}
 		candASes := map[int]bool{}
 		var targets []ip6.Addr
@@ -243,18 +239,14 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 		ev.CandidateASes = len(candASes)
 
 		// Scan; aggregate two rounds a week apart (the pool only once).
-		// Results stream straight into sharded accumulators — the old
-		// path materialized the full targets × protocols result slice
-		// per round, which dominated the evaluation's footprint.
+		// Results stream straight into per-shard columns, which only the
+		// batch's shard writes, sorted and deduplicated at the end.
 		days := []int{worldgen.EndDay, worldgen.EndDay + 7}
 		if raw.rescan {
 			days = days[:1]
 		}
-		var respSh [netmodel.NumProtocols]*ip6.ShardedSet
-		for _, p := range allProtocols() {
-			respSh[p] = ip6.NewShardedSet()
-		}
-		anySh := ip6.NewShardedSet()
+		var respCols [netmodel.NumProtocols][ip6.AddrShards][]ip6.Addr
+		var anyCols [ip6.AddrShards][]ip6.Addr
 		var filtered [ip6.AddrShards]int
 		for _, day := range days {
 			_, err := scanner.StreamFrom(ctx, scan.SliceSource(targets), allProtocols(), day, func(b *scan.Batch) error {
@@ -267,8 +259,8 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 						filtered[b.Shard]++
 						continue
 					}
-					respSh[r.Proto].AddToShard(b.Shard, r.Target)
-					anySh.AddToShard(b.Shard, r.Target)
+					respCols[r.Proto][b.Shard] = append(respCols[r.Proto][b.Shard], r.Target)
+					anyCols[b.Shard] = append(anyCols[b.Shard], r.Target)
 				}
 				return nil
 			})
@@ -280,11 +272,10 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 			ev.GFWFiltered += c
 		}
 		for _, p := range allProtocols() {
-			ev.Responsive[p] = respSh[p].Merge()
+			ev.Responsive[p] = ip6.SortShards(respCols[p])
 		}
-		ev.Any = anySh.Merge()
-		ev.AnySorted = ip6.FreezeSorted(anySh)
-		res.UnionAny.AddAll(ev.Any)
+		ev.Any = ip6.SortShards(anyCols)
+		res.UnionAny = res.UnionAny.Union(ev.Any)
 		res.Sources = append(res.Sources, ev)
 	}
 
@@ -328,7 +319,7 @@ func Table4(ctx context.Context, s *Suite, w io.Writer) error {
 	fmt.Fprintf(w, "Table 4 — responsive addresses for new sources by protocol\n\n")
 	tb := analysis.NewTable("source", "ICMP", "TCP/443", "TCP/80", "UDP/443", "UDP/53", "Total", "Top-1 AS", "Top-2 AS", "ASes")
 
-	row := func(name string, perProto map[netmodel.Protocol]ip6.Set, any ip6.Set) {
+	row := func(name string, perProto map[netmodel.Protocol]*ip6.SortedShardSet, any *ip6.SortedShardSet) {
 		counts := analysis.ByAS(any, s.World.Net.AS)
 		top1, top2 := "-", "-"
 		if len(counts) > 0 {
@@ -346,31 +337,26 @@ func Table4(ctx context.Context, s *Suite, w io.Writer) error {
 			analysis.Humanize(any.Len()), top1, top2, len(counts))
 	}
 
-	unionProto := make(map[netmodel.Protocol]ip6.Set)
-	totalProto := make(map[netmodel.Protocol]ip6.Set)
-	for _, p := range allProtocols() {
-		unionProto[p] = ip6.NewSet(0)
-		totalProto[p] = ip6.NewSet(0)
-	}
+	unionProto := make(map[netmodel.Protocol]*ip6.SortedShardSet)
 	for _, src := range res.Sources {
 		row(src.Name, src.Responsive, src.Any)
 		for _, p := range allProtocols() {
-			unionProto[p].AddAll(src.Responsive[p])
-			totalProto[p].AddAll(src.Responsive[p])
+			unionProto[p] = unionProto[p].Union(src.Responsive[p])
 		}
 	}
 	row("New Sources", unionProto, res.UnionAny)
 	row("IPv6 Hitlist", res.Hitlist.Responsive, res.Hitlist.Any)
-	totalAny := res.UnionAny.Union(res.Hitlist.Any)
+	totalProto := make(map[netmodel.Protocol]*ip6.SortedShardSet)
 	for _, p := range allProtocols() {
-		totalProto[p].AddAll(res.Hitlist.Responsive[p])
+		totalProto[p] = unionProto[p].Union(res.Hitlist.Responsive[p])
 	}
-	row("Total", totalProto, totalAny)
+	row("Total", totalProto, res.UnionAny.Union(res.Hitlist.Any))
 	fmt.Fprint(w, tb)
 
 	gain := 0.0
 	if res.Hitlist.Any.Len() > 0 {
-		gain = 100 * float64(res.UnionAny.Diff(res.Hitlist.Any).Len()) / float64(res.Hitlist.Any.Len())
+		fresh := res.UnionAny.Len() - res.UnionAny.IntersectCount(res.Hitlist.Any)
+		gain = 100 * float64(fresh) / float64(res.Hitlist.Any.Len())
 	}
 	fmt.Fprintf(w, "\nnew responsive addresses: +%.0f %% over the hitlist (paper: +174 %%)\n", gain)
 	return nil
@@ -385,9 +371,7 @@ func Table5(ctx context.Context, s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	flat := ip6.NewSet(impacted.Len())
-	impacted.Walk(func(a ip6.Addr) bool { flat.Add(a); return true })
-	counts := analysis.ByAS(flat, s.World.Net.AS)
+	counts := analysis.ByAS(impacted, s.World.Net.AS)
 	fmt.Fprintf(w, "Table 5 — top 10 ASes impacted by the GFW (total %s addresses)\n\n",
 		analysis.Humanize(impacted.Len()))
 	tb := analysis.NewTable("AS", "addresses", "%", "CDF")

@@ -206,9 +206,9 @@ func (t *Tracker) InjectedOnly(clean *ip6.SpillSet) (*ip6.SortedShardSet, error)
 
 // InjectedSeen returns every address that ever showed injection evidence,
 // including those that are real hosts on other protocols (which the paper
-// keeps in the hitlist). The returned set is a merged copy; callers that
-// only need the cardinality should use InjectedSeenLen, and membership
-// checks should go through InjectedSeenHas.
+// keeps in the hitlist), as a merged flat map. The benchmark (bench/) is
+// its only caller, and its move to views (ROADMAP item 2) deletes it;
+// read FreezeInjectedSeen, InjectedSeenLen or InjectedSeenHas instead.
 func (t *Tracker) InjectedSeen() ip6.Set { return t.injectedSeen.Merge() }
 
 // InjectedSeenHas reports whether a ever showed injection evidence,

@@ -271,7 +271,7 @@ func (w *Writer) mergeBody(bw *bodyWriter, counts *[ip6.AddrShards]uint64) error
 			return err
 		}
 		for sh := lo; sh < hi; sh++ {
-			if err := bw.write(addrBytes(arena[slot[sh] : slot[sh]+int(counts[sh])])); err != nil {
+			if err := bw.write(ip6.RawBytes(arena[slot[sh] : slot[sh]+int(counts[sh])])); err != nil {
 				return err
 			}
 		}
@@ -424,7 +424,7 @@ func WriteSharded(w io.Writer, counts *[ip6.AddrShards]uint64, body func(put fun
 			return err
 		}
 		n += uint64(len(run))
-		if _, err := w.Write(addrBytes(run)); err != nil {
+		if _, err := w.Write(ip6.RawBytes(run)); err != nil {
 			return fmt.Errorf("hlfile: writing body: %w", err)
 		}
 		return nil

@@ -121,23 +121,13 @@ func (r *Reader) shardSpan(sh int) []ip6.Addr {
 	return unsafe.Slice((*ip6.Addr)(unsafe.Pointer(&r.data[off])), r.counts[sh])
 }
 
-// addrBytes returns addrs' backing memory as bytes: ip6.Addr is [16]byte
-// (alignment 1, no padding), so a sorted run's memory is its body image —
-// the same layout fact shardSpan relies on.
-func addrBytes(addrs []ip6.Addr) []byte {
-	if len(addrs) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&addrs[0])), len(addrs)*ip6.AddrBytes)
-}
-
 // readAddrs fills buf with addresses [idx, idx+len(buf)) of the body,
 // reading straight into the caller's buffer.
 func (r *Reader) readAddrs(idx int64, buf []ip6.Addr) error {
 	if len(buf) == 0 {
 		return nil
 	}
-	if _, err := r.ra.ReadAt(addrBytes(buf), headerSize+idx*ip6.AddrBytes); err != nil {
+	if _, err := r.ra.ReadAt(ip6.RawBytes(buf), headerSize+idx*ip6.AddrBytes); err != nil {
 		return fmt.Errorf("hlfile: reading body: %w", err)
 	}
 	return nil

@@ -117,62 +117,85 @@ func TestFrozenPrefixMapFullSpace(t *testing.T) {
 	}
 }
 
-// TestSortedShardSet pins FreezeSorted against the hash-set reference.
+// TestSortedShardSet pins SortedOf, IntersectCount, Union and Sorted
+// against a hash-set reference.
 func TestSortedShardSet(t *testing.T) {
 	r := rng.NewStream(5, "sorted-shards")
-	mk := func(n int, overlapWith *ShardedSet, overlapEvery int) (*ShardedSet, Set) {
-		sh := NewShardedSet()
-		flat := NewSet(n)
-		i := 0
-		if overlapWith != nil {
-			overlapWith.Walk(func(a Addr) bool {
-				if i%overlapEvery == 0 {
-					sh.Add(a)
-					flat.Add(a)
-				}
-				i++
-				return true
-			})
+	mk := func(n int, overlapWith []Addr, overlapEvery int) []Addr {
+		var out []Addr
+		for i, a := range overlapWith {
+			if i%overlapEvery == 0 {
+				out = append(out, a)
+			}
 		}
 		for j := 0; j < n; j++ {
 			a := AddrFromUint64s(0x2001_0db8_0000_0000|r.Uint64()>>32, r.Uint64())
-			sh.Add(a)
-			flat.Add(a)
+			out = append(out, a, a) // repeats are dropped
 		}
-		return sh, flat
+		return out
 	}
-	shA, flatA := mk(1000, nil, 0)
-	shB, flatB := mk(700, shA, 3)
+	addrsA := mk(1000, nil, 0)
+	addrsB := mk(700, addrsA, 3)
+	flatA, flatB := SetOf(addrsA...), SetOf(addrsB...)
 
-	sa, sb := FreezeSorted(shA), FreezeSorted(shB)
+	sa, sb := SortedOf(addrsA...), SortedOf(addrsB...)
 	if sa.Len() != flatA.Len() || sb.Len() != flatB.Len() {
 		t.Fatalf("Len mismatch: %d/%d vs %d/%d", sa.Len(), sb.Len(), flatA.Len(), flatB.Len())
 	}
-	if got, want := sa.IntersectCount(sb), flatA.IntersectCount(flatB); got != want {
-		t.Fatalf("IntersectCount %d, want %d", got, want)
+	common := 0
+	for a := range flatA {
+		if flatB.Has(a) {
+			common++
+		}
 	}
-	if got, want := sb.IntersectCount(sa), flatB.IntersectCount(flatA); got != want {
-		t.Fatalf("reverse IntersectCount %d, want %d", got, want)
+	if got := sa.IntersectCount(sb); got != common {
+		t.Fatalf("IntersectCount %d, want %d", got, common)
+	}
+	if got := sb.IntersectCount(sa); got != common {
+		t.Fatalf("reverse IntersectCount %d, want %d", got, common)
 	}
 	// Self-intersection is the cardinality.
 	if got := sa.IntersectCount(sa); got != sa.Len() {
 		t.Fatalf("self IntersectCount %d, want %d", got, sa.Len())
 	}
-	// Shards are sorted and the walk is in canonical order.
-	seen := 0
+	union := SetOf(addrsA...)
+	union.AddSlice(addrsB)
+	u := sa.Union(sb)
+	requireAddrs(t, "Union", u.Sorted(), union.Sorted())
+	requireAddrs(t, "Sorted", sa.Sorted(), flatA.Sorted())
+	var empty *SortedShardSet
+	if empty.Union(sa).Len() != sa.Len() || len(empty.Sorted()) != 0 {
+		t.Fatal("a nil set is not empty")
+	}
+	var walked []Addr
+	sa.Walk(func(a Addr) bool { walked = append(walked, a); return true })
+	n := 0
+	sa.Walk(func(Addr) bool { n++; return false })
+	var canonical []Addr
 	for sh := 0; sh < AddrShards; sh++ {
-		shard := sa.Shard(sh)
-		for i := range shard {
-			seen++
-			if ShardOf(shard[i]) != sh {
-				t.Fatalf("shard %d holds foreign address %v", sh, shard[i])
-			}
-			if i > 0 && !shard[i-1].Less(shard[i]) {
-				t.Fatalf("shard %d not strictly sorted at %d", sh, i)
+		canonical = append(canonical, sa.Shard(sh)...)
+	}
+	requireAddrs(t, "Walk", walked, canonical)
+	if n != 1 {
+		t.Fatalf("early-stop walk visited %d", n)
+	}
+	// Shards are strictly sorted and hold only their own addresses.
+	for _, set := range []*SortedShardSet{sa, u} {
+		seen := 0
+		for sh := 0; sh < AddrShards; sh++ {
+			shard := set.Shard(sh)
+			for i := range shard {
+				seen++
+				if ShardOf(shard[i]) != sh {
+					t.Fatalf("shard %d holds foreign address %v", sh, shard[i])
+				}
+				if i > 0 && !shard[i-1].Less(shard[i]) {
+					t.Fatalf("shard %d not strictly sorted at %d", sh, i)
+				}
 			}
 		}
-	}
-	if seen != sa.Len() {
-		t.Fatalf("walked %d members, Len says %d", seen, sa.Len())
+		if seen != set.Len() {
+			t.Fatalf("walked %d members, Len says %d", seen, set.Len())
+		}
 	}
 }

@@ -271,22 +271,8 @@ func TestSetOperations(t *testing.T) {
 	if !s.Add(a3) || s.Add(a3) {
 		t.Error("Add return values wrong")
 	}
-	other := SetOf(a2, a3)
-	if got := s.Intersect(other); got.Len() != 2 {
-		t.Errorf("Intersect: %d", got.Len())
-	}
-	if got := s.IntersectCount(other); got != 2 {
-		t.Errorf("IntersectCount: %d", got)
-	}
-	if got := s.Diff(other); got.Len() != 1 || !got.Has(a1) {
-		t.Errorf("Diff: %v", got)
-	}
-	u := SetOf(a1).Union(SetOf(a2))
-	if u.Len() != 2 {
-		t.Errorf("Union: %d", u.Len())
-	}
 	c := s.Clone()
-	c.Delete(a1)
+	delete(c, a1)
 	if !s.Has(a1) {
 		t.Error("Clone aliases original")
 	}
@@ -302,7 +288,7 @@ func TestSetOperations(t *testing.T) {
 	}
 	s2 := NewSet(0)
 	s2.AddSlice(sl)
-	s2.AddAll(other)
+	s2.AddAll(SetOf(a2, a3))
 	if s2.Len() != 3 {
 		t.Errorf("AddSlice/AddAll: %d", s2.Len())
 	}

@@ -47,9 +47,6 @@ func (s Set) AddSlice(addrs []Addr) {
 // Has reports membership.
 func (s Set) Has(a Addr) bool { _, ok := s[a]; return ok }
 
-// Delete removes a.
-func (s Set) Delete(a Addr) { delete(s, a) }
-
 // Len returns the cardinality.
 func (s Set) Len() int { return len(s) }
 
@@ -60,60 +57,6 @@ func (s Set) Clone() Set {
 		c[a] = struct{}{}
 	}
 	return c
-}
-
-// Union returns a new set with all members of s and other.
-func (s Set) Union(other Set) Set {
-	u := make(Set, len(s)+len(other))
-	for a := range s {
-		u[a] = struct{}{}
-	}
-	for a := range other {
-		u[a] = struct{}{}
-	}
-	return u
-}
-
-// Intersect returns the members present in both sets.
-func (s Set) Intersect(other Set) Set {
-	small, large := s, other
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	out := make(Set)
-	for a := range small {
-		if _, ok := large[a]; ok {
-			out[a] = struct{}{}
-		}
-	}
-	return out
-}
-
-// IntersectCount returns |s ∩ other| without allocating the intersection.
-// Overlap matrices (Figures 7 and 10) are built from this.
-func (s Set) IntersectCount(other Set) int {
-	small, large := s, other
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	n := 0
-	for a := range small {
-		if _, ok := large[a]; ok {
-			n++
-		}
-	}
-	return n
-}
-
-// Diff returns the members of s not in other.
-func (s Set) Diff(other Set) Set {
-	out := make(Set)
-	for a := range s {
-		if _, ok := other[a]; !ok {
-			out[a] = struct{}{}
-		}
-	}
-	return out
 }
 
 // Sorted returns the members in ascending numeric order.

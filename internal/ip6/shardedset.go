@@ -27,12 +27,12 @@ func ShardOf(a Addr) int {
 }
 
 // ShardedSet is an address set partitioned into AddrShards disjoint Sets
-// by ShardOf: a scan-local accumulator. It exists for parallel
-// accumulation: each shard may be written by at most one goroutine at a
-// time (the scan engine guarantees this by processing each shard
-// sequentially), so no locking is needed, and merging in canonical shard
-// order is deterministic by construction. The cumulative sets that
-// outlive a scan are SpillSets.
+// by ShardOf: a map accumulator that FreezeSorted turns into a
+// SortedShardSet. Each shard may be written by at most one goroutine at a
+// time, so no locking is needed. Only the benchmark (bench/) still
+// builds sets this way; the service's per-shard accumulators are sorted
+// columns (SortShards), and this type goes when the benchmark reads
+// views (ROADMAP item 2).
 //
 // The zero value is not ready for use; call NewShardedSet.
 type ShardedSet struct {
@@ -49,8 +49,8 @@ func NewShardedSet() *ShardedSet { return &ShardedSet{} }
 func (s *ShardedSet) Add(a Addr) bool { return s.AddToShard(ShardOf(a), a) }
 
 // AddToShard inserts a into shard i. The caller must ensure
-// ShardOf(a) == i (the scan engine's batches satisfy this) and that no
-// other goroutine touches shard i concurrently.
+// ShardOf(a) == i and that no other goroutine touches shard i
+// concurrently.
 func (s *ShardedSet) AddToShard(i int, a Addr) bool {
 	if s.shards[i] == nil {
 		s.shards[i] = NewSet(0)
@@ -62,22 +62,6 @@ func (s *ShardedSet) AddToShard(i int, a Addr) bool {
 // read-only unless the per-shard writing contract is honored.
 func (s *ShardedSet) Shard(i int) Set { return s.shards[i] }
 
-// Has reports membership.
-func (s *ShardedSet) Has(a Addr) bool {
-	sh := s.shards[ShardOf(a)]
-	return sh != nil && sh.Has(a)
-}
-
-// HasInShard reports membership of a in shard i, skipping the shard hash
-// when the caller already knows it.
-func (s *ShardedSet) HasInShard(i int, a Addr) bool {
-	sh := s.shards[i]
-	return sh != nil && sh.Has(a)
-}
-
-// ShardLen returns the cardinality of shard i.
-func (s *ShardedSet) ShardLen(i int) int { return len(s.shards[i]) }
-
 // Len returns the total cardinality across shards.
 func (s *ShardedSet) Len() int {
 	n := 0
@@ -85,38 +69,4 @@ func (s *ShardedSet) Len() int {
 		n += len(sh)
 	}
 	return n
-}
-
-// Merge returns a new flat Set holding every member, built in canonical
-// shard order. Shards are disjoint, so this is a plain disjoint union.
-func (s *ShardedSet) Merge() Set {
-	out := NewSet(s.Len())
-	for _, sh := range s.shards {
-		out.AddAll(sh)
-	}
-	return out
-}
-
-// Clone returns a deep copy.
-func (s *ShardedSet) Clone() *ShardedSet {
-	c := &ShardedSet{}
-	for i, sh := range s.shards {
-		if sh != nil {
-			c.shards[i] = sh.Clone()
-		}
-	}
-	return c
-}
-
-// Walk visits every member, shard by shard in canonical order; fn
-// returning false stops the walk. Within a shard the order is map order
-// (unspecified).
-func (s *ShardedSet) Walk(fn func(Addr) bool) {
-	for _, sh := range s.shards {
-		for a := range sh {
-			if !fn(a) {
-				return
-			}
-		}
-	}
 }

@@ -68,20 +68,8 @@ func TestShardedSetBasics(t *testing.T) {
 		t.Errorf("len: %d vs %d", s.Len(), len(addrs))
 	}
 	for _, a := range addrs {
-		if !s.Has(a) {
+		if !s.Shard(ShardOf(a)).Has(a) {
 			t.Fatalf("missing %v", a)
-		}
-		if !s.HasInShard(ShardOf(a), a) {
-			t.Fatalf("HasInShard missing %v", a)
-		}
-	}
-	merged := s.Merge()
-	if merged.Len() != len(addrs) {
-		t.Errorf("merged len: %d", merged.Len())
-	}
-	for _, a := range addrs {
-		if !merged.Has(a) {
-			t.Fatalf("merged missing %v", a)
 		}
 	}
 }
@@ -128,29 +116,5 @@ func TestShardedSetConcurrentPerShardWriters(t *testing.T) {
 	wg.Wait()
 	if s.Len() != len(addrs) {
 		t.Errorf("len after concurrent fill: %d vs %d", s.Len(), len(addrs))
-	}
-}
-
-func TestShardedSetCloneAndWalk(t *testing.T) {
-	s := NewShardedSet()
-	addrs := shardedTestAddrs(64)
-	for _, a := range addrs {
-		s.Add(a)
-	}
-	c := s.Clone()
-	extra := AddrFromUint64s(0x2001_0db8_ffff_0000, 1)
-	c.Add(extra)
-	if s.Has(extra) {
-		t.Error("clone shares storage with original")
-	}
-	n := 0
-	s.Walk(func(Addr) bool { n++; return true })
-	if n != len(addrs) {
-		t.Errorf("walk visited %d", n)
-	}
-	n = 0
-	s.Walk(func(Addr) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early-stop walk visited %d", n)
 	}
 }

@@ -20,11 +20,23 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // AddrBytes is the on-disk size of one address in every external-memory
 // structure of this package (raw network byte order, no framing).
 const AddrBytes = 16
+
+// RawBytes returns addrs' backing memory as bytes, without a copy: Addr
+// is [16]byte (alignment 1, no padding), so a slice of addresses is
+// already its on-disk image. Spill runs and .hl6 bodies are written from
+// it, and a .hl6 reader reads into it.
+func RawBytes(addrs []Addr) []byte {
+	if len(addrs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&addrs[0])), len(addrs)*AddrBytes)
+}
 
 // fenceEvery is the fence-index granularity of a Run: one resident
 // address per this many on-disk addresses, so a point lookup costs one
@@ -109,10 +121,7 @@ func (rf *RunFile) WriteRun(addrs []Addr) (Run, error) {
 	if len(addrs) == 0 {
 		return Run{}, nil
 	}
-	buf := make([]byte, len(addrs)*AddrBytes)
-	for i, a := range addrs {
-		copy(buf[i*AddrBytes:], a[:])
-	}
+	buf := RawBytes(addrs)
 	rf.mu.Lock()
 	off := rf.sz
 	rf.sz += int64(len(buf))
@@ -609,14 +618,17 @@ func (s *SpillSet) insert(i int, a Addr) {
 	}
 }
 
-// merged returns col ∪ add — both ascending, no address of add in col —
-// as a fresh slice, galloping through col for each address of add.
+// merged returns col ∪ add — both strictly ascending — as a fresh slice,
+// galloping through col for each address of add. An address in both is
+// kept once, from col.
 func merged(col, add []Addr) []Addr {
 	out := make([]Addr, 0, len(col)+len(add))
 	for _, a := range add {
 		k := gallop(col, a)
-		out = append(append(out, col[:k]...), a)
-		col = col[k:]
+		out = append(out, col[:k]...)
+		if col = col[k:]; len(col) == 0 || col[0] != a {
+			out = append(out, a)
+		}
 	}
 	return append(out, col...)
 }

@@ -156,7 +156,7 @@ func TestSpillSetMatchesShardedSet(t *testing.T) {
 				t.Fatalf("budget %d step %d: Len %d, want %d", budget, step, got, want)
 			}
 			for _, a := range pool[:200] {
-				if set.Has(a) != model.Has(a) {
+				if set.Has(a) != model.Shard(ShardOf(a)).Has(a) {
 					t.Fatalf("budget %d step %d: Has(%v) = %v", budget, step, a, set.Has(a))
 				}
 			}

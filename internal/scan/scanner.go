@@ -345,21 +345,26 @@ func (s *Scanner) buildProbe(pr *netmodel.Probe, t *target, proto netmodel.Proto
 	}
 }
 
-// StreamResponsiveFrom probes everything src yields and accumulates, per
-// protocol, the sharded set of targets that answered, never
-// materializing the target list or the result cross product.
-func (s *Scanner) StreamResponsiveFrom(ctx context.Context, src TargetSource, protos []netmodel.Protocol, day int) (map[netmodel.Protocol]*ip6.ShardedSet, Stats, error) {
-	acc := make(map[netmodel.Protocol]*ip6.ShardedSet, len(protos))
-	for _, p := range protos {
-		acc[p] = ip6.NewShardedSet()
-	}
+// StreamResponsiveFrom probes everything src yields and returns, per
+// protocol, the set of targets that answered, never materializing the
+// target list or the result cross product. The sink appends each success
+// to its protocol's column for the batch's shard — a shard's batches
+// arrive one at a time, so only one goroutine writes a column — and each
+// column is sorted and deduplicated once the stream ends, since a source
+// may repeat a target.
+func (s *Scanner) StreamResponsiveFrom(ctx context.Context, src TargetSource, protos []netmodel.Protocol, day int) (map[netmodel.Protocol]*ip6.SortedShardSet, Stats, error) {
+	var cols [netmodel.NumProtocols][ip6.AddrShards][]ip6.Addr
 	st, err := s.StreamFrom(ctx, src, protos, day, func(b *Batch) error {
 		for i := range b.Results {
 			if r := &b.Results[i]; r.Success {
-				acc[r.Proto].AddToShard(b.Shard, r.Target)
+				cols[r.Proto][b.Shard] = append(cols[r.Proto][b.Shard], r.Target)
 			}
 		}
 		return nil
 	})
-	return acc, st, err
+	sets := make(map[netmodel.Protocol]*ip6.SortedShardSet, len(protos))
+	for _, p := range protos {
+		sets[p] = ip6.SortShards(cols[p])
+	}
+	return sets, st, err
 }

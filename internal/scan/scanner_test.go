@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"hitlist6/internal/dnswire"
@@ -179,6 +181,79 @@ func TestLossAndRetries(t *testing.T) {
 	// ~30% loss with 2 retries → miss rate ~2.7%.
 	if float64(retried) < 0.93*float64(len(targets)) {
 		t.Errorf("retried recovery too low: %d/%d", retried, len(targets))
+	}
+}
+
+// TestStreamResponsiveFromMatchesModel: a source that repeats targets,
+// not next to each other, yields per protocol the set of targets that
+// answered — equal to a map built from a plain stream of the distinct
+// targets — with every shard strictly ascending, routed and sharded, at
+// one and four workers.
+func TestStreamResponsiveFromMatchesModel(t *testing.T) {
+	n := testNet(t)
+	distinct := append(streamTargets(300),
+		ip6.MustParseAddr("2001:100::80"),
+		ip6.MustParseAddr("2001:100::53"),
+		ip6.MustParseAddr("240e::1"))
+	targets := slices.Clone(distinct)
+	for i := len(distinct) - 1; i >= 0; i -= 3 {
+		targets = append(targets, distinct[i])
+	}
+	protos := []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80, netmodel.UDP53}
+	mk := func(workers int) *Scanner {
+		cfg := DefaultConfig(3)
+		cfg.LossRate = 0.2
+		cfg.Workers = workers
+		cfg.BatchSize = 16
+		return New(n, cfg)
+	}
+
+	model := make(map[netmodel.Protocol]ip6.Set)
+	for _, p := range protos {
+		model[p] = ip6.NewSet(0)
+	}
+	var mu sync.Mutex
+	_, err := mk(1).StreamFrom(context.Background(), SliceSource(distinct), protos, 5, func(b *Batch) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range b.Results {
+			if r.Success {
+				model[r.Proto].Add(r.Target)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if model[netmodel.ICMP].Len() == 0 || model[netmodel.UDP53].Len() == 0 {
+		t.Fatal("model holds no responder")
+	}
+
+	for _, workers := range []int{1, 4} {
+		for name, src := range map[string]func() TargetSource{
+			"sharded": func() TargetSource { return SliceSource(targets) },
+			"routed":  func() TargetSource { return opaque{SliceSource(targets)} },
+		} {
+			sets, _, err := mk(workers).StreamResponsiveFrom(context.Background(), src(), protos, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range protos {
+				set := sets[p]
+				if !slices.Equal(set.Sorted(), model[p].Sorted()) {
+					t.Fatalf("%s workers=%d %v: %d responders, model %d", name, workers, p, set.Len(), model[p].Len())
+				}
+				for sh := 0; sh < ip6.AddrShards; sh++ {
+					col := set.Shard(sh)
+					for i := range col {
+						if ip6.ShardOf(col[i]) != sh || i > 0 && !col[i-1].Less(col[i]) {
+							t.Fatalf("%s workers=%d %v: shard %d not strictly ascending or misfiled at %d", name, workers, p, sh, i)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

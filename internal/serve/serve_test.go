@@ -19,14 +19,6 @@ func mustAddr(t testing.TB, s string) ip6.Addr {
 	return a
 }
 
-func sortedOf(addrs ...ip6.Addr) *ip6.SortedShardSet {
-	s := ip6.NewShardedSet()
-	for _, a := range addrs {
-		s.Add(a)
-	}
-	return ip6.FreezeSorted(s)
-}
-
 // testSnapshot builds a small snapshot with one address per dimension.
 func testSnapshot(t testing.TB) (*Snapshot, map[string]ip6.Addr) {
 	t.Helper()
@@ -39,14 +31,14 @@ func testSnapshot(t testing.TB) (*Snapshot, map[string]ip6.Addr) {
 		"nothing": mustAddr(t, "2001:db8::dead"),
 	}
 	var perProto [netmodel.NumProtocols]*ip6.SortedShardSet
-	perProto[netmodel.ICMP] = sortedOf(addrs["live"])
-	perProto[netmodel.UDP53] = sortedOf(addrs["udp53"])
+	perProto[netmodel.ICMP] = ip6.SortedOf(addrs["live"])
+	perProto[netmodel.UDP53] = ip6.SortedOf(addrs["udp53"])
 	snap := NewSnapshot(
 		1000,
-		sortedOf(addrs["live"], addrs["udp53"]),
+		ip6.SortedOf(addrs["live"], addrs["udp53"]),
 		perProto,
 		[]ip6.Prefix{ip6.MustParsePrefix("2001:db8:aaaa::/48")},
-		sortedOf(addrs["gfw"]),
+		ip6.SortedOf(addrs["gfw"]),
 	)
 	return snap, addrs
 }

@@ -26,26 +26,7 @@ func NewSeedView(set *ip6.SortedShardSet) *SeedView { return &SeedView{set: set}
 // holding a plain seed list (the CLI, the experiments, tests) hands it to
 // EmitView. Seeds are partitioned by canonical shard, sorted, and
 // deduplicated; the caller's slice is not modified.
-func SeedViewOf(seeds []ip6.Addr) *SeedView {
-	var shards [ip6.AddrShards][]ip6.Addr
-	for _, a := range seeds {
-		sh := ip6.ShardOf(a)
-		shards[sh] = append(shards[sh], a)
-	}
-	for sh := range shards {
-		span := shards[sh]
-		ip6.SortAddrs(span)
-		out := span[:0]
-		for i, a := range span {
-			if i > 0 && a == span[i-1] {
-				continue
-			}
-			out = append(out, a)
-		}
-		shards[sh] = out
-	}
-	return &SeedView{set: ip6.SortedFromShards(shards)}
-}
+func SeedViewOf(seeds []ip6.Addr) *SeedView { return NewSeedView(ip6.SortedOf(seeds...)) }
 
 // Len returns the total seed count; a nil view is empty.
 func (v *SeedView) Len() int {
