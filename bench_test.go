@@ -367,15 +367,13 @@ func BenchmarkGFWSpikeDetection(b *testing.B) {
 // metric is queries per wall-clock second across all client goroutines.
 func BenchmarkServeQPS(b *testing.B) {
 	r := rng.NewStream(42, "serve-bench")
-	members := ip6.NewShardedSet()
 	addrs := make([]ip6.Addr, 1<<17)
 	for i := range addrs {
 		addrs[i] = ip6.AddrFromUint64s(0x2001_0000_0000_0000|r.Uint64()&0xffff_ffff, r.Uint64())
-		members.Add(addrs[i])
 	}
 	var perProto [netmodel.NumProtocols]*ip6.SortedShardSet
 	h := serve.NewHandle()
-	h.Publish(serve.NewSnapshot(100, ip6.FreezeSorted(members), perProto, nil, nil))
+	h.Publish(serve.NewSnapshot(100, ip6.SortedOf(addrs...), perProto, nil, nil))
 
 	// Query workload: alternate members and uniform-random misses.
 	queries := make([]ip6.Addr, 1024)

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"hitlist6/internal/ckpt"
-	"hitlist6/internal/core"
 	"hitlist6/internal/hlfile"
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -210,8 +209,7 @@ func hl6Info(args []string) {
 // ckptInfo prints a checkpoint directory's manifest: scan cursor, serve
 // generation, the segment's size, every payload with its offset in the
 // segment, size, item count and [append] tag, the delta chain level by
-// level with each level's bytes (when the head is a delta checkpoint),
-// and the ingest-journal status next to the directory.
+// level with each level's bytes (when the head is a delta checkpoint).
 func ckptInfo(dir string) {
 	resolved, err := ckpt.Resolve(dir)
 	if err != nil {
@@ -278,15 +276,6 @@ func ckptInfo(dir string) {
 			cur = pm
 		}
 		fmt.Printf("chain total:     %d bytes\n", total)
-	}
-	count, jbytes, ok, err := ckpt.JournalStat(core.JournalPath(dir))
-	if err != nil {
-		fatal(err)
-	}
-	if !ok {
-		fmt.Printf("journal:         none\n")
-	} else {
-		fmt.Printf("journal:         %d records (%d bytes) — mid-scan debris, discarded on resume\n", count, jbytes)
 	}
 }
 

@@ -168,8 +168,8 @@ func main() {
 		serveZone   = flag.String("servezone", "hitlist6.serve", "DNS zone for -serve")
 		timeline    = flag.Bool("timeline", false, "run the full service timeline (one hitlist6-style CSV row per scan) instead of one scan")
 		stride      = flag.Int("stride", 1, "-timeline: run every N-th scheduled scan")
-		ckptDir     = flag.String("ckpt", "", "-timeline: checkpoint directory (enables journaled ingest and checkpoints)")
-		ckptEvery   = flag.Int("ckptevery", 1, "-timeline: checkpoint after every Nth scan (0 = journaled ingest only)")
+		ckptDir     = flag.String("ckpt", "", "-timeline: checkpoint directory (enables checkpoints)")
+		ckptEvery   = flag.Int("ckptevery", 1, "-timeline: checkpoint after every Nth scan (0 = no automatic checkpoints)")
 		ckptFull    = flag.Int("ckptfull", 0, "-timeline: full (compaction) checkpoint every Nth checkpoint, deltas in between (0 = default cadence, 1 = every checkpoint full)")
 		resume      = flag.Bool("resume", false, "-timeline: resume from the checkpoint in -ckpt, re-emitting completed rows")
 		pause       = flag.Duration("pause", 0, "-timeline: pause between scans")

@@ -19,12 +19,12 @@ import (
 
 // timelineMain is -timeline mode: the full service pipeline over the
 // scheduled scan days, one CSV row per scan (the exact rows hitlist6
-// emits), with optional durability. With -ckpt the service runs its
-// journaled chunked ingest and checkpoints after every -ckptevery scans;
-// -resume restarts from the last finalized checkpoint, re-emits the CSV
-// rows of every completed scan, and continues the schedule — so a run
-// SIGKILLed anywhere and resumed produces byte-identical CSV to an
-// uninterrupted one (the CI kill-and-resume job diffs them with cmp).
+// emits), with optional durability. With -ckpt the service checkpoints
+// after every -ckptevery scans; -resume restarts from the last finalized
+// checkpoint, re-emits the CSV rows of every completed scan, and
+// continues the schedule — so a run SIGKILLed anywhere and resumed
+// produces byte-identical CSV to an uninterrupted one (the CI
+// kill-and-resume job diffs them with cmp).
 // prof's CPU profile starts after world generation and spans the resume
 // and every scan; its heap profile is taken after the last scan. With a
 // profile asked for, SIGINT/SIGTERM ends the timeline after the scan in

@@ -414,7 +414,7 @@ func chainDirs(dest string) ([]string, error) {
 		digits, ok := strings.CutPrefix(e.Name(), prefix)
 		n, err := strconv.Atoi(digits)
 		if !ok || err != nil {
-			continue // ".prev", journals, unrelated siblings
+			continue // ".prev", unrelated siblings
 		}
 		dirs = append(dirs, dest+".p"+digits)
 		scans = append(scans, n)

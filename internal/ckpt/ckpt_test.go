@@ -13,7 +13,6 @@ import (
 
 	"hitlist6/internal/ckpt"
 	"hitlist6/internal/ckpt/ckpttest"
-	"hitlist6/internal/ip6"
 )
 
 // writeCheckpoint commits a checkpoint with the given payloads, written
@@ -480,139 +479,5 @@ func TestCreateRejectsBadNames(t *testing.T) {
 		if _, err := w.Create(name); err == nil {
 			t.Fatalf("Create(%q) succeeded; want refusal", name)
 		}
-	}
-}
-
-func TestJournalRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "scan.journal")
-	recs := []struct {
-		feed int32
-		addr ip6.Addr
-	}{
-		{0, ip6.MustParseAddr("2001:db8::1")},
-		{2, ip6.MustParseAddr("2001:db8::2")},
-		{1, ip6.MustParseAddr("fe80::1")},
-	}
-
-	jw, err := ckpt.CreateJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := jw.Add(r.feed, r.addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if jw.Count() != int64(len(recs)) {
-		t.Fatalf("count = %d", jw.Count())
-	}
-	if err := jw.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	count, bytes, ok, err := ckpt.JournalStat(path)
-	if err != nil || !ok || count != int64(len(recs)) {
-		t.Fatalf("JournalStat = %d, %d, %v, %v", count, bytes, ok, err)
-	}
-
-	jr, err := ckpt.OpenJournal(path, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range recs {
-		feed, addr, ok, err := jr.Next()
-		if err != nil || !ok {
-			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
-		}
-		if feed != want.feed || addr != want.addr {
-			t.Fatalf("record %d = (%d, %v), want (%d, %v)", i, feed, addr, want.feed, want.addr)
-		}
-	}
-	if _, _, ok, err := jr.Next(); ok || err != nil {
-		t.Fatalf("past end: ok=%v err=%v", ok, err)
-	}
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := jr.Remove(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, err := ckpt.JournalStat(path); ok || err != nil {
-		t.Fatalf("after remove: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestJournalDiscard(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "scan.journal")
-	jw, err := ckpt.CreateJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jw.Add(0, ip6.MustParseAddr("2001:db8::1"))
-	jw.Discard()
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("discarded journal still present: %v", err)
-	}
-}
-
-func TestOpenJournalBadMagic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "scan.journal")
-	if err := os.WriteFile(path, []byte("NOPE-not-a-journal"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ckpt.OpenJournal(path, 1); !errors.Is(err, ckpt.ErrCorrupt) {
-		t.Fatalf("err = %v, want ckpt.ErrCorrupt", err)
-	}
-}
-
-// TestJournalFailsClosed: replay refuses a record naming a feed the
-// replaying ingest does not have, and a torn trailing record, with
-// ckpt.ErrCorrupt after handing out the whole records before it.
-func TestJournalFailsClosed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "scan.journal")
-	jw, err := ckpt.CreateJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, feed := range []int32{0, 1, 2, -1} {
-		if err := jw.Add(feed, ip6.MustParseAddr("2001:db8::1")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := func(feeds int) (int, error) {
-		t.Helper()
-		jr, err := ckpt.OpenJournal(path, feeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer jr.Close()
-		for n := 0; ; n++ {
-			_, _, ok, err := jr.Next()
-			if err != nil || !ok {
-				return n, err
-			}
-		}
-	}
-	// Feeds 2 and -1 (stored as 0xffffffff) are out of range for two feeds.
-	if n, err := replay(2); n != 2 || !errors.Is(err, ckpt.ErrCorrupt) {
-		t.Fatalf("feed out of range: %d records, err %v; want 2, ckpt.ErrCorrupt", n, err)
-	}
-	if n, err := replay(3); n != 3 || !errors.Is(err, ckpt.ErrCorrupt) {
-		t.Fatalf("feed -1: %d records, err %v; want 3, ckpt.ErrCorrupt", n, err)
-	}
-	// Cut the last record short: the three whole ones replay, then the
-	// torn tail fails closed.
-	if err := os.WriteFile(path, whole[:len(whole)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := replay(3); n != 3 || !errors.Is(err, ckpt.ErrCorrupt) {
-		t.Fatalf("torn record: %d records, err %v; want 3, ckpt.ErrCorrupt", n, err)
 	}
 }

@@ -1,8 +1,6 @@
 package ckpt_test
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -10,7 +8,6 @@ import (
 	"testing"
 
 	"hitlist6/internal/ckpt"
-	"hitlist6/internal/ip6"
 )
 
 // FuzzOpen mutates the manifest of a committed two-level chain — a delta
@@ -89,79 +86,4 @@ func readSection(t *testing.T, s *ckpt.Snapshot, fi ckpt.FileInfo) {
 	if err != nil || int64(len(b)) != fi.Bytes {
 		t.Fatalf("%s read %d bytes (%v), manifest says %d", fi.Name, len(b), err, fi.Bytes)
 	}
-}
-
-// FuzzJournal replays arbitrary bytes as an ingest journal spooled from
-// feeds sources and holds the reader to its contract against a direct
-// decode of the bytes: a bad magic fails OpenJournal with ErrCorrupt;
-// otherwise Next hands out every whole record in order while its feed
-// index is in [0, feeds), then ends cleanly at the end of the file, or
-// fails with ErrCorrupt at the first record naming another feed or at a
-// torn trailing record. Never a panic, never a record past the file.
-func FuzzJournal(f *testing.F) {
-	path := filepath.Join(f.TempDir(), "scan.journal")
-	jw, err := ckpt.CreateJournal(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i, a := range []string{"2001:db8::1", "2001:db8::2", "240e::53"} {
-		if err := jw.Add(int32(i), ip6.MustParseAddr(a)); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := jw.Finish(); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid, byte(3))
-
-	const recBytes = 4 + ip6.AddrBytes
-	f.Fuzz(func(t *testing.T, data []byte, feeds byte) {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		jr, err := ckpt.OpenJournal(path, int(feeds))
-		if len(data) < 4 || string(data[:4]) != "HL6J" {
-			if !errors.Is(err, ckpt.ErrCorrupt) {
-				t.Fatalf("bad magic: err %v, want ckpt.ErrCorrupt", err)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer jr.Close()
-		rest := data[4:]
-		for i := 0; ; i++ {
-			feed, a, ok, err := jr.Next()
-			switch {
-			case len(rest) == 0:
-				if ok || err != nil {
-					t.Fatalf("record %d past the end: ok=%v err=%v", i, ok, err)
-				}
-				return
-			case len(rest) < recBytes:
-				if ok || !errors.Is(err, ckpt.ErrCorrupt) {
-					t.Fatalf("torn record %d: ok=%v err=%v, want ckpt.ErrCorrupt", i, ok, err)
-				}
-				return
-			case binary.LittleEndian.Uint32(rest) >= uint32(feeds):
-				if ok || !errors.Is(err, ckpt.ErrCorrupt) {
-					t.Fatalf("record %d names feed %d of %d: ok=%v err=%v, want ckpt.ErrCorrupt",
-						i, binary.LittleEndian.Uint32(rest), feeds, ok, err)
-				}
-				return
-			}
-			if !ok || err != nil {
-				t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
-			}
-			if uint32(feed) != binary.LittleEndian.Uint32(rest) || string(a[:]) != string(rest[4:recBytes]) {
-				t.Fatalf("record %d = (%d, %v), want the bytes %x", i, feed, a, rest[:recBytes])
-			}
-			rest = rest[recBytes:]
-		}
-	})
 }

@@ -488,7 +488,7 @@ func TestActiveTableMatchesReference(t *testing.T) {
 		if r.IntN(2) == 0 {
 			cfg.MemoryBudget = 1 // every cumulative set spills: deployment walks a spilled everRespAny
 		}
-		name := fmt.Sprintf("seed=%d/workers=%d/fleet=%d/retain=%v/deploy=%d/apd=%d/tga=%v/journal=%v/budget=%d", seed,
+		name := fmt.Sprintf("seed=%d/workers=%d/fleet=%d/retain=%v/deploy=%d/apd=%d/tga=%v/ckpt=%v/budget=%d", seed,
 			cfg.ScanWorkers, cfg.FleetWorkers, cfg.RetainUnresponsive, cfg.GFWFilterFromDay, cfg.APDMaxNewCandidates,
 			cfg.TGAFeed != nil, cfg.CheckpointDir != "", cfg.MemoryBudget)
 		t.Run(name, func(t *testing.T) {

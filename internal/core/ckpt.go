@@ -54,7 +54,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"os"
 	"path/filepath"
 	"reflect"
 
@@ -84,11 +83,6 @@ const (
 
 func ckptEverRespFile(p int) string  { return fmt.Sprintf("everresp_%d.hl6", p) }
 func ckptLastCleanFile(p int) string { return fmt.Sprintf("lastclean_%d.hl6", p) }
-
-// JournalPath returns where the ingest journal for a checkpoint
-// directory lives: a sibling file, so the checkpoint directory itself
-// only ever holds committed state.
-func JournalPath(dir string) string { return dir + ".journal" }
 
 // ckptConfig is the configuration digest Resume verifies before loading
 // anything: the knobs that shape service state. Worker counts,
@@ -718,11 +712,12 @@ func openTable(lvl *ckpt.Snapshot, name string, minEntry int64) (*ckpt.Section, 
 // the append levels above it. cfg must agree with the checkpointed
 // configuration on every state-shaping knob; worker count, FleetWorkers,
 // memory budget and serve attachment may differ freely — outputs are
-// pinned invariant to them. A stale ingest journal next to dir is debris
-// from a crash mid-scan and is discarded: the interrupted scan re-runs
-// in full on the resumed service. Validation failures (truncated payloads,
-// CRC mismatches, missing or damaged chain parents, config drift) return
-// an error with no service constructed — restore never half-loads.
+// pinned invariant to them. A crash mid-scan leaves nothing to clean up:
+// ingest holds the day's candidates in memory only, so the interrupted
+// scan re-runs in full on the resumed service. Validation failures
+// (truncated payloads, CRC mismatches, missing or damaged chain parents,
+// config drift) return an error with no service constructed — restore
+// never half-loads.
 func Resume(dir string, cfg Config, net *netmodel.Network, feeds []*sources.Feed, blocklist *ip6.PrefixSet) (*Service, error) {
 	resolved, err := ckpt.Resolve(dir)
 	if err != nil {
@@ -764,10 +759,6 @@ func Resume(dir string, cfg Config, net *netmodel.Network, feeds []*sources.Feed
 	if filepath.Clean(resolved) == filepath.Clean(dir) {
 		s.setBase(dir, snap.Manifest.ScanIndex, snap.Manifest.Depth)
 	}
-	// A journal file here means the crash landed mid-scan, after spooling
-	// candidates but before the scan finalized: the whole scan replays on
-	// the resumed timeline, so the spooled sequence is void.
-	os.Remove(JournalPath(dir))
 	return s, nil
 }
 
@@ -1107,89 +1098,6 @@ func checkedCursor(name string, sh int, cur ip6.Cursor) ip6.Cursor {
 		prev, first = a, false
 		return a, true, nil
 	}
-}
-
-// journalChunk is how many journal records one replay chunk admits:
-// resident footprint of a durable ingest is O(journalChunk), not
-// O(candidate stream).
-const journalChunk = 1 << 16
-
-// ingestJournaled is the durable service's admission sweep: every feed's
-// candidate stream is spooled to the on-disk rollback journal first (in
-// the same deterministic feed-name-sorted sequence the resident path
-// walks), then replayed in bounded chunks through the shared admission
-// sweep. A source error discards the journal with nothing admitted — the
-// same all-or-nothing contract the resident path keeps by routing
-// first — and a crash mid-scan leaves only journal debris that Resume
-// discards. Outputs are bit-identical to the resident path for any
-// worker count: chunk replay preserves the global sequence order
-// per shard, and every merged counter is a commutative sum.
-func (s *Service) ingestJournaled(srcs []sources.NamedSource, day int, rec *ScanRecord) error {
-	jpath := JournalPath(s.cfg.CheckpointDir)
-	if err := os.MkdirAll(filepath.Dir(jpath), 0o755); err != nil {
-		return fmt.Errorf("core: creating checkpoint parent: %w", err)
-	}
-	jw, err := ckpt.CreateJournal(jpath)
-	if err != nil {
-		return err
-	}
-
-	// Spool phase: pull every source to exhaustion into the journal.
-	// Non-unicast candidates are dropped here (they never receive a
-	// sequence number on any path), so replay admits records verbatim.
-	buf := make([]ip6.Addr, ingestChunk)
-	for fi, fs := range srcs {
-		var jerr error
-		err := drainSource(fs.Src, buf, func(seg []ip6.Addr) {
-			if jerr != nil {
-				return
-			}
-			for _, a := range seg {
-				if !a.IsGlobalUnicast() {
-					continue
-				}
-				if jerr = jw.Add(int32(fi), a); jerr != nil {
-					return
-				}
-			}
-		})
-		if err == nil {
-			err = jerr
-		}
-		if err != nil {
-			jw.Discard()
-			return err
-		}
-	}
-	if err := jw.Finish(); err != nil {
-		return err
-	}
-
-	// Replay phase: bounded chunks through the per-shard admission sweep.
-	jr, err := ckpt.OpenJournal(jpath, len(srcs))
-	if err != nil {
-		return err
-	}
-	defer jr.Close()
-	for seq, more := int32(0), true; more; {
-		for n := 0; n < journalChunk; n++ {
-			feed, a, ok, err := jr.Next()
-			if err != nil {
-				s.dropRouted()
-				return err
-			}
-			if !ok {
-				more = false
-				break
-			}
-			sh := ip6.ShardOf(a)
-			s.routeBuf[sh] = append(s.routeBuf[sh], routedInput{addr: a, feed: feed, seq: seq})
-			seq++
-		}
-		s.admitRouted(srcs, day, rec)
-	}
-	jr.Close()
-	return jr.Remove()
 }
 
 // readPrefixList loads a prefix table in file order, plus its members as

@@ -19,8 +19,8 @@ import (
 	"hitlist6/internal/sources"
 )
 
-// ckptTinyCfg is the reference-scenario config with durability on:
-// journaled chunked ingest plus a checkpoint after every scan.
+// ckptTinyCfg is the reference-scenario config with durability on: a
+// checkpoint after every scan.
 func ckptTinyCfg(ckdir string) Config {
 	cfg := DefaultConfig(1)
 	cfg.GFWFilterFromDay = 150
@@ -30,11 +30,10 @@ func ckptTinyCfg(ckdir string) Config {
 	return cfg
 }
 
-// TestJournaledIngestMatchesReference pins that merely turning
-// durability on — the journaled chunked-ingest path plus a checkpoint
-// after every one of the 29 scans — leaves records and snapshots
-// bit-identical to the pre-durability goldens.
-func TestJournaledIngestMatchesReference(t *testing.T) {
+// TestDurableRunMatchesReference pins that merely turning durability
+// on — a checkpoint after every one of the 29 scans — leaves records
+// and snapshots bit-identical to the pre-durability goldens.
+func TestDurableRunMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		n, feeds := tinyWorld(t)
 		cfg := ckptTinyCfg(filepath.Join(t.TempDir(), "ckpt"))
@@ -42,7 +41,7 @@ func TestJournaledIngestMatchesReference(t *testing.T) {
 		s := NewService(cfg, n, feeds, nil)
 		runDays(t, s, weekly(0, 196))
 		compareGolden(t, "reference_tiny.json", goldenFrom(s.Records(), s.Snapshots()),
-			fmt.Sprintf("journaled workers=%d", workers))
+			fmt.Sprintf("durable workers=%d", workers))
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -875,48 +874,6 @@ func TestResumeRefusesConfigMismatch(t *testing.T) {
 	_, err := Resume(ckdir, cfg, n2, feeds2, nil)
 	if err == nil || errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("resume with mismatched config: err = %v, want config mismatch", err)
-	}
-}
-
-// TestResumeDiscardsStaleJournal: a journal file next to the checkpoint
-// is debris from a crash mid-scan; Resume must discard it and the
-// resumed timeline must still match the uninterrupted goldens.
-func TestResumeDiscardsStaleJournal(t *testing.T) {
-	days := weekly(0, 196)
-	ckdir := filepath.Join(t.TempDir(), "ckpt")
-	n, feeds := tinyWorld(t)
-	s := NewService(ckptTinyCfg(ckdir), n, feeds, nil)
-	const k = 9
-	runDays(t, s, days[:k])
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate the SIGKILL-mid-ingest debris: a finished journal holding
-	// candidates of the scan that never committed.
-	jw, err := ckpt.CreateJournal(JournalPath(ckdir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Add(0, ip6.MustParseAddr("2001:100::80")); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	n2, feeds2 := tinyWorld(t)
-	s2, err := Resume(ckdir, ckptTinyCfg(ckdir), n2, feeds2, nil)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if _, _, ok, err := ckpt.JournalStat(JournalPath(ckdir)); err != nil || ok {
-		t.Fatalf("stale journal not discarded on resume (ok=%v, err=%v)", ok, err)
-	}
-	runDays(t, s2, days[k:])
-	compareGolden(t, "reference_tiny.json", goldenFrom(s2.Records(), s2.Snapshots()), "resume after stale journal")
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

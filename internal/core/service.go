@@ -133,14 +133,11 @@ type Config struct {
 	// as soon as data exists.
 	ServeEvery int
 
-	// CheckpointDir, when set, makes the service durable: RunScan spools
-	// each scan's candidate stream through an on-disk rollback journal
-	// next to this directory (bounded chunks instead of a resident
-	// collected list, same all-or-nothing abort contract), and — with
-	// CheckpointEvery — writes crash-consistent checkpoints of the full
-	// service state here via Checkpoint. core.Resume restores from it.
-	// Must differ from SpillDir. Outputs are bit-identical with and
-	// without it.
+	// CheckpointDir, when set, is where Checkpoint writes
+	// crash-consistent checkpoints of the full service state: after
+	// every CheckpointEvery scans, or when called explicitly.
+	// core.Resume restores from it. Must differ from SpillDir. Outputs
+	// are bit-identical with and without it.
 	CheckpointDir string
 
 	// CheckpointEvery checkpoints after every Nth completed scan (0
@@ -982,23 +979,15 @@ func drainSource(src scan.TargetSource, buf []ip6.Addr, fn func([]ip6.Addr)) err
 }
 
 // ingest dedups, filters and admits new input, pulling each feed's
-// source chunk-wise in feed-name-sorted order (the same deterministic
-// sequence the old collected-map path walked). Candidates are routed to
+// source chunk-wise in feed-name-sorted order, which numbers every
+// candidate in one deterministic sequence. Candidates are routed to
 // their canonical shards in one cheap pass, then admitRouted runs the
 // lookup-heavy part per shard. Every source is pulled to exhaustion
 // before anything is admitted, so a source error aborts the sweep with
-// no state mutated — all-or-nothing for any worker count, exactly like
-// the old collect-then-admit pipeline.
+// no state mutated: all-or-nothing for any worker count and every
+// configuration, durable or budgeted included.
 func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) error {
 	sort.SliceStable(srcs, func(i, j int) bool { return srcs[i].Name < srcs[j].Name })
-
-	// A durable service spools the candidate stream through the on-disk
-	// rollback journal and admits it back in bounded chunks — same
-	// deterministic sequence, same all-or-nothing contract, bounded
-	// resident footprint.
-	if s.cfg.CheckpointDir != "" {
-		return s.ingestJournaled(srcs, day, rec)
-	}
 
 	// Route phase: partition the day's candidates by shard, preserving
 	// the deterministic sequence order within each shard.
@@ -1041,11 +1030,9 @@ func (s *Service) dropRouted() {
 // shards in canonical order, and anything order-sensitive (the APD /64
 // queue, per-feed attribution of same-day duplicates) is resolved by the
 // deterministic input sequence number, so results are bit-identical to a
-// serial pass for any worker count. Called once per resident ingest and
-// once per replay chunk of a journaled one: per-shard admission order
-// equals sequence order within a call and calls run in sequence order,
-// so every shard observes the candidate order a serial pass over the
-// whole stream would deliver.
+// serial pass for any worker count. Called once per ingest: per-shard
+// admission order equals sequence order, so every shard observes the
+// candidate order a serial pass over the whole stream would deliver.
 func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanRecord) {
 	start := time.Now()
 	defer func() { rec.Phases.Admit += time.Since(start) }()

@@ -1,7 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"maps"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"hitlist6/internal/ip6"
@@ -255,6 +261,118 @@ func TestBlocklistFilter(t *testing.T) {
 	}
 	if rec.ResponsiveClean[netmodel.TCP80] != 0 {
 		t.Error("blocked host was scanned")
+	}
+}
+
+// errCollectDown is the failure TestIngestSourceErrorAdmitsNothing
+// injects into a feed's Collect.
+var errCollectDown = errors.New("feed collection down")
+
+// TestIngestSourceErrorAdmitsNothing pins ingest's all-or-nothing
+// contract: the feed that sorts last fails its Collect once, on day 63,
+// after every other feed's candidates for that day (new ones: the cn
+// feed starts on day 60) are already routed. RunScan returns the error
+// with no record added, inputSeen unchanged and not one byte written to
+// the checkpoint or spill directories; retrying the day and finishing
+// the timeline reproduces the reference goldens. Resident, durable and
+// budgeted, at one and four workers.
+func TestIngestSourceErrorAdmitsNothing(t *testing.T) {
+	const failDay = 63
+	days := weekly(0, 196)
+	k := slices.Index(days, failDay)
+	configs := []struct {
+		label string
+		set   func(cfg *Config, root string)
+	}{
+		{"resident", func(*Config, string) {}},
+		{"durable", func(c *Config, root string) {
+			c.CheckpointDir = filepath.Join(root, "ckpt")
+			c.CheckpointEvery = 1
+		}},
+		{"budgeted", func(c *Config, root string) {
+			c.MemoryBudget = spillBudget
+			c.SpillDir = filepath.Join(root, "spill")
+		}},
+	}
+	for _, tc := range configs {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.label, workers), func(t *testing.T) {
+				n, feeds := tinyWorld(t)
+				feeds = slices.Clone(feeds)
+				last := 0
+				for i, f := range feeds {
+					if f.Name > feeds[last].Name {
+						last = i
+					}
+				}
+				failing := *feeds[last]
+				collect, failed := failing.Collect, false
+				failing.Collect = func(ctx context.Context, day int) ([]ip6.Addr, error) {
+					if day == failDay && !failed {
+						failed = true
+						return nil, errCollectDown
+					}
+					return collect(ctx, day)
+				}
+				feeds[last] = &failing
+
+				root := t.TempDir()
+				cfg := DefaultConfig(1)
+				cfg.GFWFilterFromDay = 150
+				cfg.SnapshotDays = []int{14, 70, 180}
+				cfg.ScanWorkers = workers
+				tc.set(&cfg, root)
+				s := NewService(cfg, n, feeds, nil)
+				defer s.Close()
+				runDays(t, s, days[:k])
+
+				// The routed feeds carry candidates admission would take.
+				fresh := 0
+				for i, f := range feeds {
+					if i == last || !f.ActiveAt(failDay) {
+						continue
+					}
+					addrs, err := f.Collect(context.Background(), failDay)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, a := range addrs {
+						if !s.InputSeenHas(a) {
+							fresh++
+						}
+					}
+				}
+				if fresh == 0 {
+					t.Fatalf("day %d: no feed before %q has new candidates; the test would prove nothing", failDay, feeds[last].Name)
+				}
+
+				seenView := func() []ip6.Addr {
+					t.Helper()
+					v, err := s.InputSeenView()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return v.Sorted()
+				}
+				recs, seen, disk := len(s.Records()), seenView(), dirBytes(t, root)
+				if _, err := s.RunScan(context.Background(), failDay); !errors.Is(err, errCollectDown) {
+					t.Fatalf("day %d: RunScan err = %v, want %v", failDay, err, errCollectDown)
+				}
+				if got := len(s.Records()); got != recs {
+					t.Errorf("failed scan added records: %d → %d", recs, got)
+				}
+				if got := seenView(); !slices.Equal(got, seen) {
+					t.Errorf("failed scan changed inputSeen: %d → %d addresses", len(seen), len(got))
+				}
+				if got := dirBytes(t, root); !maps.EqualFunc(got, disk, bytes.Equal) {
+					t.Errorf("failed scan changed files under the service's directories")
+				}
+
+				runDays(t, s, days[k:])
+				compareGolden(t, "reference_tiny.json", goldenFrom(s.Records(), s.Snapshots()),
+					fmt.Sprintf("%s workers=%d after a failed ingest", tc.label, workers))
+			})
+		}
 	}
 }
 
