@@ -428,20 +428,16 @@ func checkEvidenceSeen(t *testing.T, s *Service, day int) int {
 	t.Helper()
 	n := 0
 	for sh := 0; sh < ip6.AddrShards; sh++ {
-		next := s.tracker.EvidenceSet().ShardCursor(sh)
-		for {
-			a, ok, err := next()
-			if err != nil {
-				t.Fatalf("day %d: reading GFW evidence: %v", day, err)
-			}
-			if !ok {
-				break
-			}
+		evidence, err := scan.Collect(s.tracker.EvidenceSet().ShardSource(sh))
+		if err != nil {
+			t.Fatalf("day %d: reading GFW evidence: %v", day, err)
+		}
+		for _, a := range evidence {
 			if !s.inputSeen.HasInShard(sh, a) {
 				t.Fatalf("day %d: GFW evidence %v never went through input dedup", day, a)
 			}
-			n++
 		}
+		n += len(evidence)
 	}
 	return n
 }

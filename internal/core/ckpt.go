@@ -56,6 +56,7 @@ import (
 	"maps"
 	"path/filepath"
 	"reflect"
+	"slices"
 
 	"hitlist6/internal/apd"
 	"hitlist6/internal/ckpt"
@@ -515,9 +516,10 @@ func writeJSONFile(w *ckpt.Writer, name string, v any, count int64, appendOnly b
 // writeAddrSet stages a cumulative set as a .hl6 image in shard order:
 // the whole set, or with appendLog only the addresses its add log holds,
 // marked Append, and no payload at all when the log is empty. A resident
-// shard with no pending Δ goes to the writer as its column, as it is;
-// any other shard streams its cursor (the column or the runs merged off
-// disk, and the Δ), and a log is pulled through its set's LogCursor.
+// shard with no pending Δ goes to the writer as spans of its column; any
+// other shard streams its source (the column or the runs merged off
+// disk, and the Δ), and a log its set's LogSource, each pulled chunk
+// handed to the writer as it is.
 func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set *ip6.SpillSet, appendLog bool) error {
 	var counts [ip6.AddrShards]uint64
 	for sh := range counts {
@@ -531,48 +533,31 @@ func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set *ip6.SpillSet, a
 		return nil
 	}
 	return writeHL6(w, name, appendLog, &counts, func(put func(int, []ip6.Addr) error) error {
-		const putChunk = 256
-		chunk := make([]ip6.Addr, 0, putChunk)
+		buf := make([]ip6.Addr, min(slices.Max(counts[:]), putChunk))
 		for sh := 0; sh < ip6.AddrShards; sh++ {
 			if counts[sh] == 0 {
 				continue
 			}
-			var next ip6.Cursor
+			var src ip6.Source
 			switch col, whole := set.Column(sh); {
 			case appendLog:
-				next = set.LogCursor(sh)
+				src = set.LogSource(sh)
 			case whole:
-				if err := put(sh, col); err != nil {
-					return err
-				}
-				continue
+				src = ip6.NewSliceSource(col)
 			default:
-				next = set.ShardCursor(sh)
+				src = set.ShardSource(sh)
 			}
-			for {
-				a, ok, err := next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				if len(chunk) == putChunk {
-					if err := put(sh, chunk); err != nil {
-						return err
-					}
-					chunk = chunk[:0]
-				}
-				chunk = append(chunk, a)
-			}
-			if err := put(sh, chunk); err != nil {
+			if err := ip6.Drain(src, buf, func(c []ip6.Addr) error { return put(sh, c) }); err != nil {
 				return err
 			}
-			chunk = chunk[:0]
 		}
 		return nil
 	})
 }
+
+// putChunk is how many addresses writeAddrSet pulls and puts at a time
+// (64 KiB).
+const putChunk = 4096
 
 // writeHL6 stages a .hl6 payload of counts[sh] addresses per shard,
 // which body puts in shard order (hlfile.WriteSharded), marked Append
@@ -624,17 +609,9 @@ func columnsPayload(name string, cols *respColumns) ckptPayload {
 				return fmt.Errorf("core: opening %s in %s: %w", name, lvl.Dir, err)
 			}
 			for sh := range cols {
-				col := make([]ip6.Addr, 0, r.ShardLen(sh))
-				next := checkedCursor(name, sh, r.ShardCursor(sh))
-				for {
-					a, ok, err := next()
-					if err != nil {
-						return fmt.Errorf("core: loading %s: %w", name, err)
-					}
-					if !ok {
-						break
-					}
-					col = append(col, a)
+				col, err := ip6.AppendAll(make([]ip6.Addr, 0, r.ShardLen(sh)), checked(name, sh, r))
+				if err != nil {
+					return fmt.Errorf("core: loading %s: %w", name, err)
 				}
 				cols[sh] = col
 			}
@@ -1055,18 +1032,17 @@ func loadAddrSet(levels []*ckpt.Snapshot, name string, set *ip6.SpillSet) error 
 			return fmt.Errorf("core: opening %s in %s: %w", name, lvl.Dir, err)
 		}
 	}
-	curs := make([]ip6.Cursor, len(rdrs))
+	var srcs []ip6.Source
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		want := 0
-		for i, r := range rdrs {
-			curs[i] = checkedCursor(name, sh, r.ShardCursor(sh))
-			want += r.ShardLen(sh)
+		srcs = srcs[:0]
+		for _, r := range rdrs {
+			if n := r.ShardLen(sh); n > 0 {
+				srcs = append(srcs, checked(name, sh, r))
+				want += n
+			}
 		}
-		cur := curs[0]
-		if len(curs) > 1 {
-			cur = ip6.MergeCursors(curs...)
-		}
-		if err := set.ImportShardSorted(sh, want, cur); err != nil {
+		if err := set.ImportShardSorted(sh, want, ip6.Merge(srcs...)); err != nil {
 			return fmt.Errorf("core: loading %s: %w", name, err)
 		}
 		if got := set.ShardLen(sh); got != want {
@@ -1076,28 +1052,42 @@ func loadAddrSet(levels []*ckpt.Snapshot, name string, set *ip6.SpillSet) error 
 	return nil
 }
 
-// checkedCursor wraps a payload shard's cursor so that it fails closed,
-// with ckpt.ErrCorrupt, on a run writeAddrSet cannot have written: every
+// checkedSource is a payload shard's source that fails closed, with
+// ckpt.ErrCorrupt, on a run writeAddrSet cannot have written: every
 // address must belong to shard sh, in strictly ascending order. A shard
 // imports the run as-is, so a stray address would sit where Has never
 // looks, and binary search would misread an unsorted one.
-func checkedCursor(name string, sh int, cur ip6.Cursor) ip6.Cursor {
-	var prev ip6.Addr
-	first := true
-	return func() (ip6.Addr, bool, error) {
-		a, ok, err := cur()
-		if err != nil || !ok {
-			return a, ok, err
+type checkedSource struct {
+	src  ip6.Source
+	name string
+	sh   int
+	left int // addresses not pulled yet
+	prev ip6.Addr
+	seen bool // prev holds the address pulled last
+}
+
+// checked returns r's shard sh, checked.
+func checked(name string, sh int, r *hlfile.Reader) *checkedSource {
+	return &checkedSource{src: r.ShardSource(sh), name: name, sh: sh, left: r.ShardLen(sh)}
+}
+
+// Len returns how many addresses are left, so that a merge pulls a short
+// shard into a buffer no larger than the shard.
+func (c *checkedSource) Len() int { return c.left }
+
+func (c *checkedSource) Next(buf []ip6.Addr) (int, error) {
+	n, err := c.src.Next(buf)
+	c.left -= n
+	for _, a := range buf[:n] {
+		if ip6.ShardOf(a) != c.sh {
+			return 0, fmt.Errorf("%w: %s lists %v under shard %d", ckpt.ErrCorrupt, c.name, a, c.sh)
 		}
-		if ip6.ShardOf(a) != sh {
-			return a, false, fmt.Errorf("%w: %s lists %v under shard %d", ckpt.ErrCorrupt, name, a, sh)
+		if c.seen && a.Compare(c.prev) <= 0 {
+			return 0, fmt.Errorf("%w: %s shard %d is not strictly ascending at %v", ckpt.ErrCorrupt, c.name, c.sh, a)
 		}
-		if !first && a.Compare(prev) <= 0 {
-			return a, false, fmt.Errorf("%w: %s shard %d is not strictly ascending at %v", ckpt.ErrCorrupt, name, sh, a)
-		}
-		prev, first = a, false
-		return a, true, nil
+		c.prev, c.seen = a, true
 	}
+	return n, err
 }
 
 // readPrefixList loads a prefix table in file order, plus its members as

@@ -949,35 +949,6 @@ func (s *Service) applyIngest(rec *ScanRecord, c *ingestCounters) {
 // per-feed sources.
 const ingestChunk = 512
 
-// drainSource pulls src to exhaustion, handing each non-empty chunk to
-// fn. buf backs pulls from sources without a span fast path.
-func drainSource(src scan.TargetSource, buf []ip6.Addr, fn func([]ip6.Addr)) error {
-	spanner, _ := src.(scan.SpanSource)
-	for {
-		var seg []ip6.Addr
-		var err error
-		if spanner != nil {
-			seg, err = spanner.Span(len(buf))
-		} else {
-			var n int
-			n, err = src.Next(buf)
-			seg = buf[:n]
-		}
-		if len(seg) > 0 {
-			fn(seg)
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if len(seg) == 0 {
-			return fmt.Errorf("core: input source made no progress")
-		}
-	}
-}
-
 // ingest dedups, filters and admits new input, pulling each feed's
 // source chunk-wise in feed-name-sorted order, which numbers every
 // candidate in one deterministic sequence. Candidates are routed to
@@ -994,7 +965,7 @@ func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) e
 	seq := int32(0)
 	buf := make([]ip6.Addr, ingestChunk)
 	for fi, fs := range srcs {
-		err := drainSource(fs.Src, buf, func(seg []ip6.Addr) {
+		err := ip6.Drain(fs.Src, buf, func(seg []ip6.Addr) error {
 			for _, a := range seg {
 				if !a.IsGlobalUnicast() {
 					continue
@@ -1003,6 +974,7 @@ func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) e
 				s.routeBuf[sh] = append(s.routeBuf[sh], routedInput{addr: a, feed: int32(fi), seq: seq})
 				seq++
 			}
+			return nil
 		})
 		if err != nil {
 			s.dropRouted()

@@ -9,6 +9,8 @@
 package gfw
 
 import (
+	"io"
+
 	"hitlist6/internal/dnswire"
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -182,24 +184,34 @@ func (t *Tracker) AddEvidenceShard(i int, injectedDNS []ip6.Addr) {
 func (t *Tracker) InjectedOnly(clean *ip6.SpillSet) (*ip6.SortedShardSet, error) {
 	inj := t.FreezeInjectedSeen()
 	var out [ip6.AddrShards][]ip6.Addr
+	buf := make([]ip6.Addr, 1024)
 	for sh := range out {
 		col := inj.Shard(sh)
 		if len(col) == 0 {
 			continue
 		}
-		next := clean.ShardCursor(sh)
-		c, ok, err := next()
-		for _, a := range col {
-			for err == nil && ok && c.Less(a) {
-				c, ok, err = next()
+		// col[i:] is what no clean chunk has passed yet; a merge never
+		// returns (0, nil), so every pull moves on.
+		src := clean.ShardSource(sh)
+		i := 0
+		for i < len(col) {
+			n, err := src.Next(buf)
+			for _, a := range buf[:n] {
+				for ; i < len(col) && col[i].Less(a); i++ {
+					out[sh] = append(out[sh], col[i])
+				}
+				if i < len(col) && col[i] == a {
+					i++
+				}
+			}
+			if err == io.EOF {
+				break
 			}
 			if err != nil {
 				return nil, err
 			}
-			if !ok || c != a {
-				out[sh] = append(out[sh], a)
-			}
 		}
+		out[sh] = append(out[sh], col[i:]...)
 	}
 	return ip6.SortedFromShards(out), nil
 }

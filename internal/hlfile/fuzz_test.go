@@ -6,10 +6,11 @@ import (
 
 	"hitlist6/internal/hlfile"
 	"hitlist6/internal/ip6"
+	"hitlist6/internal/scan"
 )
 
 // FuzzNewReader feeds arbitrary bytes to NewReader and walks every shard
-// cursor of what it accepts: the contract is an error or a clean walk
+// source of what it accepts: the contract is an error or a clean walk
 // that yields exactly each shard's count, never a panic or a read out of
 // range. The committed corpus (testdata/fuzz/FuzzNewReader) holds a
 // valid image, a truncated one, one whose header claims a huge count,
@@ -22,18 +23,11 @@ func FuzzNewReader(f *testing.F) {
 		}
 		total := 0
 		for sh := 0; sh < ip6.AddrShards; sh++ {
-			cur := r.ShardCursor(sh)
-			n := 0
-			for {
-				_, ok, err := cur()
-				if err != nil {
-					t.Fatalf("shard %d: accepted image fails mid-walk: %v", sh, err)
-				}
-				if !ok {
-					break
-				}
-				n++
+			got, err := scan.Collect(r.ShardSource(sh))
+			if err != nil {
+				t.Fatalf("shard %d: accepted image fails mid-walk: %v", sh, err)
 			}
+			n := len(got)
 			if n != r.ShardLen(sh) {
 				t.Fatalf("shard %d: walked %d addresses, header says %d", sh, n, r.ShardLen(sh))
 			}

@@ -283,32 +283,18 @@ func (w *Writer) mergeBody(bw *bodyWriter, counts *[ip6.AddrShards]uint64) error
 // mergeShard merges shard sh's runs into dst, which holds their total,
 // and returns how many distinct addresses it wrote.
 func (w *Writer) mergeShard(sh int, dst []ip6.Addr) (uint64, error) {
-	next := w.rf.Merge(w.runs[sh])
-	n := 0
-	for {
-		a, ok, err := next()
-		if err != nil || !ok {
-			return uint64(n), err
-		}
-		dst[n] = a
-		n++
-	}
+	out, err := ip6.AppendAll(dst[:0:len(dst)], w.rf.Merge(w.runs[sh]))
+	return uint64(len(out)), err
 }
 
 // streamShard merges shard sh's runs straight into bw, counting them in
 // *count.
 func (w *Writer) streamShard(bw *bodyWriter, sh int, count *uint64) error {
-	next := w.rf.Merge(w.runs[sh])
-	for {
-		a, ok, err := next()
-		if err != nil || !ok {
-			return err
-		}
-		*count++
-		if err := bw.write(a[:]); err != nil {
-			return err
-		}
-	}
+	buf := make([]ip6.Addr, bodyChunk/ip6.AddrBytes)
+	return ip6.Drain(w.rf.Merge(w.runs[sh]), buf, func(c []ip6.Addr) error {
+		*count += uint64(len(c))
+		return bw.write(ip6.RawBytes(c))
+	})
 }
 
 // createTemp creates a fresh file next to path, to be renamed over it,

@@ -212,7 +212,7 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 
 // TestNewReaderMatchesOpen: an image embedded in a larger blob, served
 // through NewReader over a section, reads exactly like the file Open
-// maps — per-shard cursors and whole-image pulls alike.
+// maps — per-shard sources and whole-image pulls alike.
 func TestNewReaderMatchesOpen(t *testing.T) {
 	path := writeFile(t, testAddrs(3, 3000), 1<<20)
 	image, err := os.ReadFile(path)
@@ -248,21 +248,14 @@ func TestNewReaderMatchesOpen(t *testing.T) {
 	}
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		drain := func(r *hlfile.Reader) []ip6.Addr {
-			var out []ip6.Addr
-			cur := r.ShardCursor(sh)
-			for {
-				a, ok, err := cur()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					return out
-				}
-				out = append(out, a)
+			out, err := scan.Collect(r.ShardSource(sh))
+			if err != nil {
+				t.Fatal(err)
 			}
+			return out
 		}
 		if w, g := drain(file), drain(embedded); !slices.Equal(w, g) || len(g) != file.ShardLen(sh) {
-			t.Fatalf("shard %d: NewReader cursor yields %d addrs, Open's %d", sh, len(g), len(w))
+			t.Fatalf("shard %d: NewReader shard source yields %d addrs, Open's %d", sh, len(g), len(w))
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package hlfile
 
 // Internal test forcing the non-mmap read path: on platforms where mmap
-// succeeds the ReadAt cursors never run in the black-box tests, so drop
+// succeeds the ReadAt sources never run in the black-box tests, so drop
 // the mapping by hand and pin both paths against each other.
 
 import (
@@ -55,13 +55,13 @@ func TestReadAtPathMatchesMmap(t *testing.T) {
 		t.Fatal("ReadAt path diverges from mmap path on generic pulls")
 	}
 
-	// Per-shard cursors too (spanCursor vs readCursor), with small pull
+	// Per-shard sources too (mapped spans vs shardReader), with small pull
 	// buffers so readAddrs runs many partial chunks.
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		ms := mapped.Source().(scan.ShardedSource).ShardSource(sh)
 		ps := plain.Source().(scan.ShardedSource).ShardSource(sh)
 		if (ms == nil) != (ps == nil) {
-			t.Fatalf("shard %d: cursor presence diverges", sh)
+			t.Fatalf("shard %d: source presence diverges", sh)
 		}
 		if ms == nil {
 			continue
@@ -83,7 +83,7 @@ func TestReadAtPathMatchesMmap(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(wantRun, gotRun) {
-			t.Fatalf("shard %d: ReadAt cursor diverges from mmap cursor", sh)
+			t.Fatalf("shard %d: ReadAt source diverges from mmap source", sh)
 		}
 	}
 }

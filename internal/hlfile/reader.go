@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"unsafe"
 
 	"hitlist6/internal/ip6"
@@ -18,7 +17,7 @@ import (
 // NewReader serves an image embedded in something larger — a checkpoint
 // segment's section — through ReadAt. Either way no address is resident
 // until a consumer pulls it. A Reader is safe for concurrent shard
-// cursors — the scan engine pulls each shard from its own worker.
+// sources — the scan engine pulls each shard from its own worker.
 type Reader struct {
 	ra     io.ReaderAt
 	f      *os.File // the file Open opened, closed by Close; nil for NewReader
@@ -121,13 +120,18 @@ func (r *Reader) shardSpan(sh int) []ip6.Addr {
 	return unsafe.Slice((*ip6.Addr)(unsafe.Pointer(&r.data[off])), r.counts[sh])
 }
 
-// readAddrs fills buf with addresses [idx, idx+len(buf)) of the body,
-// reading straight into the caller's buffer.
+// readAddrs fills buf with addresses [idx, idx+len(buf)) of the body:
+// copied out of the mapping, or read straight into buf.
 func (r *Reader) readAddrs(idx int64, buf []ip6.Addr) error {
+	off := headerSize + idx*ip6.AddrBytes
+	if r.data != nil {
+		copy(ip6.RawBytes(buf), r.data[off:])
+		return nil
+	}
 	if len(buf) == 0 {
 		return nil
 	}
-	if _, err := r.ra.ReadAt(ip6.RawBytes(buf), headerSize+idx*ip6.AddrBytes); err != nil {
+	if _, err := r.ra.ReadAt(ip6.RawBytes(buf), off); err != nil {
 		return fmt.Errorf("hlfile: reading body: %w", err)
 	}
 	return nil
@@ -159,60 +163,27 @@ func (r *Reader) SortedSet() (*ip6.SortedShardSet, error) {
 	return ip6.SortedFromShards(shards), nil
 }
 
-// cursorChunk is how many addresses one ShardCursor read fetches.
-const cursorChunk = 4096
-
-// cursorChunks recycles ShardCursor read buffers: a checkpoint restore
-// drains one cursor per shard of every payload in turn, so a drained
-// cursor's chunk serves the next one instead of a fresh 64 KiB each.
-var cursorChunks = sync.Pool{New: func() any { return new([cursorChunk]ip6.Addr) }}
-
-// ShardCursor returns a pull cursor over shard sh's addresses in file
-// order (sorted ascending, duplicate-free by format contract): each call
-// yields the next address, with ok=false at end of shard. Reads go
-// through bounded chunks, so a cursor holds O(chunk) memory regardless
-// of shard size, and hands its chunk back once drained — the
-// checkpoint-restore path feeds these straight into resident sets or
-// SpillSet.ImportShardSorted.
-func (r *Reader) ShardCursor(sh int) ip6.Cursor {
-	idx := r.starts[sh]
-	left := r.counts[sh]
-	var chunk *[cursorChunk]ip6.Addr
-	var buf []ip6.Addr
-	pos := 0
-	return func() (ip6.Addr, bool, error) {
-		if pos == len(buf) {
-			if left == 0 {
-				if chunk != nil {
-					cursorChunks.Put(chunk)
-					chunk, buf, pos = nil, nil, 0
-				}
-				return ip6.Addr{}, false, nil
-			}
-			if chunk == nil {
-				chunk = cursorChunks.Get().(*[cursorChunk]ip6.Addr)
-			}
-			buf = chunk[:min(cursorChunk, left)]
-			if err := r.readAddrs(idx, buf); err != nil {
-				return ip6.Addr{}, false, err
-			}
-			idx += int64(len(buf))
-			left -= len(buf)
-			pos = 0
-		}
-		a := buf[pos]
-		pos++
-		return a, true, nil
+// ShardSource returns a source over shard sh's addresses in file order
+// (sorted ascending, duplicate-free by format contract): spans of the
+// mapping itself when the file is mapped, else ReadAt straight into the
+// caller's buffer. It holds no buffer of its own whatever the shard's
+// size, so the checkpoint-restore path feeds these straight into resident
+// sets or SpillSet.ImportShardSorted, and the scan engine probes mapped
+// shards out of the page cache.
+func (r *Reader) ShardSource(sh int) ip6.Source {
+	if span := r.shardSpan(sh); span != nil {
+		return ip6.NewSliceSource(span)
 	}
+	return &shardReader{r: r, idx: r.starts[sh], left: r.counts[sh]}
 }
 
 // Source returns a fresh TargetSource over the whole file. The returned
 // source implements scan.ShardedSource and scan.ShardSizer, so
 // Scanner.StreamFrom hands each probe worker its shard's run directly;
-// with mmap the per-shard cursors also serve zero-copy spans. Closing the
+// with mmap the per-shard sources also serve zero-copy spans. Closing the
 // source does not close the reader — use OpenSource for a self-owning
 // stream.
-func (r *Reader) Source() scan.TargetSource { return &fileSource{r: r} }
+func (r *Reader) Source() scan.TargetSource { return newFileSource(r, false) }
 
 // OpenSource opens path and returns a source that owns the reader: the
 // scan engine's close-on-stream-end then releases the file too.
@@ -221,15 +192,18 @@ func OpenSource(path string) (scan.TargetSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &fileSource{r: r, owned: true}, nil
+	return newFileSource(r, true), nil
 }
 
 // fileSource walks the file in canonical shard order for generic Next
-// pulls and hands out per-shard cursors for the engine's sharded path.
+// pulls and hands out per-shard sources for the engine's sharded path.
 type fileSource struct {
-	r     *Reader
-	owned bool
-	idx   int64 // next flat address index for Next pulls
+	shardReader // the whole body, for Next pulls
+	owned       bool
+}
+
+func newFileSource(r *Reader, owned bool) *fileSource {
+	return &fileSource{shardReader: shardReader{r: r, left: int(r.total)}, owned: owned}
 }
 
 var (
@@ -237,39 +211,11 @@ var (
 	_ scan.ShardSizer    = (*fileSource)(nil)
 )
 
-func (s *fileSource) Next(buf []ip6.Addr) (int, error) {
-	left := s.r.total - s.idx
-	if left == 0 {
-		return 0, io.EOF
-	}
-	n := int64(len(buf))
-	if n > left {
-		n = left
-	}
-	if s.r.data != nil {
-		off := headerSize + s.idx*ip6.AddrBytes
-		raw := s.r.data[off : off+n*ip6.AddrBytes]
-		for i := int64(0); i < n; i++ {
-			copy(buf[i][:], raw[i*ip6.AddrBytes:])
-		}
-	} else if err := s.r.readAddrs(s.idx, buf[:n]); err != nil {
-		return 0, err
-	}
-	s.idx += n
-	if s.idx == s.r.total {
-		return int(n), io.EOF
-	}
-	return int(n), nil
-}
-
 func (s *fileSource) ShardSource(sh int) scan.TargetSource {
 	if s.r.counts[sh] == 0 {
 		return nil
 	}
-	if span := s.r.shardSpan(sh); span != nil {
-		return &spanCursor{rest: span}
-	}
-	return &readCursor{r: s.r, idx: s.r.starts[sh], left: s.r.counts[sh]}
+	return s.r.ShardSource(sh)
 }
 
 func (s *fileSource) ShardLen(sh int) int { return s.r.counts[sh] }
@@ -281,46 +227,19 @@ func (s *fileSource) Close() error {
 	return nil
 }
 
-// spanCursor serves a mapped shard run: Span returns sub-slices of the
-// mapping itself, so the engine probes straight out of the page cache.
-type spanCursor struct{ rest []ip6.Addr }
-
-func (c *spanCursor) Next(buf []ip6.Addr) (int, error) {
-	n := copy(buf, c.rest)
-	c.rest = c.rest[n:]
-	if len(c.rest) == 0 {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (c *spanCursor) Span(max int) ([]ip6.Addr, error) {
-	if max > len(c.rest) {
-		max = len(c.rest)
-	}
-	seg := c.rest[:max]
-	c.rest = c.rest[max:]
-	if len(c.rest) == 0 {
-		return seg, io.EOF
-	}
-	return seg, nil
-}
-
-// readCursor serves a shard run through ReadAt on platforms without mmap.
-type readCursor struct {
+// shardReader serves a run of the body, a shard or all of it, through
+// readAddrs.
+type shardReader struct {
 	r    *Reader
 	idx  int64
 	left int
 }
 
-func (c *readCursor) Next(buf []ip6.Addr) (int, error) {
+func (c *shardReader) Next(buf []ip6.Addr) (int, error) {
 	if c.left == 0 {
 		return 0, io.EOF
 	}
-	n := len(buf)
-	if n > c.left {
-		n = c.left
-	}
+	n := min(len(buf), c.left)
 	if err := c.r.readAddrs(c.idx, buf[:n]); err != nil {
 		return 0, err
 	}

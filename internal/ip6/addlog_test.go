@@ -93,17 +93,9 @@ func TestAddLogMatchesReference(t *testing.T) {
 				if s.LogLen(sh) != len(want[sh]) {
 					t.Fatalf("round %d, set %d, shard %d: LogLen %d, want %d", round, i, sh, s.LogLen(sh), len(want[sh]))
 				}
-				var got []Addr
-				cur := s.LogCursor(sh)
-				for {
-					a, ok, err := cur()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					got = append(got, a)
+				got, err := drainSource(s.LogSource(sh), 100)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if !slices.Equal(got, want[sh]) {
 					t.Fatalf("round %d, set %d, shard %d: log %v, want %v", round, i, sh, got, want[sh])

@@ -7,8 +7,8 @@ import (
 
 // FuzzRunFile writes arbitrary addresses as sorted runs with WriteRun
 // and through a resident and a budget-1 SpillSet followed by Compact,
-// then checks Run.Has, SpillSet.Has, the merged cursors and the sets'
-// shard cursors and views against a map-and-sort reference. The first byte picks how many runs the addresses are split
+// then checks Run.Has, SpillSet.Has, the merged runs and the sets'
+// shard sources and views against a map-and-sort reference. The first byte picks how many runs the addresses are split
 // into; every following byte pair is one address in a 2^16 range, so
 // duplicates and near misses are common. The committed corpus
 // (testdata/fuzz/FuzzRunFile) holds an empty input, one address,
@@ -84,7 +84,7 @@ func FuzzRunFile(f *testing.F) {
 			}
 		}
 
-		got, err := drainCursor(rf.Merge(runs))
+		got, err := drainSource(rf.Merge(runs), 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func FuzzRunFile(f *testing.F) {
 				t.Fatal(err)
 			}
 			for sh := 0; sh < AddrShards; sh++ {
-				got, err := drainCursor(set.ShardCursor(sh))
+				got, err := drainSource(set.ShardSource(sh), 100)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +105,7 @@ func FuzzRunFile(f *testing.F) {
 						inShard = append(inShard, a)
 					}
 				}
-				requireAddrs(t, "set shard cursor", got, inShard)
+				requireAddrs(t, "set shard source", got, inShard)
 				requireAddrs(t, "set view", view.Shard(sh), inShard)
 			}
 		}

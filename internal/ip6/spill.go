@@ -8,8 +8,10 @@ package ip6
 // under a memory budget frozen sorted runs on disk, plus a small pending
 // Δ that Compact folds in. RunFile/Run are the sorted-run primitives
 // SpillSet (and the hlfile writer) are built from: frozen sorted runs
-// appended to a scratch file, fence-indexed point lookups, and run
-// cursors that MergeCursors streams together.
+// appended to a scratch file, fence-indexed point lookups, run readers
+// that ReadAt straight into the buffer of whoever pulls them (Merge, a
+// view, a checkpoint write), and runs streamed back out of a merge a
+// chunk at a time (writeFrom).
 
 import (
 	"cmp"
@@ -115,8 +117,8 @@ func buildFence(addrs []Addr) (fence []Addr, last Addr) {
 }
 
 // WriteRun appends addrs — which must be sorted ascending — as one run
-// and returns its handle. Duplicates within addrs are kept (MergeCursors
-// drops them); an empty slice yields an empty run.
+// and returns its handle. Duplicates within addrs are kept (Merge drops
+// them); an empty slice yields an empty run.
 func (rf *RunFile) WriteRun(addrs []Addr) (Run, error) {
 	if len(addrs) == 0 {
 		return Run{}, nil
@@ -226,126 +228,81 @@ func compareBytes(a Addr, b []byte) int {
 	return 0
 }
 
-// runChunk is how many addresses one RunFile.Cursor read fetches.
+// runChunk is how many addresses a merge pulls from one run at a time.
 const runChunk = 1024
 
-// Cursor returns a cursor over run r, read in chunks of up to runChunk
-// addresses.
-func (rf *RunFile) Cursor(r *Run) Cursor {
-	off, left := r.off, r.count
-	var buf, cur []byte // cur is the unread remainder of buf
-	return func() (Addr, bool, error) {
-		if len(cur) == 0 {
-			if left == 0 {
-				return Addr{}, false, nil
-			}
-			need := min(left, runChunk) * AddrBytes
-			if cap(buf) < need {
-				buf = make([]byte, need)
-			}
-			if _, err := rf.f.ReadAt(buf[:need], off); err != nil {
-				return Addr{}, false, fmt.Errorf("ip6: reading run: %w", err)
-			}
-			cur = buf[:need]
-			off += int64(need)
-			left -= need / AddrBytes
-		}
-		var a Addr
-		copy(a[:], cur)
-		cur = cur[AddrBytes:]
-		return a, true, nil
-	}
+// writeChunk is how many addresses a streamed run is written in at a
+// time (64 KiB).
+const writeChunk = 4096
+
+// runReader is a Source over one run: each pull reads straight into the
+// caller's buffer.
+type runReader struct {
+	rf   *RunFile
+	off  int64
+	left int
 }
 
-// Merge returns a cursor over the sorted union of runs, dropping
-// duplicates within and across them.
-func (rf *RunFile) Merge(runs []*Run) Cursor {
-	curs := make([]Cursor, len(runs))
+func (rf *RunFile) reader(r *Run) Source {
+	return &runReader{rf: rf, off: r.off, left: r.count}
+}
+
+// Len returns how many addresses are left.
+func (rr *runReader) Len() int { return rr.left }
+
+func (rr *runReader) Next(buf []Addr) (int, error) {
+	if rr.left == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(buf), rr.left)
+	if _, err := rr.rf.f.ReadAt(RawBytes(buf[:n]), rr.off); err != nil {
+		return 0, fmt.Errorf("ip6: reading run: %w", err)
+	}
+	rr.off += int64(n) * AddrBytes
+	rr.left -= n
+	if rr.left == 0 {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// Merge returns the sorted union of runs, dropping duplicates within and
+// across them.
+func (rf *RunFile) Merge(runs []*Run) Source {
+	srcs := make([]Source, len(runs))
 	for i, r := range runs {
-		curs[i] = rf.Cursor(r)
+		srcs[i] = rf.reader(r)
 	}
-	return MergeCursors(curs...)
+	return Merge(srcs...)
 }
 
-// runWriter appends one run incrementally — the streaming counterpart of
-// WriteRun for merges whose output must not be materialized. The run's
-// bytes are contiguous: the writer reserves nothing up front, so only one
-// runWriter may be open per RunFile at a time (appends go through the
-// file lock but interleaving two open writers would interleave their
-// runs' bytes).
-type runWriter struct {
-	rf    *RunFile
-	off   int64
-	count int
-	buf   []byte
-	fence []Addr
-	last  Addr
-	open  bool
-}
-
-func (rf *RunFile) newRunWriter() *runWriter {
-	return &runWriter{rf: rf}
-}
-
-// append adds the next address (must be > the previous one).
-func (w *runWriter) append(a Addr) error {
-	if !w.open {
-		w.rf.mu.Lock()
-		w.off = w.rf.sz
-		w.rf.mu.Unlock()
-		w.open = true
-	}
-	if w.count%fenceEvery == 0 {
-		w.fence = append(w.fence, a)
-	}
-	w.buf = append(w.buf, a[:]...)
-	w.count++
-	w.last = a
-	if len(w.buf) >= 64*1024 {
-		return w.flush()
-	}
-	return nil
-}
-
-func (w *runWriter) flush() error {
-	if len(w.buf) == 0 {
+// writeFrom appends every address src yields (strictly ascending) as one
+// run, pulled through buf and written a chunk at a time, so the run is
+// never materialized: the streaming counterpart of WriteRun. The run's
+// bytes are contiguous and nothing is reserved up front, so only one
+// writeFrom may run per RunFile at a time.
+func (rf *RunFile) writeFrom(src Source, buf []Addr) (Run, error) {
+	rf.mu.Lock()
+	run := Run{off: rf.sz}
+	rf.mu.Unlock()
+	err := Drain(src, buf, func(c []Addr) error {
+		for i := (fenceEvery - run.count%fenceEvery) % fenceEvery; i < len(c); i += fenceEvery {
+			run.fence = append(run.fence, c[i])
+		}
+		if _, err := rf.f.WriteAt(RawBytes(c), run.off+int64(run.count)*AddrBytes); err != nil {
+			return fmt.Errorf("ip6: writing merged run: %w", err)
+		}
+		run.count += len(c)
+		run.last = c[len(c)-1]
 		return nil
-	}
-	off := w.off + int64(w.count*AddrBytes) - int64(len(w.buf))
-	if _, err := w.rf.f.WriteAt(w.buf, off); err != nil {
-		return fmt.Errorf("ip6: writing merged run: %w", err)
-	}
-	w.buf = w.buf[:0]
-	return nil
-}
-
-// appendAll appends every address next yields.
-func (w *runWriter) appendAll(next Cursor) error {
-	for {
-		a, ok, err := next()
-		if err != nil || !ok {
-			return err
-		}
-		if err := w.append(a); err != nil {
-			return err
-		}
-	}
-}
-
-// finish flushes and returns the completed run.
-func (w *runWriter) finish() (Run, error) {
-	if err := w.flush(); err != nil {
+	})
+	if err != nil {
 		return Run{}, err
 	}
-	if w.open {
-		w.rf.mu.Lock()
-		end := w.off + int64(w.count*AddrBytes)
-		if end > w.rf.sz {
-			w.rf.sz = end
-		}
-		w.rf.mu.Unlock()
-	}
-	return Run{off: w.off, count: w.count, fence: w.fence, last: w.last}, nil
+	rf.mu.Lock()
+	rf.sz = max(rf.sz, run.off+int64(run.count)*AddrBytes)
+	rf.mu.Unlock()
+	return run, nil
 }
 
 // SpillSet is the cumulative address set. Each shard holds its members
@@ -367,7 +324,7 @@ func (w *runWriter) finish() (Run, error) {
 // The Δ holds the inserts (AddToShard, AddSortedToShard) since the last
 // fold. Inserts check membership first, so Δ, column and runs are
 // mutually disjoint and Len is a plain counter sum. Fold and spill
-// triggers are shard-local, so every observation (Has, Len, cursors,
+// triggers are shard-local, so every observation (Has, Len, sources,
 // views, the add log) depends solely on each shard's own insert
 // sequence, never on cross-shard timing.
 //
@@ -741,18 +698,18 @@ func (s *SpillSet) LogComplete() bool { return s.log != nil && s.log.complete() 
 // LogComplete.
 func (s *SpillSet) LogLen(i int) int { return s.log.n[i] }
 
-// LogCursor returns shard i's logged addresses in ascending order: its
+// LogSource returns shard i's logged addresses in ascending order: its
 // spilled log runs merged with the resident part, sorted in place. Only
-// while LogComplete, and the shard must not be mutated while the cursor
+// while LogComplete, and the shard must not be mutated while the source
 // is in use.
-func (s *SpillSet) LogCursor(i int) Cursor {
+func (s *SpillSet) LogSource(i int) Source {
 	l := s.log
 	SortAddrs(l.shards[i])
-	curs := []Cursor{SliceCursor(l.shards[i])}
+	srcs := []Source{NewSliceSource(l.shards[i])}
 	for _, r := range l.runs[i] {
-		curs = append(curs, l.rf.Cursor(r))
+		srcs = append(srcs, l.rf.reader(r))
 	}
-	return MergeCursors(curs...)
+	return Merge(srcs...)
 }
 
 // Has reports membership.
@@ -806,23 +763,23 @@ func (s *SpillSet) Column(i int) ([]Addr, bool) {
 	return sh.col, s.rf == nil && len(sh.delta) == 0
 }
 
-// ShardCursor returns a cursor over shard i's members in ascending
-// order: the column or the runs, merged with a sorted copy of the Δ. The
-// shard must not be mutated while the cursor is in use; a read error
-// comes back through the cursor.
-func (s *SpillSet) ShardCursor(i int) Cursor {
+// ShardSource returns shard i's members in ascending order: the column
+// or the runs, merged with a sorted copy of the Δ. The shard must not be
+// mutated while the source is in use; a read error comes back through
+// the source.
+func (s *SpillSet) ShardSource(i int) Source {
 	sh := &s.shards[i]
-	curs := []Cursor{SliceCursor(sh.col)}
+	var srcs []Source
+	if len(sh.col) > 0 {
+		srcs = append(srcs, NewSliceSource(sh.col))
+	}
 	for _, r := range sh.runs {
-		curs = append(curs, s.rf.Cursor(r))
+		srcs = append(srcs, s.rf.reader(r))
 	}
 	if len(sh.delta) > 0 {
-		curs = append(curs, SliceCursor(sh.delta.Sorted()))
+		srcs = append(srcs, NewSliceSource(sh.delta.Sorted()))
 	}
-	if len(curs) == 1 {
-		return curs[0]
-	}
-	return MergeCursors(curs...)
+	return Merge(srcs...)
 }
 
 // View returns the set as a SortedShardSet. A resident set first folds
@@ -842,56 +799,36 @@ func (s *SpillSet) View() (*SortedShardSet, error) {
 		return SortedFromShards(shards), nil
 	}
 	for i := range shards {
-		col := make([]Addr, 0, s.ShardLen(i))
-		next := s.ShardCursor(i)
-		for {
-			a, ok, err := next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			col = append(col, a)
+		col, err := AppendAll(make([]Addr, 0, s.ShardLen(i)), s.ShardSource(i))
+		if err != nil {
+			return nil, err
 		}
 		shards[i] = col
 	}
 	return SortedFromShards(shards), nil
 }
 
-// ImportShardSorted bulk-loads shard i from a cursor yielding strictly
+// ImportShardSorted bulk-loads shard i from a source yielding strictly
 // ascending addresses (every one hashing to shard i); n is the expected
 // count, a capacity hint. The shard must be empty — this is the
 // checkpoint-restore path, not an insert path — and on a spilled set the
 // run writer claims the scratch file's tail, so imports must run serially
 // across shards. A spilled shard loads as one frozen run without counting
 // toward FrozenRuns (a reload is not a spill).
-func (s *SpillSet) ImportShardSorted(i, n int, next Cursor) error {
+func (s *SpillSet) ImportShardSorted(i, n int, src Source) error {
 	sh := &s.shards[i]
 	if s.ShardLen(i) != 0 {
 		return fmt.Errorf("ip6: importing into non-empty shard %d", i)
 	}
 	if s.rf == nil {
-		col := make([]Addr, 0, n)
-		for {
-			a, ok, err := next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			col = append(col, a)
+		col, err := AppendAll(make([]Addr, 0, n), src)
+		if err != nil {
+			return err
 		}
 		sh.col = col
 		return nil
 	}
-	w := s.rf.newRunWriter()
-	if err := w.appendAll(next); err != nil {
-		s.fail(err)
-		return err
-	}
-	run, err := w.finish()
+	run, err := s.rf.writeFrom(src, make([]Addr, max(min(n, writeChunk), 1)))
 	if err != nil {
 		s.fail(err)
 		return err
@@ -905,25 +842,20 @@ func (s *SpillSet) ImportShardSorted(i, n int, next Cursor) error {
 
 // Merge materializes the whole set as a flat Set — the compat view for
 // analyses that need one. Its output, like a spilled set's View, is not
-// memory-bounded; larger-than-memory consumers should stream ShardCursor.
+// memory-bounded; larger-than-memory consumers should stream ShardSource.
 func (s *SpillSet) Merge() Set {
 	out := NewSet(s.Len())
+	buf := make([]Addr, runChunk)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		out.AddSlice(sh.col)
 		out.AddAll(sh.delta)
 		for _, r := range sh.runs {
-			next := s.rf.Cursor(r)
-			for {
-				a, ok, err := next()
-				if err != nil {
-					s.fail(err)
-					break
-				}
-				if !ok {
-					break
-				}
-				out[a] = struct{}{}
+			if err := Drain(s.rf.reader(r), buf, func(c []Addr) error {
+				out.AddSlice(c)
+				return nil
+			}); err != nil {
+				s.fail(err)
 			}
 		}
 	}
@@ -977,17 +909,16 @@ func (s *SpillSet) Compact() error {
 		}
 		return s.Err()
 	}
+	var buf []Addr
 	for i := range s.shards {
 		sh := &s.shards[i]
 		if len(sh.runs) < 2 {
 			continue
 		}
-		w := s.rf.newRunWriter()
-		if err := w.appendAll(s.rf.Merge(sh.runs)); err != nil {
-			s.fail(err)
-			return err
+		if buf == nil {
+			buf = make([]Addr, writeChunk)
 		}
-		run, err := w.finish()
+		run, err := s.rf.writeFrom(s.rf.Merge(sh.runs), buf)
 		if err != nil {
 			s.fail(err)
 			return err
@@ -1036,17 +967,13 @@ func (s *SpillSet) rotate() error {
 		return err
 	}
 	var staged [AddrShards]*Run
+	buf := make([]Addr, writeChunk)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		if len(sh.runs) == 0 {
 			continue
 		}
-		w := fresh.newRunWriter()
-		if err := w.appendAll(s.rf.Merge(sh.runs)); err != nil {
-			fresh.Close()
-			return err
-		}
-		run, err := w.finish()
+		run, err := fresh.writeFrom(s.rf.Merge(sh.runs), buf)
 		if err != nil {
 			fresh.Close()
 			return err

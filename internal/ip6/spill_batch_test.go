@@ -28,15 +28,15 @@ func requireTwins(t *testing.T, what string, batch, point *SpillSet, sh int) {
 	if g, w := batch.ShardLen(sh), point.ShardLen(sh); g != w {
 		t.Fatalf("%s: ShardLen %d, twin %d", what, g, w)
 	}
-	got, err := drainCursor(batch.ShardCursor(sh))
+	got, err := drainSource(batch.ShardSource(sh), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := drainCursor(point.ShardCursor(sh))
+	want, err := drainSource(point.ShardSource(sh), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireAddrs(t, what+": ShardCursor", got, want)
+	requireAddrs(t, what+": ShardSource", got, want)
 	if g, w := batch.FrozenRuns(), point.FrozenRuns(); g != w {
 		t.Fatalf("%s: FrozenRuns %d, twin %d", what, g, w)
 	}
@@ -49,15 +49,15 @@ func requireTwins(t *testing.T, what string, batch, point *SpillSet, sh int) {
 	if g, w := batch.LogLen(sh), point.LogLen(sh); g != w {
 		t.Fatalf("%s: LogLen %d, twin %d", what, g, w)
 	}
-	got, err = drainCursor(batch.LogCursor(sh))
+	got, err = drainSource(batch.LogSource(sh), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err = drainCursor(point.LogCursor(sh))
+	want, err = drainSource(point.LogSource(sh), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireAddrs(t, what+": LogCursor", got, want)
+	requireAddrs(t, what+": LogSource", got, want)
 }
 
 // TestAddBatchMatchesPointInserts holds AddBatchToShard to a map of the

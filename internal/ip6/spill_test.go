@@ -2,6 +2,7 @@ package ip6
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"testing"
@@ -83,7 +84,7 @@ func TestRunFileWriteHasMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := drainCursor(rf.Merge([]*Run{&r1, &r2, &r3}))
+	merged, err := drainSource(rf.Merge([]*Run{&r1, &r2, &r3}), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestSpillSetMatchesShardedSet(t *testing.T) {
 			}
 			for sh := 0; sh < AddrShards; sh++ {
 				want := model.Shard(sh).Sorted()
-				got, err := drainCursor(set.ShardCursor(sh))
+				got, err := drainSource(set.ShardSource(sh), 100)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -256,7 +257,7 @@ func TestSpillSetMatchesShardedSet(t *testing.T) {
 	}
 }
 
-// TestShardSortedCursor pins ShardCursor on a set with pending Δs, folded
+// TestShardSortedCursor pins ShardSource on a set with pending Δs, folded
 // columns and several runs per shard: each shard's members in ascending
 // order, duplicate-free, clean end-of-stream.
 func TestShardSortedCursor(t *testing.T) {
@@ -276,16 +277,14 @@ func TestShardSortedCursor(t *testing.T) {
 			want[ShardOf(a)] = append(want[ShardOf(a)], a)
 		}
 		for sh := 0; sh < AddrShards; sh++ {
-			cur := set.ShardCursor(sh)
-			got, err := drainCursor(cur)
+			src := set.ShardSource(sh)
+			got, err := drainSource(src, 100)
 			if err != nil {
-				t.Fatalf("budget %d shard %d: cursor error: %v", budget, sh, err)
+				t.Fatalf("budget %d shard %d: source error: %v", budget, sh, err)
 			}
-			requireAddrs(t, fmt.Sprintf("budget %d shard %d", budget, sh), got, want[sh])
-			// Exhausted cursors stay exhausted.
-			if _, ok, _ := cur(); ok {
-				t.Fatalf("budget %d shard %d: cursor yielded past end", budget, sh)
-			}
+			what := fmt.Sprintf("budget %d shard %d", budget, sh)
+			requireAddrs(t, what, got, want[sh])
+			requireEnded(t, what, src, io.EOF)
 		}
 	}
 }

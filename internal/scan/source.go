@@ -15,23 +15,10 @@ import (
 // producers that already know more (contiguous storage, canonical
 // pre-sharding, a fixed shard) skip work the engine would otherwise redo.
 
-// TargetSource is a pull-based stream of scan targets.
-//
-// Next fills buf with up to len(buf) addresses and returns how many it
-// wrote. Exhaustion is signaled with io.EOF, which may accompany the
-// final addresses (n > 0); after io.EOF further calls return (0, io.EOF).
-// Next must never return n == 0 with a nil error. Implementations must be
-// deterministic: the emitted address sequence depends only on the
-// source's construction, never on pull timing or buffer sizes — that is
-// what makes every consumer of the streaming engine bit-reproducible.
-//
-// Sources are pulled from one goroutine at a time and need no internal
-// locking. A source that holds resources (a file, a generator goroutine)
-// may implement io.Closer; StreamFrom closes such sources when the
-// stream ends, including on error or cancellation.
-type TargetSource interface {
-	Next(buf []ip6.Addr) (n int, err error)
-}
+// TargetSource is a pull-based stream of scan targets: ip6.Source, whose
+// contract (chunks into the caller's buffer, io.EOF, determinism, one
+// puller at a time, io.Closer honoured) every producer keeps.
+type TargetSource = ip6.Source
 
 // SpanSource is an optional TargetSource fast path for sources backed by
 // contiguous memory: Span returns the next run of up to max addresses as
@@ -70,34 +57,13 @@ type ShardSizer interface {
 // so slice-fed streams keep the exact plan-based fast path of the
 // engine. The slice must not be mutated while the source is in use.
 func SliceSource(addrs []ip6.Addr) TargetSource {
-	return &sliceSource{rest: addrs, all: addrs}
+	return &sliceSource{SliceSource: ip6.NewSliceSource(addrs), all: addrs}
 }
 
 type sliceSource struct {
-	rest  []ip6.Addr
+	*ip6.SliceSource
 	all   []ip6.Addr
 	plans [][]ip6.Addr
-}
-
-func (s *sliceSource) Next(buf []ip6.Addr) (int, error) {
-	n := copy(buf, s.rest)
-	s.rest = s.rest[n:]
-	if len(s.rest) == 0 {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (s *sliceSource) Span(max int) ([]ip6.Addr, error) {
-	if max > len(s.rest) {
-		max = len(s.rest)
-	}
-	seg := s.rest[:max]
-	s.rest = s.rest[max:]
-	if len(s.rest) == 0 {
-		return seg, io.EOF
-	}
-	return seg, nil
 }
 
 func (s *sliceSource) built() [][]ip6.Addr {
@@ -112,34 +78,10 @@ func (s *sliceSource) ShardSource(sh int) TargetSource {
 	if len(plan) == 0 {
 		return nil
 	}
-	return &spanSlice{rest: plan}
+	return ip6.NewSliceSource(plan)
 }
 
 func (s *sliceSource) ShardLen(sh int) int { return len(s.built()[sh]) }
-
-// spanSlice is the per-shard cursor of slice-backed sharded sources.
-type spanSlice struct{ rest []ip6.Addr }
-
-func (s *spanSlice) Next(buf []ip6.Addr) (int, error) {
-	n := copy(buf, s.rest)
-	s.rest = s.rest[n:]
-	if len(s.rest) == 0 {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (s *spanSlice) Span(max int) ([]ip6.Addr, error) {
-	if max > len(s.rest) {
-		max = len(s.rest)
-	}
-	seg := s.rest[:max]
-	s.rest = s.rest[max:]
-	if len(s.rest) == 0 {
-		return seg, io.EOF
-	}
-	return seg, nil
-}
 
 // ShardSlices wraps caller-partitioned per-shard target slices — the
 // layout the service's scan-set buffers already hold — as a
@@ -190,7 +132,7 @@ func (s *shardSlices) ShardSource(sh int) TargetSource {
 	if len(s.shards[sh]) == 0 {
 		return nil
 	}
-	return &spanSlice{rest: s.shards[sh]}
+	return ip6.NewSliceSource(s.shards[sh])
 }
 
 func (s *shardSlices) ShardLen(sh int) int { return len(s.shards[sh]) }
@@ -328,21 +270,7 @@ func DedupWith(src TargetSource, skip func(ip6.Addr) bool, seen AddSet) TargetSo
 // analyses). It closes src if closable.
 func Collect(src TargetSource) ([]ip6.Addr, error) {
 	defer closeSource(src)
-	var out []ip6.Addr
-	buf := make([]ip6.Addr, DefaultSourceChunk)
-	for {
-		n, err := src.Next(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		if n == 0 {
-			return out, fmt.Errorf("scan: source made no progress")
-		}
-	}
+	return ip6.AppendAll(nil, src)
 }
 
 func closeSource(src TargetSource) {

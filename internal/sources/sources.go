@@ -144,7 +144,7 @@ type feedSource struct {
 	f       *Feed
 	day     int
 	started bool
-	rest    []ip6.Addr
+	rest    ip6.SliceSource // the collected list
 }
 
 func (s *feedSource) collect() error {
@@ -162,7 +162,7 @@ func (s *feedSource) collect() error {
 	if err != nil {
 		return fmt.Errorf("sources: feed %s at day %d: %w", s.f.Name, s.day, err)
 	}
-	s.rest = addrs
+	s.rest = *ip6.NewSliceSource(addrs)
 	return nil
 }
 
@@ -170,12 +170,7 @@ func (s *feedSource) Next(buf []ip6.Addr) (int, error) {
 	if err := s.collect(); err != nil {
 		return 0, err
 	}
-	n := copy(buf, s.rest)
-	s.rest = s.rest[n:]
-	if len(s.rest) == 0 {
-		return n, io.EOF
-	}
-	return n, nil
+	return s.rest.Next(buf)
 }
 
 // Span implements scan.SpanSource: consumers read the collected list in
@@ -184,15 +179,7 @@ func (s *feedSource) Span(max int) ([]ip6.Addr, error) {
 	if err := s.collect(); err != nil {
 		return nil, err
 	}
-	if max > len(s.rest) {
-		max = len(s.rest)
-	}
-	seg := s.rest[:max]
-	s.rest = s.rest[max:]
-	if len(s.rest) == 0 {
-		return seg, io.EOF
-	}
-	return seg, nil
+	return s.rest.Span(max)
 }
 
 // HitlistFile builds a one-shot feed that streams a .hl6 binary hitlist
