@@ -662,7 +662,7 @@ func BenchmarkTGARound(b *testing.B) {
 					}
 				}
 				prev := foldedView(b, members)
-				drain(b, feed, tga.NewSeedView(prev)) // prime: pay the one-time model build
+				drain(b, feed, prev) // prime: pay the one-time model build
 				cands, refrozen := 0, 0
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -679,7 +679,7 @@ func BenchmarkTGARound(b *testing.B) {
 					}
 					refrozen += rf
 					prev = out
-					cands += drain(b, feed, tga.NewSeedView(out))
+					cands += drain(b, feed, out)
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")

@@ -82,7 +82,7 @@ func main() {
 	// candidate goes straight to stdout.
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
-	view := tga.SeedViewOf(seeds)
+	view := ip6.SortedOf(seeds...)
 	emitted := 0
 	g.EmitView(view, *budget, func(a ip6.Addr) bool {
 		fmt.Fprintln(out, a)

@@ -3,7 +3,7 @@
 // and compare hit rates — the Section 6 workflow.
 //
 // Each generator is a tga.ViewStreamer: a model fit to a sharded seed
-// view (tga.SeedViewOf turns the flat seed list into one) and sampled by
+// view (ip6.SortedOf turns the flat seed list into one) and sampled by
 // EmitView. Candidates stream straight from each generator into the scan
 // engine (tga.NewViewSource → Scanner.StreamResponsiveFrom, which
 // returns each protocol's responders as an ip6.SortedShardSet): the
@@ -57,7 +57,7 @@ func main() {
 	scanner := scan.New(world.Net, cfg)
 	ctx := context.Background()
 
-	view := tga.SeedViewOf(seeds)
+	view := ip6.SortedOf(seeds...)
 	gens := []tga.ViewStreamer{
 		sixgraph.New(sixgraph.DefaultConfig()),
 		sixtree.New(sixtree.DefaultConfig()),

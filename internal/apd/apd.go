@@ -352,8 +352,6 @@ func (q *slotQueue) ShardSource(sh int) scan.TargetSource {
 	return scan.SliceSource(q.addrs[sh])
 }
 
-func (q *slotQueue) ShardLen(sh int) int { return len(q.addrs[sh]) }
-
 // mark is the round's scan sink: result k of a shard's probe sequence is
 // protocol k%nprotos of the shard's slot k/nprotos, so a success marks
 // that slot's ref directly. The engine delivers a shard's batches

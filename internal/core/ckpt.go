@@ -41,11 +41,10 @@ package core
 // everrespany.hl6; see Service.InjectedOnly: the deployment purge
 // derives it once and inputSeen keeps its addresses out afterwards, so
 // only gfw_deployed in state.json says the filter ran), lastMain (the
-// wall-clock shard profile — outputs are pinned hand-out-order-invariant,
-// so the resumed run's first scan just orders shards by size) and
-// published serve snapshots (derived state; only the generation counter
-// survives, via serve.Handle.RestoreGeneration, so numbering continues
-// seamlessly).
+// previous main scan's engine stats, wall-clock accounting that
+// LastFleet reports and no output depends on) and published serve
+// snapshots (derived state; only the generation counter survives, via
+// serve.Handle.RestoreGeneration, so numbering continues seamlessly).
 
 import (
 	"bufio"

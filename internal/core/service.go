@@ -306,8 +306,8 @@ type Service struct {
 
 	// mainScanner runs the main scan: scanner's configuration plus the
 	// FleetWorkers count and FleetFaultHook (scanner itself serves APD
-	// and TGA probing). lastMain is its previous result — the shard
-	// profile of the next scan's hand-out, and what LastFleet reports.
+	// and TGA probing). lastMain is its previous result, which LastFleet
+	// reports.
 	mainScanner *scan.Scanner
 	lastMain    scan.Stats
 
@@ -803,16 +803,12 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	// (no concatenated global target slice), batches are classified and
 	// folded into per-shard accumulators concurrently as they complete —
 	// the full targets × protocols result slice is never materialized —
-	// then the accumulators merge in canonical shard order.
-	// The previous main scan's per-shard timing orders the hand-out
-	// (slowest shards first, so stragglers overlap the cheap tail instead
-	// of serializing after it). Purely a wall-clock input — per-shard
-	// outputs do not depend on the order.
+	// then the accumulators merge in canonical shard order, so outputs do
+	// not depend on which worker probed which shard when.
 	digests := s.digests
 	for sh := range digests {
 		digests[sh].reset()
 	}
-	s.mainScanner.SetShardProfile(s.lastMain.PerShard)
 	stats, err := s.mainScanner.StreamFrom(ctx, scan.ShardSlices(s.active.addrs), s.cfg.Protocols, day, s.digestSink(digests))
 	if err != nil {
 		return nil, fmt.Errorf("core: scanning: %w", err)
@@ -1754,7 +1750,7 @@ func (s *Service) tgaSeedView() (*tga.SeedView, int, error) {
 			refrozen++
 		}
 	}
-	s.tgaView = tga.NewSeedView(seeds)
+	s.tgaView = seeds
 	return s.tgaView, refrozen, nil
 }
 

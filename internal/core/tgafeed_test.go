@@ -283,7 +283,7 @@ func TestTGAFeedFailureHaltsService(t *testing.T) {
 	}
 	runDays(t, s2, days[k:])
 	// Restored records equal the uninterrupted run's whole, TGA counters
-	// included, but for the wall-clock shard profile, which is not
+	// included, but for the per-shard wall-clock timings, which are not
 	// persisted. A resumed service has no previous seed view, so its
 	// first round counts every shard refrozen: the scans after the head
 	// match in full but for that count.

@@ -335,7 +335,7 @@ func Ablations(ctx context.Context, s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	seeds := tga.NewSeedView(snap.ResponsiveAny)
+	seeds := snap.ResponsiveAny
 	tbC := analysis.NewTable("min size", "max gap", "candidates", "responsive", "hit rate")
 	for _, cfgRow := range []dc.Config{
 		{MinClusterSize: 10, MaxGap: 64, MaxFill: 4096},

@@ -193,7 +193,7 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 		{sixveclm.New(sixveclm.DefaultConfig()), sc(70.3e3)},
 		{dc.New(dc.DefaultConfig()), sc(5.3e6)},
 	}
-	view := tga.NewSeedView(snap.ResponsiveAny)
+	view := snap.ResponsiveAny
 	for _, g := range gens {
 		var addrs []ip6.Addr
 		g.g.EmitView(view, g.budget, func(a ip6.Addr) bool {

@@ -178,9 +178,9 @@ func (r *Reader) ShardSource(sh int) ip6.Source {
 }
 
 // Source returns a fresh TargetSource over the whole file. The returned
-// source implements scan.ShardedSource and scan.ShardSizer, so
-// Scanner.StreamFrom hands each probe worker its shard's run directly;
-// with mmap the per-shard sources also serve zero-copy spans. Closing the
+// source implements scan.ShardedSource, so Scanner.StreamFrom hands each
+// probe worker its shard's run directly; with mmap the per-shard sources
+// also serve zero-copy spans. Closing the
 // source does not close the reader — use OpenSource for a self-owning
 // stream.
 func (r *Reader) Source() scan.TargetSource { return newFileSource(r, false) }
@@ -206,10 +206,7 @@ func newFileSource(r *Reader, owned bool) *fileSource {
 	return &fileSource{shardReader: shardReader{r: r, left: int(r.total)}, owned: owned}
 }
 
-var (
-	_ scan.ShardedSource = (*fileSource)(nil)
-	_ scan.ShardSizer    = (*fileSource)(nil)
-)
+var _ scan.ShardedSource = (*fileSource)(nil)
 
 func (s *fileSource) ShardSource(sh int) scan.TargetSource {
 	if s.r.counts[sh] == 0 {
@@ -217,8 +214,6 @@ func (s *fileSource) ShardSource(sh int) scan.TargetSource {
 	}
 	return s.r.ShardSource(sh)
 }
-
-func (s *fileSource) ShardLen(sh int) int { return s.r.counts[sh] }
 
 func (s *fileSource) Close() error {
 	if s.owned {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/bits"
 	"sort"
+	"sync"
 )
 
 // Source is a pull stream of addresses, the one shape every address
@@ -232,6 +233,14 @@ type merge2 struct {
 // little, and the tree's memory stays about runChunk per leaf.
 const innerChunk = 64
 
+// leafBufs and innerBufs recycle the heads' buffers across merges, such
+// as the per-shard merges of one .hl6 write or one compaction: a merge
+// returns its buffers once it has ended.
+var (
+	leafBufs  = sync.Pool{New: func() any { return new([runChunk]Addr) }}
+	innerBufs = sync.Pool{New: func() any { return new([innerChunk]Addr) }}
+)
+
 // mergeOf builds the merge tree of two or more sources. A leaf input is
 // pulled runChunk addresses at a time, or all at once when it reports
 // holding fewer (a Len method); an inner merge innerChunk at a time.
@@ -243,12 +252,29 @@ func mergeOf(srcs []Source) *merge2 {
 			if l, ok := half[0].(interface{ Len() int }); ok {
 				n = max(min(n, l.Len()), 1)
 			}
-			m.in[i] = head{src: half[0], buf: make([]Addr, n)}
+			m.in[i] = head{src: half[0], buf: leafBufs.Get().(*[runChunk]Addr)[:n]}
 		} else {
-			m.in[i] = head{src: mergeOf(half), buf: make([]Addr, innerChunk)}
+			m.in[i] = head{src: mergeOf(half), buf: innerBufs.Get().(*[innerChunk]Addr)[:]}
 		}
 	}
 	return m
+}
+
+// release returns the buffers of m and of the merges under it to their
+// pools; m has ended and is never pulled again. Idempotent.
+func (m *merge2) release() {
+	for i := range m.in {
+		h := &m.in[i]
+		if inner, ok := h.src.(*merge2); ok {
+			inner.release()
+			if h.buf != nil {
+				innerBufs.Put((*[innerChunk]Addr)(h.buf[:innerChunk]))
+			}
+		} else if h.buf != nil {
+			leafBufs.Put((*[runChunk]Addr)(h.buf[:runChunk]))
+		}
+		h.buf, h.cur = nil, nil
+	}
 }
 
 func (m *merge2) Next(out []Addr) (int, error) {
@@ -281,6 +307,9 @@ func (m *merge2) Next(out []Addr) (int, error) {
 		k, i, j := m.merge(out[n:], wa, wb)
 		n += k
 		a.cur, b.cur = a.cur[i:], b.cur[j:]
+	}
+	if m.err != nil {
+		m.release()
 	}
 	if n == 0 || m.err == io.EOF {
 		return n, m.err

@@ -2,9 +2,11 @@ package scan
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hitlist6/internal/ip6"
@@ -12,12 +14,12 @@ import (
 )
 
 // shardBatches streams targets through a sharded source and returns the
-// delivered batch sequences keyed (shard, seq).
-func shardBatches(t *testing.T, s *Scanner, targets []ip6.Addr) map[[2]int][]Result {
+// delivered batch sequences keyed (shard, seq), and the stream's stats.
+func shardBatches(t *testing.T, s *Scanner, targets []ip6.Addr) (map[[2]int][]Result, Stats) {
 	t.Helper()
 	var mu sync.Mutex
 	out := make(map[[2]int][]Result)
-	_, err := s.StreamFrom(context.Background(), SliceSource(targets), []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80}, 4, func(b *Batch) error {
+	st, err := s.StreamFrom(context.Background(), SliceSource(targets), []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80}, 4, func(b *Batch) error {
 		mu.Lock()
 		out[[2]int{b.Shard, b.Seq}] = append([]Result(nil), b.Results...)
 		mu.Unlock()
@@ -26,44 +28,48 @@ func shardBatches(t *testing.T, s *Scanner, targets []ip6.Addr) map[[2]int][]Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return out, st
 }
 
-// TestDispatchOrderDoesNotChangeOutputs pins the hand-out contract: any
-// shard profile — here deliberately lying ones — reorders which worker
-// probes which shard when, and yields bit-identical per-shard batch
-// sequences.
+// TestDispatchOrderDoesNotChangeOutputs pins the hand-out contract: the
+// queue goes out in canonical order, and the only thing that reorders it
+// is a killed worker putting its shard back at the head. A kill at pickup
+// and a kill after the shard's first filled batch, at several worker
+// counts, must still yield per-shard batch sequences equal to one
+// worker's — which holds only if the re-issued shard restarts from a
+// fresh cursor.
 func TestDispatchOrderDoesNotChangeOutputs(t *testing.T) {
 	n := testNet(t)
 	cfg := DefaultConfig(3)
-	cfg.Workers = 4
-	cfg.BatchSize = 16
-	s := New(n, cfg)
+	cfg.Workers = 1
+	cfg.BatchSize = 4 // several batches per shard, so a mid-shard kill point exists
 	targets := append(streamTargets(400), ip6.MustParseAddr("2001:100::80"))
 
-	base := shardBatches(t, s, targets)
+	base, _ := shardBatches(t, New(n, cfg), targets)
 	if len(base) == 0 {
 		t.Fatal("no batches delivered")
 	}
-
-	// Claims the last shard is the slowest and the first the fastest:
-	// the reverse of the size-ordered default's tie-break.
-	ascending := make([]ShardStats, ip6.AddrShards)
-	for sh := range ascending {
-		ascending[sh].Nanos = int64(sh + 1)
-	}
-	// Claims one shard dwarfs everything and the rest cost nothing.
-	skewed := make([]ShardStats, ip6.AddrShards)
-	skewed[ip6.ShardOf(targets[0])].Nanos = 1 << 40
-	for _, prof := range [][]ShardStats{ascending, skewed} {
-		s.SetShardProfile(prof)
-		if got := shardBatches(t, s, targets); !reflect.DeepEqual(base, got) {
-			t.Fatalf("profile %v..: batch sequences diverge", prof[:2])
+	for _, workers := range []int{2, 4, 8} {
+		for _, midShard := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d/midshard=%v", workers, midShard), func(t *testing.T) {
+				var killed atomic.Bool
+				cfg := cfg
+				cfg.Workers = workers
+				cfg.FaultHook = func(p FaultPoint) error {
+					if (p.Batch >= 0) == midShard && killed.CompareAndSwap(false, true) {
+						return ErrWorkerKilled
+					}
+					return nil
+				}
+				got, st := shardBatches(t, New(n, cfg), targets)
+				if !killed.Load() || st.Reissued < 1 {
+					t.Fatalf("no shard re-issued (hook fired: %v)", killed.Load())
+				}
+				if !reflect.DeepEqual(base, got) {
+					t.Fatal("batch sequences diverge from one worker's")
+				}
+			})
 		}
-	}
-	s.SetShardProfile(nil)
-	if got := shardBatches(t, s, targets); !reflect.DeepEqual(base, got) {
-		t.Fatal("clearing the profile diverges")
 	}
 }
 

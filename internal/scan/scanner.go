@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"hitlist6/internal/dnswire"
 	"hitlist6/internal/ip6"
@@ -174,10 +173,6 @@ type Scanner struct {
 	// seedMix is rng.MixPrefix(Config.Seed), the state every target's
 	// loss and transaction-ID hashes resume from.
 	seedMix rng.MixState
-
-	// profile is the optional cost estimate of the sharded path's
-	// hand-out (SetShardProfile); nil means none.
-	profile atomic.Pointer[[]ShardStats]
 }
 
 // New builds a scanner over the given network.
@@ -209,23 +204,6 @@ func New(net *netmodel.Network, cfg Config) *Scanner {
 
 // Config returns the scanner's configuration.
 func (s *Scanner) Config() Config { return s.cfg }
-
-// SetShardProfile gives the sharded stream path a previous scan's
-// per-shard statistics (Stats.PerShard) as its cost estimate: handing
-// the slowest shards (ShardStats.Nanos) out first trims the tail,
-// because the stragglers are in flight while the cheap shards backfill
-// idle workers. Anything but ip6.AddrShards entries clears the profile
-// (shards then cost their target count). Scan outputs never depend on
-// the hand-out order — batches are per shard and consumers merge in
-// canonical shard order — so this is purely a wall-clock input.
-func (s *Scanner) SetShardProfile(prev []ShardStats) {
-	if len(prev) != ip6.AddrShards {
-		s.profile.Store(nil)
-		return
-	}
-	cp := append([]ShardStats(nil), prev...)
-	s.profile.Store(&cp)
-}
 
 // target is one scan target resolved for one day: everything probing it
 // needs that depends on neither the protocol nor the attempt — the

@@ -11,23 +11,14 @@ import (
 // producer in the pipeline — TGA generators, input feeds, the service's
 // sharded scan-set buffers, the APD slot queue — implements TargetSource,
 // and Scanner.StreamFrom pulls, shards and probes the stream without ever
-// materializing the full target set. The optional refinements below let
-// producers that already know more (contiguous storage, canonical
-// pre-sharding, a fixed shard) skip work the engine would otherwise redo.
+// materializing the full target set. Producers whose targets are
+// already partitioned by shard implement ShardedSource, which skips the
+// engine's routing pass.
 
 // TargetSource is a pull-based stream of scan targets: ip6.Source, whose
 // contract (chunks into the caller's buffer, io.EOF, determinism, one
 // puller at a time, io.Closer honoured) every producer keeps.
 type TargetSource = ip6.Source
-
-// SpanSource is an optional TargetSource fast path for sources backed by
-// contiguous memory: Span returns the next run of up to max addresses as
-// a subslice of the source's own storage (valid until the next call),
-// skipping the copy into the caller's buffer.
-type SpanSource interface {
-	TargetSource
-	Span(max int) ([]ip6.Addr, error)
-}
 
 // ShardedSource is an optional TargetSource refinement for producers
 // whose targets are already partitioned by ip6.ShardOf. The engine then
@@ -44,18 +35,10 @@ type ShardedSource interface {
 	ShardSource(sh int) TargetSource
 }
 
-// ShardSizer is an optional refinement: ShardLen reports how many
-// addresses shard sh will yield (so the engine can size batch buffers
-// exactly), or -1 when unknown.
-type ShardSizer interface {
-	ShardLen(sh int) int
-}
-
 // SliceSource wraps a materialized target slice as a TargetSource. The
 // returned source also implements ShardedSource (partitioning lazily,
-// preserving input order within each shard), SpanSource and ShardSizer,
-// so slice-fed streams keep the exact plan-based fast path of the
-// engine. The slice must not be mutated while the source is in use.
+// preserving input order within each shard), so slice-fed streams keep
+// the exact plan-based fast path of the engine. The slice must not be mutated while the source is in use.
 func SliceSource(addrs []ip6.Addr) TargetSource {
 	return &sliceSource{SliceSource: ip6.NewSliceSource(addrs), all: addrs}
 }
@@ -80,8 +63,6 @@ func (s *sliceSource) ShardSource(sh int) TargetSource {
 	}
 	return ip6.NewSliceSource(plan)
 }
-
-func (s *sliceSource) ShardLen(sh int) int { return len(s.built()[sh]) }
 
 // ShardSlices wraps caller-partitioned per-shard target slices — the
 // layout the service's scan-set buffers already hold — as a
@@ -134,8 +115,6 @@ func (s *shardSlices) ShardSource(sh int) TargetSource {
 	}
 	return ip6.NewSliceSource(s.shards[sh])
 }
-
-func (s *shardSlices) ShardLen(sh int) int { return len(s.shards[sh]) }
 
 // Chain concatenates sources: all of srcs[0]'s targets, then srcs[1]'s,
 // and so on. Closing the chain closes every closable constituent.

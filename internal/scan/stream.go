@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,7 +233,6 @@ type shardProbe struct {
 	shard    int
 	b        *Batch
 	pos      int
-	need     int
 	released bool
 
 	// hold makes delivery abort-atomic: filled batches wait on held until
@@ -246,20 +244,12 @@ type shardProbe struct {
 	held   []*Batch
 }
 
-// newShardProbe starts a shard's probe state. size is the shard's total
-// target count when known, -1 otherwise — it only tunes the first
-// buffer's capacity.
-func (r *streamRun) newShardProbe(shard int, size int) shardProbe {
-	need := r.batchSize
-	if size >= 0 {
-		if n := size * len(r.protos); n < need {
-			need = n
-		}
-	}
+// newShardProbe starts a shard's probe state.
+func (r *streamRun) newShardProbe(shard int) shardProbe {
 	b := &Batch{Shard: shard}
-	b.Results = r.s.getBuf(need)
+	b.Results = r.s.getBuf(r.batchSize)
 	b.arena = r.s.getArena(r.protos)
-	return shardProbe{run: r, shard: shard, b: b, need: need}
+	return shardProbe{run: r, shard: shard, b: b}
 }
 
 // flush delivers the current batch: inline to the sink (the buffer is
@@ -291,7 +281,7 @@ func (p *shardProbe) flush() error {
 	// has seen it; probing continues immediately into a fresh buffer.
 	full := p.b
 	p.b = &Batch{Shard: p.shard, Seq: full.Seq + 1, start: p.pos}
-	p.b.Results = r.s.getBuf(p.need)
+	p.b.Results = r.s.getBuf(r.batchSize)
 	p.b.arena = r.s.getArena(r.protos)
 	if !p.hold {
 		return r.deliver(full)
@@ -444,9 +434,9 @@ type WorkerStats struct {
 }
 
 // shardQueue is the sharded path's hand-out: the non-empty shards not
-// yet probed, most expensive first, consumed by whichever worker is
-// idle — greedy LPT list scheduling. A killed worker puts its shard
-// back, so idle workers wait while any shard is still in flight.
+// yet probed, in canonical shard order, consumed by whichever worker is
+// idle. A killed worker puts its shard back at the head, so idle workers
+// wait while any shard is still in flight.
 type shardQueue struct {
 	run *streamRun
 	src ShardedSource
@@ -515,7 +505,7 @@ func (q *shardQueue) putBack(sh int) {
 }
 
 // runSharded streams a pre-partitioned source: idle workers take whole
-// shards off the cost-ordered queue, and each pulls its shard's
+// shards off the queue in canonical order, and each pulls its shard's
 // sub-source directly into probing — no routing, no cross-shard
 // buffering. Hand-out order and worker deaths only affect which worker
 // probes which shard when — every shard's own batch sequence, and
@@ -534,29 +524,8 @@ func (r *streamRun) runSharded(src ShardedSource) {
 	if len(q.pending) == 0 {
 		return
 	}
-	sizes, _ := src.(ShardSizer)
-	size := func(sh int) int {
-		if sizes == nil {
-			return -1
-		}
-		return sizes.ShardLen(sh)
-	}
 	workers := min(r.s.cfg.Workers, len(q.pending))
 	q.alive = workers
-	// Estimated cost: the profiled scan's wall nanos where it saw the
-	// shard, target count otherwise, 1 as the floor. Estimates only steer
-	// the order; a single worker gains nothing from one and keeps the
-	// canonical order its consumers may rely on.
-	if workers > 1 {
-		prof := r.s.profile.Load()
-		cost := func(sh int) int64 {
-			if prof != nil && (*prof)[sh].Nanos > 0 {
-				return (*prof)[sh].Nanos
-			}
-			return int64(max(size(sh), 1))
-		}
-		sort.SliceStable(q.pending, func(i, j int) bool { return cost(q.pending[i]) > cost(q.pending[j]) })
-	}
 	r.onStop = func() {
 		q.mu.Lock()
 		q.stopped = true
@@ -570,8 +539,8 @@ func (r *streamRun) runSharded(src ShardedSource) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var buf []ip6.Addr // lazy pull buffer for non-span sources
-			var sp shardProbe  // restarted for every shard this worker takes
+			buf := make([]ip6.Addr, r.chunk)
+			var sp shardProbe // restarted for every shard this worker takes
 			for {
 				sh, feed, ok := q.next()
 				if !ok {
@@ -586,9 +555,9 @@ func (r *streamRun) runSharded(src ShardedSource) {
 				tot := &r.total.shards[sh]
 				probes, nanos := tot.probes.Load(), tot.nanos.Load()
 				if err == nil {
-					sp = r.newShardProbe(sh, size(sh))
+					sp = r.newShardProbe(sh)
 					sp.hold, sp.worker = hook != nil, w
-					err = r.pullShard(&sp, feed, &buf)
+					err = r.pullShard(&sp, feed, buf)
 				}
 				switch err {
 				case nil:
@@ -615,37 +584,10 @@ func (r *streamRun) runSharded(src ShardedSource) {
 
 // pullShard probes one shard's whole target sequence by pulling its
 // source to exhaustion.
-func (r *streamRun) pullShard(sp *shardProbe, src TargetSource, buf *[]ip6.Addr) error {
-	spanner, _ := src.(SpanSource)
-	for {
-		var seg []ip6.Addr
-		var err error
-		if spanner != nil {
-			seg, err = spanner.Span(r.chunk)
-		} else {
-			if *buf == nil {
-				*buf = make([]ip6.Addr, r.chunk)
-			}
-			var n int
-			n, err = src.Next(*buf)
-			seg = (*buf)[:n]
-		}
-		if len(seg) > 0 {
-			if perr := sp.probe(seg); perr != nil {
-				sp.release()
-				return perr
-			}
-		} else if err == nil {
-			sp.release()
-			return fmt.Errorf("scan: shard %d source made no progress", sp.shard)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sp.release()
-			return err
-		}
+func (r *streamRun) pullShard(sp *shardProbe, src TargetSource, buf []ip6.Addr) error {
+	if err := ip6.Drain(src, buf, sp.probe); err != nil {
+		sp.release()
+		return err
 	}
 	return sp.finish()
 }
@@ -722,7 +664,7 @@ func (r *streamRun) runRouted(src TargetSource) {
 						break
 					}
 					if rs.sp == nil {
-						sp := r.newShardProbe(sh, -1)
+						sp := r.newShardProbe(sh)
 						rs.sp = &sp
 					}
 					sp := rs.sp

@@ -173,8 +173,8 @@ func (s *feedSource) Next(buf []ip6.Addr) (int, error) {
 	return s.rest.Next(buf)
 }
 
-// Span implements scan.SpanSource: consumers read the collected list in
-// place.
+// Span is the span fast path ip6.Drain takes: consumers read the
+// collected list in place.
 func (s *feedSource) Span(max int) ([]ip6.Addr, error) {
 	if err := s.collect(); err != nil {
 		return nil, err

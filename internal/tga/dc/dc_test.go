@@ -25,7 +25,7 @@ func findClusters(seeds []ip6.Addr, cfg Config) [][]ip6.Addr {
 // emit collects a generator's EmitView stream over a flat seed slice.
 func emit(g *Generator, seeds []ip6.Addr, budget int) []ip6.Addr {
 	var out []ip6.Addr
-	g.EmitView(tga.SeedViewOf(seeds), budget, func(a ip6.Addr) bool {
+	g.EmitView(ip6.SortedOf(seeds...), budget, func(a ip6.Addr) bool {
 		out = append(out, a)
 		return true
 	})

@@ -113,10 +113,10 @@ func TestIncrementalModelMatchesScratch(t *testing.T) {
 					t.Fatalf("round %d: view shared no shards", r)
 				}
 				prev = frozen
-				grown = tga.NewSeedView(frozen)
+				grown = frozen
 				got := check("growth round", grown)
 				check("zero-Δ round", grown)
-				flat := emitAll(tc.fresh(), tga.SeedViewOf(set.Merge().Sorted()), tc.budget)
+				flat := emitAll(tc.fresh(), ip6.SortedOf(set.Merge().Sorted()...), tc.budget)
 				if !reflect.DeepEqual(got, flat) {
 					t.Fatalf("round %d: view emission diverges from the flat seed slice (%d vs %d candidates)",
 						r, len(got), len(flat))
@@ -125,9 +125,9 @@ func TestIncrementalModelMatchesScratch(t *testing.T) {
 					t.Fatal("final round emitted nothing — test exercised no candidates")
 				}
 			}
-			check("strict-subset view", tga.SeedViewOf(tc.pool[:len(tc.pool)/2]))
+			check("strict-subset view", ip6.SortedOf(tc.pool[:len(tc.pool)/2]...))
 			check("grown view after subset", grown)
-			if len(check("foreign view", tga.SeedViewOf(foreign))) == 0 {
+			if len(check("foreign view", ip6.SortedOf(foreign...))) == 0 {
 				t.Fatal("foreign view emitted nothing")
 			}
 			check("grown view again", grown)

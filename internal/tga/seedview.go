@@ -1,9 +1,9 @@
 package tga
 
 // SeedView is the sharded seed contract between the pipeline and the
-// generators: per-shard sorted spans plus a total length, wrapping an
-// ip6.SortedShardSet — the view of the cumulative responsive set. Views
-// are cheap to hand out every round because the set's view wraps its
+// generators: per-shard sorted spans plus a total length, the
+// ip6.SortedShardSet view of the cumulative responsive set. Views are
+// cheap to hand out every round because the set's view wraps its
 // folded columns — shards whose membership did not change share their
 // span with the previous round's view, which is also what lets a
 // generator's incremental model skip an unchanged shard by slice
@@ -13,55 +13,13 @@ package tga
 
 import "hitlist6/internal/ip6"
 
-// SeedView wraps a frozen sorted shard set as the generators' seed
-// contract. The zero/nil view is empty.
-type SeedView struct {
-	set *ip6.SortedShardSet
-}
+// SeedView is the generators' seed contract: a frozen sorted shard set,
+// whose Len, Shard, Has and Walk treat a nil set as empty.
+type SeedView = ip6.SortedShardSet
 
-// NewSeedView wraps an already-frozen sorted shard set.
-func NewSeedView(set *ip6.SortedShardSet) *SeedView { return &SeedView{set: set} }
-
-// SeedViewOf materializes a view from a flat seed slice — how a caller
-// holding a plain seed list (the CLI, the experiments, tests) hands it to
-// EmitView. Seeds are partitioned by canonical shard, sorted, and
-// deduplicated; the caller's slice is not modified.
-func SeedViewOf(seeds []ip6.Addr) *SeedView { return NewSeedView(ip6.SortedOf(seeds...)) }
-
-// Len returns the total seed count; a nil view is empty.
-func (v *SeedView) Len() int {
-	if v == nil {
-		return 0
-	}
-	return v.set.Len()
-}
-
-// Shard returns shard i's sorted span; treat as read-only.
-func (v *SeedView) Shard(i int) []ip6.Addr {
-	if v == nil || v.set == nil {
-		return nil
-	}
-	return v.set.Shard(i)
-}
-
-// Has reports seed membership by binary search over the address's
-// canonical shard — the emission-phase "is this a seed" test, replacing
-// the per-round resident copy of the whole seed set.
-func (v *SeedView) Has(a ip6.Addr) bool {
-	if v == nil {
-		return false
-	}
-	return v.set.Has(a)
-}
-
-// Walk visits every seed in canonical order (shard by shard, sorted
-// within each shard); fn returning false stops the walk.
-func (v *SeedView) Walk(fn func(ip6.Addr) bool) {
-	if v == nil || v.set == nil {
-		return
-	}
-	v.set.Walk(fn)
-}
+// NewSeedView returns set unchanged. It exists only because the
+// repository benchmark calls it; everything else passes the set.
+func NewSeedView(set *ip6.SortedShardSet) *SeedView { return set }
 
 // SameSpan reports whether two frozen shard spans are the same immutable
 // slice. A cumulative set's view wraps the very column of a shard that

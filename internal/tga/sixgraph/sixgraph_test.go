@@ -28,7 +28,7 @@ func mine(seeds []ip6.Addr) []Pattern {
 	var counts [32][16]int64
 	tga.NibbleCounts(seeds, &counts)
 	entropy := tga.EntropyFromCounts(&counts, len(seeds))
-	return minePatterns(tga.SeedViewOf(seeds).Walk, entropy, DefaultConfig())
+	return minePatterns(ip6.SortedOf(seeds...).Walk, entropy, DefaultConfig())
 }
 
 // enumerate collects a pattern's expansion, up to budget.
@@ -44,7 +44,7 @@ func enumerate(p Pattern, budget int) []ip6.Addr {
 // emit collects a generator's EmitView stream over a flat seed slice.
 func emit(g *Generator, seeds []ip6.Addr, budget int) []ip6.Addr {
 	var out []ip6.Addr
-	g.EmitView(tga.SeedViewOf(seeds), budget, func(a ip6.Addr) bool {
+	g.EmitView(ip6.SortedOf(seeds...), budget, func(a ip6.Addr) bool {
 		out = append(out, a)
 		return true
 	})

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hitlist6/internal/ip6"
-	"hitlist6/internal/tga"
 )
 
 func seeds() []ip6.Addr {
@@ -23,7 +22,7 @@ func seeds() []ip6.Addr {
 // emit collects a generator's EmitView stream over a flat seed slice.
 func emit(g *Generator, seeds []ip6.Addr, budget int) []ip6.Addr {
 	var out []ip6.Addr
-	g.EmitView(tga.SeedViewOf(seeds), budget, func(a ip6.Addr) bool {
+	g.EmitView(ip6.SortedOf(seeds...), budget, func(a ip6.Addr) bool {
 		out = append(out, a)
 		return true
 	})

@@ -28,7 +28,7 @@ import (
 // one (KeptSpans) — so a round's model update costs the new seeds, not
 // the cumulative set — and a view of any other seed set yields exactly
 // what a fresh generator would. Callers holding a flat seed slice pass
-// SeedViewOf(seeds).
+// ip6.SortedOf(seeds...).
 type ViewStreamer interface {
 	Name() string
 	EmitView(view *SeedView, budget int, yield func(ip6.Addr) bool)

@@ -98,7 +98,7 @@ func TestGeneratorStreamsMatchGolden(t *testing.T) {
 		"6VecLM": {3000, "32956b35ea6ced91f192f37110a2dca57fa86854491eb5d55ddd4ca0e23635de"},
 		"DC":     {13, "0dbd839a6fdabde1b38fed72e8916c596711fdeb2002d2bd4c977e28461ed717"},
 	}
-	v := tga.SeedViewOf(streamSeeds())
+	v := ip6.SortedOf(streamSeeds()...)
 	for _, g := range generators() {
 		want, ok := golden[g.Name()]
 		if !ok {
@@ -116,7 +116,7 @@ func TestGeneratorStreamsMatchGolden(t *testing.T) {
 // tga.NewViewSource reproduces the collected EmitView stream exactly, for
 // any pull buffer size, and Emitted counts it.
 func TestEmitMatchesGenerate(t *testing.T) {
-	v := tga.SeedViewOf(streamSeeds())
+	v := ip6.SortedOf(streamSeeds()...)
 	const budget = 3000
 	for _, g := range generators() {
 		gen := emitAll(g, v, budget)
@@ -186,7 +186,7 @@ func collectShardSequences(t *testing.T, stream func(scan.Sink) (scan.Stats, err
 // directly, for several worker counts and chunk sizes. The candidate
 // slice never exists on the StreamFrom side.
 func TestGenerateThenStreamEquivalence(t *testing.T) {
-	v := tga.SeedViewOf(streamSeeds())
+	v := ip6.SortedOf(streamSeeds()...)
 	const budget = 2500
 	net := netmodel.NewNetwork(3, netmodel.NewASTable(nil))
 	protos := []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80}
@@ -226,7 +226,7 @@ func TestGenerateThenStreamEquivalence(t *testing.T) {
 // generator goroutine and further pulls; double Close is safe.
 func TestSourceEarlyClose(t *testing.T) {
 	g := sixgraph.New(sixgraph.DefaultConfig())
-	src := tga.NewViewSource(g, tga.SeedViewOf(streamSeeds()), 100000)
+	src := tga.NewViewSource(g, ip6.SortedOf(streamSeeds()...), 100000)
 	buf := make([]ip6.Addr, 16)
 	if n, err := src.Next(buf); n == 0 || err != nil {
 		t.Fatalf("first pull: n=%d err=%v", n, err)
@@ -285,7 +285,7 @@ func TestChainedRoundMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		views = append(views, tga.NewSeedView(view))
+		views = append(views, view)
 	}
 	const budget = 400
 	for _, bufSize := range []int{1, 7, 513} {
@@ -351,7 +351,7 @@ func (g *gatedGen) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bo
 func TestSourceCloseJoinsGenerator(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	g := &gatedGen{entered: make(chan struct{}), release: make(chan struct{})}
-	v := tga.SeedViewOf(streamSeeds())
+	v := ip6.SortedOf(streamSeeds()...)
 	const budget = 1 << 20
 	start := func(what string, budget int) *tga.Source {
 		t.Helper()

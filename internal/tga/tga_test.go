@@ -106,7 +106,7 @@ func TestGroupSortedBySlash64SharesInput(t *testing.T) {
 // ascending within a shard.
 func canonical(seeds []ip6.Addr) []ip6.Addr {
 	var out []ip6.Addr
-	SeedViewOf(seeds).Walk(func(a ip6.Addr) bool {
+	ip6.SortedOf(seeds...).Walk(func(a ip6.Addr) bool {
 		out = append(out, a)
 		return true
 	})
@@ -182,10 +182,10 @@ func TestKeptSpansAdded(t *testing.T) {
 		}
 	}
 	all := append(append([]ip6.Addr(nil), base...), more...)
-	expect("first view", NewSeedView(first), canonical(base), true)
-	expect("same view again", NewSeedView(first), nil, false)
-	expect("same seeds, new backing", SeedViewOf(base), nil, false)
-	expect("grown view", NewSeedView(grown), canonical(more), false)
+	expect("first view", first, canonical(base), true)
+	expect("same view again", first, nil, false)
+	expect("same seeds, new backing", ip6.SortedOf(base...), nil, false)
+	expect("grown view", grown, canonical(more), false)
 
 	// Drop the largest seed of the first non-empty shard: that shard
 	// shrank, every other span is unchanged in content.
@@ -195,16 +195,16 @@ func TestKeptSpansAdded(t *testing.T) {
 		last++
 	}
 	shrunk := append(append([]ip6.Addr(nil), seeds[:last]...), seeds[last+1:]...)
-	expect("shrunk shard", SeedViewOf(shrunk), canonical(shrunk), true)
-	expect("grown view after shrink", NewSeedView(grown), seeds[last:last+1], false)
+	expect("shrunk shard", ip6.SortedOf(shrunk...), canonical(shrunk), true)
+	expect("grown view after shrink", grown, seeds[last:last+1], false)
 
 	foreign := addrs("2a02:db8:7::1", "2a02:db8:7::5", "2a02:db8:8::1")
-	expect("foreign view", SeedViewOf(foreign), canonical(foreign), true)
+	expect("foreign view", ip6.SortedOf(foreign...), canonical(foreign), true)
 }
 
 func TestSeedViewOf(t *testing.T) {
 	seeds := addrs("2001:db9::2", "2001:db9::1", "2001:db9::2", "2a01:e00:4::1")
-	v := SeedViewOf(seeds)
+	v := ip6.SortedOf(seeds...)
 	if v.Len() != 3 {
 		t.Fatalf("len: %d", v.Len())
 	}
@@ -239,7 +239,7 @@ func TestSeedViewOf(t *testing.T) {
 	if nilView.Len() != 0 || nilView.Has(seeds[0]) || nilView.Shard(0) != nil {
 		t.Error("nil view")
 	}
-	if SeedViewOf(nil).Len() != 0 {
+	if ip6.SortedOf().Len() != 0 {
 		t.Error("empty view")
 	}
 }
